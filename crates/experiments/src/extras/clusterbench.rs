@@ -98,7 +98,7 @@ fn run_cell(
             let stats = harness.stats();
             assert!(stats.conservation_ok(), "clusterbench lost a request");
             if mode == 3 {
-                stats.peer_probes as f64 * 1_000.0 / stats.delivered as f64
+                stats.fill.probes as f64 * 1_000.0 / stats.delivered as f64
             } else {
                 stats.hit_rate()
             }

@@ -109,8 +109,11 @@ fn replay(
             Err(e) => panic!("degradebench replay failed: {e}"),
         }
         let now = harness.stats();
-        let dead_probes = now.peer_errors - prev.peer_errors;
-        let live_probes = now.peer_probes - prev.peer_probes;
+        // `probes` counts failed probes too; every error is a probe
+        // that waited out a dead owner (no fault plan, so no lost
+        // replies, and a replay to a just-answered peer cannot fail).
+        let dead_probes = now.fill.errors - prev.fill.errors;
+        let live_probes = now.fill.probes - prev.fill.probes - dead_probes;
         costs.push(dead_probes * DEAD_PROBE_MS + live_probes * LIVE_PROBE_MS);
         prev = now;
     }

@@ -1,10 +1,10 @@
 //! Property tests of the point-level sweep engine: submission order and
 //! results must be invariant under the worker count.
 //!
-//! The `proptest!` cases exercise arbitrary point counts and job counts
-//! when the real `proptest` crate is available; the plain `#[test]`
-//! below keeps a deterministic grid of the same property alive under
-//! the offline stub (see `vendor/README.md`).
+//! The plain `#[test]` below walks a deterministic grid; the
+//! `proptest!` cases add arbitrary point counts and job counts on top
+//! (the vendored `proptest` is a small real runner, see
+//! `vendor/README.md`).
 
 use clipcache_experiments::sweep::run_points;
 use clipcache_workload::{RequestGenerator, Trace};

@@ -34,6 +34,17 @@
 //! cluster is bit-for-bit the standalone server, which keeps the serial
 //! equivalence anchor intact.
 //!
+//! ## One fill engine, two links
+//!
+//! Breakers, hint queues, probe and replay, and their counters live in
+//! one [`FillEngine`] per handling node, which reaches peers only
+//! through the one-method [`PeerLink`]: a TCP connection pool in
+//! [`ClusterRuntime`] (what `serve` runs), or the member services plus
+//! a [`PeerFaults`] plan in [`ClusterHarness`] (what `clusterbench`,
+//! `degradebench` and the cluster chaos goldens run). `probes` counts
+//! every admitted probe, failed ones included; `errors` counts every
+//! probe or hint replay whose reply never came.
+//!
 //! ## Versioning
 //!
 //! Peers handshake with `VERSION` ([`WireVersions`]) before the first
@@ -47,31 +58,30 @@
 //! breaker (Closed → Open after [`BREAKER_FAILURE_THRESHOLD`]
 //! consecutive failures → HalfOpen probe after
 //! [`BREAKER_PROBE_INTERVAL`] skipped attempts → Closed on success).
-//! The schedule consults no clock: breaker state is a pure function of
-//! the failure/success sequence, so a killed member costs at most K
-//! timeouts before misses degrade to local-only fills, and the replay
-//! stays deterministic like everything else.
+//! It records probe outcomes, so a lost reply is a failure just like a
+//! dead peer. The schedule consults no clock: breaker state is a pure
+//! function of the failure/success sequence, so a killed member costs
+//! at most K timeouts before misses degrade to local-only fills, and
+//! the replay stays deterministic like everything else.
 //!
 //! While a peer's breaker is Open its half of write-all is not simply
 //! dropped: the handler enqueues a bounded per-peer **hint**
 //! ([`HANDOFF_QUEUE_LIMIT`] clips, oldest dropped first, duplicates
-//! collapsed) and replays the queue over the wire as soon as a probe
-//! to that peer succeeds again — restoring replica coverage after a
-//! revive without any coordinator. The harness mirrors the same
-//! machinery so `degradebench` and the degraded chaos golden replay it
-//! bit for bit.
+//! collapsed) and replays the queue as soon as a probe to that peer
+//! succeeds again — restoring replica coverage after a revive without
+//! any coordinator.
 //!
 //! ## Fault injection
 //!
-//! The in-process [`ClusterHarness`] replays the same deterministic
-//! chaos discipline as the wire harness: a [`PeerFaults`] plan
-//! (drop-pre / drop-post / garbage only — torn writes and shard poison
-//! make no sense on the modelled peer hop) decides faults as a pure
-//! function of `(handler node, probe sequence)`. A dropped-after-send
-//! probe still executes on the peer — the duplicated access is exactly
-//! the idempotent-GET duplicate the single-node chaos suite already
-//! proves harmless — so the conservation invariant
-//! `delivered = local hits + peer hits + misses` holds at every rate.
+//! The in-process link replays the same deterministic chaos discipline
+//! as the wire harness: a [`PeerFaults`] plan (drop-pre / drop-post /
+//! garbage only — torn writes and shard poison make no sense on the
+//! modelled peer hop) decides faults as a pure function of `(handler
+//! node, peer-wire sequence)`. A dropped-after-send probe still executes
+//! on the peer — the duplicated access is exactly the idempotent-GET
+//! duplicate the single-node chaos suite already proves harmless — so
+//! the conservation invariant `delivered = local hits + peer hits +
+//! misses` holds at every rate.
 
 use crate::client::TcpCacheClient;
 use crate::fault::{FaultKind, FaultPlan};
@@ -326,11 +336,6 @@ impl ClusterView {
         }
     }
 
-    /// Member count.
-    pub fn nodes(&self) -> usize {
-        self.ring.nodes()
-    }
-
     /// Replication factor.
     pub fn replication(&self) -> usize {
         self.replication
@@ -341,10 +346,169 @@ impl ClusterView {
     pub fn owners_for(&self, clip: ClipId) -> Vec<usize> {
         self.ring.owners(u64::from(clip.get()), self.replication)
     }
+}
 
-    /// The clip's primary owner (`owners_for(clip)[0]`).
-    pub fn primary_of(&self, clip: ClipId) -> usize {
-        self.ring.node_of(u64::from(clip.get()))
+/// One `PEERGET` from the filling node to `peer`: everything a
+/// [`FillEngine`] needs from the outside world.
+///
+/// `Ok(had)` says whether the peer already held `clip` (it admits on a
+/// miss either way). `Err(())` means no reply arrived — the peer is
+/// dead, unreachable or version-skewed, or the reply was lost; the
+/// engine needs no more detail than that to drive its breakers.
+#[allow(clippy::result_unit_err)]
+pub trait PeerLink {
+    /// Send one `PEERGET clip` to `peer` and wait for its reply.
+    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()>;
+}
+
+/// A [`FillEngine`]'s counters, summed over every peer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FillStats {
+    /// Fills some peer already held (`PHIT`s served).
+    pub peer_hits: u64,
+    /// Probes the breakers admitted, failed ones included.
+    pub probes: u64,
+    /// Probes and hint replays that got no reply.
+    pub errors: u64,
+    /// Breaker trips into Open.
+    pub breaker_opens: u64,
+    /// Probe attempts skipped because the peer's breaker was Open.
+    pub breaker_skipped: u64,
+    /// Write-all halves queued as hints for Open peers.
+    pub handoff_queued: u64,
+    /// Hints replayed onto healed peers.
+    pub handoff_replayed: u64,
+    /// Hints dropped because a peer's queue was full (oldest first).
+    pub handoff_dropped: u64,
+}
+
+impl FillStats {
+    fn add(&mut self, other: &FillStats) {
+        self.peer_hits += other.peer_hits;
+        self.probes += other.probes;
+        self.errors += other.errors;
+        self.breaker_opens += other.breaker_opens;
+        self.breaker_skipped += other.breaker_skipped;
+        self.handoff_queued += other.handoff_queued;
+        self.handoff_replayed += other.handoff_replayed;
+        self.handoff_dropped += other.handoff_dropped;
+    }
+}
+
+/// The peer fill of one handling node: a [`PeerBreaker`] and a bounded,
+/// duplicate-free hint queue per peer, the probe/replay algorithm, and
+/// its [`FillStats`]. `serve` runs one over TCP ([`ClusterRuntime`]);
+/// [`ClusterHarness`] runs one per member over its in-process link.
+#[derive(Debug, Clone)]
+pub struct FillEngine {
+    me: usize,
+    breakers: Vec<PeerBreaker>,
+    hints: Vec<VecDeque<ClipId>>,
+    stats: FillStats,
+}
+
+impl FillEngine {
+    /// The engine of node `me` in a `nodes`-member cluster, every peer
+    /// behind a fresh copy of `breaker`.
+    pub fn new(me: usize, nodes: usize, breaker: PeerBreaker) -> FillEngine {
+        FillEngine {
+            me,
+            breakers: vec![breaker; nodes],
+            hints: vec![VecDeque::new(); nodes],
+            stats: FillStats::default(),
+        }
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> FillStats {
+        self.stats
+    }
+
+    /// The breaker guarding `peer`.
+    pub fn breaker(&self, peer: usize) -> &PeerBreaker {
+        &self.breakers[peer]
+    }
+
+    /// Clips waiting to be replayed onto `peer`, oldest first.
+    pub fn hints(&self, peer: usize) -> &VecDeque<ClipId> {
+        &self.hints[peer]
+    }
+
+    /// Peers whose breaker is currently Open (`STATS breaker_open=`).
+    pub fn breaker_open(&self) -> u64 {
+        self.breakers
+            .iter()
+            .filter(|b| b.state() == BreakerState::Open)
+            .count() as u64
+    }
+
+    /// Peer fill after a local miss on `clip`: probe every owner other
+    /// than this node with `PEERGET` (which is also the write-all half —
+    /// each probed owner admits on its own miss). Returns whether any
+    /// peer already had the clip. With `R = 1` the probe set is empty
+    /// and this is a no-op returning `false`.
+    ///
+    /// Each probe is gated by the peer's breaker: an Open peer is
+    /// skipped (its write-all half queued as a hint) instead of paying
+    /// the connect timeout, and the first successful probe after a
+    /// revive replays the hint queue before anything else.
+    pub fn fill(&mut self, link: &mut impl PeerLink, owners: &[usize], clip: ClipId) -> bool {
+        let me = self.me;
+        let mut filled = false;
+        for &peer in owners.iter().filter(|&&n| n != me) {
+            if !self.breakers[peer].admit() {
+                self.stats.breaker_skipped += 1;
+                self.queue_hint(peer, clip);
+                continue;
+            }
+            self.stats.probes += 1;
+            let reply = link.peer_get(peer, clip);
+            self.record(peer, reply.is_ok());
+            if let Ok(had) = reply {
+                filled |= had;
+                self.replay_hints(link, peer);
+            }
+        }
+        self.stats.peer_hits += u64::from(filled);
+        filled
+    }
+
+    /// Feed one reply outcome to `peer`'s breaker.
+    fn record(&mut self, peer: usize, ok: bool) {
+        let breaker = &mut self.breakers[peer];
+        let opens = breaker.opens();
+        breaker.record(ok);
+        self.stats.breaker_opens += breaker.opens() - opens;
+        self.stats.errors += u64::from(!ok);
+    }
+
+    /// Remember the write-all half the Open `peer` just missed. Bounded
+    /// (drop-oldest) and duplicate-free.
+    fn queue_hint(&mut self, peer: usize, clip: ClipId) {
+        let queue = &mut self.hints[peer];
+        if queue.contains(&clip) {
+            return;
+        }
+        if queue.len() == HANDOFF_QUEUE_LIMIT {
+            queue.pop_front();
+            self.stats.handoff_dropped += 1;
+        }
+        queue.push_back(clip);
+        self.stats.handoff_queued += 1;
+    }
+
+    /// Replay `peer`'s hint queue, oldest first: peek, send, pop on
+    /// success. A lost reply stops the drain (the rest stay queued for
+    /// the next successful probe) and counts as a breaker failure.
+    fn replay_hints(&mut self, link: &mut impl PeerLink, peer: usize) {
+        while let Some(&clip) = self.hints[peer].front() {
+            if link.peer_get(peer, clip).is_err() {
+                self.record(peer, false);
+                return;
+            }
+            self.hints[peer].pop_front();
+            self.stats.handoff_replayed += 1;
+        }
     }
 }
 
@@ -358,181 +522,14 @@ enum PeerSlot {
     Skewed,
 }
 
-/// Server-side cluster state owned by the event loop: the lazily
-/// dialled peer pool plus fill counters.
-///
-/// Peer fetches are *blocking* calls made from inside the epoll loop,
-/// bounded by the spec's connect/read timeouts. That is a deliberate
-/// trade: the probe is one tiny frame each way, and the timeout bounds
-/// the worst case (two nodes filling from each other simultaneously
-/// degrade to timeout-paced, not deadlocked — each one's `PEERGET`
-/// queues behind the other's in-flight work and both sides give up
-/// after `read_timeout`).
-pub struct ClusterRuntime {
+/// The server's [`PeerLink`]: one lazily dialled binary-wire connection
+/// per member.
+struct TcpLink {
     spec: ClusterSpec,
-    view: ClusterView,
     slots: Vec<PeerSlot>,
-    breakers: Vec<PeerBreaker>,
-    hints: Vec<VecDeque<ClipId>>,
-    peer_hits: u64,
-    peer_probes: u64,
-    peer_errors: u64,
-    breaker_skipped: u64,
-    handoff_queued: u64,
-    handoff_dropped: u64,
-    handoff_replayed: u64,
 }
 
-impl ClusterRuntime {
-    /// Build the runtime; connections are dialled lazily on first probe.
-    pub fn new(spec: ClusterSpec) -> ClusterRuntime {
-        let view = spec.view();
-        let n = spec.peers.len();
-        ClusterRuntime {
-            spec,
-            view,
-            slots: (0..n).map(|_| PeerSlot::Idle).collect(),
-            breakers: vec![PeerBreaker::default(); n],
-            hints: vec![VecDeque::new(); n],
-            peer_hits: 0,
-            peer_probes: 0,
-            peer_errors: 0,
-            breaker_skipped: 0,
-            handoff_queued: 0,
-            handoff_dropped: 0,
-            handoff_replayed: 0,
-        }
-    }
-
-    /// The topology view (shared with routing clients).
-    pub fn view(&self) -> &ClusterView {
-        &self.view
-    }
-
-    /// GETs answered by a peer instead of the origin (`PHIT`s served).
-    pub fn peer_hits(&self) -> u64 {
-        self.peer_hits
-    }
-
-    /// Peers whose breaker is currently Open (`STATS breaker_open=`).
-    pub fn breaker_open(&self) -> u64 {
-        self.breakers
-            .iter()
-            .filter(|b| b.state() == BreakerState::Open)
-            .count() as u64
-    }
-
-    /// Hints replayed onto healed peers (`STATS handoff_replayed=`).
-    pub fn handoff_replayed(&self) -> u64 {
-        self.handoff_replayed
-    }
-
-    /// Peer fill after a local miss on `clip`: probe every *other*
-    /// owner with `PEERGET` (which is also the write-all half — each
-    /// probed owner admits on its own miss). Returns whether any peer
-    /// already had the clip. With `R = 1` the probe set is empty and
-    /// this is a no-op returning `false`.
-    ///
-    /// Each probe is gated by the peer's [`PeerBreaker`]: an Open peer
-    /// is skipped (its write-all half queued as a hint) instead of
-    /// paying the connect timeout, and the first successful probe after
-    /// a revive replays the hint queue before anything else.
-    pub fn fill(&mut self, clip: ClipId) -> bool {
-        let owners = self.view.owners_for(clip);
-        let me = self.spec.me;
-        let mut filled = false;
-        for &peer in owners.iter().filter(|&&n| n != me) {
-            if !self.breakers[peer].admit() {
-                self.breaker_skipped += 1;
-                self.queue_hint(peer, clip);
-                continue;
-            }
-            let result = self.probe(peer, clip);
-            self.breakers[peer].record(result.is_some());
-            if result == Some(true) {
-                filled = true;
-            }
-            if result.is_some() && !self.hints[peer].is_empty() {
-                self.replay_hints(peer);
-            }
-        }
-        if filled {
-            self.peer_hits += 1;
-        }
-        filled
-    }
-
-    /// Remember the write-all half the Open `peer` just missed. Bounded
-    /// (drop-oldest) and duplicate-free.
-    fn queue_hint(&mut self, peer: usize, clip: ClipId) {
-        let queue = &mut self.hints[peer];
-        if queue.contains(&clip) {
-            return;
-        }
-        if queue.len() == HANDOFF_QUEUE_LIMIT {
-            queue.pop_front();
-            self.handoff_dropped += 1;
-        }
-        queue.push_back(clip);
-        self.handoff_queued += 1;
-    }
-
-    /// Replay `peer`'s hint queue over the live connection. A mid-replay
-    /// transport error stops the drain (remaining hints stay queued for
-    /// the next successful probe) and counts as a breaker failure.
-    fn replay_hints(&mut self, peer: usize) {
-        while let Some(&clip) = self.hints[peer].front() {
-            let PeerSlot::Connected(client) = &mut self.slots[peer] else {
-                return;
-            };
-            match client.peer_get(clip) {
-                Ok(_) => {
-                    self.hints[peer].pop_front();
-                    self.handoff_replayed += 1;
-                }
-                Err(_) => {
-                    self.slots[peer] = PeerSlot::Idle;
-                    self.peer_errors += 1;
-                    self.breakers[peer].record(false);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// One `PEERGET` round trip to `peer`. `None` means the peer was
-    /// unreachable, timed out, or is version-skewed; a transport error
-    /// drops the cached connection so the next probe redials (which is
-    /// how a killed-and-rejoined node is picked back up).
-    fn probe(&mut self, peer: usize, clip: ClipId) -> Option<bool> {
-        self.peer_probes += 1;
-        if matches!(self.slots[peer], PeerSlot::Skewed) {
-            self.peer_errors += 1;
-            return None;
-        }
-        if matches!(self.slots[peer], PeerSlot::Idle) {
-            match self.dial(peer) {
-                Ok(slot) => self.slots[peer] = slot,
-                Err(()) => {
-                    self.peer_errors += 1;
-                    return None;
-                }
-            }
-        }
-        let PeerSlot::Connected(client) = &mut self.slots[peer] else {
-            self.peer_errors += 1;
-            return None;
-        };
-        match client.peer_get(clip) {
-            Ok(had) => Some(had),
-            Err(_) => {
-                self.slots[peer] = PeerSlot::Idle;
-                self.peer_errors += 1;
-                None
-            }
-        }
-    }
-
+impl TcpLink {
     /// Dial and version-handshake `peer`. A failed dial leaves the slot
     /// retryable; version skew is terminal and loud.
     fn dial(&self, peer: usize) -> Result<PeerSlot, ()> {
@@ -552,6 +549,67 @@ impl ClusterRuntime {
                 Ok(PeerSlot::Skewed)
             }
         }
+    }
+}
+
+impl PeerLink for TcpLink {
+    /// A transport error drops the cached connection so the next call
+    /// redials — which is how a killed-and-rejoined node is picked back
+    /// up. A skewed peer fails without touching the wire.
+    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
+        if matches!(self.slots[peer], PeerSlot::Idle) {
+            self.slots[peer] = self.dial(peer)?;
+        }
+        let PeerSlot::Connected(client) = &mut self.slots[peer] else {
+            return Err(());
+        };
+        let reply = client.peer_get(clip);
+        if reply.is_err() {
+            self.slots[peer] = PeerSlot::Idle;
+        }
+        reply.map_err(|_| ())
+    }
+}
+
+/// Server-side cluster state owned by the event loop: the ring, this
+/// node's [`FillEngine`] and its TCP link.
+///
+/// Peer fetches are *blocking* calls made from inside the epoll loop,
+/// bounded by the spec's connect/read timeouts. That is a deliberate
+/// trade: the probe is one tiny frame each way, and the timeout bounds
+/// the worst case (two nodes filling from each other simultaneously
+/// degrade to timeout-paced, not deadlocked — each one's `PEERGET`
+/// queues behind the other's in-flight work and both sides give up
+/// after `read_timeout`).
+pub struct ClusterRuntime {
+    view: ClusterView,
+    engine: FillEngine,
+    link: TcpLink,
+}
+
+impl ClusterRuntime {
+    /// Build the runtime; connections are dialled lazily on first probe.
+    pub fn new(spec: ClusterSpec) -> ClusterRuntime {
+        let n = spec.peers.len();
+        ClusterRuntime {
+            view: spec.view(),
+            engine: FillEngine::new(spec.me, n, PeerBreaker::default()),
+            link: TcpLink {
+                spec,
+                slots: (0..n).map(|_| PeerSlot::Idle).collect(),
+            },
+        }
+    }
+
+    /// This node's fill engine (its counters feed `STATS`).
+    pub fn engine(&self) -> &FillEngine {
+        &self.engine
+    }
+
+    /// [`FillEngine::fill`] over the clip's ring owners and the TCP link.
+    pub fn fill(&mut self, clip: ClipId) -> bool {
+        let owners = self.view.owners_for(clip);
+        self.engine.fill(&mut self.link, &owners, clip)
     }
 }
 
@@ -595,11 +653,6 @@ impl PeerFaults {
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
-
-    /// The fault (if any) for probe number `probe` issued by `handler`.
-    fn decide(&self, handler: usize, probe: u64) -> Option<FaultKind> {
-        self.plan.decide(handler as u64, probe, 0)
-    }
 }
 
 /// Counters for one cluster replay; every field is client-observed.
@@ -611,32 +664,18 @@ pub struct ClusterStats {
     pub delivered: u64,
     /// Served from the handling owner's own shards.
     pub local_hits: u64,
-    /// Served by a peer fill (`PHIT`).
-    pub peer_hits: u64,
     /// Missed cluster-wide (origin fetch).
     pub misses: u64,
     /// GETs whose primary owner was dead and a successor handled them.
     pub failovers: u64,
-    /// `PEERGET` probes issued (including faulted ones).
-    pub peer_probes: u64,
-    /// Probes lost to drop-pre / drop-post faults.
+    /// Peer-wire messages lost to drop-pre / drop-post faults.
     pub peer_drops: u64,
-    /// Probes preceded by a garbage line (peer answered `ERR`, then
-    /// the real probe proceeded).
+    /// Peer-wire messages preceded by a garbage line (the peer answered
+    /// `ERR`, then the real message proceeded).
     pub peer_garbage: u64,
-    /// Probes that failed because the peer was dead or errored.
-    pub peer_errors: u64,
-    /// Breaker trips into Open (cumulative, across all handler→peer
-    /// pairs).
-    pub breaker_opens: u64,
-    /// Probe attempts skipped because the peer's breaker was Open.
-    pub breaker_skipped: u64,
-    /// Write-all halves queued as hints for Open peers.
-    pub handoff_queued: u64,
-    /// Hints replayed onto healed peers.
-    pub handoff_replayed: u64,
-    /// Hints dropped because a peer's queue was full (oldest first).
-    pub handoff_dropped: u64,
+    /// Every member's fill counters, summed; `fill.peer_hits` are the
+    /// GETs served by a peer fill (`PHIT`).
+    pub fill: FillStats,
 }
 
 impl ClusterStats {
@@ -646,13 +685,13 @@ impl ClusterStats {
         if self.delivered == 0 {
             return 0.0;
         }
-        (self.local_hits + self.peer_hits) as f64 / self.delivered as f64
+        (self.local_hits + self.fill.peer_hits) as f64 / self.delivered as f64
     }
 
     /// The conservation invariant: every delivered GET is classified
     /// exactly once.
     pub fn conservation_ok(&self) -> bool {
-        self.delivered == self.local_hits + self.peer_hits + self.misses
+        self.delivered == self.local_hits + self.fill.peer_hits + self.misses
     }
 }
 
@@ -678,12 +717,63 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+/// The harness's [`PeerLink`]: member services, their liveness, and the
+/// modelled peer-wire fault plan, which decides each message's fault as
+/// a pure function of `(handler, seq)`. `handler` is the node currently
+/// filling.
+#[derive(Default)]
+struct LocalLink {
+    nodes: Vec<Arc<CacheService>>,
+    alive: Vec<bool>,
+    faults: Option<PeerFaults>,
+    handler: usize,
+    seq: u64,
+    drops: u64,
+    garbage: u64,
+}
+
+impl PeerLink for LocalLink {
+    /// A dead peer fails before anything reaches the wire, so it draws
+    /// no fault from the plan.
+    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
+        if !self.alive[peer] {
+            return Err(());
+        }
+        let fault = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.plan.decide(self.handler as u64, self.seq, 0));
+        self.seq += 1;
+        match fault {
+            // Lost before the wire: the peer never sees it.
+            Some(FaultKind::DropBeforeSend) => {
+                self.drops += 1;
+                return Err(());
+            }
+            // The peer executes the access (its half of write-all still
+            // happens) but the reply is lost.
+            Some(FaultKind::DropAfterSend) => {
+                let _ = self.nodes[peer].get(clip);
+                self.drops += 1;
+                return Err(());
+            }
+            // A garbage line precedes the message; the peer answers
+            // `ERR` and the real message proceeds (server-side line
+            // discipline already proves this path).
+            Some(FaultKind::Garbage) => self.garbage += 1,
+            _ => {}
+        }
+        self.nodes[peer].get(clip).map(|o| o.hit).map_err(|_| ())
+    }
+}
+
 /// An in-process cluster: N [`CacheService`]s joined by a
 /// [`ClusterView`], replaying the full routed request path — read-any
 /// owner selection, peer fill, write-all — without sockets. This is
 /// what `clusterbench` measures and what the cluster chaos golden
 /// replays: deterministic (no wall clock, no thread scheduling — one
-/// caller at a time) and `--jobs`-invariant by construction.
+/// caller at a time) and `--jobs`-invariant by construction. Each
+/// member fills through its own [`FillEngine`], the server's code.
 ///
 /// [`kill`](Self::kill) / [`revive`](Self::revive) model node failure
 /// and WAL-recovered rejoin: a killed node refuses probes and routes
@@ -692,17 +782,12 @@ impl std::error::Error for ClusterError {}
 /// recovering its checkpoint + WAL.
 pub struct ClusterHarness {
     view: ClusterView,
-    nodes: Vec<Arc<CacheService>>,
-    alive: Vec<bool>,
-    faults: Option<PeerFaults>,
-    probe_seq: u64,
-    stats: ClusterStats,
-    /// Per handler→peer breaker, indexed `handler * nodes + peer` —
-    /// each member tracks its own view of every peer's health, exactly
-    /// like N independent [`ClusterRuntime`]s would.
-    breakers: Vec<PeerBreaker>,
-    /// Per handler→peer hint queue, same indexing.
-    hints: Vec<VecDeque<ClipId>>,
+    link: LocalLink,
+    /// One engine per member: each tracks its own view of every peer.
+    engines: Vec<FillEngine>,
+    /// Routing counters; the fill and peer-wire counters are summed in
+    /// [`stats`](Self::stats).
+    routed: ClusterStats,
     /// Deterministic kill/revive points: `(request index, node, alive)`
     /// applied before routing that request.
     schedule: Vec<(u64, usize, bool)>,
@@ -718,227 +803,138 @@ impl ClusterHarness {
     pub fn new(seed: u64, replication: usize, services: Vec<Arc<CacheService>>) -> ClusterHarness {
         assert!(!services.is_empty(), "cluster needs at least one node");
         let n = services.len();
-        let view = ClusterView::new(seed, n, replication);
-        ClusterHarness {
-            view,
-            nodes: services,
-            alive: vec![true; n],
-            faults: None,
-            probe_seq: 0,
-            stats: ClusterStats::default(),
-            breakers: vec![PeerBreaker::default(); n * n],
-            hints: vec![VecDeque::new(); n * n],
+        let mut harness = ClusterHarness {
+            view: ClusterView::new(seed, n, replication),
+            link: LocalLink {
+                nodes: services,
+                alive: vec![true; n],
+                ..LocalLink::default()
+            },
+            engines: Vec::new(),
+            routed: ClusterStats::default(),
             schedule: Vec::new(),
-        }
+        };
+        harness.set_breaker_tuning(BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL);
+        harness
     }
 
     /// Arm (or disarm) deterministic peer-wire faults.
     pub fn set_faults(&mut self, faults: Option<PeerFaults>) {
-        self.faults = faults;
-    }
-
-    /// The topology view.
-    pub fn view(&self) -> &ClusterView {
-        &self.view
+        self.link.faults = faults;
     }
 
     /// Member count.
     pub fn nodes(&self) -> usize {
-        self.nodes.len()
+        self.link.nodes.len()
     }
 
     /// Direct access to node `i`'s service (for seeding and for
     /// server-side conservation checks in tests).
     pub fn node(&self, i: usize) -> &Arc<CacheService> {
-        &self.nodes[i]
+        &self.link.nodes[i]
     }
 
-    /// Counters so far.
+    /// Counters so far: routing plus every member's fill counters.
     pub fn stats(&self) -> ClusterStats {
-        self.stats
+        let mut stats = self.routed;
+        stats.peer_drops = self.link.drops;
+        stats.peer_garbage = self.link.garbage;
+        for engine in &self.engines {
+            stats.fill.add(&engine.stats());
+        }
+        stats
     }
 
     /// SIGKILL node `i`: it stops answering routes and probes.
     pub fn kill(&mut self, i: usize) {
-        self.alive[i] = false;
+        self.link.alive[i] = false;
     }
 
     /// Rejoin node `i` with its recovered (pre-kill) cache state.
     pub fn revive(&mut self, i: usize) {
-        self.alive[i] = true;
+        self.link.alive[i] = true;
     }
 
     /// Node `i`'s breaker as seen from `handler` (for tests and the
     /// degradebench experiment).
     pub fn breaker(&self, handler: usize, peer: usize) -> &PeerBreaker {
-        &self.breakers[handler * self.nodes.len() + peer]
+        self.engines[handler].breaker(peer)
     }
 
-    /// Replace every handler→peer breaker with fresh ones at the given
-    /// thresholds. Call before traffic: `degradebench`'s breaker-off
-    /// control arm passes `u32::MAX` so no failure run ever trips (the
-    /// pre-breaker cluster, every dead probe paid in full).
+    /// Replace every member's engine with a fresh one whose breakers use
+    /// the given thresholds. Call before traffic: `degradebench`'s
+    /// breaker-off control arm passes `u32::MAX` so no failure run ever
+    /// trips (the pre-breaker cluster, every dead probe paid in full).
     pub fn set_breaker_tuning(&mut self, failure_threshold: u32, probe_interval: u64) {
-        let n = self.nodes.len();
-        self.breakers = vec![PeerBreaker::new(failure_threshold, probe_interval); n * n];
+        let n = self.nodes();
+        let breaker = PeerBreaker::new(failure_threshold, probe_interval);
+        self.engines = (0..n)
+            .map(|me| FillEngine::new(me, n, breaker.clone()))
+            .collect();
     }
 
     /// Schedule a deterministic kill of node `i` applied before the
     /// `at_request`-th GET (0-based). Drives `loadgen --kill-span`.
     pub fn schedule_kill(&mut self, i: usize, at_request: u64) {
-        assert!(i < self.nodes.len(), "node {i} out of range");
+        assert!(i < self.nodes(), "node {i} out of range");
         self.schedule.push((at_request, i, false));
     }
 
     /// Schedule a deterministic revive of node `i` applied before the
     /// `at_request`-th GET (0-based).
     pub fn schedule_revive(&mut self, i: usize, at_request: u64) {
-        assert!(i < self.nodes.len(), "node {i} out of range");
+        assert!(i < self.nodes(), "node {i} out of range");
         self.schedule.push((at_request, i, true));
     }
 
-    /// One routed GET: first alive owner handles it; on a local miss
-    /// every other alive owner is probed (peer fill + write-all), under
-    /// the armed fault plan.
-    pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
-        let seq = self.stats.requests;
-        let mut i = 0;
-        while i < self.schedule.len() {
-            if self.schedule[i].0 <= seq {
-                let (_, node, up) = self.schedule.remove(i);
-                self.alive[node] = up;
-            } else {
-                i += 1;
-            }
-        }
-        self.stats.requests += 1;
+    /// The first alive owner of `clip`, with its owner set.
+    fn route(&self, clip: ClipId) -> Result<(usize, Vec<usize>), ClusterError> {
         let owners = self.view.owners_for(clip);
-        let Some(handler) = owners.iter().copied().find(|&n| self.alive[n]) else {
-            return Err(ClusterError::NoOwnerAlive(clip));
-        };
-        if handler != owners[0] {
-            self.stats.failovers += 1;
+        match owners.iter().copied().find(|&n| self.link.alive[n]) {
+            Some(handler) => Ok((handler, owners)),
+            None => Err(ClusterError::NoOwnerAlive(clip)),
         }
-        let mut outcome = self.nodes[handler]
+    }
+
+    /// One routed GET: first alive owner handles it; on a local miss
+    /// its engine fills from the other owners under the armed fault
+    /// plan.
+    pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
+        let seq = self.routed.requests;
+        let link = &mut self.link;
+        self.schedule.retain(|&(at, node, up)| {
+            if at <= seq {
+                link.alive[node] = up;
+            }
+            at > seq
+        });
+        self.routed.requests += 1;
+        let (handler, owners) = self.route(clip)?;
+        if handler != owners[0] {
+            self.routed.failovers += 1;
+        }
+        let mut outcome = self.link.nodes[handler]
             .get(clip)
             .map_err(ClusterError::Service)?;
         if outcome.hit {
-            self.stats.local_hits += 1;
+            self.routed.local_hits += 1;
         } else {
-            let mut filled = false;
-            for &peer in owners.iter().filter(|&&n| n != handler) {
-                let slot = handler * self.nodes.len() + peer;
-                if !self.breakers[slot].admit() {
-                    self.stats.breaker_skipped += 1;
-                    self.queue_hint(slot, clip);
-                    continue;
-                }
-                // The breaker tracks peer *liveness*: a drop fault is a
-                // lost reply from a live peer (the wire discipline the
-                // retry loop already covers), not evidence the peer is
-                // down — counting it would make breaker state depend on
-                // the fault plan even in healthy clusters.
-                let up = self.alive[peer];
-                let opens_before = self.breakers[slot].opens();
-                if self.probe(handler, peer, clip) == Some(true) {
-                    filled = true;
-                }
-                self.breakers[slot].record(up);
-                self.stats.breaker_opens += self.breakers[slot].opens() - opens_before;
-                if up && !self.hints[slot].is_empty() {
-                    self.replay_hints(slot, peer);
-                }
-            }
-            if filled {
-                outcome.peer = true;
-                self.stats.peer_hits += 1;
-            } else {
-                self.stats.misses += 1;
+            self.link.handler = handler;
+            outcome.peer = self.engines[handler].fill(&mut self.link, &owners, clip);
+            if !outcome.peer {
+                self.routed.misses += 1;
             }
         }
-        self.stats.delivered += 1;
+        self.routed.delivered += 1;
         Ok(outcome)
-    }
-
-    /// Remember the write-all half the Open peer missed (bounded,
-    /// drop-oldest, duplicate-free) — [`ClusterRuntime::queue_hint`]'s
-    /// in-process mirror.
-    fn queue_hint(&mut self, slot: usize, clip: ClipId) {
-        let queue = &mut self.hints[slot];
-        if queue.contains(&clip) {
-            return;
-        }
-        if queue.len() == HANDOFF_QUEUE_LIMIT {
-            queue.pop_front();
-            self.stats.handoff_dropped += 1;
-        }
-        queue.push_back(clip);
-        self.stats.handoff_queued += 1;
-    }
-
-    /// Replay a healed peer's hint queue: each hint is a full local
-    /// access on the peer (admit-on-miss), restoring the replica
-    /// coverage the Open window skipped.
-    fn replay_hints(&mut self, slot: usize, peer: usize) {
-        while let Some(clip) = self.hints[slot].pop_front() {
-            let _ = self.nodes[peer].get(clip);
-            self.stats.handoff_replayed += 1;
-        }
     }
 
     /// Poison `clip`'s shard on its first alive owner (chaos parity
     /// with the single-node harness).
     pub fn poison(&mut self, clip: ClipId) -> Result<(), ClusterError> {
-        let owners = self.view.owners_for(clip);
-        let Some(handler) = owners.iter().copied().find(|&n| self.alive[n]) else {
-            return Err(ClusterError::NoOwnerAlive(clip));
-        };
-        self.nodes[handler].poison(clip);
+        let (handler, _) = self.route(clip)?;
+        self.link.nodes[handler].poison(clip);
         Ok(())
-    }
-
-    /// One modelled `PEERGET` from `handler` to `peer`, through the
-    /// fault plan. Mirrors [`ClusterRuntime::probe`]: `None` means the
-    /// probe was lost or the peer is dead.
-    fn probe(&mut self, handler: usize, peer: usize, clip: ClipId) -> Option<bool> {
-        if !self.alive[peer] {
-            self.stats.peer_errors += 1;
-            return None;
-        }
-        self.stats.peer_probes += 1;
-        let fault = self
-            .faults
-            .as_ref()
-            .and_then(|f| f.decide(handler, self.probe_seq));
-        self.probe_seq += 1;
-        match fault {
-            Some(FaultKind::DropBeforeSend) => {
-                // Lost before the wire: the peer never sees it.
-                self.stats.peer_drops += 1;
-                return None;
-            }
-            Some(FaultKind::DropAfterSend) => {
-                // The peer executes the access (its half of write-all
-                // still happens) but the reply is lost.
-                let _ = self.nodes[peer].get(clip);
-                self.stats.peer_drops += 1;
-                return None;
-            }
-            Some(FaultKind::Garbage) => {
-                // A garbage line precedes the probe; the peer answers
-                // `ERR` and the real probe proceeds (server-side line
-                // discipline already proves this path).
-                self.stats.peer_garbage += 1;
-            }
-            _ => {}
-        }
-        match self.nodes[peer].get(clip) {
-            Ok(o) => Some(o.hit),
-            Err(_) => {
-                self.stats.peer_errors += 1;
-                None
-            }
-        }
     }
 
     /// The cluster block appended to chaos reports: byte-stable,
@@ -946,8 +942,8 @@ impl ClusterHarness {
     /// hint traffic) render exactly the pre-breaker block, so the
     /// healthy-cluster goldens stay byte-identical.
     pub fn chaos_lines(&self) -> String {
-        let s = &self.stats;
-        let plan = match &self.faults {
+        let s = self.stats();
+        let plan = match &self.link.faults {
             Some(f) => f.plan().spelling(),
             None => "none".into(),
         };
@@ -957,17 +953,17 @@ impl ClusterHarness {
              cluster observed requests={} delivered={} local_hits={} peer_hits={} misses={}\n\
              peer wire probes={} drops={} garbage={} errors={} failovers={}\n\
              {}cluster invariant conservation={}\n",
-            self.nodes.len(),
+            self.nodes(),
             self.view.replication(),
             s.requests,
             s.delivered,
             s.local_hits,
-            s.peer_hits,
+            s.fill.peer_hits,
             s.misses,
-            s.peer_probes,
+            s.fill.probes,
             s.peer_drops,
             s.peer_garbage,
-            s.peer_errors,
+            s.fill.errors,
             s.failovers,
             self.degraded_lines(),
             if s.conservation_ok() {
@@ -982,7 +978,7 @@ impl ClusterHarness {
     /// only when a breaker actually tripped or a hint was queued — the
     /// zero-degradation path stays byte-identical to the old report.
     pub fn degraded_lines(&self) -> String {
-        let s = &self.stats;
+        let s = self.stats().fill;
         if s.breaker_opens == 0 && s.breaker_skipped == 0 && s.handoff_queued == 0 {
             return String::new();
         }
@@ -1084,8 +1080,8 @@ mod tests {
             c.get(ClipId::new(id)).unwrap();
         }
         let stats = c.stats();
-        assert_eq!(stats.peer_probes, 0);
-        assert_eq!(stats.peer_hits, 0);
+        assert_eq!(stats.fill.probes, 0);
+        assert_eq!(stats.fill.peer_hits, 0);
         assert!(stats.conservation_ok());
     }
 
@@ -1157,7 +1153,11 @@ mod tests {
         assert_eq!(b.state(), BreakerState::Closed, "K-1 failures stay Closed");
         assert!(b.admit());
         b.record(false);
-        assert_eq!(b.state(), BreakerState::Open, "Kth consecutive failure trips");
+        assert_eq!(
+            b.state(),
+            BreakerState::Open,
+            "Kth consecutive failure trips"
+        );
         assert_eq!(b.opens(), 1);
         for _ in 0..3 {
             assert!(!b.admit(), "Open skips M-1 attempts");
@@ -1190,16 +1190,29 @@ mod tests {
         for round in 0..200u32 {
             c.get(ClipId::new(round % 48 + 1)).unwrap();
         }
-        assert_eq!(c.stats().breaker_opens, 0, "healthy cluster never trips");
+        assert_eq!(
+            c.stats().fill.breaker_opens,
+            0,
+            "healthy cluster never trips"
+        );
         c.kill(2);
         for round in 0..400u32 {
             c.get(ClipId::new(round * 5 % 48 + 1)).unwrap();
         }
         let mid = c.stats();
-        assert!(mid.breaker_opens > 0, "{mid:?}");
-        assert!(mid.breaker_skipped > 0, "Open must skip probes: {mid:?}");
-        assert!(mid.handoff_queued > 0, "skipped fills must hint: {mid:?}");
-        assert_eq!(mid.handoff_replayed, 0, "nothing replays onto a corpse");
+        assert!(mid.fill.breaker_opens > 0, "{mid:?}");
+        assert!(
+            mid.fill.breaker_skipped > 0,
+            "Open must skip probes: {mid:?}"
+        );
+        assert!(
+            mid.fill.handoff_queued > 0,
+            "skipped fills must hint: {mid:?}"
+        );
+        assert_eq!(
+            mid.fill.handoff_replayed, 0,
+            "nothing replays onto a corpse"
+        );
         assert!(
             (0..2).any(|h| c.breaker(h, 2).state() == BreakerState::Open),
             "some survivor holds node 2 Open"
@@ -1209,9 +1222,12 @@ mod tests {
             c.get(ClipId::new(round * 11 % 48 + 1)).unwrap();
         }
         let end = c.stats();
-        assert!(end.handoff_replayed > 0, "heal must replay hints: {end:?}");
         assert!(
-            end.peer_hits > mid.peer_hits,
+            end.fill.handoff_replayed > 0,
+            "heal must replay hints: {end:?}"
+        );
+        assert!(
+            end.fill.peer_hits > mid.fill.peer_hits,
             "peer fills must resume after heal: {end:?}"
         );
         for h in 0..2 {
@@ -1250,7 +1266,7 @@ mod tests {
         }
         let s = c.stats();
         assert!(
-            s.handoff_dropped > 0,
+            s.fill.handoff_dropped > 0,
             "400 distinct hints must overflow the {HANDOFF_QUEUE_LIMIT}-clip bound: {s:?}"
         );
         c.revive(1);
@@ -1258,8 +1274,11 @@ mod tests {
             c.get(ClipId::new(id)).unwrap();
         }
         let s = c.stats();
-        assert!(s.handoff_replayed > 0, "{s:?}");
-        assert!(s.handoff_replayed <= HANDOFF_QUEUE_LIMIT as u64, "{s:?}");
+        assert!(s.fill.handoff_replayed > 0, "{s:?}");
+        assert!(
+            s.fill.handoff_replayed <= HANDOFF_QUEUE_LIMIT as u64,
+            "{s:?}"
+        );
     }
 
     #[test]
@@ -1278,7 +1297,7 @@ mod tests {
         };
         assert_eq!(run(), run());
         let (stats, lines) = run();
-        assert!(stats.breaker_opens > 0, "{stats:?}");
+        assert!(stats.fill.breaker_opens > 0, "{stats:?}");
         assert!(stats.conservation_ok(), "{stats:?}");
         assert!(
             lines.contains("degraded breaker_opens="),

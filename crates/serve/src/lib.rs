@@ -50,7 +50,8 @@
 //!   membership, client-side ring routing with read-any failover,
 //!   server-side peer fill over the binary wire (`PEERGET`) with
 //!   write-all replication, and the in-process [`ClusterHarness`] the
-//!   `clusterbench` experiment and the cluster chaos golden replay.
+//!   `clusterbench` experiment and the cluster chaos golden replay —
+//!   both filling through the same [`FillEngine`].
 //!
 //! **Equivalence anchor.** One shard + one client reproduces the serial
 //! simulator bit for bit: shard 0 runs the policy with the same derived
@@ -78,8 +79,8 @@ pub mod shard;
 pub use client::{is_busy_error, TcpCacheClient, Wire};
 pub use cluster::{
     BreakerState, ClusterError, ClusterHarness, ClusterRuntime, ClusterSpec, ClusterStats,
-    ClusterView, PeerBreaker, PeerFaults, BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL,
-    HANDOFF_QUEUE_LIMIT,
+    ClusterView, FillEngine, FillStats, PeerBreaker, PeerFaults, PeerLink,
+    BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL, HANDOFF_QUEUE_LIMIT,
 };
 pub use fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 pub use latency::LatencyLog;

@@ -6,7 +6,8 @@
 //! after the previous reply arrives (closed loop: offered load adapts to
 //! service speed, there is no open-loop queue to overflow). Per-client
 //! [`HitStats`] and [`LatencyLog`]s merge order-invariantly into the
-//! [`LoadReport`].
+//! [`LoadReport`]. All TCP targets share one ring-routing transport; a
+//! lone server is the one-member, R = 1 route.
 //!
 //! With `clients == 1` the replay is the exact trace order, so a 1-shard
 //! in-process run reproduces the serial simulator bit for bit
@@ -31,7 +32,7 @@
 //! retried over a fresh connection and counted exactly once, so
 //! [`LoadReport::conserved`] holds across a `kill -9` + recovery.
 
-use crate::client::{TcpCacheClient, Wire};
+use crate::client::{is_busy_error, TcpCacheClient, Wire};
 use crate::cluster::{ClusterHarness, ClusterView};
 use crate::fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 use crate::latency::LatencyLog;
@@ -73,8 +74,8 @@ impl ClusterRoute {
 pub enum Target {
     /// Call the service directly (no sockets).
     InProcess(Arc<CacheService>),
-    /// Speak the line protocol to this address, one connection per
-    /// client thread.
+    /// One server at this address, one connection per client thread:
+    /// the one-member, R = 1 case of [`Target::ClusterTcp`].
     Tcp(String),
     /// The in-process cluster harness (ring routing + peer fill without
     /// sockets). Deterministic with `clients == 1`; multi-client runs
@@ -224,29 +225,59 @@ impl LoadReport {
 }
 
 /// One client's view of the run.
+#[derive(Default)]
 struct ClientLog {
     stats: HitStats,
     latency: LatencyLog,
     chaos: ChaosStats,
 }
 
-/// The target-specific operations the chaos replay drives. Implementors
+impl ClientLog {
+    /// Record one delivered reply to a request sent at `started`. A
+    /// peer fill (`PHIT`) is an origin fetch avoided: the client
+    /// observes it as a hit. Non-cluster targets never set `peer`.
+    fn record(&mut self, outcome: GetOutcome, size: ByteSize, started: Instant) {
+        self.latency
+            .record_nanos(started.elapsed().as_nanos() as u64);
+        self.stats
+            .record(outcome.hit || outcome.peer, size, outcome.evictions);
+        self.chaos.delivered += 1;
+    }
+}
+
+/// The target-specific operations a replay drives. Implementors
 /// reconnect lazily: dropping the connection is cheap, and the next
-/// operation re-establishes it (counting the reconnect).
+/// operation re-establishes it (counting the reconnect). The defaults
+/// are the in-process behaviour: no wire to tear, corrupt, drop or
+/// close.
 trait Transport {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome>;
-    /// `get` delivered with hostile framing (torn write). In-process
-    /// targets have no wire, so this is a plain `get` there.
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome>;
-    /// Inject one line of garbage; returns whether it was answered with
-    /// a structured `ERR` (always true in-process: the parser rejected).
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool>;
     /// Poison the clip's shard.
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()>;
-    /// Drop the connection (no-op in-process).
-    fn drop_conn(&mut self);
+    /// `get` delivered with hostile framing (torn write).
+    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
+        self.get(clip)
+    }
+    /// Inject one line of garbage; returns whether it was answered with
+    /// a structured `ERR`. With no wire, the garbage goes to the same
+    /// parser the server would use.
+    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
+        Ok(parse_command(&String::from_utf8_lossy(payload)).is_err())
+    }
+    /// Drop the connection.
+    fn drop_conn(&mut self) {}
     /// Reconnections performed so far.
-    fn reconnects(&self) -> u64;
+    fn reconnects(&self) -> u64 {
+        0
+    }
+    /// End the run politely (`QUIT` on every open connection).
+    fn finish(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+fn not_connected(e: impl std::error::Error + Send + Sync + 'static) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::NotConnected, e)
 }
 
 struct InProcessTransport {
@@ -260,101 +291,9 @@ impl Transport for InProcessTransport {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
     }
 
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.get(clip)
-    }
-
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
-        // No wire to corrupt; feed the garbage to the same parser the
-        // server would use and report whether it was rejected.
-        Ok(parse_command(&String::from_utf8_lossy(payload)).is_err())
-    }
-
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
         self.service.poison(clip);
         Ok(())
-    }
-
-    fn drop_conn(&mut self) {}
-
-    fn reconnects(&self) -> u64 {
-        0
-    }
-}
-
-struct TcpTransport {
-    addr: String,
-    read_timeout: Option<Duration>,
-    wire: Wire,
-    client: Option<TcpCacheClient>,
-    reconnects: u64,
-}
-
-impl TcpTransport {
-    fn new(addr: &str, read_timeout: Option<Duration>, wire: Wire) -> Self {
-        TcpTransport {
-            addr: addr.to_string(),
-            read_timeout,
-            wire,
-            client: None,
-            reconnects: 0,
-        }
-    }
-
-    fn ensure(&mut self) -> std::io::Result<&mut TcpCacheClient> {
-        if self.client.is_none() {
-            self.client = Some(TcpCacheClient::connect_wire(
-                self.addr.as_str(),
-                self.read_timeout,
-                self.wire,
-            )?);
-            self.reconnects += 1;
-        }
-        Ok(self.client.as_mut().expect("just connected"))
-    }
-
-    fn finish(mut self) -> std::io::Result<()> {
-        match self.client.take() {
-            Some(client) => client.quit(),
-            None => Ok(()),
-        }
-    }
-}
-
-impl Transport for TcpTransport {
-    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.ensure()?.get(clip)
-    }
-
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.ensure()?.get_torn(clip)
-    }
-
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
-        let client = self.ensure()?;
-        let reply = match client.wire() {
-            // Text garbage: the plan's payload as one hostile line.
-            Wire::Text => client.send_raw(payload)?,
-            // Binary garbage: a corrupt-length frame (valid check byte,
-            // impossible length) — the recoverable header-corruption
-            // path; the server must resync after exactly the header.
-            Wire::Binary => client.send_corrupt_frame()?,
-        };
-        Ok(reply.starts_with("ERR "))
-    }
-
-    fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        self.ensure()?.poison(clip).map(|_| ())
-    }
-
-    fn drop_conn(&mut self) {
-        self.client = None; // closes the socket
-    }
-
-    fn reconnects(&self) -> u64 {
-        // The first connection of the run is establishment, not
-        // recovery.
-        self.reconnects.saturating_sub(1)
     }
 }
 
@@ -365,46 +304,24 @@ struct HarnessTransport {
     harness: Arc<Mutex<ClusterHarness>>,
 }
 
-impl HarnessTransport {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ClusterHarness> {
-        self.harness.lock().expect("cluster harness poisoned")
-    }
-}
-
 impl Transport for HarnessTransport {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.lock()
-            .get(clip)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::NotConnected, e))
-    }
-
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.get(clip)
-    }
-
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
-        Ok(parse_command(&String::from_utf8_lossy(payload)).is_err())
+        let mut harness = self.harness.lock().expect("cluster harness poisoned");
+        harness.get(clip).map_err(not_connected)
     }
 
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        self.lock()
-            .poison(clip)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::NotConnected, e))
-    }
-
-    fn drop_conn(&mut self) {}
-
-    fn reconnects(&self) -> u64 {
-        0
+        let mut harness = self.harness.lock().expect("cluster harness poisoned");
+        harness.poison(clip).map_err(not_connected)
     }
 }
 
-/// The ring-routing TCP transport: one lazy connection per cluster
-/// member, each GET sent to the clip's first reachable owner (read-any
-/// failover in owner order). A member that refuses or times out has its
-/// connection dropped; the next request to it redials, which is how a
-/// killed-and-restarted node is picked back up without any membership
-/// churn.
+/// The one TCP transport: a lazy connection per route member, each GET
+/// sent to the clip's first reachable owner (read-any failover in owner
+/// order). A lone server is the one-member, R = 1 route. A member that
+/// refuses or times out has its connection dropped; the next request to
+/// it redials, which is how a killed-and-restarted node is picked back
+/// up without any membership churn.
 struct ClusterTcpTransport {
     route: ClusterRoute,
     view: ClusterView,
@@ -419,16 +336,14 @@ struct ClusterTcpTransport {
 
 impl ClusterTcpTransport {
     fn new(route: &ClusterRoute, read_timeout: Option<Duration>, wire: Wire) -> Self {
-        let view = route.view();
-        let conns = (0..route.peers.len()).map(|_| None).collect();
-        let dialled = vec![false; route.peers.len()];
+        let n = route.peers.len();
         ClusterTcpTransport {
+            view: route.view(),
             route: route.clone(),
-            view,
             read_timeout,
             wire,
-            conns,
-            dialled,
+            conns: (0..n).map(|_| None).collect(),
+            dialled: vec![false; n],
             reconnects: 0,
         }
     }
@@ -449,8 +364,10 @@ impl ClusterTcpTransport {
     }
 
     /// Run `op` against each of `clip`'s owners in order until one
-    /// succeeds; a failed owner's connection is dropped so its next use
-    /// redials.
+    /// succeeds. A failed owner's connection is dropped so its next use
+    /// redials — except after a governor `BUSY`, which leaves the
+    /// connection in sync (redialing a shedding server adds to its
+    /// burden).
     fn on_owners<T>(
         &mut self,
         clip: ClipId,
@@ -462,21 +379,14 @@ impl ClusterTcpTransport {
             match self.ensure(node).and_then(&mut op) {
                 Ok(value) => return Ok(value),
                 Err(e) => {
-                    self.conns[node] = None;
+                    if !is_busy_error(&e) {
+                        self.conns[node] = None;
+                    }
                     last = Some(e);
                 }
             }
         }
         Err(last.expect("owner set is never empty"))
-    }
-
-    fn finish(mut self) -> std::io::Result<()> {
-        for conn in &mut self.conns {
-            if let Some(client) = conn.take() {
-                client.quit()?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -493,24 +403,37 @@ impl Transport for ClusterTcpTransport {
         // Garbage has no clip to route by; member 0 takes the abuse.
         let client = self.ensure(0)?;
         let reply = match client.wire() {
+            // Text garbage: the plan's payload as one hostile line.
             Wire::Text => client.send_raw(payload)?,
+            // Binary garbage: a corrupt-length frame (valid check byte,
+            // impossible length) — the recoverable header-corruption
+            // path; the server must resync after exactly the header.
             Wire::Binary => client.send_corrupt_frame()?,
         };
         Ok(reply.starts_with("ERR "))
     }
 
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        self.on_owners(clip, |client| client.poison(clip).map(|_| ()))
+        // A refusal (chaos-disabled server) is an ERR reply on a healthy
+        // connection: keep it, and do not fail over.
+        self.on_owners(clip, |client| Ok(client.poison(clip).map(|_| ())))?
     }
 
     fn drop_conn(&mut self) {
-        for conn in &mut self.conns {
-            *conn = None;
-        }
+        self.conns.fill_with(|| None);
     }
 
     fn reconnects(&self) -> u64 {
         self.reconnects
+    }
+
+    fn finish(&mut self) -> std::io::Result<()> {
+        for conn in &mut self.conns {
+            if let Some(client) = conn.take() {
+                client.quit()?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -540,22 +463,16 @@ fn chaos_get(
         };
         // Faults that consume this attempt entirely and force a retry.
         match injected {
-            Some(FaultKind::DropBeforeSend) => {
-                chaos.drops_before += 1;
-                chaos.retries += 1;
-                transport.drop_conn();
-                std::thread::sleep(retry.backoff(attempt));
-                attempt += 1;
-                continue;
-            }
-            Some(FaultKind::DropAfterSend) => {
-                // The server processes the request; the reply is lost in
-                // flight (read and discarded), so the retried GET is the
-                // idempotent duplicate.
-                match transport.get(clip) {
-                    Ok(_) | Err(_) => {}
+            Some(kind @ (FaultKind::DropBeforeSend | FaultKind::DropAfterSend)) => {
+                if kind == FaultKind::DropAfterSend {
+                    // The server processes the request; the reply is
+                    // lost in flight (read and discarded), so the
+                    // retried GET is the idempotent duplicate.
+                    let _ = transport.get(clip);
+                    chaos.drops_after += 1;
+                } else {
+                    chaos.drops_before += 1;
                 }
-                chaos.drops_after += 1;
                 chaos.retries += 1;
                 transport.drop_conn();
                 std::thread::sleep(retry.backoff(attempt));
@@ -587,10 +504,7 @@ fn chaos_get(
             transport.get(clip)
         };
         match result {
-            Ok(outcome) => {
-                chaos.delivered += 1;
-                return Ok(outcome);
-            }
+            Ok(outcome) => return Ok(outcome),
             Err(e) => {
                 // A real transport failure (dead server, timeout,
                 // refused admission): bounded reconnect-and-retry.
@@ -599,7 +513,7 @@ fn chaos_get(
                 }
                 io_retries += 1;
                 chaos.retries += 1;
-                if crate::client::is_busy_error(&e) {
+                if is_busy_error(&e) {
                     // A governor shed: the server is alive, just loaded.
                     // Keep the connection (redialing adds to its burden)
                     // and back off before the idempotent re-send.
@@ -614,37 +528,44 @@ fn chaos_get(
     }
 }
 
-/// The clean replay: the exact pre-chaos fast path, used whenever no
-/// fault plan is active so the serial-equivalence anchor stays intact.
+/// Replay `part` through `transport`, one request at a time. With no
+/// plan this is the exact pre-chaos fast path that keeps the
+/// serial-equivalence anchor intact; with one, every request runs
+/// through [`chaos_get`].
 fn replay(
     part: &Trace,
     repo: &Repository,
-    mut get: impl FnMut(ClipId) -> std::io::Result<GetOutcome>,
+    transport: &mut dyn Transport,
+    client: u64,
+    plan: Option<&FaultPlan>,
+    retry: &RetryPolicy,
 ) -> std::io::Result<ClientLog> {
-    let mut stats = HitStats::new();
-    let mut latency = LatencyLog::new();
-    let mut chaos = ChaosStats::default();
-    for req in part {
-        let size = repo.size_of(req.clip);
+    let mut log = ClientLog::default();
+    for (index, req) in part.requests().iter().enumerate() {
         let started = Instant::now();
-        let outcome = get(req.clip)?;
-        latency.record_nanos(started.elapsed().as_nanos() as u64);
-        // A peer fill (`PHIT`) is an origin fetch avoided: the client
-        // observes it as a hit. Non-cluster targets never set `peer`.
-        stats.record(outcome.hit || outcome.peer, size, outcome.evictions);
-        chaos.delivered += 1;
+        let outcome = match plan {
+            None => transport.get(req.clip)?,
+            Some(plan) => chaos_get(
+                transport,
+                req.clip,
+                client,
+                index as u64,
+                plan,
+                retry,
+                &mut log.chaos,
+            )?,
+        };
+        log.record(outcome, repo.size_of(req.clip), started);
     }
-    Ok(ClientLog {
-        stats,
-        latency,
-        chaos,
-    })
+    log.chaos.reconnects = transport.reconnects();
+    Ok(log)
 }
 
-/// The pipelined clean replay: windows of up to `depth` requests are
-/// batched into one write, then the replies are collected in order.
-/// Per-reply latency is measured from the window's send, so it includes
-/// the queueing a deep pipeline creates — that is the honest number.
+/// The pipelined clean replay against one server: windows of up to
+/// `options.pipeline` requests are batched into one write, then the
+/// replies are collected in order. Per-reply latency is measured from
+/// the window's send, so it includes the queueing a deep pipeline
+/// creates — that is the honest number.
 ///
 /// Because the server preserves per-connection order, the sequence of
 /// (request, outcome) pairs is identical to a depth-1 replay of the
@@ -652,69 +573,23 @@ fn replay(
 fn replay_pipelined(
     part: &Trace,
     repo: &Repository,
-    client: &mut TcpCacheClient,
-    depth: usize,
+    addr: &str,
+    options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
-    let mut stats = HitStats::new();
-    let mut latency = LatencyLog::new();
-    let mut chaos = ChaosStats::default();
-    let mut window: Vec<ClipId> = Vec::with_capacity(depth);
-    for batch in part.requests().chunks(depth.max(1)) {
+    let mut client = TcpCacheClient::connect_wire(addr, options.read_timeout, options.wire)?;
+    let mut log = ClientLog::default();
+    let mut window: Vec<ClipId> = Vec::with_capacity(options.pipeline);
+    for batch in part.requests().chunks(options.pipeline) {
         window.clear();
         window.extend(batch.iter().map(|req| req.clip));
         let started = Instant::now();
         client.send_gets(&window)?;
         for req in batch {
-            let outcome = client.recv_get()?;
-            latency.record_nanos(started.elapsed().as_nanos() as u64);
-            stats.record(
-                outcome.hit || outcome.peer,
-                repo.size_of(req.clip),
-                outcome.evictions,
-            );
-            chaos.delivered += 1;
+            log.record(client.recv_get()?, repo.size_of(req.clip), started);
         }
     }
-    Ok(ClientLog {
-        stats,
-        latency,
-        chaos,
-    })
-}
-
-/// The chaos replay: every request runs through [`chaos_get`].
-fn replay_chaos(
-    part: &Trace,
-    repo: &Repository,
-    transport: &mut dyn Transport,
-    client: u64,
-    plan: &FaultPlan,
-    retry: &RetryPolicy,
-) -> std::io::Result<ClientLog> {
-    let mut stats = HitStats::new();
-    let mut latency = LatencyLog::new();
-    let mut chaos = ChaosStats::default();
-    for (index, req) in part.requests().iter().enumerate() {
-        let size = repo.size_of(req.clip);
-        let started = Instant::now();
-        let outcome = chaos_get(
-            transport,
-            req.clip,
-            client,
-            index as u64,
-            plan,
-            retry,
-            &mut chaos,
-        )?;
-        latency.record_nanos(started.elapsed().as_nanos() as u64);
-        stats.record(outcome.hit || outcome.peer, size, outcome.evictions);
-    }
-    chaos.reconnects = transport.reconnects();
-    Ok(ClientLog {
-        stats,
-        latency,
-        chaos,
-    })
+    client.quit()?;
+    Ok(log)
 }
 
 /// Replay `trace` against `target` from `options.clients` closed-loop
@@ -766,34 +641,14 @@ pub fn run_with(
     }
     let recoveries = match target {
         Target::InProcess(service) => service.recoveries(),
-        Target::Tcp(addr) => {
-            let mut client =
-                TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)?;
-            let recoveries = client.stats()?.recoveries;
-            client.quit()?;
-            recoveries
-        }
         Target::Cluster(harness) => {
             let harness = harness.lock().expect("cluster harness poisoned");
             (0..harness.nodes())
                 .map(|i| harness.node(i).recoveries())
                 .sum()
         }
-        // Cluster-wide recoveries: sum over every member that still
-        // answers (a dead member's count is unknowable — report what
-        // the living cluster performed).
-        Target::ClusterTcp(route) => {
-            let mut total = 0;
-            for addr in &route.peers {
-                if let Ok(mut client) =
-                    TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)
-                {
-                    total += client.stats()?.recoveries;
-                    client.quit()?;
-                }
-            }
-            total
-        }
+        Target::Tcp(addr) => member_recoveries(std::slice::from_ref(addr), options)?,
+        Target::ClusterTcp(route) => member_recoveries(&route.peers, options)?,
     };
     Ok(LoadReport {
         observed,
@@ -804,6 +659,22 @@ pub fn run_with(
         recoveries,
         plan: options.faults.clone(),
     })
+}
+
+/// Shard recoveries summed over every member that still answers (a
+/// dead member's count is unknowable — report what the living members
+/// performed).
+fn member_recoveries(peers: &[String], options: &LoadOptions) -> std::io::Result<u64> {
+    let mut total = 0;
+    for addr in peers {
+        if let Ok(mut client) =
+            TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)
+        {
+            total += client.stats()?.recoveries;
+            client.quit()?;
+        }
+    }
+    Ok(total)
 }
 
 /// Replay `trace` against `target` from `clients` clean closed-loop
@@ -825,97 +696,43 @@ fn run_client(
     options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
     // Any plan — even rate=0 — routes through the retrying chaos
-    // transport: zero-rate injects nothing (bit-identical stats, the
-    // test below pins it) but survives a server restart mid-run via
-    // lazy reconnect + bounded io_retries, with the request counted
-    // exactly once.
+    // replay: zero-rate injects nothing (bit-identical stats, the test
+    // below pins it) but survives a server restart mid-run via lazy
+    // reconnect + bounded io_retries, with the request counted exactly
+    // once.
     let plan = options.faults.as_ref();
-    match (target, plan) {
-        (Target::InProcess(service), None) => replay(part, repo, |clip| {
-            service
-                .get(clip)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
+    let tcp =
+        |route: &ClusterRoute| ClusterTcpTransport::new(route, options.read_timeout, options.wire);
+    let mut transport: Box<dyn Transport> = match target {
+        Target::InProcess(service) => Box::new(InProcessTransport {
+            service: Arc::clone(service),
         }),
-        (Target::Tcp(addr), None) => {
-            let mut client =
-                TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)?;
-            let log = if options.pipeline > 1 {
-                replay_pipelined(part, repo, &mut client, options.pipeline)?
-            } else {
-                replay(part, repo, |clip| client.get(clip))?
-            };
-            client.quit()?;
-            Ok(log)
-        }
-        (Target::InProcess(service), Some(plan)) => {
-            let mut transport = InProcessTransport {
-                service: Arc::clone(service),
-            };
-            replay_chaos(
-                part,
-                repo,
-                &mut transport,
-                client_index as u64,
-                plan,
-                &options.retry,
-            )
-        }
-        (Target::Tcp(addr), Some(plan)) => {
-            let mut transport = TcpTransport::new(addr, options.read_timeout, options.wire);
-            let log = replay_chaos(
-                part,
-                repo,
-                &mut transport,
-                client_index as u64,
-                plan,
-                &options.retry,
-            )?;
-            transport.finish()?;
-            Ok(log)
-        }
-        (Target::Cluster(harness), None) => replay(part, repo, |clip| {
-            harness
-                .lock()
-                .expect("cluster harness poisoned")
-                .get(clip)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::NotConnected, e))
+        Target::Cluster(harness) => Box::new(HarnessTransport {
+            harness: Arc::clone(harness),
         }),
-        (Target::Cluster(harness), Some(plan)) => {
-            let mut transport = HarnessTransport {
-                harness: Arc::clone(harness),
-            };
-            replay_chaos(
-                part,
-                repo,
-                &mut transport,
-                client_index as u64,
-                plan,
-                &options.retry,
-            )
+        // A lone server is one pipe, so a clean replay can batch into
+        // it. Ring routing picks a connection per clip, so cluster
+        // replays run request-at-a-time whatever `options.pipeline` says.
+        Target::Tcp(addr) if plan.is_none() && options.pipeline > 1 => {
+            return replay_pipelined(part, repo, addr, options);
         }
-        // Ring routing picks a connection per clip, so there is no
-        // single pipe to batch into: cluster replays run
-        // request-at-a-time whatever `options.pipeline` says.
-        (Target::ClusterTcp(route), None) => {
-            let mut transport = ClusterTcpTransport::new(route, options.read_timeout, options.wire);
-            let log = replay(part, repo, |clip| transport.get(clip))?;
-            transport.finish()?;
-            Ok(log)
-        }
-        (Target::ClusterTcp(route), Some(plan)) => {
-            let mut transport = ClusterTcpTransport::new(route, options.read_timeout, options.wire);
-            let log = replay_chaos(
-                part,
-                repo,
-                &mut transport,
-                client_index as u64,
-                plan,
-                &options.retry,
-            )?;
-            transport.finish()?;
-            Ok(log)
-        }
-    }
+        Target::Tcp(addr) => Box::new(tcp(&ClusterRoute {
+            peers: vec![addr.clone()],
+            replication: 1,
+            seed: 0,
+        })),
+        Target::ClusterTcp(route) => Box::new(tcp(route)),
+    };
+    let log = replay(
+        part,
+        repo,
+        transport.as_mut(),
+        client_index as u64,
+        plan,
+        &options.retry,
+    )?;
+    transport.finish()?;
+    Ok(log)
 }
 
 /// The serial reference: replay `trace` through the plain simulator with
@@ -941,6 +758,7 @@ pub fn serial_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{serve_with, GovernorConfig, ServerConfig};
     use crate::service::ServiceConfig;
     use clipcache_core::PolicyKind;
     use clipcache_media::paper;
@@ -993,6 +811,38 @@ mod tests {
         );
         assert_eq!(report.observed, baseline);
         assert_eq!(service.stats(), baseline);
+    }
+
+    #[test]
+    fn busy_replies_keep_the_connection() {
+        // A governor whose watermarks are all 0 sheds every GET. BUSY
+        // means the server is alive and the connection in sync, so the
+        // transport must not redial after it.
+        let (_, service, _) = fixture(1);
+        let shed_all = GovernorConfig {
+            conn_local_only: 0,
+            conn_shed: 0,
+            global_local_only: 0,
+            global_shed: 0,
+        };
+        let config = ServerConfig {
+            governor: shed_all,
+            ..ServerConfig::default()
+        };
+        let handle = serve_with(service, "127.0.0.1:0", config).expect("bind loopback");
+        let route = ClusterRoute {
+            peers: vec![handle.addr().to_string()],
+            replication: 1,
+            seed: 0,
+        };
+        let mut transport = ClusterTcpTransport::new(&route, None, Wire::Text);
+        for _ in 0..3 {
+            let err = transport.get(ClipId::new(1)).unwrap_err();
+            assert!(is_busy_error(&err), "expected BUSY, got {err}");
+        }
+        assert_eq!(transport.reconnects(), 0, "BUSY must not force a redial");
+        transport.finish().unwrap();
+        handle.shutdown();
     }
 
     #[test]

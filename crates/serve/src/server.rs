@@ -60,7 +60,7 @@
 //! shedding it would cascade one node's overload into cluster-wide
 //! misses. Shed GETs count in `STATS shed=`.
 
-use crate::cluster::{ClusterRuntime, ClusterSpec};
+use crate::cluster::{ClusterRuntime, ClusterSpec, FillEngine};
 use crate::protocol::{
     decode_command, encode_reply, format_get, format_peer, format_poisoned, format_range,
     format_stats, format_version, parse_command, Command, Decoded, Reply, ServerStats,
@@ -391,21 +391,26 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const WAKE_TOKEN: u64 = u64::MAX - 1;
 const BASE_EVENTS: u32 = libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLET;
 
+/// What executing a request touches: the event loop minus its sockets.
+struct Node {
+    service: Arc<CacheService>,
+    config: ServerConfig,
+    /// Peer fill engine + TCP link when the node is a cluster member.
+    cluster: Option<ClusterRuntime>,
+    /// GETs refused with `BUSY` by the governor (reported in `STATS`).
+    shed: u64,
+}
+
 struct EventLoop {
     epoll: Epoll,
     listener: TcpListener,
-    service: Arc<CacheService>,
-    config: ServerConfig,
-    /// Peer pool + fill counters when the node is a cluster member.
-    cluster: Option<ClusterRuntime>,
+    node: Node,
     shutdown: Arc<AtomicBool>,
     wake: Arc<WakePipe>,
     /// Connection slab indexed by epoll token.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
-    /// GETs refused with `BUSY` by the governor (reported in `STATS`).
-    shed: u64,
 }
 
 impl EventLoop {
@@ -423,15 +428,17 @@ impl EventLoop {
         Ok(EventLoop {
             epoll,
             listener,
-            service,
-            config,
-            cluster,
+            node: Node {
+                service,
+                config,
+                cluster,
+                shed: 0,
+            },
             shutdown,
             wake,
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
-            shed: 0,
         })
     }
 
@@ -478,7 +485,7 @@ impl EventLoop {
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => return,
             };
-            if let Some(limit) = self.config.max_conns {
+            if let Some(limit) = self.node.config.max_conns {
                 if self.live >= limit {
                     // Admission gate: structured refusal, then close.
                     let _ = stream.write_all(b"ERR server busy\n");
@@ -530,28 +537,14 @@ impl EventLoop {
             conn.eof = true;
         }
         if bits & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
-            Self::read_and_process(
-                conn,
-                &self.service,
-                &self.config,
-                &mut self.cluster,
-                &mut self.shed,
-                global,
-            );
+            Self::read_and_process(conn, &mut self.node, global);
         }
         if bits & libc::EPOLLOUT != 0 || !conn.wbuf.is_empty() {
             Self::flush(conn);
             // Backpressure release: reply bytes drained, resume
             // consuming any input that piled up meanwhile.
             if conn.wbuf.len() < WBUF_SOFT_CAP && !conn.closing {
-                Self::read_and_process(
-                    conn,
-                    &self.service,
-                    &self.config,
-                    &mut self.cluster,
-                    &mut self.shed,
-                    global,
-                );
+                Self::read_and_process(conn, &mut self.node, global);
                 Self::flush(conn);
             }
         }
@@ -560,14 +553,7 @@ impl EventLoop {
 
     /// Drain the socket into `rbuf` (edge-triggered: read to
     /// `WouldBlock`), then execute every complete buffered request.
-    fn read_and_process(
-        conn: &mut Conn,
-        service: &CacheService,
-        config: &ServerConfig,
-        cluster: &mut Option<ClusterRuntime>,
-        shed: &mut u64,
-        global: usize,
-    ) {
+    fn read_and_process(conn: &mut Conn, node: &mut Node, global: usize) {
         if conn.closing {
             return;
         }
@@ -595,7 +581,7 @@ impl EventLoop {
                 }
             }
         }
-        Self::process_buffered(conn, service, config, cluster, shed, global);
+        Self::process_buffered(conn, node, global);
         if conn.eof && !conn.closing {
             // Peer is gone (or half-closed after its final request):
             // flush whatever replies remain, then close.
@@ -605,21 +591,15 @@ impl EventLoop {
 
     /// Execute every complete request sitting in `rbuf` — the server
     /// half of pipelining.
-    fn process_buffered(
-        conn: &mut Conn,
-        service: &CacheService,
-        config: &ServerConfig,
-        cluster: &mut Option<ClusterRuntime>,
-        shed: &mut u64,
-        global: usize,
-    ) {
+    fn process_buffered(conn: &mut Conn, node: &mut Node, global: usize) {
         let mut consumed = 0usize;
         let mut out: Vec<u8> = Vec::new();
         while consumed < conn.rbuf.len() && !conn.closing {
             // Classify under the replies already produced this batch,
             // so a pipelined flood trips the governor mid-batch instead
             // of after the batch has bought 4 MiB of output.
-            let tier = config
+            let tier = node
+                .config
                 .governor
                 .tier(conn.wbuf.len() + out.len(), global + out.len());
             let rest = &conn.rbuf[consumed..];
@@ -630,7 +610,7 @@ impl EventLoop {
                     Ok(Decoded::Frame { value, consumed: n }) => {
                         consumed += n;
                         conn.last_request = Instant::now();
-                        let (reply, quit) = execute(service, config, cluster, tier, shed, Ok(value));
+                        let (reply, quit) = node.execute(tier, Ok(value));
                         encode_reply(&reply, &mut out);
                         if quit {
                             conn.closing = true;
@@ -663,8 +643,7 @@ impl EventLoop {
                         let line = String::from_utf8_lossy(&rest[..pos]).into_owned();
                         consumed += pos + 1;
                         conn.last_request = Instant::now();
-                        let (reply, quit) =
-                            execute(service, config, cluster, tier, shed, parse_command(&line));
+                        let (reply, quit) = node.execute(tier, parse_command(&line));
                         out.extend_from_slice(format_reply_text(&reply).as_bytes());
                         out.push(b'\n');
                         if quit {
@@ -742,7 +721,7 @@ impl EventLoop {
 
     /// Reclaim connections whose idle budget expired.
     fn sweep_idle(&mut self) {
-        let Some(budget) = self.config.read_timeout else {
+        let Some(budget) = self.node.config.read_timeout else {
             return;
         };
         let now = Instant::now();
@@ -781,14 +760,7 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            Self::read_and_process(
-                conn,
-                &self.service,
-                &self.config,
-                &mut self.cluster,
-                &mut self.shed,
-                global,
-            );
+            Self::read_and_process(conn, &mut self.node, global);
             if !conn.wbuf.is_empty() {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -804,82 +776,86 @@ impl EventLoop {
     }
 }
 
-/// Execute one parsed (or unparseable) request; the bool means QUIT.
-fn execute(
-    service: &CacheService,
-    config: &ServerConfig,
-    cluster: &mut Option<ClusterRuntime>,
-    tier: LoadTier,
-    shed: &mut u64,
-    command: Result<Command, String>,
-) -> (Reply, bool) {
-    let reply = match command {
-        Ok(Command::Get(clip)) => {
-            // The shed tier refuses before touching the cache — the
-            // point is to spend nothing on the request. Only GETs shed:
-            // STATS/VERSION must stay observable under overload and
-            // PEERGET is how the rest of the cluster heals.
-            if tier == LoadTier::Shed {
-                *shed += 1;
-                return (Reply::Busy, false);
-            }
-            match service.get(clip) {
-                Ok(mut outcome) => {
-                    // Cluster peer fill: a local miss consults the clip's
-                    // other ring owners before being reported. `fill` is a
-                    // no-op for R = 1 (empty probe set), so a degenerate
-                    // cluster stays byte-identical to a standalone server.
-                    // The local-only tier skips the fill entirely: a peer
-                    // RTT is the most expensive thing the loop can buy
-                    // while already behind on writes.
-                    if !outcome.hit && tier == LoadTier::Normal {
-                        if let Some(cluster) = cluster.as_mut() {
-                            outcome.peer = cluster.fill(clip);
-                        }
-                    }
-                    Reply::Get(outcome)
+impl Node {
+    /// Execute one parsed (or unparseable) request; the bool means QUIT.
+    fn execute(&mut self, tier: LoadTier, command: Result<Command, String>) -> (Reply, bool) {
+        let reply = match command {
+            Ok(Command::Get(clip)) => {
+                // The shed tier refuses before touching the cache — the
+                // point is to spend nothing on the request. Only GETs shed:
+                // STATS/VERSION must stay observable under overload and
+                // PEERGET is how the rest of the cluster heals.
+                if tier == LoadTier::Shed {
+                    self.shed += 1;
+                    return (Reply::Busy, false);
                 }
+                match self.service.get(clip) {
+                    Ok(mut outcome) => {
+                        // Cluster peer fill: a local miss consults the clip's
+                        // other ring owners before being reported. `fill` is a
+                        // no-op for R = 1 (empty probe set), so a degenerate
+                        // cluster stays byte-identical to a standalone server.
+                        // The local-only tier skips the fill entirely: a peer
+                        // RTT is the most expensive thing the loop can buy
+                        // while already behind on writes.
+                        if !outcome.hit && tier == LoadTier::Normal {
+                            if let Some(cluster) = self.cluster.as_mut() {
+                                outcome.peer = cluster.fill(clip);
+                            }
+                        }
+                        Reply::Get(outcome)
+                    }
+                    Err(e) => Reply::Err(e.to_string()),
+                }
+            }
+            // A PEERGET is a full local access — the probing owner's
+            // write-all half — but never recurses into another peer fill:
+            // answering from local shards only keeps peer traffic loop-free.
+            Ok(Command::PeerGet(clip)) => match self.service.get(clip) {
+                Ok(outcome) => Reply::Peer(outcome.hit),
                 Err(e) => Reply::Err(e.to_string()),
+            },
+            Ok(Command::Version) => Reply::Version(WireVersions::current()),
+            // An out-of-range chunk (or unknown clip) is a loud structured
+            // ERR / R_ERR — the probe never stalls the connection.
+            Ok(Command::GetRange(clip, chunk)) => match self.service.get_range(clip, chunk) {
+                Ok(outcome) => Reply::Range(outcome),
+                Err(e) => Reply::Err(e.to_string()),
+            },
+            Ok(Command::Stats) => {
+                let engine = self.cluster.as_ref().map(ClusterRuntime::engine);
+                let fill = engine.map(FillEngine::stats).unwrap_or_default();
+                Reply::Stats(ServerStats {
+                    stats: self.service.stats(),
+                    recoveries: self.service.recoveries(),
+                    wal_replayed: self.service.wal_replayed(),
+                    peer_hits: fill.peer_hits,
+                    handoff_replayed: fill.handoff_replayed,
+                    breaker_open: engine.map_or(0, FillEngine::breaker_open),
+                    shed: self.shed,
+                })
             }
-        }
-        // A PEERGET is a full local access — the probing owner's
-        // write-all half — but never recurses into another peer fill:
-        // answering from local shards only keeps peer traffic loop-free.
-        Ok(Command::PeerGet(clip)) => match service.get(clip) {
-            Ok(outcome) => Reply::Peer(outcome.hit),
-            Err(e) => Reply::Err(e.to_string()),
-        },
-        Ok(Command::Version) => Reply::Version(WireVersions::current()),
-        // An out-of-range chunk (or unknown clip) is a loud structured
-        // ERR / R_ERR — the probe never stalls the connection.
-        Ok(Command::GetRange(clip, chunk)) => match service.get_range(clip, chunk) {
-            Ok(outcome) => Reply::Range(outcome),
-            Err(e) => Reply::Err(e.to_string()),
-        },
-        Ok(Command::Stats) => Reply::Stats(ServerStats {
-            stats: service.stats(),
-            recoveries: service.recoveries(),
-            wal_replayed: service.wal_replayed(),
-            peer_hits: cluster.as_ref().map_or(0, |c| c.peer_hits()),
-            handoff_replayed: cluster.as_ref().map_or(0, |c| c.handoff_replayed()),
-            breaker_open: cluster.as_ref().map_or(0, |c| c.breaker_open()),
-            shed: *shed,
-        }),
-        Ok(Command::Snapshot) => {
-            let parts: Vec<String> = service.snapshot().iter().map(|s| s.to_json()).collect();
-            Reply::Snapshot(format!("[{}]", parts.join(",")))
-        }
-        Ok(Command::Poison(clip)) => {
-            if config.chaos {
-                Reply::Poisoned(service.poison(clip) as u64)
-            } else {
-                Reply::Err("poison refused (server not started with --chaos)".into())
+            Ok(Command::Snapshot) => {
+                let parts: Vec<String> = self
+                    .service
+                    .snapshot()
+                    .iter()
+                    .map(|s| s.to_json())
+                    .collect();
+                Reply::Snapshot(format!("[{}]", parts.join(",")))
             }
-        }
-        Ok(Command::Quit) => return (Reply::Bye, true),
-        Err(e) => Reply::Err(e),
-    };
-    (reply, false)
+            Ok(Command::Poison(clip)) => {
+                if self.config.chaos {
+                    Reply::Poisoned(self.service.poison(clip) as u64)
+                } else {
+                    Reply::Err("poison refused (server not started with --chaos)".into())
+                }
+            }
+            Ok(Command::Quit) => return (Reply::Bye, true),
+            Err(e) => Reply::Err(e),
+        };
+        (reply, false)
+    }
 }
 
 /// Render a reply as its text-protocol line (newline not included).
@@ -913,8 +889,14 @@ mod tests {
         assert_eq!(gov.tier(0, gov.global_local_only), LoadTier::LocalOnly);
         assert_eq!(gov.tier(0, gov.global_shed), LoadTier::Shed);
         // The worst axis wins.
-        assert_eq!(gov.tier(gov.conn_shed, gov.global_local_only), LoadTier::Shed);
-        assert_eq!(gov.tier(gov.conn_local_only, gov.global_shed), LoadTier::Shed);
+        assert_eq!(
+            gov.tier(gov.conn_shed, gov.global_local_only),
+            LoadTier::Shed
+        );
+        assert_eq!(
+            gov.tier(gov.conn_local_only, gov.global_shed),
+            LoadTier::Shed
+        );
         // And the tiers are ordered so callers can compare.
         assert!(LoadTier::Normal < LoadTier::LocalOnly);
         assert!(LoadTier::LocalOnly < LoadTier::Shed);
@@ -922,9 +904,9 @@ mod tests {
 
     #[test]
     fn shed_tier_refuses_gets_cheaply_and_counts_them() {
+        use crate::service::ServiceConfig;
         use clipcache_core::PolicyKind;
         use clipcache_media::paper;
-        use crate::service::ServiceConfig;
 
         let repo = Arc::new(paper::variable_sized_repository_of(24));
         let capacity = repo.cache_capacity_for_ratio(0.25);
@@ -934,33 +916,29 @@ mod tests {
             None,
         )
         .expect("LRU builds");
-        let config = ServerConfig::default();
-        let mut cluster = None;
-        let mut shed = 0u64;
+        let mut node = Node {
+            service: Arc::new(service),
+            config: ServerConfig::default(),
+            cluster: None,
+            shed: 0,
+        };
 
         // Shed: BUSY, no cache access, counter moves.
-        let (reply, quit) = execute(
-            &service,
-            &config,
-            &mut cluster,
+        let (reply, quit) = node.execute(
             LoadTier::Shed,
-            &mut shed,
             Ok(Command::Get(clipcache_media::ClipId::new(1))),
         );
         assert!(matches!(reply, Reply::Busy));
         assert!(!quit);
-        assert_eq!(shed, 1);
-        assert_eq!(service.stats().requests(), 0, "shed GETs never touch shards");
+        assert_eq!(node.shed, 1);
+        assert_eq!(
+            node.service.stats().requests(),
+            0,
+            "shed GETs never touch shards"
+        );
 
         // STATS is served at every tier and reports the shed count.
-        let (reply, _) = execute(
-            &service,
-            &config,
-            &mut cluster,
-            LoadTier::Shed,
-            &mut shed,
-            Ok(Command::Stats),
-        );
+        let (reply, _) = node.execute(LoadTier::Shed, Ok(Command::Stats));
         match reply {
             Reply::Stats(stats) => assert_eq!(stats.shed, 1),
             other => panic!("expected STATS, got {other:?}"),
@@ -968,17 +946,10 @@ mod tests {
 
         // Local-only and normal tiers still serve the GET.
         for tier in [LoadTier::LocalOnly, LoadTier::Normal] {
-            let (reply, _) = execute(
-                &service,
-                &config,
-                &mut cluster,
-                tier,
-                &mut shed,
-                Ok(Command::Get(clipcache_media::ClipId::new(1))),
-            );
+            let (reply, _) = node.execute(tier, Ok(Command::Get(clipcache_media::ClipId::new(1))));
             assert!(matches!(reply, Reply::Get(_)));
         }
-        assert_eq!(shed, 1, "served GETs do not move the shed counter");
-        assert_eq!(service.stats().requests(), 2);
+        assert_eq!(node.shed, 1, "served GETs do not move the shed counter");
+        assert_eq!(node.service.stats().requests(), 2);
     }
 }

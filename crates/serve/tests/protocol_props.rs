@@ -12,10 +12,9 @@
 //! (the same inflated-length rule the PR 5 WAL fix pinned for disk
 //! records, applied to the wire).
 //!
-//! The `proptest!` cases draw random inputs when the real `proptest`
-//! crate is available; the plain `#[test]`s keep a deterministic corpus
-//! of the same properties alive under the offline stub (see
-//! `vendor/README.md`).
+//! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
+//! cases add random inputs on top (the vendored `proptest` is a small
+//! real runner, see `vendor/README.md`).
 
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_serve::protocol::{

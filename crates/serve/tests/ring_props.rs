@@ -15,10 +15,9 @@
 //!    if this constant moves, every deployed client and server would
 //!    disagree with the old ring, so bump the protocol version).
 //!
-//! The `proptest!` cases widen the search when the real `proptest`
-//! crate is available; the plain `#[test]`s keep a deterministic grid
-//! of the same properties alive under the offline stub (see
-//! `vendor/README.md`).
+//! The plain `#[test]`s walk a deterministic grid; the `proptest!`
+//! cases add random inputs on top (the vendored `proptest` is a small
+//! real runner, see `vendor/README.md`).
 
 use clipcache_serve::{HashRing, DEFAULT_VNODES};
 use clipcache_workload::RequestGenerator;

@@ -4,10 +4,9 @@
 //! (every single-bit corruption is either detected loudly or truncates
 //! to a valid prefix — a corrupted record is never silently replayed).
 //!
-//! The `proptest!` cases draw random inputs when the real `proptest`
-//! crate is available; the plain `#[test]`s keep a deterministic corpus
-//! of the same properties alive under the offline stub (see
-//! `vendor/README.md`).
+//! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
+//! cases add random inputs on top (the vendored `proptest` is a small
+//! real runner, see `vendor/README.md`).
 
 use clipcache_serve::persist::{decode_wal, WalOp, WalRecord, WalTail};
 use proptest::prelude::*;

@@ -6,10 +6,9 @@
 //! whose cutoff lands mid-segment skips the subsumed prefix across the
 //! segment boundary instead of replaying or refusing it.
 //!
-//! The `proptest!` cases draw random inputs when the real `proptest`
-//! crate is available; the plain `#[test]`s keep a deterministic corpus
-//! of the same properties alive under the offline stub (see
-//! `vendor/README.md`).
+//! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
+//! cases add random inputs on top (the vendored `proptest` is a small
+//! real runner, see `vendor/README.md`).
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
