@@ -10,10 +10,9 @@
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_workload::Timestamp;
-use serde::{Deserialize, Serialize};
 
 /// Per-clip counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClipCounters {
     /// Requests for this clip.
     pub requests: u64,
@@ -67,11 +66,6 @@ impl InstrumentedCache {
     /// The counters for one clip.
     pub fn counters(&self, clip: ClipId) -> ClipCounters {
         self.counters[clip.index()]
-    }
-
-    /// All counters, indexed by `ClipId::index()`.
-    pub fn all_counters(&self) -> &[ClipCounters] {
-        &self.counters
     }
 
     /// The `top` clips by eviction count (churn), descending.

@@ -20,7 +20,6 @@ use crate::cache::ClipCache;
 use crate::registry::{BuildError, PolicySpec};
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The snapshot schema version this build writes and understands.
@@ -36,7 +35,7 @@ use std::sync::Arc;
 pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A durable snapshot of a cache's contents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// The policy (and victim-index backend) that was running.
     pub policy: PolicySpec,
@@ -72,9 +71,8 @@ impl CacheSnapshot {
     /// Serialize to JSON (the durable on-disk form):
     /// `{"version":2,"policy":"dynsimple:2","capacity":…,"tick":…,"resident":[…],"partial":[[id,chunks],…]}`.
     /// The policy is stored as its [`PolicySpec::spelling`] (backend
-    /// suffix included when not scan) so the file round-trips without
-    /// serde (stubbed offline, see `vendor/README.md`) and stays
-    /// human-editable.
+    /// suffix included when not scan) so the file round-trips through
+    /// the hand-rolled `workload::json` parser and stays human-editable.
     pub fn to_json(&self) -> String {
         let ids: Vec<String> = self.resident.iter().map(|c| c.get().to_string()).collect();
         let partials: Vec<String> = self

@@ -61,12 +61,6 @@ impl CacheSpace {
         &self.repo
     }
 
-    /// A clone of the repository handle.
-    #[inline]
-    pub fn repo_handle(&self) -> Arc<Repository> {
-        Arc::clone(&self.repo)
-    }
-
     /// The byte capacity `S_T`.
     #[inline]
     pub fn capacity(&self) -> ByteSize {

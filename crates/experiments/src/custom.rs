@@ -20,8 +20,7 @@
 //! ([`PolicySpec::from_str`](clipcache_core::PolicySpec)), including the
 //! `@heap` victim-index suffix (`"lfu@heap"`); off-line policies receive
 //! the sweep's analytic frequencies automatically. Configs are parsed
-//! with [`crate::json`], so custom sweeps work even in the offline
-//! builds that stub out `serde_json`.
+//! with [`crate::json`].
 
 use crate::context::ExperimentContext;
 use crate::json::{self, Json};

@@ -61,7 +61,10 @@ const LIVE_PROBE_MS: u64 = 1;
 const ARMS: usize = 2;
 const METRICS: usize = 3;
 
-fn members(ctx: &ExperimentContext, repo: &Arc<clipcache_media::Repository>) -> Vec<Arc<CacheService>> {
+fn members(
+    ctx: &ExperimentContext,
+    repo: &Arc<clipcache_media::Repository>,
+) -> Vec<Arc<CacheService>> {
     (0..NODES)
         .map(|i| {
             let config = ServiceConfig::new(
@@ -88,7 +91,8 @@ fn replay(
     dead: usize,
     breaker_on: bool,
 ) -> (f64, f64, f64) {
-    let mut harness = ClusterHarness::new(ctx.sub_seed(0xDE64_0001), REPLICATION, members(ctx, repo));
+    let mut harness =
+        ClusterHarness::new(ctx.sub_seed(0xDE64_0001), REPLICATION, members(ctx, repo));
     if !breaker_on {
         harness.set_breaker_tuning(u32::MAX, 1);
     }
@@ -198,7 +202,11 @@ mod tests {
         // replay the identical path — every metric agrees bit for bit.
         let ctx = ExperimentContext::at_scale(0.1);
         let fig = run(&ctx).remove(0);
-        for metric in ["hit rate", "modeled p99 stall (ms)", "modeled mean stall (ms)"] {
+        for metric in [
+            "hit rate",
+            "modeled p99 stall (ms)",
+            "modeled mean stall (ms)",
+        ] {
             let on = series(&fig, &format!("{metric}, breaker on"));
             let off = series(&fig, &format!("{metric}, breaker off"));
             assert_eq!(
@@ -217,18 +225,19 @@ mod tests {
         let fig = run(&ctx).remove(0);
         let on = series(&fig, "modeled mean stall (ms), breaker on");
         let off = series(&fig, "modeled mean stall (ms), breaker off");
-        for di in 1..DEAD.len() {
+        let arms = DEAD.iter().zip(&on.values).zip(&off.values);
+        for ((dead, on), off) in arms.skip(1) {
             // At 3/6 dead half the trips are pure overhead (three
             // survivors each discover three dead peers) and many
             // requests fail fast with no alive owner, so the saving is
             // thinner there — but the breaker must never cost stall.
-            let margin = if DEAD[di] * 2 < NODES { 0.55 } else { 0.85 };
+            let margin = if dead * 2 < NODES { 0.55 } else { 0.85 };
             assert!(
-                on.values[di] < off.values[di] * margin,
+                *on < off * margin,
                 "dead={}: breaker mean stall {} vs control {} (margin {})",
-                DEAD[di],
-                on.values[di],
-                off.values[di],
+                dead,
+                on,
+                off,
                 margin
             );
         }
@@ -249,13 +258,14 @@ mod tests {
             "control p99 must include the connect timeout, got {}",
             off.values[worst]
         );
-        for di in 1..DEAD.len() {
+        let arms = DEAD.iter().zip(&on.values).zip(&off.values);
+        for ((dead, on), off) in arms.skip(1) {
             assert!(
-                on.values[di] <= off.values[di],
+                on <= off,
                 "dead={}: breaker p99 {} exceeds control {}",
-                DEAD[di],
-                on.values[di],
-                off.values[di]
+                dead,
+                on,
+                off
             );
         }
     }
@@ -269,13 +279,14 @@ mod tests {
         let fig = run(&ctx).remove(0);
         let on = series(&fig, "hit rate, breaker on");
         let off = series(&fig, "hit rate, breaker off");
-        for di in 0..DEAD.len() {
+        let arms = DEAD.iter().zip(&on.values).zip(&off.values);
+        for ((dead, on), off) in arms {
             assert!(
-                (on.values[di] - off.values[di]).abs() <= 0.05,
+                (on - off).abs() <= 0.05,
                 "dead={}: hit rates diverged: {} vs {}",
-                DEAD[di],
-                on.values[di],
-                off.values[di]
+                dead,
+                on,
+                off
             );
         }
     }

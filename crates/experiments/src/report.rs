@@ -1,10 +1,9 @@
 //! Figure results: named series over an x-axis, rendered as text or CSV.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One curve in a figure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (the policy name, usually).
     pub name: String,
@@ -32,7 +31,7 @@ impl Series {
 }
 
 /// A reproduced figure (or sub-figure): x-axis labels plus series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureResult {
     /// Identifier, e.g. `"fig2a"`.
     pub id: String,

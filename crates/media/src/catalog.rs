@@ -7,12 +7,11 @@
 use crate::clip::MediaType;
 use crate::repository::Repository;
 use crate::units::ByteSize;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Summary statistics for a repository.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogStats {
     /// Total clip count.
     pub clips: usize,

@@ -11,13 +11,12 @@
 use crate::clip::{ChunkId, Clip, ClipId, MediaType};
 use crate::error::MediaError;
 use crate::units::{Bandwidth, ByteSize, Duration};
-use serde::{Deserialize, Serialize};
 
 /// The server-side database of clips.
 ///
 /// Clips are stored densely, indexed by [`ClipId::index`]. The repository is
 /// immutable after construction; policies and workload generators borrow it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Repository {
     clips: Vec<Clip>,
     total_size: ByteSize,
@@ -25,7 +24,6 @@ pub struct Repository {
     max_display_bandwidth: Bandwidth,
     /// Chunk length for chunk-granular residency; `ByteSize::ZERO` means
     /// unchunked (every clip is a single chunk — whole-clip behavior).
-    #[serde(default)]
     chunk_size: ByteSize,
 }
 
@@ -426,18 +424,5 @@ mod tests {
             .unwrap();
         assert_eq!(r.chunk_size(), ByteSize::mb(1));
         assert_eq!(r.chunks_of(ClipId::new(1)), 5);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = small_repo();
-        let json = serde_json::to_string(&r).unwrap();
-        match serde_json::from_str::<Repository>(&json) {
-            Ok(back) => assert_eq!(r, back),
-            // Offline builds stub serde_json out (see vendor/README.md);
-            // the serialize side above still exercises the derives.
-            Err(e) if e.to_string().contains("offline stub") => {}
-            Err(e) => panic!("unexpected deserialize error: {e}"),
-        }
     }
 }

@@ -6,7 +6,6 @@
 //! Sizes are plain `u64` byte counts wrapped in [`ByteSize`] for readability
 //! and unit-safe arithmetic in the simulator.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -22,10 +21,7 @@ pub const GB: u64 = 1_000 * MB;
 ///
 /// `ByteSize` is `Copy` and ordered; arithmetic saturates on subtraction so
 /// free-space computations cannot underflow.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(pub u64);
 
 impl ByteSize {
@@ -165,10 +161,7 @@ impl fmt::Display for ByteSize {
 ///
 /// The paper's display-bandwidth requirements (`B_Display(i)`) and network
 /// link rates are expressed in Kbps/Mbps.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Bandwidth(pub u64);
 
 impl Bandwidth {
@@ -256,10 +249,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// A duration in whole seconds (display times of clips).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Duration(pub u64);
 
 impl Duration {

@@ -219,7 +219,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--max-backoff-ms" => {
                 let v = argv.next().ok_or("--max-backoff-ms needs milliseconds")?;
-                let ms: u64 = v.parse().map_err(|e| format!("bad --max-backoff-ms: {e}"))?;
+                let ms: u64 = v
+                    .parse()
+                    .map_err(|e| format!("bad --max-backoff-ms: {e}"))?;
                 if ms == 0 {
                     return Err("--max-backoff-ms must be at least 1".into());
                 }
@@ -403,7 +405,9 @@ fn parse_args() -> Result<Args, String> {
         };
         for &(node, _, _) in &args.kill_spans {
             if node >= n {
-                return Err(format!("--kill-span node {node} exceeds the {n} cluster node(s)"));
+                return Err(format!(
+                    "--kill-span node {node} exceeds the {n} cluster node(s)"
+                ));
             }
         }
         if args.clients != 1 {

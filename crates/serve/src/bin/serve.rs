@@ -6,7 +6,7 @@
 //!       [--read-timeout ms] [--chaos]
 //!       [--data-dir path] [--wal-sync always|off]
 //!       [--checkpoint-every n] [--crash-at kind:N]
-//!       [--cluster i --peers a,b,c [--replication r] [--peer-timeout ms]
+//!       [--cluster i --peers a,b,c [--replication r]
 //!        [--peer-connect-timeout ms] [--peer-read-timeout ms]]
 //! ```
 //!
@@ -42,9 +42,8 @@
 //! peers by name. `--peer-connect-timeout` and `--peer-read-timeout`
 //! bound the two halves of each peer probe in milliseconds — a slow or
 //! mutually-busy peer degrades to a timed-out probe (served as a miss),
-//! never a deadlock; `--peer-timeout` is the coarse alias that sets
-//! both, and the specific flags override it. If `--addr` is not given,
-//! a cluster member binds its own `--peers` entry.
+//! never a deadlock. If `--addr` is not given, a cluster member binds
+//! its own `--peers` entry.
 
 use clipcache_media::paper;
 use clipcache_serve::{
@@ -73,7 +72,6 @@ struct Args {
     cluster: Option<usize>,
     peers: Vec<String>,
     replication: usize,
-    peer_timeout: Option<Duration>,
     peer_connect_timeout: Option<Duration>,
     peer_read_timeout: Option<Duration>,
 }
@@ -115,7 +113,6 @@ fn parse_args() -> Result<Args, String> {
         cluster: None,
         peers: Vec::new(),
         replication: 1,
-        peer_timeout: None,
         peer_connect_timeout: None,
         peer_read_timeout: None,
     };
@@ -232,10 +229,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--replication must be at least 1".into());
                 }
             }
-            "--peer-timeout" => {
-                let v = argv.next().ok_or("--peer-timeout needs milliseconds")?;
-                args.peer_timeout = Some(parse_timeout_ms("--peer-timeout", &v)?);
-            }
             "--peer-connect-timeout" => {
                 let v = argv
                     .next()
@@ -257,8 +250,7 @@ fn parse_args() -> Result<Args, String> {
                      [--wal-sync always|off] [--commit-window-us n] \
                      [--segment-bytes n] [--checkpoint-every n] [--crash-at kind:N]\n\
                      \x20      [--cluster i --peers a,b,c [--replication r] \
-                     [--peer-timeout ms] [--peer-connect-timeout ms] \
-                     [--peer-read-timeout ms]]\n\
+                     [--peer-connect-timeout ms] [--peer-read-timeout ms]]\n\
                      serves until stdin closes or reads a `quit` line;\n\
                      --chunk-size n addresses clips as n-MB chunks (prefix \
                      residency + GETRANGE probes; 0 = whole-clip, the default);\n\
@@ -274,9 +266,8 @@ fn parse_args() -> Result<Args, String> {
                      --cluster i joins the static membership in --peers (same list\n\
                      and --seed on every member) as member i, peer-filling misses\n\
                      from the clip's other ring owners at --replication r;\n\
-                     --peer-timeout bounds each peer probe (sets both the\n\
-                     connect and read bounds); --peer-connect-timeout /\n\
-                     --peer-read-timeout set one side and override the alias"
+                     --peer-connect-timeout / --peer-read-timeout bound the\n\
+                     connect and read halves of each peer probe"
                         .into(),
                 )
             }
@@ -294,12 +285,6 @@ fn parse_args() -> Result<Args, String> {
     match args.cluster {
         Some(me) => {
             let mut spec = ClusterSpec::new(args.peers.clone(), me, args.replication, args.seed)?;
-            // `--peer-timeout` is the coarse alias: it sets both bounds.
-            // The specific flags override whichever side they name.
-            if let Some(timeout) = args.peer_timeout {
-                spec.connect_timeout = timeout;
-                spec.read_timeout = timeout;
-            }
             if let Some(timeout) = args.peer_connect_timeout {
                 spec.connect_timeout = timeout;
             }
@@ -314,9 +299,6 @@ fn parse_args() -> Result<Args, String> {
             }
             if args.replication != 1 {
                 return Err("--replication needs --cluster".into());
-            }
-            if args.peer_timeout.is_some() {
-                return Err("--peer-timeout needs --cluster".into());
             }
             if args.peer_connect_timeout.is_some() {
                 return Err("--peer-connect-timeout needs --cluster".into());

@@ -148,13 +148,6 @@ impl FaultPlan {
         }
     }
 
-    /// Arm a deterministic durable-store crash point (fires only when
-    /// the target service is persistent — see `persist::CrashSpec`).
-    pub fn with_crash(mut self, crash: CrashSpec) -> Self {
-        self.crash = Some(crash);
-        self
-    }
-
     /// The armed crash point, if any.
     pub fn crash(&self) -> Option<CrashSpec> {
         self.crash
@@ -517,9 +510,7 @@ mod tests {
         let grown: Vec<Duration> = (0..6).map(|n| retry.backoff(n)).collect();
         assert_eq!(
             grown,
-            [2, 4, 8, 10, 10, 10]
-                .map(Duration::from_millis)
-                .to_vec()
+            [2, 4, 8, 10, 10, 10].map(Duration::from_millis).to_vec()
         );
         assert_eq!(retry.backoff(40), Duration::from_millis(10));
         assert_eq!(retry.backoff(u32::MAX), Duration::from_millis(10));

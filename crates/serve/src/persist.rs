@@ -9,10 +9,9 @@
 //! * **Checkpoint** — a [`DurableCheckpoint`] file holding the shard's
 //!   [`CacheSnapshot`] (resident set, policy, capacity, virtual clock),
 //!   its [`HitStats`] and the WAL sequence number it covers, serialized
-//!   through the hand-rolled `workload::json` codec (serde is stubbed
-//!   offline). Checkpoints are written atomically: full tmp file, fsync,
-//!   rename — a crash mid-checkpoint leaves the previous checkpoint
-//!   intact.
+//!   through the hand-rolled `workload::json` codec. Checkpoints are
+//!   written atomically: full tmp file, fsync, rename — a crash
+//!   mid-checkpoint leaves the previous checkpoint intact.
 //! * **WAL** — an append-only log of every access since the last
 //!   checkpoint, kept as fixed-size numbered **segments**
 //!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
@@ -1465,11 +1464,6 @@ impl ShardStore {
     /// The next sequence number an append will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
-    }
-
-    /// The last sequence folded into the durable checkpoint.
-    pub fn checkpoint_seq(&self) -> u64 {
-        self.ckpt_seq
     }
 
     /// The active segment's number and the lowest segment number still

@@ -106,7 +106,7 @@ pub enum LoadTier {
 }
 
 /// Overload watermarks, all in pending-reply bytes — the same quantity
-/// the [`WBUF_SOFT_CAP`] backpressure uses, measured per connection and
+/// the `WBUF_SOFT_CAP` backpressure uses, measured per connection and
 /// summed across every live connection. A request is classified by the
 /// *worst* of its per-connection and global readings, so one pathological
 /// pipeliner degrades itself first and the whole loop only under
@@ -126,7 +126,7 @@ pub struct GovernorConfig {
 
 impl Default for GovernorConfig {
     /// Defaults sit inside the soft cap: a connection degrades at a
-    /// quarter of [`WBUF_SOFT_CAP`] (1 MiB) and sheds at three quarters
+    /// quarter of `WBUF_SOFT_CAP` (1 MiB) and sheds at three quarters
     /// (3 MiB) — before backpressure stops reading it entirely — while
     /// the global watermarks (8 MiB / 32 MiB) only trip when many
     /// connections are saturated at once.

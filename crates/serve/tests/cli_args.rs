@@ -81,13 +81,9 @@ fn loadgen_accepts_pipeline_one_with_faults() {
 
 #[test]
 fn serve_refuses_peer_timeout_flags_without_cluster() {
-    // All three flags tune peer probes, which only exist in cluster
+    // Both flags tune peer probes, which only exist in cluster
     // mode; each must be refused by name when --cluster is absent.
-    for flag in [
-        "--peer-timeout",
-        "--peer-connect-timeout",
-        "--peer-read-timeout",
-    ] {
+    for flag in ["--peer-connect-timeout", "--peer-read-timeout"] {
         let (ok, stderr) = run_serve(&[flag, "50"]);
         assert!(!ok, "{flag} without --cluster must exit non-zero");
         assert!(
@@ -99,11 +95,7 @@ fn serve_refuses_peer_timeout_flags_without_cluster() {
 
 #[test]
 fn serve_refuses_zero_and_garbage_peer_timeouts() {
-    for flag in [
-        "--peer-timeout",
-        "--peer-connect-timeout",
-        "--peer-read-timeout",
-    ] {
+    for flag in ["--peer-connect-timeout", "--peer-read-timeout"] {
         let (ok, stderr) = run_serve(&[flag, "0"]);
         assert!(!ok, "{flag} 0 must exit non-zero");
         assert!(
@@ -120,18 +112,15 @@ fn serve_refuses_zero_and_garbage_peer_timeouts() {
 }
 
 #[test]
-fn serve_parses_alias_alongside_split_peer_timeouts() {
-    // The alias and the specific flags compose (specific overrides the
-    // alias's side). A trailing unknown argument proves parsing got
-    // past all three flags: the failure names the bogus flag, not any
-    // timeout flag.
+fn serve_composes_split_peer_timeouts_and_refuses_the_old_alias() {
+    // The two split flags compose. A trailing unknown argument proves
+    // parsing got past both: the failure names the bogus flag, not
+    // either timeout flag.
     let (ok, stderr) = run_serve(&[
         "--cluster",
         "0",
         "--peers",
         "127.0.0.1:1",
-        "--peer-timeout",
-        "100",
         "--peer-connect-timeout",
         "25",
         "--peer-read-timeout",
@@ -140,8 +129,23 @@ fn serve_parses_alias_alongside_split_peer_timeouts() {
     ]);
     assert!(!ok);
     assert!(
-        stderr.contains("--bogus-flag") && !stderr.contains("peer-timeout"),
+        stderr.contains("--bogus-flag") && !stderr.contains("timeout"),
         "failure must be the unknown flag, not the timeouts, got: {stderr}"
+    );
+    // There is no coarse `--peer-timeout` alias: it is refused like any
+    // other unknown argument.
+    let (ok, stderr) = run_serve(&[
+        "--cluster",
+        "0",
+        "--peers",
+        "127.0.0.1:1",
+        "--peer-timeout",
+        "100",
+    ]);
+    assert!(!ok, "--peer-timeout must exit non-zero");
+    assert!(
+        stderr.contains("unknown argument --peer-timeout"),
+        "--peer-timeout must be refused as unknown, got: {stderr}"
     );
 }
 

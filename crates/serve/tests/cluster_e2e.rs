@@ -56,7 +56,9 @@ fn spawn_member(me: usize, peers: &[String], replication: usize, data_dir: Optio
         &peers.join(","),
         "--replication",
         &replication.to_string(),
-        "--peer-timeout",
+        "--peer-connect-timeout",
+        "100",
+        "--peer-read-timeout",
         "100",
         "--shards",
         "1",

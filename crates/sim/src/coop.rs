@@ -21,10 +21,9 @@
 
 use crate::device::Device;
 use crate::station::BaseStation;
-use serde::{Deserialize, Serialize};
 
 /// Per-round outcome of a cooperative region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoopRound {
     /// Requests serviced from the device's own cache.
     pub local_hits: u64,
@@ -49,7 +48,7 @@ impl CoopRound {
 }
 
 /// Aggregated results of a cooperative run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoopReport {
     /// Number of devices.
     pub devices: usize,
@@ -180,7 +179,7 @@ impl clipcache_core::ClipCache for PartitionedAdmission {
 }
 
 /// Configuration of the cooperative region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoopConfig {
     /// Ring-hops a device's ad-hoc radio covers (0 = greedy, no sharing).
     pub radio_radius: usize,

@@ -28,16 +28,12 @@ use crate::station::{Admission, BaseStation, StreamId};
 use clipcache_core::{ClipCache, DiscardEvictions};
 use clipcache_media::Repository;
 use clipcache_workload::{RequestGenerator, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Continuous simulation time in whole microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -85,7 +81,7 @@ struct StreamingDevice {
 }
 
 /// Aggregate results of a streaming run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingReport {
     /// Requests serviced from a device's own cache — full hits *and*
     /// prefix hits (display starts from local storage either way).

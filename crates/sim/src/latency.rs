@@ -16,10 +16,9 @@
 
 use crate::network::NetworkLink;
 use clipcache_media::{Bandwidth, ByteSize, Clip};
-use serde::{Deserialize, Serialize};
 
 /// Fixed parameters of the latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Seconds spent negotiating bandwidth reservation / admission control
     /// with the base station on every network stream.
@@ -42,7 +41,7 @@ impl Default for LatencyModel {
 }
 
 /// The startup latency of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StartupLatency {
     /// Display can start after this many seconds.
     Ready(f64),
@@ -138,7 +137,7 @@ impl LatencyModel {
 }
 
 /// Accumulates startup latencies over a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyStats {
     /// Sum of latencies of requests that could start.
     pub total_secs: f64,

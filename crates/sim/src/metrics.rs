@@ -12,10 +12,9 @@
 
 use clipcache_core::ClipCache;
 use clipcache_media::{ByteSize, Repository};
-use serde::{Deserialize, Serialize};
 
 /// Running hit/miss counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HitStats {
     /// Requests serviced from the cache — full hits *and* prefix hits
     /// (either way display starts from local storage).
@@ -133,7 +132,7 @@ impl<'a> std::iter::Sum<&'a HitStats> for HitStats {
 
 /// Hit rate per fixed-size request window (Figures 6.b / 7.b plot one
 /// point per 100 requests).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowedSeries {
     window: u64,
     in_window: u64,

@@ -8,11 +8,10 @@
 //! scenario that motivates maximizing hit rate.
 
 use clipcache_media::{Bandwidth, ByteSize};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind of connectivity a device currently has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkKind {
     /// In range of a Wi-Fi base station (home broadband).
     WiFi,
@@ -33,7 +32,7 @@ impl fmt::Display for LinkKind {
 }
 
 /// A network link with a usable bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkLink {
     /// The connectivity kind.
     pub kind: LinkKind,
@@ -84,7 +83,7 @@ impl NetworkLink {
 
 /// A phase of a connectivity schedule: `requests` consecutive requests
 /// serviced under `link`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConnectivityPhase {
     /// Number of requests in this phase.
     pub requests: u64,
@@ -94,7 +93,7 @@ pub struct ConnectivityPhase {
 
 /// A repeating connectivity schedule: home Wi-Fi, then on the road, then a
 /// dead zone, and so on. Phases cycle.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectivitySchedule {
     phases: Vec<ConnectivityPhase>,
     cycle_len: u64,

@@ -17,10 +17,9 @@
 
 use crate::device::Device;
 use crate::station::BaseStation;
-use serde::{Deserialize, Serialize};
 
 /// Per-round outcome of the region simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundOutcome {
     /// Devices serviced from their local cache.
     pub hits: u64,
@@ -57,7 +56,7 @@ impl RoundOutcome {
 }
 
 /// Aggregated results of a region run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionReport {
     /// Number of devices.
     pub devices: usize,

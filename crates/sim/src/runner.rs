@@ -11,7 +11,6 @@ use crate::network::ConnectivitySchedule;
 use clipcache_core::{AccessEvent, ClipCache, EvictionCount};
 use clipcache_media::Repository;
 use clipcache_workload::Request;
-use serde::{Deserialize, Serialize};
 
 /// Knobs for a simulation run.
 #[derive(Debug, Clone)]
@@ -36,7 +35,7 @@ impl Default for SimulationConfig {
 }
 
 /// Everything measured in one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimulationReport {
     /// The policy's display name.
     pub policy: String,

@@ -10,10 +10,9 @@
 //! stream if enough bandwidth remains, otherwise rejects it.
 
 use clipcache_media::Bandwidth;
-use serde::{Deserialize, Serialize};
 
 /// A stream reservation handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StreamId(u64);
 
 /// Result of an admission request.

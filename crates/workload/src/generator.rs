@@ -9,14 +9,13 @@ use crate::request::{Request, Timestamp};
 use crate::rng::Pcg64;
 use crate::zipf::Zipf;
 use clipcache_media::ClipId;
-use serde::{Deserialize, Serialize};
 
 /// A Zipfian popularity distribution over clips, shifted by a shift-id `g`.
 ///
 /// Rank `r` (1-based, rank 1 most popular) maps to clip id
 /// `((r - 1 + g) mod N) + 1`. With `g = 0` the mapping is the identity and
 /// clip 1 is the most popular.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShiftedZipf {
     zipf: Zipf,
     shift: usize,
@@ -94,7 +93,7 @@ impl ShiftedZipf {
 }
 
 /// A phase of a request schedule: `requests` drawn with shift-id `shift`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Phase {
     /// Number of requests in this phase.
     pub requests: u64,
@@ -104,7 +103,7 @@ pub struct Phase {
 
 /// A multi-phase schedule of shift-ids (Figures 6.b and 7.b: e.g. 20,000
 /// requests at g = 200 followed by 10,000 at g = 300).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseSchedule {
     phases: Vec<Phase>,
 }

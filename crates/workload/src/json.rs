@@ -1,11 +1,10 @@
 //! A minimal dependency-free JSON parser.
 //!
-//! The offline build environments for this repository stub out
-//! `serde`/`serde_json` (see `vendor/README.md`), so everything that must
-//! genuinely *read* JSON — trace archives, cache snapshots, `repro
-//! --custom` sweep configs — parses it with this recursive-descent
-//! parser instead. It accepts standard JSON (RFC 8259): objects, arrays,
-//! strings with escapes, numbers, bools, null.
+//! The workspace has no JSON dependency, so everything that reads JSON —
+//! trace archives, cache snapshots, WAL checkpoints, `repro --custom`
+//! sweep configs — parses it with this recursive-descent parser. It
+//! accepts standard JSON (RFC 8259): objects, arrays, strings with
+//! escapes, numbers, bools, null.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -14,14 +13,14 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (stored as `f64`, like `serde_json`'s default).
+    /// Any JSON number (stored as `f64`).
     Num(f64),
     /// A string literal, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Json>),
     /// An object, in source order (duplicate keys keep the last value
-    /// on lookup, matching `serde_json`).
+    /// on lookup).
     Obj(Vec<(String, Json)>),
 }
 

@@ -1,7 +1,6 @@
 //! Requests and virtual time.
 
 use clipcache_media::ClipId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Virtual time: one tick per request, monotonically increasing.
@@ -10,10 +9,7 @@ use std::fmt;
 /// so the natural clock is the request index itself. Timestamps start at 1:
 /// tick 0 is "before any request", which lets reference-history code use 0
 /// as "never referenced".
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub u64);
 
 impl Timestamp {
@@ -46,7 +42,7 @@ impl fmt::Display for Timestamp {
 }
 
 /// A single clip request in a reference string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Request {
     /// When the request was issued.
     pub at: Timestamp,
@@ -86,17 +82,5 @@ mod tests {
     fn display_forms() {
         let r = Request::new(Timestamp(3), ClipId::new(12));
         assert_eq!(r.to_string(), "clip#12@t3");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = Request::new(Timestamp(8), ClipId::new(2));
-        let json = serde_json::to_string(&r).unwrap();
-        match serde_json::from_str::<Request>(&json) {
-            Ok(back) => assert_eq!(r, back),
-            // Offline builds stub serde_json out (see vendor/README.md).
-            Err(e) if e.to_string().contains("offline stub") => {}
-            Err(e) => panic!("unexpected deserialize error: {e}"),
-        }
     }
 }

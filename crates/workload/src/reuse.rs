@@ -21,10 +21,9 @@
 
 use crate::request::Request;
 use clipcache_media::{ByteSize, ClipId, Repository};
-use serde::{Deserialize, Serialize};
 
 /// The byte stack distance of one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackDistance {
     /// First reference to the clip: misses in every finite cache.
     Cold,

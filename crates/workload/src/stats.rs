@@ -10,10 +10,9 @@
 
 use crate::request::Request;
 use clipcache_media::ClipId;
-use serde::{Deserialize, Serialize};
 
 /// Observed request counts per clip.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyCounter {
     counts: Vec<u64>,
     total: u64,

@@ -8,10 +8,9 @@
 use crate::generator::RequestGenerator;
 use crate::request::{Request, Timestamp};
 use clipcache_media::ClipId;
-use serde::{Deserialize, Serialize};
 
 /// An immutable reference string.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     requests: Vec<Request>,
 }
@@ -157,9 +156,8 @@ impl Trace {
     }
 
     /// Serialize to a JSON string:
-    /// `{"requests":[{"at":1,"clip":5},…]}` — the same shape serde
-    /// derives, but emitted directly so archival works in offline builds
-    /// where `serde_json` is stubbed out (see `vendor/README.md`).
+    /// `{"requests":[{"at":1,"clip":5},…]}`, read back by
+    /// [`from_json`](Self::from_json).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.requests.len() * 24 + 16);
         out.push_str("{\"requests\":[");
