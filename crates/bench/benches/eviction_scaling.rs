@@ -62,8 +62,9 @@ fn bench_eviction_scaling(c: &mut Criterion) {
         }
         // The paper's conclusion also names DYNSimple/LRU-SK as needing
         // tree-accelerated victim selection; these rows document their
-        // O(n log n)-per-miss cost as the repository grows (both are
-        // time-varying, so they stay on the scan backend).
+        // O(n)-per-victim scan cost as the repository grows (both are
+        // time-varying, so they stay on the scan backend). DYNSimple keys
+        // each resident once per miss and min-scans the cheapest prefix.
         for kind in [PolicyKind::DynSimple { k: 2 }, PolicyKind::LruSK { k: 2 }] {
             group.bench_with_input(BenchmarkId::new(kind.to_string(), n), &n, |b, _| {
                 b.iter(|| black_box(replay(PolicySpec::from(kind), &repo, &trace)));

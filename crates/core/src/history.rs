@@ -30,6 +30,8 @@ struct ClipHistory {
 impl ClipHistory {
     fn record(&mut self, now: Timestamp, k: usize) {
         if self.times.len() < k {
+            // Size the ring once, so filling it never reallocates.
+            self.times.reserve_exact(k - self.times.len());
             self.times.push(now);
         } else {
             self.times[self.head] = now;

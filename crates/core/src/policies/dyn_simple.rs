@@ -20,12 +20,15 @@
 //! estimates work); the paper's proposed metadata-retention rule is exposed
 //! via [`DynSimpleCache::prune_history`].
 //!
-//! The rank key `a(x)/size(x)` ages with the clock and victim selection
-//! is a batched two-pass plan, so DYNSimple stays on the scan victim-index
-//! backend (see the taxonomy in [`crate::policies`]).
+//! The rank key `a(x)/size(x)` ages with the clock, so no static index
+//! can hold it and DYNSimple stays on the scan victim-index backend (see
+//! the taxonomy in [`crate::policies`]). Each miss computes every
+//! resident's key once and selects the cheapest prefix with the victim
+//! planner it shares with Simple.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::history::ReferenceHistory;
+use crate::policies::victim_plan::{cheapest_prefix, evict_and_admit};
 use crate::space::CacheSpace;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
@@ -66,10 +69,9 @@ pub struct DynSimpleCache {
     history: ReferenceHistory,
     admission: DynAdmission,
     eviction: EvictionMode,
-    /// Scratch candidate list reused across misses (no per-miss allocation).
-    candidates: Vec<ClipId>,
-    /// Scratch eviction plan reused across misses.
-    plan: Vec<ClipId>,
+    /// Scratch `(rank key, clip)` victim plan reused across misses (no
+    /// per-miss allocation).
+    victims: Vec<(f64, ClipId)>,
 }
 
 impl DynSimpleCache {
@@ -99,8 +101,7 @@ impl DynSimpleCache {
             history: ReferenceHistory::new(n, k),
             admission,
             eviction: EvictionMode::TwoPass,
-            candidates: Vec::new(),
-            plan: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
@@ -165,60 +166,30 @@ impl DynSimpleCache {
         self.history.prune_older_than(horizon)
     }
 
-    /// Figure 4's victim selection. Fills `self.plan` with the clips to
-    /// evict, in eviction order, reusing the scratch buffers.
+    /// Figure 4's victim selection. Fills `self.victims` with the clips to
+    /// evict, in eviction order, each with its rank key.
     fn plan_victims(&mut self, incoming: ClipId, now: Timestamp) {
-        let need = self.space.size_of(incoming);
-        let free = self.space.free();
-        let mut candidates = std::mem::take(&mut self.candidates);
-        let mut plan = std::mem::take(&mut self.plan);
-        candidates.clear();
-        plan.clear();
-        // Pass 1: candidates ascending by f̂/size (ties: lower id first),
-        // over-collected until the incoming clip would fit. The victim set
-        // is a prefix of the sorted candidate list.
-        candidates.extend(self.space.iter_resident().filter(|&c| c != incoming));
-        // Unstable sort: the id tie-break makes the order total, and the
-        // in-place sort keeps the miss path allocation-free.
-        candidates.sort_unstable_by(|&a, &b| {
-            self.rank_key(a, now)
-                .partial_cmp(&self.rank_key(b, now))
-                .expect("rank keys are finite")
-                .then_with(|| a.cmp(&b))
+        let mut victims = std::mem::take(&mut self.victims);
+        // Pass 1: the cheapest residents by f̂/size (ties: lower id
+        // first), over-collected until the incoming clip would fit.
+        cheapest_prefix(&mut victims, &self.space, incoming, |c| {
+            self.rank_key(c, now)
         });
-        let mut victim_bytes = ByteSize::ZERO;
-        let mut over_collected = 0;
-        for &c in &candidates {
-            if free + victim_bytes >= need {
-                break;
-            }
-            victim_bytes += self.space.size_of(c);
-            over_collected += 1;
-        }
-        candidates.truncate(over_collected);
         // Pass 2: evict descending by size until the clip fits, sparing
         // over-collected small candidates (ties: lower id first). The
-        // SinglePass ablation skips the resort and evicts in the pass-1
-        // (ascending value) order instead.
+        // SinglePass ablation keeps the pass-1 (ascending value) order,
+        // whose every victim is needed.
         if self.eviction == EvictionMode::TwoPass {
-            candidates.sort_unstable_by(|&a, &b| {
-                self.space
-                    .size_of(b)
-                    .cmp(&self.space.size_of(a))
-                    .then_with(|| a.cmp(&b))
-            });
-        }
-        let mut freed = free;
-        for &v in &candidates {
-            if freed >= need {
-                break;
+            let size = |c: ClipId| self.space.size_of(c);
+            victims.sort_unstable_by(|a, b| size(b.1).cmp(&size(a.1)).then_with(|| a.1.cmp(&b.1)));
+            let (need, mut freed, mut planned) = (size(incoming), self.space.free(), 0);
+            while freed < need && planned < victims.len() {
+                freed += size(victims[planned].1);
+                planned += 1;
             }
-            freed += self.space.size_of(v);
-            plan.push(v);
+            victims.truncate(planned);
         }
-        debug_assert!(freed >= need, "victim plan must free enough space");
-        self.candidates = candidates;
-        self.plan = plan;
+        self.victims = victims;
     }
 }
 
@@ -260,27 +231,15 @@ impl ClipCache for DynSimpleCache {
             return AccessEvent::Miss { admitted: false };
         }
         self.plan_victims(clip, now);
-        if self.admission == DynAdmission::Bypass && !self.plan.is_empty() {
+        if self.admission == DynAdmission::Bypass {
             // Stream without caching when the incoming clip's estimated
-            // value per byte is below the best clip it would displace.
+            // value per byte is at most that of a clip it would displace.
             let incoming_value = self.rank_key(clip, now);
-            let displaced_max = self
-                .plan
-                .iter()
-                .map(|v| self.rank_key(*v, now))
-                .fold(f64::NEG_INFINITY, f64::max);
-            if incoming_value <= displaced_max {
+            if self.victims.iter().any(|&(key, _)| incoming_value <= key) {
                 return AccessEvent::Miss { admitted: false };
             }
         }
-        let plan = std::mem::take(&mut self.plan);
-        for &v in &plan {
-            self.space.remove(v);
-            evictions.record_eviction(v);
-        }
-        self.plan = plan;
-        self.space.insert(clip);
-        AccessEvent::Miss { admitted: true }
+        evict_and_admit(&mut self.space, &self.victims, clip, evictions)
     }
 }
 

@@ -27,12 +27,17 @@
 //! | `GreedyDual-Freq` | function + frequency | `L + nref/size` | no | scan+heap |
 //! | **`IGD`** | function + aging | `L + nref/(d₁·size)` | no | scan only (`d₁` ages with time) |
 //! | `GDS-Popularity` | function (byte-hit) | `L + f̂·cost` | count survives | scan+heap |
-//! | `Simple` (± bypass) | off-line | oracle `f/size` | oracle | scan only (batch repack) |
-//! | **`DYNSimple`** (± bypass) | frequency + size | estimated `f̂/size` | K timestamps | scan only (rates age with time) |
+//! | `Simple` (± bypass) | off-line | oracle `f/size` | oracle | scan only (batch repack; cheapest prefix) |
+//! | **`DYNSimple`** (± bypass) | frequency + size | estimated `f̂/size` | K timestamps | scan only (rates age with time; cheapest prefix) |
 //! | `BlockLruK` | recency over blocks | block LRU-K | K timestamps | scan only (partial evictions) |
 //! | `Belady` | clairvoyant | next reference | full future | scan only (trace-driven) |
 //!
 //! Bold rows are the paper's contributions.
+//!
+//! Simple and DYNSimple share Figure 4's first pass: on a miss each
+//! resident is keyed once, and the cheapest prefix that frees enough room
+//! is taken by min-scan (sorting the remaining candidates once only when
+//! a miss displaces many residents), so a typical miss costs O(n).
 
 pub mod belady;
 pub mod block_lru_k;
@@ -49,6 +54,7 @@ pub mod lru_sk;
 pub mod random;
 pub mod simple;
 pub mod size;
+mod victim_plan;
 
 use crate::cache::{AccessEvent, EvictionSink};
 use crate::space::CacheSpace;

@@ -17,9 +17,12 @@
 //!
 //! Victim selection is a batched plan over a frequency table that can be
 //! swapped wholesale mid-run, so Simple stays on the scan victim-index
-//! backend (see the taxonomy in [`crate::policies`]).
+//! backend (see the taxonomy in [`crate::policies`]). It shares Figure 4's
+//! pass 1 with DYNSimple: each miss keys every resident once and selects
+//! the cheapest prefix.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
+use crate::policies::victim_plan::{cheapest_prefix, evict_and_admit};
 use crate::space::CacheSpace;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
@@ -41,8 +44,9 @@ pub struct SimpleCache {
     /// Byte-freq value per clip: `f(x) / size(x)`.
     byte_freq: Vec<f64>,
     admission: SimpleAdmission,
-    /// Scratch eviction plan reused across misses (no per-miss allocation).
-    plan: Vec<ClipId>,
+    /// Scratch `(byte-freq, clip)` eviction plan reused across misses (no
+    /// per-miss allocation).
+    plan: Vec<(f64, ClipId)>,
 }
 
 impl SimpleCache {
@@ -97,36 +101,6 @@ impl SimpleCache {
     pub fn byte_freq(&self, clip: ClipId) -> f64 {
         self.byte_freq[clip.index()]
     }
-
-    /// Plan the eviction set into `self.plan`: the cheapest byte-freq
-    /// residents (ties broken by clip id for determinism) until the
-    /// incoming clip fits. Reuses the scratch buffer.
-    fn plan_victims(&mut self, incoming: ClipId) {
-        let mut plan = std::mem::take(&mut self.plan);
-        plan.clear();
-        plan.extend(self.space.iter_resident().filter(|&c| c != incoming));
-        // Unstable sort: the id tie-break makes the order total, and the
-        // in-place sort keeps the miss path allocation-free.
-        plan.sort_unstable_by(|&a, &b| {
-            self.byte_freq[a.index()]
-                .partial_cmp(&self.byte_freq[b.index()])
-                .expect("byte-freqs are finite")
-                .then_with(|| a.cmp(&b))
-        });
-        let need = self.space.size_of(incoming);
-        let mut freed = self.space.free();
-        let mut planned = 0;
-        for &victim in &plan {
-            if freed >= need {
-                break;
-            }
-            freed += self.space.size_of(victim);
-            planned += 1;
-        }
-        plan.truncate(planned);
-        debug_assert!(freed >= need, "victim plan must free enough space");
-        self.plan = plan;
-    }
 }
 
 impl ClipCache for SimpleCache {
@@ -169,28 +143,19 @@ impl ClipCache for SimpleCache {
         if !self.space.can_ever_fit(clip) {
             return AccessEvent::Miss { admitted: false };
         }
-        self.plan_victims(clip);
+        // The cheapest byte-freq residents (ties broken by clip id for
+        // determinism) until the incoming clip fits.
+        let byte_freq = &self.byte_freq;
+        cheapest_prefix(&mut self.plan, &self.space, clip, |c| byte_freq[c.index()]);
         if self.admission == SimpleAdmission::Bypass {
-            // Stream without caching when the incoming clip is worth less
-            // than the most valuable clip it would displace.
-            let incoming_value = self.byte_freq[clip.index()];
-            let displaced_max = self
-                .plan
-                .iter()
-                .map(|v| self.byte_freq[v.index()])
-                .fold(f64::NEG_INFINITY, f64::max);
-            if !self.plan.is_empty() && incoming_value <= displaced_max {
+            // Stream without caching when the incoming clip is worth no
+            // more than a clip it would displace.
+            let incoming_value = byte_freq[clip.index()];
+            if self.plan.iter().any(|&(value, _)| incoming_value <= value) {
                 return AccessEvent::Miss { admitted: false };
             }
         }
-        let plan = std::mem::take(&mut self.plan);
-        for &victim in &plan {
-            self.space.remove(victim);
-            evictions.record_eviction(victim);
-        }
-        self.plan = plan;
-        self.space.insert(clip);
-        AccessEvent::Miss { admitted: true }
+        evict_and_admit(&mut self.space, &self.plan, clip, evictions)
     }
 }
 

@@ -14,9 +14,11 @@
 //! One `#[test]` only: the default harness runs tests concurrently, and
 //! a second thread would perturb the allocation counter.
 
-use clipcache::core::{ClipCache, DiscardEvictions, PolicyKind, PolicySpec, VictimBackend};
-use clipcache::media::paper;
-use clipcache::workload::{Request, RequestGenerator, Trace};
+use clipcache::core::{
+    ClipCache, DiscardEvictions, EvictionCount, PolicyKind, PolicySpec, VictimBackend,
+};
+use clipcache::media::{paper, Bandwidth, ByteSize, ClipId, MediaType, RepositoryBuilder};
+use clipcache::workload::{Request, RequestGenerator, Timestamp, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -91,7 +93,10 @@ fn steady_state_access_path_does_not_allocate() {
         PolicyKind::GdsPopularity,
         PolicyKind::Igd,
         PolicyKind::Simple,
+        PolicyKind::SimpleBypass,
         PolicyKind::DynSimple { k: 2 },
+        PolicyKind::DynSimple { k: 32 },
+        PolicyKind::DynSimpleBypass { k: 2 },
     ];
     for kind in scan_lineup {
         let mut cache = kind.build(Arc::clone(&repo), capacity, 7, Some(&freqs));
@@ -105,6 +110,39 @@ fn steady_state_access_path_does_not_allocate() {
             "{kind}: {allocs} allocations in a steady-state replay"
         );
         assert!(hits > 0, "{kind}: warmed cache must produce hits");
+    }
+
+    // The Simple/DYNSimple victim planner's sorted-tail fallback: a clip
+    // as large as the cache displaces all 24 small residents, past the
+    // planner's min-scan bound, on every cycle of the trace.
+    let mut b = RepositoryBuilder::new();
+    for _ in 0..24 {
+        b = b.push(MediaType::Audio, ByteSize::mb(1), Bandwidth::kbps(300));
+    }
+    let big = b.push(MediaType::Video, ByteSize::mb(24), Bandwidth::mbps(4));
+    let big_repo = Arc::new(big.build().unwrap());
+    let cycle: Vec<Request> = (0..100)
+        .map(|i| Request::new(Timestamp(i as u64 + 1), ClipId::from_index(i % 25)))
+        .collect();
+    let big_freqs = vec![1.0 / 25.0; 25];
+    for kind in [PolicyKind::Simple, PolicyKind::DynSimple { k: 2 }] {
+        let mut cache = kind.build(Arc::clone(&big_repo), ByteSize::mb(24), 7, Some(&big_freqs));
+        drive(cache.as_mut(), &cycle);
+        let (allocs, evictions) = counting(|| {
+            let mut evictions = EvictionCount::default();
+            for req in &cycle {
+                cache.access_into(req.clip, req.at, &mut evictions);
+            }
+            evictions.0
+        });
+        assert_eq!(
+            allocs, 0,
+            "{kind}: {allocs} allocations on the fallback path"
+        );
+        assert!(
+            evictions >= 4 * 24,
+            "{kind}: the large clip must displace every small clip each cycle"
+        );
     }
 
     // Heap backend: the lazy heap pushes an entry per score update, so
