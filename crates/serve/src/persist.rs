@@ -10,8 +10,12 @@
 //!   [`CacheSnapshot`] (resident set, policy, capacity, virtual clock),
 //!   its [`HitStats`] and the WAL sequence number it covers, serialized
 //!   through the hand-rolled `workload::json` codec. Checkpoints are
-//!   written atomically: full tmp file, fsync, rename — a crash
-//!   mid-checkpoint leaves the previous checkpoint intact.
+//!   written atomically: full tmp file, fsync, rename, directory fsync
+//!   — a crash mid-checkpoint leaves the previous checkpoint intact. A
+//!   durable service takes that file I/O off its request path: the
+//!   shard encodes the checkpoint and drops it into its one-slot
+//!   mailbox on the service's background writer thread (a newer
+//!   checkpoint replaces one still pending), and goes on serving.
 //! * **WAL** — an append-only log of every access since the last
 //!   checkpoint, kept as fixed-size numbered **segments**
 //!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
@@ -30,10 +34,20 @@
 //! and a CRC over *every* byte of the segment is fsynced onto the end —
 //! and a fresh successor segment is created. Sealed segments are
 //! immutable and fully durable; a single flipped bit anywhere in one
-//! fails the footer CRC loudly. A checkpoint subsumes all of them, so
-//! checkpointing deletes the sealed segments outright and truncates the
-//! active segment back to its bare header: disk usage and replay cost
-//! stay bounded no matter how long the shard runs.
+//! fails the footer CRC loudly.
+//!
+//! A checkpoint covering sequence number S **retires** the log behind
+//! it: sealed segments whose last record is at or below S are deleted,
+//! and the active segment is truncated back to its bare header only
+//! when it holds nothing after S. A background checkpoint is retired
+//! only once it has landed — the shard learns that on its next
+//! operation — and by then the active segment usually holds newer
+//! records, so it keeps its records at or below S at its head. That
+//! *subsumed prefix* is the steady state, not a crash artifact:
+//! [`ShardStore::open`] skips it, and the normal roll bounds it to one
+//! segment (`--segment-bytes`). Open streams each segment through one
+//! fixed buffer, so a 4 MiB subsumed prefix costs a scan, never 4 MiB
+//! of memory.
 //!
 //! ## Group commit
 //!
@@ -61,10 +75,11 @@
 //!   from the last complete record; the dropped byte count is reported,
 //!   never hidden.
 //! * a **subsumed prefix** — records (or whole sealed segments) with
-//!   sequence numbers at or below the checkpoint's, the signature of a
-//!   crash between the checkpoint rename and the segment cleanup. The
-//!   checkpoint already folds them in, so they are skipped (and the
-//!   interrupted cleanup finished), never replayed twice.
+//!   sequence numbers at or below the checkpoint's: the active
+//!   segment's head in the steady state, or whatever a crash between
+//!   the checkpoint rename and the retirement left. The checkpoint
+//!   already folds them in, so they are skipped (and fully subsumed
+//!   segments deleted), never replayed twice.
 //! * a **sealed newest segment** — a crash in the roll window, after
 //!   the seal fsync but before the successor segment was created.
 //!   Recovery opens a fresh successor; nothing was lost.
@@ -84,7 +99,8 @@
 //!
 //! A [`CrashSpec`] arms the store with a *crash point* — die after the
 //! Nth WAL append, write only half of the Nth append (a torn write),
-//! die midway through the Nth checkpoint, write only half of the Nth
+//! die midway through the Nth checkpoint submitted (the request that
+//! submitted it waits for that one write), write only half of the Nth
 //! seal footer (`seal:N`), or die after the Nth seal lands but before
 //! the successor segment exists (`segment-roll:N`). The store performs
 //! the partial effect, then reports [`PersistError::CrashInjected`];
@@ -96,6 +112,7 @@
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_sim::metrics::HitStats;
+use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -463,24 +480,120 @@ pub enum SegmentEnd {
 /// flipped bit anywhere in a sealed segment (the footer CRC covers
 /// every byte).
 pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentEnd), PersistError> {
-    if bytes.len() < SEGMENT_HEADER_BYTES {
+    let mut records = Vec::new();
+    let mut buf = vec![0u8; SCAN_BUF_BYTES];
+    let scan = scan_segment(bytes, no, &mut buf, |r| {
+        records.push(r);
+        Ok(())
+    })?;
+    Ok((records, scan.end))
+}
+
+/// Bytes of a segment a scan holds in memory at once.
+const SCAN_BUF_BYTES: usize = 64 * 1024;
+
+/// Bytes in one complete record frame.
+const FRAME_BYTES: usize = FRAME_HEADER_BYTES + RECORD_PAYLOAD_BYTES;
+
+/// A forward-only window over a segment file, at most one buffer of it
+/// in memory at a time.
+struct Window<'a, R> {
+    src: R,
+    buf: &'a mut [u8],
+    start: usize,
+    end: usize,
+    /// Absolute file offset of `buf[start]`.
+    offset: u64,
+    eof: bool,
+}
+
+impl<'a, R: Read> Window<'a, R> {
+    fn new(src: R, buf: &'a mut [u8]) -> Self {
+        Window {
+            src,
+            buf,
+            start: 0,
+            end: 0,
+            offset: 0,
+            eof: false,
+        }
+    }
+
+    /// The buffered bytes from [`offset`](Self::offset) on: at least
+    /// `want` of them unless the file ends first.
+    fn fill(&mut self, want: usize) -> std::io::Result<&[u8]> {
+        if self.end - self.start < want && !self.eof {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            while self.end < want {
+                match self.src.read(&mut self.buf[self.end..]) {
+                    Ok(0) => {
+                        self.eof = true;
+                        break;
+                    }
+                    Ok(n) => self.end += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            }
+        }
+        Ok(&self.buf[self.start..self.end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        self.offset += n as u64;
+    }
+}
+
+/// What a streaming scan of one segment found.
+struct SegmentScan {
+    end: SegmentEnd,
+    /// Records in the segment.
+    records: u64,
+    /// Sequence number of its last record (0 if none).
+    last_seq: u64,
+    /// Bytes of header plus complete frames (where a torn tail is cut).
+    valid_len: u64,
+    /// CRC over those `valid_len` bytes — the running
+    /// digest an active segment resumes appending from.
+    crc: Crc32,
+}
+
+/// Stream segment `no` from `src` through `buf`, handing each valid
+/// record to `on_record` in order; the validation (and every error
+/// message and absolute offset) is [`decode_segment`]'s.
+fn scan_segment(
+    src: impl Read,
+    no: u64,
+    buf: &mut [u8],
+    mut on_record: impl FnMut(WalRecord) -> Result<(), PersistError>,
+) -> Result<SegmentScan, PersistError> {
+    let mut w = Window::new(src, buf);
+    let mut crc = Crc32::new();
+    let header = w.fill(SEGMENT_HEADER_BYTES)?;
+    if header.len() < SEGMENT_HEADER_BYTES {
         // The segment was created but its header never finished: a
         // crash artifact, only tolerable on the newest segment.
-        return Ok((
-            Vec::new(),
-            SegmentEnd::Unsealed(WalTail::Torn {
+        return Ok(SegmentScan {
+            end: SegmentEnd::Unsealed(WalTail::Torn {
                 valid_bytes: 0,
-                dropped_bytes: bytes.len() as u64,
+                dropped_bytes: header.len() as u64,
             }),
-        ));
+            records: 0,
+            last_seq: 0,
+            valid_len: 0,
+            crc,
+        });
     }
-    if bytes[..8] != SEGMENT_MAGIC {
+    if header[..8] != SEGMENT_MAGIC {
         return Err(PersistError::Corrupt {
             offset: 0,
             reason: "segment header magic mismatch (not a clipcache WAL segment)".into(),
         });
     }
-    let version = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let version = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
     if version != WAL_VERSION {
         return Err(PersistError::Corrupt {
             offset: 8,
@@ -492,7 +605,7 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
             ),
         });
     }
-    let header_no = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let header_no = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
     if header_no != no {
         return Err(PersistError::Corrupt {
             offset: 16,
@@ -503,77 +616,107 @@ pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentE
             ),
         });
     }
-    let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER_BYTES;
+    crc.update(&header[..SEGMENT_HEADER_BYTES]);
+    w.consume(SEGMENT_HEADER_BYTES);
+    let (mut records, mut last_seq) = (0u64, 0u64);
     loop {
-        let remaining = bytes.len() - pos;
+        let pos = w.offset;
+        let bytes = w.fill(FRAME_BYTES)?;
+        let remaining = bytes.len();
+        let torn = SegmentEnd::Unsealed(WalTail::Torn {
+            valid_bytes: pos,
+            dropped_bytes: remaining as u64,
+        });
         if remaining == 0 {
-            return Ok((records, SegmentEnd::Unsealed(WalTail::Clean)));
+            return Ok(SegmentScan {
+                end: SegmentEnd::Unsealed(WalTail::Clean),
+                records,
+                last_seq,
+                valid_len: pos,
+                crc,
+            });
         }
         if remaining >= 4
-            && u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) == SEAL_MARK
+            && u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) == SEAL_MARK
         {
             if remaining < SEGMENT_FOOTER_BYTES {
                 // The seal itself tore: the records before it are fine,
                 // the segment simply stays unsealed.
-                return Ok((
+                return Ok(SegmentScan {
+                    end: torn,
                     records,
-                    SegmentEnd::Unsealed(WalTail::Torn {
-                        valid_bytes: pos as u64,
-                        dropped_bytes: remaining as u64,
-                    }),
-                ));
+                    last_seq,
+                    valid_len: pos,
+                    crc,
+                });
             }
-            let last_seq = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8"));
-            let stored = u32::from_le_bytes(bytes[pos + 12..pos + 16].try_into().expect("4"));
-            if crc32(&bytes[..pos + 12]) != stored {
+            let footer_seq = u64::from_le_bytes(bytes[4..12].try_into().expect("8"));
+            let stored = u32::from_le_bytes(bytes[12..16].try_into().expect("4"));
+            let mut check = crc.clone();
+            check.update(&bytes[..12]);
+            if check.finish() != stored {
                 return Err(PersistError::Corrupt {
-                    offset: pos as u64,
+                    offset: pos,
                     reason: "sealed segment CRC mismatch (a bit flipped somewhere \
                              in the segment)"
                         .into(),
                 });
             }
-            match records.last() {
-                None => {
-                    return Err(PersistError::Corrupt {
-                        offset: pos as u64,
-                        reason: "sealed segment holds no records".into(),
-                    })
-                }
-                Some(r) if r.seq != last_seq => {
-                    return Err(PersistError::Corrupt {
-                        offset: pos as u64,
-                        reason: format!(
-                            "seal footer names last seq {last_seq} but the \
-                             segment ends at seq {}",
-                            r.seq
-                        ),
-                    })
-                }
-                Some(_) => {}
-            }
-            if remaining > SEGMENT_FOOTER_BYTES {
+            if records == 0 {
                 return Err(PersistError::Corrupt {
-                    offset: (pos + SEGMENT_FOOTER_BYTES) as u64,
+                    offset: pos,
+                    reason: "sealed segment holds no records".into(),
+                });
+            }
+            if last_seq != footer_seq {
+                return Err(PersistError::Corrupt {
+                    offset: pos,
+                    reason: format!(
+                        "seal footer names last seq {footer_seq} but the \
+                         segment ends at seq {last_seq}"
+                    ),
+                });
+            }
+            let trailing = remaining > SEGMENT_FOOTER_BYTES;
+            w.consume(SEGMENT_FOOTER_BYTES);
+            if trailing || !w.fill(1)?.is_empty() {
+                return Err(PersistError::Corrupt {
+                    offset: pos + SEGMENT_FOOTER_BYTES as u64,
                     reason: "bytes after the seal footer".into(),
                 });
             }
-            return Ok((records, SegmentEnd::Sealed { last_seq }));
+            return Ok(SegmentScan {
+                end: SegmentEnd::Sealed { last_seq },
+                records,
+                last_seq,
+                valid_len: pos + SEGMENT_FOOTER_BYTES as u64,
+                crc,
+            });
         }
-        match decode_frame(bytes, pos)? {
+        // The window holds a whole frame unless the file ends first,
+        // so a short frame here is a genuine torn tail.
+        match decode_frame(bytes, 0).map_err(|e| match e {
+            PersistError::Corrupt { offset, reason } => PersistError::Corrupt {
+                offset: pos + offset,
+                reason,
+            },
+            other => other,
+        })? {
             FrameStep::Record(record, next) => {
-                records.push(record);
-                pos = next;
+                crc.update(&bytes[..next]);
+                w.consume(next);
+                on_record(record)?;
+                records += 1;
+                last_seq = record.seq;
             }
             FrameStep::Torn => {
-                return Ok((
+                return Ok(SegmentScan {
+                    end: torn,
                     records,
-                    SegmentEnd::Unsealed(WalTail::Torn {
-                        valid_bytes: pos as u64,
-                        dropped_bytes: remaining as u64,
-                    }),
-                ));
+                    last_seq,
+                    valid_len: pos,
+                    crc,
+                })
             }
         }
     }
@@ -890,8 +1033,9 @@ pub struct DurableState {
     /// Bytes of torn tail truncated away during open (0 for a clean log).
     pub torn_bytes_dropped: u64,
     /// WAL records the checkpoint already subsumed (seq ≤ checkpoint
-    /// seq), skipped rather than replayed — nonzero when a crash landed
-    /// between the checkpoint rename and the segment cleanup.
+    /// seq), counted and skipped rather than replayed — nonzero after a
+    /// running service stopped with a checkpoint not yet retired, or
+    /// after a crash between a checkpoint rename and its retirement.
     pub subsumed_records: u64,
 }
 
@@ -1072,6 +1216,212 @@ impl CommitTicket {
     }
 }
 
+/// Write `json` as the checkpoint in `dir`: tmp file, fsync, rename,
+/// directory fsync — the rename is the commit point, so a crash at any
+/// step leaves either the old checkpoint or the new one, never half of
+/// one. With `crash` set (the armed `checkpoint:N` point) only half
+/// the tmp file is written, then [`PersistError::CrashInjected`]
+/// reports the death; recovery ignores the tmp and keeps the previous
+/// checkpoint.
+fn write_checkpoint_file(dir: &Path, json: &str, crash: bool) -> Result<(), PersistError> {
+    let tmp = dir.join(CHECKPOINT_TMP);
+    let mut f = File::create(&tmp)?;
+    if crash {
+        f.write_all(&json.as_bytes()[..json.len() / 2])?;
+        f.sync_data()?;
+        return Err(PersistError::CrashInjected);
+    }
+    f.write_all(json.as_bytes())?;
+    f.sync_data()?;
+    drop(f);
+    std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
+    // Make the rename itself durable (best effort: not every
+    // filesystem lets you open a directory for sync).
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// A checkpoint handed to the writer, already encoded.
+struct Submission {
+    dir: PathBuf,
+    json: String,
+    /// The last WAL sequence number it covers.
+    seq: u64,
+    /// The armed `checkpoint:N` point: write half, then die.
+    crash: bool,
+}
+
+/// One shard's one-slot mailbox, and what the writer reports back.
+#[derive(Default)]
+struct Slot {
+    /// The newest submission the writer has not taken yet.
+    pending: Option<Submission>,
+    /// The writer is writing this shard's checkpoint right now.
+    writing: bool,
+    /// The highest sequence number whose checkpoint landed.
+    landed: u64,
+    /// A write failed; the shard's next operation reports it.
+    failed: Option<PersistError>,
+    /// The store (or the whole service) is dead: nothing pending is
+    /// written, nothing new taken, nothing landed is retired.
+    closed: bool,
+}
+
+struct WriterState {
+    slots: Vec<Slot>,
+    /// Write what is pending, then exit.
+    stop: bool,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+/// The background checkpoint writer a durable service shares among its
+/// shards: one thread, spawned at the first submission, serving one
+/// mailbox slot per shard. Checkpoints of one shard land in submission
+/// order, so the checkpoint on disk never moves backwards.
+pub(crate) struct CheckpointWriter {
+    state: Mutex<WriterState>,
+    /// Wakes the thread on a submission or stop, and waiters on a
+    /// finished write.
+    cv: Condvar,
+}
+
+impl CheckpointWriter {
+    /// A writer with one mailbox slot per shard and no thread yet.
+    pub(crate) fn new(shards: usize) -> Arc<CheckpointWriter> {
+        Arc::new(CheckpointWriter {
+            state: Mutex::new(WriterState {
+                slots: (0..shards).map(|_| Slot::default()).collect(),
+                stop: false,
+                thread: None,
+            }),
+            cv: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WriterState> {
+        self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn wait<'a>(&self, st: MutexGuard<'a, WriterState>) -> MutexGuard<'a, WriterState> {
+        self.cv.wait(st).unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Put `sub` in shard `index`'s slot, replacing a pending one.
+    fn submit(self: &Arc<Self>, index: usize, sub: Submission) -> Result<(), PersistError> {
+        let mut st = self.lock();
+        if st.thread.is_none() {
+            let writer = Arc::clone(self);
+            st.thread = Some(
+                std::thread::Builder::new()
+                    .name("checkpoint-writer".into())
+                    .spawn(move || writer.run())?,
+            );
+        }
+        // A closed slot's failure reaches the shard on its next
+        // operation; until then nothing more is written for it.
+        if !st.slots[index].closed {
+            st.slots[index].pending = Some(sub);
+        }
+        drop(st);
+        self.cv.notify_all();
+        Ok(())
+    }
+
+    /// The thread: take pending checkpoints round-robin across slots,
+    /// write each outside the lock, report how it went.
+    fn run(&self) {
+        let mut st = self.lock();
+        let mut next = 0;
+        loop {
+            let n = st.slots.len();
+            let ready = (0..n)
+                .map(|k| (next + k) % n)
+                .find(|&i| st.slots[i].pending.is_some());
+            let Some(i) = ready else {
+                if st.stop {
+                    return;
+                }
+                st = self.wait(st);
+                continue;
+            };
+            let sub = st.slots[i].pending.take().expect("found above");
+            st.slots[i].writing = true;
+            drop(st);
+            let result = write_checkpoint_file(&sub.dir, &sub.json, sub.crash);
+            st = self.lock();
+            let slot = &mut st.slots[i];
+            slot.writing = false;
+            match result {
+                Ok(()) => slot.landed = slot.landed.max(sub.seq),
+                Err(e) => {
+                    slot.failed = Some(e);
+                    slot.closed = true;
+                    slot.pending = None;
+                }
+            }
+            next = i + 1;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Block until shard `index` has nothing pending or being written.
+    fn wait_idle(&self, index: usize) {
+        let mut st = self.lock();
+        while st.slots[index].pending.is_some() || st.slots[index].writing {
+            st = self.wait(st);
+        }
+    }
+
+    /// Shard `index`'s news: the newest landed seq (0 once the slot is
+    /// closed — a dead store retires nothing), a failed write (taken),
+    /// and whether the slot is idle.
+    fn news(&self, index: usize) -> (u64, Option<PersistError>, bool) {
+        let mut st = self.lock();
+        let slot = &mut st.slots[index];
+        let idle = slot.pending.is_none() && !slot.writing;
+        let landed = if slot.closed { 0 } else { slot.landed };
+        (landed, slot.failed.take(), idle)
+    }
+
+    /// The stores of `slots` died: discard their pending checkpoints
+    /// and wait out a write in flight, so nothing lands after the death.
+    fn close(&self, slots: std::ops::Range<usize>) {
+        let mut st = self.lock();
+        for slot in &mut st.slots[slots.clone()] {
+            slot.closed = true;
+            slot.pending = None;
+        }
+        while st.slots[slots.clone()].iter().any(|s| s.writing) {
+            st = self.wait(st);
+        }
+    }
+
+    /// An injected crash surfaced: the whole service is a killed
+    /// process from here on, so no shard's checkpoint lands and no
+    /// shard retires its WAL any more — a successor may already own
+    /// the directory.
+    pub(crate) fn halt(&self) {
+        let shards = self.lock().slots.len();
+        self.close(0..shards);
+    }
+
+    /// Write every checkpoint still pending on a live store, then join
+    /// the thread (a no-op when none was ever spawned).
+    pub(crate) fn shutdown(&self) {
+        let thread = {
+            let mut st = self.lock();
+            st.stop = true;
+            st.thread.take()
+        };
+        self.cv.notify_all();
+        if thread.is_some_and(|t| t.join().is_err()) {
+            eprintln!("clipcache-serve: the checkpoint writer thread panicked");
+        }
+    }
+}
+
 /// The segment currently being appended to.
 struct ActiveSegment {
     /// Shared with the commit queue, which fsyncs it from rider threads.
@@ -1158,8 +1508,8 @@ fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 }
 
 /// One shard's durable store: the active segment's append handle, its
-/// sealed predecessors, the checkpoint writer, the group-commit queue
-/// and the armed crash point.
+/// sealed predecessors, the group-commit queue, the armed crash point
+/// and, inside a durable service, its slot on the checkpoint writer.
 pub struct ShardStore {
     dir: PathBuf,
     sync: WalSync,
@@ -1168,17 +1518,24 @@ pub struct ShardStore {
     /// Group-commit batch window; zero = inline fsync per append.
     window: Duration,
     active: ActiveSegment,
-    /// The lowest segment number still on disk; sealed predecessors of
-    /// the active segment are `oldest_no..active.no`.
-    oldest_no: u64,
+    /// The sealed segments still on disk, oldest first, as
+    /// `(number, last seq)`; their numbers run contiguously up to the
+    /// active segment's.
+    sealed: VecDeque<(u64, u64)>,
     queue: Arc<CommitQueue>,
     /// Next sequence number to append.
     next_seq: u64,
-    /// Last sequence folded into the durable checkpoint.
+    /// Last sequence folded into the durable checkpoint on disk.
     ckpt_seq: u64,
+    /// The service's background writer and this store's slot on it;
+    /// `None` for a store opened on its own, which checkpoints inline.
+    writer: Option<(Arc<CheckpointWriter>, usize)>,
+    /// A background checkpoint was submitted and its outcome not yet
+    /// collected.
+    outstanding: bool,
     /// Appends performed since the store was opened (crash counting).
     appends: u64,
-    /// Durable checkpoints written since the store was opened.
+    /// Checkpoints submitted since the store was opened.
     checkpoints: u64,
     /// Segment seals performed since the store was opened.
     seals: u64,
@@ -1200,11 +1557,14 @@ impl ShardStore {
     ///
     /// A stale checkpoint tmp file (crash mid-checkpoint) is removed; a
     /// torn tail on the newest segment is truncated in place; sealed
-    /// segments fully subsumed by the checkpoint are deleted (finishing
-    /// an interrupted checkpoint cleanup); a sealed *newest* segment
-    /// (crash in the roll window) gets a fresh successor. Mid-log
-    /// corruption, version skew, numbering gaps, a pre-segment
-    /// `wal.log` and untrusted checkpoints all fail loudly.
+    /// segments fully subsumed by the checkpoint are deleted, and an
+    /// active segment holding only subsumed records is truncated; a
+    /// sealed *newest* segment (crash in the roll window) gets a fresh
+    /// successor. Mid-log corruption, version skew, numbering gaps, a
+    /// pre-segment `wal.log` and untrusted checkpoints all fail loudly.
+    ///
+    /// Segments stream through one fixed buffer and subsumed records
+    /// are only counted, so memory stays flat however long the log.
     pub fn open_tuned(
         dir: &Path,
         sync: WalSync,
@@ -1240,21 +1600,64 @@ impl ShardStore {
                 });
             }
         }
-        // Decode every segment; only the newest may be unsealed or torn.
-        struct Decoded {
-            no: u64,
-            path: PathBuf,
-            bytes: Vec<u8>,
-            records: Vec<WalRecord>,
-            end: SegmentEnd,
-        }
-        let mut segs = Vec::with_capacity(listed.len());
+        // Stream every segment; only the newest may be unsealed or torn.
+        // The concatenated log must be one contiguous sequence run that
+        // reaches back to the checkpoint. Sequence numbers are 1-based,
+        // and a run starting *past* ckpt_seq + 1 means records were
+        // lost — both are corruption. Records at or below ckpt_seq are
+        // the subsumed prefix: counted, skipped, never replayed twice.
+        let mut buf = vec![0u8; SCAN_BUF_BYTES];
+        let mut records = Vec::new();
+        let mut seen = 0u64;
+        let mut prev_seq = None;
+        let mut subsumed_records = 0u64;
+        let mut subsumed_segments = Vec::new();
+        let mut sealed = VecDeque::new();
+        let mut newest = None;
         for (i, (no, path)) in listed.iter().enumerate() {
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            let (records, end) = decode_segment(&bytes, *no)?;
-            if i + 1 != listed.len() {
-                if let SegmentEnd::Unsealed(_) = end {
+            let scan = scan_segment(File::open(path)?, *no, &mut buf, |r| {
+                match prev_seq {
+                    None if r.seq == 0 => {
+                        return Err(PersistError::Corrupt {
+                            offset: 0,
+                            reason: "WAL record has seq 0 (sequence numbers are 1-based)".into(),
+                        })
+                    }
+                    None if r.seq > ckpt_seq + 1 => {
+                        return Err(PersistError::Corrupt {
+                            offset: 0,
+                            reason: format!(
+                                "WAL starts at seq {} but the checkpoint covers through \
+                                 {ckpt_seq}: records {} through {} are missing",
+                                r.seq,
+                                ckpt_seq + 1,
+                                r.seq - 1
+                            ),
+                        })
+                    }
+                    Some(prev) if r.seq != prev + 1 => {
+                        return Err(PersistError::Corrupt {
+                            offset: 0,
+                            reason: format!(
+                                "WAL sequence broken: record {seen} has seq {}, expected {}",
+                                r.seq,
+                                prev + 1
+                            ),
+                        })
+                    }
+                    _ => {}
+                }
+                prev_seq = Some(r.seq);
+                seen += 1;
+                if r.seq <= ckpt_seq {
+                    subsumed_records += 1;
+                } else {
+                    records.push(r);
+                }
+                Ok(())
+            })?;
+            match scan.end {
+                SegmentEnd::Unsealed(_) if i + 1 != listed.len() => {
                     return Err(PersistError::Corrupt {
                         offset: 0,
                         reason: format!(
@@ -1264,94 +1667,38 @@ impl ShardStore {
                         ),
                     });
                 }
-            }
-            segs.push(Decoded {
-                no: *no,
-                path: path.clone(),
-                bytes,
-                records,
-                end,
-            });
-        }
-
-        // The concatenated log must be one contiguous sequence run...
-        let mut records: Vec<WalRecord> = segs.iter().flat_map(|s| s.records.clone()).collect();
-        for (i, pair) in records.windows(2).enumerate() {
-            if pair[1].seq != pair[0].seq + 1 {
-                return Err(PersistError::Corrupt {
-                    offset: 0,
-                    reason: format!(
-                        "WAL sequence broken: record {} has seq {}, expected {}",
-                        i + 1,
-                        pair[1].seq,
-                        pair[0].seq + 1
-                    ),
-                });
-            }
-        }
-        // ...that reaches back to the checkpoint. Sequence numbers are
-        // 1-based, and a run starting *past* ckpt_seq + 1 means records
-        // were lost — both are corruption. A run starting *at or before*
-        // ckpt_seq is legitimate: a crash between the checkpoint rename
-        // and the segment cleanup leaves records the checkpoint already
-        // subsumes, which recovery skips rather than refusing or
-        // replaying twice.
-        if let Some(first) = records.first() {
-            if first.seq == 0 {
-                return Err(PersistError::Corrupt {
-                    offset: 0,
-                    reason: "WAL record has seq 0 (sequence numbers are 1-based)".into(),
-                });
-            }
-            if first.seq > ckpt_seq + 1 {
-                return Err(PersistError::Corrupt {
-                    offset: 0,
-                    reason: format!(
-                        "WAL starts at seq {} but the checkpoint covers through \
-                         {ckpt_seq}: records {} through {} are missing",
-                        first.seq,
-                        ckpt_seq + 1,
-                        first.seq - 1
-                    ),
-                });
-            }
-        }
-        let subsumed_records = records.iter().take_while(|r| r.seq <= ckpt_seq).count() as u64;
-        records.drain(..subsumed_records as usize);
-
-        // Finish any checkpoint cleanup a crash interrupted: a sealed
-        // segment whose every record the checkpoint covers is garbage.
-        let mut oldest_no = None;
-        for s in &segs {
-            if let SegmentEnd::Sealed { last_seq } = s.end {
-                if last_seq <= ckpt_seq {
-                    std::fs::remove_file(&s.path)?;
-                    continue;
+                // Finish a retirement a crash interrupted: a sealed
+                // segment whose every record the checkpoint covers is
+                // garbage (deleted once the whole log has validated).
+                SegmentEnd::Sealed { last_seq } if last_seq <= ckpt_seq => {
+                    subsumed_segments.push(path);
                 }
+                SegmentEnd::Sealed { last_seq } => sealed.push_back((*no, last_seq)),
+                SegmentEnd::Unsealed(_) => {}
             }
-            if oldest_no.is_none() {
-                oldest_no = Some(s.no);
+            if i + 1 == listed.len() {
+                newest = Some((*no, path, scan));
             }
+        }
+        for path in subsumed_segments {
+            std::fs::remove_file(path)?;
         }
 
         let mut torn_bytes_dropped = 0;
-        let active = match segs.last() {
+        let active = match newest {
             None => create_segment(dir, 1)?,
-            Some(s) => match s.end {
+            Some((no, path, scan)) => match scan.end {
                 SegmentEnd::Sealed { .. } => {
                     // A crash in the roll window: the seal landed, the
                     // successor was never created. Open one now. (If the
                     // sealed segment was fully subsumed it is already
                     // deleted above; the numbering still moves forward.)
-                    create_segment(dir, s.no + 1)?
+                    create_segment(dir, no + 1)?
                 }
                 SegmentEnd::Unsealed(tail) => {
-                    let file = OpenOptions::new().create(true).append(true).open(&s.path)?;
-                    let disk_len;
-                    let (mut on_disk_records, mut on_disk_last) = (
-                        s.records.len() as u64,
-                        s.records.last().map_or(0, |r| r.seq),
-                    );
+                    let file = OpenOptions::new().create(true).append(true).open(path)?;
+                    let (mut len, mut crc) = (scan.valid_len, scan.crc);
+                    let (mut on_disk_records, mut on_disk_last) = (scan.records, scan.last_seq);
                     match tail {
                         WalTail::Torn {
                             valid_bytes,
@@ -1360,13 +1707,15 @@ impl ShardStore {
                             // Even the header never finished (a crash
                             // during segment creation): rewrite it.
                             file.set_len(0)?;
-                            let header = segment_header(s.no);
+                            let header = segment_header(no);
                             let mut f: &File = &file;
                             f.write_all(&header)?;
                             f.flush()?;
                             file.sync_data()?;
                             torn_bytes_dropped = dropped_bytes;
-                            disk_len = SEGMENT_HEADER_BYTES as u64;
+                            len = SEGMENT_HEADER_BYTES as u64;
+                            crc = Crc32::new();
+                            crc.update(&header);
                         }
                         WalTail::Torn {
                             valid_bytes,
@@ -1378,39 +1727,26 @@ impl ShardStore {
                             file.set_len(valid_bytes)?;
                             file.sync_data()?;
                             torn_bytes_dropped = dropped_bytes;
-                            disk_len = valid_bytes;
                         }
-                        WalTail::Clean => {
-                            if on_disk_records > 0 && on_disk_last <= ckpt_seq {
-                                // Every record is subsumed — the exact
-                                // signature of a crash between the
-                                // checkpoint rename and the cleanup.
-                                // Finish the interrupted truncation; a
-                                // crash during *this* set_len only
-                                // shortens a log whose every byte the
-                                // checkpoint already covers.
-                                file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-                                file.sync_data()?;
-                                disk_len = SEGMENT_HEADER_BYTES as u64;
-                                on_disk_records = 0;
-                                on_disk_last = 0;
-                            } else {
-                                disk_len = s.bytes.len() as u64;
-                            }
+                        WalTail::Clean if on_disk_records > 0 && on_disk_last <= ckpt_seq => {
+                            // Every record is subsumed: retire the
+                            // segment's records now. A crash during
+                            // *this* set_len only shortens a log whose
+                            // every byte the checkpoint already covers.
+                            file.set_len(SEGMENT_HEADER_BYTES as u64)?;
+                            file.sync_data()?;
+                            on_disk_records = 0;
+                            on_disk_last = 0;
+                            len = SEGMENT_HEADER_BYTES as u64;
+                            crc = Crc32::new();
+                            crc.update(&segment_header(no));
                         }
-                    }
-                    let mut crc = Crc32::new();
-                    if disk_len as usize <= s.bytes.len() {
-                        crc.update(&s.bytes[..disk_len as usize]);
-                    } else {
-                        // Only reachable on the rewritten-header path,
-                        // where the bytes on disk are the fresh header.
-                        crc.update(&segment_header(s.no));
+                        WalTail::Clean => {}
                     }
                     ActiveSegment {
                         file: Arc::new(file),
-                        no: s.no,
-                        len: disk_len,
+                        no,
+                        len,
                         crc,
                         last_seq: on_disk_last,
                         records: on_disk_records,
@@ -1418,7 +1754,6 @@ impl ShardStore {
                 }
             },
         };
-        let oldest_no = oldest_no.unwrap_or(active.no).min(active.no);
         let next_seq = records.last().map_or(ckpt_seq, |r| r.seq) + 1;
         let queue = CommitQueue::new(tuning.commit_window, next_seq - 1, Arc::clone(&active.file));
         Ok((
@@ -1428,10 +1763,12 @@ impl ShardStore {
                 segment_bytes: tuning.segment_bytes,
                 window: tuning.commit_window,
                 active,
-                oldest_no,
+                sealed,
                 queue,
                 next_seq,
                 ckpt_seq,
+                writer: None,
+                outstanding: false,
                 appends: 0,
                 checkpoints: 0,
                 seals: 0,
@@ -1445,6 +1782,12 @@ impl ShardStore {
                 subsumed_records,
             },
         ))
+    }
+
+    /// Write this store's background checkpoints through `writer`'s slot
+    /// `index` (one slot per shard of a durable service).
+    pub(crate) fn attach_writer(&mut self, writer: Arc<CheckpointWriter>, index: usize) {
+        self.writer = Some((writer, index));
     }
 
     /// Arm a crash point. Counters start now — recovery-time operations
@@ -1469,7 +1812,8 @@ impl ShardStore {
     /// The active segment's number and the lowest segment number still
     /// on disk — `(oldest, active)`.
     pub fn segment_span(&self) -> (u64, u64) {
-        (self.oldest_no, self.active.no)
+        let oldest = self.sealed.front().map_or(self.active.no, |&(no, _)| no);
+        (oldest, self.active.no)
     }
 
     /// Whether appends ride the group-commit queue (sync `always` with
@@ -1524,6 +1868,7 @@ impl ShardStore {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
+        self.collect_writes()?;
         let record = WalRecord {
             seq: self.next_seq,
             clip,
@@ -1548,7 +1893,7 @@ impl ShardStore {
                 if self.group_commit() {
                     self.queue.note_durable(self.active.last_seq);
                 }
-                self.dead = true;
+                self.die();
                 return Err(PersistError::CrashInjected);
             }
         }
@@ -1580,7 +1925,7 @@ impl ShardStore {
                 if self.group_commit() {
                     self.queue.note_durable(seq);
                 }
-                self.dead = true;
+                self.die();
                 return Err(PersistError::CrashInjected);
             }
         }
@@ -1630,7 +1975,7 @@ impl ShardStore {
                 if self.group_commit() {
                     self.queue.note_durable(self.active.last_seq);
                 }
-                self.dead = true;
+                self.die();
                 return Err(PersistError::CrashInjected);
             }
         }
@@ -1645,6 +1990,8 @@ impl ShardStore {
             return Err(e.into());
         }
         self.seals += 1;
+        self.sealed
+            .push_back((self.active.no, self.active.last_seq));
         // The seal fsync made every record in this segment durable.
         if self.group_commit() {
             self.queue.note_durable(self.active.last_seq);
@@ -1656,7 +2003,7 @@ impl ShardStore {
             if self.seals == n {
                 // The seal is durable; the successor segment is never
                 // created. Recovery opens one.
-                self.dead = true;
+                self.die();
                 return Err(PersistError::CrashInjected);
             }
         }
@@ -1673,113 +2020,204 @@ impl ShardStore {
         }
     }
 
-    /// Write a durable checkpoint atomically, then drop the log it
-    /// subsumes: sealed segments are deleted outright, the active
-    /// segment is truncated back to its bare header.
+    /// Write a durable checkpoint and wait for it: the checkpoint-file
+    /// write, then the retirement of the WAL through its seq.
+    /// Open-time compaction and the offline tools use this; a durable
+    /// service's periodic checkpoints go through
+    /// [`submit_checkpoint`](Self::submit_checkpoint) instead.
     ///
     /// Order matters for crash safety: tmp write → fsync → rename →
-    /// segment cleanup. A crash before the rename leaves the old
-    /// checkpoint with the full log; a crash after it leaves the new
-    /// checkpoint with possibly still-undeleted segments whose subsumed
-    /// records [`open`](Self::open) then skips (and whose cleanup it
-    /// finishes) — never a state that cannot recover. A non-crash I/O
-    /// failure partway through kills the store: the disk may already
-    /// name the new checkpoint while memory still counts from the old
-    /// one, and refusing further appends beats writing sequence numbers
-    /// the checkpoint already covers.
+    /// retirement. A crash before the rename leaves the old checkpoint
+    /// with the full log; a crash after it leaves the new checkpoint
+    /// with a subsumed prefix that [`open`](Self::open) skips — never a
+    /// state that cannot recover. A non-crash I/O failure partway
+    /// through kills the store: refusing further appends beats letting
+    /// disk and memory drift apart.
+    ///
+    /// A checkpoint claiming records not yet appended (`seq` ≥
+    /// [`next_seq`](Self::next_seq)) is refused as
+    /// [`PersistError::BadCheckpoint`]; an older one is written as is
+    /// and never rewinds the sequence numbers appends receive.
     pub fn checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
-        if self.dead {
-            return Err(PersistError::CrashInjected);
-        }
-        let json = ckpt.to_json();
-        let tmp = self.dir.join(CHECKPOINT_TMP);
-        if let Some(CrashSpec {
-            point: CrashPoint::MidCheckpoint(n),
-        }) = self.crash
-        {
-            if self.checkpoints + 1 == n {
-                // Half the checkpoint reaches the tmp file; the rename
-                // never happens. Recovery must ignore the tmp and keep
-                // the previous checkpoint.
-                let mut f = File::create(&tmp)?;
-                f.write_all(&json.as_bytes()[..json.len() / 2])?;
-                f.sync_data()?;
-                self.kill();
-                return Err(PersistError::CrashInjected);
-            }
-        }
-        if let Err(e) = self.write_checkpoint(&json, &tmp) {
+        self.admit_checkpoint(ckpt)?;
+        // A background write still in flight must not land after this one.
+        self.settle()?;
+        let crash = self.count_checkpoint();
+        if let Err(e) = write_checkpoint_file(&self.dir, &ckpt.to_json(), crash) {
             self.kill();
             return Err(e);
         }
+        self.retire_through(ckpt.seq)
+    }
+
+    /// Hand a checkpoint to the service's background writer and return
+    /// without waiting for its fsyncs. Its WAL is retired once the
+    /// store learns it landed, on its next operation; a failed write
+    /// kills the store and that operation reports it. The armed
+    /// `checkpoint:N` point is the exception: the submission waits for
+    /// its half-written file and reports the crash itself. A store with
+    /// no writer (opened on its own) checkpoints inline.
+    pub fn submit_checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
+        let Some((writer, index)) = self.writer.clone() else {
+            return self.checkpoint(ckpt);
+        };
+        self.admit_checkpoint(ckpt)?;
+        let crash = self.count_checkpoint();
+        let sub = Submission {
+            dir: self.dir.clone(),
+            json: ckpt.to_json(),
+            seq: ckpt.seq,
+            crash,
+        };
+        if let Err(e) = writer.submit(index, sub) {
+            self.kill();
+            return Err(e);
+        }
+        self.outstanding = true;
+        if crash {
+            writer.wait_idle(index);
+            let err = self.collect_writes().err();
+            self.kill();
+            return Err(err.unwrap_or(PersistError::CrashInjected));
+        }
+        Ok(())
+    }
+
+    /// Refuse checkpoints on a dead store and checkpoints covering
+    /// records never appended.
+    fn admit_checkpoint(&self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
+        if self.dead {
+            return Err(PersistError::CrashInjected);
+        }
+        if ckpt.seq >= self.next_seq {
+            return Err(PersistError::BadCheckpoint(format!(
+                "checkpoint covers through seq {} but the log ends at seq {}",
+                ckpt.seq,
+                self.next_seq - 1
+            )));
+        }
+        Ok(())
+    }
+
+    /// Count one checkpoint submission; true when it is the armed
+    /// `checkpoint:N`.
+    fn count_checkpoint(&mut self) -> bool {
         self.checkpoints += 1;
-        self.ckpt_seq = ckpt.seq;
-        self.next_seq = ckpt.seq + 1;
+        self.crash
+            == Some(CrashSpec {
+                point: CrashPoint::MidCheckpoint(self.checkpoints),
+            })
+    }
+
+    /// Collect what the writer finished for this store: retire the WAL
+    /// behind the newest landed checkpoint, or die of a failed write
+    /// and report it. Runs at the start of every append, and is a
+    /// no-op unless a background checkpoint is outstanding.
+    pub(crate) fn collect_writes(&mut self) -> Result<(), PersistError> {
+        if !self.outstanding || self.dead {
+            return Ok(());
+        }
+        let Some((writer, index)) = &self.writer else {
+            return Ok(());
+        };
+        let (landed, failed, idle) = writer.news(*index);
+        if let Some(e) = failed {
+            self.kill();
+            return Err(e);
+        }
+        self.outstanding = !idle;
+        if landed > self.ckpt_seq {
+            self.retire_through(landed)?;
+        }
+        Ok(())
+    }
+
+    /// Wait until no background checkpoint of this store is pending or
+    /// in flight, then collect its outcome.
+    fn settle(&mut self) -> Result<(), PersistError> {
+        if let Some((writer, index)) = &self.writer {
+            writer.wait_idle(*index);
+        }
+        self.collect_writes()
+    }
+
+    /// The checkpoint on disk now covers through `seq`: delete the
+    /// sealed segments it subsumes and, if the active segment holds
+    /// nothing after `seq`, truncate it. The active segment is never
+    /// truncated while it holds records after `seq`; the records at or
+    /// below `seq` left at its head are the subsumed prefix
+    /// [`open`](Self::open) skips. Never touches `next_seq`.
+    fn retire_through(&mut self, seq: u64) -> Result<(), PersistError> {
+        self.ckpt_seq = seq;
         // Everything the checkpoint covers is durable via the
         // checkpoint itself: release any riders still in the window.
         if self.group_commit() {
-            self.queue.note_durable(ckpt.seq);
+            self.queue.note_durable(seq);
+        }
+        if let Err(e) = self.drop_segments_through(seq) {
+            self.kill();
+            return Err(e);
         }
         Ok(())
     }
 
-    /// The fallible I/O of one checkpoint; [`checkpoint`](Self::checkpoint)
-    /// kills the store if any step fails.
-    fn write_checkpoint(&mut self, json: &str, tmp: &Path) -> Result<(), PersistError> {
-        let mut f = File::create(tmp)?;
-        f.write_all(json.as_bytes())?;
-        f.sync_data()?;
-        drop(f);
-        std::fs::rename(tmp, self.dir.join(CHECKPOINT_FILE))?;
-        // Make the rename itself durable (best effort: not every
-        // filesystem lets you open a directory for sync).
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        self.drop_subsumed()?;
-        Ok(())
-    }
-
-    /// Delete every sealed segment and truncate the active one back to
-    /// its bare header — the log is empty afterward. Only called when a
-    /// durable checkpoint (or a rewind target) covers every record.
-    fn drop_subsumed(&mut self) -> Result<(), PersistError> {
-        // Oldest first, so a crash partway leaves a contiguous suffix.
-        for no in self.oldest_no..self.active.no {
+    /// Delete the sealed segments whose last record is at or below
+    /// `seq`, oldest first (so a crash partway leaves a contiguous
+    /// suffix), and truncate the active segment to its bare header if
+    /// it holds records and none after `seq`.
+    fn drop_segments_through(&mut self, seq: u64) -> Result<(), PersistError> {
+        while let Some(&(no, last_seq)) = self.sealed.front() {
+            if last_seq > seq {
+                return Ok(());
+            }
             std::fs::remove_file(self.dir.join(segment_file_name(no)))?;
+            self.sealed.pop_front();
         }
-        self.oldest_no = self.active.no;
-        self.active.file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-        self.active.file.sync_data()?;
-        let header = segment_header(self.active.no);
-        self.active.len = SEGMENT_HEADER_BYTES as u64;
-        self.active.crc = Crc32::new();
-        self.active.crc.update(&header);
-        self.active.last_seq = 0;
-        self.active.records = 0;
+        if self.active.records > 0 && self.active.last_seq <= seq {
+            self.active.file.set_len(SEGMENT_HEADER_BYTES as u64)?;
+            self.active.file.sync_data()?;
+            self.active.len = SEGMENT_HEADER_BYTES as u64;
+            self.active.crc = Crc32::new();
+            self.active.crc.update(&segment_header(self.active.no));
+            self.active.last_seq = 0;
+            self.active.records = 0;
+        }
         Ok(())
     }
 
-    /// Mark the store dead, as after a fired crash point: every later
-    /// operation reports [`PersistError::CrashInjected`]. Used when an
+    /// The store is dead, as after a fired crash point: every later
+    /// operation reports [`PersistError::CrashInjected`], its pending
+    /// background checkpoint is discarded, and a write in flight is
+    /// waited out so nothing lands after the death.
+    fn die(&mut self) {
+        self.dead = true;
+        if let Some((writer, index)) = &self.writer {
+            writer.close(*index..*index + 1);
+        }
+    }
+
+    /// Mark the store dead, as after a fired crash point. Used when an
     /// I/O failure leaves disk and memory describing different states —
     /// refusing further appends beats silently diverging. Pending
     /// group-commit riders are woken with an error, never left hanging.
     pub fn kill(&mut self) {
-        self.dead = true;
+        self.die();
         self.queue.poison();
     }
 
     /// Discard every WAL record after the checkpoint — the durable
     /// counterpart of a poisoned shard's rewind-to-checkpoint, keeping
-    /// disk and memory describing the same state. Pending group-commit
+    /// disk and memory describing the same state. A background
+    /// checkpoint still pending or in flight lands first, so the
+    /// rewind target is the newest one submitted. Pending group-commit
     /// riders error out (their records are gone; their sequence numbers
     /// will be reissued).
     pub fn rewind_to_checkpoint(&mut self) -> Result<(), PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
-        if let Err(e) = self.drop_subsumed() {
+        self.settle()?;
+        if let Err(e) = self.drop_segments_through(u64::MAX) {
             // The cleanup may be partial: disk no longer matches
             // either the pre- or post-rewind state. Refuse to continue.
             self.kill();

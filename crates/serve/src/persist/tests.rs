@@ -525,6 +525,46 @@ fn rewind_discards_post_checkpoint_records() {
     assert_eq!(state.records, vec![record(1, 9, WalOp::Get)]);
 }
 
+#[test]
+fn a_lagging_checkpoint_never_reissues_sequence_numbers() {
+    let dir = tmp_dir("lagging");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    for clip in 1..=5u32 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    // A checkpoint behind the log retires what it covers and nothing
+    // else: appends keep counting from the log's end, not its seq.
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 2;
+    store.checkpoint(&ckpt).unwrap();
+    assert_eq!(store.next_seq(), 6);
+    assert_eq!(store.append(WalOp::Get, ClipId::new(6)).unwrap(), 6);
+    // One claiming records never appended is refused, and the store
+    // keeps serving.
+    for seq in [7, 99] {
+        ckpt.seq = seq;
+        assert!(matches!(
+            store.checkpoint(&ckpt),
+            Err(PersistError::BadCheckpoint(_))
+        ));
+        assert!(matches!(
+            store.submit_checkpoint(&ckpt),
+            Err(PersistError::BadCheckpoint(_))
+        ));
+    }
+    assert_eq!(store.append(WalOp::Get, ClipId::new(7)).unwrap(), 7);
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint.expect("checkpoint").seq, 2);
+    assert_eq!(state.subsumed_records, 2);
+    assert_eq!(
+        state.records,
+        (3..=7u32)
+            .map(|i| record(i as u64, i, WalOp::Get))
+            .collect::<Vec<_>>()
+    );
+}
+
 // ---- segmented-log tests ----------------------------------------------
 
 #[test]

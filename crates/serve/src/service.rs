@@ -21,8 +21,19 @@
 //! `STATS` protocol reply) records that it happened. One panicking
 //! request can therefore no longer wedge a shard for the process
 //! lifetime — the next request heals it.
+//!
+//! ## Background checkpoints
+//!
+//! A durable service owns one checkpoint writer thread, spawned at the
+//! first periodic checkpoint (a memory-only service, or a durable one
+//! that has not checkpointed yet, runs none). Shards hand it encoded
+//! checkpoints through one-slot mailboxes and never wait on its
+//! fsyncs. Dropping the service writes what is still pending, joins
+//! the thread and retires the WAL behind what landed.
 
-use crate::persist::{CrashAction, PersistError, PersistOptions, RecoveryReport, ShardStore};
+use crate::persist::{
+    CheckpointWriter, CrashAction, PersistError, PersistOptions, RecoveryReport, ShardStore,
+};
 use crate::shard::{shard_of, shard_seed, GetOutcome, RangeOutcome, Shard, CHECKPOINT_EVERY};
 use clipcache_core::registry::BuildError;
 use clipcache_core::snapshot::CacheSnapshot;
@@ -136,6 +147,8 @@ pub struct CacheService {
     /// (mimicking `kill -9`), the in-process chaos tests surface
     /// [`ServiceError::Crashed`] instead.
     on_crash: CrashAction,
+    /// The background checkpoint writer of a durable service.
+    writer: Option<Arc<CheckpointWriter>>,
 }
 
 impl CacheService {
@@ -173,6 +186,7 @@ impl CacheService {
             recoveries: AtomicU64::new(0),
             wal_replayed: 0,
             on_crash: CrashAction::Surface,
+            writer: None,
         })
     }
 
@@ -199,10 +213,13 @@ impl CacheService {
         let mut service = CacheService::new(repo, config, frequencies)
             .map_err(|e| PersistError::Build(e.to_string()))?;
         service.on_crash = opts.on_crash;
+        let writer = CheckpointWriter::new(service.shards.len());
+        service.writer = Some(Arc::clone(&writer));
         let mut report = RecoveryReport::default();
         for i in 0..service.shards.len() {
             let dir = opts.dir.join(format!("shard-{i}"));
-            let (store, state) = ShardStore::open_tuned(&dir, opts.sync, opts.tuning)?;
+            let (mut store, state) = ShardStore::open_tuned(&dir, opts.sync, opts.tuning)?;
+            store.attach_writer(Arc::clone(&writer), i);
             let shard = service.shards[i].get_mut().expect("no one else holds it");
             if state.checkpoint.is_some() {
                 report.checkpoints_loaded += 1;
@@ -243,14 +260,21 @@ impl CacheService {
 
     /// Map a shard-level persistence failure to the service error,
     /// honoring the configured crash action: the binaries die like a
-    /// killed process, in-process harnesses see [`ServiceError::Crashed`].
+    /// killed process, in-process harnesses see [`ServiceError::Crashed`]
+    /// and the checkpoint writer halts for every shard, so dropping the
+    /// crashed service later writes nothing a successor could see.
     fn persist_failure(&self, err: PersistError) -> ServiceError {
         match (&err, self.on_crash) {
             (PersistError::CrashInjected, CrashAction::ExitProcess) => {
                 eprintln!("clipcache-serve: injected crash point fired; exiting");
                 std::process::exit(137);
             }
-            (PersistError::CrashInjected, CrashAction::Surface) => ServiceError::Crashed,
+            (PersistError::CrashInjected, CrashAction::Surface) => {
+                if let Some(writer) = &self.writer {
+                    writer.halt();
+                }
+                ServiceError::Crashed
+            }
             _ => ServiceError::Persist(err.to_string()),
         }
     }
@@ -407,6 +431,23 @@ impl CacheService {
             total += self.lock_shard(i).cache().used().as_u64();
         }
         ByteSize::bytes(total)
+    }
+}
+
+/// Dropping a durable service writes the checkpoints still pending,
+/// joins the writer thread, and retires the WAL behind what landed.
+impl Drop for CacheService {
+    fn drop(&mut self) {
+        let Some(writer) = self.writer.take() else {
+            return;
+        };
+        writer.shutdown();
+        for shard in &mut self.shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(|p| p.into_inner())
+                .retire_landed();
+        }
     }
 }
 

@@ -28,12 +28,20 @@
 //! A shard opened with a data directory ([`Shard::attach_store`], via
 //! `CacheService::open_persistent`) pairs the in-memory checkpoint with
 //! a [`ShardStore`]: every access is appended to the store's write-ahead
-//! log *before* it is applied, and each checkpoint refresh writes the
-//! durable checkpoint first, so disk is never behind what a client was
-//! told. On open, the durable checkpoint is restored and the WAL tail
-//! replays through the same zero-alloc `access_into` path live requests
-//! use — then the shard compacts (fresh checkpoint, truncated log) so
-//! restarts converge instead of replaying ever-longer logs.
+//! log *before* it is applied, so disk is never behind what a client was
+//! told. The WAL is what makes an ack durable; checkpoints only bound
+//! replay. So a checkpoint refresh takes the snapshot inline, makes it
+//! the in-memory checkpoint, and hands the encoded durable checkpoint to
+//! the service's background writer without waiting for its fsyncs
+//! ([`ShardStore::submit_checkpoint`]). The shard learns on its next
+//! operation that the checkpoint landed and only then retires the WAL
+//! behind it; until then, and for the active segment's records at or
+//! below the checkpoint afterwards, the log keeps a subsumed prefix
+//! that recovery skips. On open, the durable checkpoint is restored and
+//! the WAL tail replays through the same zero-alloc `access_into` path
+//! live requests use — then the shard compacts (a checkpoint written
+//! and waited for, the log retired) so restarts converge instead of
+//! replaying ever-longer logs.
 
 use crate::persist::{
     CommitTicket, CrashSpec, DurableCheckpoint, DurableState, PersistError, ShardStore, WalOp,
@@ -307,27 +315,34 @@ impl Shard {
 
     fn maybe_checkpoint(&mut self) -> Result<(), PersistError> {
         if self.clock - self.checkpoint.snapshot.tick.get() >= self.checkpoint_every {
-            self.force_checkpoint()?;
+            self.force_checkpoint(ShardStore::submit_checkpoint)?;
         }
         Ok(())
     }
 
-    /// Refresh both checkpoints — durable first, so a crash mid-write
-    /// leaves the in-memory checkpoint still describing the same state
-    /// recovery will find on disk.
-    fn force_checkpoint(&mut self) -> Result<(), PersistError> {
+    /// Refresh both checkpoints, handing the durable one to the store
+    /// with `write` first, so a failed hand-off leaves the in-memory
+    /// checkpoint still describing the newest checkpoint submitted.
+    fn force_checkpoint(
+        &mut self,
+        write: fn(&mut ShardStore, &DurableCheckpoint) -> Result<(), PersistError>,
+    ) -> Result<(), PersistError> {
         let snapshot = CacheSnapshot::take(self.cache.as_ref(), self.policy, Timestamp(self.clock));
-        if let Some(store) = &mut self.store {
-            let seq = store.next_seq() - 1;
-            store.checkpoint(&DurableCheckpoint {
-                snapshot: snapshot.clone(),
-                stats: self.stats.clone(),
-                seq,
-            })?;
-        }
-        self.checkpoint = Checkpoint {
-            snapshot,
-            stats: self.stats.clone(),
+        let stats = self.stats.clone();
+        self.checkpoint = match &mut self.store {
+            Some(store) => {
+                let durable = DurableCheckpoint {
+                    snapshot,
+                    stats,
+                    seq: store.next_seq() - 1,
+                };
+                write(store, &durable)?;
+                Checkpoint {
+                    snapshot: durable.snapshot,
+                    stats: durable.stats,
+                }
+            }
+            None => Checkpoint { snapshot, stats },
         };
         Ok(())
     }
@@ -419,7 +434,7 @@ impl Shard {
         self.wal_replayed = replayed;
         self.store = Some(store);
         if replayed > 0 || state.torn_bytes_dropped > 0 || state.subsumed_records > 0 {
-            self.force_checkpoint()?;
+            self.force_checkpoint(ShardStore::checkpoint)?;
         }
         Ok(replayed)
     }
@@ -429,6 +444,16 @@ impl Shard {
     pub fn arm_crash(&mut self, crash: Option<CrashSpec>) {
         if let Some(store) = &mut self.store {
             store.arm_crash(crash);
+        }
+    }
+
+    /// Retire the WAL behind the newest checkpoint the background
+    /// writer landed — the last step of a service shutdown, once the
+    /// writer has drained. Best effort: a failure leaves a longer
+    /// subsumed prefix for the next open to skip.
+    pub(crate) fn retire_landed(&mut self) {
+        if let Some(store) = &mut self.store {
+            let _ = store.collect_writes();
         }
     }
 
@@ -463,9 +488,11 @@ impl Shard {
         self.stats = self.checkpoint.stats.clone();
         self.evictions = EvictionCount(0);
         // Keep the disk in step with the rewind: WAL records after the
-        // checkpoint describe accesses the rebuilt shard never saw. If
-        // even the truncation fails, kill the store — refusing further
-        // appends beats silently diverging from the in-memory state.
+        // checkpoint describe accesses the rebuilt shard never saw. The
+        // store first waits for the newest submitted checkpoint — this
+        // one — to land. If that or the truncation fails, kill the
+        // store: refusing further appends beats silently diverging
+        // from the in-memory state.
         if let Some(store) = &mut self.store {
             if store.rewind_to_checkpoint().is_err() {
                 store.kill();

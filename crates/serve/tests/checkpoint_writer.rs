@@ -1,0 +1,212 @@
+//! The background checkpoint writer: a durable service hands its
+//! periodic checkpoints to one writer thread and retires the WAL behind
+//! a checkpoint only after it landed.
+//!
+//! The invariants pinned here:
+//!
+//! * a dead store's pending checkpoint is discarded, never written: a
+//!   successor opened while the crashed service is still alive always
+//!   opens, and the checkpoint on disk never moves backwards;
+//! * retirement keeps the log bounded, and a reopen replays only the
+//!   records after the last checkpoint that landed;
+//! * poison recovery waits for the checkpoint in flight, so the rewind
+//!   lands exactly on the in-memory checkpoint and disk agrees.
+
+use clipcache_media::{paper, ByteSize, ClipId, Repository};
+use clipcache_serve::persist::DurableCheckpoint;
+use clipcache_serve::{
+    CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig, ServiceError, WalTuning,
+};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+const SEED: u64 = 43;
+const CLIPS: u32 = 16;
+
+fn repo() -> Arc<Repository> {
+    Arc::new(
+        paper::equi_sized_repository_of(CLIPS as usize, ByteSize::mb(10))
+            .with_chunk_size(ByteSize::mb(2)),
+    )
+}
+
+fn config(shards: usize, checkpoint_every: u64) -> ServiceConfig {
+    ServiceConfig::new(
+        clipcache_core::PolicyKind::Lru,
+        shards,
+        ByteSize::mb(40),
+        SEED,
+    )
+    .with_checkpoint_every(checkpoint_every)
+}
+
+fn clip(i: u64) -> ClipId {
+    ClipId::new((i * 7 % CLIPS as u64) as u32 + 1)
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("clipcache-writer-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn open(
+    repo: &Arc<Repository>,
+    config: ServiceConfig,
+    dir: &Path,
+    crash: Option<&str>,
+    tuning: WalTuning,
+) -> CacheService {
+    let opts = PersistOptions {
+        dir: dir.to_path_buf(),
+        sync: Default::default(),
+        crash: crash.map(|s| CrashSpec::parse(s).unwrap()),
+        on_crash: CrashAction::Surface,
+        tuning,
+    };
+    CacheService::open_persistent(Arc::clone(repo), config, None, &opts)
+        .unwrap_or_else(|e| panic!("open of {} failed: {e}", dir.display()))
+        .0
+}
+
+/// The checkpoint on disk for shard `shard`.
+fn durable_checkpoint(dir: &Path, shard: usize) -> DurableCheckpoint {
+    let path = dir.join(format!("shard-{shard}")).join("checkpoint.json");
+    DurableCheckpoint::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+}
+
+#[test]
+fn a_crashed_service_never_lands_a_stale_checkpoint() {
+    let repo = repo();
+    let dir = scratch_dir("stale");
+    // Two shards, cadence 4, each armed to crash at its ninth append:
+    // the first shard to get there dies right after submitting its
+    // second checkpoint, usually while that is still being written,
+    // and the other shard is left with checkpoints of its own in
+    // flight or landed but not yet retired.
+    let cfg = config(2, 4);
+    let crash = Some("append:9");
+    let mut service = open(&repo, cfg, &dir, crash, WalTuning::default());
+    let mut applied = 0u64;
+    let mut newest = [0u64; 2];
+    for restart in 0..200 {
+        loop {
+            match service.get(clip(applied)) {
+                Ok(_) => applied += 1,
+                Err(ServiceError::Crashed) => {
+                    // append:N dies after the record is durable.
+                    applied += 1;
+                    break;
+                }
+                Err(e) => panic!("restart {restart}: unexpected error: {e}"),
+            }
+        }
+        // The successor opens while the crashed service is still alive.
+        let successor = open(&repo, cfg, &dir, crash, WalTuning::default());
+        assert_eq!(
+            successor.stats().requests(),
+            applied,
+            "restart {restart}: every acknowledged request recovered"
+        );
+        let crashed = std::mem::replace(&mut service, successor);
+        let seqs = [0, 1].map(|shard| durable_checkpoint(&dir, shard).seq);
+        for shard in 0..2 {
+            assert!(
+                seqs[shard] >= newest[shard],
+                "restart {restart}: shard {shard}'s checkpoint moved back"
+            );
+        }
+        newest = seqs;
+        drop(crashed);
+        let after = [0, 1].map(|shard| durable_checkpoint(&dir, shard).seq);
+        assert_eq!(after, seqs, "restart {restart}: dropping the crashed wrote");
+    }
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retirement_bounds_the_log_and_reopen_replays_only_the_tail() {
+    let repo = repo();
+    let dir = scratch_dir("bounded");
+    // Four-record segments (24-byte header + four 25-byte frames).
+    let tuning = WalTuning {
+        segment_bytes: 124,
+        ..WalTuning::default()
+    };
+    let cfg = config(1, 4);
+    let service = open(&repo, cfg, &dir, None, tuning);
+    // Every fourth request is a chunk probe: logged, but it never ticks
+    // the clock, so records trail the newest checkpoint.
+    for i in 0..2_000u64 {
+        if i % 4 == 3 {
+            service.get_range(clip(i), (i % 5) as u32).unwrap();
+        } else {
+            service.get(clip(i)).unwrap();
+        }
+    }
+    let stats = service.stats();
+    drop(service);
+
+    let mut segments: Vec<String> = std::fs::read_dir(dir.join("shard-0"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.starts_with("wal.") && n.ends_with(".log"))
+        .collect();
+    segments.sort();
+    assert!(
+        segments.len() <= 3,
+        "the drained log kept {} segments: {segments:?}",
+        segments.len()
+    );
+    let landed = durable_checkpoint(&dir, 0).seq;
+    let reopened = open(&repo, cfg, &dir, None, tuning);
+    assert_eq!(
+        reopened.wal_replayed(),
+        2_000 - landed,
+        "replay is exactly the records after seq {landed}"
+    );
+    assert_eq!(reopened.stats(), stats);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn poison_recovery_lands_on_the_checkpoint_in_flight() {
+    let repo = repo();
+    let dir = scratch_dir("poison");
+    let cfg = config(1, 16);
+    let service = open(&repo, cfg, &dir, None, WalTuning::default());
+    // The 48th request submits the third checkpoint; the next few run
+    // while it is still being written.
+    for i in 0..48 {
+        service.get(clip(i)).unwrap();
+    }
+    let at_checkpoint = service.stats();
+    let mut resident = service.snapshot()[0].resident.clone();
+    resident.sort();
+    for i in 48..53 {
+        service.get(clip(i)).unwrap();
+    }
+    service.poison(clip(0));
+    // Any lock on the shard recovers it; `stats` does without a request.
+    assert_eq!(service.stats(), at_checkpoint, "rewound to the checkpoint");
+    assert_eq!(service.recoveries(), 1);
+    let durable = durable_checkpoint(&dir, 0);
+    assert_eq!(durable.seq, 48, "the checkpoint in flight landed");
+    assert_eq!(durable.stats, at_checkpoint);
+    let mut on_disk = durable.snapshot.resident.clone();
+    on_disk.sort();
+    assert_eq!(on_disk, resident, "disk and memory rewound to one state");
+
+    // The shard keeps serving, and a reopen sees the rewound timeline.
+    for i in 53..70 {
+        service.get(clip(i)).unwrap();
+    }
+    let stats = service.stats();
+    drop(service);
+    let reopened = open(&repo, cfg, &dir, None, WalTuning::default());
+    assert_eq!(reopened.stats(), stats);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -263,7 +263,6 @@ fn crash_mid_checkpoint_keeps_the_full_wal() {
 
 #[test]
 fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
-    use clipcache_serve::persist::{WalOp, WalRecord};
     let repo = repo();
     let dir = scratch_dir("rename-window");
     let control = scratch_dir("rename-window-control");
@@ -275,15 +274,15 @@ fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
     }
     let stats_before = service.stats();
     drop(service);
-    // An untouched copy: what recovery looks like had the truncation
-    // completed before the kill.
+    // An untouched copy: the reference a clean reopen produces.
     copy_dir(&dir, &control);
 
-    // Reconstruct the on-disk state a kill -9 between the checkpoint
-    // rename and the WAL truncation leaves behind: the renamed
-    // checkpoint covers through seq S, yet records with seq ≤ S are
-    // still at the head of the log. Recovery must skip the subsumed
-    // prefix — not refuse to start, not replay anything twice.
+    // The on-disk state a kill -9 between the checkpoint rename and the
+    // WAL truncation leaves behind is what a normal run leaves too: the
+    // renamed checkpoint covers through seq S, yet records with seq ≤ S
+    // are still at the head of the active segment, which is never
+    // truncated while it holds later records. Recovery must skip the
+    // subsumed prefix — not refuse to start, not replay anything twice.
     let shard_dir = dir.join("shard-0");
     let ckpt_json = std::fs::read_to_string(shard_dir.join("checkpoint.json")).unwrap();
     let seq: u64 = ckpt_json
@@ -296,23 +295,13 @@ fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
         .parse()
         .unwrap();
     assert!(seq > 0, "a mid-stream checkpoint was written");
-    let wal_path = shard_dir.join(segment_file_name(1));
-    let existing = std::fs::read(&wal_path).unwrap();
-    let (header, tail) = existing.split_at(clipcache_serve::persist::SEGMENT_HEADER_BYTES);
-    let mut forged = header.to_vec();
-    for s in 1..=seq {
-        forged.extend_from_slice(
-            &WalRecord {
-                seq: s,
-                clip: ClipId::new(1),
-                chunk: 0,
-                op: WalOp::Get,
-            }
-            .encode(),
-        );
-    }
-    forged.extend_from_slice(tail);
-    std::fs::write(&wal_path, &forged).unwrap();
+    let wal = std::fs::read(shard_dir.join(segment_file_name(1))).unwrap();
+    let (records, _) = clipcache_serve::persist::decode_segment(&wal, 1).unwrap();
+    let first = records.first().expect("the log keeps records").seq;
+    assert!(
+        first <= seq,
+        "the log starts at seq {first}, inside the checkpoint's {seq}"
+    );
 
     let opts = PersistOptions::at(&dir);
     let (recovered, report) =
