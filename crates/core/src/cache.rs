@@ -51,14 +51,6 @@ impl AccessOutcome {
         matches!(self, AccessOutcome::Hit | AccessOutcome::PrefixHit { .. })
     }
 
-    /// A miss that admitted the clip without evicting anything.
-    pub fn miss_clean() -> Self {
-        AccessOutcome::Miss {
-            admitted: true,
-            evicted: Vec::new(),
-        }
-    }
-
     /// The clips evicted by this access (empty on a hit).
     pub fn evicted(&self) -> &[ClipId] {
         match self {
@@ -245,7 +237,6 @@ mod tests {
     #[test]
     fn outcome_helpers() {
         assert!(AccessOutcome::Hit.is_hit());
-        assert!(!AccessOutcome::miss_clean().is_hit());
         assert!(AccessOutcome::Hit.evicted().is_empty());
         let out = AccessOutcome::Miss {
             admitted: true,

@@ -64,22 +64,6 @@ impl BlockLruKCache {
         self.block_size
     }
 
-    /// Bytes of cache wasted by internal fragmentation right now: block
-    /// slots occupied beyond each clip's true size.
-    pub fn wasted_bytes(&self) -> ByteSize {
-        let mut waste = 0u64;
-        for (i, &blocks) in self.resident_blocks.iter().enumerate() {
-            if blocks > 0 {
-                let clip = ClipId::from_index(i);
-                if blocks == self.blocks_of(clip) {
-                    let occupied = blocks * self.block_size.as_u64();
-                    waste += occupied - self.repo.size_of(clip).as_u64();
-                }
-            }
-        }
-        ByteSize::bytes(waste)
-    }
-
     fn free_blocks(&self) -> u64 {
         self.capacity_blocks - self.used_blocks
     }
@@ -193,9 +177,8 @@ mod tests {
         assert!(!c.access(ClipId::new(1), Timestamp(1)).is_hit());
         assert!(c.contains(ClipId::new(1)));
         assert!(c.access(ClipId::new(1), Timestamp(2)).is_hit());
-        // 3 blocks in use, 5 MB wasted inside the third block.
+        // 3 blocks in use (5 MB of the third is padding).
         assert_eq!(c.used(), ByteSize::mb(30));
-        assert_eq!(c.wasted_bytes(), ByteSize::mb(5));
     }
 
     #[test]

@@ -199,11 +199,6 @@ impl GreedyDualCache {
     pub fn inflation(&self) -> f64 {
         self.inflation
     }
-
-    /// The current priority of a resident clip (None otherwise).
-    pub fn priority_of(&self, clip: ClipId) -> Option<f64> {
-        self.index.score_of(clip)
-    }
 }
 
 impl ClipCache for GreedyDualCache {
@@ -315,7 +310,7 @@ mod tests {
         c.access(ClipId::new(3), Timestamp(3)); // evicts to fit 30 MB clip
         let l = c.inflation();
         assert!(c.contains(ClipId::new(3)));
-        let p = c.priority_of(ClipId::new(3)).unwrap();
+        let p = c.index.score_of(ClipId::new(3)).unwrap();
         assert!(p > l);
     }
 

@@ -276,12 +276,6 @@ impl Duration {
     pub const fn as_secs(self) -> u64 {
         self.0
     }
-
-    /// Size of a stream of `bw` displayed for this duration.
-    #[inline]
-    pub fn stream_size(self, bw: Bandwidth) -> ByteSize {
-        ByteSize(self.0 * bw.as_bps() / 8)
-    }
 }
 
 impl fmt::Display for Duration {
@@ -357,14 +351,6 @@ mod tests {
         assert_eq!(Bandwidth::mbps(4).to_string(), "4.0 Mbps");
         assert_eq!(Bandwidth::kbps(300).to_string(), "300 Kbps");
         assert_eq!(Bandwidth::bps(42).to_string(), "42 bps");
-    }
-
-    #[test]
-    fn duration_stream_size_matches_paper_audio() {
-        // 4-minute audio clip at 300 Kbps = 9.0 MB exactly in decimal units;
-        // the paper rounds to 8.8 MB (it assumes slight container overhead).
-        let sz = Duration::mins(4).stream_size(Bandwidth::kbps(300));
-        assert_eq!(sz, ByteSize::bytes(9_000_000));
     }
 
     #[test]

@@ -3,8 +3,15 @@
 //!
 //! The client defaults to the text line protocol (debuggable, and what
 //! every pre-existing golden pins); [`Wire::Binary`] switches every
-//! request to length-prefixed frames. The interesting addition is
-//! pipelining: [`send_gets`](TcpCacheClient::send_gets) batches many
+//! request to length-prefixed frames. Every verb is one private round
+//! trip over [`Command`]/[`Reply`]: [`write_command`] encodes the
+//! request for the client's wire, and one receive step decodes the
+//! answer with [`parse_reply`] (a text line) or [`decode_reply`] (a
+//! binary frame). A reply of the wrong kind maps to one error shape: a
+//! governor `BUSY` is the error [`is_busy_error`] recognizes, a server
+//! `ERR m` is `InvalidData("ERR m")`, anything else is `InvalidData`.
+//!
+//! Pipelining: [`send_gets`](TcpCacheClient::send_gets) batches many
 //! requests into one write and [`recv_get`](TcpCacheClient::recv_get)
 //! collects the replies one at a time, so a window of requests is in
 //! flight on the connection at once — this is where the epoll
@@ -14,53 +21,21 @@
 //! hooks the chaos harness drives: an optional per-request read
 //! timeout (a request whose reply never arrives surfaces as a timeout
 //! `io::Error` the retry loop can act on, instead of blocking
-//! forever), raw-byte injection ([`send_raw`](TcpCacheClient::send_raw)
-//! for text, [`send_corrupt_frame`](TcpCacheClient::send_corrupt_frame)
-//! for binary) and torn writes ([`get_torn`](TcpCacheClient::get_torn),
-//! which tears a text line or a binary frame across two flushed
-//! writes).
+//! forever), garbage injection in the client's own wire
+//! ([`send_garbage`](TcpCacheClient::send_garbage): a hostile text line
+//! or a corrupt-length frame) and torn writes
+//! ([`get_torn`](TcpCacheClient::get_torn), which tears a text line or
+//! a binary frame across two flushed writes).
 
 use crate::protocol::{
-    corrupt_length_get_frame, decode_reply, encode_command, parse_get, parse_peer, parse_poisoned,
-    parse_range, parse_stats, parse_version, Command, Decoded, Reply, ServerStats, WireVersions,
+    corrupt_length_get_frame, decode_reply, parse_reply, write_command, Command, Decoded, Reply,
+    ServerStats, Wire, WireVersions,
 };
 use crate::shard::{GetOutcome, RangeOutcome};
 use clipcache_media::ClipId;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
-
-/// Which wire protocol a client speaks. Both land on the same server —
-/// it auto-detects per message — but a single client sticks to one so
-/// its replies are unambiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Wire {
-    /// Newline-delimited text (`GET 7`, `HIT …`). The default.
-    #[default]
-    Text,
-    /// Length-prefixed binary frames with batched pipelined writes.
-    Binary,
-}
-
-impl std::str::FromStr for Wire {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "text" => Ok(Wire::Text),
-            "binary" => Ok(Wire::Binary),
-            other => Err(format!("unknown wire '{other}' (expected text|binary)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Wire {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Wire::Text => "text",
-            Wire::Binary => "binary",
-        })
-    }
-}
 
 /// The message carried by the `io::Error` a governor `BUSY` shed maps
 /// to; match it with [`is_busy_error`].
@@ -88,20 +63,13 @@ pub struct TcpCacheClient {
 impl TcpCacheClient {
     /// Connect speaking text, with no read timeout.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_with(addr, None)
+        Self::connect_wire(addr, None, Wire::Text)
     }
 
-    /// Connect speaking text; with `read_timeout` set, a reply that
-    /// takes longer surfaces as a `WouldBlock`/`TimedOut` error — the
-    /// client-level timeout the chaos retry loop recovers from.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        read_timeout: Option<Duration>,
-    ) -> std::io::Result<Self> {
-        Self::connect_wire(addr, read_timeout, Wire::Text)
-    }
-
-    /// Connect speaking the given wire protocol.
+    /// Connect speaking the given wire protocol. With `read_timeout`
+    /// set, a reply that takes longer surfaces as a
+    /// `WouldBlock`/`TimedOut` error — the client-level timeout the
+    /// chaos retry loop recovers from.
     ///
     /// `read_timeout` bounds the *connect* too: a peer that is
     /// mid-recovery (listening socket up, accept loop not yet draining
@@ -165,125 +133,62 @@ impl TcpCacheClient {
         })
     }
 
-    /// The wire protocol this client speaks.
-    pub fn wire(&self) -> Wire {
-        self.wire
-    }
-
-    fn read_reply(&mut self) -> std::io::Result<String> {
-        let mut reply = String::new();
-        if self.reader.read_line(&mut reply)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        Ok(reply.trim_end().to_string())
-    }
-
-    /// Read one binary reply frame, reassembling torn prefixes.
-    fn read_reply_frame(&mut self) -> std::io::Result<Reply> {
-        loop {
-            if !self.frame_buf.is_empty() {
-                match decode_reply(&self.frame_buf) {
-                    Ok(Decoded::Frame { value, consumed }) => {
-                        self.frame_buf.drain(..consumed);
-                        return Ok(value);
-                    }
-                    Ok(Decoded::Incomplete) => {}
-                    Err(e) => return Err(Self::protocol_err(format!("corrupt reply frame: {e}"))),
+    /// Receive the next reply in the client's wire: one text line run
+    /// through [`parse_reply`], or one binary frame (reassembled across
+    /// reads) run through [`decode_reply`].
+    fn recv(&mut self) -> std::io::Result<Reply> {
+        match self.wire {
+            Wire::Text => {
+                let mut line = String::new();
+                if self.reader.read_line(&mut line)? == 0 {
+                    return Err(closed());
                 }
+                parse_reply(&line).map_err(invalid)
             }
-            let chunk = self.reader.fill_buf()?;
-            if chunk.is_empty() {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            let n = chunk.len();
-            self.frame_buf.extend_from_slice(chunk);
-            self.reader.consume(n);
+            Wire::Binary => loop {
+                if !self.frame_buf.is_empty() {
+                    match decode_reply(&self.frame_buf) {
+                        Ok(Decoded::Frame { value, consumed }) => {
+                            self.frame_buf.drain(..consumed);
+                            return Ok(value);
+                        }
+                        Ok(Decoded::Incomplete) => {}
+                        Err(e) => return Err(invalid(format!("corrupt reply frame: {e}"))),
+                    }
+                }
+                let chunk = self.reader.fill_buf()?;
+                if chunk.is_empty() {
+                    return Err(closed());
+                }
+                let n = chunk.len();
+                self.frame_buf.extend_from_slice(chunk);
+                self.reader.consume(n);
+            },
         }
     }
 
-    /// One request/reply round trip on the text wire.
-    fn roundtrip(&mut self, request: &str) -> std::io::Result<String> {
-        self.writer.write_all(request.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.read_reply()
-    }
-
-    /// One request/reply round trip on the binary wire.
-    fn roundtrip_frame(&mut self, command: &Command) -> std::io::Result<Reply> {
+    /// One request/reply round trip.
+    fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
         let mut out = Vec::new();
-        encode_command(command, &mut out);
+        write_command(self.wire, command, &mut out);
         self.writer.write_all(&out)?;
-        self.read_reply_frame()
-    }
-
-    fn protocol_err(msg: String) -> std::io::Error {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
-    }
-
-    fn busy_err() -> std::io::Error {
-        std::io::Error::other(BUSY_ERROR)
-    }
-
-    /// Map a decoded reply to the GET outcome, surfacing `ERR` frames
-    /// the same way text `ERR` lines surface (an `InvalidData` error)
-    /// and `BUSY` sheds as the error [`is_busy_error`] recognizes.
-    fn expect_get(reply: Reply) -> std::io::Result<GetOutcome> {
-        match reply {
-            Reply::Get(outcome) => Ok(outcome),
-            Reply::Busy => Err(Self::busy_err()),
-            Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-            other => Err(Self::protocol_err(format!(
-                "expected a GET reply, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Parse a text GET reply line, mapping `BUSY` to the shed error.
-    fn parse_get_line(reply: &str) -> std::io::Result<GetOutcome> {
-        if reply == "BUSY" {
-            return Err(Self::busy_err());
-        }
-        parse_get(reply).map_err(Self::protocol_err)
+        self.recv()
     }
 
     /// `GET <clip>`: access the clip through its shard. A governor shed
     /// surfaces as the error [`is_busy_error`] recognizes; the
     /// connection stays usable — retry after a backoff, don't redial.
     pub fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip(&format!("GET {}", clip.get()))?;
-                Self::parse_get_line(&reply)
-            }
-            Wire::Binary => {
-                let reply = self.roundtrip_frame(&Command::Get(clip))?;
-                Self::expect_get(reply)
-            }
-        }
+        get_outcome(self.call(&Command::Get(clip))?)
     }
 
     /// `GETRANGE <clip> <chunk>`: probe chunk residency without
     /// touching policy state. An out-of-range chunk surfaces as the
     /// server's `ERR`/`R_ERR`, never a stall.
     pub fn get_range(&mut self, clip: ClipId, chunk: u32) -> std::io::Result<RangeOutcome> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip(&format!("GETRANGE {} {chunk}", clip.get()))?;
-                parse_range(&reply).map_err(Self::protocol_err)
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::GetRange(clip, chunk))? {
-                Reply::Range(outcome) => Ok(outcome),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a GETRANGE reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::GetRange(clip, chunk))? {
+            Reply::Range(outcome) => Ok(outcome),
+            other => Err(unexpected("GETRANGE", other)),
         }
     }
 
@@ -292,104 +197,51 @@ impl TcpCacheClient {
     /// clip, in order (the server preserves per-connection order).
     pub fn send_gets(&mut self, clips: &[ClipId]) -> std::io::Result<()> {
         let mut out = Vec::with_capacity(clips.len() * 16);
-        match self.wire {
-            Wire::Text => {
-                for clip in clips {
-                    out.extend_from_slice(format!("GET {}\n", clip.get()).as_bytes());
-                }
-            }
-            Wire::Binary => {
-                for clip in clips {
-                    encode_command(&Command::Get(*clip), &mut out);
-                }
-            }
+        for clip in clips {
+            write_command(self.wire, &Command::Get(*clip), &mut out);
         }
         self.writer.write_all(&out)
     }
 
     /// Receive the next pipelined `GET` reply.
     pub fn recv_get(&mut self) -> std::io::Result<GetOutcome> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.read_reply()?;
-                Self::parse_get_line(&reply)
-            }
-            Wire::Binary => {
-                let reply = self.read_reply_frame()?;
-                Self::expect_get(reply)
-            }
-        }
+        get_outcome(self.recv()?)
     }
 
     /// `GET <clip>` delivered as a torn write: the request (line or
     /// frame) reaches the server in two flushed fragments.
     /// Wire-identical semantics — only the framing is hostile.
     pub fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        let bytes = match self.wire {
-            Wire::Text => format!("GET {}\n", clip.get()).into_bytes(),
-            Wire::Binary => {
-                let mut out = Vec::new();
-                encode_command(&Command::Get(clip), &mut out);
-                out
-            }
-        };
+        let mut bytes = Vec::new();
+        write_command(self.wire, &Command::Get(clip), &mut bytes);
         let split = bytes.len() / 2;
         self.writer.write_all(&bytes[..split])?;
         self.writer.flush()?;
         self.writer.write_all(&bytes[split..])?;
+        self.recv_get()
+    }
+
+    /// Inject garbage in the client's own wire and return the server's
+    /// reply, which must be an `ERR` on a connection that stays open.
+    /// Text sends `payload` as one hostile line (newline appended);
+    /// binary ignores it and sends a corrupt-length frame (valid check
+    /// byte, impossible length), of which the server consumes exactly
+    /// the 7 header bytes.
+    pub fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<Reply> {
         match self.wire {
-            Wire::Text => {
-                let reply = self.read_reply()?;
-                Self::parse_get_line(&reply)
-            }
-            Wire::Binary => {
-                let reply = self.read_reply_frame()?;
-                Self::expect_get(reply)
-            }
+            Wire::Text => self.writer.write_all(&[payload, b"\n"].concat())?,
+            Wire::Binary => self.writer.write_all(&corrupt_length_get_frame())?,
         }
-    }
-
-    /// Send one raw text line (arbitrary bytes, newline appended) and
-    /// return the server's reply line verbatim. The chaos harness uses
-    /// this to inject garbage and assert the server answers `ERR`
-    /// instead of disconnecting.
-    pub fn send_raw(&mut self, bytes: &[u8]) -> std::io::Result<String> {
-        self.writer.write_all(bytes)?;
-        self.writer.write_all(b"\n")?;
-        self.read_reply()
-    }
-
-    /// Inject a corrupt-length binary frame (valid check byte,
-    /// impossible length) and return the server's `ERR` reply — the
-    /// binary-wire analogue of [`send_raw`](Self::send_raw) garbage.
-    /// The connection must survive: only the 7 header bytes are
-    /// consumed server-side.
-    pub fn send_corrupt_frame(&mut self) -> std::io::Result<String> {
-        self.writer.write_all(&corrupt_length_get_frame())?;
-        match self.read_reply_frame()? {
-            Reply::Err(msg) => Ok(format!("ERR {msg}")),
-            other => Err(Self::protocol_err(format!(
-                "expected an ERR reply to garbage, got {other:?}"
-            ))),
-        }
+        self.recv()
     }
 
     /// `PEERGET <clip>`: a cluster peer-fill probe — the receiving node
     /// performs a full local access (admitting on a miss) and reports
     /// whether the clip was already resident there.
     pub fn peer_get(&mut self, clip: ClipId) -> std::io::Result<bool> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip(&format!("PEERGET {}", clip.get()))?;
-                parse_peer(&reply).map_err(Self::protocol_err)
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::PeerGet(clip))? {
-                Reply::Peer(had) => Ok(had),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a PEERGET reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::PeerGet(clip))? {
+            Reply::Peer(had) => Ok(had),
+            other => Err(unexpected("PEERGET", other)),
         }
     }
 
@@ -397,93 +249,113 @@ impl TcpCacheClient {
     /// cluster handshake compares these against
     /// [`WireVersions::current`] and refuses skewed peers by name.
     pub fn version(&mut self) -> std::io::Result<WireVersions> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip("VERSION")?;
-                parse_version(&reply).map_err(Self::protocol_err)
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::Version)? {
-                Reply::Version(versions) => Ok(versions),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a VERSION reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::Version)? {
+            Reply::Version(versions) => Ok(versions),
+            other => Err(unexpected("VERSION", other)),
         }
     }
 
     /// `STATS`: the server's merged hit statistics and recovery count.
     pub fn stats(&mut self) -> std::io::Result<ServerStats> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip("STATS")?;
-                parse_stats(&reply).map_err(Self::protocol_err)
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::Stats)? {
-                Reply::Stats(stats) => Ok(stats),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a STATS reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::Stats)? {
+            Reply::Stats(stats) => Ok(stats),
+            other => Err(unexpected("STATS", other)),
         }
     }
 
     /// `POISON <clip>`: inject a shard-poisoning fault (the server must
     /// be running with chaos enabled). Returns the poisoned shard.
     pub fn poison(&mut self, clip: ClipId) -> std::io::Result<usize> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip(&format!("POISON {}", clip.get()))?;
-                parse_poisoned(&reply).map_err(Self::protocol_err)
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::Poison(clip))? {
-                Reply::Poisoned(shard) => Ok(shard as usize),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a POISONED reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::Poison(clip))? {
+            Reply::Poisoned(shard) => Ok(shard as usize),
+            other => Err(unexpected("POISON", other)),
         }
     }
 
     /// `SNAPSHOT`: the per-shard snapshot JSON array, verbatim.
     pub fn snapshot_json(&mut self) -> std::io::Result<String> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip("SNAPSHOT")?;
-                reply
-                    .strip_prefix("SNAPSHOT ")
-                    .map(str::to_string)
-                    .ok_or_else(|| {
-                        Self::protocol_err(format!("malformed SNAPSHOT reply '{reply}'"))
-                    })
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::Snapshot)? {
-                Reply::Snapshot(json) => Ok(json),
-                Reply::Err(msg) => Err(Self::protocol_err(format!("ERR {msg}"))),
-                other => Err(Self::protocol_err(format!(
-                    "expected a SNAPSHOT reply, got {other:?}"
-                ))),
-            },
+        match self.call(&Command::Snapshot)? {
+            Reply::Snapshot(json) => Ok(json),
+            other => Err(unexpected("SNAPSHOT", other)),
         }
     }
 
     /// `QUIT`: close the session cleanly.
     pub fn quit(mut self) -> std::io::Result<()> {
-        match self.wire {
-            Wire::Text => {
-                let reply = self.roundtrip("QUIT")?;
-                if reply == "BYE" {
-                    Ok(())
-                } else {
-                    Err(Self::protocol_err(format!("expected BYE, got '{reply}'")))
-                }
-            }
-            Wire::Binary => match self.roundtrip_frame(&Command::Quit)? {
-                Reply::Bye => Ok(()),
-                other => Err(Self::protocol_err(format!("expected BYE, got {other:?}"))),
-            },
+        match self.call(&Command::Quit)? {
+            Reply::Bye => Ok(()),
+            other => Err(unexpected("QUIT", other)),
+        }
+    }
+}
+
+fn invalid(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+fn closed() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "server closed the connection",
+    )
+}
+
+/// The error for a reply that does not answer `verb`: a governor `BUSY`
+/// becomes the error [`is_busy_error`] recognizes, a server `ERR m`
+/// becomes `InvalidData("ERR m")`, and any other kind is `InvalidData`
+/// naming what arrived.
+fn unexpected(verb: &str, reply: Reply) -> std::io::Error {
+    match reply {
+        Reply::Busy => std::io::Error::other(BUSY_ERROR),
+        Reply::Err(msg) => invalid(format!("ERR {msg}")),
+        other => invalid(format!("expected a {verb} reply, got {other:?}")),
+    }
+}
+
+fn get_outcome(reply: Reply) -> std::io::Result<GetOutcome> {
+    match reply {
+        Reply::Get(outcome) => Ok(outcome),
+        other => Err(unexpected("GET", other)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::ErrorKind;
+
+    #[test]
+    fn unexpected_maps_busy_err_and_wrong_kinds() {
+        let busy = unexpected("GET", Reply::Busy);
+        assert!(is_busy_error(&busy), "{busy}");
+
+        let err = unexpected("STATS", Reply::Err("chunk 9 out of range".into()));
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
+        assert!(!is_busy_error(&err));
+        assert!(
+            err.to_string().contains("ERR chunk 9 out of range"),
+            "{err}"
+        );
+
+        for (verb, reply) in [
+            (
+                "STATS",
+                Reply::Get(GetOutcome {
+                    hit: true,
+                    admitted: true,
+                    evictions: 0,
+                    peer: false,
+                }),
+            ),
+            ("GET", Reply::Stats(ServerStats::default())),
+            ("POISON", Reply::Bye),
+            ("GETRANGE", Reply::Peer(true)),
+            ("QUIT", Reply::Snapshot("[]".into())),
+        ] {
+            let err = unexpected(verb, reply);
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+            assert!(!is_busy_error(&err));
+            assert!(err.to_string().contains(verb), "{err}");
         }
     }
 }

@@ -538,7 +538,7 @@ impl TcpLink {
             addr,
             Some(self.spec.read_timeout),
             Some(self.spec.connect_timeout),
-            crate::client::Wire::Binary,
+            crate::protocol::Wire::Binary,
         )
         .map_err(|_| ())?;
         let theirs = client.version().map_err(|_| ())?;

@@ -13,22 +13,24 @@
 //!   `admit` / `stats` / `snapshot` over N shards, deadlock-free by
 //!   construction (one lock per operation); poisoned shards recover
 //!   from their periodic checkpoint instead of wedging.
-//! * [`protocol`] — both wire protocols, shared by server and client:
-//!   the text line protocol (`GET`/`STATS`/`SNAPSHOT`/`POISON`/`QUIT`)
-//!   and the length-prefixed binary framing the fast path uses. Every
-//!   parser/decoder is total — garbage gets `Err`, never a panic — and
-//!   frame corruption is loud (structured [`FrameError`], never a
-//!   silent truncation).
+//! * [`protocol`] — both wire protocols ([`Wire`]), shared by server
+//!   and client: the text line protocol (`GET`/`STATS`/`SNAPSHOT`/…)
+//!   and the length-prefixed binary framing the fast path uses. Both
+//!   sides handle only `Command` and [`Reply`], with one encoder and
+//!   one decoder per wire; the `STATS` fields are named once, in
+//!   [`protocol::STATS_FIELDS`]. Every parser/decoder is total —
+//!   garbage gets `Err`, never a panic — and frame corruption is loud
+//!   (structured [`FrameError`], never a silent truncation).
 //! * [`server`] — a readiness-based epoll event loop (`serve` binary):
 //!   non-blocking accept, per-connection read/write buffers with
 //!   edge-triggered readiness, request pipelining, per-message
 //!   text/binary auto-detect, graceful shutdown via a wakeup pipe, an
 //!   admission gate (`--max-conns`), per-connection idle timeouts
 //!   (`--read-timeout`) and a line-length cap.
-//! * [`client`] — a blocking protocol client speaking either wire
-//!   ([`Wire`]), with batched pipelined GETs, optional read timeouts,
-//!   plus the chaos harness's wire hooks (raw-byte injection, corrupt
-//!   frames, torn writes).
+//! * [`client`] — a blocking protocol client speaking either wire, every
+//!   verb one `Command`/[`Reply`] round trip, with batched pipelined
+//!   GETs, optional read timeouts, plus the chaos harness's wire hooks
+//!   (garbage in the client's own wire, torn writes).
 //! * [`latency`] — wall-clock latency logs with percentile queries.
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   schedules wire, client and service faults as a pure function of
@@ -76,7 +78,7 @@ pub mod server;
 pub mod service;
 pub mod shard;
 
-pub use client::{is_busy_error, TcpCacheClient, Wire};
+pub use client::{is_busy_error, TcpCacheClient};
 pub use cluster::{
     BreakerState, ClusterError, ClusterHarness, ClusterRuntime, ClusterSpec, ClusterStats,
     ClusterView, FillEngine, FillStats, PeerBreaker, PeerFaults, PeerLink,
@@ -94,7 +96,7 @@ pub use persist::{
     WalRecord, WalSync, WalTuning, DEFAULT_SEGMENT_BYTES,
 };
 pub use protocol::{
-    Decoded, FrameError, Reply, ServerStats, WireVersions, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    Decoded, FrameError, Reply, ServerStats, Wire, WireVersions, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
     PROTOCOL_VERSION,
 };
 pub use ring::{HashRing, DEFAULT_VNODES};

@@ -32,11 +32,11 @@
 //! retried over a fresh connection and counted exactly once, so
 //! [`LoadReport::conserved`] holds across a `kill -9` + recovery.
 
-use crate::client::{is_busy_error, TcpCacheClient, Wire};
+use crate::client::{is_busy_error, TcpCacheClient};
 use crate::cluster::{ClusterHarness, ClusterView};
 use crate::fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 use crate::latency::LatencyLog;
-use crate::protocol::parse_command;
+use crate::protocol::{parse_command, Reply, Wire};
 use crate::service::CacheService;
 use crate::shard::{shard_seed, GetOutcome};
 use clipcache_core::PolicySpec;
@@ -401,16 +401,8 @@ impl Transport for ClusterTcpTransport {
 
     fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
         // Garbage has no clip to route by; member 0 takes the abuse.
-        let client = self.ensure(0)?;
-        let reply = match client.wire() {
-            // Text garbage: the plan's payload as one hostile line.
-            Wire::Text => client.send_raw(payload)?,
-            // Binary garbage: a corrupt-length frame (valid check byte,
-            // impossible length) — the recoverable header-corruption
-            // path; the server must resync after exactly the header.
-            Wire::Binary => client.send_corrupt_frame()?,
-        };
-        Ok(reply.starts_with("ERR "))
+        let reply = self.ensure(0)?.send_garbage(payload)?;
+        Ok(matches!(reply, Reply::Err(_)))
     }
 
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {

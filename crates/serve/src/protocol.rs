@@ -2,6 +2,18 @@
 //! line protocol and the length-prefixed binary framing the pipelined
 //! fast path uses.
 //!
+//! Both sides of the wire handle only [`Command`] and [`Reply`]; each
+//! wire has exactly one encoder and one decoder for each:
+//!
+//! | | text | binary |
+//! |---|---|---|
+//! | request | [`format_command`] / [`parse_command`] | [`encode_command`] / [`decode_command`] |
+//! | reply | [`format_reply`] / [`parse_reply`] | [`encode_reply`] / [`decode_reply`] |
+//!
+//! [`write_command`] and [`write_reply`] pick the encoder for a [`Wire`].
+//! The `STATS` fields are named once, in [`STATS_FIELDS`]; both wires
+//! lay them out in that order.
+//!
 //! Both protocols coexist on one connection: the framer looks at the
 //! next unconsumed byte — [`FRAME_MAGIC`] (0xB5, not valid ASCII, so
 //! never the start of a text command) opens a binary frame, anything
@@ -32,12 +44,8 @@
 //!           | "RMISS" SP resident SP total  ; GETRANGE, chunk absent
 //!           | "RPEER" SP had                ; PEERGET, peer-local outcome
 //!           | "VERSION" SP "proto=" n SP "snapshot=" n SP "wal=" n
-//!           | "STATS" SP "hits=" n SP "misses=" n SP "prefix_hits=" n
-//!                     SP "byte_hits=" n SP "byte_misses=" n
-//!                     SP "evictions=" n SP "recoveries=" n
-//!                     SP "wal_replayed=" n SP "peer_hits=" n
-//!                     SP "handoff_replayed=" n SP "breaker_open=" n
-//!                     SP "shed=" n
+//!           | "STATS" 12(SP name "=" n)     ; every STATS_FIELDS name,
+//!                                           ; once each, in table order
 //!           | "SNAPSHOT" SP json-array      ; one CacheSnapshot per shard
 //!           | "POISONED" SP shard-index     ; POISON acknowledged
 //!           | "BYE"                         ; QUIT acknowledged
@@ -52,6 +60,9 @@
 //! resident  = 1*DIGIT                       ; chunks of the head resident
 //! total     = 1*DIGIT                       ; chunks in the clip
 //! ```
+//!
+//! `VERSION` and `STATS` fields are positional as well as named: a
+//! repeated, missing, reordered or unknown field is a parse error.
 //!
 //! `PEERGET` is the cluster tier's peer-fill probe: it performs a full
 //! *local* access on the receiving node (admitting on a miss — the
@@ -79,10 +90,11 @@
 //! (flags byte — bit 0 hit, bit 1 admitted, bit 2 peer-filled — plus
 //! evictions u64 LE), `RANGE` (hit u8 + resident u32 LE + total u32
 //! LE), `PEER` (had u8), `HELLO` (proto + snapshot + wal, three u32
-//! LE), `STATS` (twelve u64 LE), `SNAPSHOT` (UTF-8 JSON), `POISONED`
-//! (u64 LE), `BYE`, `BUSY` (empty — the governor's shed reply), `ERR`
-//! (UTF-8 message). Every request kind has a *fixed* payload length,
-//! which is what makes corruption loud (see below).
+//! LE), `STATS` (one u64 LE per [`STATS_FIELDS`] entry), `SNAPSHOT`
+//! (UTF-8 JSON), `POISONED` (u64 LE), `BYE`, `BUSY` (empty — the
+//! governor's shed reply), `ERR` (UTF-8 message). Every request kind
+//! has a *fixed* payload length, which is what makes corruption loud
+//! (see below).
 //!
 //! **A corrupted length header is never a silent truncation** —
 //! mirroring the WAL's inflated-length fix: the header check byte makes
@@ -107,8 +119,42 @@
 //! bare disconnect.
 
 use crate::shard::{GetOutcome, RangeOutcome};
-use clipcache_media::ClipId;
+use clipcache_media::{ByteSize, ClipId};
 use clipcache_sim::metrics::HitStats;
+use std::fmt::{Display, Write as _};
+use std::str::{FromStr, SplitAsciiWhitespace};
+
+/// Which wire protocol a peer speaks. Both land on the same server —
+/// it auto-detects per message — but a single client sticks to one so
+/// its replies are unambiguous.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Wire {
+    /// Newline-delimited text (`GET 7`, `HIT …`). The default.
+    #[default]
+    Text,
+    /// Length-prefixed binary frames with batched pipelined writes.
+    Binary,
+}
+
+impl FromStr for Wire {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "text" => Ok(Wire::Text),
+            "binary" => Ok(Wire::Binary),
+            other => Err(format!("unknown wire '{other}' (expected text|binary)")),
+        }
+    }
+}
+
+impl std::fmt::Display for Wire {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Wire::Text => "text",
+            Wire::Binary => "binary",
+        })
+    }
+}
 
 /// A parsed request line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +177,36 @@ pub enum Command {
     Poison(ClipId),
     /// Close the connection.
     Quit,
+}
+
+/// One reply, protocol-independent: the server builds these and renders
+/// them as a text line or a binary frame depending on how the request
+/// arrived; the client decodes either back into them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reply {
+    /// Outcome of a `GET`.
+    Get(GetOutcome),
+    /// Outcome of a `GETRANGE` residency probe.
+    Range(RangeOutcome),
+    /// Outcome of a `PEERGET`: whether the peer already held the clip.
+    Peer(bool),
+    /// The wire/schema versions (`VERSION`/`HELLO` handshake).
+    Version(WireVersions),
+    /// Merged server statistics.
+    Stats(ServerStats),
+    /// The per-shard snapshot JSON array.
+    Snapshot(String),
+    /// `POISON` acknowledged; the poisoned shard index.
+    Poisoned(u64),
+    /// `QUIT` acknowledged.
+    Bye,
+    /// The overload governor shed this `GET`: the server is past its
+    /// high watermark and the client should back off and retry —
+    /// unlike `Err`, the request was well-formed and the connection
+    /// stays healthy.
+    Busy,
+    /// Structured refusal.
+    Err(String),
 }
 
 /// Server-side statistics as the `STATS` reply carries them: the merged
@@ -157,6 +233,65 @@ pub struct ServerStats {
     pub shed: u64,
 }
 
+/// The `STATS` field names in wire order: the text reply's `name=value`
+/// words and the binary reply's u64 slots both follow this table, and
+/// [`ServerStats::to_fields`] / [`ServerStats::from_fields`] map the
+/// struct onto it.
+pub const STATS_FIELDS: [&str; 12] = [
+    "hits",
+    "misses",
+    "prefix_hits",
+    "byte_hits",
+    "byte_misses",
+    "evictions",
+    "recoveries",
+    "wal_replayed",
+    "peer_hits",
+    "handoff_replayed",
+    "breaker_open",
+    "shed",
+];
+
+impl ServerStats {
+    /// The counters in [`STATS_FIELDS`] order.
+    pub fn to_fields(&self) -> [u64; STATS_FIELDS.len()] {
+        [
+            self.stats.hits,
+            self.stats.misses,
+            self.stats.prefix_hits,
+            self.stats.byte_hits.as_u64(),
+            self.stats.byte_misses.as_u64(),
+            self.stats.evictions,
+            self.recoveries,
+            self.wal_replayed,
+            self.peer_hits,
+            self.handoff_replayed,
+            self.breaker_open,
+            self.shed,
+        ]
+    }
+
+    /// The inverse of [`to_fields`](Self::to_fields).
+    pub fn from_fields(f: [u64; STATS_FIELDS.len()]) -> ServerStats {
+        ServerStats {
+            stats: HitStats {
+                hits: f[0],
+                misses: f[1],
+                prefix_hits: f[2],
+                byte_hits: ByteSize::bytes(f[3]),
+                byte_misses: ByteSize::bytes(f[4]),
+                evictions: f[5],
+            },
+            recoveries: f[6],
+            wal_replayed: f[7],
+            peer_hits: f[8],
+            handoff_replayed: f[9],
+            breaker_open: f[10],
+            shed: f[11],
+        }
+    }
+}
+
 /// The wire-visible protocol version. Version 4 added the degraded-mode
 /// surface — the `BUSY` shed reply and the `handoff_replayed` /
 /// `breaker_open` / `shed` STATS fields; version 3 added the cluster
@@ -164,6 +299,9 @@ pub struct ServerStats {
 /// `peer_hits` STATS field; version 2 added binary framing and the
 /// chunk-granular verbs; version 1 was the original text protocol.
 pub const PROTOCOL_VERSION: u32 = 4;
+
+/// The text `VERSION` reply's field names, in wire order.
+const VERSION_FIELDS: [&str; 3] = ["proto", "snapshot", "wal"];
 
 /// The schema versions a node reports during the cluster handshake.
 ///
@@ -270,241 +408,170 @@ pub fn format_command(command: &Command) -> String {
     }
 }
 
-/// Format a `GET` reply. A local hit is `HIT`; a local miss is `PHIT`
-/// when a cluster peer filled it (a cluster hit) and `MISS` otherwise —
-/// non-cluster servers never emit `PHIT`, which is what keeps the
-/// single-node degenerate cluster byte-identical to the serial anchor.
-pub fn format_get(outcome: &GetOutcome) -> String {
-    if outcome.hit {
-        format!("HIT {}", outcome.evictions)
-    } else {
-        format!(
+/// Render `verb name=value …` over a table of field names.
+fn format_fields<T: Display>(verb: &str, names: &[&str], values: &[T]) -> String {
+    let mut line = String::from(verb);
+    for (name, value) in names.iter().zip(values) {
+        let _ = write!(line, " {name}={value}");
+    }
+    line
+}
+
+/// Read one `name=value` word per table entry, in table order. A
+/// repeated, missing, reordered or unknown field is an error, so a
+/// reply from a build with a different table never parses into
+/// silently defaulted counters.
+fn parse_fields<T: FromStr + Default + Copy, const N: usize>(
+    verb: &str,
+    words: &mut SplitAsciiWhitespace<'_>,
+    names: &[&str; N],
+) -> Result<[T; N], String> {
+    let mut values = [T::default(); N];
+    for (value, name) in values.iter_mut().zip(names) {
+        let field = words
+            .next()
+            .ok_or_else(|| format!("{verb} reply is missing field '{name}'"))?;
+        let raw = field
+            .strip_prefix(name)
+            .and_then(|rest| rest.strip_prefix('='))
+            .ok_or_else(|| format!("{verb} field '{field}' where '{name}=' belongs"))?;
+        *value = raw
+            .parse()
+            .map_err(|_| format!("non-numeric {verb} field '{field}'"))?;
+    }
+    Ok(values)
+}
+
+/// The next word as a number, if it is one.
+fn next_number<T: FromStr>(words: &mut SplitAsciiWhitespace<'_>) -> Option<T> {
+    words.next()?.parse().ok()
+}
+
+/// Render a reply as its text-protocol line (newline not included).
+///
+/// A local `GET` hit is `HIT`; a local miss is `PHIT` when a cluster
+/// peer filled it (a cluster hit) and `MISS` otherwise — non-cluster
+/// servers never emit `PHIT`, which is what keeps the single-node
+/// degenerate cluster byte-identical to the serial anchor.
+pub fn format_reply(reply: &Reply) -> String {
+    match reply {
+        Reply::Get(outcome) if outcome.hit => format!("HIT {}", outcome.evictions),
+        Reply::Get(outcome) => format!(
             "{} {} {}",
             if outcome.peer { "PHIT" } else { "MISS" },
-            if outcome.admitted { 1 } else { 0 },
+            outcome.admitted as u8,
             outcome.evictions
-        )
+        ),
+        Reply::Range(outcome) => format!(
+            "{} {} {}",
+            if outcome.hit { "RHIT" } else { "RMISS" },
+            outcome.resident,
+            outcome.total
+        ),
+        Reply::Peer(had) => format!("RPEER {}", *had as u8),
+        Reply::Version(v) => {
+            format_fields("VERSION", &VERSION_FIELDS, &[v.protocol, v.snapshot, v.wal])
+        }
+        Reply::Stats(stats) => format_fields("STATS", &STATS_FIELDS, &stats.to_fields()),
+        Reply::Snapshot(json) => format!("SNAPSHOT {json}"),
+        Reply::Poisoned(shard) => format!("POISONED {shard}"),
+        Reply::Bye => "BYE".into(),
+        Reply::Busy => "BUSY".into(),
+        Reply::Err(msg) => format!("ERR {msg}"),
     }
 }
 
-/// Parse a `GET` reply.
-pub fn parse_get(line: &str) -> Result<GetOutcome, String> {
-    let mut words = line.trim().split_ascii_whitespace();
-    let malformed = || format!("malformed GET reply '{}'", line.trim());
-    let outcome = match words.next() {
-        Some("HIT") => {
-            let evictions = words
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(malformed)?;
-            GetOutcome {
-                hit: true,
-                admitted: true,
-                evictions,
-                peer: false,
-            }
-        }
-        Some(head @ ("MISS" | "PHIT")) => {
-            let admitted = match words.next() {
-                Some("0") => false,
-                Some("1") => true,
-                _ => return Err(malformed()),
-            };
-            let evictions = words
-                .next()
-                .and_then(|w| w.parse().ok())
-                .ok_or_else(malformed)?;
-            GetOutcome {
-                hit: false,
-                admitted,
-                evictions,
-                peer: head == "PHIT",
-            }
-        }
-        _ => return Err(malformed()),
-    };
-    if words.next().is_some() {
-        return Err(malformed());
-    }
-    Ok(outcome)
-}
-
-/// Format a `PEERGET` reply: whether the peer already held the clip.
-pub fn format_peer(had: bool) -> String {
-    format!("RPEER {}", if had { 1 } else { 0 })
-}
-
-/// Parse a `PEERGET` reply.
-pub fn parse_peer(line: &str) -> Result<bool, String> {
+/// Parse one text reply line: the inverse of [`format_reply`] for every
+/// reply whose `SNAPSHOT`/`ERR` text is a single line without leading
+/// or trailing whitespace (the line is trimmed first). Total: anything
+/// else is an `Err`, never a panic.
+pub fn parse_reply(line: &str) -> Result<Reply, String> {
     let line = line.trim();
-    let malformed = || format!("malformed PEERGET reply '{line}'");
-    let rest = line.strip_prefix("RPEER ").ok_or_else(malformed)?;
-    match rest.trim() {
-        "0" => Ok(false),
-        "1" => Ok(true),
+    // Free-text replies keep everything after the first space verbatim.
+    match line.split_once(' ').unwrap_or((line, "")) {
+        ("SNAPSHOT", json) => return Ok(Reply::Snapshot(json.to_string())),
+        ("ERR", msg) => return Ok(Reply::Err(msg.to_string())),
+        _ => {}
+    }
+    let malformed = || format!("malformed reply '{line}'");
+    let flag = |word: Option<&str>| match word {
+        Some("0") => Ok(false),
+        Some("1") => Ok(true),
         _ => Err(malformed()),
-    }
-}
-
-/// Format a `VERSION` reply.
-pub fn format_version(versions: &WireVersions) -> String {
-    format!(
-        "VERSION proto={} snapshot={} wal={}",
-        versions.protocol, versions.snapshot, versions.wal
-    )
-}
-
-/// Parse a `VERSION` reply. Strict like `parse_stats`: exactly the
-/// three known fields, so a future build adding one fails loudly here
-/// instead of silently defaulting.
-pub fn parse_version(line: &str) -> Result<WireVersions, String> {
-    let line = line.trim();
-    let rest = line
-        .strip_prefix("VERSION ")
-        .ok_or_else(|| format!("malformed VERSION reply '{line}'"))?;
-    let mut versions = WireVersions {
-        protocol: 0,
-        snapshot: 0,
-        wal: 0,
     };
-    let mut seen = 0u32;
-    for field in rest.split_ascii_whitespace() {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("malformed VERSION field '{field}'"))?;
-        let value: u32 = value
-            .parse()
-            .map_err(|_| format!("non-numeric VERSION field '{field}'"))?;
-        match key {
-            "proto" => versions.protocol = value,
-            "snapshot" => versions.snapshot = value,
-            "wal" => versions.wal = value,
-            other => return Err(format!("unknown VERSION field '{other}'")),
+    let mut words = line.split_ascii_whitespace();
+    let reply = match words.next() {
+        Some("HIT") => Reply::Get(GetOutcome {
+            hit: true,
+            admitted: true,
+            evictions: next_number(&mut words).ok_or_else(malformed)?,
+            peer: false,
+        }),
+        Some(verb @ ("MISS" | "PHIT")) => Reply::Get(GetOutcome {
+            hit: false,
+            admitted: flag(words.next())?,
+            evictions: next_number(&mut words).ok_or_else(malformed)?,
+            peer: verb == "PHIT",
+        }),
+        Some(verb @ ("RHIT" | "RMISS")) => {
+            let resident: u32 = next_number(&mut words).ok_or_else(malformed)?;
+            let total: u32 = next_number(&mut words).ok_or_else(malformed)?;
+            if resident > total {
+                return Err(malformed());
+            }
+            Reply::Range(RangeOutcome {
+                hit: verb == "RHIT",
+                resident,
+                total,
+            })
         }
-        seen += 1;
-    }
-    if seen != 3 {
-        return Err(format!("VERSION reply has {seen} fields, expected 3"));
-    }
-    Ok(versions)
-}
-
-/// Format a `GETRANGE` reply.
-pub fn format_range(outcome: &RangeOutcome) -> String {
-    format!(
-        "{} {} {}",
-        if outcome.hit { "RHIT" } else { "RMISS" },
-        outcome.resident,
-        outcome.total
-    )
-}
-
-/// Parse a `GETRANGE` reply.
-pub fn parse_range(line: &str) -> Result<RangeOutcome, String> {
-    let mut words = line.trim().split_ascii_whitespace();
-    let malformed = || format!("malformed GETRANGE reply '{}'", line.trim());
-    let hit = match words.next() {
-        Some("RHIT") => true,
-        Some("RMISS") => false,
+        Some("RPEER") => Reply::Peer(flag(words.next())?),
+        Some("VERSION") => {
+            let [protocol, snapshot, wal] = parse_fields("VERSION", &mut words, &VERSION_FIELDS)?;
+            Reply::Version(WireVersions {
+                protocol,
+                snapshot,
+                wal,
+            })
+        }
+        Some("STATS") => Reply::Stats(ServerStats::from_fields(parse_fields(
+            "STATS",
+            &mut words,
+            &STATS_FIELDS,
+        )?)),
+        Some("POISONED") => Reply::Poisoned(next_number(&mut words).ok_or_else(malformed)?),
+        Some("BYE") => Reply::Bye,
+        Some("BUSY") => Reply::Busy,
         _ => return Err(malformed()),
     };
-    let resident: u32 = words
-        .next()
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(malformed)?;
-    let total: u32 = words
-        .next()
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(malformed)?;
-    if words.next().is_some() || resident > total {
-        return Err(malformed());
-    }
-    Ok(RangeOutcome {
-        hit,
-        resident,
-        total,
-    })
-}
-
-/// Format a `STATS` reply.
-pub fn format_stats(stats: &ServerStats) -> String {
-    format!(
-        "STATS hits={} misses={} prefix_hits={} byte_hits={} byte_misses={} evictions={} \
-         recoveries={} wal_replayed={} peer_hits={} handoff_replayed={} breaker_open={} shed={}",
-        stats.stats.hits,
-        stats.stats.misses,
-        stats.stats.prefix_hits,
-        stats.stats.byte_hits.as_u64(),
-        stats.stats.byte_misses.as_u64(),
-        stats.stats.evictions,
-        stats.recoveries,
-        stats.wal_replayed,
-        stats.peer_hits,
-        stats.handoff_replayed,
-        stats.breaker_open,
-        stats.shed
-    )
-}
-
-/// Parse a `STATS` reply.
-pub fn parse_stats(line: &str) -> Result<ServerStats, String> {
-    let line = line.trim();
-    let rest = line
-        .strip_prefix("STATS ")
-        .ok_or_else(|| format!("malformed STATS reply '{line}'"))?;
-    let mut stats = HitStats::new();
-    let mut server = ServerStats::default();
-    let mut seen = 0u32;
-    for field in rest.split_ascii_whitespace() {
-        let (key, value) = field
-            .split_once('=')
-            .ok_or_else(|| format!("malformed STATS field '{field}'"))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|_| format!("non-numeric STATS field '{field}'"))?;
-        match key {
-            "hits" => stats.hits = value,
-            "misses" => stats.misses = value,
-            "prefix_hits" => stats.prefix_hits = value,
-            "byte_hits" => stats.byte_hits = clipcache_media::ByteSize::bytes(value),
-            "byte_misses" => stats.byte_misses = clipcache_media::ByteSize::bytes(value),
-            "evictions" => stats.evictions = value,
-            "recoveries" => server.recoveries = value,
-            "wal_replayed" => server.wal_replayed = value,
-            "peer_hits" => server.peer_hits = value,
-            "handoff_replayed" => server.handoff_replayed = value,
-            "breaker_open" => server.breaker_open = value,
-            "shed" => server.shed = value,
-            other => return Err(format!("unknown STATS field '{other}'")),
-        }
-        seen += 1;
-    }
-    if seen != 12 {
-        return Err(format!("STATS reply has {seen} fields, expected 12"));
-    }
-    server.stats = stats;
-    Ok(server)
-}
-
-/// Format a `POISON` acknowledgement.
-pub fn format_poisoned(shard: usize) -> String {
-    format!("POISONED {shard}")
-}
-
-/// Parse a `POISON` acknowledgement, returning the shard index.
-pub fn parse_poisoned(line: &str) -> Result<usize, String> {
-    let line = line.trim();
-    let malformed = || format!("malformed POISONED reply '{line}'");
-    let rest = line.strip_prefix("POISONED ").ok_or_else(malformed)?;
-    let mut words = rest.split_ascii_whitespace();
-    let shard = words
-        .next()
-        .and_then(|w| w.parse().ok())
-        .ok_or_else(malformed)?;
     if words.next().is_some() {
         return Err(malformed());
     }
-    Ok(shard)
+    Ok(reply)
+}
+
+/// Append `command` to `out` as `wire` carries it: a text line with its
+/// newline, or one binary frame.
+pub fn write_command(wire: Wire, command: &Command, out: &mut Vec<u8>) {
+    match wire {
+        Wire::Text => {
+            out.extend_from_slice(format_command(command).as_bytes());
+            out.push(b'\n');
+        }
+        Wire::Binary => encode_command(command, out),
+    }
+}
+
+/// Append `reply` to `out` as `wire` carries it: a text line with its
+/// newline, or one binary frame.
+pub fn write_reply(wire: Wire, reply: &Reply, out: &mut Vec<u8>) {
+    match wire {
+        Wire::Text => {
+            out.extend_from_slice(format_reply(reply).as_bytes());
+            out.push(b'\n');
+        }
+        Wire::Binary => encode_reply(reply, out),
+    }
 }
 
 /// First byte of every binary frame. 0xB5 is not valid ASCII (and not
@@ -538,35 +605,8 @@ const KIND_R_HELLO: u8 = 0x88;
 const KIND_R_BUSY: u8 = 0x89;
 const KIND_R_ERR: u8 = 0xC0;
 
-/// One reply, protocol-independent: the server builds these and renders
-/// them as a text line or a binary frame depending on how the request
-/// arrived; the binary client decodes frames back into them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Reply {
-    /// Outcome of a `GET`.
-    Get(GetOutcome),
-    /// Outcome of a `GETRANGE` residency probe.
-    Range(RangeOutcome),
-    /// Outcome of a `PEERGET`: whether the peer already held the clip.
-    Peer(bool),
-    /// The wire/schema versions (`VERSION`/`HELLO` handshake).
-    Version(WireVersions),
-    /// Merged server statistics.
-    Stats(ServerStats),
-    /// The per-shard snapshot JSON array.
-    Snapshot(String),
-    /// `POISON` acknowledged; the poisoned shard index.
-    Poisoned(u64),
-    /// `QUIT` acknowledged.
-    Bye,
-    /// The overload governor shed this `GET`: the server is past its
-    /// high watermark and the client should back off and retry —
-    /// unlike `Err`, the request was well-formed and the connection
-    /// stays healthy.
-    Busy,
-    /// Structured refusal.
-    Err(String),
-}
+/// Payload bytes of a `STATS` reply frame: one u64 per field.
+const STATS_FRAME_LEN: u32 = 8 * STATS_FIELDS.len() as u32;
 
 /// A frame decoding failure. Always loud: the caller must answer with a
 /// structured `ERR` (and, when `fatal`, close the connection) — never
@@ -670,21 +710,8 @@ pub fn encode_reply(reply: &Reply, out: &mut Vec<u8>) {
             out.extend_from_slice(&versions.wal.to_le_bytes());
         }
         Reply::Stats(stats) => {
-            push_header(out, KIND_R_STATS, 96);
-            for v in [
-                stats.stats.hits,
-                stats.stats.misses,
-                stats.stats.prefix_hits,
-                stats.stats.byte_hits.as_u64(),
-                stats.stats.byte_misses.as_u64(),
-                stats.stats.evictions,
-                stats.recoveries,
-                stats.wal_replayed,
-                stats.peer_hits,
-                stats.handoff_replayed,
-                stats.breaker_open,
-                stats.shed,
-            ] {
+            push_header(out, KIND_R_STATS, STATS_FRAME_LEN);
+            for v in stats.to_fields() {
                 out.extend_from_slice(&v.to_le_bytes());
             }
         }
@@ -734,11 +761,26 @@ fn fixed_len(kind: u8) -> Option<u32> {
         KIND_R_GET | KIND_R_RANGE => Some(9),
         KIND_R_PEER => Some(1),
         KIND_R_HELLO => Some(12),
-        KIND_R_STATS => Some(96),
+        KIND_R_STATS => Some(STATS_FRAME_LEN),
         KIND_R_POISONED => Some(8),
         KIND_R_SNAPSHOT | KIND_R_ERR => None,
         _ => Some(0), // unknown kinds are rejected before this matters
     }
+}
+
+/// The little-endian `u32` at `at` in a payload whose length its
+/// header already validated.
+fn le_u32(payload: &[u8], at: usize) -> u32 {
+    let mut bytes = [0u8; 4];
+    bytes.copy_from_slice(&payload[at..at + 4]);
+    u32::from_le_bytes(bytes)
+}
+
+/// The little-endian `u64` at `at`, like [`le_u32`].
+fn le_u64(payload: &[u8], at: usize) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes.copy_from_slice(&payload[at..at + 8]);
+    u64::from_le_bytes(bytes)
 }
 
 fn corrupt(consumed: usize, fatal: bool, reason: impl Into<String>) -> FrameError {
@@ -839,7 +881,7 @@ pub fn decode_command(buf: &[u8]) -> Result<Decoded<Command>, FrameError> {
     }
     let payload = &buf[FRAME_HEADER_BYTES..total];
     let clip = |payload: &[u8]| -> Result<ClipId, FrameError> {
-        let id = u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
+        let id = le_u32(payload, 0);
         if id == 0 {
             return Err(corrupt(total, false, "clip id 0 out of range"));
         }
@@ -847,10 +889,7 @@ pub fn decode_command(buf: &[u8]) -> Result<Decoded<Command>, FrameError> {
     };
     let value = match kind {
         KIND_GET => Command::Get(clip(payload)?),
-        KIND_GETRANGE => {
-            let chunk = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]);
-            Command::GetRange(clip(payload)?, chunk)
-        }
+        KIND_GETRANGE => Command::GetRange(clip(payload)?, le_u32(payload, 4)),
         KIND_PEER_GET => Command::PeerGet(clip(payload)?),
         KIND_POISON => Command::Poison(clip(payload)?),
         KIND_HELLO => Command::Version,
@@ -875,18 +914,6 @@ pub fn decode_reply(buf: &[u8]) -> Result<Decoded<Reply>, FrameError> {
         return Ok(Decoded::Incomplete);
     }
     let payload = &buf[FRAME_HEADER_BYTES..total];
-    let u64_at = |at: usize| {
-        u64::from_le_bytes([
-            payload[at],
-            payload[at + 1],
-            payload[at + 2],
-            payload[at + 3],
-            payload[at + 4],
-            payload[at + 5],
-            payload[at + 6],
-            payload[at + 7],
-        ])
-    };
     let value = match kind {
         KIND_R_GET => {
             let flags = payload[0];
@@ -913,7 +940,7 @@ pub fn decode_reply(buf: &[u8]) -> Result<Decoded<Reply>, FrameError> {
             Reply::Get(GetOutcome {
                 hit,
                 admitted,
-                evictions: u64_at(1) as usize,
+                evictions: le_u64(payload, 1) as usize,
                 peer,
             })
         }
@@ -921,8 +948,8 @@ pub fn decode_reply(buf: &[u8]) -> Result<Decoded<Reply>, FrameError> {
             if payload[0] > 1 {
                 return Err(corrupt(total, true, "corrupt GETRANGE reply hit byte"));
             }
-            let resident = u32::from_le_bytes([payload[1], payload[2], payload[3], payload[4]]);
-            let chunk_total = u32::from_le_bytes([payload[5], payload[6], payload[7], payload[8]]);
+            let resident = le_u32(payload, 1);
+            let chunk_total = le_u32(payload, 5);
             if resident > chunk_total {
                 return Err(corrupt(
                     total,
@@ -942,42 +969,19 @@ pub fn decode_reply(buf: &[u8]) -> Result<Decoded<Reply>, FrameError> {
             }
             Reply::Peer(payload[0] == 1)
         }
-        KIND_R_HELLO => {
-            let u32_at = |at: usize| {
-                u32::from_le_bytes([
-                    payload[at],
-                    payload[at + 1],
-                    payload[at + 2],
-                    payload[at + 3],
-                ])
-            };
-            Reply::Version(WireVersions {
-                protocol: u32_at(0),
-                snapshot: u32_at(4),
-                wal: u32_at(8),
-            })
-        }
-        KIND_R_STATS => Reply::Stats(ServerStats {
-            stats: HitStats {
-                hits: u64_at(0),
-                misses: u64_at(8),
-                prefix_hits: u64_at(16),
-                byte_hits: clipcache_media::ByteSize::bytes(u64_at(24)),
-                byte_misses: clipcache_media::ByteSize::bytes(u64_at(32)),
-                evictions: u64_at(40),
-            },
-            recoveries: u64_at(48),
-            wal_replayed: u64_at(56),
-            peer_hits: u64_at(64),
-            handoff_replayed: u64_at(72),
-            breaker_open: u64_at(80),
-            shed: u64_at(88),
+        KIND_R_HELLO => Reply::Version(WireVersions {
+            protocol: le_u32(payload, 0),
+            snapshot: le_u32(payload, 4),
+            wal: le_u32(payload, 8),
         }),
+        KIND_R_STATS => Reply::Stats(ServerStats::from_fields(std::array::from_fn(|i| {
+            le_u64(payload, 8 * i)
+        }))),
         KIND_R_SNAPSHOT => Reply::Snapshot(
             String::from_utf8(payload.to_vec())
                 .map_err(|_| corrupt(total, true, "SNAPSHOT reply is not UTF-8"))?,
         ),
-        KIND_R_POISONED => Reply::Poisoned(u64_at(0)),
+        KIND_R_POISONED => Reply::Poisoned(le_u64(payload, 0)),
         KIND_R_BYE => Reply::Bye,
         KIND_R_BUSY => Reply::Busy,
         _ => Reply::Err(String::from_utf8_lossy(payload).into_owned()),
@@ -991,7 +995,10 @@ pub fn decode_reply(buf: &[u8]) -> Result<Decoded<Reply>, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clipcache_media::ByteSize;
+
+    fn assert_text_round_trip(reply: Reply) {
+        assert_eq!(parse_reply(&format_reply(&reply)), Ok(reply));
+    }
 
     #[test]
     fn commands_parse() {
@@ -1034,6 +1041,9 @@ mod tests {
             Command::Quit,
         ] {
             assert_eq!(parse_command(&format_command(&command)), Ok(command));
+            let mut line = Vec::new();
+            write_command(Wire::Text, &command, &mut line);
+            assert_eq!(line, format!("{}\n", format_command(&command)).into_bytes());
         }
     }
 
@@ -1061,103 +1071,70 @@ mod tests {
 
     #[test]
     fn range_reply_round_trips() {
-        for outcome in [
-            RangeOutcome {
-                hit: true,
-                resident: 5,
-                total: 5,
-            },
-            RangeOutcome {
-                hit: true,
-                resident: 2,
-                total: 9,
-            },
-            RangeOutcome {
-                hit: false,
-                resident: 0,
-                total: 35,
-            },
-        ] {
-            assert_eq!(parse_range(&format_range(&outcome)), Ok(outcome));
+        for (hit, resident, total) in [(true, 5, 5), (true, 2, 9), (false, 0, 35)] {
+            assert_text_round_trip(Reply::Range(RangeOutcome {
+                hit,
+                resident,
+                total,
+            }));
         }
-        assert!(parse_range("RHIT").is_err());
-        assert!(parse_range("RHIT 1").is_err());
-        assert!(parse_range("RMISS 1 2 3").is_err());
-        assert!(parse_range("RHIT 6 5").is_err(), "resident beyond total");
-        assert!(parse_range("HIT 0").is_err());
+        assert!(parse_reply("RHIT").is_err());
+        assert!(parse_reply("RHIT 1").is_err());
+        assert!(parse_reply("RMISS 1 2 3").is_err());
+        assert!(parse_reply("RHIT 6 5").is_err(), "resident beyond total");
     }
 
     #[test]
     fn get_reply_round_trips() {
-        for outcome in [
-            GetOutcome {
-                hit: true,
-                admitted: true,
-                evictions: 0,
-                peer: false,
-            },
-            GetOutcome {
-                hit: false,
-                admitted: true,
-                evictions: 3,
-                peer: false,
-            },
-            GetOutcome {
-                hit: false,
-                admitted: false,
-                evictions: 0,
-                peer: false,
-            },
+        for (hit, admitted, evictions, peer) in [
+            (true, true, 0, false),
+            (false, true, 3, false),
+            (false, false, 0, false),
             // Peer-filled: a local miss the cluster turned into a hit.
-            GetOutcome {
-                hit: false,
-                admitted: true,
-                evictions: 2,
-                peer: true,
-            },
-            GetOutcome {
-                hit: false,
-                admitted: false,
-                evictions: 0,
-                peer: true,
-            },
+            (false, true, 2, true),
+            (false, false, 0, true),
         ] {
-            assert_eq!(parse_get(&format_get(&outcome)), Ok(outcome));
+            assert_text_round_trip(Reply::Get(GetOutcome {
+                hit,
+                admitted,
+                evictions,
+                peer,
+            }));
         }
-        assert!(format_get(&GetOutcome {
+        assert!(format_reply(&Reply::Get(GetOutcome {
             hit: false,
             admitted: true,
             evictions: 1,
             peer: true,
-        })
+        }))
         .starts_with("PHIT "));
-        assert!(parse_get("HIT").is_err());
-        assert!(parse_get("HIT 1 2").is_err());
-        assert!(parse_get("MISS 2 0").is_err());
-        assert!(parse_get("PHIT 2 0").is_err());
-        assert!(parse_get("PHIT").is_err());
-        assert!(parse_get("ERR nope").is_err());
+        assert!(parse_reply("HIT").is_err());
+        assert!(parse_reply("HIT 1 2").is_err());
+        assert!(parse_reply("MISS 2 0").is_err());
+        assert!(parse_reply("PHIT 2 0").is_err());
+        assert!(parse_reply("PHIT").is_err());
     }
 
     #[test]
     fn peer_reply_round_trips() {
-        assert_eq!(parse_peer(&format_peer(true)), Ok(true));
-        assert_eq!(parse_peer(&format_peer(false)), Ok(false));
-        assert!(parse_peer("RPEER").is_err());
-        assert!(parse_peer("RPEER 2").is_err());
-        assert!(parse_peer("HIT 0").is_err());
+        assert_text_round_trip(Reply::Peer(true));
+        assert_text_round_trip(Reply::Peer(false));
+        assert!(parse_reply("RPEER").is_err());
+        assert!(parse_reply("RPEER 2").is_err());
     }
 
     #[test]
     fn version_reply_round_trips_and_skew_is_named() {
         let ours = WireVersions::current();
         assert_eq!(ours.protocol, PROTOCOL_VERSION);
-        let line = format_version(&ours);
+        let line = format_reply(&Reply::Version(ours));
         assert!(line.starts_with("VERSION proto="));
-        assert_eq!(parse_version(&line), Ok(ours));
-        assert!(parse_version("VERSION proto=3").is_err(), "missing fields");
-        assert!(parse_version("VERSION proto=3 snapshot=2 wal=x").is_err());
-        assert!(parse_version("VERSION proto=3 snapshot=2 wal=2 extra=1").is_err());
+        assert_eq!(parse_reply(&line), Ok(Reply::Version(ours)));
+        assert!(parse_reply("VERSION proto=3").is_err(), "missing fields");
+        assert!(parse_reply("VERSION proto=3 snapshot=2 wal=x").is_err());
+        assert!(parse_reply("VERSION proto=3 snapshot=2 wal=2 extra=1").is_err());
+        assert!(parse_reply("VERSION snapshot=2 proto=3 wal=2").is_err());
+        assert!(parse_reply("VERSION proto=4294967296 snapshot=2 wal=2").is_err());
         // A skewed peer is refused with the component named.
         assert!(ours.check_matches(&ours).is_ok());
         let skewed = WireVersions { wal: 1, ..ours };
@@ -1183,7 +1160,8 @@ mod tests {
             breaker_open: 1,
             shed: 13,
         };
-        let line = format_stats(&server);
+        assert_eq!(ServerStats::from_fields(server.to_fields()), server);
+        let line = format_reply(&Reply::Stats(server.clone()));
         assert!(line.contains("recoveries=3"));
         assert!(line.contains("wal_replayed=41"));
         assert!(line.contains("prefix_hits=0"));
@@ -1191,9 +1169,9 @@ mod tests {
         assert!(line.contains("handoff_replayed=5"));
         assert!(line.contains("breaker_open=1"));
         assert!(line.contains("shed=13"));
-        assert_eq!(parse_stats(&line), Ok(server));
-        assert!(parse_stats("STATS hits=1").is_err());
-        assert!(parse_stats(
+        assert_eq!(parse_reply(&line), Ok(Reply::Stats(server)));
+        assert!(parse_reply("STATS hits=1").is_err());
+        assert!(parse_reply(
             "STATS hits=1 misses=x prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
              recoveries=0 wal_replayed=0 peer_hits=0 handoff_replayed=0 breaker_open=0 shed=0"
         )
@@ -1202,41 +1180,40 @@ mod tests {
         // pre-governor one without the degraded counters) are gone, not
         // silently defaulted.
         assert!(
-            parse_stats("STATS hits=1 misses=0 byte_hits=0 byte_misses=0 evictions=0").is_err()
+            parse_reply("STATS hits=1 misses=0 byte_hits=0 byte_misses=0 evictions=0").is_err()
         );
-        assert!(parse_stats(
+        assert!(parse_reply(
             "STATS hits=1 misses=0 byte_hits=0 byte_misses=0 evictions=0 recoveries=0"
         )
         .is_err());
-        assert!(parse_stats(
+        assert!(parse_reply(
             "STATS hits=1 misses=0 byte_hits=0 byte_misses=0 evictions=0 recoveries=0 \
              wal_replayed=0"
         )
         .is_err());
-        assert!(parse_stats(
+        assert!(parse_reply(
             "STATS hits=1 misses=0 prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
              recoveries=0 wal_replayed=0"
         )
         .is_err());
-        assert!(parse_stats(
+        assert!(parse_reply(
             "STATS hits=1 misses=0 prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
              recoveries=0 wal_replayed=0 peer_hits=0"
         )
         .is_err());
-        assert!(parse_stats("nope").is_err());
+        assert!(parse_reply("nope").is_err());
     }
 
     #[test]
     fn stats_reply_carries_prefix_hits() {
         let mut stats = HitStats::new();
         stats.record_prefix(ByteSize::mb(2), ByteSize::mb(8), 0);
-        let server = ServerStats {
+        let server = Reply::Stats(ServerStats {
             stats,
             ..ServerStats::default()
-        };
-        let line = format_stats(&server);
-        assert!(line.contains("prefix_hits=1"));
-        assert_eq!(parse_stats(&line), Ok(server));
+        });
+        assert!(format_reply(&server).contains("prefix_hits=1"));
+        assert_text_round_trip(server);
     }
 
     #[test]
@@ -1255,16 +1232,21 @@ mod tests {
         for cut in 1..FRAME_HEADER_BYTES {
             assert_eq!(decode_reply(&out[..cut]), Ok(Decoded::Incomplete));
         }
+        let mut binary = Vec::new();
+        write_reply(Wire::Binary, &Reply::Busy, &mut binary);
+        assert_eq!(binary, out, "the binary wire is the frame encoder");
+        let mut text = Vec::new();
+        write_reply(Wire::Text, &Reply::Busy, &mut text);
+        assert_eq!(text, b"BUSY\n");
     }
 
     #[test]
     fn poisoned_reply_round_trips() {
-        for shard in [0usize, 3, 17] {
-            assert_eq!(parse_poisoned(&format_poisoned(shard)), Ok(shard));
+        for shard in [0u64, 3, 17] {
+            assert_text_round_trip(Reply::Poisoned(shard));
         }
-        assert!(parse_poisoned("POISONED").is_err());
-        assert!(parse_poisoned("POISONED x").is_err());
-        assert!(parse_poisoned("POISONED 1 2").is_err());
-        assert!(parse_poisoned("BYE").is_err());
+        assert!(parse_reply("POISONED").is_err());
+        assert!(parse_reply("POISONED x").is_err());
+        assert!(parse_reply("POISONED 1 2").is_err());
     }
 }

@@ -62,8 +62,7 @@
 
 use crate::cluster::{ClusterRuntime, ClusterSpec, FillEngine};
 use crate::protocol::{
-    decode_command, encode_reply, format_get, format_peer, format_poisoned, format_range,
-    format_stats, format_version, parse_command, Command, Decoded, Reply, ServerStats,
+    decode_command, parse_command, write_reply, Command, Decoded, Reply, ServerStats, Wire,
     WireVersions, FRAME_MAGIC,
 };
 use crate::service::CacheService;
@@ -359,15 +358,6 @@ pub fn serve_with(
     })
 }
 
-/// Which protocol the connection most recently spoke — unsolicited
-/// server messages (idle timeout) use it so binary clients are not fed
-/// text mid-frame.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Wire {
-    Text,
-    Binary,
-}
-
 /// One connection's state inside the loop.
 struct Conn {
     stream: TcpStream,
@@ -383,7 +373,8 @@ struct Conn {
     want_write: bool,
     /// Completion time of the last full request (idle accounting).
     last_request: Instant,
-    /// Protocol of the most recent message (for unsolicited replies).
+    /// Protocol of the most recent message: unsolicited replies (idle
+    /// timeout) use it so binary clients are not fed text mid-frame.
     wire: Wire,
 }
 
@@ -488,7 +479,9 @@ impl EventLoop {
             if let Some(limit) = self.node.config.max_conns {
                 if self.live >= limit {
                     // Admission gate: structured refusal, then close.
-                    let _ = stream.write_all(b"ERR server busy\n");
+                    let mut refusal = Vec::new();
+                    write_reply(Wire::Text, &Reply::Err("server busy".into()), &mut refusal);
+                    let _ = stream.write_all(&refusal);
                     continue;
                 }
             }
@@ -603,55 +596,43 @@ impl EventLoop {
                 .governor
                 .tier(conn.wbuf.len() + out.len(), global + out.len());
             let rest = &conn.rbuf[consumed..];
-            if rest[0] == FRAME_MAGIC {
-                conn.wire = Wire::Binary;
-                match decode_command(rest) {
+            conn.wire = if rest[0] == FRAME_MAGIC {
+                Wire::Binary
+            } else {
+                Wire::Text
+            };
+            let (reply, close) = match conn.wire {
+                Wire::Binary => match decode_command(rest) {
                     Ok(Decoded::Incomplete) => break,
                     Ok(Decoded::Frame { value, consumed: n }) => {
                         consumed += n;
                         conn.last_request = Instant::now();
-                        let (reply, quit) = node.execute(tier, Ok(value));
-                        encode_reply(&reply, &mut out);
-                        if quit {
-                            conn.closing = true;
-                        }
+                        node.execute(tier, Ok(value))
                     }
+                    // Loud, structured, never a silent skip: ERR frame
+                    // first, then (for untrusted lengths) the close.
                     Err(err) => {
-                        // Loud, structured, never a silent skip: ERR
-                        // frame first, then (for untrusted lengths)
-                        // the close.
                         consumed += err.consumed;
-                        encode_reply(&Reply::Err(err.reason), &mut out);
-                        if err.fatal {
-                            conn.closing = true;
-                        }
+                        (Reply::Err(err.reason), err.fatal)
                     }
-                }
-            } else {
-                conn.wire = Wire::Text;
-                match rest.iter().position(|&b| b == b'\n') {
-                    None => {
-                        if rest.len() > MAX_LINE_BYTES {
-                            // A newline-less flood; refuse before the
-                            // buffer grows without bound.
-                            out.extend_from_slice(b"ERR request line too long\n");
-                            conn.closing = true;
-                        }
-                        break;
+                },
+                Wire::Text => match rest.iter().position(|&b| b == b'\n') {
+                    // A newline-less flood; refuse before the buffer
+                    // grows without bound.
+                    None if rest.len() > MAX_LINE_BYTES => {
+                        (Reply::Err("request line too long".into()), true)
                     }
+                    None => break,
                     Some(pos) => {
                         let line = String::from_utf8_lossy(&rest[..pos]).into_owned();
                         consumed += pos + 1;
                         conn.last_request = Instant::now();
-                        let (reply, quit) = node.execute(tier, parse_command(&line));
-                        out.extend_from_slice(format_reply_text(&reply).as_bytes());
-                        out.push(b'\n');
-                        if quit {
-                            conn.closing = true;
-                        }
+                        node.execute(tier, parse_command(&line))
                     }
-                }
-            }
+                },
+            };
+            write_reply(conn.wire, &reply, &mut out);
+            conn.closing |= close;
         }
         conn.rbuf.drain(..consumed);
         conn.wbuf.extend(out);
@@ -732,18 +713,9 @@ impl EventLoop {
             if conn.closing || now.duration_since(conn.last_request) < budget {
                 continue;
             }
-            let reply = Reply::Err("idle timeout".into());
-            match conn.wire {
-                Wire::Text => {
-                    conn.wbuf.extend(format_reply_text(&reply).as_bytes());
-                    conn.wbuf.push_back(b'\n');
-                }
-                Wire::Binary => {
-                    let mut out = Vec::new();
-                    encode_reply(&reply, &mut out);
-                    conn.wbuf.extend(out);
-                }
-            }
+            let mut out = Vec::new();
+            write_reply(conn.wire, &Reply::Err("idle timeout".into()), &mut out);
+            conn.wbuf.extend(out);
             conn.closing = true;
             Self::flush(conn);
             self.update_interest(token);
@@ -855,22 +827,6 @@ impl Node {
             Err(e) => Reply::Err(e),
         };
         (reply, false)
-    }
-}
-
-/// Render a reply as its text-protocol line (newline not included).
-fn format_reply_text(reply: &Reply) -> String {
-    match reply {
-        Reply::Get(outcome) => format_get(outcome),
-        Reply::Peer(had) => format_peer(*had),
-        Reply::Version(versions) => format_version(versions),
-        Reply::Range(outcome) => format_range(outcome),
-        Reply::Stats(stats) => format_stats(stats),
-        Reply::Snapshot(json) => format!("SNAPSHOT {json}"),
-        Reply::Poisoned(shard) => format_poisoned(*shard as usize),
-        Reply::Busy => "BUSY".into(),
-        Reply::Bye => "BYE".into(),
-        Reply::Err(msg) => format!("ERR {msg}"),
     }
 }
 

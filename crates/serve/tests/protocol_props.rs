@@ -1,16 +1,20 @@
 //! Property tests of both wire protocols.
 //!
-//! Text: `parse ∘ serialize == id` for every command and reply variant,
-//! and totality of every parser — any byte sequence (truncated lines,
-//! embedded NULs, oversized clip ids, raw garbage) produces an `Err`,
-//! never a panic.
+//! Text: `parse ∘ format == id` for every command and every reply
+//! variant, and totality of both parsers — any byte sequence
+//! (truncated lines, embedded NULs, oversized clip ids, raw garbage)
+//! produces an `Err`, never a panic.
 //!
 //! Binary: `decode ∘ encode == id` for every frame, torn prefixes
 //! always decode `Incomplete` (never an error, never a short frame),
 //! and every single-bit flip in a frame header is *loud* — a structured
 //! `FrameError`, never a silent truncation or a silently wrong frame
-//! (the same inflated-length rule the PR 5 WAL fix pinned for disk
-//! records, applied to the wire).
+//! (the same inflated-length rule the WAL pins for disk records,
+//! applied to the wire).
+//!
+//! One reply generator ([`reply_from`]) covers all ten `Reply` variants
+//! and feeds both wires, and a literal pin fixes the `STATS` bytes on
+//! each.
 //!
 //! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
 //! cases add random inputs on top (the vendored `proptest` is a small
@@ -19,9 +23,8 @@
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_serve::protocol::{
     corrupt_length_get_frame, decode_command, decode_reply, encode_command, encode_reply,
-    format_command, format_get, format_poisoned, format_range, format_stats, parse_command,
-    parse_get, parse_poisoned, parse_range, parse_stats, Command, Decoded, Reply, ServerStats,
-    FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD,
+    format_command, format_reply, parse_command, parse_reply, Command, Decoded, Reply, ServerStats,
+    WireVersions, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD, STATS_FIELDS,
 };
 use clipcache_serve::shard::{GetOutcome, RangeOutcome};
 use clipcache_sim::metrics::HitStats;
@@ -30,19 +33,21 @@ use proptest::prelude::*;
 fn command_from(selector: u8, clip: u32) -> Command {
     let chunk = clip.rotate_left(7);
     let clip = ClipId::new(clip.max(1));
-    match selector % 6 {
+    match selector % 8 {
         0 => Command::Get(clip),
         1 => Command::Stats,
         2 => Command::Snapshot,
         3 => Command::Poison(clip),
         4 => Command::GetRange(clip, chunk),
+        5 => Command::PeerGet(clip),
+        6 => Command::Version,
         _ => Command::Quit,
     }
 }
 
 fn range_from(selector: u8, total: u32) -> RangeOutcome {
-    // `resident <= total` always holds on a well-formed wire (the
-    // decoder rejects anything else as corrupt).
+    // `resident <= total` always holds on a well-formed wire (both
+    // decoders reject anything else as corrupt).
     let resident = match selector % 3 {
         0 => 0,
         1 => total / 2,
@@ -58,61 +63,76 @@ fn range_from(selector: u8, total: u32) -> RangeOutcome {
 fn outcome_from(selector: u8, evictions: usize) -> GetOutcome {
     // The four states the wire can carry: HIT (admitted implied),
     // MISS admitted, MISS rejected, PHIT (peer-filled miss).
-    match selector % 4 {
-        0 => GetOutcome {
-            hit: true,
-            admitted: true,
-            evictions,
-            peer: false,
-        },
-        1 => GetOutcome {
-            hit: false,
-            admitted: true,
-            evictions,
-            peer: false,
-        },
-        2 => GetOutcome {
-            hit: false,
-            admitted: false,
-            evictions,
-            peer: false,
-        },
-        _ => GetOutcome {
-            hit: false,
-            admitted: true,
-            evictions,
-            peer: true,
-        },
+    let (hit, admitted, peer) = match selector % 4 {
+        0 => (true, true, false),
+        1 => (false, true, false),
+        2 => (false, false, false),
+        _ => (false, true, true),
+    };
+    GetOutcome {
+        hit,
+        admitted,
+        evictions,
+        peer,
     }
 }
 
-fn stats_from(v: [u64; 12]) -> ServerStats {
-    ServerStats {
-        stats: HitStats {
-            hits: v[0],
-            misses: v[1],
-            prefix_hits: v[7],
-            byte_hits: ByteSize::bytes(v[2]),
-            byte_misses: ByteSize::bytes(v[3]),
-            evictions: v[4],
-        },
-        recoveries: v[5],
-        wal_replayed: v[6],
-        peer_hits: v[8],
-        handoff_replayed: v[9],
-        breaker_open: v[10],
-        shed: v[11],
+/// Printable-ASCII text derived from a seed (the vendored proptest has
+/// no string strategies), trimmed: a text reply is one line, and the
+/// text parser trims the line, so free text must start and end on a
+/// non-space character to round-trip.
+fn text_from(seed: u64) -> String {
+    let text: String = (0..(seed % 48))
+        .map(|i| (b' ' + ((seed >> (i % 57)) % 95) as u8) as char)
+        .collect();
+    text.trim().to_string()
+}
+
+/// Every `Reply` variant, chosen by `selector % 10`; `selector / 10`
+/// picks the `GET` and `GETRANGE` sub-states.
+fn reply_from(selector: u8, word: u64, evictions: usize, text: &str) -> Reply {
+    let stats: [u64; 12] = std::array::from_fn(|i| word.rotate_left(5 * i as u32) ^ i as u64);
+    match selector % 10 {
+        0 => Reply::Get(outcome_from(selector / 10, evictions)),
+        1 => Reply::Range(range_from(selector / 10, word as u32)),
+        2 => Reply::Peer(word.is_multiple_of(2)),
+        3 => Reply::Version(WireVersions {
+            protocol: word as u32,
+            snapshot: (word >> 32) as u32,
+            wal: word.rotate_left(16) as u32,
+        }),
+        4 => Reply::Stats(ServerStats::from_fields(stats)),
+        5 => Reply::Snapshot(format!("[{text:?}]")),
+        6 => Reply::Poisoned(word),
+        7 => Reply::Bye,
+        8 => Reply::Busy,
+        _ => Reply::Err(text.to_string()),
     }
 }
 
-/// Every parser applied to one input; the property under test is only
-/// that none of them panics.
+/// One reply through both wires: text line and binary frame.
+fn assert_reply_round_trips(reply: &Reply) {
+    assert_eq!(
+        parse_reply(&format_reply(reply)).as_ref(),
+        Ok(reply),
+        "text wire"
+    );
+    let bytes = encoded_reply(reply);
+    assert_eq!(
+        decode_reply(&bytes),
+        Ok(Decoded::Frame {
+            value: reply.clone(),
+            consumed: bytes.len()
+        }),
+        "binary wire"
+    );
+}
+
+/// Both parsers applied to one input; the property under test is only
+/// that neither panics.
 fn feed_all_parsers(line: &str) {
     let _ = parse_command(line);
-    let _ = parse_get(line);
-    let _ = parse_range(line);
-    let _ = parse_stats(line);
-    let _ = parse_poisoned(line);
+    let _ = parse_reply(line);
 }
 
 #[test]
@@ -202,13 +222,44 @@ fn malformed_corpus_is_rejected_not_panicked() {
         assert!(parse_command(line).is_err(), "command accepted: {line:?}");
         feed_all_parsers(line);
     }
-    // Replies are not commands and vice versa.
-    assert!(parse_get("STATS").is_err());
-    assert!(parse_stats("HIT 0").is_err());
-    assert!(parse_poisoned("QUIT").is_err());
-    assert!(parse_range("HIT 0").is_err());
-    assert!(parse_range("GETRANGE 1 0").is_err());
-    assert!(parse_get("RHIT 1 2").is_err());
+}
+
+#[test]
+fn malformed_replies_are_rejected() {
+    for line in [
+        "",
+        "HIT",
+        "HIT x",
+        "HIT 1 2",
+        "MISS 2 0",
+        "MISS 1 1 1",
+        "PHIT",
+        "RHIT 3 2",
+        "RHIT 4294967296 4294967296",
+        "RPEER 2",
+        "POISONED -1",
+        "BYE BYE",
+        "BUSY now",
+        "GET 1",
+        "ERRATA",
+        // A repeated field standing in for a missing one: 12 fields,
+        // `misses` absent. Counting fields alone would accept this with
+        // `misses` silently 0.
+        "STATS hits=1 hits=2 prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
+         recoveries=0 wal_replayed=0 peer_hits=0 handoff_replayed=0 breaker_open=0 shed=0",
+        // The same defect in the handshake: `snapshot` absent.
+        "VERSION proto=4 proto=4 wal=1",
+        // Every field present, two swapped.
+        "STATS misses=0 hits=1 prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
+         recoveries=0 wal_replayed=0 peer_hits=0 handoff_replayed=0 breaker_open=0 shed=0",
+        "VERSION wal=1 snapshot=2 proto=4",
+        // One past the table.
+        "STATS hits=1 misses=0 prefix_hits=0 byte_hits=0 byte_misses=0 evictions=0 \
+         recoveries=0 wal_replayed=0 peer_hits=0 handoff_replayed=0 breaker_open=0 shed=0 \
+         shed=0",
+    ] {
+        assert!(parse_reply(line).is_err(), "reply accepted: {line:?}");
+    }
 }
 
 #[test]
@@ -220,79 +271,106 @@ fn oversized_lines_are_rejected_without_panic() {
     let huge_junk = "x".repeat(clipcache_serve::MAX_LINE_BYTES + 1);
     feed_all_parsers(&huge_junk);
     assert!(parse_command(&huge_junk).is_err());
+    assert!(parse_reply(&huge_junk).is_err());
 }
 
 #[test]
 fn round_trips_on_a_grid() {
-    for selector in 0u8..6 {
+    for selector in 0u8..8 {
         for clip in [1u32, 2, 1000, u32::MAX] {
             let command = command_from(selector, clip);
             assert_eq!(parse_command(&format_command(&command)), Ok(command));
         }
     }
-    for selector in 0u8..4 {
-        for evictions in [0usize, 1, 7, usize::MAX] {
-            let outcome = outcome_from(selector, evictions);
-            assert_eq!(parse_get(&format_get(&outcome)), Ok(outcome));
+    for selector in 0u8..40 {
+        for (word, evictions) in [(0u64, 0usize), (1, 1), (7, 7), (u64::MAX, usize::MAX)] {
+            for text in ["", "boom", "a  b", "{\"shard\":0}"] {
+                assert_reply_round_trips(&reply_from(selector, word, evictions, text));
+            }
         }
     }
-    for selector in 0u8..6 {
-        for total in [0u32, 1, 7, u32::MAX] {
-            let outcome = range_from(selector, total);
-            assert_eq!(parse_range(&format_range(&outcome)), Ok(outcome));
-        }
+}
+
+#[test]
+fn stats_reply_is_pinned_on_both_wires() {
+    // One value per field, each distinct, built without the field
+    // table: reordering `STATS_FIELDS` (and the struct mapping with it)
+    // keeps every round trip green but breaks this pin.
+    let stats = ServerStats {
+        stats: HitStats {
+            hits: 1,
+            misses: 2,
+            prefix_hits: 3,
+            byte_hits: ByteSize::bytes(4),
+            byte_misses: ByteSize::bytes(5),
+            evictions: 6,
+        },
+        recoveries: 7,
+        wal_replayed: 8,
+        peer_hits: 9,
+        handoff_replayed: 10,
+        breaker_open: 11,
+        shed: 12,
+    };
+    let reply = Reply::Stats(stats);
+    assert_eq!(
+        format_reply(&reply),
+        "STATS hits=1 misses=2 prefix_hits=3 byte_hits=4 byte_misses=5 evictions=6 \
+         recoveries=7 wal_replayed=8 peer_hits=9 handoff_replayed=10 breaker_open=11 shed=12"
+    );
+    #[rustfmt::skip]
+    let frame: [u8; 103] = [
+        0xB5, 0x82, 96, 0, 0, 0, 0x57, // magic, R_STATS, len 96, check
+        1, 0, 0, 0, 0, 0, 0, 0, // hits
+        2, 0, 0, 0, 0, 0, 0, 0, // misses
+        3, 0, 0, 0, 0, 0, 0, 0, // prefix_hits
+        4, 0, 0, 0, 0, 0, 0, 0, // byte_hits
+        5, 0, 0, 0, 0, 0, 0, 0, // byte_misses
+        6, 0, 0, 0, 0, 0, 0, 0, // evictions
+        7, 0, 0, 0, 0, 0, 0, 0, // recoveries
+        8, 0, 0, 0, 0, 0, 0, 0, // wal_replayed
+        9, 0, 0, 0, 0, 0, 0, 0, // peer_hits
+        10, 0, 0, 0, 0, 0, 0, 0, // handoff_replayed
+        11, 0, 0, 0, 0, 0, 0, 0, // breaker_open
+        12, 0, 0, 0, 0, 0, 0, 0, // shed
+    ];
+    assert_eq!(encoded_reply(&reply), frame);
+    assert_reply_round_trips(&reply);
+}
+
+#[test]
+fn extending_guide_names_every_stats_field() {
+    let guide = include_str!("../../../docs/extending.md");
+    for name in STATS_FIELDS {
+        assert!(
+            guide.contains(&format!("{name}=")),
+            "docs/extending.md does not name STATS field `{name}=`"
+        );
     }
-    for shard in [0usize, 1, 63, usize::MAX] {
-        assert_eq!(parse_poisoned(&format_poisoned(shard)), Ok(shard));
-    }
-    let stats = stats_from([u64::MAX, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
-    assert_eq!(parse_stats(&format_stats(&stats)), Ok(stats));
 }
 
 proptest! {
     #[test]
-    fn commands_round_trip(selector in 0u8..6, clip in 1u32..u32::MAX) {
+    fn commands_round_trip(selector in 0u8..8, clip in 1u32..u32::MAX) {
         let command = command_from(selector, clip);
         prop_assert_eq!(parse_command(&format_command(&command)), Ok(command));
     }
 
     #[test]
-    fn get_replies_round_trip(selector in 0u8..4, evictions in 0usize..usize::MAX) {
-        let outcome = outcome_from(selector, evictions);
-        prop_assert_eq!(parse_get(&format_get(&outcome)), Ok(outcome));
-    }
-
-    #[test]
-    fn range_replies_round_trip(selector in 0u8..6, total in 0u32..u32::MAX) {
-        let outcome = range_from(selector, total);
-        prop_assert_eq!(parse_range(&format_range(&outcome)), Ok(outcome));
-    }
-
-    #[test]
-    fn stats_replies_round_trip(
-        hits in 0u64..u64::MAX,
-        misses in 0u64..u64::MAX,
-        byte_hits in 0u64..u64::MAX,
-        byte_misses in 0u64..u64::MAX,
-        evictions in 0u64..u64::MAX,
-        recoveries in 0u64..u64::MAX,
-        wal_replayed in 0u64..u64::MAX,
-        prefix_hits in 0u64..u64::MAX,
-        peer_hits in 0u64..u64::MAX,
-        handoff_replayed in 0u64..u64::MAX,
-        breaker_open in 0u64..u64::MAX,
-        shed in 0u64..u64::MAX,
+    fn replies_round_trip_on_both_wires(
+        selector in 0u8..40,
+        word in 0u64..u64::MAX,
+        evictions in 0usize..usize::MAX,
+        text_seed in 0u64..u64::MAX,
     ) {
-        let stats = stats_from([
-            hits, misses, byte_hits, byte_misses, evictions, recoveries, wal_replayed,
-            prefix_hits, peer_hits, handoff_replayed, breaker_open, shed,
-        ]);
-        prop_assert_eq!(parse_stats(&format_stats(&stats)), Ok(stats));
-    }
-
-    #[test]
-    fn poisoned_replies_round_trip(shard in 0usize..usize::MAX) {
-        prop_assert_eq!(parse_poisoned(&format_poisoned(shard)), Ok(shard));
+        let reply = reply_from(selector, word, evictions, &text_from(text_seed));
+        prop_assert_eq!(parse_reply(&format_reply(&reply)), Ok(reply.clone()));
+        let bytes = encoded_reply(&reply);
+        let consumed = bytes.len();
+        prop_assert_eq!(
+            decode_reply(&bytes),
+            Ok(Decoded::Frame { value: reply, consumed })
+        );
     }
 
     #[test]
@@ -314,9 +392,11 @@ proptest! {
             format!("MISS {} {b}", a % 4),
             format!("POISONED {a}"),
             format!("STATS hits={a} misses={b}"),
+            format!("VERSION proto={a} snapshot={b} wal={a}"),
             format!("GETRANGE {a} {b}"),
             format!("RHIT {a} {b}"),
             format!("RMISS {a} {b}"),
+            format!("RPEER {}", a % 3),
         ] {
             feed_all_parsers(&line);
         }
@@ -339,21 +419,9 @@ fn encoded_reply(reply: &Reply) -> Vec<u8> {
     out
 }
 
-fn reply_from(selector: u8, evictions: usize, stats: [u64; 12], text: &str) -> Reply {
-    match selector % 7 {
-        0 => Reply::Get(outcome_from(selector / 7, evictions)),
-        1 => Reply::Stats(stats_from(stats)),
-        2 => Reply::Snapshot(format!("[{text:?}]")),
-        3 => Reply::Poisoned(stats[0]),
-        4 => Reply::Bye,
-        5 => Reply::Range(range_from(selector / 7, stats[0] as u32)),
-        _ => Reply::Err(text.to_string()),
-    }
-}
-
 #[test]
 fn frames_round_trip_on_a_grid() {
-    for selector in 0u8..6 {
+    for selector in 0u8..8 {
         for clip in [1u32, 2, 1000, u32::MAX] {
             let command = command_from(selector, clip);
             let bytes = encoded_command(&command);
@@ -361,24 +429,6 @@ fn frames_round_trip_on_a_grid() {
                 decode_command(&bytes),
                 Ok(Decoded::Frame {
                     value: command,
-                    consumed: bytes.len()
-                })
-            );
-        }
-    }
-    for selector in 0u8..21 {
-        for evictions in [0usize, 1, 7, usize::MAX] {
-            let reply = reply_from(
-                selector,
-                evictions,
-                [u64::MAX, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
-                "boom",
-            );
-            let bytes = encoded_reply(&reply);
-            assert_eq!(
-                decode_reply(&bytes),
-                Ok(Decoded::Frame {
-                    value: reply,
                     consumed: bytes.len()
                 })
             );
@@ -535,34 +585,13 @@ fn malformed_frame_corpus_is_rejected_not_panicked() {
 
 proptest! {
     #[test]
-    fn binary_commands_round_trip(selector in 0u8..6, clip in 1u32..u32::MAX) {
+    fn binary_commands_round_trip(selector in 0u8..8, clip in 1u32..u32::MAX) {
         let command = command_from(selector, clip);
         let bytes = encoded_command(&command);
         let consumed = bytes.len();
         prop_assert_eq!(
             decode_command(&bytes),
             Ok(Decoded::Frame { value: command, consumed })
-        );
-    }
-
-    #[test]
-    fn binary_replies_round_trip(
-        selector in 0u8..21,
-        evictions in 0usize..usize::MAX,
-        word in 0u64..u64::MAX,
-        text_seed in 0u64..u64::MAX,
-    ) {
-        // Printable-ASCII text derived from the seed (the offline
-        // proptest stub has no string strategies).
-        let text: String = (0..(text_seed % 48))
-            .map(|i| (b' ' + ((text_seed >> (i % 57)) % 95) as u8) as char)
-            .collect();
-        let reply = reply_from(selector, evictions, [word, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], &text);
-        let bytes = encoded_reply(&reply);
-        let consumed = bytes.len();
-        prop_assert_eq!(
-            decode_reply(&bytes),
-            Ok(Decoded::Frame { value: reply, consumed })
         );
     }
 

@@ -6,7 +6,7 @@
 //! theoretical hit rate of the final cache contents.
 
 use crate::latency::{LatencyModel, LatencyStats};
-use crate::metrics::{theoretical_hit_rate, HitStats, WindowedSeries};
+use crate::metrics::{HitStats, WindowedSeries};
 use crate::network::ConnectivitySchedule;
 use clipcache_core::{AccessEvent, ClipCache, EvictionCount};
 use clipcache_media::Repository;
@@ -121,23 +121,10 @@ pub fn simulate<'a>(
     }
 }
 
-/// Convenience: simulate and also report the theoretical hit rate of the
-/// final cache contents under `frequencies` (Figure 6.a's metric).
-pub fn simulate_with_theoretical<'a>(
-    cache: &mut dyn ClipCache,
-    repo: &Repository,
-    requests: impl IntoIterator<Item = &'a Request>,
-    config: &SimulationConfig,
-    frequencies: &[f64],
-) -> (SimulationReport, f64) {
-    let report = simulate(cache, repo, requests, config);
-    let theo = theoretical_hit_rate(cache, frequencies);
-    (report, theo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::theoretical_hit_rate;
     use clipcache_core::PolicyKind;
     use clipcache_media::paper;
     use clipcache_workload::{RequestGenerator, Trace};
@@ -184,13 +171,13 @@ mod tests {
             1,
             None,
         );
-        let (report, theo) = simulate_with_theoretical(
+        let report = simulate(
             cache.as_mut(),
             &repo,
             trace.requests(),
             &SimulationConfig::default(),
-            &freqs,
         );
+        let theo = theoretical_hit_rate(cache.as_ref(), &freqs);
         assert!(theo > 0.0 && theo <= 1.0);
         // The final snapshot holds 4 of 16 clips; it must carry more mass
         // than the 4 least popular clips would (0.13 for θ = 0.27, n = 16).

@@ -99,12 +99,6 @@ impl BaseStation {
             self.reserved -= bw.as_bps();
         }
     }
-
-    /// Release every reservation (e.g. between simulation rounds).
-    pub fn release_all(&mut self) {
-        self.streams.clear();
-        self.reserved = 0;
-    }
 }
 
 #[cfg(test)]
@@ -145,15 +139,5 @@ mod tests {
         let mut s = BaseStation::new(Bandwidth::mbps(4));
         s.release(StreamId(42));
         assert_eq!(s.available_bandwidth(), Bandwidth::mbps(4));
-    }
-
-    #[test]
-    fn release_all_resets() {
-        let mut s = BaseStation::new(Bandwidth::mbps(8));
-        s.admit(Bandwidth::mbps(4));
-        s.admit(Bandwidth::mbps(4));
-        s.release_all();
-        assert_eq!(s.active_streams(), 0);
-        assert_eq!(s.available_bandwidth(), Bandwidth::mbps(8));
     }
 }
