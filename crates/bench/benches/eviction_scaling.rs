@@ -13,7 +13,9 @@
 //! Section 3.3 observation that equi-sized GreedyDual degenerates to
 //! Random), and draining the tie band through the heap costs more than
 //! one linear scan — the documented adversarial case for the heap
-//! backend.
+//! backend. A chunked group runs LRU on the paper's repository cut into
+//! 4 MB chunks, where each victim sheds only the tail it must: that row
+//! carries the per-miss cost of trimming victims.
 
 use clipcache_core::{DiscardEvictions, PolicyKind, PolicySpec, VictimBackend};
 use clipcache_media::{paper, ByteSize, Repository};
@@ -72,6 +74,24 @@ fn bench_eviction_scaling(c: &mut Criterion) {
         }
     }
     group.finish();
+
+    // Chunk-granular residency: 4 MB chunks turn a 3.5 GB video into 875
+    // chunks, and a miss trims each victim by the bytes still owed.
+    let mut chunked = c.benchmark_group("victim_selection_chunked");
+    chunked.sample_size(10);
+    chunked.measurement_time(Duration::from_secs(2));
+    chunked.warm_up_time(Duration::from_millis(300));
+    let n = 576usize;
+    let repo = Arc::new(paper::variable_sized_repository_of(n).with_chunk_size(ByteSize::mb(4)));
+    let trace = Trace::from_generator(RequestGenerator::new(n, 0.27, 0, 5_000, 13));
+    for backend in [VictimBackend::Scan, VictimBackend::Heap] {
+        let spec = PolicySpec::with_backend(PolicyKind::Lru, backend);
+        let label = format!("{}@{}", PolicyKind::Lru, backend.spelling());
+        chunked.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
+            b.iter(|| black_box(replay(spec, &repo, &trace)));
+        });
+    }
+    chunked.finish();
 
     // Adversarial case: equal 10 MB clips make every GreedyDual eviction
     // a cache-wide tie (averaging hundreds of clips per draw), and the

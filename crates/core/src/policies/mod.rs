@@ -59,13 +59,13 @@ mod victim_plan;
 use crate::cache::{AccessEvent, EvictionSink};
 use crate::space::CacheSpace;
 use crate::victim_index::VictimIndex;
-use clipcache_media::ClipId;
+use clipcache_media::{ByteSize, ClipId};
 
 /// A policy's victim order, as the shared admit/complete skeletons see it.
 ///
 /// `peek` must return the current victim **without** dequeuing it — on a
-/// chunked repository a victim is reclaimed one tail chunk at a time, so
-/// a partially trimmed victim must stay ranked for the next miss.
+/// chunked repository a victim may give up only part of its tail, so a
+/// partially trimmed victim must stay ranked for the next miss.
 /// `on_evict` fires only when a victim becomes fully absent and must drop
 /// the policy's victim-index entry (and any per-clip metadata that dies
 /// with eviction).
@@ -106,8 +106,9 @@ impl<F: FnMut(&CacheSpace) -> ClipId> VictimSource for ScanVictims<F> {
 /// The shared miss path: evict victims chosen by `source` until
 /// `incoming` fits, then materialize it.
 ///
-/// Victims are reclaimed **tail-inward, one chunk at a time**
-/// ([`CacheSpace::trim_tail_chunk`]), so on a chunked repository the last
+/// Victims are reclaimed **tail-inward**: each victim sheds the shortest
+/// run of tail chunks that covers the remaining deficit, in one step
+/// ([`CacheSpace::trim_tail`]), so on a chunked repository the last
 /// victim may survive as a resident prefix instead of leaving entirely.
 /// On an unchunked repository every clip is one chunk and this degenerates
 /// to exactly the historical whole-clip eviction loop.
@@ -129,9 +130,9 @@ pub(crate) fn admit_with_evictions(
         // Larger than the entire cache: stream without caching.
         return AccessEvent::Miss { admitted: false };
     }
-    while !space.fits_now(incoming) {
-        let victim = source.peek(space);
-        trim_until(space, victim, |s| s.fits_now(incoming), source, sink);
+    let size = space.size_of(incoming);
+    while size > space.free() {
+        trim_victim(space, size - space.free(), source, sink);
     }
     space.insert(incoming);
     AccessEvent::Miss { admitted: true }
@@ -151,36 +152,32 @@ pub(crate) fn complete_with_evictions(
     source: &mut impl VictimSource,
     sink: &mut dyn EvictionSink,
 ) {
-    while !space.tail_fits_now(clip) {
-        let victim = source.peek(space);
+    let tail = space.tail_bytes(clip);
+    while tail > space.free() {
+        let victim = trim_victim(space, tail - space.free(), source, sink);
         debug_assert_ne!(
             victim, clip,
             "policy chose the completing clip as its own victim"
         );
-        trim_until(space, victim, |s| s.tail_fits_now(clip), source, sink);
     }
     space.complete(clip);
 }
 
-/// Trim `victim` tail-inward until it is gone (then report the eviction)
-/// or `done` is satisfied, whichever comes first.
-fn trim_until(
+/// Trim `source`'s current victim by `deficit` bytes
+/// ([`CacheSpace::trim_tail`]), reporting the eviction if it left
+/// entirely. Returns the victim.
+fn trim_victim(
     space: &mut CacheSpace,
-    victim: ClipId,
-    done: impl Fn(&CacheSpace) -> bool,
+    deficit: ByteSize,
     source: &mut impl VictimSource,
     sink: &mut dyn EvictionSink,
-) {
-    loop {
-        if space.trim_tail_chunk(victim) {
-            source.on_evict(victim);
-            sink.record_eviction(victim);
-            return;
-        }
-        if done(space) {
-            return;
-        }
+) -> ClipId {
+    let victim = source.peek(space);
+    if space.trim_tail(victim, deficit) {
+        source.on_evict(victim);
+        sink.record_eviction(victim);
     }
+    victim
 }
 
 #[cfg(test)]

@@ -125,7 +125,14 @@ impl CacheSpace {
     /// Bytes of `clip` currently resident.
     #[inline]
     pub fn resident_bytes(&self, clip: ClipId) -> ByteSize {
-        self.repo.prefix_bytes(clip, self.prefix[clip.index()])
+        // [`Repository::prefix_bytes`] off the cached chunk count, so no
+        // division: a full prefix is the clip, a shorter one whole chunks.
+        let p = self.prefix[clip.index()];
+        if p == self.chunks[clip.index()] {
+            self.size_of(clip)
+        } else {
+            ByteSize::bytes(self.repo.chunk_size().as_u64() * u64::from(p))
+        }
     }
 
     /// Bytes of `clip` **not** resident (its missing tail).
@@ -144,12 +151,6 @@ impl CacheSpace {
     #[inline]
     pub fn fits_now(&self, clip: ClipId) -> bool {
         self.size_of(clip) <= self.free()
-    }
-
-    /// Whether `clip`'s missing tail fits in the current free space.
-    #[inline]
-    pub fn tail_fits_now(&self, clip: ClipId) -> bool {
-        self.tail_bytes(clip) <= self.free()
     }
 
     /// All **fully** resident clip ids, in id order.
@@ -247,19 +248,39 @@ impl CacheSpace {
         self.resident_count -= 1;
     }
 
-    /// Evict the last resident chunk of `clip` (tail-inward trimming).
+    /// Reclaim at least `deficit` bytes from `clip`'s tail: release the
+    /// shortest run of whole tail chunks whose bytes cover `deficit`, or
+    /// the whole clip if no shorter run does. A zero deficit releases
+    /// nothing.
+    ///
+    /// O(1): the surviving prefix is computed, not walked, and equals
+    /// what trimming one tail chunk at a time until `deficit` is freed
+    /// (or the clip is gone) reaches.
     ///
     /// Returns `true` when the clip is now fully absent.
     ///
     /// # Panics
     /// If the clip is not resident at all.
-    pub fn trim_tail_chunk(&mut self, clip: ClipId) -> bool {
-        let p = self.prefix[clip.index()];
+    pub fn trim_tail(&mut self, clip: ClipId, deficit: ByteSize) -> bool {
+        let i = clip.index();
+        let p = self.prefix[i];
         assert!(p > 0, "{clip} trimmed while not resident");
-        let freed = self.repo.prefix_bytes(clip, p) - self.repo.prefix_bytes(clip, p - 1);
-        self.used -= freed;
-        self.prefix[clip.index()] = p - 1;
-        if p == 1 {
+        if deficit == ByteSize::ZERO {
+            return false;
+        }
+        let resident = self.resident_bytes(clip).as_u64();
+        let cs = self.repo.chunk_size().as_u64();
+        // Any prefix shorter than the whole clip is whole chunks, so the
+        // longest one within `resident - deficit` bytes is a division
+        // (and shorter than `p`, since the deficit is positive). A
+        // one-chunk prefix — every unchunked clip — simply goes.
+        let keep = match resident.checked_sub(deficit.as_u64()) {
+            Some(left) if p > 1 => left / cs,
+            _ => 0,
+        };
+        self.used -= ByteSize::bytes(resident - cs * keep);
+        self.prefix[i] = keep as u32;
+        if keep == 0 {
             self.resident_count -= 1;
             true
         } else {
@@ -382,7 +403,8 @@ mod tests {
         s.insert(c);
         assert_eq!(s.residency(c), Residency::Full);
         assert_eq!(s.resident_prefix(c), 1);
-        assert!(s.trim_tail_chunk(c)); // one chunk → trimming == eviction
+        assert!(!s.trim_tail(c, ByteSize::ZERO)); // nothing owed, nothing shed
+        assert!(s.trim_tail(c, ByteSize::bytes(1))); // one chunk → trimming == eviction
         assert_eq!(s.residency(c), Residency::Absent);
         assert_eq!(s.used(), ByteSize::ZERO);
     }
@@ -394,7 +416,7 @@ mod tests {
         assert_eq!(s.chunks_of(c), 35);
         s.insert(c);
         let full = s.used();
-        assert!(!s.trim_tail_chunk(c));
+        assert!(!s.trim_tail(c, ByteSize::bytes(1))); // one byte owed → one chunk
         assert_eq!(s.residency(c), Residency::Partial(34));
         assert_eq!(full - s.used(), ByteSize::mb(100));
         assert!(!s.contains(c)); // partial ≠ full residency
@@ -402,6 +424,14 @@ mod tests {
         assert_eq!(s.partials(), vec![(c, 34)]);
         assert_eq!(s.resident_ids(), vec![]); // full-only view
         assert_eq!(s.iter_resident().collect::<Vec<_>>(), vec![c]);
+        // 250 MB owed → the shortest covering run is three chunks.
+        assert!(!s.trim_tail(c, ByteSize::mb(250)));
+        assert_eq!(s.residency(c), Residency::Partial(31));
+        assert_eq!(full - s.used(), ByteSize::mb(400));
+        // A deficit at or above the resident bytes takes the whole clip.
+        assert!(s.trim_tail(c, ByteSize::mb(3_100)));
+        assert_eq!(s.used(), ByteSize::ZERO);
+        assert_eq!(s.resident_count(), 0);
     }
 
     #[test]
@@ -416,12 +446,18 @@ mod tests {
         assert_eq!(s.chunks_of(c), 3);
         s.insert(c);
         let full = s.used();
-        assert!(!s.trim_tail_chunk(c)); // sheds the short 400 MB tail chunk
+        assert!(!s.trim_tail(c, ByteSize::bytes(1))); // sheds the short 400 MB tail chunk
         assert_eq!(full - s.used(), s.size_of(c) - ByteSize::mb(1400));
-        assert!(!s.trim_tail_chunk(c)); // sheds a full 700 MB chunk
-        assert!(s.trim_tail_chunk(c)); // sheds the head chunk → gone
+        assert!(!s.trim_tail(c, ByteSize::bytes(1))); // sheds a full 700 MB chunk
+        assert!(s.trim_tail(c, ByteSize::bytes(1))); // sheds the head chunk → gone
         assert_eq!(s.used(), ByteSize::ZERO);
         assert_eq!(s.resident_count(), 0);
+        // One byte past the short tail chunk: the tail plus one full chunk.
+        s.insert(c);
+        let tail = s.size_of(c) - ByteSize::mb(1400);
+        assert!(!s.trim_tail(c, tail + ByteSize::bytes(1)));
+        assert_eq!(s.residency(c), Residency::Partial(1));
+        assert_eq!(s.used(), ByteSize::mb(700));
     }
 
     #[test]
@@ -429,10 +465,9 @@ mod tests {
         let mut s = chunked_space(10);
         let c = ClipId::new(1);
         s.insert(c);
-        s.trim_tail_chunk(c);
-        s.trim_tail_chunk(c);
+        assert!(!s.trim_tail(c, ByteSize::mb(200)));
         assert_eq!(s.tail_bytes(c), ByteSize::mb(200));
-        assert!(s.tail_fits_now(c));
+        assert!(s.tail_bytes(c) <= s.free());
         s.complete(c);
         assert_eq!(s.residency(c), Residency::Full);
         assert_eq!(s.used(), s.size_of(c));

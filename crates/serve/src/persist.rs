@@ -49,6 +49,19 @@
 //! fixed buffer, so a 4 MiB subsumed prefix costs a scan, never 4 MiB
 //! of memory.
 //!
+//! ## Staged appends
+//!
+//! Under `--wal-sync off` (the default) a request's frame is encoded
+//! into a reused per-store staging buffer instead of being written on
+//! its own. Whoever runs the request writes the buffer before replying:
+//! the event loop once per touched shard at the end of a batch of
+//! pipelined requests, an in-process call before it returns. So a
+//! frame reaches the OS before its reply is sent, and a batch of N
+//! requests costs one `write` per shard instead of N. The bytes on
+//! disk are the same either way. Rolling a segment, retiring or
+//! rewinding the log, and every crash point write what is staged
+//! first; a killed store drops it, since none of it was acknowledged.
+//!
 //! ## Group commit
 //!
 //! With `--wal-sync always` and a nonzero commit window, an append
@@ -102,12 +115,13 @@
 //! die midway through the Nth checkpoint submitted (the request that
 //! submitted it waits for that one write), write only half of the Nth
 //! seal footer (`seal:N`), or die after the Nth seal lands but before
-//! the successor segment exists (`segment-roll:N`). The store performs
-//! the partial effect, then reports [`PersistError::CrashInjected`];
-//! the service maps that to `process::exit(137)` in the binaries
-//! (`--crash-at`) or surfaces it to an in-process harness. Crash points
-//! count operations performed *after* recovery, so a crash-restart loop
-//! steps deterministically through the log.
+//! the successor segment exists (`segment-roll:N`). The store writes
+//! what is staged, performs the partial effect, then reports
+//! [`PersistError::CrashInjected`]; the service maps that to
+//! `process::exit(137)` in the binaries (`--crash-at`) or surfaces it
+//! to an in-process harness. Crash points count operations performed
+//! *after* recovery, so a crash-restart loop steps deterministically
+//! through the log.
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_media::{ByteSize, ClipId};
@@ -291,8 +305,10 @@ pub struct WalRecord {
 impl WalRecord {
     /// Encode the record as one framed WAL entry:
     /// `len(4 LE) ‖ crc(4 LE) ‖ payload`, CRC over `len ‖ payload`.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = [0u8; RECORD_PAYLOAD_BYTES];
+    /// Every frame has the same 25 bytes, so it is returned by value.
+    pub fn encode(&self) -> [u8; FRAME_BYTES] {
+        let mut frame = [0u8; FRAME_BYTES];
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_BYTES);
         payload[..8].copy_from_slice(&self.seq.to_le_bytes());
         payload[8..12].copy_from_slice(&self.clip.get().to_le_bytes());
         payload[12..16].copy_from_slice(&self.chunk.to_le_bytes());
@@ -300,11 +316,9 @@ impl WalRecord {
         let len = (RECORD_PAYLOAD_BYTES as u32).to_le_bytes();
         let mut crc = Crc32::new();
         crc.update(&len);
-        crc.update(&payload);
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + RECORD_PAYLOAD_BYTES);
-        frame.extend_from_slice(&len);
-        frame.extend_from_slice(&crc.finish().to_le_bytes());
-        frame.extend_from_slice(&payload);
+        crc.update(payload);
+        header[..4].copy_from_slice(&len);
+        header[4..].copy_from_slice(&crc.finish().to_le_bytes());
         frame
     }
 }
@@ -724,9 +738,10 @@ fn scan_segment(
 
 /// When appends reach the platter.
 ///
-/// Either way every append is flushed to the *operating system* before
-/// the call returns, so the log survives a killed process (`kill -9`);
-/// the difference is whether it also survives a power failure.
+/// Either way every logged request's frame reaches the *operating
+/// system* before its reply is sent, so the log survives a killed
+/// process (`kill -9`); the difference is whether it also survives a
+/// power failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WalSync {
     /// `fsync` before a request is acknowledged: survives power loss.
@@ -734,8 +749,11 @@ pub enum WalSync {
     /// nonzero window, concurrent appends share one batched fsync.
     Always,
     /// Flush to the OS page cache only (the default): survives process
-    /// death, trusts the kernel for power loss. Checkpoints and seal
-    /// footers still fsync.
+    /// death, trusts the kernel for power loss. Frames are staged in
+    /// the shard's store and written together, one `write` per shard
+    /// per batch of requests (an event-loop batch, or a single
+    /// in-process request), before any reply of the batch is sent.
+    /// Checkpoints and seal footers still fsync.
     #[default]
     Off,
 }
@@ -1543,6 +1561,10 @@ pub struct ShardStore {
     /// A fired crash point leaves the store dead: every later operation
     /// reports the crash again instead of quietly resuming.
     dead: bool,
+    /// Frames [`stage`](Self::stage)d under [`WalSync::Off`] and not yet
+    /// written, in sequence order: the active segment's tail that only
+    /// memory holds. Reused, so appends allocate nothing once warm.
+    staged: Vec<u8>,
 }
 
 impl ShardStore {
@@ -1774,6 +1796,7 @@ impl ShardStore {
                 seals: 0,
                 crash: None,
                 dead: false,
+                staged: Vec::new(),
             },
             DurableState {
                 checkpoint,
@@ -1837,7 +1860,7 @@ impl ShardStore {
     }
 
     /// Append one whole-clip access to the WAL, returning its sequence
-    /// number.
+    /// number. Frames staged before it are written with it.
     ///
     /// The frame is flushed to the OS before the call returns; with
     /// [`WalSync::Always`] it is also fsynced — inline when the commit
@@ -1856,33 +1879,54 @@ impl ShardStore {
             op != WalOp::GetRange,
             "GETRANGE records go through append_range"
         );
-        self.append_record(op, clip, 0)
+        let seq = self.stage(op, clip, 0)?;
+        self.write_staged()?;
+        Ok(seq)
     }
 
     /// Append one chunk-granular residency probe to the WAL.
     pub fn append_range(&mut self, clip: ClipId, chunk: u32) -> Result<u64, PersistError> {
-        self.append_record(WalOp::GetRange, clip, chunk)
+        let seq = self.stage(WalOp::GetRange, clip, chunk)?;
+        self.write_staged()?;
+        Ok(seq)
     }
 
-    fn append_record(&mut self, op: WalOp, clip: ClipId, chunk: u32) -> Result<u64, PersistError> {
+    /// Log one access, returning its sequence number. Under
+    /// [`WalSync::Off`] the frame is only encoded into the staging
+    /// buffer: it reaches the OS at the next
+    /// [`write_staged`](Self::write_staged), which must come before the
+    /// access is acknowledged — so a run of requests costs one `write`.
+    /// Under [`WalSync::Always`] the frame is written (and fsynced, or
+    /// queued for the batched fsync) here, exactly as by
+    /// [`append`](Self::append). Every crash point writes what is staged
+    /// before its partial effect, so each keeps its meaning.
+    pub(crate) fn stage(
+        &mut self,
+        op: WalOp,
+        clip: ClipId,
+        chunk: u32,
+    ) -> Result<u64, PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
         self.collect_writes()?;
-        let record = WalRecord {
-            seq: self.next_seq,
+        let seq = self.next_seq;
+        let frame = WalRecord {
+            seq,
             clip,
             chunk,
             op,
-        };
-        let frame = record.encode();
+        }
+        .encode();
         if let Some(CrashSpec {
             point: CrashPoint::TornAppend(n),
         }) = self.crash
         {
             if self.appends + 1 == n {
-                // Half the frame reaches the disk; the process dies
-                // mid-write. Recovery must truncate this tail.
+                // Half the frame reaches the disk, after every frame
+                // staged before it; the process dies mid-write.
+                // Recovery must truncate this tail.
+                self.write_staged()?;
                 let mut f: &File = &self.active.file;
                 f.write_all(&frame[..frame.len() / 2])?;
                 f.flush()?;
@@ -1897,7 +1941,9 @@ impl ShardStore {
                 return Err(PersistError::CrashInjected);
             }
         }
-        if let Err(e) = self.write_frame(&frame) {
+        if self.sync == WalSync::Off {
+            self.staged.extend_from_slice(&frame);
+        } else if let Err(e) = self.write_frame(&frame) {
             // The frame may be partially on disk; a retried append after
             // it would decode as garbage. Refuse further operations —
             // the caller recovers from disk, which truncates the torn
@@ -1907,13 +1953,12 @@ impl ShardStore {
         }
         self.active.len += frame.len() as u64;
         self.active.crc.update(&frame);
-        self.active.last_seq = record.seq;
+        self.active.last_seq = seq;
         self.active.records += 1;
         if self.group_commit() {
-            self.queue.note_write(record.seq);
+            self.queue.note_write(seq);
         }
         self.appends += 1;
-        let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(CrashSpec {
             point: CrashPoint::AfterAppend(n),
@@ -1921,6 +1966,7 @@ impl ShardStore {
         {
             if self.appends == n {
                 // The record IS durable; the process dies right after.
+                self.write_staged()?;
                 self.active.file.sync_data()?;
                 if self.group_commit() {
                     self.queue.note_durable(seq);
@@ -1935,23 +1981,51 @@ impl ShardStore {
         Ok(seq)
     }
 
-    /// The fallible I/O of one append; [`append`](Self::append) kills
-    /// the store if any step fails. Inline fsync happens only with a
-    /// zero commit window — otherwise the batched fsync owns it.
+    /// Whether frames are staged and not yet written.
+    pub(crate) fn has_staged(&self) -> bool {
+        !self.staged.is_empty()
+    }
+
+    /// Write every staged frame with one `write`, in sequence order. A
+    /// no-op when nothing is staged; a dead store reports its death
+    /// instead (its staged frames, never acknowledged, died with it). A
+    /// failed write kills the store: the frames may be partly on disk.
+    pub(crate) fn write_staged(&mut self) -> Result<(), PersistError> {
+        if self.dead {
+            return Err(PersistError::CrashInjected);
+        }
+        if self.staged.is_empty() {
+            return Ok(());
+        }
+        let mut f: &File = &self.active.file;
+        let written = f.write_all(&self.staged).and_then(|()| f.flush());
+        self.staged.clear();
+        if let Err(e) = written {
+            self.kill();
+            return Err(e.into());
+        }
+        Ok(())
+    }
+
+    /// The fallible I/O of one unstaged ([`WalSync::Always`]) append;
+    /// [`stage`](Self::stage) kills the store if any step fails. Inline
+    /// fsync happens only with a zero commit window — otherwise the
+    /// batched fsync owns it.
     fn write_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
         let mut f: &File = &self.active.file;
         f.write_all(frame)?;
         f.flush()?;
-        if self.sync == WalSync::Always && self.window.is_zero() {
+        if self.window.is_zero() {
             self.active.file.sync_data()?;
         }
         Ok(())
     }
 
     /// Seal the active segment (footer write + fsync) and open its
-    /// successor. The `seal:N` and `segment-roll:N` crash points fire
-    /// here.
+    /// successor, after writing what is staged. The `seal:N` and
+    /// `segment-roll:N` crash points fire here.
     fn roll(&mut self) -> Result<(), PersistError> {
+        self.write_staged()?;
         let mut footer = [0u8; SEGMENT_FOOTER_BYTES];
         footer[..4].copy_from_slice(&SEAL_MARK.to_le_bytes());
         footer[4..12].copy_from_slice(&self.active.last_seq.to_le_bytes());
@@ -2042,7 +2116,7 @@ impl ShardStore {
         self.admit_checkpoint(ckpt)?;
         // A background write still in flight must not land after this one.
         self.settle()?;
-        let crash = self.count_checkpoint();
+        let crash = self.count_checkpoint()?;
         if let Err(e) = write_checkpoint_file(&self.dir, &ckpt.to_json(), crash) {
             self.kill();
             return Err(e);
@@ -2062,7 +2136,7 @@ impl ShardStore {
             return self.checkpoint(ckpt);
         };
         self.admit_checkpoint(ckpt)?;
-        let crash = self.count_checkpoint();
+        let crash = self.count_checkpoint()?;
         let sub = Submission {
             dir: self.dir.clone(),
             json: ckpt.to_json(),
@@ -2100,13 +2174,18 @@ impl ShardStore {
     }
 
     /// Count one checkpoint submission; true when it is the armed
-    /// `checkpoint:N`.
-    fn count_checkpoint(&mut self) -> bool {
+    /// `checkpoint:N`, which first writes what is staged.
+    fn count_checkpoint(&mut self) -> Result<bool, PersistError> {
         self.checkpoints += 1;
-        self.crash
+        let crash = self.crash
             == Some(CrashSpec {
                 point: CrashPoint::MidCheckpoint(self.checkpoints),
-            })
+            });
+        if crash {
+            // Like every crash point, die with what is staged written.
+            self.write_staged()?;
+        }
+        Ok(crash)
     }
 
     /// Collect what the writer finished for this store: retire the WAL
@@ -2161,11 +2240,12 @@ impl ShardStore {
         Ok(())
     }
 
-    /// Delete the sealed segments whose last record is at or below
-    /// `seq`, oldest first (so a crash partway leaves a contiguous
-    /// suffix), and truncate the active segment to its bare header if
-    /// it holds records and none after `seq`.
+    /// Write what is staged, then delete the sealed segments whose last
+    /// record is at or below `seq`, oldest first (so a crash partway
+    /// leaves a contiguous suffix), and truncate the active segment to
+    /// its bare header if it holds records and none after `seq`.
     fn drop_segments_through(&mut self, seq: u64) -> Result<(), PersistError> {
+        self.write_staged()?;
         while let Some(&(no, last_seq)) = self.sealed.front() {
             if last_seq > seq {
                 return Ok(());
@@ -2186,11 +2266,12 @@ impl ShardStore {
     }
 
     /// The store is dead, as after a fired crash point: every later
-    /// operation reports [`PersistError::CrashInjected`], its pending
-    /// background checkpoint is discarded, and a write in flight is
-    /// waited out so nothing lands after the death.
+    /// operation reports [`PersistError::CrashInjected`], its staged
+    /// frames and pending background checkpoint are discarded, and a
+    /// write in flight is waited out so nothing lands after the death.
     fn die(&mut self) {
         self.dead = true;
+        self.staged.clear();
         if let Some((writer, index)) = &self.writer {
             writer.close(*index..*index + 1);
         }
@@ -2198,7 +2279,8 @@ impl ShardStore {
 
     /// Mark the store dead, as after a fired crash point. Used when an
     /// I/O failure leaves disk and memory describing different states —
-    /// refusing further appends beats silently diverging. Pending
+    /// refusing further appends beats silently diverging. Staged frames
+    /// are dropped (nothing in them was acknowledged), and pending
     /// group-commit riders are woken with an error, never left hanging.
     pub fn kill(&mut self) {
         self.die();

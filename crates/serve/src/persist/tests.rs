@@ -135,7 +135,7 @@ fn torn_tail_is_truncated_not_replayed() {
     let full = record(1, 3, WalOp::Get).encode();
     let torn = record(2, 4, WalOp::Get).encode();
     for cut in 1..torn.len() {
-        let mut log = full.clone();
+        let mut log = full.to_vec();
         log.extend_from_slice(&torn[..cut]);
         let (decoded, tail) = decode_wal(&log).unwrap();
         assert_eq!(decoded.len(), 1, "cut at {cut} must keep the valid prefix");

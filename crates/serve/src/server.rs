@@ -25,6 +25,19 @@
 //! buffered complete request is executed and its reply flushed) before
 //! closing.
 //!
+//! ## Durable batches
+//!
+//! The requests executed from one drain of a connection's input form a
+//! batch. On a durable service under `--wal-sync off` each logged
+//! request only stages its WAL frame in its shard's store; once the
+//! batch has run, the loop writes each touched shard's frames with one
+//! `write`, and only then moves the batch's replies into the
+//! connection's output buffer — no reply leaves before its frame is in
+//! the OS. If a shard's write fails, the store dies and every reply of
+//! the batch that rests on that shard is re-encoded as an `ERR`. A
+//! memory-only service stages nothing, so its batches end without
+//! locking a shard.
+//!
 //! ## Resilience
 //!
 //! The failure contract is unchanged from the thread-per-connection
@@ -65,10 +78,13 @@ use crate::protocol::{
     decode_command, parse_command, write_reply, Command, Decoded, Reply, ServerStats, Wire,
     WireVersions, FRAME_MAGIC,
 };
-use crate::service::CacheService;
+use crate::service::{CacheService, WalBatch};
+use crate::shard::shard_of;
+use clipcache_media::ClipId;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -390,6 +406,11 @@ struct Node {
     cluster: Option<ClusterRuntime>,
     /// GETs refused with `BUSY` by the governor (reported in `STATS`).
     shed: u64,
+    /// The shards the current batch left WAL frames staged on.
+    batch: WalBatch,
+    /// The current batch's replies that rest on a logged access: their
+    /// bytes in the batch output, their wire, and the clip accessed.
+    logged: Vec<(Range<usize>, Wire, ClipId)>,
 }
 
 struct EventLoop {
@@ -424,6 +445,8 @@ impl EventLoop {
                 config,
                 cluster,
                 shed: 0,
+                batch: WalBatch::default(),
+                logged: Vec::new(),
             },
             shutdown,
             wake,
@@ -583,7 +606,9 @@ impl EventLoop {
     }
 
     /// Execute every complete request sitting in `rbuf` — the server
-    /// half of pipelining.
+    /// half of pipelining — as one batch: their WAL frames are written
+    /// (one `write` per touched shard) before any of their replies
+    /// enters `wbuf`.
     fn process_buffered(conn: &mut Conn, node: &mut Node, global: usize) {
         let mut consumed = 0usize;
         let mut out: Vec<u8> = Vec::new();
@@ -601,39 +626,55 @@ impl EventLoop {
             } else {
                 Wire::Text
             };
-            let (reply, close) = match conn.wire {
+            let (command, fatal) = match conn.wire {
                 Wire::Binary => match decode_command(rest) {
                     Ok(Decoded::Incomplete) => break,
                     Ok(Decoded::Frame { value, consumed: n }) => {
                         consumed += n;
                         conn.last_request = Instant::now();
-                        node.execute(tier, Ok(value))
+                        (Ok(value), false)
                     }
                     // Loud, structured, never a silent skip: ERR frame
                     // first, then (for untrusted lengths) the close.
                     Err(err) => {
                         consumed += err.consumed;
-                        (Reply::Err(err.reason), err.fatal)
+                        (Err(err.reason), err.fatal)
                     }
                 },
                 Wire::Text => match rest.iter().position(|&b| b == b'\n') {
                     // A newline-less flood; refuse before the buffer
                     // grows without bound.
                     None if rest.len() > MAX_LINE_BYTES => {
-                        (Reply::Err("request line too long".into()), true)
+                        (Err("request line too long".into()), true)
                     }
                     None => break,
                     Some(pos) => {
                         let line = String::from_utf8_lossy(&rest[..pos]).into_owned();
                         consumed += pos + 1;
                         conn.last_request = Instant::now();
-                        node.execute(tier, parse_command(&line))
+                        (parse_command(&line), false)
                     }
                 },
             };
+            let logged = match command {
+                Ok(Command::Get(clip) | Command::PeerGet(clip) | Command::GetRange(clip, _)) => {
+                    Some(clip)
+                }
+                _ => None,
+            };
+            let (reply, quit) = node.execute(tier, command);
+            let start = out.len();
             write_reply(conn.wire, &reply, &mut out);
-            conn.closing |= close;
+            // Only a batch that staged WAL frames can fail at its end;
+            // a memory-only service never records a span.
+            if let Some(clip) = logged.filter(|_| node.batch.staged()) {
+                if matches!(reply, Reply::Get(_) | Reply::Peer(_) | Reply::Range(_)) {
+                    node.logged.push((start..out.len(), conn.wire, clip));
+                }
+            }
+            conn.closing |= fatal || quit;
         }
+        node.end_batch(&mut out);
         conn.rbuf.drain(..consumed);
         conn.wbuf.extend(out);
     }
@@ -749,6 +790,34 @@ impl EventLoop {
 }
 
 impl Node {
+    /// End the batch whose replies are encoded in `out`: write the WAL
+    /// frames it staged, one `write` per touched shard. If a shard's
+    /// write failed, every reply resting on an access to that shard is
+    /// re-encoded as an `ERR` naming the failure — nothing is
+    /// acknowledged that did not reach the OS.
+    fn end_batch(&mut self, out: &mut Vec<u8>) {
+        let mut failed: Vec<(usize, String)> = Vec::new();
+        self.service.write_batch(&mut self.batch, |shard, e| {
+            failed.push((shard, e.to_string()))
+        });
+        if !failed.is_empty() {
+            let shards = self.service.shards();
+            let mut rebuilt = Vec::with_capacity(out.len());
+            let mut copied = 0;
+            for (span, wire, clip) in &self.logged {
+                let shard = shard_of(*clip, shards);
+                if let Some((_, reason)) = failed.iter().find(|(s, _)| *s == shard) {
+                    rebuilt.extend_from_slice(&out[copied..span.start]);
+                    write_reply(*wire, &Reply::Err(reason.clone()), &mut rebuilt);
+                    copied = span.end;
+                }
+            }
+            rebuilt.extend_from_slice(&out[copied..]);
+            *out = rebuilt;
+        }
+        self.logged.clear();
+    }
+
     /// Execute one parsed (or unparseable) request; the bool means QUIT.
     fn execute(&mut self, tier: LoadTier, command: Result<Command, String>) -> (Reply, bool) {
         let reply = match command {
@@ -761,7 +830,7 @@ impl Node {
                     self.shed += 1;
                     return (Reply::Busy, false);
                 }
-                match self.service.get(clip) {
+                match self.service.get_batched(clip, Some(&mut self.batch)) {
                     Ok(mut outcome) => {
                         // Cluster peer fill: a local miss consults the clip's
                         // other ring owners before being reported. `fill` is a
@@ -783,17 +852,24 @@ impl Node {
             // A PEERGET is a full local access — the probing owner's
             // write-all half — but never recurses into another peer fill:
             // answering from local shards only keeps peer traffic loop-free.
-            Ok(Command::PeerGet(clip)) => match self.service.get(clip) {
-                Ok(outcome) => Reply::Peer(outcome.hit),
-                Err(e) => Reply::Err(e.to_string()),
-            },
+            Ok(Command::PeerGet(clip)) => {
+                match self.service.get_batched(clip, Some(&mut self.batch)) {
+                    Ok(outcome) => Reply::Peer(outcome.hit),
+                    Err(e) => Reply::Err(e.to_string()),
+                }
+            }
             Ok(Command::Version) => Reply::Version(WireVersions::current()),
             // An out-of-range chunk (or unknown clip) is a loud structured
             // ERR / R_ERR — the probe never stalls the connection.
-            Ok(Command::GetRange(clip, chunk)) => match self.service.get_range(clip, chunk) {
-                Ok(outcome) => Reply::Range(outcome),
-                Err(e) => Reply::Err(e.to_string()),
-            },
+            Ok(Command::GetRange(clip, chunk)) => {
+                match self
+                    .service
+                    .get_range_batched(clip, chunk, Some(&mut self.batch))
+                {
+                    Ok(outcome) => Reply::Range(outcome),
+                    Err(e) => Reply::Err(e.to_string()),
+                }
+            }
             Ok(Command::Stats) => {
                 let engine = self.cluster.as_ref().map(ClusterRuntime::engine);
                 let fill = engine.map(FillEngine::stats).unwrap_or_default();
@@ -877,6 +953,8 @@ mod tests {
             config: ServerConfig::default(),
             cluster: None,
             shed: 0,
+            batch: WalBatch::default(),
+            logged: Vec::new(),
         };
 
         // Shed: BUSY, no cache access, counter moves.

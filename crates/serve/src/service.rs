@@ -22,6 +22,17 @@
 //! request can therefore no longer wedge a shard for the process
 //! lifetime — the next request heals it.
 //!
+//! ## Batched WAL writes
+//!
+//! Under `--wal-sync off` a request's WAL frame is staged in its
+//! shard's store, not written on its own. The event loop runs a
+//! connection's buffered requests as one batch, then writes each
+//! touched shard's frames with one `write` before any reply of the
+//! batch is sent. The in-process [`get`](CacheService::get),
+//! [`get_range`](CacheService::get_range) and
+//! [`admit`](CacheService::admit) are one-request batches: the frame is
+//! written before the call returns.
+//!
 //! ## Background checkpoints
 //!
 //! A durable service owns one checkpoint writer thread, spawned at the
@@ -32,7 +43,8 @@
 //! the thread and retires the WAL behind what landed.
 
 use crate::persist::{
-    CheckpointWriter, CrashAction, PersistError, PersistOptions, RecoveryReport, ShardStore,
+    CheckpointWriter, CommitTicket, CrashAction, PersistError, PersistOptions, RecoveryReport,
+    ShardStore,
 };
 use crate::shard::{shard_of, shard_seed, GetOutcome, RangeOutcome, Shard, CHECKPOINT_EVERY};
 use clipcache_core::registry::BuildError;
@@ -129,6 +141,27 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
+
+/// The shards a batch of requests left WAL frames staged on. The
+/// batch's replies may be sent only after
+/// [`CacheService::write_batch`] has written them.
+#[derive(Debug, Default)]
+pub(crate) struct WalBatch {
+    touched: Vec<usize>,
+}
+
+impl WalBatch {
+    /// Whether any request of the batch left a frame staged.
+    pub(crate) fn staged(&self) -> bool {
+        !self.touched.is_empty()
+    }
+
+    fn touch(&mut self, index: usize) {
+        if !self.touched.contains(&index) {
+            self.touched.push(index);
+        }
+    }
+}
 
 /// Serializes the panic-hook swap in [`CacheService::poison`] so
 /// concurrent injections do not clobber each other's saved hook.
@@ -300,27 +333,54 @@ impl CacheService {
         }
     }
 
-    fn lock_clip_shard(&self, clip: ClipId) -> MutexGuard<'_, Shard> {
-        self.lock_shard(shard_of(clip, self.shards.len()))
+    /// Run `op` on `clip`'s shard and settle its durability: WAL frames
+    /// it left staged are recorded in `batch` for
+    /// [`write_batch`](Self::write_batch), or — with no batch, a
+    /// one-request batch — written before the lock is released. Under
+    /// group commit the ticket is waited on after the lock is released,
+    /// so concurrent requests on the shard ride one batched fsync.
+    fn on_shard<T>(
+        &self,
+        clip: ClipId,
+        batch: Option<&mut WalBatch>,
+        op: impl FnOnce(&mut Shard) -> Result<(T, Option<CommitTicket>), PersistError>,
+    ) -> Result<T, ServiceError> {
+        let index = shard_of(clip, self.shards.len());
+        let mut shard = self.lock_shard(index);
+        let (value, ticket) = op(&mut shard).map_err(|e| self.persist_failure(e))?;
+        if shard.wal_staged() {
+            match batch {
+                Some(batch) => batch.touch(index),
+                None => shard.write_wal().map_err(|e| self.persist_failure(e))?,
+            }
+        }
+        drop(shard);
+        if let Some(ticket) = ticket {
+            ticket.wait().map_err(|e| self.persist_failure(e))?;
+        }
+        Ok(value)
     }
 
     /// Service a request: route to the owning shard, access its cache,
-    /// record hit statistics. Locks exactly one shard; under group
-    /// commit the durability wait happens *after* the lock is released,
-    /// so concurrent requests on the shard ride one batched fsync.
+    /// record hit statistics. Locks exactly one shard, and returns once
+    /// the request is as durable as the sync policy promises.
     pub fn get(&self, clip: ClipId) -> Result<GetOutcome, ServiceError> {
+        self.get_batched(clip, None)
+    }
+
+    /// [`get`](Self::get), leaving the WAL frame staged in `batch` when
+    /// one is given.
+    pub(crate) fn get_batched(
+        &self,
+        clip: ClipId,
+        batch: Option<&mut WalBatch>,
+    ) -> Result<GetOutcome, ServiceError> {
         let size = self
             .repo
             .get(clip)
             .ok_or(ServiceError::UnknownClip(clip))?
             .size;
-        let mut shard = self.lock_clip_shard(clip);
-        let (outcome, ticket) = shard.get(clip, size).map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
-        }
-        Ok(outcome)
+        self.on_shard(clip, batch, |shard| shard.get(clip, size))
     }
 
     /// Probe chunk-granular residency: is `chunk` of `clip` resident?
@@ -331,6 +391,17 @@ impl CacheService {
     /// touched ([`ServiceError::ChunkOutOfRange`]), never answered with
     /// a stall or a fabricated miss.
     pub fn get_range(&self, clip: ClipId, chunk: u32) -> Result<RangeOutcome, ServiceError> {
+        self.get_range_batched(clip, chunk, None)
+    }
+
+    /// [`get_range`](Self::get_range), leaving the WAL frame staged in
+    /// `batch` when one is given.
+    pub(crate) fn get_range_batched(
+        &self,
+        clip: ClipId,
+        chunk: u32,
+        batch: Option<&mut WalBatch>,
+    ) -> Result<RangeOutcome, ServiceError> {
         if self.repo.get(clip).is_none() {
             return Err(ServiceError::UnknownClip(clip));
         }
@@ -338,15 +409,7 @@ impl CacheService {
         if chunk >= total {
             return Err(ServiceError::ChunkOutOfRange { clip, chunk, total });
         }
-        let mut shard = self.lock_clip_shard(clip);
-        let (outcome, ticket) = shard
-            .get_range(clip, chunk)
-            .map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
-        }
-        Ok(outcome)
+        self.on_shard(clip, batch, |shard| shard.get_range(clip, chunk))
     }
 
     /// Warm `clip` into its shard without counting it in the hit
@@ -355,13 +418,25 @@ impl CacheService {
         if self.repo.get(clip).is_none() {
             return Err(ServiceError::UnknownClip(clip));
         }
-        let mut shard = self.lock_clip_shard(clip);
-        let (admitted, ticket) = shard.admit(clip).map_err(|e| self.persist_failure(e))?;
-        drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
+        self.on_shard(clip, None, |shard| shard.admit(clip))
+    }
+
+    /// End a batch: write each touched shard's staged WAL frames with
+    /// one `write`, locking only those shards. `failed` hears of every
+    /// shard whose write failed — the requests the batch ran there must
+    /// not be acknowledged. A memory-only service never stages, so its
+    /// batches end without locking anything.
+    pub(crate) fn write_batch(
+        &self,
+        batch: &mut WalBatch,
+        mut failed: impl FnMut(usize, ServiceError),
+    ) {
+        for index in batch.touched.drain(..) {
+            let written = self.lock_shard(index).write_wal();
+            if let Err(e) = written {
+                failed(index, self.persist_failure(e));
+            }
         }
-        Ok(admitted)
     }
 
     /// Inject a service-level fault: panic while holding `clip`'s shard

@@ -27,12 +27,15 @@
 //!
 //! A shard opened with a data directory ([`Shard::attach_store`], via
 //! `CacheService::open_persistent`) pairs the in-memory checkpoint with
-//! a [`ShardStore`]: every access is appended to the store's write-ahead
-//! log *before* it is applied, so disk is never behind what a client was
-//! told. The WAL is what makes an ack durable; checkpoints only bound
-//! replay. So a checkpoint refresh takes the snapshot inline, makes it
-//! the in-memory checkpoint, and hands the encoded durable checkpoint to
-//! the service's background writer without waiting for its fsyncs
+//! a [`ShardStore`]: every access is logged to the store's write-ahead
+//! log *before* it is applied. Under `--wal-sync off` the frame is only
+//! staged in the store; the caller writes a whole batch's frames with
+//! one [`Shard::write_wal`] before any reply of the batch is sent, so
+//! disk is never behind what a client was told. The WAL is what makes
+//! an ack durable; checkpoints only bound replay. So a checkpoint
+//! refresh takes the snapshot inline, makes it the in-memory
+//! checkpoint, and hands the encoded durable checkpoint to the
+//! service's background writer without waiting for its fsyncs
 //! ([`ShardStore::submit_checkpoint`]). The shard learns on its next
 //! operation that the checkpoint landed and only then retires the WAL
 //! behind it; until then, and for the active segment's records at or
@@ -189,12 +192,13 @@ impl Shard {
     /// Mirrors the serial runner's loop exactly: tick the clock, access
     /// through the counting sink, record `(hit, size, evictions)`. With
     /// a store attached the access is WAL-logged *first* — on any
-    /// failure the cache is untouched, so disk never lags a reply the
-    /// client already saw. Under group commit the returned
+    /// failure the cache is untouched. Before the client is told, the
+    /// frame must reach the OS: if [`wal_staged`](Self::wal_staged),
+    /// call [`write_wal`](Self::write_wal) (once for a whole batch of
+    /// requests is enough). Under group commit the returned
     /// [`CommitTicket`] must be waited on *after* releasing the shard
     /// mutex (and before acking the client), so concurrent requests can
-    /// ride the same batched fsync; `None` means the append is already
-    /// as durable as the sync policy promises.
+    /// ride the same batched fsync; `None` means no fsync is owed.
     pub fn get(
         &mut self,
         clip: ClipId,
@@ -202,7 +206,7 @@ impl Shard {
     ) -> Result<(GetOutcome, Option<CommitTicket>), PersistError> {
         let mut ticket = None;
         if let Some(store) = &mut self.store {
-            let seq = store.append(WalOp::Get, clip)?;
+            let seq = store.stage(WalOp::Get, clip, 0)?;
             ticket = store.commit_ticket(seq);
         }
         let outcome = self.apply_get(clip, size);
@@ -254,7 +258,7 @@ impl Shard {
     pub fn admit(&mut self, clip: ClipId) -> Result<(bool, Option<CommitTicket>), PersistError> {
         let mut ticket = None;
         if let Some(store) = &mut self.store {
-            let seq = store.append(WalOp::Admit, clip)?;
+            let seq = store.stage(WalOp::Admit, clip, 0)?;
             ticket = store.commit_ticket(seq);
         }
         let admitted = self.apply_admit(clip);
@@ -291,7 +295,7 @@ impl Shard {
     ) -> Result<(RangeOutcome, Option<CommitTicket>), PersistError> {
         let mut ticket = None;
         if let Some(store) = &mut self.store {
-            let seq = store.append_range(clip, chunk)?;
+            let seq = store.stage(WalOp::GetRange, clip, chunk)?;
             ticket = store.commit_ticket(seq);
         }
         Ok((self.apply_get_range(clip, chunk), ticket))
@@ -437,6 +441,21 @@ impl Shard {
             self.force_checkpoint(ShardStore::checkpoint)?;
         }
         Ok(replayed)
+    }
+
+    /// Whether WAL frames are staged in the attached store and not yet
+    /// written (never for a memory-only shard, nor under
+    /// `--wal-sync always`, which writes each frame as it is logged).
+    pub fn wal_staged(&self) -> bool {
+        self.store.as_ref().is_some_and(ShardStore::has_staged)
+    }
+
+    /// Write the staged WAL frames with one `write` — what makes the
+    /// requests that staged them safe to acknowledge. A no-op when
+    /// nothing is staged; an error if the store is dead, because its
+    /// staged frames died with it. A failed write kills the store.
+    pub fn write_wal(&mut self) -> Result<(), PersistError> {
+        self.store.as_mut().map_or(Ok(()), ShardStore::write_staged)
     }
 
     /// Arm (or disarm) a deterministic crash point on the attached
@@ -691,6 +710,10 @@ mod tests {
                 .get(ClipId::new(c), repo.size_of(ClipId::new(c)))
                 .unwrap();
         }
+        // The run's frames are staged; one write makes them durable.
+        assert!(durable.wal_staged());
+        durable.write_wal().unwrap();
+        assert!(!durable.wal_staged());
         // Persistence is invisible to behavior.
         assert_eq!(durable.stats(), reference.stats());
         assert_eq!(

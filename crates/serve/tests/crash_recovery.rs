@@ -17,12 +17,14 @@
 //! * recovery is deterministic: two independent recoveries of the
 //!   same directory agree byte-for-byte, on state and on disk;
 //! * counters are conserved across a crash-restart loop: every request
-//!   the durable store acknowledged is counted exactly once.
+//!   the durable store acknowledged is counted exactly once;
+//! * a torn append in the middle of a pipelined window over TCP loses
+//!   no request the server answered without an `ERR`.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
 use clipcache_serve::{
-    segment_file_name, CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig,
-    ServiceError, WalTuning,
+    decode_segment, segment_file_name, serve_with, shard_of, CacheService, CrashAction, CrashSpec,
+    PersistOptions, ServerConfig, ServiceConfig, ServiceError, TcpCacheClient, WalTuning, Wire,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -624,4 +626,85 @@ fn double_recovery_of_a_multi_segment_log_is_idempotent() {
     for d in [&dir, &copy_a, &copy_b] {
         let _ = std::fs::remove_dir_all(d);
     }
+}
+
+#[test]
+fn torn_append_mid_pipelined_window_loses_no_answered_request() {
+    let dir = scratch_dir("pipelined-torn");
+    // 4 shards of 4 MB-chunked clips, no periodic checkpoint: the WAL
+    // holds every logged request. Each shard tears its 20th append.
+    // Shards 0–2 take 31 requests of every window of 32, so their
+    // tears land mid-window; shard 3 takes one per window, never
+    // tears, and must still have written every request it answered.
+    let repo = Arc::new(paper::variable_sized_repository_of(48).with_chunk_size(ByteSize::mb(4)));
+    let cfg = ServiceConfig::new(
+        clipcache_core::PolicyKind::Lru,
+        4,
+        repo.cache_capacity_for_ratio(0.25),
+        SEED,
+    )
+    .with_checkpoint_every(1_000_000);
+    let service = open_with_crash(&repo, cfg, &dir, Some("torn:20"));
+    let server = serve_with(Arc::new(service), "127.0.0.1:0", ServerConfig::default())
+        .expect("server binds");
+    let mut client =
+        TcpCacheClient::connect_wire(server.addr(), None, Wire::Binary).expect("client connects");
+    let (hot, cold): (Vec<ClipId>, Vec<ClipId>) =
+        repo.ids().partition(|&clip| shard_of(clip, 4) != 3);
+    let mut answered = vec![0u64; repo.len() + 1];
+    let (mut ok, mut refused) = (0u64, 0u64);
+    for window in 0..8usize {
+        let mut clips: Vec<ClipId> = (0..31)
+            .map(|i| hot[(window * 31 + i) * 7 % hot.len()])
+            .collect();
+        clips.insert(window * 4 % 32, cold[window % cold.len()]);
+        client.send_gets(&clips).expect("window sent");
+        for clip in &clips {
+            match client.recv_get() {
+                Ok(_) => {
+                    answered[clip.get() as usize] += 1;
+                    ok += 1;
+                }
+                Err(e) => {
+                    assert!(
+                        e.to_string().starts_with("ERR "),
+                        "a structured refusal: {e}"
+                    );
+                    assert_ne!(shard_of(*clip, 4), 3, "shard 3 never tears");
+                    refused += 1;
+                }
+            }
+        }
+    }
+    assert!(refused > 0, "the torn appends fired");
+    assert!(ok > 0, "requests before the tears were served");
+    client.quit().expect("clean disconnect");
+    // The crash surfaced, so dropping the service (with the server)
+    // writes nothing more.
+    server.shutdown();
+
+    // Every answered request has its record on disk.
+    let mut logged = vec![0u64; repo.len() + 1];
+    let mut records = 0u64;
+    for shard in 0..4 {
+        let shard_dir = dir.join(format!("shard-{shard}"));
+        for (i, name) in segment_files(&shard_dir).iter().enumerate() {
+            let bytes = std::fs::read(shard_dir.join(name)).unwrap();
+            let (decoded, _) = decode_segment(&bytes, i as u64 + 1).expect("only a torn tail");
+            for r in decoded {
+                logged[r.clip.get() as usize] += 1;
+                records += 1;
+            }
+        }
+    }
+    for (clip, (&a, &l)) in answered.iter().zip(&logged).enumerate() {
+        assert!(a <= l, "clip {clip}: {a} answered, {l} on disk");
+    }
+    // And reopening recovers all of them.
+    let recovered = open_with_crash(&repo, cfg, &dir, None);
+    assert_eq!(recovered.wal_replayed(), records);
+    assert_eq!(recovered.stats().requests(), records);
+    assert!(records >= ok);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }

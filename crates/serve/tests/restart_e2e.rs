@@ -7,7 +7,7 @@
 //! an idle restart must leave the directory bytes untouched.
 
 use clipcache_media::ClipId;
-use clipcache_serve::TcpCacheClient;
+use clipcache_serve::{TcpCacheClient, Wire};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
@@ -23,16 +23,18 @@ struct Server {
 }
 
 fn spawn_server(data_dir: &Path, shards: usize) -> Server {
+    spawn_server_with(
+        data_dir,
+        &["--shards", &shards.to_string(), "--clips", "24"],
+    )
+}
+
+/// Start a durable server on `data_dir` with extra `args`.
+fn spawn_server_with(data_dir: &Path, args: &[&str]) -> Server {
     let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args([
-            "--addr",
-            "127.0.0.1:0",
-            "--shards",
-            &shards.to_string(),
-            "--clips",
-            "24",
-            "--data-dir",
-        ])
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
+        .arg("--data-dir")
         .arg(data_dir)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -194,5 +196,84 @@ fn killed_server_recovers_every_acknowledged_request() {
         "an idle restart must not rewrite durable state"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigkill_between_pipelined_windows_loses_no_acknowledged_request() {
+    let dir = std::env::temp_dir().join(format!("clipcache-restart-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // 4 shards of 4 MB-chunked clips; no periodic checkpoint, so each
+    // round's requests all live in the WAL the next start replays.
+    let args = [
+        "--shards",
+        "4",
+        "--clips",
+        "96",
+        "--chunk-size",
+        "4",
+        "--checkpoint-every",
+        "1000000",
+    ];
+    const WINDOW: usize = 32;
+    let mut acked = 0u64; // over every round
+    let mut last_round = 0u64; // acknowledged since the last start
+    let mut before = None;
+    // A fixed LCG: the same clip stream on every run.
+    let mut x = 0x9E37_79B9u64;
+    for round in 0..3 {
+        let server = spawn_server_with(&dir, &args);
+        let mut client = TcpCacheClient::connect_wire(&server.addr, None, Wire::Binary)
+            .expect("client connects");
+        let recovered = client.stats().expect("stats served");
+        assert_eq!(
+            recovered.wal_replayed, last_round,
+            "round {round}: the restart replays exactly what the last round acknowledged"
+        );
+        assert_eq!(recovered.stats.requests(), acked, "round {round}");
+        if round == 1 {
+            // The first restart is a pure WAL replay from empty, so it
+            // rebuilds the exact state, not just the request count.
+            // (Later ones restore a checkpoint, whose policy metadata is
+            // approximate, and replay on top of it.)
+            assert_eq!(
+                Some(recovered.stats),
+                before,
+                "recovered counters match the last acknowledged state"
+            );
+        }
+        // Windows of 32 pipelined GETs: every window is answered in full
+        // before the next is sent, so the kill lands between windows.
+        last_round = 0;
+        for _ in 0..10 + round * 5 {
+            let clips: Vec<ClipId> = (0..WINDOW)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ClipId::new((x >> 33) as u32 % 96 + 1)
+                })
+                .collect();
+            client.send_gets(&clips).expect("window sent");
+            for _ in &clips {
+                client.recv_get().expect("request served");
+            }
+            last_round += WINDOW as u64;
+        }
+        acked += last_round;
+        let stats = client.stats().expect("stats served");
+        assert_eq!(stats.stats.requests(), acked);
+        before = Some(stats.stats);
+        drop(client);
+        server.kill();
+    }
+    let server = spawn_server_with(&dir, &args);
+    let mut client =
+        TcpCacheClient::connect_wire(&server.addr, None, Wire::Binary).expect("client connects");
+    let recovered = client.stats().expect("stats served");
+    assert_eq!(recovered.wal_replayed, last_round);
+    assert_eq!(recovered.stats.requests(), acked);
+    client.quit().expect("clean disconnect");
+    server.quit();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,13 @@
 //!    and partial residency are disjoint, and the cache's used-byte
 //!    counter is exactly the sum of full clips plus resident prefixes
 //!    (an orphaned hole would break the byte identity).
+//!
+//! 3. **One-step trimming.** [`CacheSpace::trim_tail`] reaches exactly
+//!    the state that shedding one tail chunk at a time until the deficit
+//!    is freed (or the clip is gone) reaches: same prefix, same used
+//!    bytes, same resident count, same "gone" answer.
 
+use clipcache::core::space::CacheSpace;
 use clipcache::core::{AccessOutcome, PolicyKind, PolicySpec, VictimBackend};
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};
 use clipcache::workload::Timestamp;
@@ -182,6 +188,130 @@ fn check_prefix_retention(
         }
     }
     Ok(())
+}
+
+/// The reference trimmer: shed one tail chunk at a time, stopping once
+/// `deficit` bytes are freed or nothing is left. Returns the surviving
+/// prefix.
+fn trim_chunk_by_chunk(repo: &Repository, clip: ClipId, prefix: u32, deficit: ByteSize) -> u32 {
+    let resident = repo.prefix_bytes(clip, prefix);
+    let mut p = prefix;
+    while p > 0 && resident - repo.prefix_bytes(clip, p) < deficit {
+        p -= 1;
+    }
+    p
+}
+
+/// Which deficit a trim case asks for, relative to the victim's
+/// resident bytes `r`: one byte, exactly `r`, `r` plus the raw draw, or
+/// a draw within `1..=r`.
+fn deficit_for(mode: u8, raw: u64, resident: ByteSize) -> ByteSize {
+    match mode % 4 {
+        0 => ByteSize::bytes(1),
+        1 => resident,
+        2 => resident + ByteSize::bytes(raw % 10_000_000 + 1),
+        _ => ByteSize::bytes(raw % resident.as_u64().max(1) + 1),
+    }
+}
+
+/// Make every clip of `sizes` (bytes) resident under `chunk`-byte chunks
+/// (0 = unchunked), the victim as a full or partial prefix, trim the
+/// victim by the chosen deficit, and compare against the reference.
+fn check_trim_tail(
+    sizes: &[u64],
+    chunk: u64,
+    victim: usize,
+    prefix_pick: Option<u32>,
+    deficit_mode: u8,
+    deficit_raw: u64,
+) -> Result<(), TestCaseError> {
+    let mut b = RepositoryBuilder::new();
+    for &bytes in sizes {
+        b = b.push(MediaType::Video, ByteSize::bytes(bytes), Bandwidth::mbps(4));
+    }
+    let repo = Arc::new(
+        b.build()
+            .expect("non-empty positive sizes")
+            .with_chunk_size(ByteSize::bytes(chunk)),
+    );
+    let mut space = CacheSpace::new(Arc::clone(&repo), ByteSize::bytes(sizes.iter().sum()));
+    let victim = ClipId::from_index(victim % repo.len());
+    let total = repo.chunks_of(victim);
+    let prefix = prefix_pick.map_or(total, |pick| pick % total + 1);
+    for id in repo.ids() {
+        if id == victim {
+            space.insert_prefix(id, prefix);
+        } else {
+            space.insert(id);
+        }
+    }
+    let resident = repo.prefix_bytes(victim, prefix);
+    let deficit = deficit_for(deficit_mode, deficit_raw, resident);
+    let (used, count) = (space.used(), space.resident_count());
+
+    let keep = trim_chunk_by_chunk(&repo, victim, prefix, deficit);
+    let gone = space.trim_tail(victim, deficit);
+
+    prop_assert_eq!(gone, keep == 0, "gone answer (deficit {})", deficit);
+    prop_assert_eq!(space.resident_prefix(victim), keep, "surviving prefix");
+    prop_assert_eq!(
+        space.used(),
+        used - (resident - repo.prefix_bytes(victim, keep)),
+        "used bytes"
+    );
+    prop_assert_eq!(
+        space.resident_count(),
+        count - usize::from(keep == 0),
+        "resident count"
+    );
+    Ok(())
+}
+
+/// The named edge cases, exhaustively: unchunked, a short last chunk,
+/// chunks dividing the clip evenly, a chunk larger than the clip; full
+/// and partial prefixes; every deficit mode.
+#[test]
+fn trim_tail_matches_chunk_by_chunk_on_edge_cases() {
+    // 5.5 MB and 3 MB clips: 1 MB chunks leave a short 0.5 MB last chunk
+    // on the first and divide the second evenly.
+    let sizes = [5_500_000u64, 3_000_000];
+    for chunk in [0u64, 1_000_000, 700_000, 8_000_000] {
+        for victim in 0..sizes.len() {
+            for prefix_pick in [None, Some(0), Some(1), Some(3)] {
+                for mode in 0..4u8 {
+                    for raw in [0u64, 1, 499_999, 500_000, 1_500_001, 9_999_999] {
+                        check_trim_tail(&sizes, chunk, victim, prefix_pick, mode, raw)
+                            .unwrap_or_else(|_| {
+                                panic!(
+                                    "chunk {chunk}, victim {victim}, prefix {prefix_pick:?}, \
+                                     mode {mode}, raw {raw}"
+                                )
+                            });
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn trim_tail_matches_chunk_by_chunk_trimming(
+        // Byte-granular sizes, so the last chunk is usually short.
+        sizes in proptest::collection::vec(1u64..5_000_000, 1..6),
+        chunk_pick in 0u64..4_000_000,
+        victim in 0usize..6,
+        prefix_pick in any::<u32>(),
+        deficit_mode in any::<u8>(),
+        deficit_raw in any::<u64>(),
+    ) {
+        // A quarter of the draws run unchunked; half the victims are full.
+        let chunk = if chunk_pick.is_multiple_of(4) { 0 } else { chunk_pick };
+        let prefix = prefix_pick.is_multiple_of(2).then_some(prefix_pick / 2);
+        check_trim_tail(&sizes, chunk, victim, prefix, deficit_mode, deficit_raw)?;
+    }
 }
 
 proptest! {
