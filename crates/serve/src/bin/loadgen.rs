@@ -259,7 +259,7 @@ fn parse_args() -> Result<Args, String> {
             "--commit-window-us" => {
                 let v = argv
                     .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync per record)")?;
+                    .ok_or("--commit-window-us needs microseconds (0 = fsync at once)")?;
                 let us: u64 = v
                     .parse()
                     .map_err(|e| format!("bad --commit-window-us: {e}"))?;

@@ -177,7 +177,7 @@ fn parse_args() -> Result<Args, String> {
             "--commit-window-us" => {
                 let v = argv
                     .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync per record)")?;
+                    .ok_or("--commit-window-us needs microseconds (0 = fsync at once)")?;
                 let us: u64 = v
                     .parse()
                     .map_err(|e| format!("bad --commit-window-us: {e}"))?;
@@ -258,8 +258,8 @@ fn parse_args() -> Result<Args, String> {
                      --read-timeout reclaims idle connections, --chaos honors POISON;\n\
                      --data-dir makes every shard durable (checkpoint + segmented\n\
                      WAL) and recovers previous state on start; --commit-window-us\n\
-                     batches concurrent WAL fsyncs under --wal-sync always (0 =\n\
-                     one fsync per record), --segment-bytes sets the WAL\n\
+                     lets the WAL fsync under --wal-sync always wait for more\n\
+                     writers (0 = fsync at once), --segment-bytes sets the WAL\n\
                      segment-roll threshold; --crash-at arms a deterministic crash\n\
                      point (append:N, torn:N, checkpoint:N, seal:N,\n\
                      segment-roll:N);\n\

@@ -13,10 +13,10 @@
 //! * **commit cells** — acked-durable throughput under `--wal-sync
 //!   always` for each `--commit-window-us` value: `--threads` workers
 //!   drive a persistent in-process [`CacheService`] and every reply
-//!   waits for its record's batched fsync. Window 0 is the
-//!   one-fsync-per-record path; wider windows let concurrent requests
-//!   ride one fsync. The default sweep samples the rising region of
-//!   the curve — with a closed-loop load the batch saturates at the
+//!   waits for its record's batched fsync. At window 0 the fsync
+//!   leader syncs at once, and workers that commit during its fsync
+//!   share the next one; wider windows let the leader wait for more
+//!   riders first. With a closed-loop load the batch saturates at the
 //!   worker count, so past ~100 µs the curve plateaus (and wobbles
 //!   with scheduler jitter) rather than keeps climbing.
 //! * **recovery cells** — wall-clock reopen time versus WAL history,

@@ -49,32 +49,25 @@
 //! fixed buffer, so a 4 MiB subsumed prefix costs a scan, never 4 MiB
 //! of memory.
 //!
-//! ## Staged appends
+//! ## The write path: stage, commit, wait
 //!
-//! Under `--wal-sync off` (the default) a request's frame is encoded
-//! into a reused per-store staging buffer instead of being written on
-//! its own. Whoever runs the request writes the buffer before replying:
-//! the event loop once per touched shard at the end of a batch of
-//! pipelined requests, an in-process call before it returns. So a
-//! frame reaches the OS before its reply is sent, and a batch of N
-//! requests costs one `write` per shard instead of N. The bytes on
-//! disk are the same either way. Rolling a segment, retiring or
-//! rewinding the log, and every crash point write what is staged
-//! first; a killed store drops it, since none of it was acknowledged.
-//!
-//! ## Group commit
-//!
-//! With `--wal-sync always` and a nonzero commit window, an append
-//! writes its frame and returns a [`CommitTicket`] instead of paying a
-//! private fsync. The caller releases the shard lock, then waits on the
-//! ticket: the first waiter becomes the *leader*, gives later appends
-//! up to the window to pile in (leaving early once the queue
-//! quiesces), then issues **one** fsync that makes every rider durable
-//! at once. A request is acknowledged only after its batch lands — an
-//! acked request is still a durable request, the batching only changes
-//! *when* the fsync happens, never what bytes reach the disk. A zero
-//! window is exactly the old behavior: one inline fsync per record,
-//! byte-identical on disk.
+//! A request's frame is encoded into a reused per-store staging buffer,
+//! never written on its own. Whoever runs the request commits the
+//! buffer with one `write` before replying: the event loop once per
+//! touched shard at the end of a batch of pipelined requests, an
+//! in-process call before it returns. So a frame reaches the OS before
+//! its reply is sent, and a batch of N requests costs one `write` per
+//! shard instead of N. Under `--wal-sync always` the commit also hands
+//! back a [`CommitTicket`]; the caller releases the shard lock, then
+//! waits on it. The first waiter becomes the *leader*: it gives later
+//! writers up to the commit window to pile in (leaving early once the
+//! queue quiesces; a zero window fsyncs at once), then issues **one**
+//! fsync that makes every rider durable. Writers that arrive during
+//! that fsync share the next one. A request is acknowledged only after
+//! its fsync lands; batching changes *when* the fsync happens, never
+//! what bytes reach the disk. Rolling a segment, retiring or rewinding
+//! the log, and every crash point write what is staged first; a killed
+//! store drops it, since none of it was acknowledged.
 //!
 //! ## The recovery contract
 //!
@@ -738,22 +731,22 @@ fn scan_segment(
 
 /// When appends reach the platter.
 ///
-/// Either way every logged request's frame reaches the *operating
-/// system* before its reply is sent, so the log survives a killed
-/// process (`kill -9`); the difference is whether it also survives a
-/// power failure.
+/// Either way every logged request's frame is staged in its shard's
+/// store and reaches the *operating system* before its reply is sent,
+/// in one `write` per shard per batch of requests (an event-loop
+/// batch, or a single in-process request), so the log survives a
+/// killed process (`kill -9`); the difference is whether it also
+/// survives a power failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WalSync {
     /// `fsync` before a request is acknowledged: survives power loss.
-    /// With a zero commit window that is one fsync per append; with a
-    /// nonzero window, concurrent appends share one batched fsync.
+    /// Each committed batch of frames is fsynced once, and batches
+    /// that commit while an fsync runs (or within the commit window)
+    /// share the next one.
     Always,
     /// Flush to the OS page cache only (the default): survives process
-    /// death, trusts the kernel for power loss. Frames are staged in
-    /// the shard's store and written together, one `write` per shard
-    /// per batch of requests (an event-loop batch, or a single
-    /// in-process request), before any reply of the batch is sent.
-    /// Checkpoints and seal footers still fsync.
+    /// death, trusts the kernel for power loss. Checkpoints and seal
+    /// footers still fsync.
     #[default]
     Off,
 }
@@ -866,8 +859,9 @@ pub struct WalTuning {
     /// Roll to a fresh segment once the active one reaches this many
     /// bytes (`--segment-bytes`).
     pub segment_bytes: u64,
-    /// Group-commit batch window (`--commit-window-us`); zero means one
-    /// inline fsync per append under [`WalSync::Always`].
+    /// How long a group-commit leader waits for more writers before
+    /// its fsync under [`WalSync::Always`] (`--commit-window-us`);
+    /// zero means it fsyncs at once.
     pub commit_window: Duration,
 }
 
@@ -1113,9 +1107,12 @@ impl CommitQueue {
         }
     }
 
-    fn note_write(&self, seq: u64) {
+    /// Record that `seq` is written, returning the epoch its ticket
+    /// belongs to.
+    fn note_write(&self, seq: u64) -> u64 {
         let mut st = self.lock();
         st.written = st.written.max(seq);
+        st.epoch
     }
 
     fn note_durable(&self, seq: u64) {
@@ -1148,15 +1145,11 @@ impl CommitQueue {
         self.cv.notify_all();
     }
 
-    fn current_epoch(&self) -> u64 {
-        self.lock().epoch
-    }
-
     /// Block until `seq` (from `epoch`) is durable. The first
-    /// non-durable waiter becomes the leader: it gives later appends up
+    /// non-durable waiter becomes the leader: it gives later writers up
     /// to the commit window to pile in — leaving early once a poll
-    /// slice passes with no new writes — then issues one fsync for the
-    /// whole batch.
+    /// slice passes with no new writes, at once for a zero window —
+    /// then issues one fsync for everything written so far.
     fn wait_durable(&self, epoch: u64, seq: u64) -> Result<(), PersistError> {
         let mut st = self.lock();
         loop {
@@ -1216,11 +1209,11 @@ impl CommitQueue {
     }
 }
 
-/// A claim check for a group-committed append: [`wait`](Self::wait)
-/// blocks until the record's batched fsync lands (or fails). Wait
-/// *after* releasing the shard lock, so concurrent appends can ride the
-/// same batch — waiting under the lock serializes the queue and buys
-/// nothing.
+/// A claim check for a commit under [`WalSync::Always`]:
+/// [`wait`](Self::wait) blocks until the committed frames' batched
+/// fsync lands (or fails). Wait *after* releasing the shard lock, so
+/// concurrent commits can ride the same fsync — waiting under the lock
+/// serializes the queue and buys nothing.
 pub struct CommitTicket {
     queue: Arc<CommitQueue>,
     epoch: u64,
@@ -1533,8 +1526,6 @@ pub struct ShardStore {
     sync: WalSync,
     /// Roll threshold: seal the active segment once it reaches this.
     segment_bytes: u64,
-    /// Group-commit batch window; zero = inline fsync per append.
-    window: Duration,
     active: ActiveSegment,
     /// The sealed segments still on disk, oldest first, as
     /// `(number, last seq)`; their numbers run contiguously up to the
@@ -1561,9 +1552,9 @@ pub struct ShardStore {
     /// A fired crash point leaves the store dead: every later operation
     /// reports the crash again instead of quietly resuming.
     dead: bool,
-    /// Frames [`stage`](Self::stage)d under [`WalSync::Off`] and not yet
-    /// written, in sequence order: the active segment's tail that only
-    /// memory holds. Reused, so appends allocate nothing once warm.
+    /// Frames [`stage`](Self::stage)d and not yet written, in sequence
+    /// order: the active segment's tail that only memory holds. Reused,
+    /// so appends allocate nothing once warm.
     staged: Vec<u8>,
 }
 
@@ -1783,7 +1774,6 @@ impl ShardStore {
                 dir: dir.to_path_buf(),
                 sync,
                 segment_bytes: tuning.segment_bytes,
-                window: tuning.commit_window,
                 active,
                 sealed,
                 queue,
@@ -1839,37 +1829,14 @@ impl ShardStore {
         (oldest, self.active.no)
     }
 
-    /// Whether appends ride the group-commit queue (sync `always` with
-    /// a nonzero commit window).
-    fn group_commit(&self) -> bool {
-        self.sync == WalSync::Always && !self.window.is_zero()
-    }
-
-    /// The ticket to wait on for `seq` to become durable, if this store
-    /// group-commits. `None` means the append is already as durable as
-    /// the sync policy makes it (inline fsync, or no fsync at all).
-    pub fn commit_ticket(&self, seq: u64) -> Option<CommitTicket> {
-        if !self.group_commit() {
-            return None;
-        }
-        Some(CommitTicket {
-            queue: Arc::clone(&self.queue),
-            epoch: self.queue.current_epoch(),
-            seq,
-        })
-    }
-
     /// Append one whole-clip access to the WAL, returning its sequence
-    /// number. Frames staged before it are written with it.
-    ///
-    /// The frame is flushed to the OS before the call returns; with
-    /// [`WalSync::Always`] it is also fsynced — inline when the commit
-    /// window is zero, else by the batched fsync the returned sequence
-    /// number's [`commit_ticket`](Self::commit_ticket) waits on. An
-    /// armed crash point may fire here: `torn:N` writes half the frame
-    /// then dies, `append:N` dies after the frame is durable, and
-    /// `seal:N` / `segment-roll:N` fire if this append fills the
-    /// segment.
+    /// number. Frames staged before it are committed with it, and the
+    /// call returns only once they are as durable as the sync policy
+    /// promises: written to the OS, and under [`WalSync::Always`] also
+    /// fsynced (the call waits for its own commit's ticket). An armed
+    /// crash point may fire here: `torn:N` writes half the frame then
+    /// dies, `append:N` dies after the frame is durable, and `seal:N` /
+    /// `segment-roll:N` fire if this append fills the segment.
     ///
     /// # Panics
     /// If `op` is [`WalOp::GetRange`] — ranged probes carry a chunk and
@@ -1880,26 +1847,23 @@ impl ShardStore {
             "GETRANGE records go through append_range"
         );
         let seq = self.stage(op, clip, 0)?;
-        self.write_staged()?;
+        self.commit()?.map_or(Ok(()), CommitTicket::wait)?;
         Ok(seq)
     }
 
     /// Append one chunk-granular residency probe to the WAL.
     pub fn append_range(&mut self, clip: ClipId, chunk: u32) -> Result<u64, PersistError> {
         let seq = self.stage(WalOp::GetRange, clip, chunk)?;
-        self.write_staged()?;
+        self.commit()?.map_or(Ok(()), CommitTicket::wait)?;
         Ok(seq)
     }
 
-    /// Log one access, returning its sequence number. Under
-    /// [`WalSync::Off`] the frame is only encoded into the staging
-    /// buffer: it reaches the OS at the next
-    /// [`write_staged`](Self::write_staged), which must come before the
-    /// access is acknowledged — so a run of requests costs one `write`.
-    /// Under [`WalSync::Always`] the frame is written (and fsynced, or
-    /// queued for the batched fsync) here, exactly as by
-    /// [`append`](Self::append). Every crash point writes what is staged
-    /// before its partial effect, so each keeps its meaning.
+    /// Log one access, returning its sequence number. The frame is
+    /// only encoded into the staging buffer: it reaches the OS at the
+    /// next [`commit`](Self::commit), which must come before the access
+    /// is acknowledged — so a run of requests costs one `write`. Every
+    /// crash point writes what is staged before its partial effect, so
+    /// each keeps its meaning.
     pub(crate) fn stage(
         &mut self,
         op: WalOp,
@@ -1934,30 +1898,16 @@ impl ShardStore {
                 // That fsync also made every earlier record in the
                 // segment durable: release any riders before the store
                 // goes dead.
-                if self.group_commit() {
-                    self.queue.note_durable(self.active.last_seq);
-                }
+                self.queue.note_durable(self.active.last_seq);
                 self.die();
                 return Err(PersistError::CrashInjected);
             }
         }
-        if self.sync == WalSync::Off {
-            self.staged.extend_from_slice(&frame);
-        } else if let Err(e) = self.write_frame(&frame) {
-            // The frame may be partially on disk; a retried append after
-            // it would decode as garbage. Refuse further operations —
-            // the caller recovers from disk, which truncates the torn
-            // frame — rather than silently diverging.
-            self.kill();
-            return Err(e);
-        }
+        self.staged.extend_from_slice(&frame);
         self.active.len += frame.len() as u64;
         self.active.crc.update(&frame);
         self.active.last_seq = seq;
         self.active.records += 1;
-        if self.group_commit() {
-            self.queue.note_write(seq);
-        }
         self.appends += 1;
         self.next_seq += 1;
         if let Some(CrashSpec {
@@ -1968,9 +1918,7 @@ impl ShardStore {
                 // The record IS durable; the process dies right after.
                 self.write_staged()?;
                 self.active.file.sync_data()?;
-                if self.group_commit() {
-                    self.queue.note_durable(seq);
-                }
+                self.queue.note_durable(seq);
                 self.die();
                 return Err(PersistError::CrashInjected);
             }
@@ -1986,11 +1934,32 @@ impl ShardStore {
         !self.staged.is_empty()
     }
 
+    /// Write every staged frame with one `write` — what makes the
+    /// accesses that staged them safe to acknowledge under
+    /// [`WalSync::Off`]. Under [`WalSync::Always`] the returned ticket
+    /// covers every frame written so far; wait on it after releasing
+    /// the shard lock, before acknowledging. A dead store reports its
+    /// death instead (its staged frames, never acknowledged, died with
+    /// it); a failed write kills the store.
+    pub(crate) fn commit(&mut self) -> Result<Option<CommitTicket>, PersistError> {
+        self.write_staged()?;
+        if self.sync == WalSync::Off {
+            return Ok(None);
+        }
+        let seq = self.next_seq - 1;
+        Ok(Some(CommitTicket {
+            queue: Arc::clone(&self.queue),
+            epoch: self.queue.note_write(seq),
+            seq,
+        }))
+    }
+
     /// Write every staged frame with one `write`, in sequence order. A
     /// no-op when nothing is staged; a dead store reports its death
-    /// instead (its staged frames, never acknowledged, died with it). A
-    /// failed write kills the store: the frames may be partly on disk.
-    pub(crate) fn write_staged(&mut self) -> Result<(), PersistError> {
+    /// instead. A failed write kills the store: the frames may be
+    /// partly on disk, and a later frame after them would decode as
+    /// garbage, so the caller recovers from disk instead.
+    fn write_staged(&mut self) -> Result<(), PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
@@ -2003,20 +1972,6 @@ impl ShardStore {
         if let Err(e) = written {
             self.kill();
             return Err(e.into());
-        }
-        Ok(())
-    }
-
-    /// The fallible I/O of one unstaged ([`WalSync::Always`]) append;
-    /// [`stage`](Self::stage) kills the store if any step fails. Inline
-    /// fsync happens only with a zero commit window — otherwise the
-    /// batched fsync owns it.
-    fn write_frame(&mut self, frame: &[u8]) -> Result<(), PersistError> {
-        let mut f: &File = &self.active.file;
-        f.write_all(frame)?;
-        f.flush()?;
-        if self.window.is_zero() {
-            self.active.file.sync_data()?;
         }
         Ok(())
     }
@@ -2046,9 +2001,7 @@ impl ShardStore {
                 self.active.file.sync_data()?;
                 // The partial-footer fsync still made every record in
                 // the segment durable.
-                if self.group_commit() {
-                    self.queue.note_durable(self.active.last_seq);
-                }
+                self.queue.note_durable(self.active.last_seq);
                 self.die();
                 return Err(PersistError::CrashInjected);
             }
@@ -2067,9 +2020,7 @@ impl ShardStore {
         self.sealed
             .push_back((self.active.no, self.active.last_seq));
         // The seal fsync made every record in this segment durable.
-        if self.group_commit() {
-            self.queue.note_durable(self.active.last_seq);
-        }
+        self.queue.note_durable(self.active.last_seq);
         if let Some(CrashSpec {
             point: CrashPoint::SegmentRoll(n),
         }) = self.crash
@@ -2230,9 +2181,7 @@ impl ShardStore {
         self.ckpt_seq = seq;
         // Everything the checkpoint covers is durable via the
         // checkpoint itself: release any riders still in the window.
-        if self.group_commit() {
-            self.queue.note_durable(seq);
-        }
+        self.queue.note_durable(seq);
         if let Err(e) = self.drop_segments_through(seq) {
             self.kill();
             return Err(e);
@@ -2306,9 +2255,7 @@ impl ShardStore {
             return Err(e);
         }
         self.next_seq = self.ckpt_seq + 1;
-        if self.group_commit() {
-            self.queue.rewound(self.ckpt_seq);
-        }
+        self.queue.rewound(self.ckpt_seq);
         Ok(())
     }
 }

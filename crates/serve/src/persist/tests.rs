@@ -850,26 +850,62 @@ fn segment_roll_crash_recovers_with_a_fresh_successor() {
 // ---- group-commit tests -----------------------------------------------
 
 #[test]
-fn commit_tickets_exist_only_under_sync_always_with_a_window() {
-    let window = Duration::from_micros(100);
-    let dir = tmp_dir("ticket-gate");
-    {
+fn commit_tickets_exist_only_under_sync_always() {
+    // Under `always` every commit hands back a ticket, whatever the
+    // window: a zero window only means the leader fsyncs at once.
+    for (tag, window) in [
+        ("zero", Duration::ZERO),
+        ("wide", Duration::from_micros(100)),
+    ] {
+        let dir = tmp_dir(&format!("ticket-gate-{tag}"));
         let (mut store, _) =
             ShardStore::open_tuned(&dir, WalSync::Always, windowed(window)).unwrap();
-        let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-        let ticket = store.commit_ticket(seq).expect("group commit is on");
+        store.stage(WalOp::Get, ClipId::new(1), 0).unwrap();
+        let ticket = store.commit().unwrap().expect("sync always owes an fsync");
         ticket.wait().expect("the batched fsync lands");
     }
-    // Zero window: inline fsync per append, no tickets.
-    let dir0 = tmp_dir("ticket-gate-zero");
-    let (mut store, _) = ShardStore::open(&dir0, WalSync::Always).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    assert!(store.commit_ticket(seq).is_none());
-    // Sync off: durability is not promised, no tickets either.
+    // Sync off: durability is not promised, no tickets.
     let dir_off = tmp_dir("ticket-gate-off");
-    let (mut store, _) = ShardStore::open_tuned(&dir_off, WalSync::Off, windowed(window)).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    assert!(store.commit_ticket(seq).is_none());
+    let (mut store, _) =
+        ShardStore::open_tuned(&dir_off, WalSync::Off, windowed(Duration::from_micros(100)))
+            .unwrap();
+    store.stage(WalOp::Get, ClipId::new(1), 0).unwrap();
+    assert!(store.commit().unwrap().is_none());
+}
+
+#[test]
+fn staged_frames_reach_the_segment_in_one_commit_and_one_fsync() {
+    let dir = tmp_dir("one-commit");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Always).unwrap();
+    let len = || std::fs::metadata(seg1(&dir)).unwrap().len();
+    let empty = len();
+    for clip in 1..=8u32 {
+        assert_eq!(
+            store.stage(WalOp::Get, ClipId::new(clip), 0).unwrap(),
+            clip as u64
+        );
+        assert_eq!(len(), empty, "staging writes nothing, even under always");
+    }
+    let ticket = store.commit().unwrap().expect("sync always owes an fsync");
+    assert_eq!(
+        len(),
+        empty + 8 * FRAME_BYTES as u64,
+        "one commit writes all 8"
+    );
+    assert_eq!(
+        store.queue.lock().durable,
+        0,
+        "nothing fsynced before the wait"
+    );
+    ticket.wait().unwrap();
+    assert_eq!(
+        store.queue.lock().durable,
+        8,
+        "one wait makes all 8 durable"
+    );
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.records.len(), 8);
 }
 
 #[test]
@@ -883,12 +919,12 @@ fn concurrent_appends_ride_one_batched_fsync() {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
                 for i in 0..25u32 {
-                    // Hold the lock only for the append, like the shard
-                    // does; ride the batch outside it.
+                    // Hold the lock only for the stage and commit, like
+                    // the service does; ride the batch outside it.
                     let ticket = {
                         let mut s = store.lock().unwrap();
-                        let seq = s.append(WalOp::Get, ClipId::new(t * 25 + i + 1)).unwrap();
-                        s.commit_ticket(seq).expect("group commit is on")
+                        s.stage(WalOp::Get, ClipId::new(t * 25 + i + 1), 0).unwrap();
+                        s.commit().unwrap().expect("sync always owes an fsync")
                     };
                     ticket.wait().expect("batched fsync lands");
                 }
@@ -906,22 +942,21 @@ fn concurrent_appends_ride_one_batched_fsync() {
 
 #[test]
 fn rewinds_and_kills_wake_pending_tickets_with_errors() {
-    let window = Duration::from_secs(5); // longer than the test: only
-                                         // explicit wakeups end a wait
+    let window = Duration::from_secs(5);
     let dir = tmp_dir("ticket-rewind");
     let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Always, windowed(window)).unwrap();
     let mut ckpt = sample_checkpoint();
     ckpt.seq = 0;
     store.checkpoint(&ckpt).unwrap();
-    let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    let ticket = store.commit_ticket(seq).unwrap();
+    store.stage(WalOp::Get, ClipId::new(1), 0).unwrap();
+    let ticket = store.commit().unwrap().unwrap();
     store.rewind_to_checkpoint().unwrap();
     // The record the ticket covered was discarded; waiting must error,
     // not hang and not claim durability.
     assert!(matches!(ticket.wait(), Err(PersistError::Io(_))));
     // A killed store wakes riders with an error too.
-    let seq = store.append(WalOp::Get, ClipId::new(2)).unwrap();
-    let ticket = store.commit_ticket(seq).unwrap();
+    store.stage(WalOp::Get, ClipId::new(2), 0).unwrap();
+    let ticket = store.commit().unwrap().unwrap();
     store.kill();
     assert!(matches!(ticket.wait(), Err(PersistError::Io(_))));
 }
@@ -941,10 +976,10 @@ fn crash_points_release_riders_before_dying() {
         })
         .unwrap();
         store.arm_crash(Some(CrashSpec::parse(spec).unwrap()));
-        let seq = store.append(WalOp::Get, ClipId::new(1)).unwrap();
-        let ticket = store.commit_ticket(seq).unwrap();
-        // The second append triggers the crash point...
-        let _ = store.append(WalOp::Get, ClipId::new(2));
+        store.stage(WalOp::Get, ClipId::new(1), 0).unwrap();
+        let ticket = store.commit().unwrap().unwrap();
+        // The second stage triggers the crash point...
+        let _ = store.stage(WalOp::Get, ClipId::new(2), 0);
         // ...whose fsync (full or partial) made record 1 durable.
         ticket
             .wait()

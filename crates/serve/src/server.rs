@@ -28,15 +28,16 @@
 //! ## Durable batches
 //!
 //! The requests executed from one drain of a connection's input form a
-//! batch. On a durable service under `--wal-sync off` each logged
-//! request only stages its WAL frame in its shard's store; once the
-//! batch has run, the loop writes each touched shard's frames with one
-//! `write`, and only then moves the batch's replies into the
-//! connection's output buffer — no reply leaves before its frame is in
-//! the OS. If a shard's write fails, the store dies and every reply of
-//! the batch that rests on that shard is re-encoded as an `ERR`. A
-//! memory-only service stages nothing, so its batches end without
-//! locking a shard.
+//! batch. On a durable service each logged request only stages its WAL
+//! frame in its shard's store; once the batch has run, the loop writes
+//! each touched shard's frames with one `write` — under
+//! `--wal-sync always` then waits, outside the shard lock, for the one
+//! fsync covering them — and only then moves the batch's replies into
+//! the connection's output buffer. No reply leaves before its frame is
+//! in the OS (and, under `always`, on disk). If a shard's write or
+//! fsync fails, every reply of the batch that rests on that shard is
+//! re-encoded as an `ERR`. A memory-only service stages nothing, so its
+//! batches end without locking a shard.
 //!
 //! ## Resilience
 //!
@@ -791,10 +792,11 @@ impl EventLoop {
 
 impl Node {
     /// End the batch whose replies are encoded in `out`: write the WAL
-    /// frames it staged, one `write` per touched shard. If a shard's
-    /// write failed, every reply resting on an access to that shard is
-    /// re-encoded as an `ERR` naming the failure — nothing is
-    /// acknowledged that did not reach the OS.
+    /// frames it staged, one `write` (and under `--wal-sync always` one
+    /// fsync) per touched shard. If a shard's write or fsync failed,
+    /// every reply resting on an access to that shard is re-encoded as
+    /// an `ERR` naming the failure — nothing is acknowledged that is
+    /// not as durable as the sync policy promises.
     fn end_batch(&mut self, out: &mut Vec<u8>) {
         let mut failed: Vec<(usize, String)> = Vec::new();
         self.service.write_batch(&mut self.batch, |shard, e| {

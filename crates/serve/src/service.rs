@@ -24,14 +24,15 @@
 //!
 //! ## Batched WAL writes
 //!
-//! Under `--wal-sync off` a request's WAL frame is staged in its
-//! shard's store, not written on its own. The event loop runs a
-//! connection's buffered requests as one batch, then writes each
-//! touched shard's frames with one `write` before any reply of the
-//! batch is sent. The in-process [`get`](CacheService::get),
+//! A request's WAL frame is staged in its shard's store, not written
+//! on its own. The event loop runs a connection's buffered requests as
+//! one batch, then writes each touched shard's frames with one `write`
+//! before any reply of the batch is sent; under `--wal-sync always` it
+//! then waits, outside that shard's lock, for the one fsync covering
+//! them. The in-process [`get`](CacheService::get),
 //! [`get_range`](CacheService::get_range) and
 //! [`admit`](CacheService::admit) are one-request batches: the frame is
-//! written before the call returns.
+//! written (and fsynced) before the call returns.
 //!
 //! ## Background checkpoints
 //!
@@ -337,27 +338,29 @@ impl CacheService {
     /// it left staged are recorded in `batch` for
     /// [`write_batch`](Self::write_batch), or — with no batch, a
     /// one-request batch — written before the lock is released. Under
-    /// group commit the ticket is waited on after the lock is released,
-    /// so concurrent requests on the shard ride one batched fsync.
+    /// `--wal-sync always` the write's ticket is waited on after the
+    /// lock is released, so concurrent requests on the shard ride one
+    /// batched fsync.
     fn on_shard<T>(
         &self,
         clip: ClipId,
         batch: Option<&mut WalBatch>,
-        op: impl FnOnce(&mut Shard) -> Result<(T, Option<CommitTicket>), PersistError>,
+        op: impl FnOnce(&mut Shard) -> Result<T, PersistError>,
     ) -> Result<T, ServiceError> {
         let index = shard_of(clip, self.shards.len());
         let mut shard = self.lock_shard(index);
-        let (value, ticket) = op(&mut shard).map_err(|e| self.persist_failure(e))?;
+        let value = op(&mut shard).map_err(|e| self.persist_failure(e))?;
+        let mut ticket = None;
         if shard.wal_staged() {
             match batch {
                 Some(batch) => batch.touch(index),
-                None => shard.write_wal().map_err(|e| self.persist_failure(e))?,
+                None => ticket = shard.write_wal().map_err(|e| self.persist_failure(e))?,
             }
         }
         drop(shard);
-        if let Some(ticket) = ticket {
-            ticket.wait().map_err(|e| self.persist_failure(e))?;
-        }
+        ticket
+            .map_or(Ok(()), CommitTicket::wait)
+            .map_err(|e| self.persist_failure(e))?;
         Ok(value)
     }
 
@@ -422,18 +425,21 @@ impl CacheService {
     }
 
     /// End a batch: write each touched shard's staged WAL frames with
-    /// one `write`, locking only those shards. `failed` hears of every
-    /// shard whose write failed — the requests the batch ran there must
-    /// not be acknowledged. A memory-only service never stages, so its
-    /// batches end without locking anything.
+    /// one `write`, locking only those shards, and under
+    /// `--wal-sync always` wait for that write's fsync outside the
+    /// lock — one fsync per touched shard, not per request. `failed`
+    /// hears of every shard whose write or fsync failed — the requests
+    /// the batch ran there must not be acknowledged. A memory-only
+    /// service never stages, so its batches end without locking
+    /// anything.
     pub(crate) fn write_batch(
         &self,
         batch: &mut WalBatch,
         mut failed: impl FnMut(usize, ServiceError),
     ) {
         for index in batch.touched.drain(..) {
-            let written = self.lock_shard(index).write_wal();
-            if let Err(e) = written {
+            let ticket = self.lock_shard(index).write_wal();
+            if let Err(e) = ticket.and_then(|t| t.map_or(Ok(()), CommitTicket::wait)) {
                 failed(index, self.persist_failure(e));
             }
         }

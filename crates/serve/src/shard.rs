@@ -28,14 +28,15 @@
 //! A shard opened with a data directory ([`Shard::attach_store`], via
 //! `CacheService::open_persistent`) pairs the in-memory checkpoint with
 //! a [`ShardStore`]: every access is logged to the store's write-ahead
-//! log *before* it is applied. Under `--wal-sync off` the frame is only
-//! staged in the store; the caller writes a whole batch's frames with
-//! one [`Shard::write_wal`] before any reply of the batch is sent, so
-//! disk is never behind what a client was told. The WAL is what makes
-//! an ack durable; checkpoints only bound replay. So a checkpoint
-//! refresh takes the snapshot inline, makes it the in-memory
-//! checkpoint, and hands the encoded durable checkpoint to the
-//! service's background writer without waiting for its fsyncs
+//! log *before* it is applied. The frame is only staged in the store;
+//! the caller writes a whole batch's frames with one
+//! [`Shard::write_wal`] before any reply of the batch is sent — and
+//! under `--wal-sync always` waits on the ticket it returns, outside
+//! the shard lock — so disk is never behind what a client was told.
+//! The WAL is what makes an ack durable; checkpoints only bound
+//! replay. So a checkpoint refresh takes the snapshot inline, keeps it
+//! as the shard's checkpoint, and hands it, encoded, to the service's
+//! background writer without waiting for its fsyncs
 //! ([`ShardStore::submit_checkpoint`]). The shard learns on its next
 //! operation that the checkpoint landed and only then retires the WAL
 //! behind it; until then, and for the active segment's records at or
@@ -120,12 +121,6 @@ pub struct RangeOutcome {
     pub total: u32,
 }
 
-/// The durable-enough state a poisoned shard rebuilds from.
-struct Checkpoint {
-    snapshot: CacheSnapshot,
-    stats: HitStats,
-}
-
 /// One shard: a policy instance plus its counters, owned behind the
 /// service's per-shard mutex.
 pub struct Shard {
@@ -140,7 +135,8 @@ pub struct Shard {
     policy: PolicySpec,
     seed: u64,
     frequencies: Option<Vec<f64>>,
-    checkpoint: Checkpoint,
+    // What a poisoned shard rebuilds from; `seq` is 0 when memory-only.
+    checkpoint: DurableCheckpoint,
     // Accesses between checkpoint refreshes (the service's knob).
     checkpoint_every: u64,
     // The durable store, when the service was opened with a data dir.
@@ -167,9 +163,10 @@ impl Shard {
             checkpoint_every > 0,
             "checkpoint cadence must be at least 1"
         );
-        let checkpoint = Checkpoint {
+        let checkpoint = DurableCheckpoint {
             snapshot: CacheSnapshot::take(cache.as_ref(), policy, Timestamp::ZERO),
             stats: HitStats::new(),
+            seq: 0,
         };
         Shard {
             cache,
@@ -195,23 +192,14 @@ impl Shard {
     /// failure the cache is untouched. Before the client is told, the
     /// frame must reach the OS: if [`wal_staged`](Self::wal_staged),
     /// call [`write_wal`](Self::write_wal) (once for a whole batch of
-    /// requests is enough). Under group commit the returned
-    /// [`CommitTicket`] must be waited on *after* releasing the shard
-    /// mutex (and before acking the client), so concurrent requests can
-    /// ride the same batched fsync; `None` means no fsync is owed.
-    pub fn get(
-        &mut self,
-        clip: ClipId,
-        size: ByteSize,
-    ) -> Result<(GetOutcome, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    /// requests is enough) and wait on the ticket it returns.
+    pub fn get(&mut self, clip: ClipId, size: ByteSize) -> Result<GetOutcome, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.stage(WalOp::Get, clip, 0)?;
-            ticket = store.commit_ticket(seq);
+            store.stage(WalOp::Get, clip, 0)?;
         }
         let outcome = self.apply_get(clip, size);
         self.maybe_checkpoint()?;
-        Ok((outcome, ticket))
+        Ok(outcome)
     }
 
     /// The in-memory half of [`get`](Self::get) — also the WAL replay
@@ -255,15 +243,13 @@ impl Shard {
     /// The access still advances the clock and the policy's reference
     /// history (a warmed clip looks recently used), so `admit` is for
     /// pre-loading before measurement, not for use mid-run.
-    pub fn admit(&mut self, clip: ClipId) -> Result<(bool, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    pub fn admit(&mut self, clip: ClipId) -> Result<bool, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.stage(WalOp::Admit, clip, 0)?;
-            ticket = store.commit_ticket(seq);
+            store.stage(WalOp::Admit, clip, 0)?;
         }
         let admitted = self.apply_admit(clip);
         self.maybe_checkpoint()?;
-        Ok((admitted, ticket))
+        Ok(admitted)
     }
 
     /// The in-memory half of [`admit`](Self::admit); also the replay
@@ -288,17 +274,11 @@ impl Shard {
     ///
     /// The caller (the service) has already validated that `chunk` is in
     /// range for `clip`; this method only reads residency.
-    pub fn get_range(
-        &mut self,
-        clip: ClipId,
-        chunk: u32,
-    ) -> Result<(RangeOutcome, Option<CommitTicket>), PersistError> {
-        let mut ticket = None;
+    pub fn get_range(&mut self, clip: ClipId, chunk: u32) -> Result<RangeOutcome, PersistError> {
         if let Some(store) = &mut self.store {
-            let seq = store.stage(WalOp::GetRange, clip, chunk)?;
-            ticket = store.commit_ticket(seq);
+            store.stage(WalOp::GetRange, clip, chunk)?;
         }
-        Ok((self.apply_get_range(clip, chunk), ticket))
+        Ok(self.apply_get_range(clip, chunk))
     }
 
     /// The in-memory half of [`get_range`](Self::get_range); also the
@@ -324,30 +304,23 @@ impl Shard {
         Ok(())
     }
 
-    /// Refresh both checkpoints, handing the durable one to the store
-    /// with `write` first, so a failed hand-off leaves the in-memory
-    /// checkpoint still describing the newest checkpoint submitted.
+    /// Refresh the checkpoint, handing it to the store with `write`
+    /// first, so a failed hand-off leaves the in-memory checkpoint
+    /// still describing the newest checkpoint submitted.
     fn force_checkpoint(
         &mut self,
         write: fn(&mut ShardStore, &DurableCheckpoint) -> Result<(), PersistError>,
     ) -> Result<(), PersistError> {
-        let snapshot = CacheSnapshot::take(self.cache.as_ref(), self.policy, Timestamp(self.clock));
-        let stats = self.stats.clone();
-        self.checkpoint = match &mut self.store {
-            Some(store) => {
-                let durable = DurableCheckpoint {
-                    snapshot,
-                    stats,
-                    seq: store.next_seq() - 1,
-                };
-                write(store, &durable)?;
-                Checkpoint {
-                    snapshot: durable.snapshot,
-                    stats: durable.stats,
-                }
-            }
-            None => Checkpoint { snapshot, stats },
+        let mut ckpt = DurableCheckpoint {
+            snapshot: CacheSnapshot::take(self.cache.as_ref(), self.policy, Timestamp(self.clock)),
+            stats: self.stats.clone(),
+            seq: 0,
         };
+        if let Some(store) = &mut self.store {
+            ckpt.seq = store.next_seq() - 1;
+            write(store, &ckpt)?;
+        }
+        self.checkpoint = ckpt;
         Ok(())
     }
 
@@ -392,10 +365,7 @@ impl Shard {
             self.cache = cache;
             self.clock = tick.get();
             self.stats = ckpt.stats.clone();
-            self.checkpoint = Checkpoint {
-                snapshot: ckpt.snapshot.clone(),
-                stats: ckpt.stats.clone(),
-            };
+            self.checkpoint = ckpt.clone();
         }
         for rec in &state.records {
             if self.repo.get(rec.clip).is_none() {
@@ -444,18 +414,18 @@ impl Shard {
     }
 
     /// Whether WAL frames are staged in the attached store and not yet
-    /// written (never for a memory-only shard, nor under
-    /// `--wal-sync always`, which writes each frame as it is logged).
+    /// written (never for a memory-only shard).
     pub fn wal_staged(&self) -> bool {
         self.store.as_ref().is_some_and(ShardStore::has_staged)
     }
 
     /// Write the staged WAL frames with one `write` — what makes the
-    /// requests that staged them safe to acknowledge. A no-op when
-    /// nothing is staged; an error if the store is dead, because its
+    /// requests that staged them safe to acknowledge, once the returned
+    /// ticket (under `--wal-sync always`) has been waited on outside
+    /// the shard lock. An error if the store is dead, because its
     /// staged frames died with it. A failed write kills the store.
-    pub fn write_wal(&mut self) -> Result<(), PersistError> {
-        self.store.as_mut().map_or(Ok(()), ShardStore::write_staged)
+    pub fn write_wal(&mut self) -> Result<Option<CommitTicket>, PersistError> {
+        self.store.as_mut().map_or(Ok(None), ShardStore::commit)
     }
 
     /// Arm (or disarm) a deterministic crash point on the attached
@@ -587,9 +557,9 @@ mod tests {
     fn get_records_stats_and_ticks_clock() {
         let (repo, mut shard) = shard_with(PolicyKind::Lru, 8, ByteSize::mb(20));
         let clip = ClipId::new(3);
-        let (miss, _) = shard.get(clip, repo.size_of(clip)).unwrap();
+        let miss = shard.get(clip, repo.size_of(clip)).unwrap();
         assert!(!miss.hit && miss.admitted && miss.evictions == 0);
-        let (hit, _) = shard.get(clip, repo.size_of(clip)).unwrap();
+        let hit = shard.get(clip, repo.size_of(clip)).unwrap();
         assert!(hit.hit);
         assert_eq!(shard.stats().hits, 1);
         assert_eq!(shard.stats().misses, 1);
@@ -599,14 +569,13 @@ mod tests {
     #[test]
     fn admit_warms_without_stats() {
         let (repo, mut shard) = shard_with(PolicyKind::Lru, 8, ByteSize::mb(20));
-        assert!(shard.admit(ClipId::new(5)).unwrap().0);
+        assert!(shard.admit(ClipId::new(5)).unwrap());
         assert_eq!(shard.stats().requests(), 0);
         // The warmed clip now hits, and only the hit is counted.
         assert!(
             shard
                 .get(ClipId::new(5), repo.size_of(ClipId::new(5)))
                 .unwrap()
-                .0
                 .hit
         );
         assert_eq!(shard.stats().hits, 1);
@@ -649,7 +618,6 @@ mod tests {
             shard
                 .get(ClipId::new(1), repo.size_of(ClipId::new(1)))
                 .unwrap()
-                .0
                 .hit
         );
     }
@@ -667,7 +635,6 @@ mod tests {
             !shard
                 .get(ClipId::new(2), repo.size_of(ClipId::new(2)))
                 .unwrap()
-                .0
                 .hit
         );
     }
@@ -712,7 +679,7 @@ mod tests {
         }
         // The run's frames are staged; one write makes them durable.
         assert!(durable.wal_staged());
-        durable.write_wal().unwrap();
+        assert!(durable.write_wal().unwrap().is_none(), "no fsync owed");
         assert!(!durable.wal_staged());
         // Persistence is invisible to behavior.
         assert_eq!(durable.stats(), reference.stats());

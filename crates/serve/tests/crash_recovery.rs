@@ -24,10 +24,12 @@
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
 use clipcache_serve::{
     decode_segment, segment_file_name, serve_with, shard_of, CacheService, CrashAction, CrashSpec,
-    PersistOptions, ServerConfig, ServiceConfig, ServiceError, TcpCacheClient, WalTuning, Wire,
+    PersistOptions, ServerConfig, ServiceConfig, ServiceError, TcpCacheClient, WalSync, WalTuning,
+    Wire,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 const SEED: u64 = 41;
 const CLIPS: usize = 16;
@@ -60,7 +62,7 @@ fn open_with_crash(
     dir: &Path,
     crash: Option<&str>,
 ) -> CacheService {
-    open_tuned_with_crash(repo, config, dir, crash, WalTuning::default())
+    open_tuned_with_crash(repo, config, dir, crash, WalSync::Off, WalTuning::default())
 }
 
 fn open_tuned_with_crash(
@@ -68,11 +70,12 @@ fn open_tuned_with_crash(
     config: ServiceConfig,
     dir: &Path,
     crash: Option<&str>,
+    sync: WalSync,
     tuning: WalTuning,
 ) -> CacheService {
     let opts = PersistOptions {
         dir: dir.to_path_buf(),
-        sync: Default::default(),
+        sync,
         crash: crash.map(|s| CrashSpec::parse(s).unwrap()),
         on_crash: CrashAction::Surface,
         tuning,
@@ -548,7 +551,14 @@ fn crash_at_a_segment_boundary_loses_no_durable_record() {
         ("segment-roll:3", 3),
     ] {
         let _ = std::fs::remove_dir_all(&dir);
-        let service = open_tuned_with_crash(&repo, cfg, &dir, Some(crash), four_record_segments());
+        let service = open_tuned_with_crash(
+            &repo,
+            cfg,
+            &dir,
+            Some(crash),
+            WalSync::Off,
+            four_record_segments(),
+        );
         let completed = drive_until_crash(&service, &requests);
         let durable = 4 * n as usize;
         assert_eq!(completed, durable - 1, "{crash}: requests before death");
@@ -558,7 +568,8 @@ fn crash_at_a_segment_boundary_loses_no_durable_record() {
         ));
         drop(service);
 
-        let recovered = open_tuned_with_crash(&repo, cfg, &dir, None, four_record_segments());
+        let recovered =
+            open_tuned_with_crash(&repo, cfg, &dir, None, WalSync::Off, four_record_segments());
         assert_eq!(recovered.wal_replayed(), durable as u64, "{crash}: replay");
         assert_state_equal(
             &recovered,
@@ -589,8 +600,14 @@ fn double_recovery_of_a_multi_segment_log_is_idempotent() {
     // Crash at append 11 with four-record segments: segments 1 and 2
     // are sealed, segment 3 holds the live tail — recovery flattens a
     // genuinely multi-segment log.
-    let service =
-        open_tuned_with_crash(&repo, cfg, &dir, Some("append:11"), four_record_segments());
+    let service = open_tuned_with_crash(
+        &repo,
+        cfg,
+        &dir,
+        Some("append:11"),
+        WalSync::Off,
+        four_record_segments(),
+    );
     drive_until_crash(&service, &requests);
     drop(service);
     assert_eq!(
@@ -605,8 +622,22 @@ fn double_recovery_of_a_multi_segment_log_is_idempotent() {
 
     copy_dir(&dir, &copy_a);
     copy_dir(&dir, &copy_b);
-    let a = open_tuned_with_crash(&repo, cfg, &copy_a, None, four_record_segments());
-    let b = open_tuned_with_crash(&repo, cfg, &copy_b, None, four_record_segments());
+    let a = open_tuned_with_crash(
+        &repo,
+        cfg,
+        &copy_a,
+        None,
+        WalSync::Off,
+        four_record_segments(),
+    );
+    let b = open_tuned_with_crash(
+        &repo,
+        cfg,
+        &copy_b,
+        None,
+        WalSync::Off,
+        four_record_segments(),
+    );
     assert_eq!(a.wal_replayed(), 11);
     assert_eq!(b.wal_replayed(), 11);
     assert_state_equal(&a, &b, "two recoveries of a multi-segment log");
@@ -617,7 +648,14 @@ fn double_recovery_of_a_multi_segment_log_is_idempotent() {
 
     // And the recovered directory is a fixed point: reopening replays
     // nothing and rewrites nothing.
-    let quiet = open_tuned_with_crash(&repo, cfg, &copy_a, None, four_record_segments());
+    let quiet = open_tuned_with_crash(
+        &repo,
+        cfg,
+        &copy_a,
+        None,
+        WalSync::Off,
+        four_record_segments(),
+    );
     assert_eq!(quiet.wal_replayed(), 0);
     assert_eq!(quiet.stats().requests(), 11);
     drop(quiet);
@@ -628,9 +666,27 @@ fn double_recovery_of_a_multi_segment_log_is_idempotent() {
     }
 }
 
+/// The WAL sync modes the pipelined tear runs under: staged writes
+/// alone, and staged writes plus a group-committed fsync with the
+/// leader syncing at once or waiting up to 100 µs.
+const SYNC_MODES: [(WalSync, u64); 3] = [
+    (WalSync::Off, 0),
+    (WalSync::Always, 0),
+    (WalSync::Always, 100),
+];
+
 #[test]
 fn torn_append_mid_pipelined_window_loses_no_answered_request() {
-    let dir = scratch_dir("pipelined-torn");
+    for (sync, window_us) in SYNC_MODES {
+        torn_append_mid_pipelined_window(sync, window_us);
+    }
+}
+
+/// Tear appends mid-window under `sync` with a `window_us` commit
+/// window, then check every answered request is on disk.
+fn torn_append_mid_pipelined_window(sync: WalSync, window_us: u64) {
+    let mode = format!("{}-{window_us}", sync.spelling());
+    let dir = scratch_dir(&format!("pipelined-torn-{mode}"));
     // 4 shards of 4 MB-chunked clips, no periodic checkpoint: the WAL
     // holds every logged request. Each shard tears its 20th append.
     // Shards 0–2 take 31 requests of every window of 32, so their
@@ -644,7 +700,11 @@ fn torn_append_mid_pipelined_window_loses_no_answered_request() {
         SEED,
     )
     .with_checkpoint_every(1_000_000);
-    let service = open_with_crash(&repo, cfg, &dir, Some("torn:20"));
+    let tuning = WalTuning {
+        commit_window: Duration::from_micros(window_us),
+        ..WalTuning::default()
+    };
+    let service = open_tuned_with_crash(&repo, cfg, &dir, Some("torn:20"), sync, tuning);
     let server = serve_with(Arc::new(service), "127.0.0.1:0", ServerConfig::default())
         .expect("server binds");
     let mut client =
@@ -670,14 +730,14 @@ fn torn_append_mid_pipelined_window_loses_no_answered_request() {
                         e.to_string().starts_with("ERR "),
                         "a structured refusal: {e}"
                     );
-                    assert_ne!(shard_of(*clip, 4), 3, "shard 3 never tears");
+                    assert_ne!(shard_of(*clip, 4), 3, "{mode}: shard 3 never tears");
                     refused += 1;
                 }
             }
         }
     }
-    assert!(refused > 0, "the torn appends fired");
-    assert!(ok > 0, "requests before the tears were served");
+    assert!(refused > 0, "{mode}: the torn appends fired");
+    assert!(ok > 0, "{mode}: requests before the tears were served");
     client.quit().expect("clean disconnect");
     // The crash surfaced, so dropping the service (with the server)
     // writes nothing more.
@@ -698,13 +758,13 @@ fn torn_append_mid_pipelined_window_loses_no_answered_request() {
         }
     }
     for (clip, (&a, &l)) in answered.iter().zip(&logged).enumerate() {
-        assert!(a <= l, "clip {clip}: {a} answered, {l} on disk");
+        assert!(a <= l, "{mode} clip {clip}: {a} answered, {l} on disk");
     }
     // And reopening recovers all of them.
     let recovered = open_with_crash(&repo, cfg, &dir, None);
-    assert_eq!(recovered.wal_replayed(), records);
-    assert_eq!(recovered.stats().requests(), records);
-    assert!(records >= ok);
+    assert_eq!(recovered.wal_replayed(), records, "{mode}");
+    assert_eq!(recovered.stats().requests(), records, "{mode}");
+    assert!(records >= ok, "{mode}");
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }

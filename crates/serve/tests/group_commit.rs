@@ -7,7 +7,7 @@
 //!
 //! Also pins the determinism contract of the window itself: the batch
 //! window moves *when* fsync happens, never what is written — the same
-//! trace at `--commit-window-us 0` (the single-record path) and at a
+//! trace at `--commit-window-us 0` (the leader fsyncs at once) and at a
 //! wide window leaves byte-identical data directories.
 
 use clipcache_media::ClipId;

@@ -199,13 +199,32 @@ fn killed_server_recovers_every_acknowledged_request() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The WAL sync modes the pipelined crash test runs under: staged
+/// writes alone, and staged writes plus a group-committed fsync with
+/// the leader syncing at once or waiting up to 100 µs.
+const SYNC_MODES: [&[&str]; 3] = [
+    &["--wal-sync", "off"],
+    &["--wal-sync", "always", "--commit-window-us", "0"],
+    &["--wal-sync", "always", "--commit-window-us", "100"],
+];
+
 #[test]
 fn sigkill_between_pipelined_windows_loses_no_acknowledged_request() {
-    let dir = std::env::temp_dir().join(format!("clipcache-restart-pipe-{}", std::process::id()));
+    for (mode, sync) in SYNC_MODES.iter().enumerate() {
+        sigkill_between_pipelined_windows(mode, sync);
+    }
+}
+
+/// Three SIGKILL rounds of pipelined windows under the WAL flags `sync`.
+fn sigkill_between_pipelined_windows(mode: usize, sync: &[&str]) {
+    let dir = std::env::temp_dir().join(format!(
+        "clipcache-restart-pipe-{}-{mode}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     // 4 shards of 4 MB-chunked clips; no periodic checkpoint, so each
     // round's requests all live in the WAL the next start replays.
-    let args = [
+    let mut args = vec![
         "--shards",
         "4",
         "--clips",
@@ -215,6 +234,7 @@ fn sigkill_between_pipelined_windows_loses_no_acknowledged_request() {
         "--checkpoint-every",
         "1000000",
     ];
+    args.extend_from_slice(sync);
     const WINDOW: usize = 32;
     let mut acked = 0u64; // over every round
     let mut last_round = 0u64; // acknowledged since the last start
@@ -228,9 +248,10 @@ fn sigkill_between_pipelined_windows_loses_no_acknowledged_request() {
         let recovered = client.stats().expect("stats served");
         assert_eq!(
             recovered.wal_replayed, last_round,
-            "round {round}: the restart replays exactly what the last round acknowledged"
+            "{sync:?} round {round}: the restart replays exactly what the last round \
+             acknowledged"
         );
-        assert_eq!(recovered.stats.requests(), acked, "round {round}");
+        assert_eq!(recovered.stats.requests(), acked, "{sync:?} round {round}");
         if round == 1 {
             // The first restart is a pure WAL replay from empty, so it
             // rebuilds the exact state, not just the request count.
@@ -271,8 +292,8 @@ fn sigkill_between_pipelined_windows_loses_no_acknowledged_request() {
     let mut client =
         TcpCacheClient::connect_wire(&server.addr, None, Wire::Binary).expect("client connects");
     let recovered = client.stats().expect("stats served");
-    assert_eq!(recovered.wal_replayed, last_round);
-    assert_eq!(recovered.stats.requests(), acked);
+    assert_eq!(recovered.wal_replayed, last_round, "{sync:?}");
+    assert_eq!(recovered.stats.requests(), acked, "{sync:?}");
     client.quit().expect("clean disconnect");
     server.quit();
     let _ = std::fs::remove_dir_all(&dir);
