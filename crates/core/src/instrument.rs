@@ -109,6 +109,20 @@ impl ClipCache for InstrumentedCache {
         self.inner.resident_clips()
     }
 
+    fn partial_prefix(&self, clip: ClipId) -> u32 {
+        self.inner.partial_prefix(clip)
+    }
+
+    fn partial_clips(&self) -> Vec<(ClipId, u32)> {
+        self.inner.partial_clips()
+    }
+
+    /// Restoring a snapshot is not a request: it reaches the inner
+    /// policy uncounted.
+    fn restore_prefix(&mut self, clip: ClipId, prefix: u32, now: Timestamp) {
+        self.inner.restore_prefix(clip, prefix, now);
+    }
+
     fn inform_frequencies(&mut self, frequencies: &[f64]) {
         self.inner.inform_frequencies(frequencies);
     }
@@ -145,6 +159,7 @@ impl ClipCache for InstrumentedCache {
 mod tests {
     use super::*;
     use crate::registry::PolicyKind;
+    use crate::snapshot::CacheSnapshot;
     use clipcache_media::paper;
     use std::sync::Arc;
 
@@ -214,5 +229,30 @@ mod tests {
         }
         assert_eq!(plain.resident_clips(), wrapped.resident_clips());
         assert_eq!(plain.used(), wrapped.used());
+
+        // A chunked policy looks chunked through the wrapper: three 8 MB
+        // clips at 1 MB chunks in 12 MB leave clip 1 as a 4-chunk prefix.
+        let repo = Arc::new(
+            paper::equi_sized_repository_of(3, ByteSize::mb(8)).with_chunk_size(ByteSize::mb(1)),
+        );
+        let mk = || PolicyKind::Lru.build(Arc::clone(&repo), ByteSize::mb(12), 1, None);
+        let mut plain = mk();
+        let mut wrapped = InstrumentedCache::new(mk(), 3);
+        for (t, id) in [1u32, 2].iter().enumerate() {
+            let a = plain.access(ClipId::new(*id), Timestamp(t as u64 + 1));
+            let b = wrapped.access(ClipId::new(*id), Timestamp(t as u64 + 1));
+            assert_eq!(a, b);
+        }
+        assert_eq!(plain.partial_clips(), vec![(ClipId::new(1), 4)]);
+        assert_eq!(plain.partial_clips(), wrapped.partial_clips());
+        assert_eq!(wrapped.partial_prefix(ClipId::new(1)), 4);
+        let snap = |c: &dyn ClipCache| CacheSnapshot::take(c, PolicyKind::Lru, Timestamp(2));
+        assert_eq!(snap(plain.as_ref()), snap(&wrapped));
+
+        // Restoring a prefix through the wrapper is exact and uncounted.
+        let mut restored = InstrumentedCache::new(mk(), 3);
+        restored.restore_prefix(ClipId::new(1), 4, Timestamp(1));
+        assert_eq!(restored.partial_clips(), vec![(ClipId::new(1), 4)]);
+        assert_eq!(restored.counters(ClipId::new(1)), ClipCounters::default());
     }
 }

@@ -24,6 +24,7 @@
 use clipcache_experiments::{
     run_experiment, ExperimentContext, FigureResult, SweepStats, ALL_EXPERIMENTS,
 };
+use clipcache_serve::cli::parse_u64;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,16 +34,6 @@ struct Args {
     out: Option<PathBuf>,
     experiments: Vec<String>,
     custom: Option<String>,
-}
-
-/// Parse a seed as decimal or `0x`-prefixed hex (CI passes `0x5EED2007`).
-fn parse_u64(v: &str) -> Result<u64, String> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| e.to_string()),
-        None => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string()),
-    }
 }
 
 fn parse_args() -> Result<Args, String> {

@@ -11,6 +11,13 @@
 //!         [--peer-faults spec] [--kill-span node:from:to]
 //! ```
 //!
+//! The flags `loadgen` shares with `serve` (`--policy`, `--shards`,
+//! `--clips`, `--ratio`, `--chunk-size`, `--seed`, `--data-dir`,
+//! `--wal-sync`, `--commit-window-us`, `--segment-bytes`, `--peers`,
+//! `--replication`) are parsed, defaulted and turned into a service in
+//! [`clipcache_serve::cli`]; this file holds the load, chaos and
+//! harness flags.
+//!
 //! Replays a seeded Zipf trace from `--clients` closed-loop threads
 //! against the in-process service (`--target inproc`, the default) or a
 //! running `serve` front-end, then reports hit rate, throughput and
@@ -69,11 +76,10 @@
 //! store's deterministic crash point; the process exits 137 when it
 //! fires, exactly like `serve --crash-at`.
 
-use clipcache_media::paper;
+use clipcache_serve::cli::{parse_u64, ServiceFlags};
 use clipcache_serve::{
-    run_load_with, serial_baseline, CacheService, ClusterHarness, ClusterRoute, CrashAction,
-    FaultPlan, LoadOptions, PeerFaults, PersistOptions, RetryPolicy, ServiceConfig, Target,
-    WalSync, WalTuning, Wire,
+    run_load_with, serial_baseline, CacheService, ClusterHarness, ClusterRoute, FaultPlan,
+    LoadOptions, PeerFaults, RetryPolicy, ServiceConfig, Target, Wire,
 };
 use clipcache_workload::{RequestGenerator, Trace};
 use std::process::ExitCode;
@@ -82,67 +88,37 @@ use std::time::Duration;
 
 struct Args {
     target: String,
-    policy: clipcache_core::PolicySpec,
-    shards: usize,
+    service: ServiceFlags,
     clients: usize,
     requests: u64,
-    clips: usize,
     theta: f64,
-    ratio: f64,
-    chunk_mb: u64,
-    seed: u64,
     check_serial: Option<f64>,
     faults: Option<FaultPlan>,
     retry: RetryPolicy,
     chaos_report: Option<String>,
-    data_dir: Option<std::path::PathBuf>,
-    wal_sync: WalSync,
-    tuning: WalTuning,
     wire: Wire,
     pipeline: usize,
-    peers: Vec<String>,
     cluster_nodes: Option<usize>,
-    replication: usize,
     peer_faults: Option<FaultPlan>,
     /// Deterministic harness kill/revive windows: `(node, from, to)`
     /// kills `node` before request `from` and revives it before `to`.
     kill_spans: Vec<(usize, u64, u64)>,
 }
 
-/// Parse a seed as decimal or `0x`-prefixed hex (matches `repro`).
-fn parse_u64(v: &str) -> Result<u64, String> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| e.to_string()),
-        None => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string()),
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         target: "inproc".into(),
-        policy: clipcache_core::PolicyKind::Lru.into(),
-        shards: 4,
+        service: ServiceFlags::default(),
         clients: 4,
         requests: 100_000,
-        clips: 100,
         theta: 0.27,
-        ratio: 0.25,
-        chunk_mb: 0,
-        seed: 0x5EED_2007,
         check_serial: None,
         faults: None,
         retry: RetryPolicy::default(),
         chaos_report: None,
-        data_dir: None,
-        wal_sync: WalSync::default(),
-        tuning: WalTuning::default(),
         wire: Wire::Text,
         pipeline: 1,
-        peers: Vec::new(),
         cluster_nodes: None,
-        replication: 1,
         peer_faults: None,
         kill_spans: Vec::new(),
     };
@@ -150,17 +126,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--target" => args.target = argv.next().ok_or("--target needs inproc or host:port")?,
-            "--policy" => {
-                let v = argv.next().ok_or("--policy needs a spec")?;
-                args.policy = v.parse()?;
-            }
-            "--shards" => {
-                let v = argv.next().ok_or("--shards needs a count")?;
-                args.shards = v.parse().map_err(|e| format!("bad --shards: {e}"))?;
-                if args.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             "--clients" => {
                 let v = argv.next().ok_or("--clients needs a count")?;
                 args.clients = v.parse().map_err(|e| format!("bad --clients: {e}"))?;
@@ -172,27 +137,9 @@ fn parse_args() -> Result<Args, String> {
                 let v = argv.next().ok_or("--requests needs a count")?;
                 args.requests = v.parse().map_err(|e| format!("bad --requests: {e}"))?;
             }
-            "--clips" => {
-                let v = argv.next().ok_or("--clips needs a count")?;
-                args.clips = v.parse().map_err(|e| format!("bad --clips: {e}"))?;
-            }
             "--theta" => {
                 let v = argv.next().ok_or("--theta needs a value")?;
                 args.theta = v.parse().map_err(|e| format!("bad --theta: {e}"))?;
-            }
-            "--ratio" => {
-                let v = argv.next().ok_or("--ratio needs a fraction")?;
-                args.ratio = v.parse().map_err(|e| format!("bad --ratio: {e}"))?;
-            }
-            "--chunk-size" => {
-                let v = argv
-                    .next()
-                    .ok_or("--chunk-size needs megabytes (0 = whole-clip)")?;
-                args.chunk_mb = v.parse().map_err(|e| format!("bad --chunk-size: {e}"))?;
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                args.seed = parse_u64(&v).map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--check-serial" => {
                 let v = argv.next().ok_or("--check-serial needs a tolerance")?;
@@ -248,31 +195,6 @@ fn parse_args() -> Result<Args, String> {
             "--chaos-report" => {
                 args.chaos_report = Some(argv.next().ok_or("--chaos-report needs a path or -")?);
             }
-            "--data-dir" => {
-                let v = argv.next().ok_or("--data-dir needs a path")?;
-                args.data_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--wal-sync" => {
-                let v = argv.next().ok_or("--wal-sync needs always or off")?;
-                args.wal_sync = WalSync::parse(&v)?;
-            }
-            "--commit-window-us" => {
-                let v = argv
-                    .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync at once)")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --commit-window-us: {e}"))?;
-                args.tuning.commit_window = Duration::from_micros(us);
-            }
-            "--segment-bytes" => {
-                let v = argv.next().ok_or("--segment-bytes needs a byte count")?;
-                let n: u64 = v.parse().map_err(|e| format!("bad --segment-bytes: {e}"))?;
-                if n == 0 {
-                    return Err("--segment-bytes must be at least 1".into());
-                }
-                args.tuning.segment_bytes = n;
-            }
             "--wire" => {
                 let v = argv.next().ok_or("--wire needs text or binary")?;
                 args.wire = v.parse()?;
@@ -284,19 +206,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--pipeline must be at least 1".into());
                 }
             }
-            "--peers" => {
-                let v = argv
-                    .next()
-                    .ok_or("--peers needs a comma-separated address list")?;
-                args.peers = v
-                    .split(',')
-                    .map(|a| a.trim().to_string())
-                    .filter(|a| !a.is_empty())
-                    .collect();
-                if args.peers.is_empty() {
-                    return Err("--peers needs at least one address".into());
-                }
-            }
             "--cluster-nodes" => {
                 let v = argv.next().ok_or("--cluster-nodes needs a count")?;
                 let n: usize = v.parse().map_err(|e| format!("bad --cluster-nodes: {e}"))?;
@@ -304,13 +213,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--cluster-nodes must be at least 1".into());
                 }
                 args.cluster_nodes = Some(n);
-            }
-            "--replication" => {
-                let v = argv.next().ok_or("--replication needs a count")?;
-                args.replication = v.parse().map_err(|e| format!("bad --replication: {e}"))?;
-                if args.replication == 0 {
-                    return Err("--replication must be at least 1".into());
-                }
             }
             "--peer-faults" => {
                 let v = argv
@@ -355,39 +257,40 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument {other}")),
+            other => {
+                if !args.service.parse(other, &mut argv)? {
+                    return Err(format!("unknown argument {other}"));
+                }
+            }
         }
     }
-    if args.data_dir.is_some() && args.target != "inproc" {
+    let service = &args.service;
+    if service.data_dir.is_some() && args.target != "inproc" {
         return Err(
             "--data-dir only applies to --target inproc (persist the server instead)".into(),
         );
     }
-    if args.tuning != WalTuning::default() && args.data_dir.is_none() {
-        return Err(
-            "--commit-window-us / --segment-bytes need --data-dir (they tune the WAL)".into(),
-        );
-    }
-    if !args.peers.is_empty() && args.cluster_nodes.is_some() {
+    service.check_wal_tuning()?;
+    if !service.peers.is_empty() && args.cluster_nodes.is_some() {
         return Err("--peers (TCP cluster) and --cluster-nodes (in-process) are exclusive".into());
     }
-    if !args.peers.is_empty() && args.target != "inproc" {
+    if !service.peers.is_empty() && args.target != "inproc" {
         return Err("--peers replaces --target; drop the --target flag".into());
     }
-    let members = if !args.peers.is_empty() {
-        Some(args.peers.len())
+    let members = if !service.peers.is_empty() {
+        Some(service.peers.len())
     } else {
         args.cluster_nodes
     };
     match members {
-        Some(n) if args.replication > n => {
+        Some(n) if service.replication > n => {
             return Err(format!(
                 "--replication {} exceeds the {n} cluster member(s)",
-                args.replication
+                service.replication
             ));
         }
         None => {
-            if args.replication != 1 {
+            if service.replication != 1 {
                 return Err("--replication needs --peers or --cluster-nodes".into());
             }
             if args.peer_faults.is_some() {
@@ -420,7 +323,7 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     if members.is_some() {
-        if args.data_dir.is_some() {
+        if service.data_dir.is_some() {
             return Err("--data-dir does not apply to cluster targets".into());
         }
         if args.pipeline > 1 {
@@ -450,57 +353,33 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut repo = paper::variable_sized_repository_of(args.clips);
-    if args.chunk_mb > 0 {
-        repo = repo.with_chunk_size(clipcache_media::ByteSize::mb(args.chunk_mb));
-    }
-    let repo = Arc::new(repo);
-    let capacity = repo.cache_capacity_for_ratio(args.ratio);
+    let flags = &args.service;
+    let repo = flags.repository();
+    let config = flags.config(&repo);
+    let capacity = config.capacity;
     let trace = Trace::from_generator(RequestGenerator::new(
-        args.clips,
+        flags.clips,
         args.theta,
         0,
         args.requests,
-        args.seed,
+        flags.seed,
     ));
 
-    let config = ServiceConfig::new(args.policy, args.shards, capacity, args.seed);
     // Whether the durable service recovered prior state: server-side
     // counters then include a previous run's requests and cannot be
     // compared against this run's client-observed counters.
     let mut warm_start = false;
     let standalone_inproc =
-        args.target == "inproc" && args.peers.is_empty() && args.cluster_nodes.is_none();
+        args.target == "inproc" && flags.peers.is_empty() && args.cluster_nodes.is_none();
     let service = if standalone_inproc {
-        let built = match &args.data_dir {
-            Some(dir) => {
-                let opts = PersistOptions {
-                    dir: dir.clone(),
-                    sync: args.wal_sync,
-                    crash: args.faults.as_ref().and_then(|p| p.crash()),
-                    on_crash: CrashAction::ExitProcess,
-                    tuning: args.tuning,
-                };
-                CacheService::open_persistent(Arc::clone(&repo), config, None, &opts)
-                    .map(|(s, report)| {
-                        warm_start = report.checkpoints_loaded > 0 || report.replayed > 0;
-                        println!(
-                            "recovered {} (checkpoints={} wal_replayed={} torn_bytes_dropped={})",
-                            dir.display(),
-                            report.checkpoints_loaded,
-                            report.replayed,
-                            report.torn_bytes_dropped
-                        );
-                        s
-                    })
-                    .map_err(|e| e.to_string())
+        let crash = args.faults.as_ref().and_then(|p| p.crash());
+        match flags.open(&repo, config, crash) {
+            Ok((service, warm)) => {
+                warm_start = warm;
+                Some(service)
             }
-            None => CacheService::new(Arc::clone(&repo), config, None).map_err(|e| e.to_string()),
-        };
-        match built {
-            Ok(s) => Some(Arc::new(s)),
-            Err(e) => {
-                eprintln!("cannot build service: {e}");
+            Err(msg) => {
+                eprintln!("{msg}");
                 return ExitCode::FAILURE;
             }
         }
@@ -515,12 +394,10 @@ fn main() -> ExitCode {
         Some(n) => {
             let mut services = Vec::with_capacity(n);
             for i in 0..n {
-                let config = ServiceConfig::new(
-                    args.policy,
-                    args.shards,
-                    capacity,
-                    args.seed.wrapping_add(i as u64),
-                );
+                let config = ServiceConfig {
+                    seed: flags.seed.wrapping_add(i as u64),
+                    ..config
+                };
                 match CacheService::new(Arc::clone(&repo), config, None) {
                     Ok(s) => services.push(Arc::new(s)),
                     Err(e) => {
@@ -529,7 +406,7 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            let mut h = ClusterHarness::new(args.seed, args.replication, services);
+            let mut h = ClusterHarness::new(flags.seed, flags.replication, services);
             if let Some(plan) = &args.peer_faults {
                 h.set_faults(Some(
                     PeerFaults::new(plan.clone()).expect("validated at parse"),
@@ -545,11 +422,11 @@ fn main() -> ExitCode {
     };
     let target = if let Some(harness) = &harness {
         Target::Cluster(Arc::clone(harness))
-    } else if !args.peers.is_empty() {
+    } else if !flags.peers.is_empty() {
         Target::ClusterTcp(ClusterRoute {
-            peers: args.peers.clone(),
-            replication: args.replication,
-            seed: args.seed,
+            peers: flags.peers.clone(),
+            replication: flags.replication,
+            seed: flags.seed,
         })
     } else {
         match &service {
@@ -580,8 +457,8 @@ fn main() -> ExitCode {
         "requests={} clients={} shards={} policy={}",
         report.observed.requests(),
         report.clients,
-        args.shards,
-        args.policy.spelling()
+        flags.shards,
+        flags.policy.spelling()
     );
     println!(
         "hit_rate={:.6} byte_hit_rate={:.6} evictions={}",
@@ -647,7 +524,7 @@ fn main() -> ExitCode {
             // the client's byte split cannot see prefix refinements (the
             // server splits resident head from streamed tail and counts
             // prefix_hits). The event-level counters must still agree.
-            let agrees = if args.chunk_mb == 0 {
+            let agrees = if flags.chunk_mb == 0 {
                 server_side == report.observed
             } else {
                 server_side.hits == report.observed.hits
@@ -691,12 +568,12 @@ fn main() -> ExitCode {
     }
 
     if let Some(tol) = args.check_serial {
-        let baseline = serial_baseline(&repo, args.policy, capacity, args.seed, &trace);
+        let baseline = serial_baseline(&repo, flags.policy, capacity, flags.seed, &trace);
         if tol == 0.0 {
             // On chunked runs the authoritative bit-for-bit comparand is
             // the server-side stats (they carry the prefix byte split the
             // GET wire cannot); the client still pins the event counters.
-            let matched = match (&service, args.chunk_mb) {
+            let matched = match (&service, flags.chunk_mb) {
                 (_, 0) => report.observed == baseline,
                 (Some(s), _) => s.stats() == baseline,
                 (None, _) => {

@@ -22,8 +22,12 @@
 //! baseline's by more than `--p99-factor` (default 10× — generous
 //! because shared CI runners have noisy tails; the throughput bound is
 //! the tight one). CI runs this against `results/net/BENCH_net.json`.
+//! Writing the report and reading the baseline are shared with
+//! `walbench` ([`clipcache_serve::cli::publish_and_gate`]); this file
+//! holds the cells, the report's shape and the per-cell check.
 
 use clipcache_media::paper;
+use clipcache_serve::cli::{parse_u64, publish_and_gate};
 use clipcache_serve::{
     run_load_with, serve, CacheService, LoadOptions, ServiceConfig, Target, Wire,
 };
@@ -44,15 +48,6 @@ struct Args {
     check: Option<String>,
     tolerance: f64,
     p99_factor: f64,
-}
-
-fn parse_u64(v: &str) -> Result<u64, String> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| e.to_string()),
-        None => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string()),
-    }
 }
 
 fn parse_list(v: &str, flag: &str) -> Result<Vec<usize>, String> {
@@ -327,39 +322,10 @@ fn main() -> ExitCode {
     }
 
     let rendered = render(&args, &cells);
-    match &args.out {
-        Some(path) => {
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(baseline_path) = &args.check {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot parse baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(msg) = check(&cells, &baseline, args.tolerance, args.p99_factor) {
-            eprintln!("perf gate FAILED: {msg}");
-            return ExitCode::FAILURE;
-        }
-        println!("perf gate passed");
-    }
-    ExitCode::SUCCESS
+    publish_and_gate(
+        &rendered,
+        args.out.as_deref(),
+        args.check.as_deref(),
+        |baseline| check(&cells, baseline, args.tolerance, args.p99_factor),
+    )
 }

@@ -10,6 +10,12 @@
 //!        [--peer-connect-timeout ms] [--peer-read-timeout ms]]
 //! ```
 //!
+//! The flags `serve` shares with `loadgen` (`--policy`, `--shards`,
+//! `--clips`, `--ratio`, `--chunk-size`, `--seed`, `--data-dir`,
+//! `--wal-sync`, `--commit-window-us`, `--segment-bytes`, `--peers`,
+//! `--replication`) are parsed, defaulted and turned into a service in
+//! [`clipcache_serve::cli`]; this file holds the server's own flags.
+//!
 //! Binds, prints `listening on <addr>`, then serves the line protocol
 //! (`GET <clip>`, `STATS`, `SNAPSHOT`, `QUIT`) until stdin reaches EOF
 //! or a `quit` line arrives on stdin — the graceful-shutdown path CI
@@ -45,33 +51,19 @@
 //! never a deadlock. If `--addr` is not given, a cluster member binds
 //! its own `--peers` entry.
 
-use clipcache_media::paper;
-use clipcache_serve::{
-    serve_with, CacheService, ClusterSpec, CrashAction, CrashSpec, PersistOptions, ServerConfig,
-    ServiceConfig, WalSync, WalTuning,
-};
+use clipcache_serve::cli::ServiceFlags;
+use clipcache_serve::{serve_with, ClusterSpec, CrashSpec, ServerConfig};
 use std::io::BufRead;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
     addr: Option<String>,
-    policy: clipcache_core::PolicySpec,
-    shards: usize,
-    clips: usize,
-    ratio: f64,
-    chunk_mb: u64,
-    seed: u64,
+    service: ServiceFlags,
     server: ServerConfig,
-    data_dir: Option<std::path::PathBuf>,
-    wal_sync: WalSync,
-    tuning: WalTuning,
     checkpoint_every: Option<u64>,
     crash_at: Option<CrashSpec>,
     cluster: Option<usize>,
-    peers: Vec<String>,
-    replication: usize,
     peer_connect_timeout: Option<Duration>,
     peer_read_timeout: Option<Duration>,
 }
@@ -85,34 +77,14 @@ fn parse_timeout_ms(flag: &str, v: &str) -> Result<Duration, String> {
     Ok(Duration::from_millis(ms))
 }
 
-/// Parse a seed as decimal or `0x`-prefixed hex (matches `repro`).
-fn parse_u64(v: &str) -> Result<u64, String> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).map_err(|e| e.to_string()),
-        None => v
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string()),
-    }
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: None,
-        policy: clipcache_core::PolicyKind::Lru.into(),
-        shards: 4,
-        clips: 100,
-        ratio: 0.25,
-        chunk_mb: 0,
-        seed: 0x5EED_2007,
+        service: ServiceFlags::default(),
         server: ServerConfig::default(),
-        data_dir: None,
-        wal_sync: WalSync::default(),
-        tuning: WalTuning::default(),
         checkpoint_every: None,
         crash_at: None,
         cluster: None,
-        peers: Vec::new(),
-        replication: 1,
         peer_connect_timeout: None,
         peer_read_timeout: None,
     };
@@ -120,35 +92,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--addr" => args.addr = Some(argv.next().ok_or("--addr needs host:port")?),
-            "--policy" => {
-                let v = argv.next().ok_or("--policy needs a spec")?;
-                args.policy = v.parse()?;
-            }
-            "--shards" => {
-                let v = argv.next().ok_or("--shards needs a count")?;
-                args.shards = v.parse().map_err(|e| format!("bad --shards: {e}"))?;
-                if args.shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--clips" => {
-                let v = argv.next().ok_or("--clips needs a count")?;
-                args.clips = v.parse().map_err(|e| format!("bad --clips: {e}"))?;
-            }
-            "--ratio" => {
-                let v = argv.next().ok_or("--ratio needs a fraction")?;
-                args.ratio = v.parse().map_err(|e| format!("bad --ratio: {e}"))?;
-            }
-            "--chunk-size" => {
-                let v = argv
-                    .next()
-                    .ok_or("--chunk-size needs megabytes (0 = whole-clip)")?;
-                args.chunk_mb = v.parse().map_err(|e| format!("bad --chunk-size: {e}"))?;
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                args.seed = parse_u64(&v).map_err(|e| format!("bad --seed: {e}"))?;
-            }
             "--max-conns" => {
                 let v = argv.next().ok_or("--max-conns needs a count")?;
                 let n: usize = v.parse().map_err(|e| format!("bad --max-conns: {e}"))?;
@@ -166,31 +109,6 @@ fn parse_args() -> Result<Args, String> {
                 args.server.read_timeout = Some(Duration::from_millis(ms));
             }
             "--chaos" => args.server.chaos = true,
-            "--data-dir" => {
-                let v = argv.next().ok_or("--data-dir needs a path")?;
-                args.data_dir = Some(std::path::PathBuf::from(v));
-            }
-            "--wal-sync" => {
-                let v = argv.next().ok_or("--wal-sync needs always or off")?;
-                args.wal_sync = WalSync::parse(&v)?;
-            }
-            "--commit-window-us" => {
-                let v = argv
-                    .next()
-                    .ok_or("--commit-window-us needs microseconds (0 = fsync at once)")?;
-                let us: u64 = v
-                    .parse()
-                    .map_err(|e| format!("bad --commit-window-us: {e}"))?;
-                args.tuning.commit_window = Duration::from_micros(us);
-            }
-            "--segment-bytes" => {
-                let v = argv.next().ok_or("--segment-bytes needs a byte count")?;
-                let n: u64 = v.parse().map_err(|e| format!("bad --segment-bytes: {e}"))?;
-                if n == 0 {
-                    return Err("--segment-bytes must be at least 1".into());
-                }
-                args.tuning.segment_bytes = n;
-            }
             "--checkpoint-every" => {
                 let v = argv.next().ok_or("--checkpoint-every needs a count")?;
                 let n: u64 = v
@@ -208,26 +126,6 @@ fn parse_args() -> Result<Args, String> {
             "--cluster" => {
                 let v = argv.next().ok_or("--cluster needs this node's index")?;
                 args.cluster = Some(v.parse().map_err(|e| format!("bad --cluster: {e}"))?);
-            }
-            "--peers" => {
-                let v = argv
-                    .next()
-                    .ok_or("--peers needs a comma-separated address list")?;
-                args.peers = v
-                    .split(',')
-                    .map(|a| a.trim().to_string())
-                    .filter(|a| !a.is_empty())
-                    .collect();
-                if args.peers.is_empty() {
-                    return Err("--peers needs at least one address".into());
-                }
-            }
-            "--replication" => {
-                let v = argv.next().ok_or("--replication needs a count")?;
-                args.replication = v.parse().map_err(|e| format!("bad --replication: {e}"))?;
-                if args.replication == 0 {
-                    return Err("--replication must be at least 1".into());
-                }
             }
             "--peer-connect-timeout" => {
                 let v = argv
@@ -271,20 +169,22 @@ fn parse_args() -> Result<Args, String> {
                         .into(),
                 )
             }
-            other => return Err(format!("unknown argument {other}")),
+            other => {
+                if !args.service.parse(other, &mut argv)? {
+                    return Err(format!("unknown argument {other}"));
+                }
+            }
         }
     }
-    if args.crash_at.is_some() && args.data_dir.is_none() {
+    let service = &args.service;
+    if args.crash_at.is_some() && service.data_dir.is_none() {
         return Err("--crash-at needs --data-dir (crash points live in the durable store)".into());
     }
-    if args.tuning != WalTuning::default() && args.data_dir.is_none() {
-        return Err(
-            "--commit-window-us / --segment-bytes need --data-dir (they tune the WAL)".into(),
-        );
-    }
+    service.check_wal_tuning()?;
     match args.cluster {
         Some(me) => {
-            let mut spec = ClusterSpec::new(args.peers.clone(), me, args.replication, args.seed)?;
+            let mut spec =
+                ClusterSpec::new(service.peers.clone(), me, service.replication, service.seed)?;
             if let Some(timeout) = args.peer_connect_timeout {
                 spec.connect_timeout = timeout;
             }
@@ -294,10 +194,10 @@ fn parse_args() -> Result<Args, String> {
             args.server.cluster = Some(spec);
         }
         None => {
-            if !args.peers.is_empty() {
+            if !service.peers.is_empty() {
                 return Err("--peers needs --cluster (this node's member index)".into());
             }
-            if args.replication != 1 {
+            if service.replication != 1 {
                 return Err("--replication needs --cluster".into());
             }
             if args.peer_connect_timeout.is_some() {
@@ -319,49 +219,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut repo = paper::variable_sized_repository_of(args.clips);
-    if args.chunk_mb > 0 {
-        repo = repo.with_chunk_size(clipcache_media::ByteSize::mb(args.chunk_mb));
-    }
-    let repo = Arc::new(repo);
-    let capacity = repo.cache_capacity_for_ratio(args.ratio);
-    let mut config = ServiceConfig::new(args.policy, args.shards, capacity, args.seed);
+    let repo = args.service.repository();
+    let mut config = args.service.config(&repo);
     if let Some(every) = args.checkpoint_every {
         config = config.with_checkpoint_every(every);
     }
-    let service = match &args.data_dir {
-        Some(dir) => {
-            let opts = PersistOptions {
-                dir: dir.clone(),
-                sync: args.wal_sync,
-                crash: args.crash_at,
-                on_crash: CrashAction::ExitProcess,
-                tuning: args.tuning,
-            };
-            match CacheService::open_persistent(Arc::clone(&repo), config, None, &opts) {
-                Ok((s, report)) => {
-                    println!(
-                        "recovered {} (checkpoints={} wal_replayed={} torn_bytes_dropped={})",
-                        dir.display(),
-                        report.checkpoints_loaded,
-                        report.replayed,
-                        report.torn_bytes_dropped
-                    );
-                    Arc::new(s)
-                }
-                Err(e) => {
-                    eprintln!("cannot open data dir {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            }
+    let service = match args.service.open(&repo, config, args.crash_at) {
+        Ok((service, _)) => service,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
         }
-        None => match CacheService::new(Arc::clone(&repo), config, None) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                eprintln!("cannot build service: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
     };
     // A cluster member defaults to binding its own membership entry;
     // a standalone server keeps the ephemeral-port default.
@@ -391,10 +259,10 @@ fn main() -> ExitCode {
     println!(
         "listening on {} ({} shards, {} policy, {} clips, {} bytes)",
         handle.addr(),
-        args.shards,
-        args.policy.spelling(),
-        args.clips,
-        capacity.as_u64()
+        config.shards,
+        config.policy.spelling(),
+        args.service.clips,
+        config.capacity.as_u64()
     );
 
     // Serve until stdin closes or says quit, then drain gracefully.

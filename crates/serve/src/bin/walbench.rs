@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! walbench [--requests n] [--threads n] [--windows a,b,c]
-//!          [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n]
+//!          [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n|0xHEX]
 //!          [--out path] [--check baseline.json] [--tolerance f]
 //!          [--recovery-factor f]
 //! ```
@@ -32,11 +32,15 @@
 //! shared runners is noisy) below the committed baseline, or any
 //! recovery cell exceeds the baseline's by more than
 //! `--recovery-factor` (default 10×). CI runs this against
-//! `results/wal/BENCH_wal.json`.
+//! `results/wal/BENCH_wal.json`. Writing the report and reading the
+//! baseline are shared with `netbench`
+//! ([`clipcache_serve::cli::publish_and_gate`]); `--seed` takes decimal
+//! or `0x` hex, like every other binary.
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
+use clipcache_serve::cli::{parse_u64, publish_and_gate};
 use clipcache_serve::persist::{DurableCheckpoint, ShardStore, WalOp, WalSync, WalTuning};
 use clipcache_serve::{CacheService, PersistOptions, ServiceConfig};
 use clipcache_sim::metrics::HitStats;
@@ -117,7 +121,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => {
                 let v = argv.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|e| format!("bad --seed: {e}"))?;
+                args.seed = parse_u64(&v).map_err(|e| format!("bad --seed: {e}"))?;
             }
             "--out" => args.out = Some(argv.next().ok_or("--out needs a path")?),
             "--check" => args.check = Some(argv.next().ok_or("--check needs a baseline path")?),
@@ -140,7 +144,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: walbench [--requests n] [--threads n] [--windows a,b,c] \
-                     [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n] \
+                     [--histories a,b,c] [--segment-bytes n] [--clips n] [--seed n|0xHEX] \
                      [--out path] [--check baseline.json] [--tolerance f] \
                      [--recovery-factor f]\n\
                      Measures acked-durable throughput per --commit-window-us value \
@@ -465,45 +469,18 @@ fn main() -> ExitCode {
     }
 
     let rendered = render(&args, &commits, &recoveries);
-    match &args.out {
-        Some(path) => {
-            if let Some(parent) = std::path::Path::new(path).parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            if let Err(e) = std::fs::write(path, &rendered) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None => print!("{rendered}"),
-    }
-
-    if let Some(baseline_path) = &args.check {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let baseline = match json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("cannot parse baseline {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(msg) = check(
-            &commits,
-            &recoveries,
-            &baseline,
-            args.tolerance,
-            args.recovery_factor,
-        ) {
-            eprintln!("perf gate FAILED: {msg}");
-            return ExitCode::FAILURE;
-        }
-        println!("perf gate passed");
-    }
-    ExitCode::SUCCESS
+    publish_and_gate(
+        &rendered,
+        args.out.as_deref(),
+        args.check.as_deref(),
+        |baseline| {
+            check(
+                &commits,
+                &recoveries,
+                baseline,
+                args.tolerance,
+                args.recovery_factor,
+            )
+        },
+    )
 }

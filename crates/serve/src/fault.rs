@@ -239,16 +239,8 @@ impl FaultPlan {
                     rate = Some(r);
                 }
                 "seed" => {
-                    seed = match value
-                        .strip_prefix("0x")
-                        .or_else(|| value.strip_prefix("0X"))
-                    {
-                        Some(hex) => u64::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad fault seed '{value}'"))?,
-                        None => value
-                            .parse()
-                            .map_err(|_| format!("bad fault seed '{value}'"))?,
-                    };
+                    seed = crate::cli::parse_u64(value)
+                        .map_err(|_| format!("bad fault seed '{value}'"))?;
                 }
                 "kinds" => {
                     kinds = value

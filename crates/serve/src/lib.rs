@@ -54,6 +54,9 @@
 //!   write-all replication, and the in-process [`ClusterHarness`] the
 //!   `clusterbench` experiment and the cluster chaos golden replay —
 //!   both filling through the same [`FillEngine`].
+//! * [`cli`] — the flags `serve` and `loadgen` share, parsed once
+//!   ([`cli::ServiceFlags`]), the one hex-or-decimal [`cli::parse_u64`],
+//!   and the report-and-gate tail of `netbench` and `walbench`.
 //!
 //! **Equivalence anchor.** One shard + one client reproduces the serial
 //! simulator bit for bit: shard 0 runs the policy with the same derived
@@ -66,6 +69,7 @@
 //! retried to delivery leaves the statistics bit-identical too —
 //! `tests/chaos.rs` proves both.
 
+pub mod cli;
 pub mod client;
 pub mod cluster;
 pub mod fault;

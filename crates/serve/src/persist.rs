@@ -75,11 +75,11 @@
 //! the segments oldest-to-newest, tolerating exactly the artifacts a
 //! crash can leave and refusing everything else:
 //!
-//! * a **torn tail** — the newest segment ends mid-frame (or
-//!   mid-footer, or even mid-header), the signature of a crash during a
-//!   write. The partial bytes are truncated away and recovery proceeds
-//!   from the last complete record; the dropped byte count is reported,
-//!   never hidden.
+//! * a **torn tail** ([`SegmentEnd::Torn`]) — the newest segment ends
+//!   mid-frame (or mid-footer, or even mid-header), the signature of a
+//!   crash during a write. The partial bytes are truncated away (a torn
+//!   header is rewritten) and recovery proceeds from the last complete
+//!   record; the dropped byte count is reported, never hidden.
 //! * a **subsumed prefix** — records (or whole sealed segments) with
 //!   sequence numbers at or below the checkpoint's: the active
 //!   segment's head in the steady state, or whatever a crash between
@@ -239,11 +239,17 @@ pub fn segment_header(no: u64) -> [u8; SEGMENT_HEADER_BYTES] {
 /// CRC taken over every preceding byte *including* the mark and seq —
 /// one flipped bit anywhere in a sealed segment fails the check.
 pub fn seal_footer(segment: &[u8], last_seq: u64) -> [u8; SEGMENT_FOOTER_BYTES] {
+    let mut crc = Crc32::new();
+    crc.update(segment);
+    footer_after(crc, last_seq)
+}
+
+/// The seal footer naming `last_seq`, given the running CRC over every
+/// byte of the segment before it.
+fn footer_after(mut crc: Crc32, last_seq: u64) -> [u8; SEGMENT_FOOTER_BYTES] {
     let mut f = [0u8; SEGMENT_FOOTER_BYTES];
     f[..4].copy_from_slice(&SEAL_MARK.to_le_bytes());
     f[4..12].copy_from_slice(&last_seq.to_le_bytes());
-    let mut crc = Crc32::new();
-    crc.update(segment);
     crc.update(&f[..12]);
     f[12..].copy_from_slice(&crc.finish().to_le_bytes());
     f
@@ -316,40 +322,23 @@ impl WalRecord {
     }
 }
 
-/// How [`decode_wal`] found the end of the log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalTail {
-    /// The log ends exactly on a frame boundary.
-    Clean,
-    /// The log ends mid-frame — a crash interrupted an append. The
-    /// partial record is not replayed; `valid_bytes` is where the log
-    /// should be truncated and `dropped_bytes` what the truncation
-    /// discards.
-    Torn {
-        /// Bytes of complete, valid frames.
-        valid_bytes: u64,
-        /// Trailing bytes of the incomplete frame.
-        dropped_bytes: u64,
-    },
-}
-
-/// One step of frame decoding at `pos`.
+/// One step of frame decoding.
 enum FrameStep {
-    /// A complete, valid record; the second field is the next position.
+    /// A complete, valid record; the second field is the frame's length.
     Record(WalRecord, usize),
     /// The bytes end mid-frame: a torn write, not corruption.
     Torn,
 }
 
-/// Decode the frame starting at `pos`, validating length, CRC and
-/// payload invariants. Absolute offsets (including any segment header
-/// before the frames) land in the error messages unchanged.
-fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
-    let remaining = bytes.len() - pos;
+/// Decode the frame at the start of `bytes`, validating length, CRC and
+/// payload invariants. A corruption error names the offset 0; the
+/// caller shifts it to the frame's place in the segment.
+fn decode_frame(bytes: &[u8]) -> Result<FrameStep, PersistError> {
+    let remaining = bytes.len();
     if remaining < 4 {
         return Ok(FrameStep::Torn);
     }
-    let len_bytes = &bytes[pos..pos + 4];
+    let len_bytes = &bytes[..4];
     let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize;
     // The length field is the first thing an append writes, so a torn
     // write can truncate it but never leave it complete-and-wrong.
@@ -362,7 +351,7 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
         // chunk field). Reinterpreting it under the version-2
         // layout would shear every field, so refuse by name.
         return Err(PersistError::Corrupt {
-            offset: pos as u64,
+            offset: 0,
             reason: format!(
                 "WAL record uses the version-1 {V1_RECORD_PAYLOAD_BYTES}-byte \
                  whole-clip layout; this build reads only the version-2 \
@@ -374,7 +363,7 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
     }
     if len != RECORD_PAYLOAD_BYTES {
         return Err(PersistError::Corrupt {
-            offset: pos as u64,
+            offset: 0,
             reason: format!(
                 "WAL record length {len} is not the fixed \
                  {RECORD_PAYLOAD_BYTES}-byte layout"
@@ -386,14 +375,14 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
         // append died mid-write.
         return Ok(FrameStep::Torn);
     }
-    let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-    let payload = &bytes[pos + FRAME_HEADER_BYTES..pos + FRAME_HEADER_BYTES + len];
+    let stored_crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let payload = &bytes[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len];
     let mut crc = Crc32::new();
     crc.update(len_bytes);
     crc.update(payload);
     if crc.finish() != stored_crc {
         return Err(PersistError::Corrupt {
-            offset: pos as u64,
+            offset: 0,
             reason: "WAL record CRC mismatch".into(),
         });
     }
@@ -401,18 +390,16 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
     let clip = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
     if clip == 0 {
         return Err(PersistError::Corrupt {
-            offset: pos as u64,
+            offset: 0,
             reason: "WAL record names clip id 0".into(),
         });
     }
     let chunk = u32::from_le_bytes(payload[12..16].try_into().expect("4 bytes"));
-    let op = WalOp::from_byte(payload[16]).map_err(|reason| PersistError::Corrupt {
-        offset: pos as u64,
-        reason,
-    })?;
+    let op = WalOp::from_byte(payload[16])
+        .map_err(|reason| PersistError::Corrupt { offset: 0, reason })?;
     if op != WalOp::GetRange && chunk != 0 {
         return Err(PersistError::Corrupt {
-            offset: pos as u64,
+            offset: 0,
             reason: format!(
                 "whole-clip WAL record carries nonzero chunk {chunk} (only \
                  GETRANGE records address chunks)"
@@ -426,50 +413,28 @@ fn decode_frame(bytes: &[u8], pos: usize) -> Result<FrameStep, PersistError> {
             chunk,
             op,
         },
-        pos + FRAME_HEADER_BYTES + len,
+        FRAME_HEADER_BYTES + len,
     ))
-}
-
-/// Decode a bare WAL frame stream (no segment header) into records.
-///
-/// An *incomplete* final frame (fewer bytes than its header or declared
-/// length promises) is a torn tail: the complete prefix is returned with
-/// [`WalTail::Torn`]. A frame whose (fully present) length prefix is not
-/// the fixed record layout, whose CRC fails, or that breaks anything
-/// else is corruption and fails loudly — no record after the first
-/// invalid byte is ever returned, no valid frame is ever silently
-/// discarded as a "torn tail", and no invalid record is ever replayed.
-pub fn decode_wal(bytes: &[u8]) -> Result<(Vec<WalRecord>, WalTail), PersistError> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        match decode_frame(bytes, pos)? {
-            FrameStep::Record(record, next) => {
-                records.push(record);
-                pos = next;
-            }
-            FrameStep::Torn => {
-                return Ok((
-                    records,
-                    WalTail::Torn {
-                        valid_bytes: pos as u64,
-                        dropped_bytes: (bytes.len() - pos) as u64,
-                    },
-                ));
-            }
-        }
-    }
-    Ok((records, WalTail::Clean))
 }
 
 /// How [`decode_segment`] found the end of a segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentEnd {
-    /// No seal footer: the segment is (or was) the active one. The tail
-    /// says whether it ends on a frame boundary or mid-write; a torn
-    /// tail with `valid_bytes` shorter than the header means even the
-    /// header never finished (a crash during segment creation).
-    Unsealed(WalTail),
+    /// No seal footer, and the segment ends exactly on a frame
+    /// boundary: it is (or was) the active one.
+    Clean,
+    /// No seal footer, and the segment ends mid-write — a crash
+    /// interrupted an append, a seal or even the header. The partial
+    /// bytes are never replayed; `valid_bytes` shorter than the header
+    /// means the header itself never finished (a crash during segment
+    /// creation).
+    Torn {
+        /// Bytes of the header plus complete, valid frames: where the
+        /// segment is truncated.
+        valid_bytes: u64,
+        /// Trailing bytes the truncation discards.
+        dropped_bytes: u64,
+    },
     /// A valid seal footer: the segment is immutable and fully durable.
     Sealed {
         /// The sequence number the footer names as the segment's last.
@@ -481,11 +446,13 @@ pub enum SegmentEnd {
 ///
 /// `no` is the number the file name claims; the header must agree.
 /// Torn artifacts (short header, mid-frame tail, partial footer) come
-/// back as [`SegmentEnd::Unsealed`] with a torn tail for the caller to
-/// truncate — only ever legitimate on the *newest* segment. Everything
-/// else that fails validation is loud corruption, including a single
-/// flipped bit anywhere in a sealed segment (the footer CRC covers
-/// every byte).
+/// back as [`SegmentEnd::Torn`] for the caller to truncate — only ever
+/// legitimate on the *newest* segment. An *incomplete* final frame is
+/// torn; a complete frame whose length prefix is not the fixed record
+/// layout, whose CRC fails, or that breaks anything else is loud
+/// corruption, so no valid frame is ever silently discarded as a torn
+/// tail. So is a single flipped bit anywhere in a sealed segment (the
+/// footer CRC covers every byte).
 pub fn decode_segment(bytes: &[u8], no: u64) -> Result<(Vec<WalRecord>, SegmentEnd), PersistError> {
     let mut records = Vec::new();
     let mut buf = vec![0u8; SCAN_BUF_BYTES];
@@ -584,10 +551,10 @@ fn scan_segment(
         // The segment was created but its header never finished: a
         // crash artifact, only tolerable on the newest segment.
         return Ok(SegmentScan {
-            end: SegmentEnd::Unsealed(WalTail::Torn {
+            end: SegmentEnd::Torn {
                 valid_bytes: 0,
                 dropped_bytes: header.len() as u64,
-            }),
+            },
             records: 0,
             last_seq: 0,
             valid_len: 0,
@@ -630,13 +597,13 @@ fn scan_segment(
         let pos = w.offset;
         let bytes = w.fill(FRAME_BYTES)?;
         let remaining = bytes.len();
-        let torn = SegmentEnd::Unsealed(WalTail::Torn {
+        let torn = SegmentEnd::Torn {
             valid_bytes: pos,
             dropped_bytes: remaining as u64,
-        });
+        };
         if remaining == 0 {
             return Ok(SegmentScan {
-                end: SegmentEnd::Unsealed(WalTail::Clean),
+                end: SegmentEnd::Clean,
                 records,
                 last_seq,
                 valid_len: pos,
@@ -702,7 +669,7 @@ fn scan_segment(
         }
         // The window holds a whole frame unless the file ends first,
         // so a short frame here is a genuine torn tail.
-        match decode_frame(bytes, 0).map_err(|e| match e {
+        match decode_frame(bytes).map_err(|e| match e {
             PersistError::Corrupt { offset, reason } => PersistError::Corrupt {
                 offset: pos + offset,
                 reason,
@@ -1450,8 +1417,24 @@ struct ActiveSegment {
     records: u64,
 }
 
-/// Create segment `no` in `dir`: header written, flushed, fsynced. The
-/// handle is opened in append mode so truncation and appends compose.
+impl ActiveSegment {
+    /// Truncate the segment to its bare header, fsynced: it holds no
+    /// records any more.
+    fn reset(&mut self) -> Result<(), PersistError> {
+        self.file.set_len(SEGMENT_HEADER_BYTES as u64)?;
+        self.file.sync_data()?;
+        self.len = SEGMENT_HEADER_BYTES as u64;
+        self.crc = Crc32::new();
+        self.crc.update(&segment_header(self.no));
+        self.last_seq = 0;
+        self.records = 0;
+        Ok(())
+    }
+}
+
+/// Create segment `no` in `dir` (replacing any partial file of that
+/// name): header written, flushed, fsynced. The handle is opened in
+/// append mode so truncation and appends compose.
 fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
     let path = dir.join(segment_file_name(no));
     let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -1670,7 +1653,7 @@ impl ShardStore {
                 Ok(())
             })?;
             match scan.end {
-                SegmentEnd::Unsealed(_) if i + 1 != listed.len() => {
+                SegmentEnd::Clean | SegmentEnd::Torn { .. } if i + 1 != listed.len() => {
                     return Err(PersistError::Corrupt {
                         offset: 0,
                         reason: format!(
@@ -1687,7 +1670,7 @@ impl ShardStore {
                     subsumed_segments.push(path);
                 }
                 SegmentEnd::Sealed { last_seq } => sealed.push_back((*no, last_seq)),
-                SegmentEnd::Unsealed(_) => {}
+                SegmentEnd::Clean | SegmentEnd::Torn { .. } => {}
             }
             if i + 1 == listed.len() {
                 newest = Some((*no, path, scan));
@@ -1708,62 +1691,43 @@ impl ShardStore {
                     // deleted above; the numbering still moves forward.)
                     create_segment(dir, no + 1)?
                 }
-                SegmentEnd::Unsealed(tail) => {
+                SegmentEnd::Torn {
+                    valid_bytes,
+                    dropped_bytes,
+                } if (valid_bytes as usize) < SEGMENT_HEADER_BYTES => {
+                    // Even the header never finished (a crash during
+                    // segment creation): create the segment afresh.
+                    torn_bytes_dropped = dropped_bytes;
+                    create_segment(dir, no)?
+                }
+                end => {
                     let file = OpenOptions::new().create(true).append(true).open(path)?;
-                    let (mut len, mut crc) = (scan.valid_len, scan.crc);
-                    let (mut on_disk_records, mut on_disk_last) = (scan.records, scan.last_seq);
-                    match tail {
-                        WalTail::Torn {
-                            valid_bytes,
-                            dropped_bytes,
-                        } if (valid_bytes as usize) < SEGMENT_HEADER_BYTES => {
-                            // Even the header never finished (a crash
-                            // during segment creation): rewrite it.
-                            file.set_len(0)?;
-                            let header = segment_header(no);
-                            let mut f: &File = &file;
-                            f.write_all(&header)?;
-                            f.flush()?;
-                            file.sync_data()?;
-                            torn_bytes_dropped = dropped_bytes;
-                            len = SEGMENT_HEADER_BYTES as u64;
-                            crc = Crc32::new();
-                            crc.update(&header);
-                        }
-                        WalTail::Torn {
-                            valid_bytes,
-                            dropped_bytes,
-                        } => {
-                            // Truncate the partial record (or partial
-                            // seal footer) so the next open sees a
-                            // clean segment.
-                            file.set_len(valid_bytes)?;
-                            file.sync_data()?;
-                            torn_bytes_dropped = dropped_bytes;
-                        }
-                        WalTail::Clean if on_disk_records > 0 && on_disk_last <= ckpt_seq => {
-                            // Every record is subsumed: retire the
-                            // segment's records now. A crash during
-                            // *this* set_len only shortens a log whose
-                            // every byte the checkpoint already covers.
-                            file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-                            file.sync_data()?;
-                            on_disk_records = 0;
-                            on_disk_last = 0;
-                            len = SEGMENT_HEADER_BYTES as u64;
-                            crc = Crc32::new();
-                            crc.update(&segment_header(no));
-                        }
-                        WalTail::Clean => {}
+                    if let SegmentEnd::Torn {
+                        valid_bytes,
+                        dropped_bytes,
+                    } = end
+                    {
+                        // Truncate the partial record (or partial seal
+                        // footer) so the next open sees a clean segment.
+                        file.set_len(valid_bytes)?;
+                        file.sync_data()?;
+                        torn_bytes_dropped = dropped_bytes;
                     }
-                    ActiveSegment {
+                    let mut active = ActiveSegment {
                         file: Arc::new(file),
                         no,
-                        len,
-                        crc,
-                        last_seq: on_disk_last,
-                        records: on_disk_records,
+                        len: scan.valid_len,
+                        crc: scan.crc,
+                        last_seq: scan.last_seq,
+                        records: scan.records,
+                    };
+                    if end == SegmentEnd::Clean && scan.records > 0 && scan.last_seq <= ckpt_seq {
+                        // Every record is subsumed: retire them now. A
+                        // crash during this truncation only shortens a
+                        // log whose every byte the checkpoint covers.
+                        active.reset()?;
                     }
+                    active
                 }
             },
         };
@@ -1981,12 +1945,7 @@ impl ShardStore {
     /// `segment-roll:N` crash points fire here.
     fn roll(&mut self) -> Result<(), PersistError> {
         self.write_staged()?;
-        let mut footer = [0u8; SEGMENT_FOOTER_BYTES];
-        footer[..4].copy_from_slice(&SEAL_MARK.to_le_bytes());
-        footer[4..12].copy_from_slice(&self.active.last_seq.to_le_bytes());
-        let mut crc = self.active.crc.clone();
-        crc.update(&footer[..12]);
-        footer[12..].copy_from_slice(&crc.finish().to_le_bytes());
+        let footer = footer_after(self.active.crc.clone(), self.active.last_seq);
         if let Some(CrashSpec {
             point: CrashPoint::TornSeal(n),
         }) = self.crash
@@ -2203,13 +2162,7 @@ impl ShardStore {
             self.sealed.pop_front();
         }
         if self.active.records > 0 && self.active.last_seq <= seq {
-            self.active.file.set_len(SEGMENT_HEADER_BYTES as u64)?;
-            self.active.file.sync_data()?;
-            self.active.len = SEGMENT_HEADER_BYTES as u64;
-            self.active.crc = Crc32::new();
-            self.active.crc.update(&segment_header(self.active.no));
-            self.active.last_seq = 0;
-            self.active.records = 0;
+            self.active.reset()?;
         }
         Ok(())
     }

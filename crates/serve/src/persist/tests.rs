@@ -19,6 +19,16 @@ fn record(seq: u64, clip: u32, op: WalOp) -> WalRecord {
     }
 }
 
+/// `frames` as the body of segment 1, behind its header.
+fn segment_of(frames: &[u8]) -> Vec<u8> {
+    let mut segment = segment_header(1).to_vec();
+    segment.extend_from_slice(frames);
+    segment
+}
+
+/// Offset of the first frame in a segment.
+const BODY: u64 = SEGMENT_HEADER_BYTES as u64;
+
 fn range_record(seq: u64, clip: u32, chunk: u32) -> WalRecord {
     WalRecord {
         seq,
@@ -85,10 +95,13 @@ fn records_round_trip_through_the_frame() {
     for r in &recs {
         log.extend_from_slice(&r.encode());
     }
-    let (decoded, tail) = decode_wal(&log).unwrap();
+    let (decoded, end) = decode_segment(&segment_of(&log), 1).unwrap();
     assert_eq!(decoded, recs);
-    assert_eq!(tail, WalTail::Clean);
-    assert_eq!(decode_wal(&[]).unwrap(), (vec![], WalTail::Clean));
+    assert_eq!(end, SegmentEnd::Clean);
+    assert_eq!(
+        decode_segment(&segment_of(&[]), 1).unwrap(),
+        (vec![], SegmentEnd::Clean)
+    );
 }
 
 #[test]
@@ -108,9 +121,9 @@ fn v1_records_are_rejected_by_name() {
     frame.extend_from_slice(&len);
     frame.extend_from_slice(&crc.finish().to_le_bytes());
     frame.extend_from_slice(&payload);
-    match decode_wal(&frame) {
+    match decode_segment(&segment_of(&frame), 1) {
         Err(PersistError::Corrupt { offset, reason }) => {
-            assert_eq!(offset, 0);
+            assert_eq!(offset, BODY);
             assert!(reason.contains("version-1"), "names the version: {reason}");
             assert!(reason.contains("13-byte"), "names the layout: {reason}");
         }
@@ -122,7 +135,7 @@ fn v1_records_are_rejected_by_name() {
 fn whole_clip_records_with_nonzero_chunk_are_corrupt() {
     let mut forged = record(1, 3, WalOp::Get);
     forged.chunk = 5;
-    match decode_wal(&forged.encode()) {
+    match decode_segment(&segment_of(&forged.encode()), 1) {
         Err(PersistError::Corrupt { reason, .. }) => {
             assert!(reason.contains("nonzero chunk"), "{reason}");
         }
@@ -137,12 +150,12 @@ fn torn_tail_is_truncated_not_replayed() {
     for cut in 1..torn.len() {
         let mut log = full.to_vec();
         log.extend_from_slice(&torn[..cut]);
-        let (decoded, tail) = decode_wal(&log).unwrap();
+        let (decoded, end) = decode_segment(&segment_of(&log), 1).unwrap();
         assert_eq!(decoded.len(), 1, "cut at {cut} must keep the valid prefix");
         assert_eq!(
-            tail,
-            WalTail::Torn {
-                valid_bytes: full.len() as u64,
+            end,
+            SegmentEnd::Torn {
+                valid_bytes: BODY + full.len() as u64,
                 dropped_bytes: cut as u64,
             },
             "cut at {cut}"
@@ -160,15 +173,15 @@ fn mid_log_corruption_is_loud() {
     let frame = FRAME_HEADER_BYTES + RECORD_PAYLOAD_BYTES;
     let mut corrupt = log.clone();
     corrupt[frame + FRAME_HEADER_BYTES + 2] ^= 0x10;
-    match decode_wal(&corrupt) {
-        Err(PersistError::Corrupt { offset, .. }) => assert_eq!(offset, frame as u64),
+    match decode_segment(&segment_of(&corrupt), 1) {
+        Err(PersistError::Corrupt { offset, .. }) => assert_eq!(offset, BODY + frame as u64),
         other => panic!("corruption must be loud, got {other:?}"),
     }
     // Flip a CRC bit: same refusal.
     let mut bad_crc = log;
     bad_crc[frame + 5] ^= 0x01;
     assert!(matches!(
-        decode_wal(&bad_crc),
+        decode_segment(&segment_of(&bad_crc), 1),
         Err(PersistError::Corrupt { .. })
     ));
 }
@@ -465,8 +478,8 @@ fn inflated_length_prefix_is_corruption_not_a_torn_tail() {
     // swallowed as a "torn tail".
     let mut corrupt = log.clone();
     corrupt[frame + 1] ^= 0x10;
-    match decode_wal(&corrupt) {
-        Err(PersistError::Corrupt { offset, .. }) => assert_eq!(offset, frame as u64),
+    match decode_segment(&segment_of(&corrupt), 1) {
+        Err(PersistError::Corrupt { offset, .. }) => assert_eq!(offset, BODY + frame as u64),
         other => panic!("bad length must be loud, got {other:?}"),
     }
     // Same for the final frame, and for a deflated length: the
@@ -475,7 +488,7 @@ fn inflated_length_prefix_is_corruption_not_a_torn_tail() {
     let mut tail = log.clone();
     tail[2 * frame] ^= 0x02;
     assert!(matches!(
-        decode_wal(&tail),
+        decode_segment(&segment_of(&tail), 1),
         Err(PersistError::Corrupt { .. })
     ));
 }
@@ -603,11 +616,11 @@ fn sealed_and_unsealed_segments_decode_round_trip() {
     let unsealed = &sealed[..sealed.len() - SEGMENT_FOOTER_BYTES];
     let (decoded, end) = decode_segment(unsealed, 3).unwrap();
     assert_eq!(decoded, recs);
-    assert_eq!(end, SegmentEnd::Unsealed(WalTail::Clean));
+    assert_eq!(end, SegmentEnd::Clean);
     // A bare header is a clean, empty segment.
     let (decoded, end) = decode_segment(&segment_header(3), 3).unwrap();
     assert!(decoded.is_empty());
-    assert_eq!(end, SegmentEnd::Unsealed(WalTail::Clean));
+    assert_eq!(end, SegmentEnd::Clean);
 }
 
 #[test]
@@ -678,10 +691,10 @@ fn a_torn_seal_footer_keeps_the_records_and_stays_unsealed() {
         // the tail points at the footer start.
         assert_eq!(
             end,
-            SegmentEnd::Unsealed(WalTail::Torn {
+            SegmentEnd::Torn {
                 valid_bytes: body as u64,
                 dropped_bytes: cut as u64,
-            }),
+            },
             "cut at {cut}"
         );
     }

@@ -1,7 +1,9 @@
 //! CLI argument validation against the real `serve` and `loadgen`
 //! binaries: flag combinations the semantics cannot honor must be
 //! refused at parse time with an error that names the offending flags —
-//! never silently downgraded, never discovered mid-run.
+//! never silently downgraded, never discovered mid-run. The flags the
+//! two binaries share are parsed once, in `clipcache_serve::cli`, so
+//! each binary refuses a bad shared flag with the same message.
 
 use std::process::Command;
 
@@ -207,4 +209,35 @@ fn loadgen_refuses_kill_span_without_harness_or_serial_clients() {
         stderr.contains("--clients 1"),
         "multi-client kill spans must be refused, got: {stderr}"
     );
+}
+
+#[test]
+fn serve_and_loadgen_refuse_bad_shared_flags_alike() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--replication", "0"], "--replication must be at least 1"),
+        (
+            &["--segment-bytes", "0"],
+            "--segment-bytes must be at least 1",
+        ),
+        (&["--peers", ","], "--peers needs at least one address"),
+        (&["--seed", "zz"], "bad --seed"),
+        (&["--wal-sync", "maybe"], "--wal-sync"),
+        (&["--policy", "nope"], "nope"),
+        (&["--segment-bytes", "9"], "need --data-dir"),
+    ];
+    for (args, expected) in cases {
+        let (serve_ok, serve_err) = run_serve(args);
+        let (loadgen_ok, loadgen_err) = run_loadgen(args);
+        assert!(!serve_ok, "serve must refuse {args:?}");
+        assert!(!loadgen_ok, "loadgen must refuse {args:?}");
+        assert!(
+            serve_err.contains(expected),
+            "serve {args:?} must say {expected:?}, got: {serve_err}"
+        );
+        assert_eq!(
+            serve_err, loadgen_err,
+            "serve and loadgen must refuse {args:?} with the same message"
+        );
+    }
 }

@@ -3,12 +3,17 @@
 //! valid prefix and reports the torn bytes), and a bit-flip corpus
 //! (every single-bit corruption is either detected loudly or truncates
 //! to a valid prefix — a corrupted record is never silently replayed).
+//! Each frame stream is decoded as the body of a segment, behind its
+//! header, so offsets start at `SEGMENT_HEADER_BYTES`.
 //!
 //! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
 //! cases add random inputs on top (the vendored `proptest` is a small
 //! real runner, see `vendor/README.md`).
 
-use clipcache_serve::persist::{decode_wal, WalOp, WalRecord, WalTail};
+use clipcache_serve::persist::{
+    decode_segment, segment_header, PersistError, SegmentEnd, WalOp, WalRecord,
+    SEGMENT_HEADER_BYTES,
+};
 use proptest::prelude::*;
 
 /// Frame layout: len (4) + crc (4) + payload (8 seq + 4 clip + 4 chunk
@@ -40,6 +45,13 @@ fn log_of(records: &[WalRecord]) -> Vec<u8> {
     log
 }
 
+/// Decode a bare frame stream as the body of segment 1.
+fn decode_frames(frames: &[u8]) -> Result<(Vec<WalRecord>, SegmentEnd), PersistError> {
+    let mut segment = segment_header(1).to_vec();
+    segment.extend_from_slice(frames);
+    decode_segment(&segment, 1)
+}
+
 /// A deterministic record set hitting the field boundaries.
 fn corpus() -> Vec<WalRecord> {
     let mut records = Vec::new();
@@ -63,19 +75,19 @@ fn corpus() -> Vec<WalRecord> {
 /// leftover bytes as torn (or a clean tail on a frame boundary), and
 /// never errors — a crash can truncate, not corrupt.
 fn assert_torn_prefix(records: &[WalRecord], log: &[u8], cut: usize) {
-    let (decoded, tail) = decode_wal(&log[..cut]).unwrap_or_else(|e| {
+    let (decoded, end) = decode_frames(&log[..cut]).unwrap_or_else(|e| {
         panic!("prefix of {cut} bytes must decode, got {e}");
     });
     let whole_frames = cut / FRAME_BYTES;
     let leftover = (cut % FRAME_BYTES) as u64;
     assert_eq!(decoded, records[..whole_frames], "cut at {cut}");
     if leftover == 0 {
-        assert_eq!(tail, WalTail::Clean, "cut at {cut}");
+        assert_eq!(end, SegmentEnd::Clean, "cut at {cut}");
     } else {
         assert_eq!(
-            tail,
-            WalTail::Torn {
-                valid_bytes: (whole_frames * FRAME_BYTES) as u64,
+            end,
+            SegmentEnd::Torn {
+                valid_bytes: (SEGMENT_HEADER_BYTES + whole_frames * FRAME_BYTES) as u64,
                 dropped_bytes: leftover,
             },
             "cut at {cut}"
@@ -88,7 +100,7 @@ fn assert_torn_prefix(records: &[WalRecord], log: &[u8], cut: usize) {
 /// record whose frame was flipped (and everything after it) is dropped,
 /// never replayed with altered content.
 fn assert_flip_detected(records: &[WalRecord], corrupted: &[u8], bit: usize) {
-    match decode_wal(corrupted) {
+    match decode_frames(corrupted) {
         Err(_) => {} // detected loudly — the common case (CRC mismatch)
         Ok((decoded, _)) => {
             // A flip in a length field can make the final frame look
@@ -114,11 +126,11 @@ fn boundary_records_round_trip() {
     let records = corpus();
     let log = log_of(&records);
     assert_eq!(log.len(), records.len() * FRAME_BYTES);
-    let (decoded, tail) = decode_wal(&log).unwrap();
+    let (decoded, end) = decode_frames(&log).unwrap();
     assert_eq!(decoded, records);
-    assert_eq!(tail, WalTail::Clean);
+    assert_eq!(end, SegmentEnd::Clean);
     // The empty log is a clean, empty prefix.
-    assert_eq!(decode_wal(&[]).unwrap(), (Vec::new(), WalTail::Clean));
+    assert_eq!(decode_frames(&[]).unwrap(), (Vec::new(), SegmentEnd::Clean));
 }
 
 #[test]
@@ -149,9 +161,9 @@ proptest! {
         op_selector in 0u8..3,
     ) {
         let record = record_from(seq, clip, op_selector);
-        let (decoded, tail) = decode_wal(&record.encode()).unwrap();
+        let (decoded, end) = decode_frames(&record.encode()).unwrap();
         prop_assert_eq!(decoded, vec![record]);
-        prop_assert_eq!(tail, WalTail::Clean);
+        prop_assert_eq!(end, SegmentEnd::Clean);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
 use clipcache_serve::persist::{
     decode_segment, seal_footer, segment_file_name, segment_header, DurableCheckpoint,
-    PersistError, SegmentEnd, ShardStore, WalOp, WalRecord, WalSync, WalTail, WalTuning,
+    PersistError, SegmentEnd, ShardStore, WalOp, WalRecord, WalSync, WalTuning,
     SEGMENT_HEADER_BYTES,
 };
 use clipcache_sim::metrics::HitStats;
@@ -77,7 +77,7 @@ fn assert_round_trip(no: u64, records: &[WalRecord], sealed: bool) {
             }
         );
     } else {
-        assert_eq!(end, SegmentEnd::Unsealed(WalTail::Clean));
+        assert_eq!(end, SegmentEnd::Clean);
     }
 }
 
@@ -94,10 +94,10 @@ fn assert_truncation_recovers(records: &[WalRecord], cut: usize) {
         assert_eq!(decoded, [], "cut {cut}");
         assert_eq!(
             end,
-            SegmentEnd::Unsealed(WalTail::Torn {
+            SegmentEnd::Torn {
                 valid_bytes: 0,
                 dropped_bytes: cut as u64,
-            }),
+            },
             "cut {cut}: a torn header is a crash during segment creation"
         );
         return;
@@ -106,14 +106,14 @@ fn assert_truncation_recovers(records: &[WalRecord], cut: usize) {
     let leftover = ((cut - SEGMENT_HEADER_BYTES) % FRAME_BYTES) as u64;
     assert_eq!(decoded, records[..whole], "cut {cut}");
     if leftover == 0 {
-        assert_eq!(end, SegmentEnd::Unsealed(WalTail::Clean), "cut {cut}");
+        assert_eq!(end, SegmentEnd::Clean, "cut {cut}");
     } else {
         assert_eq!(
             end,
-            SegmentEnd::Unsealed(WalTail::Torn {
+            SegmentEnd::Torn {
                 valid_bytes: (SEGMENT_HEADER_BYTES + whole * FRAME_BYTES) as u64,
                 dropped_bytes: leftover,
-            }),
+            },
             "cut {cut}"
         );
     }
@@ -149,7 +149,7 @@ fn boundary_records_round_trip_sealed_and_unsealed() {
     let bytes = segment_of(1, &[], false);
     assert_eq!(
         decode_segment(&bytes, 1).unwrap(),
-        (Vec::new(), SegmentEnd::Unsealed(WalTail::Clean))
+        (Vec::new(), SegmentEnd::Clean)
     );
 }
 
