@@ -5,7 +5,7 @@
 //! the scored clip itself (GreedyDual family, LFU/LFU-DA, LRU/MRU/FIFO,
 //! LRU-K, SIZE, Random — see the taxonomy table in [`crate::policies`])
 //! can answer "the resident clip with the lowest priority" from this heap
-//! instead of an O(n) scan. Priorities change on every hit, so a plain
+//! instead of a linear scan over the residents. Priorities change on every hit, so a plain
 //! `BinaryHeap` would need decrease-key; instead we push a fresh entry per
 //! update and discard stale entries when they surface (each entry carries
 //! the generation at which it was pushed). This is the classic
@@ -20,7 +20,7 @@
 //! The paper's conclusion lists "tree-based data structures to minimize the
 //! complexity of identifying a victim" as planned work — this module is
 //! that structure, and `bench/eviction_scaling` compares it against the
-//! O(n) scan the reference implementations use.
+//! linear scan the reference implementations use.
 
 use clipcache_media::ClipId;
 use std::cmp::Ordering;

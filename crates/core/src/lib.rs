@@ -45,14 +45,17 @@
 //! * All randomized decisions (Random victims, GreedyDual tie-breaks) come
 //!   from a seeded [`Pcg64`], so runs are deterministic.
 //! * Victim selection runs on a pluggable [`victim_index::VictimIndex`]:
-//!   an O(n) scan (default) or a lazy min-heap, selected per policy via
+//!   a scan (default) or a lazy min-heap, selected per policy via
 //!   [`PolicySpec`] (`<policy>@heap`). The two backends make identical
-//!   eviction decisions; only the lookup cost differs.
+//!   eviction decisions; only the lookup cost differs. The scan walks a
+//!   bit set of the resident clips in id order, so it costs
+//!   O(residents + n/64) for a repository of `n` clips, not O(n).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;
+mod clip_set;
 pub mod heap;
 pub mod history;
 pub mod instrument;

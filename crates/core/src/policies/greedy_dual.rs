@@ -11,7 +11,8 @@
 //!
 //! * [`GdMode::Inflation`] — the efficient Cao–Irani version above,
 //! * [`GdMode::Naive`] — Young's original: on every eviction, subtract the
-//!   victim's priority from every resident clip (O(n) per eviction).
+//!   victim's priority from every resident clip (O(residents) per
+//!   eviction).
 //!
 //! Ties are broken uniformly at random from a seeded RNG. The paper's
 //! Section 3.3 depends on this: on an equi-sized repository every clip has
@@ -20,7 +21,7 @@
 //! cause of its poor equi-sized hit rate (Figure 3).
 //!
 //! Victim selection runs on a pluggable [`VictimIndex`]: the scan backend
-//! is the paper's O(n) baseline, and [`VictimBackend::Heap`] is the
+//! is the paper's linear baseline (over the residents), and [`VictimBackend::Heap`] is the
 //! tree-accelerated variant the paper's conclusion calls for — amortized
 //! O(log n) per eviction with decisions (including the uniform tie draw)
 //! byte-identical to the scan. [`GdMode::Naive`] rescales every resident

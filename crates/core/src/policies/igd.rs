@@ -15,9 +15,9 @@
 //! admission), exactly as in GreedyDual-Freq.
 //!
 //! Because `d₁` changes with time, priorities cannot be cached in a heap;
-//! IGD evaluates them lazily at eviction time with an O(n) scan over
-//! residents (the paper's conclusion lists a tree-based accelerator as
-//! future work).
+//! IGD evaluates them lazily at eviction time with a scan over the
+//! residents, O(residents + n/64) for `n` clips (the paper's conclusion
+//! lists a tree-based accelerator as future work).
 //!
 //! Two small normalizations (documented in DESIGN.md): `nref` counts the
 //! admitting reference (the paper's reset-to-zero would make every freshly

@@ -37,7 +37,9 @@
 //! Simple and DYNSimple share Figure 4's first pass: on a miss each
 //! resident is keyed once, and the cheapest prefix that frees enough room
 //! is taken by min-scan (sorting the remaining candidates once only when
-//! a miss displaces many residents), so a typical miss costs O(n).
+//! a miss displaces many residents), so a typical miss costs
+//! O(residents + n/64): the walk visits the resident set, not every clip
+//! slot of the repository.
 
 pub mod belady;
 pub mod block_lru_k;

@@ -2,10 +2,12 @@
 //! residents, in ascending `(key, id)` order, until the incoming clip fits.
 //!
 //! Each resident's key is computed once per miss into a reused scratch
-//! vector of `(key, clip)` pairs. A miss usually displaces one or two
-//! residents, so the prefix is taken by repeated min-scan (O(n) per
-//! victim); a prefix longer than [`MIN_SCAN_BOUND`] sorts the remaining
-//! candidates once instead, which keeps the worst case at O(n log n).
+//! vector of `(key, clip)` pairs; collecting them walks the resident set,
+//! O(residents + n/64) for `n` clips. A miss usually displaces one or two
+//! residents, so the prefix is taken by repeated min-scan (O(residents)
+//! per victim); a prefix longer than [`MIN_SCAN_BOUND`] sorts the
+//! remaining candidates once instead, which keeps the worst case at
+//! O(residents · log residents).
 //! Both steps work in place: the miss path allocates nothing once the
 //! scratch vector has reached its high-water mark.
 

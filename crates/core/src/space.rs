@@ -11,7 +11,12 @@
 //! invariant ("never keep chunk `k+1` without chunk `k`") structural: it is
 //! impossible to represent an orphaned tail chunk. Whole-clip caching is the
 //! degenerate case where every clip has exactly one chunk, so `p ∈ {0, 1}`.
+//!
+//! A `ClipSet` beside the prefix array marks the clips with any
+//! residency, so every walk over residents — victim scans, snapshots —
+//! costs O(residents + n/64), not O(n), and still runs in id order.
 
+use crate::clip_set::ClipSet;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use std::sync::Arc;
 
@@ -36,8 +41,9 @@ pub struct CacheSpace {
     prefix: Vec<u32>,
     /// Total chunk count of each clip (always ≥ 1), precomputed.
     chunks: Vec<u32>,
-    /// Clips with any residency (partial or full).
-    resident_count: usize,
+    /// Clips with any residency (partial or full): exactly the clips
+    /// whose `prefix` is non-zero.
+    resident: ClipSet,
 }
 
 impl CacheSpace {
@@ -51,7 +57,7 @@ impl CacheSpace {
             used: ByteSize::ZERO,
             prefix: vec![0; n],
             chunks,
-            resident_count: 0,
+            resident: ClipSet::new(n),
         }
     }
 
@@ -113,7 +119,7 @@ impl CacheSpace {
     /// Number of clips with any residency (partial or full).
     #[inline]
     pub fn resident_count(&self) -> usize {
-        self.resident_count
+        self.resident.len()
     }
 
     /// Size of `clip` per the repository.
@@ -155,35 +161,25 @@ impl CacheSpace {
 
     /// All **fully** resident clip ids, in id order.
     pub fn resident_ids(&self) -> Vec<ClipId> {
-        self.prefix
-            .iter()
-            .zip(self.chunks.iter())
-            .enumerate()
-            .filter(|&(_, (&p, &t))| p == t)
-            .map(|(i, _)| ClipId::from_index(i))
-            .collect()
+        self.iter_resident().filter(|&c| self.contains(c)).collect()
     }
 
-    /// Iterate clip ids with **any** residency (partial or full) without
-    /// allocating. Victim scans use this: a partially resident clip still
-    /// holds bytes and must stay evictable.
+    /// Iterate clip ids with **any** residency (partial or full), in id
+    /// order, without allocating. Victim scans use this: a partially
+    /// resident clip still holds bytes and must stay evictable.
+    ///
+    /// Walks the resident set, so a scan costs O(residents + n/64) for a
+    /// repository of `n` clips, however few of them are resident.
     pub fn iter_resident(&self) -> impl Iterator<Item = ClipId> + '_ {
-        self.prefix
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p > 0)
-            .map(|(i, _)| ClipId::from_index(i))
+        self.resident.iter()
     }
 
     /// All partially resident clips as `(clip, resident_prefix)`, in id
     /// order. Empty for whole-clip policies and unchunked repositories.
     pub fn partials(&self) -> Vec<(ClipId, u32)> {
-        self.prefix
-            .iter()
-            .zip(self.chunks.iter())
-            .enumerate()
-            .filter(|&(_, (&p, &t))| p > 0 && p < t)
-            .map(|(i, (&p, _))| (ClipId::from_index(i), p))
+        self.iter_resident()
+            .filter(|&c| !self.contains(c))
+            .map(|c| (c, self.prefix[c.index()]))
             .collect()
     }
 
@@ -204,7 +200,7 @@ impl CacheSpace {
             free = self.free()
         );
         self.prefix[clip.index()] = self.chunks[clip.index()];
-        self.resident_count += 1;
+        self.resident.insert(clip);
         self.used += size;
     }
 
@@ -230,7 +226,7 @@ impl CacheSpace {
             free = self.free()
         );
         self.prefix[clip.index()] = prefix;
-        self.resident_count += 1;
+        self.resident.insert(clip);
         self.used += bytes;
     }
 
@@ -245,7 +241,7 @@ impl CacheSpace {
         );
         self.used -= self.resident_bytes(clip);
         self.prefix[clip.index()] = 0;
-        self.resident_count -= 1;
+        self.resident.remove(clip);
     }
 
     /// Reclaim at least `deficit` bytes from `clip`'s tail: release the
@@ -281,7 +277,7 @@ impl CacheSpace {
         self.used -= ByteSize::bytes(resident - cs * keep);
         self.prefix[i] = keep as u32;
         if keep == 0 {
-            self.resident_count -= 1;
+            self.resident.remove(clip);
             true
         } else {
             false

@@ -4,9 +4,10 @@
 //! the resident clip with the smallest score". [`VictimIndex`] owns that
 //! question behind a [`VictimBackend`] switch:
 //!
-//! * [`VictimBackend::Scan`] — the O(n) linear scan the paper's reference
+//! * [`VictimBackend::Scan`] — the linear scan the paper's reference
 //!   implementations use (and the baseline every figure was recorded
-//!   with);
+//!   with). It walks only the scored clips, via a bit set in id
+//!   order, so one scan costs O(scored + n/64) for `n` clip slots;
 //! * [`VictimBackend::Heap`] — the lazy-deletion min-heap
 //!   ([`crate::heap::LazyMinHeap`]) the paper's conclusion proposes
 //!   ("tree-based data structures to minimize the complexity of
@@ -39,14 +40,17 @@
 //! since the last compaction pop). That is the documented cost of the
 //! heap backend; the scan backend allocates nothing after construction.
 
+use crate::clip_set::ClipSet;
 use crate::heap::LazyMinHeap;
 use clipcache_media::ClipId;
 use clipcache_workload::Pcg64;
+use std::cmp::Ordering;
 
 /// Which data structure answers victim queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum VictimBackend {
-    /// O(n) linear scan over resident scores (the paper's baseline).
+    /// Linear scan over the scored clips, O(scored + n/64) (the paper's
+    /// baseline).
     #[default]
     Scan,
     /// Amortized O(log n) lazy-deletion min-heap.
@@ -113,15 +117,17 @@ impl TieRule {
 /// A score index over resident clips with a pluggable backend.
 ///
 /// The index stores one score per resident clip (dense, by
-/// [`ClipId::index`]) and answers pop-the-minimum queries; under the heap
-/// backend a [`LazyMinHeap`] mirrors the scores. Scores order by
+/// [`ClipId::index`]) and answers pop-the-minimum queries; a bit set
+/// marks the scored slots for the scan backend to walk, and under the
+/// heap backend a [`LazyMinHeap`] mirrors the scores. Scores order by
 /// `(P, clip id)` so equal-score pops are deterministic and identical
 /// across backends.
 #[derive(Debug, Clone)]
 pub struct VictimIndex<P = f64> {
     scores: Vec<Option<P>>,
+    /// Exactly the clips whose `scores` slot is `Some`.
+    scored: ClipSet,
     heap: Option<LazyMinHeap<P>>,
-    live: usize,
 }
 
 impl<P: PartialOrd + Copy> VictimIndex<P> {
@@ -129,11 +135,11 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
     pub fn new(backend: VictimBackend, n_clips: usize) -> Self {
         VictimIndex {
             scores: vec![None; n_clips],
+            scored: ClipSet::new(n_clips),
             heap: match backend {
                 VictimBackend::Scan => None,
                 VictimBackend::Heap => Some(LazyMinHeap::new(n_clips)),
             },
-            live: 0,
         }
     }
 
@@ -149,13 +155,13 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
     /// Number of scored (resident) clips.
     #[inline]
     pub fn len(&self) -> usize {
-        self.live
+        self.scored.len()
     }
 
     /// True when no clips are scored.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.scored.is_empty()
     }
 
     /// Whether `clip` is currently scored.
@@ -172,9 +178,7 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
 
     /// Insert `clip` or update its score.
     pub fn upsert(&mut self, clip: ClipId, score: P) {
-        if self.scores[clip.index()].is_none() {
-            self.live += 1;
-        }
+        self.scored.insert(clip);
         self.scores[clip.index()] = Some(score);
         if let Some(heap) = &mut self.heap {
             heap.upsert(clip, score);
@@ -183,8 +187,8 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
 
     /// Drop `clip` from the index (no-op if absent).
     pub fn remove(&mut self, clip: ClipId) {
-        if self.scores[clip.index()].take().is_some() {
-            self.live -= 1;
+        if self.scored.remove(clip) {
+            self.scores[clip.index()] = None;
             if let Some(heap) = &mut self.heap {
                 heap.remove(clip);
             }
@@ -203,27 +207,10 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
     /// If the index is empty.
     pub fn peek_min(&mut self) -> (ClipId, P) {
         match &mut self.heap {
-            Some(heap) => heap
-                .peek_min()
-                .expect("eviction requested from an empty cache"),
-            None => {
-                let mut best: Option<(ClipId, P)> = None;
-                for (i, s) in self.scores.iter().enumerate() {
-                    let Some(p) = s else { continue };
-                    let better = match &best {
-                        None => true,
-                        Some((_, bp)) => {
-                            p.partial_cmp(bp).expect("scores must not be NaN")
-                                == std::cmp::Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some((ClipId::from_index(i), *p));
-                    }
-                }
-                best.expect("eviction requested from an empty cache")
-            }
+            Some(heap) => heap.peek_min(),
+            None => self.scan_min(),
         }
+        .expect("eviction requested from an empty cache")
     }
 
     /// Remove and return the clip with the smallest `(score, id)`.
@@ -232,32 +219,40 @@ impl<P: PartialOrd + Copy> VictimIndex<P> {
     /// If the index is empty.
     pub fn pop_min(&mut self) -> (ClipId, P) {
         let (clip, score) = match &mut self.heap {
-            Some(heap) => heap
-                .pop_min()
-                .expect("eviction requested from an empty cache"),
-            None => {
-                // Strictly-less keeps the first (lowest-id) minimum, the
-                // same tie-break the heap's entry order encodes.
-                let mut best: Option<(ClipId, P)> = None;
-                for (i, s) in self.scores.iter().enumerate() {
-                    let Some(p) = s else { continue };
-                    let better = match &best {
-                        None => true,
-                        Some((_, bp)) => {
-                            p.partial_cmp(bp).expect("scores must not be NaN")
-                                == std::cmp::Ordering::Less
-                        }
-                    };
-                    if better {
-                        best = Some((ClipId::from_index(i), *p));
-                    }
-                }
-                best.expect("eviction requested from an empty cache")
-            }
-        };
+            Some(heap) => heap.pop_min(),
+            None => self.scan_min(),
+        }
+        .expect("eviction requested from an empty cache");
         self.scores[clip.index()] = None;
-        self.live -= 1;
+        self.scored.remove(clip);
         (clip, score)
+    }
+
+    /// The scored clips with their scores, in ascending id order.
+    fn iter_scored(&self) -> impl Iterator<Item = (ClipId, P)> + '_ {
+        self.scored.iter().map(|clip| {
+            let score = self.scores[clip.index()].expect("scored clip has a score");
+            (clip, score)
+        })
+    }
+
+    /// The scan backend's minimum: strictly-less over the scored clips in
+    /// id order keeps the first (lowest-id) minimum, the same tie-break
+    /// the heap's entry order encodes.
+    fn scan_min(&self) -> Option<(ClipId, P)> {
+        let mut best: Option<(ClipId, P)> = None;
+        for (clip, p) in self.iter_scored() {
+            let better = match best {
+                None => true,
+                Some((_, bp)) => {
+                    p.partial_cmp(&bp).expect("scores must not be NaN") == Ordering::Less
+                }
+            };
+            if better {
+                best = Some((clip, p));
+            }
+        }
+        best
     }
 }
 
@@ -303,19 +298,17 @@ impl VictimIndex<f64> {
             }
             None => {
                 let mut min = f64::INFINITY;
-                for s in self.scores.iter().flatten() {
-                    if *s < min {
-                        min = *s;
+                for (_, p) in self.iter_scored() {
+                    if p < min {
+                        min = p;
                     }
                 }
                 let bound = rule.bound(min);
-                for (i, s) in self.scores.iter().enumerate() {
-                    if let Some(p) = s {
-                        if *p <= bound {
-                            ties.push(ClipId::from_index(i));
-                        }
-                    }
-                }
+                ties.extend(
+                    self.iter_scored()
+                        .filter(|&(_, p)| p <= bound)
+                        .map(|(clip, _)| clip),
+                );
                 min
             }
         };
@@ -336,7 +329,7 @@ impl VictimIndex<f64> {
             }
         }
         self.scores[pick.index()] = None;
-        self.live -= 1;
+        self.scored.remove(pick);
         (pick, min)
     }
 
@@ -353,7 +346,10 @@ impl VictimIndex<f64> {
             self.heap.is_none(),
             "bulk score rescaling is only supported on the scan backend"
         );
-        for s in self.scores.iter_mut().flatten() {
+        for clip in self.scored.iter() {
+            let s = self.scores[clip.index()]
+                .as_mut()
+                .expect("scored clip has a score");
             *s = f(*s);
         }
     }
@@ -372,6 +368,16 @@ mod tests {
         rel_eps: 1e-9,
         rng_on_single: false,
     };
+
+    /// The scored set is exactly the dense slots holding a score.
+    fn assert_scored_matches_scores<P: PartialOrd + Copy>(ix: &VictimIndex<P>) {
+        let dense: Vec<ClipId> = (0..ix.scores.len())
+            .filter(|&i| ix.scores[i].is_some())
+            .map(ClipId::from_index)
+            .collect();
+        assert_eq!(ix.scored.iter().collect::<Vec<_>>(), dense);
+        assert_eq!(ix.len(), dense.len());
+    }
 
     #[test]
     fn pop_min_orders_by_score_then_id() {
@@ -507,6 +513,8 @@ mod tests {
                 }
             }
             assert_eq!(scan.len(), heap.len());
+            assert_scored_matches_scores(&scan);
+            assert_scored_matches_scores(&heap);
         }
     }
 
@@ -536,6 +544,49 @@ mod tests {
                     }
                 }
                 assert_eq!(peeked.len(), popped.len());
+                assert_scored_matches_scores(&peeked);
+            }
+        }
+    }
+
+    /// Equal scores straddling the scored set's word boundaries (indices
+    /// 62–65 and 128), plus a cheaper-than-nothing decoy pair at 0 and 129.
+    fn word_straddling_ties(backend: VictimBackend) -> VictimIndex<f64> {
+        let mut ix = VictimIndex::new(backend, 130);
+        for i in [128, 65, 64, 63, 62] {
+            ix.upsert(ClipId::from_index(i), 2.0);
+        }
+        ix.upsert(ClipId::from_index(0), 3.0);
+        ix.upsert(ClipId::from_index(129), 3.0);
+        ix
+    }
+
+    #[test]
+    fn ties_across_words_pop_lowest_id() {
+        for backend in [VictimBackend::Scan, VictimBackend::Heap] {
+            let mut ix = word_straddling_ties(backend);
+            let order: Vec<usize> = (0..7).map(|_| ix.pop_min().0.index()).collect();
+            assert_eq!(order, [62, 63, 64, 65, 128, 0, 129], "{backend}");
+        }
+    }
+
+    #[test]
+    fn ties_across_words_draw_the_same_clip() {
+        let tied = [62, 63, 64, 65, 128];
+        for rule in [TieRule::EXACT, GD_RULE] {
+            for seed in 0..16 {
+                let mut twin = Pcg64::seed_from_u64(seed);
+                let want = tied[twin.next_index(tied.len())];
+                let next = twin.next_u64();
+                for backend in [VictimBackend::Scan, VictimBackend::Heap] {
+                    let mut ix = word_straddling_ties(backend);
+                    let mut rng = Pcg64::seed_from_u64(seed);
+                    let (pick, min) = ix.pop_min_tied(rule, &mut rng, &mut Vec::new());
+                    assert_eq!((pick.index(), min), (want, 2.0), "{backend} {rule:?}");
+                    // Same stream consumption: one draw.
+                    assert_eq!(rng.next_u64(), next, "{backend} {rule:?}");
+                    assert_eq!(ix.len(), 6);
+                }
             }
         }
     }

@@ -60,8 +60,9 @@ use std::sync::Arc;
 /// Default accesses between checkpoint refreshes (the
 /// `ServiceConfig::checkpoint_every` / `--checkpoint-every` knob).
 /// Small enough that recovery forgets little (the policy relearns the
-/// gap in a few dozen requests), large enough that the `O(resident)`
-/// snapshot copy stays off the per-request path.
+/// gap in a few dozen requests), large enough that the snapshot copy
+/// stays off the per-request path. The copy walks the cache's resident
+/// set, so it costs `O(resident + n/64)` for `n` clips, not `O(n)`.
 pub const CHECKPOINT_EVERY: u64 = 128;
 
 /// SplitMix64 — the finalizer used both to route clips to shards and to

@@ -21,6 +21,13 @@
 //!    the state that shedding one tail chunk at a time until the deficit
 //!    is freed (or the clip is gone) reaches: same prefix, same used
 //!    bytes, same resident count, same "gone" answer.
+//!
+//! 4. **Resident-set views.** [`CacheSpace`] walks a resident bit set
+//!    rather than every clip slot, so under any sequence of `insert`,
+//!    `insert_prefix`, `trim_tail`, `remove` and `complete` its
+//!    `iter_resident`, `resident_ids` and `partials` must equal the
+//!    dense filters over each clip's resident prefix, in id order, and
+//!    `resident_count` must equal their size.
 
 use clipcache::core::space::CacheSpace;
 use clipcache::core::{AccessOutcome, PolicyKind, PolicySpec, VictimBackend};
@@ -267,6 +274,83 @@ fn check_trim_tail(
     Ok(())
 }
 
+/// The dense definitions of the resident-set views: filter every clip
+/// slot by its resident prefix, in id order.
+fn check_resident_views(space: &CacheSpace, step: usize) -> Result<(), TestCaseError> {
+    let ids = || space.repo().ids();
+    let any: Vec<ClipId> = ids().filter(|&c| space.resident_prefix(c) > 0).collect();
+    let full: Vec<ClipId> = ids().filter(|&c| space.contains(c)).collect();
+    let partial: Vec<(ClipId, u32)> = ids()
+        .filter(|&c| space.resident_prefix(c) > 0 && !space.contains(c))
+        .map(|c| (c, space.resident_prefix(c)))
+        .collect();
+    prop_assert_eq!(
+        space.iter_resident().collect::<Vec<_>>(),
+        any.clone(),
+        "iter_resident after step {}",
+        step
+    );
+    prop_assert_eq!(
+        space.resident_ids(),
+        full,
+        "resident_ids after step {}",
+        step
+    );
+    prop_assert_eq!(space.partials(), partial, "partials after step {}", step);
+    prop_assert_eq!(
+        space.resident_count(),
+        any.len(),
+        "resident_count after step {}",
+        step
+    );
+    Ok(())
+}
+
+/// Drive a chunked [`CacheSpace`] through `ops` — `(verb, clip, raw)`
+/// draws — applying each verb only where its preconditions hold, and
+/// check the resident-set views after every step.
+fn check_resident_set_ops(sizes: &[u64], ops: &[(u8, usize, u64)]) -> Result<(), TestCaseError> {
+    let mut b = RepositoryBuilder::new();
+    for &bytes in sizes {
+        b = b.push(MediaType::Video, ByteSize::bytes(bytes), Bandwidth::mbps(4));
+    }
+    let repo = Arc::new(
+        b.build()
+            .expect("non-empty positive sizes")
+            .with_chunk_size(ByteSize::bytes(1_000_000)),
+    );
+    // Room for about half the repository, so inserts also meet a full
+    // cache.
+    let capacity = ByteSize::bytes(sizes.iter().sum::<u64>() / 2);
+    let mut space = CacheSpace::new(Arc::clone(&repo), capacity);
+    check_resident_views(&space, 0)?;
+    for (step, &(verb, raw_clip, raw)) in ops.iter().enumerate() {
+        let clip = ClipId::from_index(raw_clip % repo.len());
+        let prefix = space.resident_prefix(clip);
+        let total = space.chunks_of(clip);
+        match verb % 5 {
+            0 if prefix == 0 && space.fits_now(clip) => space.insert(clip),
+            1 if prefix == 0 => {
+                let p = (raw % u64::from(total)) as u32 + 1;
+                if repo.prefix_bytes(clip, p) <= space.free() {
+                    space.insert_prefix(clip, p);
+                }
+            }
+            2 if prefix > 0 => {
+                let resident = space.resident_bytes(clip).as_u64();
+                space.trim_tail(clip, ByteSize::bytes(raw % (resident + 1)));
+            }
+            3 if prefix > 0 => space.remove(clip),
+            4 if prefix > 0 && prefix < total && space.tail_bytes(clip) <= space.free() => {
+                space.complete(clip)
+            }
+            _ => {}
+        }
+        check_resident_views(&space, step + 1)?;
+    }
+    Ok(())
+}
+
 /// The named edge cases, exhaustively: unchunked, a short last chunk,
 /// chunks dividing the clip evenly, a chunk larger than the clip; full
 /// and partial prefixes; every deficit mode.
@@ -311,6 +395,19 @@ proptest! {
         let chunk = if chunk_pick.is_multiple_of(4) { 0 } else { chunk_pick };
         let prefix = prefix_pick.is_multiple_of(2).then_some(prefix_pick / 2);
         check_trim_tail(&sizes, chunk, victim, prefix, deficit_mode, deficit_raw)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn resident_set_views_match_dense_filters(
+        // Up to 200 clips, so the resident set spans several words.
+        sizes in proptest::collection::vec(1u64..6_000_000, 1..200),
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<u64>()), 1..400),
+    ) {
+        check_resident_set_ops(&sizes, &ops)?;
     }
 }
 
