@@ -6,16 +6,20 @@
 //! survives a crash. This module makes a shard's state durable with the
 //! classic checkpoint + WAL pairing:
 //!
-//! * **Checkpoint** — a [`DurableCheckpoint`] file holding the shard's
+//! * **Checkpoint** — a [`DurableCheckpoint`] holding the shard's
 //!   [`CacheSnapshot`] (resident set, policy, capacity, virtual clock),
 //!   its [`HitStats`] and the WAL sequence number it covers, serialized
-//!   through the hand-rolled `workload::json` codec. Checkpoints are
-//!   written atomically: full tmp file, fsync, rename, directory fsync
-//!   — a crash mid-checkpoint leaves the previous checkpoint intact. A
+//!   through the hand-rolled `workload::json` codec. It lives in one of
+//!   two **slot** files ([`CHECKPOINT_SLOT_FILES`]), each holding one
+//!   CRC-framed checkpoint with a write *generation*. A checkpoint
+//!   overwrites, in place, the slot not holding the newest one — one
+//!   `pwrite`, one `fdatasync` — so a crash mid-checkpoint tears only
+//!   that slot and leaves the previous checkpoint intact in the other;
+//!   the valid frame with the higher generation is the checkpoint. A
 //!   durable service takes that file I/O off its request path: the
-//!   shard encodes the checkpoint and drops it into its one-slot
-//!   mailbox on the service's background writer thread (a newer
-//!   checkpoint replaces one still pending), and goes on serving.
+//!   shard encodes the checkpoint and drops it into its mailbox on the
+//!   service's background writer thread (a newer checkpoint replaces
+//!   one still pending), and goes on serving.
 //! * **WAL** — an append-only log of every access since the last
 //!   checkpoint, kept as fixed-size numbered **segments**
 //!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
@@ -83,18 +87,23 @@
 //! * a **subsumed prefix** — records (or whole sealed segments) with
 //!   sequence numbers at or below the checkpoint's: the active
 //!   segment's head in the steady state, or whatever a crash between
-//!   the checkpoint rename and the retirement left. The checkpoint
+//!   a checkpoint landing and the retirement left. The checkpoint
 //!   already folds them in, so they are skipped (and fully subsumed
 //!   segments deleted), never replayed twice.
 //! * a **sealed newest segment** — a crash in the roll window, after
 //!   the seal fsync but before the successor segment was created.
 //!   Recovery opens a fresh successor; nothing was lost.
+//! * a **torn checkpoint slot** — a crash mid-checkpoint left half a
+//!   frame in the slot being written. It fails its CRC and is ignored;
+//!   the other slot holds the previous checkpoint, and the WAL was
+//!   retired only through a checkpoint that landed.
 //! * **corruption** — a complete frame whose CRC or length prefix does
 //!   not match the fixed layout, a sequence break, a failed seal-footer
-//!   CRC, a gap in the segment numbering, or a pre-segment single-file
-//!   `wal.log`. That is bit rot or foul play, not a crash artifact, and
-//!   recovery refuses loudly ([`PersistError::Corrupt`]) rather than
-//!   replaying garbage.
+//!   CRC, a gap in the segment numbering, a pre-segment single-file
+//!   `wal.log`, or two checkpoint slots that both fail their checks.
+//!   That is bit rot or foul play, not a crash artifact, and recovery
+//!   refuses loudly ([`PersistError::Corrupt`],
+//!   [`PersistError::BadCheckpoint`]) rather than replaying garbage.
 //!
 //! Recovery is deterministic: the same on-disk bytes produce the same
 //! rebuilt shard, bit for bit, on every attempt — the crash-kill chaos
@@ -106,7 +115,8 @@
 //! A [`CrashSpec`] arms the store with a *crash point* — die after the
 //! Nth WAL append, write only half of the Nth append (a torn write),
 //! die midway through the Nth checkpoint submitted (the request that
-//! submitted it waits for that one write), write only half of the Nth
+//! submitted it waits for the checkpoint before it to land, then
+//! half-writes its own into the other slot), write only half of the Nth
 //! seal footer (`seal:N`), or die after the Nth seal lands but before
 //! the successor segment exists (`segment-roll:N`). The store writes
 //! what is staged, performs the partial effect, then reports
@@ -122,6 +132,7 @@ use clipcache_sim::metrics::HitStats;
 use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -130,10 +141,21 @@ use std::time::{Duration, Instant};
 /// on disk it is refused by name — this build neither reads nor
 /// silently migrates the old layout.
 pub const LEGACY_WAL_FILE: &str = "wal.log";
-/// The checkpoint file inside a shard's directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
-/// The scratch name a checkpoint is written to before the atomic rename.
-pub const CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// The single checkpoint file used before checkpoint slots. Found on
+/// disk it is migrated once, at open, into a slot and then deleted.
+pub const LEGACY_CHECKPOINT_FILE: &str = "checkpoint.json";
+/// The scratch name the legacy layout wrote a checkpoint to before
+/// renaming it over [`LEGACY_CHECKPOINT_FILE`]; deleted at open.
+pub const LEGACY_CHECKPOINT_TMP: &str = "checkpoint.tmp";
+/// The two checkpoint slot files inside a shard's directory. Each
+/// holds one checkpoint frame at offset 0, overwritten in place; the
+/// valid frame with the higher generation is the checkpoint.
+pub const CHECKPOINT_SLOT_FILES: [&str; 2] = ["checkpoint.0", "checkpoint.1"];
+/// Magic bytes opening every checkpoint frame.
+pub const CHECKPOINT_MAGIC: [u8; 8] = *b"CLIPCKPT";
+/// Bytes in a checkpoint frame header: magic (8) + generation (8) +
+/// body length (4) + CRC (4).
+pub const CHECKPOINT_HEADER_BYTES: usize = 24;
 
 /// The durable-checkpoint schema version this build writes and reads.
 /// Version 2 added chunk-granular residency: the embedded snapshot
@@ -184,6 +206,40 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// The reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 lookup tables: `CRC_TABLES[0][b]` is the CRC of byte
+/// `b` alone, and `CRC_TABLES[k][b]` is that value pushed through `k`
+/// further zero bytes, so eight input bytes fold in with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// Streaming CRC-32, so frames can be checked without copying the
 /// length prefix and payload into one buffer, and the active segment
 /// can keep a running digest for its eventual seal footer.
@@ -196,13 +252,24 @@ impl Crc32 {
     }
 
     fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u32;
-            for _ in 0..8 {
-                let mask = (self.0 & 1).wrapping_neg();
-                self.0 = (self.0 >> 1) ^ (0xEDB8_8320 & mask);
-            }
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][(lo >> 8 & 0xFF) as usize]
+                ^ t[5][(lo >> 16 & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
     }
 
     fn finish(self) -> u32 {
@@ -747,8 +814,8 @@ pub enum CrashPoint {
     /// The Nth WAL append writes only half its frame, then the process
     /// dies — the canonical torn write.
     TornAppend(u64),
-    /// Die midway through writing the Nth durable checkpoint (the tmp
-    /// file is half-written; the rename never happens).
+    /// Die midway through writing the Nth durable checkpoint: half its
+    /// frame reaches the slot not holding the newest checkpoint.
     MidCheckpoint(u64),
     /// The Nth seal writes only half its footer, then the process dies.
     /// Recovery truncates the partial footer; the segment stays active.
@@ -895,8 +962,9 @@ pub enum PersistError {
         /// What failed.
         reason: String,
     },
-    /// The checkpoint file exists but cannot be trusted (bad version,
-    /// missing fields, policy mismatch with the running config).
+    /// The checkpoint cannot be trusted (bad version, missing fields,
+    /// policy mismatch with the running config), or both checkpoint
+    /// slots fail their frame checks.
     BadCheckpoint(String),
     /// The recovered snapshot could not rebuild a cache.
     Build(String),
@@ -1014,7 +1082,7 @@ pub struct DurableState {
     /// WAL records the checkpoint already subsumed (seq ≤ checkpoint
     /// seq), counted and skipped rather than replayed — nonzero after a
     /// running service stopped with a checkpoint not yet retired, or
-    /// after a crash between a checkpoint rename and its retirement.
+    /// after a crash between a checkpoint landing and its retirement.
     pub subsumed_records: u64,
 }
 
@@ -1194,46 +1262,253 @@ impl CommitTicket {
     }
 }
 
-/// Write `json` as the checkpoint in `dir`: tmp file, fsync, rename,
-/// directory fsync — the rename is the commit point, so a crash at any
-/// step leaves either the old checkpoint or the new one, never half of
-/// one. With `crash` set (the armed `checkpoint:N` point) only half
-/// the tmp file is written, then [`PersistError::CrashInjected`]
-/// reports the death; recovery ignores the tmp and keeps the previous
-/// checkpoint.
-fn write_checkpoint_file(dir: &Path, json: &str, crash: bool) -> Result<(), PersistError> {
-    let tmp = dir.join(CHECKPOINT_TMP);
-    let mut f = File::create(&tmp)?;
-    if crash {
-        f.write_all(&json.as_bytes()[..json.len() / 2])?;
-        f.sync_data()?;
-        return Err(PersistError::CrashInjected);
-    }
-    f.write_all(json.as_bytes())?;
-    f.sync_data()?;
-    drop(f);
-    std::fs::rename(&tmp, dir.join(CHECKPOINT_FILE))?;
-    // Make the rename itself durable (best effort: not every
-    // filesystem lets you open a directory for sync).
+/// Make `dir`'s entries durable (best effort: not every filesystem
+/// lets you open a directory for sync).
+fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
+}
+
+/// What one checkpoint slot file holds.
+enum SlotFrame<'a> {
+    /// No file, or an empty one: nothing was ever written there.
+    Empty,
+    /// A frame that passed its magic, length and CRC checks.
+    Valid { generation: u64, body: &'a [u8] },
+    /// Bytes that fail them — a torn write, unless the other slot is
+    /// unreadable too.
+    Invalid(String),
+}
+
+/// Frame `body` as written into a slot: `CLIPCKPT ‖ generation (8 LE)
+/// ‖ length (4 LE) ‖ crc (4 LE) ‖ body`, the CRC over generation,
+/// length and body.
+fn encode_checkpoint_frame(
+    frame: &mut Vec<u8>,
+    generation: u64,
+    body: &[u8],
+) -> Result<(), PersistError> {
+    let len = u32::try_from(body.len()).map_err(|_| {
+        PersistError::BadCheckpoint(format!(
+            "a {}-byte checkpoint does not fit a frame",
+            body.len()
+        ))
+    })?;
+    frame.clear();
+    frame.extend_from_slice(&CHECKPOINT_MAGIC);
+    frame.extend_from_slice(&generation.to_le_bytes());
+    frame.extend_from_slice(&len.to_le_bytes());
+    let mut crc = Crc32::new();
+    crc.update(&frame[8..]);
+    crc.update(body);
+    frame.extend_from_slice(&crc.finish().to_le_bytes());
+    frame.extend_from_slice(body);
     Ok(())
+}
+
+/// Decode the frame at the start of a slot file's `bytes`. Bytes past
+/// the frame's declared length are a longer, older frame's leftovers.
+fn decode_checkpoint_frame(bytes: &[u8]) -> SlotFrame<'_> {
+    if bytes.is_empty() {
+        return SlotFrame::Empty;
+    }
+    if bytes.len() < CHECKPOINT_HEADER_BYTES {
+        return SlotFrame::Invalid(format!(
+            "{} bytes, shorter than the {CHECKPOINT_HEADER_BYTES}-byte frame header",
+            bytes.len()
+        ));
+    }
+    if bytes[..8] != CHECKPOINT_MAGIC {
+        return SlotFrame::Invalid("frame magic mismatch".into());
+    }
+    let generation = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")) as usize;
+    let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
+    let Some(body) = bytes[CHECKPOINT_HEADER_BYTES..].get(..len) else {
+        return SlotFrame::Invalid(format!(
+            "frame declares a {len}-byte body but only {} bytes follow its header",
+            bytes.len() - CHECKPOINT_HEADER_BYTES
+        ));
+    };
+    let mut crc = Crc32::new();
+    crc.update(&bytes[8..20]);
+    crc.update(body);
+    if crc.finish() != stored {
+        return SlotFrame::Invalid("frame CRC mismatch".into());
+    }
+    SlotFrame::Valid { generation, body }
+}
+
+/// A shard's two checkpoint slot files. A checkpoint overwrites, in
+/// place, the slot *not* holding the newest landed frame — one
+/// `pwrite` and one `fdatasync` — so a crash mid-write tears only that
+/// slot and the other still holds the newest landed checkpoint. The
+/// files only ever grow (a shorter frame leaves a longer one's tail
+/// behind, ignored), so in the steady state the `fdatasync` has no
+/// metadata to flush. A slot file is created, and the directory
+/// fsynced, the first time it is written.
+///
+/// The store and the submissions it hands the background writer share
+/// one instance; only one of them writes at a time, because the store
+/// settles the writer before it writes a checkpoint itself.
+struct CheckpointSlots {
+    dir: PathBuf,
+    /// The slot files' handles, `None` until a file exists.
+    files: [Option<File>; 2],
+    /// The slot holding the newest landed frame, if any landed.
+    newest: Option<usize>,
+    /// That frame's generation (0 when none landed). The newest frame
+    /// is the one with the higher generation, whatever its `seq`, so
+    /// the last checkpoint written wins.
+    generation: u64,
+    /// The frame being written, reused across writes.
+    frame: Vec<u8>,
+}
+
+impl CheckpointSlots {
+    /// Open `dir`'s slots, returning them with the body of the newest
+    /// valid frame. A slot failing its magic, length or CRC is a torn
+    /// write and ignored, unless the other slot fails too: then both
+    /// are refused as [`PersistError::BadCheckpoint`], never taken for
+    /// a cold start.
+    fn open(dir: &Path) -> Result<(CheckpointSlots, Option<String>), PersistError> {
+        let mut files = [None, None];
+        let mut contents = [Vec::new(), Vec::new()];
+        for (slot, name) in CHECKPOINT_SLOT_FILES.iter().enumerate() {
+            match OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(dir.join(name))
+            {
+                Ok(mut file) => {
+                    file.read_to_end(&mut contents[slot])?;
+                    files[slot] = Some(file);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e.into()),
+            }
+        }
+        let frames = contents
+            .each_ref()
+            .map(|bytes| decode_checkpoint_frame(bytes));
+        let generation_of = |slot: usize| match frames[slot] {
+            SlotFrame::Valid { generation, .. } => Some(generation),
+            _ => None,
+        };
+        let newest = match (generation_of(0), generation_of(1)) {
+            (Some(a), Some(b)) if a == b => {
+                return Err(PersistError::BadCheckpoint(format!(
+                    "both checkpoint slots carry generation {a}; refusing to guess \
+                     which is newer"
+                )))
+            }
+            (Some(a), Some(b)) => Some(if a > b { 0 } else { 1 }),
+            (Some(_), None) => Some(0),
+            (None, Some(_)) => Some(1),
+            (None, None) => {
+                if let [SlotFrame::Invalid(a), SlotFrame::Invalid(b)] = &frames {
+                    return Err(PersistError::BadCheckpoint(format!(
+                        "both checkpoint slots are unreadable ({}: {a}; {}: {b}); \
+                         refusing to start cold over them",
+                        CHECKPOINT_SLOT_FILES[0], CHECKPOINT_SLOT_FILES[1]
+                    )));
+                }
+                None
+            }
+        };
+        let (generation, body) = match newest.map(|slot| &frames[slot]) {
+            Some(SlotFrame::Valid { generation, body }) => {
+                let body = String::from_utf8(body.to_vec()).map_err(|_| {
+                    PersistError::BadCheckpoint("checkpoint body is not UTF-8".into())
+                })?;
+                (*generation, Some(body))
+            }
+            _ => (0, None),
+        };
+        let slots = CheckpointSlots {
+            dir: dir.to_path_buf(),
+            files,
+            newest,
+            generation,
+            frame: Vec::new(),
+        };
+        Ok((slots, body))
+    }
+
+    /// Write `body` as the newest checkpoint: frame it with the next
+    /// generation, overwrite the other slot, `fdatasync`. With `crash`
+    /// set (the armed `checkpoint:N` point) only half the frame is
+    /// written before [`PersistError::CrashInjected`] reports the
+    /// death; the newest landed frame is untouched. A failed write
+    /// changes nothing this instance believes.
+    fn write(&mut self, body: &[u8], crash: bool) -> Result<(), PersistError> {
+        let target = self.newest.map_or(0, |slot| 1 - slot);
+        let generation = self.generation + 1;
+        encode_checkpoint_frame(&mut self.frame, generation, body)?;
+        if self.files[target].is_none() {
+            let file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .create(true)
+                .truncate(false)
+                .open(self.dir.join(CHECKPOINT_SLOT_FILES[target]))?;
+            sync_dir(&self.dir);
+            self.files[target] = Some(file);
+        }
+        let file = self.files[target].as_ref().expect("opened above");
+        let len = if crash {
+            self.frame.len() / 2
+        } else {
+            self.frame.len()
+        };
+        file.write_all_at(&self.frame[..len], 0)?;
+        file.sync_data()?;
+        if crash {
+            return Err(PersistError::CrashInjected);
+        }
+        self.newest = Some(target);
+        self.generation = generation;
+        Ok(())
+    }
+}
+
+/// Lock a store's checkpoint slots, recovering from a poisoned mutex
+/// (a write updates the slot state only once it has landed).
+fn lock_slots(slots: &Mutex<CheckpointSlots>) -> MutexGuard<'_, CheckpointSlots> {
+    slots.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// The body of the newest checkpoint in shard directory `dir` (the
+/// [`DurableCheckpoint::to_json`] text), or `None` when none ever
+/// landed there. Two unreadable slots fail as they do on
+/// [`ShardStore::open`]; a legacy checkpoint file is not read.
+pub fn read_checkpoint(dir: &Path) -> Result<Option<String>, PersistError> {
+    CheckpointSlots::open(dir).map(|(_, body)| body)
+}
+
+/// Write `body` into shard directory `dir` as its newest checkpoint,
+/// exactly as a store does: framed with the next generation into the
+/// slot not holding the newest frame, then fdatasynced. The body is
+/// not validated, so offline tools can write any state they mean to.
+pub fn write_checkpoint(dir: &Path, body: &str) -> Result<(), PersistError> {
+    let (mut slots, _) = CheckpointSlots::open(dir)?;
+    slots.write(body.as_bytes(), false)
 }
 
 /// A checkpoint handed to the writer, already encoded.
 struct Submission {
-    dir: PathBuf,
+    /// The store's checkpoint slots, written through by the writer.
+    slots: Arc<Mutex<CheckpointSlots>>,
     json: String,
     /// The last WAL sequence number it covers.
     seq: u64,
-    /// The armed `checkpoint:N` point: write half, then die.
-    crash: bool,
 }
 
-/// One shard's one-slot mailbox, and what the writer reports back.
+/// One shard's mailbox on the writer (it holds one submission), and
+/// what the writer reports back.
 #[derive(Default)]
-struct Slot {
+struct Mailbox {
     /// The newest submission the writer has not taken yet.
     pending: Option<Submission>,
     /// The writer is writing this shard's checkpoint right now.
@@ -1248,7 +1523,7 @@ struct Slot {
 }
 
 struct WriterState {
-    slots: Vec<Slot>,
+    mailboxes: Vec<Mailbox>,
     /// Write what is pending, then exit.
     stop: bool,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -1256,7 +1531,7 @@ struct WriterState {
 
 /// The background checkpoint writer a durable service shares among its
 /// shards: one thread, spawned at the first submission, serving one
-/// mailbox slot per shard. Checkpoints of one shard land in submission
+/// mailbox per shard. Checkpoints of one shard land in submission
 /// order, so the checkpoint on disk never moves backwards.
 pub(crate) struct CheckpointWriter {
     state: Mutex<WriterState>,
@@ -1266,11 +1541,11 @@ pub(crate) struct CheckpointWriter {
 }
 
 impl CheckpointWriter {
-    /// A writer with one mailbox slot per shard and no thread yet.
+    /// A writer with one mailbox per shard and no thread yet.
     pub(crate) fn new(shards: usize) -> Arc<CheckpointWriter> {
         Arc::new(CheckpointWriter {
             state: Mutex::new(WriterState {
-                slots: (0..shards).map(|_| Slot::default()).collect(),
+                mailboxes: (0..shards).map(|_| Mailbox::default()).collect(),
                 stop: false,
                 thread: None,
             }),
@@ -1286,7 +1561,7 @@ impl CheckpointWriter {
         self.cv.wait(st).unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Put `sub` in shard `index`'s slot, replacing a pending one.
+    /// Put `sub` in shard `index`'s mailbox, replacing a pending one.
     fn submit(self: &Arc<Self>, index: usize, sub: Submission) -> Result<(), PersistError> {
         let mut st = self.lock();
         if st.thread.is_none() {
@@ -1297,26 +1572,26 @@ impl CheckpointWriter {
                     .spawn(move || writer.run())?,
             );
         }
-        // A closed slot's failure reaches the shard on its next
+        // A closed mailbox's failure reaches the shard on its next
         // operation; until then nothing more is written for it.
-        if !st.slots[index].closed {
-            st.slots[index].pending = Some(sub);
+        if !st.mailboxes[index].closed {
+            st.mailboxes[index].pending = Some(sub);
         }
         drop(st);
         self.cv.notify_all();
         Ok(())
     }
 
-    /// The thread: take pending checkpoints round-robin across slots,
+    /// The thread: take pending checkpoints round-robin across mailboxes,
     /// write each outside the lock, report how it went.
     fn run(&self) {
         let mut st = self.lock();
         let mut next = 0;
         loop {
-            let n = st.slots.len();
+            let n = st.mailboxes.len();
             let ready = (0..n)
                 .map(|k| (next + k) % n)
-                .find(|&i| st.slots[i].pending.is_some());
+                .find(|&i| st.mailboxes[i].pending.is_some());
             let Some(i) = ready else {
                 if st.stop {
                     return;
@@ -1324,19 +1599,19 @@ impl CheckpointWriter {
                 st = self.wait(st);
                 continue;
             };
-            let sub = st.slots[i].pending.take().expect("found above");
-            st.slots[i].writing = true;
+            let sub = st.mailboxes[i].pending.take().expect("found above");
+            st.mailboxes[i].writing = true;
             drop(st);
-            let result = write_checkpoint_file(&sub.dir, &sub.json, sub.crash);
+            let result = lock_slots(&sub.slots).write(sub.json.as_bytes(), false);
             st = self.lock();
-            let slot = &mut st.slots[i];
-            slot.writing = false;
+            let mailbox = &mut st.mailboxes[i];
+            mailbox.writing = false;
             match result {
-                Ok(()) => slot.landed = slot.landed.max(sub.seq),
+                Ok(()) => mailbox.landed = mailbox.landed.max(sub.seq),
                 Err(e) => {
-                    slot.failed = Some(e);
-                    slot.closed = true;
-                    slot.pending = None;
+                    mailbox.failed = Some(e);
+                    mailbox.closed = true;
+                    mailbox.pending = None;
                 }
             }
             next = i + 1;
@@ -1347,31 +1622,31 @@ impl CheckpointWriter {
     /// Block until shard `index` has nothing pending or being written.
     fn wait_idle(&self, index: usize) {
         let mut st = self.lock();
-        while st.slots[index].pending.is_some() || st.slots[index].writing {
+        while st.mailboxes[index].pending.is_some() || st.mailboxes[index].writing {
             st = self.wait(st);
         }
     }
 
-    /// Shard `index`'s news: the newest landed seq (0 once the slot is
+    /// Shard `index`'s news: the newest landed seq (0 once the mailbox is
     /// closed — a dead store retires nothing), a failed write (taken),
-    /// and whether the slot is idle.
+    /// and whether the mailbox is idle.
     fn news(&self, index: usize) -> (u64, Option<PersistError>, bool) {
         let mut st = self.lock();
-        let slot = &mut st.slots[index];
-        let idle = slot.pending.is_none() && !slot.writing;
-        let landed = if slot.closed { 0 } else { slot.landed };
-        (landed, slot.failed.take(), idle)
+        let mailbox = &mut st.mailboxes[index];
+        let idle = mailbox.pending.is_none() && !mailbox.writing;
+        let landed = if mailbox.closed { 0 } else { mailbox.landed };
+        (landed, mailbox.failed.take(), idle)
     }
 
-    /// The stores of `slots` died: discard their pending checkpoints
+    /// The stores of `shards` died: discard their pending checkpoints
     /// and wait out a write in flight, so nothing lands after the death.
-    fn close(&self, slots: std::ops::Range<usize>) {
+    fn close(&self, shards: std::ops::Range<usize>) {
         let mut st = self.lock();
-        for slot in &mut st.slots[slots.clone()] {
-            slot.closed = true;
-            slot.pending = None;
+        for mailbox in &mut st.mailboxes[shards.clone()] {
+            mailbox.closed = true;
+            mailbox.pending = None;
         }
-        while st.slots[slots.clone()].iter().any(|s| s.writing) {
+        while st.mailboxes[shards.clone()].iter().any(|s| s.writing) {
             st = self.wait(st);
         }
     }
@@ -1381,7 +1656,7 @@ impl CheckpointWriter {
     /// shard retires its WAL any more — a successor may already own
     /// the directory.
     pub(crate) fn halt(&self) {
-        let shards = self.lock().slots.len();
+        let shards = self.lock().mailboxes.len();
         self.close(0..shards);
     }
 
@@ -1444,11 +1719,8 @@ fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
     f.write_all(&header)?;
     f.flush()?;
     file.sync_data()?;
-    // Make the file name itself durable (best effort: not every
-    // filesystem lets you open a directory for sync).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
+    // Make the file name itself durable.
+    sync_dir(dir);
     let mut crc = Crc32::new();
     crc.update(&header);
     Ok(ActiveSegment {
@@ -1502,8 +1774,9 @@ fn scan_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, PersistError> {
 }
 
 /// One shard's durable store: the active segment's append handle, its
-/// sealed predecessors, the group-commit queue, the armed crash point
-/// and, inside a durable service, its slot on the checkpoint writer.
+/// sealed predecessors, the group-commit queue, the armed crash point,
+/// its checkpoint slots and, inside a durable service, its mailbox on the
+/// checkpoint writer.
 pub struct ShardStore {
     dir: PathBuf,
     sync: WalSync,
@@ -1519,7 +1792,10 @@ pub struct ShardStore {
     next_seq: u64,
     /// Last sequence folded into the durable checkpoint on disk.
     ckpt_seq: u64,
-    /// The service's background writer and this store's slot on it;
+    /// The checkpoint slot files, shared with the submissions handed
+    /// to the background writer.
+    slots: Arc<Mutex<CheckpointSlots>>,
+    /// The service's background writer and this store's mailbox on it;
     /// `None` for a store opened on its own, which checkpoints inline.
     writer: Option<(Arc<CheckpointWriter>, usize)>,
     /// A background checkpoint was submitted and its outcome not yet
@@ -1551,13 +1827,18 @@ impl ShardStore {
     /// Open (creating if absent) the store in `dir`, returning the
     /// durable state to rebuild from.
     ///
-    /// A stale checkpoint tmp file (crash mid-checkpoint) is removed; a
-    /// torn tail on the newest segment is truncated in place; sealed
-    /// segments fully subsumed by the checkpoint are deleted, and an
-    /// active segment holding only subsumed records is truncated; a
-    /// sealed *newest* segment (crash in the roll window) gets a fresh
-    /// successor. Mid-log corruption, version skew, numbering gaps, a
-    /// pre-segment `wal.log` and untrusted checkpoints all fail loudly.
+    /// The checkpoint is the valid slot frame with the higher
+    /// generation; a torn slot (crash mid-checkpoint) is ignored while
+    /// the other slot is valid or empty. A legacy `checkpoint.json` is
+    /// migrated once: parsed, written into a slot, then deleted with
+    /// any legacy `checkpoint.tmp`. A torn tail on the newest segment
+    /// is truncated in place; sealed segments fully subsumed by the
+    /// checkpoint are deleted, and an active segment holding only
+    /// subsumed records is truncated; a sealed *newest* segment (crash
+    /// in the roll window) gets a fresh successor. Mid-log corruption,
+    /// version skew, numbering gaps, a pre-segment `wal.log`, two
+    /// unreadable checkpoint slots and untrusted checkpoints all fail
+    /// loudly.
     ///
     /// Segments stream through one fixed buffer and subsumed records
     /// are only counted, so memory stays flat however long the log.
@@ -1567,19 +1848,24 @@ impl ShardStore {
         tuning: WalTuning,
     ) -> Result<(ShardStore, DurableState), PersistError> {
         std::fs::create_dir_all(dir)?;
-        // A tmp file means a checkpoint write died before its rename;
-        // the real checkpoint (if any) is intact, the tmp is garbage.
-        let tmp = dir.join(CHECKPOINT_TMP);
-        if tmp.exists() {
-            std::fs::remove_file(&tmp)?;
+        let (mut slots, body) = CheckpointSlots::open(dir)?;
+        let parse =
+            |json: &str| DurableCheckpoint::from_json(json).map_err(PersistError::BadCheckpoint);
+        let mut checkpoint = body.as_deref().map(parse).transpose()?;
+        let legacy_tmp = dir.join(LEGACY_CHECKPOINT_TMP);
+        if legacy_tmp.exists() {
+            // A legacy checkpoint write died before its rename.
+            std::fs::remove_file(&legacy_tmp)?;
         }
-        let ckpt_path = dir.join(CHECKPOINT_FILE);
-        let checkpoint = if ckpt_path.exists() {
-            let json = std::fs::read_to_string(&ckpt_path)?;
-            Some(DurableCheckpoint::from_json(&json).map_err(PersistError::BadCheckpoint)?)
-        } else {
-            None
-        };
+        let legacy = dir.join(LEGACY_CHECKPOINT_FILE);
+        if legacy.exists() {
+            let json = std::fs::read_to_string(&legacy)?;
+            checkpoint = Some(parse(&json)?);
+            slots.write(json.as_bytes(), false)?;
+            std::fs::remove_file(&legacy)?;
+            // The legacy file must never resurface over newer slots.
+            sync_dir(dir);
+        }
         let ckpt_seq = checkpoint.as_ref().map_or(0, |c| c.seq);
 
         let listed = scan_segments(dir)?;
@@ -1743,6 +2029,7 @@ impl ShardStore {
                 queue,
                 next_seq,
                 ckpt_seq,
+                slots: Arc::new(Mutex::new(slots)),
                 writer: None,
                 outstanding: false,
                 appends: 0,
@@ -1761,8 +2048,8 @@ impl ShardStore {
         ))
     }
 
-    /// Write this store's background checkpoints through `writer`'s slot
-    /// `index` (one slot per shard of a durable service).
+    /// Write this store's background checkpoints through `writer`'s
+    /// mailbox `index` (one per shard of a durable service).
     pub(crate) fn attach_writer(&mut self, writer: Arc<CheckpointWriter>, index: usize) {
         self.writer = Some((writer, index));
     }
@@ -2004,67 +2291,75 @@ impl ShardStore {
         }
     }
 
-    /// Write a durable checkpoint and wait for it: the checkpoint-file
-    /// write, then the retirement of the WAL through its seq.
-    /// Open-time compaction and the offline tools use this; a durable
-    /// service's periodic checkpoints go through
+    /// Write a durable checkpoint and wait for it: the slot write, then
+    /// the retirement of the WAL through its seq. Open-time compaction
+    /// and the offline tools use this; a durable service's periodic
+    /// checkpoints go through
     /// [`submit_checkpoint`](Self::submit_checkpoint) instead.
     ///
-    /// Order matters for crash safety: tmp write → fsync → rename →
-    /// retirement. A crash before the rename leaves the old checkpoint
-    /// with the full log; a crash after it leaves the new checkpoint
-    /// with a subsumed prefix that [`open`](Self::open) skips — never a
-    /// state that cannot recover. A non-crash I/O failure partway
-    /// through kills the store: refusing further appends beats letting
-    /// disk and memory drift apart.
+    /// Order matters for crash safety: slot write → `fdatasync` →
+    /// retirement. A crash before the `fdatasync` lands leaves the
+    /// other slot's checkpoint newest, with the full log behind it; a
+    /// crash after it leaves the new checkpoint with a subsumed prefix
+    /// that [`open`](Self::open) skips — never a state that cannot
+    /// recover. A non-crash I/O failure partway through kills the
+    /// store: refusing further appends beats letting disk and memory
+    /// drift apart.
     ///
     /// A checkpoint claiming records not yet appended (`seq` ≥
     /// [`next_seq`](Self::next_seq)) is refused as
-    /// [`PersistError::BadCheckpoint`]; an older one is written as is
-    /// and never rewinds the sequence numbers appends receive.
+    /// [`PersistError::BadCheckpoint`]; an older one is written as is,
+    /// becomes the checkpoint on disk (the newest write wins), and
+    /// never rewinds the sequence numbers appends receive.
     pub fn checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
         self.admit_checkpoint(ckpt)?;
-        // A background write still in flight must not land after this one.
-        self.settle()?;
         let crash = self.count_checkpoint()?;
-        if let Err(e) = write_checkpoint_file(&self.dir, &ckpt.to_json(), crash) {
-            self.kill();
-            return Err(e);
-        }
-        self.retire_through(ckpt.seq)
+        self.checkpoint_inline(ckpt, crash)
     }
 
     /// Hand a checkpoint to the service's background writer and return
-    /// without waiting for its fsyncs. Its WAL is retired once the
+    /// without waiting for its `fdatasync`. Its WAL is retired once the
     /// store learns it landed, on its next operation; a failed write
-    /// kills the store and that operation reports it. The armed
-    /// `checkpoint:N` point is the exception: the submission waits for
-    /// its half-written file and reports the crash itself. A store with
-    /// no writer (opened on its own) checkpoints inline.
+    /// kills the store and that operation reports it. A store with no
+    /// writer (opened on its own) checkpoints inline, and so does the
+    /// armed `checkpoint:N` point: its submission waits for the
+    /// checkpoint before it, half-writes its own and reports the crash
+    /// itself.
     pub fn submit_checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
-        let Some((writer, index)) = self.writer.clone() else {
-            return self.checkpoint(ckpt);
-        };
         self.admit_checkpoint(ckpt)?;
         let crash = self.count_checkpoint()?;
+        let Some((writer, index)) = self.writer.clone().filter(|_| !crash) else {
+            return self.checkpoint_inline(ckpt, crash);
+        };
         let sub = Submission {
-            dir: self.dir.clone(),
+            slots: Arc::clone(&self.slots),
             json: ckpt.to_json(),
             seq: ckpt.seq,
-            crash,
         };
         if let Err(e) = writer.submit(index, sub) {
             self.kill();
             return Err(e);
         }
         self.outstanding = true;
-        if crash {
-            writer.wait_idle(index);
-            let err = self.collect_writes().err();
-            self.kill();
-            return Err(err.unwrap_or(PersistError::CrashInjected));
-        }
         Ok(())
+    }
+
+    /// Write `ckpt` on this thread once the background writer is idle,
+    /// then retire the WAL behind it; with `crash` set, half-write it
+    /// and die.
+    fn checkpoint_inline(
+        &mut self,
+        ckpt: &DurableCheckpoint,
+        crash: bool,
+    ) -> Result<(), PersistError> {
+        // A background write still in flight must not land after this one.
+        self.settle()?;
+        let written = lock_slots(&self.slots).write(ckpt.to_json().as_bytes(), crash);
+        if let Err(e) = written {
+            self.kill();
+            return Err(e);
+        }
+        self.retire_through(ckpt.seq)
     }
 
     /// Refuse checkpoints on a dead store and checkpoints covering

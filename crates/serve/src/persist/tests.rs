@@ -82,6 +82,50 @@ fn crc32_matches_known_vectors() {
     );
 }
 
+/// The CRC register after feeding `bytes` one bit at a time: the
+/// textbook definition the slicing-by-8 tables must agree with.
+fn bitwise_crc(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+        }
+    }
+    crc
+}
+
+#[test]
+fn crc32_tables_match_the_bitwise_definition() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut byte = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state as u8
+    };
+    let mut inputs: Vec<Vec<u8>> = (0..=100)
+        .map(|len| (0..len).map(|_| byte()).collect())
+        .collect();
+    inputs.push((0..4096).map(|_| byte()).collect());
+    for input in &inputs {
+        let expected = !bitwise_crc(0xFFFF_FFFF, input);
+        assert_eq!(crc32(input), expected, "whole, {} bytes", input.len());
+        // Streaming in two pieces, split anywhere up to 17 bytes in,
+        // crosses every alignment of the 8-byte stride.
+        for split in 0..=input.len().min(17) {
+            let mut crc = Crc32::new();
+            crc.update(&input[..split]);
+            crc.update(&input[split..]);
+            assert_eq!(
+                crc.finish(),
+                expected,
+                "{} bytes split at {split}",
+                input.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn records_round_trip_through_the_frame() {
     let recs = [
@@ -372,13 +416,25 @@ fn crash_mid_checkpoint_keeps_the_old_checkpoint_and_wal() {
             Err(PersistError::CrashInjected)
         ));
     }
-    assert!(dir.join(CHECKPOINT_TMP).exists(), "tmp half-written");
-    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
-    // The old checkpoint and the full WAL both survive; the torn tmp
-    // is swept away.
+    // The first checkpoint landed in slot 0; the second tore slot 1.
+    let torn = std::fs::read(dir.join(CHECKPOINT_SLOT_FILES[1])).unwrap();
+    assert!(
+        matches!(decode_checkpoint_frame(&torn), SlotFrame::Invalid(_)),
+        "slot 1 half-written"
+    );
+    let (mut store, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    // The old checkpoint and the full WAL both survive; the torn slot
+    // is ignored, and the next checkpoint overwrites it.
     assert_eq!(state.checkpoint.expect("old checkpoint").seq, 0);
     assert_eq!(state.records.len(), 2);
-    assert!(!dir.join(CHECKPOINT_TMP).exists());
+    let mut third = sample_checkpoint();
+    third.seq = 2;
+    store.checkpoint(&third).unwrap();
+    let torn = std::fs::read(dir.join(CHECKPOINT_SLOT_FILES[1])).unwrap();
+    assert!(matches!(
+        decode_checkpoint_frame(&torn),
+        SlotFrame::Valid { generation: 2, .. }
+    ));
 }
 
 #[test]
@@ -498,8 +554,8 @@ fn a_failed_checkpoint_kills_the_store() {
     let dir = tmp_dir("ckpt-io-fail");
     let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
     store.append(WalOp::Get, ClipId::new(1)).unwrap();
-    // Rip the directory out from under the store so the tmp-file
-    // write fails mid-checkpoint.
+    // Rip the directory out from under the store so the first slot
+    // file cannot be created.
     std::fs::remove_dir_all(&dir).unwrap();
     let mut ckpt = sample_checkpoint();
     ckpt.seq = 1;
@@ -1004,4 +1060,159 @@ fn crash_points_release_riders_before_dying() {
             "{spec}: acked records survive"
         );
     }
+}
+
+// ---- checkpoint-slot tests --------------------------------------------
+
+#[test]
+fn the_newest_generation_wins_even_with_a_lower_seq() {
+    let dir = tmp_dir("slot-generation");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    for clip in 1..=4u32 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    let mut newer = sample_checkpoint();
+    newer.seq = 3;
+    store.checkpoint(&newer).unwrap();
+    // An older checkpoint written last is the one on disk: the slot
+    // with the higher generation wins, whatever its seq.
+    let mut older = sample_checkpoint();
+    older.seq = 1;
+    older.stats.hits += 5;
+    store.checkpoint(&older).unwrap();
+    drop(store);
+    let generations: Vec<u64> = CHECKPOINT_SLOT_FILES
+        .iter()
+        .map(
+            |name| match decode_checkpoint_frame(&std::fs::read(dir.join(name)).unwrap()) {
+                SlotFrame::Valid { generation, .. } => generation,
+                _ => panic!("{name} holds a valid frame"),
+            },
+        )
+        .collect();
+    assert_eq!(generations, [1, 2]);
+    assert_eq!(read_checkpoint(&dir).unwrap(), Some(older.to_json()));
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint, Some(older));
+    // The retired log still reaches back to the older checkpoint.
+    assert_eq!(
+        state.records.iter().map(|r| r.seq).collect::<Vec<_>>(),
+        vec![2, 3, 4]
+    );
+    // Two valid slots of one generation name no newest: refused.
+    let [slot0, slot1] = CHECKPOINT_SLOT_FILES.map(|name| dir.join(name));
+    std::fs::copy(slot1, slot0).unwrap();
+    match ShardStore::open(&dir, WalSync::Off).map(|_| ()) {
+        Err(PersistError::BadCheckpoint(reason)) => {
+            assert!(reason.contains("generation 2"), "{reason}")
+        }
+        other => panic!("equal generations must be refused, got {other:?}"),
+    }
+}
+
+#[test]
+fn two_unreadable_slots_are_refused_not_a_cold_start() {
+    let dir = tmp_dir("slot-both-bad");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
+    let mut ckpt = sample_checkpoint();
+    for seq in [0, 1] {
+        ckpt.seq = seq;
+        store.checkpoint(&ckpt).unwrap();
+    }
+    drop(store);
+    // One flipped body bit in a slot: a torn write, ignored while the
+    // other slot is valid.
+    let flip = |name: &str| {
+        let path = dir.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[CHECKPOINT_HEADER_BYTES + 5] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+    };
+    flip(CHECKPOINT_SLOT_FILES[1]);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint.expect("slot 0 survives").seq, 0);
+    // Both slots failing their CRC is not a crash artifact.
+    flip(CHECKPOINT_SLOT_FILES[0]);
+    for result in [
+        ShardStore::open(&dir, WalSync::Off).map(|_| ()),
+        read_checkpoint(&dir).map(|_| ()),
+    ] {
+        match result {
+            Err(PersistError::BadCheckpoint(reason)) => {
+                assert!(reason.contains("both checkpoint slots"), "{reason}");
+                assert!(reason.contains("CRC mismatch"), "{reason}");
+            }
+            other => panic!("two unreadable slots must be refused, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_valid_frame_with_a_bad_body_never_falls_back() {
+    let dir = tmp_dir("slot-bad-body");
+    let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 0;
+    store.checkpoint(&ckpt).unwrap();
+    drop(store);
+    let future = ckpt
+        .to_json()
+        .replacen("\"version\":2", "\"version\":99", 1);
+    write_checkpoint(&dir, &future).unwrap();
+    match ShardStore::open(&dir, WalSync::Off).map(|_| ()) {
+        Err(PersistError::BadCheckpoint(reason)) => {
+            assert!(reason.contains("version 99"), "{reason}")
+        }
+        other => panic!("a bad body must be refused, got {other:?}"),
+    }
+}
+
+/// Every file in `dir` with its bytes, sorted by path.
+fn dir_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_legacy_checkpoint_file_is_migrated_once() {
+    let dir = tmp_dir("slot-legacy");
+    {
+        let (mut store, _) = ShardStore::open(&dir, WalSync::Off).unwrap();
+        for clip in 1..=3u32 {
+            store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+        }
+    }
+    // A directory the rename-based layout left: its checkpoint file,
+    // plus the scratch file of a write that died before its rename.
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 2;
+    std::fs::write(dir.join(LEGACY_CHECKPOINT_FILE), ckpt.to_json()).unwrap();
+    std::fs::write(dir.join(LEGACY_CHECKPOINT_TMP), "{\"ver").unwrap();
+    let (_, first) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(first.checkpoint.as_ref(), Some(&ckpt));
+    assert_eq!(first.records, vec![record(3, 3, WalOp::Get)]);
+    assert!(!dir.join(LEGACY_CHECKPOINT_FILE).exists());
+    assert!(!dir.join(LEGACY_CHECKPOINT_TMP).exists());
+    assert_eq!(read_checkpoint(&dir).unwrap(), Some(ckpt.to_json()));
+    let migrated = dir_files(&dir);
+    // The second open reads the slot and writes nothing.
+    let (_, second) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(second.checkpoint, first.checkpoint);
+    assert_eq!(second.records, first.records);
+    assert_eq!(dir_files(&dir), migrated);
+    // A legacy file that does not parse is refused as before.
+    std::fs::write(dir.join(LEGACY_CHECKPOINT_FILE), "{}").unwrap();
+    assert!(matches!(
+        ShardStore::open(&dir, WalSync::Off),
+        Err(PersistError::BadCheckpoint(_))
+    ));
 }

@@ -39,7 +39,7 @@
 //! A durable service owns one checkpoint writer thread, spawned at the
 //! first periodic checkpoint (a memory-only service, or a durable one
 //! that has not checkpointed yet, runs none). Shards hand it encoded
-//! checkpoints through one-slot mailboxes and never wait on its
+//! checkpoints through mailboxes holding one each and never wait on its
 //! fsyncs. Dropping the service writes what is still pending, joins
 //! the thread and retires the WAL behind what landed.
 

@@ -13,7 +13,7 @@
 //!   lands exactly on the in-memory checkpoint and disk agrees.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
-use clipcache_serve::persist::DurableCheckpoint;
+use clipcache_serve::persist::{read_checkpoint, DurableCheckpoint};
 use clipcache_serve::{
     CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig, ServiceError, WalTuning,
 };
@@ -71,8 +71,10 @@ fn open(
 
 /// The checkpoint on disk for shard `shard`.
 fn durable_checkpoint(dir: &Path, shard: usize) -> DurableCheckpoint {
-    let path = dir.join(format!("shard-{shard}")).join("checkpoint.json");
-    DurableCheckpoint::from_json(&std::fs::read_to_string(path).unwrap()).unwrap()
+    let json = read_checkpoint(&dir.join(format!("shard-{shard}")))
+        .unwrap()
+        .expect("a checkpoint landed");
+    DurableCheckpoint::from_json(&json).unwrap()
 }
 
 #[test]

@@ -13,7 +13,8 @@
 //! * a torn final append is truncated, costing exactly the torn
 //!   record and nothing else;
 //! * a crash mid-checkpoint keeps the previous checkpoint and the
-//!   full WAL — the atomic rename never exposes a half-written file;
+//!   full WAL — the torn checkpoint slot is ignored, and the other slot
+//!   still holds the checkpoint that landed before it;
 //! * recovery is deterministic: two independent recoveries of the
 //!   same directory agree byte-for-byte, on state and on disk;
 //! * counters are conserved across a crash-restart loop: every request
@@ -22,6 +23,9 @@
 //!   no request the server answered without an `ERR`.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
+use clipcache_serve::persist::{
+    read_checkpoint, write_checkpoint, DurableCheckpoint, CHECKPOINT_SLOT_FILES,
+};
 use clipcache_serve::{
     decode_segment, segment_file_name, serve_with, shard_of, CacheService, CrashAction, CrashSpec,
     PersistOptions, ServerConfig, ServiceConfig, ServiceError, TcpCacheClient, WalSync, WalTuning,
@@ -267,6 +271,63 @@ fn crash_mid_checkpoint_keeps_the_full_wal() {
 }
 
 #[test]
+fn crash_mid_checkpoint_at_every_slot_write_keeps_the_previous_checkpoint() {
+    let repo = repo();
+    // Cadence 10: request 10k submits checkpoint k. The armed
+    // checkpoint:N waits for checkpoint N − 1 to land, then tears the
+    // slot not holding it — a freshly created slot file for N = 1 and
+    // 2, an older frame overwritten in place from N = 3 on.
+    let cfg = config(10);
+    let requests = trace(120);
+    for n in 1..=6usize {
+        let label = format!("checkpoint:{n}");
+        let dir = scratch_dir(&format!("slot-crash-{n}"));
+        let service = open_with_crash(&repo, cfg, &dir, Some(&label));
+        let completed = drive_until_crash(&service, &requests);
+        assert_eq!(completed, 10 * n - 1, "{label}: request {} died", 10 * n);
+        drop(service);
+
+        let shard_dir = dir.join("shard-0");
+        let slots = CHECKPOINT_SLOT_FILES
+            .iter()
+            .filter(|name| shard_dir.join(name).exists())
+            .count();
+        assert_eq!(slots, n.min(2), "{label}: slot files on disk");
+        let landed = read_checkpoint(&shard_dir)
+            .unwrap()
+            .map(|json| DurableCheckpoint::from_json(&json).unwrap().seq);
+        assert_eq!(
+            landed,
+            (n > 1).then(|| 10 * (n as u64 - 1)),
+            "{label}: exactly the previous checkpoint is on disk"
+        );
+        let recovered = open_with_crash(&repo, cfg, &dir, None);
+        assert_eq!(
+            recovered.wal_replayed(),
+            10,
+            "{label}: the full WAL behind the previous checkpoint"
+        );
+        // Acked ⇒ durable: every acknowledged request, plus the dying
+        // one, whose record was written before its checkpoint, is
+        // counted once, and the resident set is the continuous run's.
+        // (A restored checkpoint restarts the virtual clock from its
+        // snapshot, so only the tick may differ.)
+        let reference = reference_after(&repo, cfg, &requests, 10 * n);
+        assert_eq!(recovered.stats(), reference.stats(), "{label}: stats");
+        let residency = |service: &CacheService| {
+            service
+                .snapshot()
+                .into_iter()
+                .map(|snap| (snap.resident, snap.partial))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(residency(&recovered), residency(&reference), "{label}");
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
     let repo = repo();
     let dir = scratch_dir("rename-window");
@@ -289,7 +350,9 @@ fn crash_between_checkpoint_rename_and_wal_truncation_recovers() {
     // truncated while it holds later records. Recovery must skip the
     // subsumed prefix — not refuse to start, not replay anything twice.
     let shard_dir = dir.join("shard-0");
-    let ckpt_json = std::fs::read_to_string(shard_dir.join("checkpoint.json")).unwrap();
+    let ckpt_json = read_checkpoint(&shard_dir)
+        .unwrap()
+        .expect("a checkpoint landed");
     let seq: u64 = ckpt_json
         .split("\"seq\":")
         .nth(1)
@@ -445,16 +508,21 @@ fn incompatible_durable_state_is_rejected_loudly() {
     let err = open_must_fail(&repo, fifo, &dir);
     assert!(err.contains("policy"), "policy mismatch surfaced: {err}");
 
-    // A future checkpoint version is refused, not half-read.
-    let ckpt_path = dir.join("shard-0").join("checkpoint.json");
-    let json = std::fs::read_to_string(&ckpt_path).unwrap();
+    // A future checkpoint version is refused, not half-read — in a
+    // valid frame, so the refusal is the version's, and with the
+    // previous checkpoint still valid in the other slot, never a
+    // fallback to it.
+    let shard_dir = dir.join("shard-0");
+    let json = read_checkpoint(&shard_dir)
+        .unwrap()
+        .expect("a checkpoint landed");
     assert!(
         json.contains("\"version\":2"),
         "checkpoint should be version 2: {json}"
     );
-    std::fs::write(
-        &ckpt_path,
-        json.replacen("\"version\":2", "\"version\":99", 1),
+    write_checkpoint(
+        &shard_dir,
+        &json.replacen("\"version\":2", "\"version\":99", 1),
     )
     .unwrap();
     let err = open_must_fail(&repo, cfg, &dir);
@@ -462,9 +530,9 @@ fn incompatible_durable_state_is_rejected_loudly() {
 
     // A version-1 checkpoint (whole-clip residency, no prefix_hits) is
     // named explicitly in the refusal.
-    std::fs::write(
-        &ckpt_path,
-        json.replacen("\"version\":2", "\"version\":1", 1),
+    write_checkpoint(
+        &shard_dir,
+        &json.replacen("\"version\":2", "\"version\":1", 1),
     )
     .unwrap();
     let err = open_must_fail(&repo, cfg, &dir);

@@ -9,8 +9,8 @@ use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
 use clipcache_serve::persist::{
-    segment_file_name, segment_header, DurableCheckpoint, PersistError, ShardStore, WalOp,
-    WalRecord, WalSync, WalTuning, DEFAULT_SEGMENT_BYTES, SEGMENT_HEADER_BYTES,
+    segment_file_name, segment_header, write_checkpoint, DurableCheckpoint, PersistError,
+    ShardStore, WalOp, WalRecord, WalSync, WalTuning, DEFAULT_SEGMENT_BYTES, SEGMENT_HEADER_BYTES,
 };
 use clipcache_sim::metrics::HitStats;
 use clipcache_workload::Timestamp;
@@ -103,7 +103,7 @@ fn open_streams_a_subsumed_segment_in_bounded_memory() {
         stats: HitStats::new(),
         seq: cutoff,
     };
-    std::fs::write(dir.join("checkpoint.json"), checkpoint.to_json()).unwrap();
+    write_checkpoint(&dir, &checkpoint.to_json()).unwrap();
     drop(cache);
 
     let base = LIVE.load(Ordering::Relaxed);

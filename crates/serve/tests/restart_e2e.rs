@@ -7,6 +7,7 @@
 //! an idle restart must leave the directory bytes untouched.
 
 use clipcache_media::ClipId;
+use clipcache_serve::persist::CHECKPOINT_SLOT_FILES;
 use clipcache_serve::{TcpCacheClient, Wire};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
@@ -185,7 +186,12 @@ fn killed_server_recovers_every_acknowledged_request() {
                 .any(|n| n.starts_with("wal.") && n.ends_with(".log") && *n != "wal.log"),
             "{shard} has a numbered WAL segment: {names:?}"
         );
-        assert!(names.contains(&"checkpoint.json"), "{shard}: {names:?}");
+        assert!(
+            CHECKPOINT_SLOT_FILES
+                .iter()
+                .any(|slot| names.contains(slot)),
+            "{shard}: {names:?}"
+        );
         assert!(!names.contains(&"wal.log"), "{shard} kept a legacy wal.log");
     }
     let server = spawn_server(&dir, 2);

@@ -14,8 +14,8 @@ use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
 use clipcache_serve::persist::{
-    decode_segment, seal_footer, segment_file_name, segment_header, DurableCheckpoint,
-    PersistError, SegmentEnd, ShardStore, WalOp, WalRecord, WalSync, WalTuning,
+    decode_segment, seal_footer, segment_file_name, segment_header, write_checkpoint,
+    DurableCheckpoint, PersistError, SegmentEnd, ShardStore, WalOp, WalRecord, WalSync, WalTuning,
     SEGMENT_HEADER_BYTES,
 };
 use clipcache_sim::metrics::HitStats;
@@ -212,7 +212,7 @@ fn assert_subsumed_prefix_skips(total: u64, cutoff: u64) {
     // Plant the checkpoint the way a crash between the checkpoint
     // rename and the segment cleanup would leave it: covering through
     // `cutoff` with every segment still on disk.
-    std::fs::write(dir.join("checkpoint.json"), checkpoint_at(cutoff).to_json()).unwrap();
+    write_checkpoint(&dir, &checkpoint_at(cutoff).to_json()).unwrap();
 
     let (store, state) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
     assert_eq!(
