@@ -58,6 +58,8 @@ pub struct TcpCacheClient {
     wire: Wire,
     /// Reassembly buffer for binary frames torn across reads.
     frame_buf: Vec<u8>,
+    /// Encode buffer every request is written through, reused.
+    out: Vec<u8>,
 }
 
 impl TcpCacheClient {
@@ -130,6 +132,7 @@ impl TcpCacheClient {
             writer: stream,
             wire,
             frame_buf: Vec::new(),
+            out: Vec::new(),
         })
     }
 
@@ -169,9 +172,9 @@ impl TcpCacheClient {
 
     /// One request/reply round trip.
     fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
-        let mut out = Vec::new();
-        write_command(self.wire, command, &mut out);
-        self.writer.write_all(&out)?;
+        self.out.clear();
+        write_command(self.wire, command, &mut self.out);
+        self.writer.write_all(&self.out)?;
         self.recv()
     }
 
@@ -196,11 +199,11 @@ impl TcpCacheClient {
     /// fast path. Collect exactly one [`recv_get`](Self::recv_get) per
     /// clip, in order (the server preserves per-connection order).
     pub fn send_gets(&mut self, clips: &[ClipId]) -> std::io::Result<()> {
-        let mut out = Vec::with_capacity(clips.len() * 16);
+        self.out.clear();
         for clip in clips {
-            write_command(self.wire, &Command::Get(*clip), &mut out);
+            write_command(self.wire, &Command::Get(*clip), &mut self.out);
         }
-        self.writer.write_all(&out)
+        self.writer.write_all(&self.out)
     }
 
     /// Receive the next pipelined `GET` reply.
@@ -212,12 +215,12 @@ impl TcpCacheClient {
     /// frame) reaches the server in two flushed fragments.
     /// Wire-identical semantics — only the framing is hostile.
     pub fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        let mut bytes = Vec::new();
-        write_command(self.wire, &Command::Get(clip), &mut bytes);
-        let split = bytes.len() / 2;
-        self.writer.write_all(&bytes[..split])?;
+        self.out.clear();
+        write_command(self.wire, &Command::Get(clip), &mut self.out);
+        let split = self.out.len() / 2;
+        self.writer.write_all(&self.out[..split])?;
         self.writer.flush()?;
-        self.writer.write_all(&bytes[split..])?;
+        self.writer.write_all(&self.out[split..])?;
         self.recv_get()
     }
 

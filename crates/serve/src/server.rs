@@ -4,12 +4,22 @@
 //! One event-loop thread owns everything: a non-blocking listener, a
 //! wakeup pipe, and every live connection's read/write buffers. Sockets
 //! are registered edge-triggered (`EPOLLET`), so each readiness edge is
-//! drained completely — reads accumulate into the connection's input
-//! buffer until `WouldBlock`, *every* complete request already buffered
-//! is executed (that is the server half of pipelining: a client that
-//! batches N requests into one write gets N replies back in one or two
-//! writes), and replies are flushed until `WouldBlock` with `EPOLLOUT`
-//! interest added only while a flush is actually pending.
+//! drained: reads go through one loop-wide buffer into the connection's
+//! input buffer until a read comes back *short* — fewer bytes than
+//! asked for means the socket's receive queue was empty, and any byte
+//! arriving later raises a new edge — or, after a full read, a hang-up
+//! event or a pause at a cap, until `WouldBlock` or EOF. (Urgent data
+//! is the exception: a read also stops short at a peer's `MSG_OOB`
+//! mark, inline or not, so a client that sends urgent data waits for
+//! the rest of its bytes to be read until it sends again. No client of
+//! this server sends any.) Then *every* complete
+//! request already buffered is executed (that is the server half of
+//! pipelining: a client that batches N requests into one write gets N
+//! replies back in one or two writes), its replies are encoded straight
+//! into the connection's output buffer, and they are flushed until
+//! `WouldBlock` with `EPOLLOUT` interest added only while a flush is
+//! actually pending. A turn that serves one batch thus makes one `read`
+//! and one `write`, and reads the clock once.
 //!
 //! Both wire protocols are spoken on every connection, auto-detected
 //! per message: a byte equal to [`FRAME_MAGIC`] opens a length-prefixed
@@ -32,12 +42,13 @@
 //! frame in its shard's store; once the batch has run, the loop writes
 //! each touched shard's frames with one `write` — under
 //! `--wal-sync always` then waits, outside the shard lock, for the one
-//! fsync covering them — and only then moves the batch's replies into
-//! the connection's output buffer. No reply leaves before its frame is
+//! fsync covering them — and only then flushes the connection. The
+//! batch's replies wait, already encoded, at the tail of the
+//! connection's output buffer, so no reply leaves before its frame is
 //! in the OS (and, under `always`, on disk). If a shard's write or
 //! fsync fails, every reply of the batch that rests on that shard is
-//! re-encoded as an `ERR`. A memory-only service stages nothing, so its
-//! batches end without locking a shard.
+//! re-encoded in place as an `ERR`. A memory-only service stages
+//! nothing, so its batches end without locking a shard.
 //!
 //! ## Resilience
 //!
@@ -82,7 +93,6 @@ use crate::protocol::{
 use crate::service::{CacheService, WalBatch};
 use crate::shard::shard_of;
 use clipcache_media::ClipId;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -92,8 +102,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle-sweep cadence (epoll timeout): how often the loop checks idle
-/// budgets when no traffic arrives.
+/// Idle-sweep cadence: the epoll timeout when no traffic arrives, and
+/// the least time between two idle sweeps when traffic keeps the loop
+/// busy.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Longest accepted text request line (bytes, newline excluded). Longer
@@ -104,7 +115,8 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 /// the client drains some replies (pipelining backpressure).
 const WBUF_SOFT_CAP: usize = 4 * 1024 * 1024;
 
-/// Read chunk size for the drain loop.
+/// Size of the loop's one read buffer. A read that fills it may have
+/// left bytes queued, so the drain reads again; a shorter read ends it.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// The governor's answer for one request, from cheapest service to
@@ -380,19 +392,39 @@ struct Conn {
     stream: TcpStream,
     /// Unconsumed input bytes (partial lines / torn frame prefixes).
     rbuf: Vec<u8>,
-    /// Encoded replies not yet written to the socket.
-    wbuf: VecDeque<u8>,
+    /// Encoded replies; the bytes from `flushed` on are not yet written
+    /// to the socket.
+    wbuf: Vec<u8>,
+    /// How many leading bytes of `wbuf` the socket has taken.
+    flushed: usize,
     /// Close once `wbuf` is flushed (QUIT, fatal protocol error, idle).
     closing: bool,
     /// The peer half-closed or errored; no more reads will succeed.
     eof: bool,
     /// `EPOLLOUT` currently registered.
     want_write: bool,
-    /// Completion time of the last full request (idle accounting).
+    /// Reading stopped before the socket was drained (backpressure or
+    /// the bounded-memory cap). No new edge will announce the bytes
+    /// left queued, so the flush that releases the cap reads again.
+    paused: bool,
+    /// End of the last batch that completed a request (idle accounting).
     last_request: Instant,
     /// Protocol of the most recent message: unsolicited replies (idle
     /// timeout) use it so binary clients are not fed text mid-frame.
     wire: Wire,
+}
+
+impl Conn {
+    /// Reply bytes not yet written to the socket.
+    fn pending(&self) -> usize {
+        self.wbuf.len() - self.flushed
+    }
+
+    /// Drop every reply byte, written or not (the peer is gone).
+    fn discard_output(&mut self) {
+        self.wbuf.clear();
+        self.flushed = 0;
+    }
 }
 
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -410,7 +442,8 @@ struct Node {
     /// The shards the current batch left WAL frames staged on.
     batch: WalBatch,
     /// The current batch's replies that rest on a logged access: their
-    /// bytes in the batch output, their wire, and the clip accessed.
+    /// bytes in the connection's output buffer, their wire, and the
+    /// clip accessed.
     logged: Vec<(Range<usize>, Wire, ClipId)>,
 }
 
@@ -424,6 +457,11 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
+    /// The one read buffer every connection's reads go through:
+    /// allocated once, its bytes copied into the connection's `rbuf`.
+    read_buf: Box<[u8]>,
+    /// Earliest time of the next idle sweep.
+    next_sweep: Instant,
 }
 
 impl EventLoop {
@@ -454,6 +492,8 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
+            read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            next_sweep: Instant::now(),
         })
     }
 
@@ -461,33 +501,32 @@ impl EventLoop {
     /// Recomputed at each readiness event, not tracked incrementally —
     /// the slab is small and the sum is cheap next to a socket write.
     fn pending_bytes(&self) -> usize {
-        self.conns
-            .iter()
-            .flatten()
-            .map(|conn| conn.wbuf.len())
-            .sum()
+        self.conns.iter().flatten().map(Conn::pending).sum()
     }
 
     fn run(&mut self) {
         let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 1024];
         loop {
-            let n = self
-                .epoll
-                .wait(&mut events, POLL_INTERVAL.as_millis() as i32);
-            for ev in events.iter().take(n) {
-                let token = ev.u64;
-                let bits = ev.events;
-                match token {
-                    LISTENER_TOKEN => self.accept_ready(),
-                    WAKE_TOKEN => self.wake.drain(),
-                    _ => self.conn_ready(token as usize, bits),
-                }
-            }
+            self.turn(&mut events, POLL_INTERVAL);
             if self.shutdown.load(Ordering::SeqCst) {
                 self.drain_and_close_all();
                 return;
             }
             self.sweep_idle();
+        }
+    }
+
+    /// Wait up to `timeout` for readiness and handle every event.
+    fn turn(&mut self, events: &mut [libc::epoll_event], timeout: Duration) {
+        let n = self.epoll.wait(events, timeout.as_millis() as i32);
+        for ev in events.iter().take(n) {
+            let token = ev.u64;
+            let bits = ev.events;
+            match token {
+                LISTENER_TOKEN => self.accept_ready(),
+                WAKE_TOKEN => self.wake.drain(),
+                _ => self.conn_ready(token as usize, bits),
+            }
         }
     }
 
@@ -530,10 +569,12 @@ impl EventLoop {
             self.conns[token] = Some(Conn {
                 stream,
                 rbuf: Vec::new(),
-                wbuf: VecDeque::new(),
+                wbuf: Vec::new(),
+                flushed: 0,
                 closing: false,
                 eof: false,
                 want_write: false,
+                paused: false,
                 last_request: Instant::now(),
                 wire: Wire::Text,
             });
@@ -550,44 +591,67 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return; // already closed earlier in this batch
         };
+        let hangup = bits & (libc::EPOLLRDHUP | libc::EPOLLHUP | libc::EPOLLERR) != 0;
         if bits & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
             conn.eof = true;
         }
         if bits & (libc::EPOLLIN | libc::EPOLLRDHUP) != 0 {
-            Self::read_and_process(conn, &mut self.node, global);
+            // After a hang-up no further edge comes, so read on to EOF.
+            Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, hangup);
         }
-        if bits & libc::EPOLLOUT != 0 || !conn.wbuf.is_empty() {
+        if bits & libc::EPOLLOUT != 0 || conn.pending() > 0 {
             Self::flush(conn);
-            // Backpressure release: reply bytes drained, resume
-            // consuming any input that piled up meanwhile.
-            if conn.wbuf.len() < WBUF_SOFT_CAP && !conn.closing {
-                Self::read_and_process(conn, &mut self.node, global);
-                Self::flush(conn);
+        }
+        // Backpressure release: reading stopped with bytes still queued,
+        // and only this loop will fetch them. While replies stay pending
+        // the next `EPOLLOUT` edge comes back here. Read on to the end:
+        // a hang-up epoll already reported may sit behind those bytes,
+        // and no further edge would announce it. The path is rare, so
+        // the extra read costs nothing.
+        while conn.paused && conn.pending() < WBUF_SOFT_CAP && !conn.closing {
+            Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, true);
+            Self::flush(conn);
+            if conn.pending() > 0 {
+                break;
             }
         }
         self.update_interest(token);
     }
 
-    /// Drain the socket into `rbuf` (edge-triggered: read to
-    /// `WouldBlock`), then execute every complete buffered request.
-    fn read_and_process(conn: &mut Conn, node: &mut Node, global: usize) {
+    /// Drain the socket into `rbuf`, then execute every complete
+    /// buffered request. A short read ends the drain: the receive queue
+    /// was empty, and a later arrival raises a new edge. With `to_end`
+    /// (a hang-up, a resume after a pause, or the shutdown drain) reads
+    /// go on to `WouldBlock` or EOF.
+    fn read_and_process(
+        conn: &mut Conn,
+        node: &mut Node,
+        read_buf: &mut [u8],
+        global: usize,
+        to_end: bool,
+    ) {
         if conn.closing {
             return;
         }
-        if conn.wbuf.len() >= WBUF_SOFT_CAP {
-            return; // backpressure: let the client drain replies first
+        // Backpressure: let the client drain replies first.
+        conn.paused = conn.pending() >= WBUF_SOFT_CAP;
+        if conn.paused {
+            return;
         }
-        let mut chunk = [0u8; READ_CHUNK];
         loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(read_buf) {
                 Ok(0) => {
                     conn.eof = true;
                     break;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    if conn.rbuf.len() + conn.wbuf.len() > WBUF_SOFT_CAP {
+                    conn.rbuf.extend_from_slice(&read_buf[..n]);
+                    if conn.rbuf.len() + conn.pending() > WBUF_SOFT_CAP {
+                        conn.paused = true;
                         break; // bounded memory per connection
+                    }
+                    if n < read_buf.len() && !to_end {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -607,12 +671,13 @@ impl EventLoop {
     }
 
     /// Execute every complete request sitting in `rbuf` — the server
-    /// half of pipelining — as one batch: their WAL frames are written
-    /// (one `write` per touched shard) before any of their replies
-    /// enters `wbuf`.
+    /// half of pipelining — as one batch, encoding the replies straight
+    /// onto `wbuf`: their WAL frames are written (one `write` per
+    /// touched shard) before the connection is flushed again.
     fn process_buffered(conn: &mut Conn, node: &mut Node, global: usize) {
         let mut consumed = 0usize;
-        let mut out: Vec<u8> = Vec::new();
+        let mut completed = false;
+        let batch_start = conn.wbuf.len();
         while consumed < conn.rbuf.len() && !conn.closing {
             // Classify under the replies already produced this batch,
             // so a pipelined flood trips the governor mid-batch instead
@@ -620,7 +685,7 @@ impl EventLoop {
             let tier = node
                 .config
                 .governor
-                .tier(conn.wbuf.len() + out.len(), global + out.len());
+                .tier(conn.pending(), global + (conn.wbuf.len() - batch_start));
             let rest = &conn.rbuf[consumed..];
             conn.wire = if rest[0] == FRAME_MAGIC {
                 Wire::Binary
@@ -632,7 +697,7 @@ impl EventLoop {
                     Ok(Decoded::Incomplete) => break,
                     Ok(Decoded::Frame { value, consumed: n }) => {
                         consumed += n;
-                        conn.last_request = Instant::now();
+                        completed = true;
                         (Ok(value), false)
                     }
                     // Loud, structured, never a silent skip: ERR frame
@@ -650,10 +715,10 @@ impl EventLoop {
                     }
                     None => break,
                     Some(pos) => {
-                        let line = String::from_utf8_lossy(&rest[..pos]).into_owned();
+                        let command = parse_command(&String::from_utf8_lossy(&rest[..pos]));
                         consumed += pos + 1;
-                        conn.last_request = Instant::now();
-                        (parse_command(&line), false)
+                        completed = true;
+                        (command, false)
                     }
                 },
             };
@@ -664,43 +729,48 @@ impl EventLoop {
                 _ => None,
             };
             let (reply, quit) = node.execute(tier, command);
-            let start = out.len();
-            write_reply(conn.wire, &reply, &mut out);
+            let start = conn.wbuf.len();
+            write_reply(conn.wire, &reply, &mut conn.wbuf);
             // Only a batch that staged WAL frames can fail at its end;
             // a memory-only service never records a span.
             if let Some(clip) = logged.filter(|_| node.batch.staged()) {
                 if matches!(reply, Reply::Get(_) | Reply::Peer(_) | Reply::Range(_)) {
-                    node.logged.push((start..out.len(), conn.wire, clip));
+                    node.logged.push((start..conn.wbuf.len(), conn.wire, clip));
                 }
             }
             conn.closing |= fatal || quit;
         }
-        node.end_batch(&mut out);
+        node.end_batch(&mut conn.wbuf);
+        if completed {
+            conn.last_request = Instant::now();
+        }
         conn.rbuf.drain(..consumed);
-        conn.wbuf.extend(out);
     }
 
     /// Write pending reply bytes until `WouldBlock` or empty.
     fn flush(conn: &mut Conn) {
-        while !conn.wbuf.is_empty() {
-            let (front, _) = conn.wbuf.as_slices();
-            match conn.stream.write(front) {
+        while conn.pending() > 0 {
+            match conn.stream.write(&conn.wbuf[conn.flushed..]) {
                 Ok(0) => {
                     conn.eof = true;
-                    conn.wbuf.clear();
+                    conn.discard_output();
                     return;
                 }
-                Ok(n) => {
-                    conn.wbuf.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Ok(n) => conn.flushed += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.eof = true;
-                    conn.wbuf.clear();
+                    conn.discard_output();
                     return;
                 }
             }
+        }
+        // Reclaim written bytes once they outnumber the pending ones, so
+        // each byte is moved at most once on average.
+        if conn.flushed >= conn.pending() {
+            conn.wbuf.drain(..conn.flushed);
+            conn.flushed = 0;
         }
     }
 
@@ -710,12 +780,11 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        let finished = (conn.closing && conn.wbuf.is_empty()) || (conn.eof && conn.wbuf.is_empty());
-        if finished {
+        let want = conn.pending() > 0;
+        if (conn.closing || conn.eof) && !want {
             self.close_conn(token);
             return;
         }
-        let want = !conn.wbuf.is_empty();
         if want != conn.want_write {
             let events = if want {
                 BASE_EVENTS | libc::EPOLLOUT
@@ -742,12 +811,18 @@ impl EventLoop {
         }
     }
 
-    /// Reclaim connections whose idle budget expired.
+    /// Reclaim connections whose idle budget expired. Under load the
+    /// loop wakes far more often than `POLL_INTERVAL`; the sweep runs
+    /// at most once per interval.
     fn sweep_idle(&mut self) {
         let Some(budget) = self.node.config.read_timeout else {
             return;
         };
         let now = Instant::now();
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + POLL_INTERVAL;
         for token in 0..self.conns.len() {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
@@ -755,9 +830,11 @@ impl EventLoop {
             if conn.closing || now.duration_since(conn.last_request) < budget {
                 continue;
             }
-            let mut out = Vec::new();
-            write_reply(conn.wire, &Reply::Err("idle timeout".into()), &mut out);
-            conn.wbuf.extend(out);
+            write_reply(
+                conn.wire,
+                &Reply::Err("idle timeout".into()),
+                &mut conn.wbuf,
+            );
             conn.closing = true;
             Self::flush(conn);
             self.update_interest(token);
@@ -774,14 +851,12 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            Self::read_and_process(conn, &mut self.node, global);
-            if !conn.wbuf.is_empty() {
+            Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, true);
+            if conn.pending() > 0 {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
-                conn.wbuf.make_contiguous();
-                let (rest, _) = conn.wbuf.as_slices();
-                let _ = conn.stream.write_all(rest);
-                conn.wbuf.clear();
+                let _ = conn.stream.write_all(&conn.wbuf[conn.flushed..]);
+                conn.discard_output();
             }
         }
         for token in 0..self.conns.len() {
@@ -791,7 +866,7 @@ impl EventLoop {
 }
 
 impl Node {
-    /// End the batch whose replies are encoded in `out`: write the WAL
+    /// End the batch whose replies are the tail of `out`: write the WAL
     /// frames it staged, one `write` (and under `--wal-sync always` one
     /// fsync) per touched shard. If a shard's write or fsync failed,
     /// every reply resting on an access to that shard is re-encoded as
@@ -803,19 +878,24 @@ impl Node {
             failed.push((shard, e.to_string()))
         });
         if !failed.is_empty() {
+            // Re-encode from the first logged reply on; the spans index
+            // `out` and are in order.
+            let base = self
+                .logged
+                .first()
+                .map_or(out.len(), |(span, ..)| span.start);
+            let tail = out.split_off(base);
             let shards = self.service.shards();
-            let mut rebuilt = Vec::with_capacity(out.len());
-            let mut copied = 0;
+            let mut copied = base;
             for (span, wire, clip) in &self.logged {
                 let shard = shard_of(*clip, shards);
                 if let Some((_, reason)) = failed.iter().find(|(s, _)| *s == shard) {
-                    rebuilt.extend_from_slice(&out[copied..span.start]);
-                    write_reply(*wire, &Reply::Err(reason.clone()), &mut rebuilt);
+                    out.extend_from_slice(&tail[copied - base..span.start - base]);
+                    write_reply(*wire, &Reply::Err(reason.clone()), out);
                     copied = span.end;
                 }
             }
-            rebuilt.extend_from_slice(&out[copied..]);
-            *out = rebuilt;
+            out.extend_from_slice(&tail[copied - base..]);
         }
         self.logged.clear();
     }
@@ -911,6 +991,178 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::encode_command;
+    use crate::service::ServiceConfig;
+    use clipcache_core::PolicyKind;
+    use clipcache_media::paper;
+
+    fn lru_service() -> CacheService {
+        let repo = Arc::new(paper::variable_sized_repository_of(24));
+        let capacity = repo.cache_capacity_for_ratio(0.25);
+        CacheService::new(
+            Arc::clone(&repo),
+            ServiceConfig::new(PolicyKind::Lru, 1, capacity, 7),
+            None,
+        )
+        .expect("LRU builds")
+    }
+
+    /// An event loop whose governor never sheds, with one accepted
+    /// client connection (token 0).
+    fn loop_with_one_client() -> (EventLoop, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let config = ServerConfig {
+            governor: GovernorConfig {
+                conn_local_only: usize::MAX,
+                conn_shed: usize::MAX,
+                global_local_only: usize::MAX,
+                global_shed: usize::MAX,
+            },
+            ..ServerConfig::default()
+        };
+        let mut event_loop = EventLoop::new(
+            listener,
+            Arc::new(lru_service()),
+            config,
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(WakePipe::new().unwrap()),
+        )
+        .unwrap();
+        let client = TcpStream::connect(addr).unwrap();
+        while event_loop.live == 0 {
+            event_loop.accept_ready();
+        }
+        (event_loop, client)
+    }
+
+    #[test]
+    fn a_write_edge_that_releases_the_cap_reads_again() {
+        // epoll reports every ready bit with any wakeup, so over a real
+        // loop a missed re-read only costs an edge; driving the loop by
+        // hand shows the rule itself. A write-only edge whose flush
+        // takes the reply buffer back under the cap must read the input
+        // left queued when reading stopped.
+        let (mut event_loop, mut client) = loop_with_one_client();
+
+        // 1M GETs: 11 MiB of requests, 16 MiB of replies, far more than
+        // the cap plus what the kernel buffers.
+        let mut window = Vec::new();
+        for i in 0..1u32 << 20 {
+            encode_command(&Command::Get(ClipId::new(1 + i % 24)), &mut window);
+        }
+        let mut writer = client.try_clone().unwrap();
+        let sender = std::thread::spawn(move || writer.write_all(&window));
+        fn conn(event_loop: &EventLoop) -> &Conn {
+            event_loop.conns[0].as_ref().unwrap()
+        }
+        while !(conn(&event_loop).paused && conn(&event_loop).pending() >= WBUF_SOFT_CAP) {
+            event_loop.conn_ready(0, libc::EPOLLIN);
+        }
+
+        // Drain replies client-side until a flush gets under the cap.
+        let mut sink = vec![0u8; 64 * 1024];
+        while conn(&event_loop).pending() >= WBUF_SOFT_CAP {
+            client.read_exact(&mut sink).unwrap();
+            EventLoop::flush(event_loop.conns[0].as_mut().unwrap());
+        }
+        let served = event_loop.node.service.stats().requests();
+        event_loop.conn_ready(0, libc::EPOLLOUT);
+        assert!(
+            event_loop.node.service.stats().requests() > served,
+            "the write edge left the queued input unread"
+        );
+        // Closing the server ends the writer's `write_all` with an error.
+        drop(event_loop);
+        drop(client);
+        let _ = sender.join().expect("the writer thread does not panic");
+    }
+
+    /// Text GETs padded with spaces to lines of this many bytes, so a
+    /// window passes the cap with few replies.
+    const PADDED_LINE: usize = 32 * 1024;
+
+    fn padded_gets(lines: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(lines * PADDED_LINE);
+        for i in 0..lines {
+            let start = out.len();
+            out.extend_from_slice(format!("GET {}", 1 + i % 24).as_bytes());
+            out.resize(start + PADDED_LINE - 1, b' ');
+            out.push(b'\n');
+        }
+        out
+    }
+
+    /// Ask the kernel for a receive buffer of `bytes` on `stream`; it
+    /// caps the request at `net.core.rmem_max`.
+    fn set_receive_buffer(stream: &TcpStream, bytes: i32) {
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_RCVBUF: i32 = 8;
+        let len = std::mem::size_of::<i32>() as u32;
+        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, len) };
+        assert_eq!(rc, 0, "setsockopt(SO_RCVBUF) failed");
+    }
+
+    #[test]
+    fn a_hang_up_sharing_an_event_with_the_memory_cap_still_closes() {
+        // The client queues a window and its FIN before the loop turns,
+        // so one event carries both. That event's drain stops at the
+        // bounded-memory cap, and the read that resumes after the flush
+        // must go on to EOF: the hang-up was reported already, and when
+        // the flush empties the output no later event comes, so the
+        // half-closed client would wait for EOF forever.
+        let (mut event_loop, client) = loop_with_one_client();
+        let stream = &event_loop.conns[0].as_ref().unwrap().stream;
+        set_receive_buffer(stream, 8 << 20);
+        let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 16];
+        let tick = Duration::from_millis(10);
+        let mut reader = client.try_clone().unwrap();
+        let replies = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            reader.read_to_end(&mut got).map(|_| got)
+        });
+
+        // 64 KiB reads cross the cap with one 32 KiB line still queued:
+        // the resumed read comes back short, with the FIN behind it.
+        let lines = WBUF_SOFT_CAP / PADDED_LINE + 3;
+        let window = padded_gets(lines);
+        let queued = window.len();
+        let mut writer = client.try_clone().unwrap();
+        let sender = std::thread::spawn(move || {
+            writer.write_all(&window)?;
+            writer.shutdown(std::net::Shutdown::Write)
+        });
+        // Turn only once the server's socket holds the whole window. On
+        // a kernel whose `rmem_max` is too small for that, this times
+        // out and the test checks only that the connection ends.
+        let mut peeked = vec![0u8; queued];
+        let stream = &event_loop.conns[0].as_ref().unwrap().stream;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while stream.peek(&mut peeked).unwrap_or(0) < queued && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(tick); // let the FIN land behind the data
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.live > 0 && Instant::now() < deadline {
+            event_loop.turn(&mut events, tick);
+        }
+        assert_eq!(
+            event_loop.live, 0,
+            "the half-closed connection was never closed"
+        );
+        sender
+            .join()
+            .unwrap()
+            .expect("the window and FIN were sent");
+        let got = replies.join().unwrap().expect("replies, then EOF");
+        let answered = got.iter().filter(|&&b| b == b'\n').count();
+        assert_eq!(answered, lines, "one reply line per GET");
+    }
 
     #[test]
     fn tier_is_monotone_in_both_watermark_axes() {
@@ -938,20 +1190,8 @@ mod tests {
 
     #[test]
     fn shed_tier_refuses_gets_cheaply_and_counts_them() {
-        use crate::service::ServiceConfig;
-        use clipcache_core::PolicyKind;
-        use clipcache_media::paper;
-
-        let repo = Arc::new(paper::variable_sized_repository_of(24));
-        let capacity = repo.cache_capacity_for_ratio(0.25);
-        let service = CacheService::new(
-            Arc::clone(&repo),
-            ServiceConfig::new(PolicyKind::Lru, 1, capacity, 7),
-            None,
-        )
-        .expect("LRU builds");
         let mut node = Node {
-            service: Arc::new(service),
+            service: Arc::new(lru_service()),
             config: ServerConfig::default(),
             cluster: None,
             shed: 0,
