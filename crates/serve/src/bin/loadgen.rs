@@ -21,13 +21,14 @@
 //! Replays a seeded Zipf trace from `--clients` closed-loop threads
 //! against the in-process service (`--target inproc`, the default) or a
 //! running `serve` front-end, then reports hit rate, throughput and
-//! latency percentiles.
+//! latency percentiles. In-process, each connection is a server session
+//! without a socket, so the replay runs the server's request path.
 //!
-//! TCP targets choose a wire protocol with `--wire` (text lines, the
-//! debuggable default, or length-prefixed binary frames — the fast
-//! path) and a pipeline depth with `--pipeline n`: each client keeps up
-//! to `n` requests in flight per connection, batched into one write per
-//! window. Pipelining changes timing, never results — the server
+//! Single-node targets choose a wire protocol with `--wire` (text
+//! lines, the debuggable default, or length-prefixed binary frames —
+//! the fast path) and a pipeline depth with `--pipeline n`: each client
+//! keeps up to `n` requests in flight per connection, batched into one
+//! write per window. Pipelining changes timing, never results — the server
 //! preserves per-connection order, so `--shards 1 --clients 1
 //! --check-serial 0` passes at any depth. Chaos replays always run
 //! request-at-a-time (fault attribution is per request).
@@ -237,7 +238,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20       [--peers a,b,c | --cluster-nodes n] [--replication r] \
                      [--peer-faults spec] [--kill-span node:from:to]\n\
                      --wire binary speaks length-prefixed frames; --pipeline n \
-                     keeps n requests in flight per connection (clean TCP \
+                     keeps n requests in flight per connection (clean single-node \
                      replays only; results are depth-invariant)\n\
                      --check-serial 0 demands bit-for-bit equality with the \
                      serial simulator (valid for --shards 1 --clients 1); \

@@ -1,5 +1,6 @@
 //! A blocking client for the TCP front-end, speaking either wire
-//! protocol.
+//! protocol over any byte stream: a TCP socket, or the load harness's
+//! in-process connection to a server session.
 //!
 //! The client defaults to the text line protocol (debuggable, and what
 //! every pre-existing golden pins); [`Wire::Binary`] switches every
@@ -33,7 +34,7 @@ use crate::protocol::{
 };
 use crate::shard::{GetOutcome, RangeOutcome};
 use clipcache_media::ClipId;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -51,10 +52,10 @@ pub fn is_busy_error(err: &std::io::Error) -> bool {
     err.kind() == std::io::ErrorKind::Other && err.to_string().contains(BUSY_ERROR)
 }
 
-/// One connection to a serve front-end.
-pub struct TcpCacheClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+/// One connection to a serve front-end, over a TCP socket by default.
+pub struct TcpCacheClient<S = TcpStream> {
+    /// Read through the buffer, written to the stream beneath it.
+    stream: BufReader<S>,
     wire: Wire,
     /// Reassembly buffer for binary frames torn across reads.
     frame_buf: Vec<u8>,
@@ -126,14 +127,19 @@ impl TcpCacheClient {
         };
         stream.set_nodelay(true)?;
         stream.set_read_timeout(read_timeout)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(TcpCacheClient {
-            reader,
-            writer: stream,
+        Ok(TcpCacheClient::over(stream, wire))
+    }
+}
+
+impl<S: Read + Write> TcpCacheClient<S> {
+    /// Speak `wire` over an established byte stream.
+    pub(crate) fn over(stream: S, wire: Wire) -> Self {
+        TcpCacheClient {
+            stream: BufReader::new(stream),
             wire,
             frame_buf: Vec::new(),
             out: Vec::new(),
-        })
+        }
     }
 
     /// Receive the next reply in the client's wire: one text line run
@@ -143,7 +149,7 @@ impl TcpCacheClient {
         match self.wire {
             Wire::Text => {
                 let mut line = String::new();
-                if self.reader.read_line(&mut line)? == 0 {
+                if self.stream.read_line(&mut line)? == 0 {
                     return Err(closed());
                 }
                 parse_reply(&line).map_err(invalid)
@@ -159,13 +165,13 @@ impl TcpCacheClient {
                         Err(e) => return Err(invalid(format!("corrupt reply frame: {e}"))),
                     }
                 }
-                let chunk = self.reader.fill_buf()?;
+                let chunk = self.stream.fill_buf()?;
                 if chunk.is_empty() {
                     return Err(closed());
                 }
                 let n = chunk.len();
                 self.frame_buf.extend_from_slice(chunk);
-                self.reader.consume(n);
+                self.stream.consume(n);
             },
         }
     }
@@ -174,7 +180,7 @@ impl TcpCacheClient {
     fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
         self.out.clear();
         write_command(self.wire, command, &mut self.out);
-        self.writer.write_all(&self.out)?;
+        self.stream.get_mut().write_all(&self.out)?;
         self.recv()
     }
 
@@ -203,7 +209,7 @@ impl TcpCacheClient {
         for clip in clips {
             write_command(self.wire, &Command::Get(*clip), &mut self.out);
         }
-        self.writer.write_all(&self.out)
+        self.stream.get_mut().write_all(&self.out)
     }
 
     /// Receive the next pipelined `GET` reply.
@@ -218,9 +224,10 @@ impl TcpCacheClient {
         self.out.clear();
         write_command(self.wire, &Command::Get(clip), &mut self.out);
         let split = self.out.len() / 2;
-        self.writer.write_all(&self.out[..split])?;
-        self.writer.flush()?;
-        self.writer.write_all(&self.out[split..])?;
+        let writer = self.stream.get_mut();
+        writer.write_all(&self.out[..split])?;
+        writer.flush()?;
+        writer.write_all(&self.out[split..])?;
         self.recv_get()
     }
 
@@ -231,10 +238,11 @@ impl TcpCacheClient {
     /// byte, impossible length), of which the server consumes exactly
     /// the 7 header bytes.
     pub fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<Reply> {
-        match self.wire {
-            Wire::Text => self.writer.write_all(&[payload, b"\n"].concat())?,
-            Wire::Binary => self.writer.write_all(&corrupt_length_get_frame())?,
-        }
+        let garbage = match self.wire {
+            Wire::Text => [payload, b"\n"].concat(),
+            Wire::Binary => corrupt_length_get_frame().to_vec(),
+        };
+        self.stream.get_mut().write_all(&garbage)?;
         self.recv()
     }
 

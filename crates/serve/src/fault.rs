@@ -30,6 +30,7 @@
 //! wall-clock-free summary that CI pins against a committed golden.
 
 use crate::persist::CrashSpec;
+use crate::protocol::FRAME_MAGIC;
 use crate::shard::splitmix64;
 use std::time::Duration;
 
@@ -183,8 +184,9 @@ impl FaultPlan {
 
     /// A deterministic garbage payload for a scheduled
     /// [`FaultKind::Garbage`] fault: 1–16 bytes derived from the same
-    /// coordinates, newline-free (so it stays one protocol line) and
-    /// deliberately including invalid UTF-8.
+    /// coordinates, newline-free and never opening with
+    /// [`FRAME_MAGIC`] (so it stays one text protocol line, not a
+    /// binary frame) and deliberately including invalid UTF-8.
     pub fn garbage_payload(&self, client: u64, request: u64, attempt: u32) -> Vec<u8> {
         let mut h = self.mix(client, request, attempt).wrapping_add(1);
         let len = 1 + (h % 16) as usize;
@@ -192,9 +194,10 @@ impl FaultPlan {
         for _ in 0..len {
             h = splitmix64(h);
             let b = (h & 0xFF) as u8;
-            // Keep it a single line; everything else — NULs, 0xFF,
+            // Keep it a single text line; everything else — NULs, 0xFF,
             // control bytes — is fair game for the parser.
-            bytes.push(if b == b'\n' || b == b'\r' { 0xFE } else { b });
+            let breaks_line = b == b'\n' || b == b'\r' || (bytes.is_empty() && b == FRAME_MAGIC);
+            bytes.push(if breaks_line { 0xFE } else { b });
         }
         bytes
     }
@@ -469,11 +472,14 @@ mod tests {
     #[test]
     fn garbage_payload_is_deterministic_single_line() {
         let plan = FaultPlan::new(11, 1.0);
-        for request in 0..200 {
+        // A raw first byte is FRAME_MAGIC once in 256 payloads; 4096
+        // coordinates meet it for certain, so the mapping is exercised.
+        for request in 0..4096 {
             let payload = plan.garbage_payload(1, request, 0);
             assert_eq!(payload, plan.garbage_payload(1, request, 0));
             assert!(!payload.is_empty() && payload.len() <= 16);
             assert!(!payload.contains(&b'\n') && !payload.contains(&b'\r'));
+            assert_ne!(payload[0], FRAME_MAGIC, "request {request} opens a frame");
         }
     }
 

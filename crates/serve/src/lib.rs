@@ -21,12 +21,12 @@
 //!   [`protocol::STATS_FIELDS`]. Every parser/decoder is total —
 //!   garbage gets `Err`, never a panic — and frame corruption is loud
 //!   (structured [`FrameError`], never a silent truncation).
-//! * [`server`] — a readiness-based epoll event loop (`serve` binary):
-//!   non-blocking accept, per-connection read/write buffers with
-//!   edge-triggered readiness, request pipelining, per-message
-//!   text/binary auto-detect, graceful shutdown via a wakeup pipe, an
-//!   admission gate (`--max-conns`), per-connection idle timeouts
-//!   (`--read-timeout`) and a line-length cap.
+//! * [`server`] — a socket-free session (pipelining, text/binary
+//!   auto-detect, batched WAL writes) and the epoll loop that drives it
+//!   (`serve` binary): edge-triggered readiness, graceful shutdown via
+//!   a wakeup pipe, an admission gate (`--max-conns`), idle timeouts
+//!   (`--read-timeout`) and a line-length cap. loadgen's in-process
+//!   target drives the same session without a socket.
 //! * [`client`] — a blocking protocol client speaking either wire, every
 //!   verb one `Command`/[`Reply`] round trip, with batched pipelined
 //!   GETs, optional read timeouts, plus the chaos harness's wire hooks
@@ -38,8 +38,8 @@
 //!   jitter-free recovery.
 //! * [`loadgen`] — the closed-loop harness (`loadgen` binary): M client
 //!   threads replaying round-robin partitions of a seeded trace against
-//!   the in-process service or a TCP address, optionally through a
-//!   fault plan (`--faults`).
+//!   the in-process server session or a TCP address, optionally through
+//!   a fault plan (`--faults`).
 //! * [`persist`] — durable per-shard state (`--data-dir`): periodic
 //!   checkpoints plus a segmented, CRC-framed write-ahead log
 //!   (`--segment-bytes`) with group-committed fsyncs

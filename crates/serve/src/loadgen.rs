@@ -6,8 +6,11 @@
 //! after the previous reply arrives (closed loop: offered load adapts to
 //! service speed, there is no open-loop queue to overflow). Per-client
 //! [`HitStats`] and [`LatencyLog`]s merge order-invariantly into the
-//! [`LoadReport`]. All TCP targets share one ring-routing transport; a
-//! lone server is the one-member, R = 1 route.
+//! [`LoadReport`]. Every target but the cluster harness shares one
+//! ring-routing transport over [`TcpCacheClient`]. A lone server is the
+//! one-member, R = 1 route, and so is the in-process target, whose
+//! connections are the server's own socket-free sessions: an in-process
+//! replay runs the request path `serve` runs, minus the socket.
 //!
 //! With `clients == 1` the replay is the exact trace order, so a 1-shard
 //! in-process run reproduces the serial simulator bit for bit
@@ -37,6 +40,7 @@ use crate::cluster::{ClusterHarness, ClusterView};
 use crate::fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 use crate::latency::LatencyLog;
 use crate::protocol::{parse_command, Reply, Wire};
+use crate::server::InProcessConn;
 use crate::service::CacheService;
 use crate::shard::{shard_seed, GetOutcome};
 use clipcache_core::PolicySpec;
@@ -44,6 +48,8 @@ use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_sim::metrics::HitStats;
 use clipcache_sim::runner::{simulate, SimulationConfig};
 use clipcache_workload::Trace;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -72,7 +78,8 @@ impl ClusterRoute {
 /// Where the load goes.
 #[derive(Clone)]
 pub enum Target {
-    /// Call the service directly (no sockets).
+    /// Serve from this process: one server session per connection, no
+    /// sockets.
     InProcess(Arc<CacheService>),
     /// One server at this address, one connection per client thread:
     /// the one-member, R = 1 case of [`Target::ClusterTcp`].
@@ -99,18 +106,20 @@ pub struct LoadOptions {
     pub retry: RetryPolicy,
     /// Per-request client read timeout for TCP targets (a reply slower
     /// than this surfaces as an error the retry loop recovers from).
+    /// In-process replies are ready when the request returns.
     pub read_timeout: Option<Duration>,
-    /// Wire protocol for TCP targets (in-process has no wire). Binary
+    /// Wire protocol for every target but the cluster harness. Binary
     /// is the fast path; text is the debuggable default every
     /// pre-existing golden was recorded against.
     pub wire: Wire,
-    /// Pipeline depth for *clean* TCP replays: each client keeps up to
-    /// this many requests in flight on its connection (batched into
-    /// one write per window). Depth 1 is the classic closed loop. The
-    /// chaos replay always runs request-at-a-time regardless — fault
-    /// attribution is per-request. Per-connection reply order is
-    /// preserved by the server, so a 1-shard 1-client pipelined run is
-    /// still bit-identical to the serial simulator.
+    /// Pipeline depth for *clean* single-node replays, TCP or
+    /// in-process: each client keeps up to this many requests in flight
+    /// on its connection (batched into one write per window). Depth 1
+    /// is the classic closed loop. The chaos replay always runs
+    /// request-at-a-time regardless — fault attribution is per-request.
+    /// Per-connection reply order is preserved by the server, so a
+    /// 1-shard 1-client pipelined run is still bit-identical to the
+    /// serial simulator.
     pub pipeline: usize,
 }
 
@@ -248,8 +257,8 @@ impl ClientLog {
 /// The target-specific operations a replay drives. Implementors
 /// reconnect lazily: dropping the connection is cheap, and the next
 /// operation re-establishes it (counting the reconnect). The defaults
-/// are the in-process behaviour: no wire to tear, corrupt, drop or
-/// close.
+/// are the cluster harness's: it models no client wire to tear,
+/// corrupt, drop or close.
 trait Transport {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome>;
     /// Poison the clip's shard.
@@ -280,81 +289,71 @@ fn not_connected(e: impl std::error::Error + Send + Sync + 'static) -> std::io::
     std::io::Error::new(std::io::ErrorKind::NotConnected, e)
 }
 
-struct InProcessTransport {
-    service: Arc<CacheService>,
-}
-
-impl Transport for InProcessTransport {
-    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.service
-            .get(clip)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))
-    }
-
-    fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        self.service.poison(clip);
-        Ok(())
-    }
-}
-
 /// The in-process cluster harness as a transport: the harness already
 /// models routing, failover, and the peer wire, so the transport is a
 /// thin lock-and-forward.
-struct HarnessTransport {
-    harness: Arc<Mutex<ClusterHarness>>,
-}
+struct HarnessTransport(Arc<Mutex<ClusterHarness>>);
 
 impl Transport for HarnessTransport {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        let mut harness = self.harness.lock().expect("cluster harness poisoned");
+        let mut harness = self.0.lock().expect("cluster harness poisoned");
         harness.get(clip).map_err(not_connected)
     }
 
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        let mut harness = self.harness.lock().expect("cluster harness poisoned");
+        let mut harness = self.0.lock().expect("cluster harness poisoned");
         harness.poison(clip).map_err(not_connected)
     }
 }
 
-/// The one TCP transport: a lazy connection per route member, each GET
-/// sent to the clip's first reachable owner (read-any failover in owner
-/// order). A lone server is the one-member, R = 1 route. A member that
-/// refuses or times out has its connection dropped; the next request to
-/// it redials, which is how a killed-and-restarted node is picked back
-/// up without any membership churn.
-struct ClusterTcpTransport {
-    route: ClusterRoute,
+/// The one wire transport: a lazy connection per route member, each
+/// GET sent to the clip's first reachable owner (read-any failover in
+/// owner order). A lone server and the in-process target are one-member,
+/// R = 1 routes. A member that refuses or times out has its connection
+/// dropped; the next request to it redials through `dial`, which is how
+/// a killed-and-restarted node is picked back up without any membership
+/// churn.
+struct RouteTransport<'a, S> {
     view: ClusterView,
-    read_timeout: Option<Duration>,
-    wire: Wire,
-    conns: Vec<Option<TcpCacheClient>>,
+    dial: Dial<'a, S>,
+    conns: Vec<Option<TcpCacheClient<S>>>,
     /// Members dialled at least once (their first dial is
     /// establishment, not recovery).
     dialled: Vec<bool>,
     reconnects: u64,
 }
 
-impl ClusterTcpTransport {
-    fn new(route: &ClusterRoute, read_timeout: Option<Duration>, wire: Wire) -> Self {
-        let n = route.peers.len();
-        ClusterTcpTransport {
-            view: route.view(),
-            route: route.clone(),
-            read_timeout,
-            wire,
-            conns: (0..n).map(|_| None).collect(),
-            dialled: vec![false; n],
+/// Opens a fresh connection to route member `i`.
+type Dial<'a, S> = Box<dyn FnMut(usize) -> std::io::Result<TcpCacheClient<S>> + 'a>;
+
+impl<'a, S: Read + Write> RouteTransport<'a, S> {
+    fn new(view: ClusterView, members: usize, dial: Dial<'a, S>) -> Self {
+        RouteTransport {
+            view,
+            dial,
+            conns: (0..members).map(|_| None).collect(),
+            dialled: vec![false; members],
             reconnects: 0,
         }
     }
 
-    fn ensure(&mut self, node: usize) -> std::io::Result<&mut TcpCacheClient> {
+    /// Shard recoveries summed over every member that still answers (a
+    /// dead member's count is unknowable — report what the living
+    /// members performed).
+    fn recoveries(mut self) -> std::io::Result<u64> {
+        let mut total = 0;
+        for member in 0..self.conns.len() {
+            if let Ok(client) = self.ensure(member) {
+                total += client.stats()?.recoveries;
+            }
+        }
+        self.finish()?;
+        Ok(total)
+    }
+
+    fn ensure(&mut self, node: usize) -> std::io::Result<&mut TcpCacheClient<S>> {
         if self.conns[node].is_none() {
-            self.conns[node] = Some(TcpCacheClient::connect_wire(
-                self.route.peers[node].as_str(),
-                self.read_timeout,
-                self.wire,
-            )?);
+            self.conns[node] = Some((self.dial)(node)?);
             if self.dialled[node] {
                 self.reconnects += 1;
             }
@@ -371,7 +370,7 @@ impl ClusterTcpTransport {
     fn on_owners<T>(
         &mut self,
         clip: ClipId,
-        mut op: impl FnMut(&mut TcpCacheClient) -> std::io::Result<T>,
+        mut op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<T>,
     ) -> std::io::Result<T> {
         let owners = self.view.owners_for(clip);
         let mut last: Option<std::io::Error> = None;
@@ -390,7 +389,7 @@ impl ClusterTcpTransport {
     }
 }
 
-impl Transport for ClusterTcpTransport {
+impl<S: Read + Write> Transport for RouteTransport<'_, S> {
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
         self.on_owners(clip, |client| client.get(clip))
     }
@@ -520,18 +519,19 @@ fn chaos_get(
     }
 }
 
-/// Replay `part` through `transport`, one request at a time. With no
-/// plan this is the exact pre-chaos fast path that keeps the
-/// serial-equivalence anchor intact; with one, every request runs
-/// through [`chaos_get`].
+/// Replay `part` through `transport`, one request at a time, then end
+/// the run politely. With no plan this is the exact pre-chaos fast path
+/// that keeps the serial-equivalence anchor intact; with any plan, even
+/// a zero-rate one (see the module doc), every request runs through
+/// [`chaos_get`].
 fn replay(
     part: &Trace,
     repo: &Repository,
     transport: &mut dyn Transport,
     client: u64,
-    plan: Option<&FaultPlan>,
-    retry: &RetryPolicy,
+    options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
+    let (plan, retry) = (options.faults.as_ref(), &options.retry);
     let mut log = ClientLog::default();
     for (index, req) in part.requests().iter().enumerate() {
         let started = Instant::now();
@@ -550,11 +550,12 @@ fn replay(
         log.record(outcome, repo.size_of(req.clip), started);
     }
     log.chaos.reconnects = transport.reconnects();
+    transport.finish()?;
     Ok(log)
 }
 
-/// The pipelined clean replay against one server: windows of up to
-/// `options.pipeline` requests are batched into one write, then the
+/// The pipelined clean replay over one connection to one server: windows
+/// of up to `depth` requests are batched into one write, then the
 /// replies are collected in order. Per-reply latency is measured from
 /// the window's send, so it includes the queueing a deep pipeline
 /// creates — that is the honest number.
@@ -562,16 +563,15 @@ fn replay(
 /// Because the server preserves per-connection order, the sequence of
 /// (request, outcome) pairs is identical to a depth-1 replay of the
 /// same partition: pipelining changes timing, never results.
-fn replay_pipelined(
+fn replay_pipelined<S: Read + Write>(
     part: &Trace,
     repo: &Repository,
-    addr: &str,
-    options: &LoadOptions,
+    client: &mut TcpCacheClient<S>,
+    depth: usize,
 ) -> std::io::Result<ClientLog> {
-    let mut client = TcpCacheClient::connect_wire(addr, options.read_timeout, options.wire)?;
     let mut log = ClientLog::default();
-    let mut window: Vec<ClipId> = Vec::with_capacity(options.pipeline);
-    for batch in part.requests().chunks(options.pipeline) {
+    let mut window: Vec<ClipId> = Vec::with_capacity(depth);
+    for batch in part.requests().chunks(depth) {
         window.clear();
         window.extend(batch.iter().map(|req| req.clip));
         let started = Instant::now();
@@ -580,7 +580,6 @@ fn replay_pipelined(
             log.record(client.recv_get()?, repo.size_of(req.clip), started);
         }
     }
-    client.quit()?;
     Ok(log)
 }
 
@@ -632,15 +631,15 @@ pub fn run_with(
         chaos.merge(&log.chaos);
     }
     let recoveries = match target {
-        Target::InProcess(service) => service.recoveries(),
         Target::Cluster(harness) => {
             let harness = harness.lock().expect("cluster harness poisoned");
             (0..harness.nodes())
                 .map(|i| harness.node(i).recoveries())
                 .sum()
         }
-        Target::Tcp(addr) => member_recoveries(std::slice::from_ref(addr), options)?,
-        Target::ClusterTcp(route) => member_recoveries(&route.peers, options)?,
+        Target::InProcess(service) => in_process_route(service, options.wire).recoveries()?,
+        Target::Tcp(addr) => tcp_route(lone(), std::slice::from_ref(addr), options).recoveries()?,
+        Target::ClusterTcp(route) => tcp_route(route.view(), &route.peers, options).recoveries()?,
     };
     Ok(LoadReport {
         observed,
@@ -653,20 +652,30 @@ pub fn run_with(
     })
 }
 
-/// Shard recoveries summed over every member that still answers (a
-/// dead member's count is unknowable — report what the living members
-/// performed).
-fn member_recoveries(peers: &[String], options: &LoadOptions) -> std::io::Result<u64> {
-    let mut total = 0;
-    for addr in peers {
-        if let Ok(mut client) =
-            TcpCacheClient::connect_wire(addr.as_str(), options.read_timeout, options.wire)
-        {
-            total += client.stats()?.recoveries;
-            client.quit()?;
-        }
-    }
-    Ok(total)
+/// The TCP route over `peers`, laid out by `view`.
+fn tcp_route<'a>(
+    view: ClusterView,
+    peers: &'a [String],
+    options: &'a LoadOptions,
+) -> RouteTransport<'a, TcpStream> {
+    let (timeout, wire) = (options.read_timeout, options.wire);
+    let dial = move |i: usize| TcpCacheClient::connect_wire(&*peers[i], timeout, wire);
+    RouteTransport::new(view, peers.len(), Box::new(dial))
+}
+
+/// The one-member route into `service`: each dial opens a session of
+/// its own, served by a node of its own.
+fn in_process_route(service: &Arc<CacheService>, wire: Wire) -> RouteTransport<'_, InProcessConn> {
+    let dial = move |_| {
+        let conn = InProcessConn::new(Arc::clone(service));
+        Ok(TcpCacheClient::over(conn, wire))
+    };
+    RouteTransport::new(lone(), 1, Box::new(dial))
+}
+
+/// The topology of a lone server: one member, R = 1.
+fn lone() -> ClusterView {
+    ClusterView::new(0, 1, 1)
 }
 
 /// Replay `trace` against `target` from `clients` clean closed-loop
@@ -687,44 +696,44 @@ fn run_client(
     client_index: usize,
     options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
-    // Any plan — even rate=0 — routes through the retrying chaos
-    // replay: zero-rate injects nothing (bit-identical stats, the test
-    // below pins it) but survives a server restart mid-run via lazy
-    // reconnect + bounded io_retries, with the request counted exactly
-    // once.
-    let plan = options.faults.as_ref();
-    let tcp =
-        |route: &ClusterRoute| ClusterTcpTransport::new(route, options.read_timeout, options.wire);
-    let mut transport: Box<dyn Transport> = match target {
-        Target::InProcess(service) => Box::new(InProcessTransport {
-            service: Arc::clone(service),
-        }),
-        Target::Cluster(harness) => Box::new(HarnessTransport {
-            harness: Arc::clone(harness),
-        }),
-        // A lone server is one pipe, so a clean replay can batch into
-        // it. Ring routing picks a connection per clip, so cluster
-        // replays run request-at-a-time whatever `options.pipeline` says.
-        Target::Tcp(addr) if plan.is_none() && options.pipeline > 1 => {
-            return replay_pipelined(part, repo, addr, options);
+    let client = client_index as u64;
+    match target {
+        Target::Cluster(harness) => {
+            let mut transport = HarnessTransport(Arc::clone(harness));
+            replay(part, repo, &mut transport, client, options)
         }
-        Target::Tcp(addr) => Box::new(tcp(&ClusterRoute {
-            peers: vec![addr.clone()],
-            replication: 1,
-            seed: 0,
-        })),
-        Target::ClusterTcp(route) => Box::new(tcp(route)),
-    };
-    let log = replay(
-        part,
-        repo,
-        transport.as_mut(),
-        client_index as u64,
-        plan,
-        &options.retry,
-    )?;
-    transport.finish()?;
-    Ok(log)
+        Target::InProcess(service) => {
+            let route = in_process_route(service, options.wire);
+            replay_route(part, repo, route, client, options)
+        }
+        Target::Tcp(addr) => {
+            let route = tcp_route(lone(), std::slice::from_ref(addr), options);
+            replay_route(part, repo, route, client, options)
+        }
+        Target::ClusterTcp(route) => {
+            let route = tcp_route(route.view(), &route.peers, options);
+            replay_route(part, repo, route, client, options)
+        }
+    }
+}
+
+/// Replay `part` over `route`. A lone member is one pipe, so a clean
+/// replay can batch into it; ring routing picks a connection per clip,
+/// so a larger route runs request-at-a-time whatever
+/// `options.pipeline` says.
+fn replay_route<S: Read + Write>(
+    part: &Trace,
+    repo: &Repository,
+    mut route: RouteTransport<S>,
+    client: u64,
+    options: &LoadOptions,
+) -> std::io::Result<ClientLog> {
+    if options.faults.is_none() && options.pipeline > 1 && route.conns.len() == 1 {
+        let log = replay_pipelined(part, repo, route.ensure(0)?, options.pipeline)?;
+        route.finish()?;
+        return Ok(log);
+    }
+    replay(part, repo, &mut route, client, options)
 }
 
 /// The serial reference: replay `trace` through the plain simulator with
@@ -822,12 +831,9 @@ mod tests {
             ..ServerConfig::default()
         };
         let handle = serve_with(service, "127.0.0.1:0", config).expect("bind loopback");
-        let route = ClusterRoute {
-            peers: vec![handle.addr().to_string()],
-            replication: 1,
-            seed: 0,
-        };
-        let mut transport = ClusterTcpTransport::new(&route, None, Wire::Text);
+        let peers = [handle.addr().to_string()];
+        let options = LoadOptions::default();
+        let mut transport = tcp_route(lone(), &peers, &options);
         for _ in 0..3 {
             let err = transport.get(ClipId::new(1)).unwrap_err();
             assert!(is_busy_error(&err), "expected BUSY, got {err}");

@@ -1,89 +1,73 @@
-//! The TCP front-end: a readiness-based epoll event loop with request
-//! pipelining.
+//! The TCP front-end, in two layers: a socket-free session that turns
+//! request bytes into reply bytes, and an epoll driver that moves bytes
+//! between sockets and sessions.
 //!
-//! One event-loop thread owns everything: a non-blocking listener, a
-//! wakeup pipe, and every live connection's read/write buffers. Sockets
-//! are registered edge-triggered (`EPOLLET`), so each readiness edge is
-//! drained: reads go through one loop-wide buffer into the connection's
-//! input buffer until a read comes back *short* — fewer bytes than
-//! asked for means the socket's receive queue was empty, and any byte
-//! arriving later raises a new edge — or, after a full read, a hang-up
-//! event or a pause at a cap, until `WouldBlock` or EOF. (Urgent data
-//! is the exception: a read also stops short at a peer's `MSG_OOB`
-//! mark, inline or not, so a client that sends urgent data waits for
-//! the rest of its bytes to be read until it sends again. No client of
-//! this server sends any.) Then *every* complete
-//! request already buffered is executed (that is the server half of
-//! pipelining: a client that batches N requests into one write gets N
-//! replies back in one or two writes), its replies are encoded straight
-//! into the connection's output buffer, and they are flushed until
-//! `WouldBlock` with `EPOLLOUT` interest added only while a flush is
-//! actually pending. A turn that serves one batch thus makes one `read`
-//! and one `write`, and reads the clock once.
+//! ## The session
+//!
+//! A `Session` holds one connection's unconsumed input and the encoded
+//! replies owed to its peer. Its `process` runs one batch: it decodes
+//! every complete request, runs each through `Node::execute`, encodes
+//! the replies and ends with `Node::end_batch`; the caller passes the
+//! batch's one clock reading. Executing *every* buffered request is the
+//! server half of pipelining: a client that writes N requests at once
+//! gets N replies back in one or two writes. A `Node` is what executing
+//! touches: the service, the cluster fill engine, the shed count and
+//! the batch's WAL state. The epoll loop drives one session per socket;
+//! `InProcessConn` drives one with no socket, which is how the load
+//! harness's in-process target runs this same request path.
 //!
 //! Both wire protocols are spoken on every connection, auto-detected
 //! per message: a byte equal to [`FRAME_MAGIC`] opens a length-prefixed
 //! binary frame, anything else is a text line (`GET`/`STATS`/…). Each
 //! reply uses the protocol of its request, so mixed sessions work.
 //!
-//! Shutdown is signalled through the wakeup pipe registered with epoll
-//! — the old "throwaway connection to the server's own port" trick is
-//! gone (it could hang forever when the listener backlog was full).
-//! [`ServerHandle::shutdown`] sets the flag, writes one byte to the
-//! pipe, and joins the loop; the loop drains in-flight pipelined
-//! requests (one final opportunistic read per connection, then every
-//! buffered complete request is executed and its reply flushed) before
-//! closing.
+//! **Durable batches.** On a durable service each logged request only
+//! stages its WAL frame in its shard's store. Ending the batch writes
+//! each touched shard's frames with one `write` and, under `--wal-sync
+//! always`, waits outside the shard lock for the one fsync covering
+//! them. Only then can the driver send the batch's replies, so no reply
+//! leaves before its frame is in the OS (and, under `always`, on disk).
+//! If a shard's write or fsync fails, every reply of the batch that
+//! rests on that shard is re-encoded in place as an `ERR`. A
+//! memory-only service stages nothing, so its batches lock no shard.
 //!
-//! ## Durable batches
+//! ## The epoll driver
 //!
-//! The requests executed from one drain of a connection's input form a
-//! batch. On a durable service each logged request only stages its WAL
-//! frame in its shard's store; once the batch has run, the loop writes
-//! each touched shard's frames with one `write` — under
-//! `--wal-sync always` then waits, outside the shard lock, for the one
-//! fsync covering them — and only then flushes the connection. The
-//! batch's replies wait, already encoded, at the tail of the
-//! connection's output buffer, so no reply leaves before its frame is
-//! in the OS (and, under `always`, on disk). If a shard's write or
-//! fsync fails, every reply of the batch that rests on that shard is
-//! re-encoded in place as an `ERR`. A memory-only service stages
-//! nothing, so its batches end without locking a shard.
+//! One event-loop thread owns a non-blocking listener, a wakeup pipe
+//! and every live connection. Sockets are registered edge-triggered
+//! (`EPOLLET`), so each readiness edge is drained: reads go through one
+//! loop-wide buffer into the session until a read comes back *short* —
+//! the receive queue was empty, and any later byte raises a new edge —
+//! or, after a full read, a hang-up event or a pause at a cap, until
+//! `WouldBlock` or EOF. (A read also stops short at a peer's `MSG_OOB`
+//! mark; no client of this server sends urgent data.) The batch's
+//! replies are then flushed until `WouldBlock`, with `EPOLLOUT`
+//! interest registered only while a flush is pending. A turn that
+//! serves one batch makes one `read` and one `write`, and reads the
+//! clock once.
+//!
+//! [`ServerHandle::shutdown`] sets a flag and writes one byte to the
+//! wakeup pipe; the loop then takes one final read per connection,
+//! executes every buffered complete request, flushes the replies and
+//! closes.
 //!
 //! ## Resilience
 //!
-//! The failure contract is unchanged from the thread-per-connection
-//! server: *structured refusal, never silent disconnect*. Malformed
-//! text lines and recoverable frame corruption get an `ERR` and the
-//! connection lives; unrecoverable frame corruption (untrusted length)
-//! gets an `ERR` and then the close. [`ServerConfig`] still holds the
-//! knobs:
+//! *Structured refusal, never silent disconnect*: malformed text lines
+//! and recoverable frame corruption get an `ERR` and the connection
+//! lives; an untrusted frame length gets an `ERR` and then the close.
+//! A text line longer than [`MAX_LINE_BYTES`] is refused. The admission
+//! gate, the idle budget and `POISON` are [`ServerConfig`] knobs. A
+//! connection whose pending replies pass a soft cap stops being *read*
+//! (not dropped) until its client drains them.
 //!
-//! * `max_conns` — admission gate: excess arrivals get `ERR server
-//!   busy` and an immediate close;
-//! * `read_timeout` — idle budget: a connection with no complete
-//!   request for this long gets `ERR idle timeout` and is reclaimed;
-//! * `chaos` — gates the `POISON` fault-injection command.
-//!
-//! A text line longer than [`MAX_LINE_BYTES`] is refused (`ERR request
-//! line too long`), and a connection that pipelines requests without
-//! ever reading replies stops being *read* (not dropped) once its
-//! pending reply bytes pass a soft cap — backpressure instead of
-//! unbounded buffering.
-//!
-//! ## The overload governor
-//!
-//! Between "healthy" and "stop reading" sits a two-tier governor
-//! ([`GovernorConfig`]) keyed on the same quantity as the soft cap:
-//! pending reply bytes, per connection and summed across the loop.
-//! Past the first watermark GET misses stop probing cluster peers
-//! (local-only serving — the blocking peer RTT is the single most
-//! expensive thing the loop can do under pressure); past the second
-//! the server sheds GETs outright with a `BUSY` reply the loadgen's
-//! retry loop backs off from. `STATS`, `PEERGET` and the other cheap
-//! verbs are never shed — `PEERGET` is how the *cluster* heals, and
-//! shedding it would cascade one node's overload into cluster-wide
-//! misses. Shed GETs count in `STATS shed=`.
+//! Below that cap sits a two-tier governor ([`GovernorConfig`]) keyed
+//! on pending reply bytes, per connection and summed over the loop.
+//! Past its first watermark GET misses skip the blocking peer fill;
+//! past the second GETs are shed with a `BUSY` reply the loadgen backs
+//! off from. `STATS`, `PEERGET` and the other cheap verbs are never
+//! shed — `PEERGET` is how the cluster heals. Shed GETs count in
+//! `STATS shed=`.
 
 use crate::cluster::{ClusterRuntime, ClusterSpec, FillEngine};
 use crate::protocol::{
@@ -387,18 +371,145 @@ pub fn serve_with(
     })
 }
 
-/// One connection's state inside the loop.
-struct Conn {
-    stream: TcpStream,
+/// One connection's protocol state, free of sockets. A driver feeds it
+/// input, runs [`process`](Session::process) once per batch and takes
+/// its output.
+struct Session {
     /// Unconsumed input bytes (partial lines / torn frame prefixes).
     rbuf: Vec<u8>,
-    /// Encoded replies; the bytes from `flushed` on are not yet written
-    /// to the socket.
+    /// Encoded replies; the bytes from `flushed` on are not yet taken.
     wbuf: Vec<u8>,
-    /// How many leading bytes of `wbuf` the socket has taken.
+    /// How many leading bytes of `wbuf` the peer has taken.
     flushed: usize,
     /// Close once `wbuf` is flushed (QUIT, fatal protocol error, idle).
     closing: bool,
+    /// End of the last batch that completed a request (idle accounting).
+    last_request: Instant,
+    /// Protocol of the most recent message: unsolicited replies (idle
+    /// timeout) use it so binary clients are not fed text mid-frame.
+    wire: Wire,
+}
+
+impl Session {
+    fn new(now: Instant) -> Session {
+        Session {
+            rbuf: Vec::new(),
+            wbuf: Vec::new(),
+            flushed: 0,
+            closing: false,
+            last_request: now,
+            wire: Wire::Text,
+        }
+    }
+
+    /// Buffer bytes the peer sent.
+    fn feed(&mut self, bytes: &[u8]) {
+        self.rbuf.extend_from_slice(bytes);
+    }
+
+    /// Reply bytes the peer has not taken yet.
+    fn output(&self) -> &[u8] {
+        &self.wbuf[self.flushed..]
+    }
+
+    /// How many reply bytes the peer has not taken yet.
+    fn pending(&self) -> usize {
+        self.wbuf.len() - self.flushed
+    }
+
+    /// The peer took the first `n` bytes of [`output`](Self::output).
+    /// Taken bytes are reclaimed once they outnumber the pending ones,
+    /// so each byte is moved at most once on average.
+    fn consume(&mut self, n: usize) {
+        self.flushed += n;
+        if self.flushed >= self.pending() {
+            self.wbuf.drain(..self.flushed);
+            self.flushed = 0;
+        }
+    }
+
+    /// Execute every complete request sitting in `rbuf` as one batch,
+    /// encoding the replies straight onto `wbuf`; their WAL frames are
+    /// written before it returns. `global` is the governor's loop-wide
+    /// pending-reply reading, `now` the batch's one clock reading.
+    fn process(&mut self, node: &mut Node, global: usize, now: Instant) {
+        let mut consumed = 0usize;
+        let mut completed = false;
+        let batch_start = self.wbuf.len();
+        while consumed < self.rbuf.len() && !self.closing {
+            // Classify under the replies already produced this batch,
+            // so a pipelined flood trips the governor mid-batch instead
+            // of after the batch has bought 4 MiB of output.
+            let tier = node
+                .config
+                .governor
+                .tier(self.pending(), global + (self.wbuf.len() - batch_start));
+            let rest = &self.rbuf[consumed..];
+            self.wire = if rest[0] == FRAME_MAGIC {
+                Wire::Binary
+            } else {
+                Wire::Text
+            };
+            let (command, fatal) = match self.wire {
+                Wire::Binary => match decode_command(rest) {
+                    Ok(Decoded::Incomplete) => break,
+                    Ok(Decoded::Frame { value, consumed: n }) => {
+                        consumed += n;
+                        completed = true;
+                        (Ok(value), false)
+                    }
+                    // Loud, structured, never a silent skip: ERR frame
+                    // first, then (for untrusted lengths) the close.
+                    Err(err) => {
+                        consumed += err.consumed;
+                        (Err(err.reason), err.fatal)
+                    }
+                },
+                Wire::Text => match rest.iter().position(|&b| b == b'\n') {
+                    // A newline-less flood; refuse before the buffer
+                    // grows without bound.
+                    None if rest.len() > MAX_LINE_BYTES => {
+                        (Err("request line too long".into()), true)
+                    }
+                    None => break,
+                    Some(pos) => {
+                        let command = parse_command(&String::from_utf8_lossy(&rest[..pos]));
+                        consumed += pos + 1;
+                        completed = true;
+                        (command, false)
+                    }
+                },
+            };
+            let logged = match command {
+                Ok(Command::Get(clip) | Command::PeerGet(clip) | Command::GetRange(clip, _)) => {
+                    Some(clip)
+                }
+                _ => None,
+            };
+            let (reply, quit) = node.execute(tier, command);
+            let start = self.wbuf.len();
+            write_reply(self.wire, &reply, &mut self.wbuf);
+            // Only a batch that staged WAL frames can fail at its end;
+            // a memory-only service never records a span.
+            if let Some(clip) = logged.filter(|_| node.batch.staged()) {
+                if matches!(reply, Reply::Get(_) | Reply::Peer(_) | Reply::Range(_)) {
+                    node.logged.push((start..self.wbuf.len(), self.wire, clip));
+                }
+            }
+            self.closing |= fatal || quit;
+        }
+        node.end_batch(&mut self.wbuf);
+        if completed {
+            self.last_request = now;
+        }
+        self.rbuf.drain(..consumed);
+    }
+}
+
+/// One connection inside the loop: its session plus the socket state.
+struct Conn {
+    stream: TcpStream,
+    session: Session,
     /// The peer half-closed or errored; no more reads will succeed.
     eof: bool,
     /// `EPOLLOUT` currently registered.
@@ -407,24 +518,6 @@ struct Conn {
     /// the bounded-memory cap). No new edge will announce the bytes
     /// left queued, so the flush that releases the cap reads again.
     paused: bool,
-    /// End of the last batch that completed a request (idle accounting).
-    last_request: Instant,
-    /// Protocol of the most recent message: unsolicited replies (idle
-    /// timeout) use it so binary clients are not fed text mid-frame.
-    wire: Wire,
-}
-
-impl Conn {
-    /// Reply bytes not yet written to the socket.
-    fn pending(&self) -> usize {
-        self.wbuf.len() - self.flushed
-    }
-
-    /// Drop every reply byte, written or not (the peer is gone).
-    fn discard_output(&mut self) {
-        self.wbuf.clear();
-        self.flushed = 0;
-    }
 }
 
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -475,18 +568,10 @@ impl EventLoop {
         let epoll = Epoll::new()?;
         epoll.add(listener.as_raw_fd(), libc::EPOLLIN, LISTENER_TOKEN)?;
         epoll.add(wake.read_fd, libc::EPOLLIN, WAKE_TOKEN)?;
-        let cluster = config.cluster.clone().map(ClusterRuntime::new);
         Ok(EventLoop {
             epoll,
             listener,
-            node: Node {
-                service,
-                config,
-                cluster,
-                shed: 0,
-                batch: WalBatch::default(),
-                logged: Vec::new(),
-            },
+            node: Node::new(service, config),
             shutdown,
             wake,
             conns: Vec::new(),
@@ -501,7 +586,11 @@ impl EventLoop {
     /// Recomputed at each readiness event, not tracked incrementally —
     /// the slab is small and the sum is cheap next to a socket write.
     fn pending_bytes(&self) -> usize {
-        self.conns.iter().flatten().map(Conn::pending).sum()
+        self.conns
+            .iter()
+            .flatten()
+            .map(|c| c.session.pending())
+            .sum()
     }
 
     fn run(&mut self) {
@@ -568,15 +657,10 @@ impl EventLoop {
             }
             self.conns[token] = Some(Conn {
                 stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                flushed: 0,
-                closing: false,
+                session: Session::new(Instant::now()),
                 eof: false,
                 want_write: false,
                 paused: false,
-                last_request: Instant::now(),
-                wire: Wire::Text,
             });
             self.live += 1;
         }
@@ -586,7 +670,7 @@ impl EventLoop {
     fn conn_ready(&mut self, token: usize, bits: u32) {
         // Global pending bytes are snapshotted once per readiness event;
         // requests executed inside this event add their own replies on
-        // top of the snapshot (see `process_buffered`).
+        // top of the snapshot (see `Session::process`).
         let global = self.pending_bytes();
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return; // already closed earlier in this batch
@@ -599,7 +683,7 @@ impl EventLoop {
             // After a hang-up no further edge comes, so read on to EOF.
             Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, hangup);
         }
-        if bits & libc::EPOLLOUT != 0 || conn.pending() > 0 {
+        if bits & libc::EPOLLOUT != 0 || conn.session.pending() > 0 {
             Self::flush(conn);
         }
         // Backpressure release: reading stopped with bytes still queued,
@@ -608,17 +692,17 @@ impl EventLoop {
         // a hang-up epoll already reported may sit behind those bytes,
         // and no further edge would announce it. The path is rare, so
         // the extra read costs nothing.
-        while conn.paused && conn.pending() < WBUF_SOFT_CAP && !conn.closing {
+        while conn.paused && conn.session.pending() < WBUF_SOFT_CAP && !conn.session.closing {
             Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, true);
             Self::flush(conn);
-            if conn.pending() > 0 {
+            if conn.session.pending() > 0 {
                 break;
             }
         }
         self.update_interest(token);
     }
 
-    /// Drain the socket into `rbuf`, then execute every complete
+    /// Drain the socket into the session, then execute every complete
     /// buffered request. A short read ends the drain: the receive queue
     /// was empty, and a later arrival raises a new edge. With `to_end`
     /// (a hang-up, a resume after a pause, or the shutdown drain) reads
@@ -630,11 +714,12 @@ impl EventLoop {
         global: usize,
         to_end: bool,
     ) {
-        if conn.closing {
+        let session = &mut conn.session;
+        if session.closing {
             return;
         }
         // Backpressure: let the client drain replies first.
-        conn.paused = conn.pending() >= WBUF_SOFT_CAP;
+        conn.paused = session.pending() >= WBUF_SOFT_CAP;
         if conn.paused {
             return;
         }
@@ -645,8 +730,8 @@ impl EventLoop {
                     break;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&read_buf[..n]);
-                    if conn.rbuf.len() + conn.pending() > WBUF_SOFT_CAP {
+                    session.feed(&read_buf[..n]);
+                    if session.rbuf.len() + session.pending() > WBUF_SOFT_CAP {
                         conn.paused = true;
                         break; // bounded memory per connection
                     }
@@ -662,115 +747,28 @@ impl EventLoop {
                 }
             }
         }
-        Self::process_buffered(conn, node, global);
-        if conn.eof && !conn.closing {
+        session.process(node, global, Instant::now());
+        if conn.eof {
             // Peer is gone (or half-closed after its final request):
             // flush whatever replies remain, then close.
-            conn.closing = true;
+            session.closing = true;
         }
-    }
-
-    /// Execute every complete request sitting in `rbuf` — the server
-    /// half of pipelining — as one batch, encoding the replies straight
-    /// onto `wbuf`: their WAL frames are written (one `write` per
-    /// touched shard) before the connection is flushed again.
-    fn process_buffered(conn: &mut Conn, node: &mut Node, global: usize) {
-        let mut consumed = 0usize;
-        let mut completed = false;
-        let batch_start = conn.wbuf.len();
-        while consumed < conn.rbuf.len() && !conn.closing {
-            // Classify under the replies already produced this batch,
-            // so a pipelined flood trips the governor mid-batch instead
-            // of after the batch has bought 4 MiB of output.
-            let tier = node
-                .config
-                .governor
-                .tier(conn.pending(), global + (conn.wbuf.len() - batch_start));
-            let rest = &conn.rbuf[consumed..];
-            conn.wire = if rest[0] == FRAME_MAGIC {
-                Wire::Binary
-            } else {
-                Wire::Text
-            };
-            let (command, fatal) = match conn.wire {
-                Wire::Binary => match decode_command(rest) {
-                    Ok(Decoded::Incomplete) => break,
-                    Ok(Decoded::Frame { value, consumed: n }) => {
-                        consumed += n;
-                        completed = true;
-                        (Ok(value), false)
-                    }
-                    // Loud, structured, never a silent skip: ERR frame
-                    // first, then (for untrusted lengths) the close.
-                    Err(err) => {
-                        consumed += err.consumed;
-                        (Err(err.reason), err.fatal)
-                    }
-                },
-                Wire::Text => match rest.iter().position(|&b| b == b'\n') {
-                    // A newline-less flood; refuse before the buffer
-                    // grows without bound.
-                    None if rest.len() > MAX_LINE_BYTES => {
-                        (Err("request line too long".into()), true)
-                    }
-                    None => break,
-                    Some(pos) => {
-                        let command = parse_command(&String::from_utf8_lossy(&rest[..pos]));
-                        consumed += pos + 1;
-                        completed = true;
-                        (command, false)
-                    }
-                },
-            };
-            let logged = match command {
-                Ok(Command::Get(clip) | Command::PeerGet(clip) | Command::GetRange(clip, _)) => {
-                    Some(clip)
-                }
-                _ => None,
-            };
-            let (reply, quit) = node.execute(tier, command);
-            let start = conn.wbuf.len();
-            write_reply(conn.wire, &reply, &mut conn.wbuf);
-            // Only a batch that staged WAL frames can fail at its end;
-            // a memory-only service never records a span.
-            if let Some(clip) = logged.filter(|_| node.batch.staged()) {
-                if matches!(reply, Reply::Get(_) | Reply::Peer(_) | Reply::Range(_)) {
-                    node.logged.push((start..conn.wbuf.len(), conn.wire, clip));
-                }
-            }
-            conn.closing |= fatal || quit;
-        }
-        node.end_batch(&mut conn.wbuf);
-        if completed {
-            conn.last_request = Instant::now();
-        }
-        conn.rbuf.drain(..consumed);
     }
 
     /// Write pending reply bytes until `WouldBlock` or empty.
     fn flush(conn: &mut Conn) {
-        while conn.pending() > 0 {
-            match conn.stream.write(&conn.wbuf[conn.flushed..]) {
-                Ok(0) => {
-                    conn.eof = true;
-                    conn.discard_output();
-                    return;
-                }
-                Ok(n) => conn.flushed += n,
+        while conn.session.pending() > 0 {
+            match conn.stream.write(conn.session.output()) {
+                Ok(n) if n > 0 => conn.session.consume(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
+                _ => {
+                    // The peer is gone: drop every pending reply.
                     conn.eof = true;
-                    conn.discard_output();
+                    conn.session.consume(conn.session.pending());
                     return;
                 }
             }
-        }
-        // Reclaim written bytes once they outnumber the pending ones, so
-        // each byte is moved at most once on average.
-        if conn.flushed >= conn.pending() {
-            conn.wbuf.drain(..conn.flushed);
-            conn.flushed = 0;
         }
     }
 
@@ -780,8 +778,8 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return;
         };
-        let want = conn.pending() > 0;
-        if (conn.closing || conn.eof) && !want {
+        let want = conn.session.pending() > 0;
+        if (conn.session.closing || conn.eof) && !want {
             self.close_conn(token);
             return;
         }
@@ -827,15 +825,16 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
-            if conn.closing || now.duration_since(conn.last_request) < budget {
+            let session = &mut conn.session;
+            if session.closing || now.duration_since(session.last_request) < budget {
                 continue;
             }
             write_reply(
-                conn.wire,
+                session.wire,
                 &Reply::Err("idle timeout".into()),
-                &mut conn.wbuf,
+                &mut session.wbuf,
             );
-            conn.closing = true;
+            session.closing = true;
             Self::flush(conn);
             self.update_interest(token);
         }
@@ -852,11 +851,11 @@ impl EventLoop {
                 continue;
             };
             Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, true);
-            if conn.pending() > 0 {
+            if conn.session.pending() > 0 {
                 let _ = conn.stream.set_nonblocking(false);
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
-                let _ = conn.stream.write_all(&conn.wbuf[conn.flushed..]);
-                conn.discard_output();
+                let _ = conn.stream.write_all(conn.session.output());
+                conn.session.consume(conn.session.pending());
             }
         }
         for token in 0..self.conns.len() {
@@ -866,6 +865,17 @@ impl EventLoop {
 }
 
 impl Node {
+    fn new(service: Arc<CacheService>, config: ServerConfig) -> Node {
+        Node {
+            cluster: config.cluster.clone().map(ClusterRuntime::new),
+            service,
+            config,
+            shed: 0,
+            batch: WalBatch::default(),
+            logged: Vec::new(),
+        }
+    }
+
     /// End the batch whose replies are the tail of `out`: write the WAL
     /// frames it staged, one `write` (and under `--wal-sync always` one
     /// fsync) per touched shard. If a shard's write or fsync failed,
@@ -988,6 +998,58 @@ impl Node {
     }
 }
 
+/// A connection into a [`Session`] with no socket: the load harness's
+/// in-process target. It owns a [`Node`] of its own over the shared
+/// service, so clients on separate threads contend only on the shard
+/// locks, and the node honours `POISON`. Each `write` is one batch.
+/// `read` takes the replies; with none pending it fails with
+/// `WouldBlock`, and once a closed session's last reply is taken it
+/// reports the end of stream.
+pub(crate) struct InProcessConn {
+    node: Node,
+    session: Session,
+}
+
+impl InProcessConn {
+    pub(crate) fn new(service: Arc<CacheService>) -> InProcessConn {
+        let config = ServerConfig {
+            chaos: true,
+            ..ServerConfig::default()
+        };
+        InProcessConn {
+            node: Node::new(service, config),
+            session: Session::new(Instant::now()),
+        }
+    }
+}
+
+impl Write for InProcessConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        // A closing session reads no more, like the loop's connections.
+        if !self.session.closing {
+            self.session.feed(buf);
+            let global = self.session.pending();
+            self.session.process(&mut self.node, global, Instant::now());
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Read for InProcessConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.session.pending() == 0 && !self.session.closing {
+            return Err(ErrorKind::WouldBlock.into());
+        }
+        let n = self.session.output().read(buf)?;
+        self.session.consume(n);
+        Ok(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1057,13 +1119,13 @@ mod tests {
         fn conn(event_loop: &EventLoop) -> &Conn {
             event_loop.conns[0].as_ref().unwrap()
         }
-        while !(conn(&event_loop).paused && conn(&event_loop).pending() >= WBUF_SOFT_CAP) {
+        while !(conn(&event_loop).paused && conn(&event_loop).session.pending() >= WBUF_SOFT_CAP) {
             event_loop.conn_ready(0, libc::EPOLLIN);
         }
 
         // Drain replies client-side until a flush gets under the cap.
         let mut sink = vec![0u8; 64 * 1024];
-        while conn(&event_loop).pending() >= WBUF_SOFT_CAP {
+        while conn(&event_loop).session.pending() >= WBUF_SOFT_CAP {
             client.read_exact(&mut sink).unwrap();
             EventLoop::flush(event_loop.conns[0].as_mut().unwrap());
         }
@@ -1165,6 +1227,34 @@ mod tests {
     }
 
     #[test]
+    fn every_garbage_line_gets_one_text_err_and_the_session_stays_open() {
+        // The chaos harness's garbage claims to be one text line; fed to
+        // a session, each must get exactly one text ERR line back.
+        let mut node = Node::new(Arc::new(lru_service()), ServerConfig::default());
+        let mut session = Session::new(Instant::now());
+        let plan = crate::fault::FaultPlan::new(11, 1.0);
+        for request in 0..4096 {
+            let payload = plan.garbage_payload(1, request, 0);
+            session.feed(&[&payload[..], b"\n"].concat());
+            session.process(&mut node, 0, Instant::now());
+            let reply = String::from_utf8_lossy(session.output()).into_owned();
+            assert!(
+                reply.starts_with("ERR ") && reply.find('\n') == Some(reply.len() - 1),
+                "payload {payload:02x?} got {reply:?}"
+            );
+            assert!(
+                session.rbuf.is_empty(),
+                "payload {payload:02x?} left input unread"
+            );
+            assert!(
+                !session.closing,
+                "payload {payload:02x?} closed the session"
+            );
+            session.consume(session.pending());
+        }
+    }
+
+    #[test]
     fn tier_is_monotone_in_both_watermark_axes() {
         let gov = GovernorConfig::default();
         assert_eq!(gov.tier(0, 0), LoadTier::Normal);
@@ -1190,14 +1280,7 @@ mod tests {
 
     #[test]
     fn shed_tier_refuses_gets_cheaply_and_counts_them() {
-        let mut node = Node {
-            service: Arc::new(lru_service()),
-            config: ServerConfig::default(),
-            cluster: None,
-            shed: 0,
-            batch: WalBatch::default(),
-            logged: Vec::new(),
-        };
+        let mut node = Node::new(Arc::new(lru_service()), ServerConfig::default());
 
         // Shed: BUSY, no cache access, counter moves.
         let (reply, quit) = node.execute(

@@ -16,10 +16,12 @@
 
 use clipcache_media::ClipId;
 use clipcache_serve::{ClusterView, TcpCacheClient, WireVersions};
-use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+
+mod support;
+
+use support::{spawn_serve, Server};
 
 const SEED: u64 = 0x5EED_2007;
 const CLIPS: u32 = 48;
@@ -37,90 +39,35 @@ fn free_ports(n: usize) -> Vec<u16> {
         .collect()
 }
 
-struct Node {
-    child: Child,
-    stdin: ChildStdin,
-    // Held open so the server never hits a broken pipe on its own
-    // stdout (it prints a final report at shutdown).
-    stdout: BufReader<ChildStdout>,
-    addr: String,
-    recovery_line: Option<String>,
-}
-
-fn spawn_member(me: usize, peers: &[String], replication: usize, data_dir: Option<&Path>) -> Node {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
-    cmd.args([
-        "--cluster",
-        &me.to_string(),
-        "--peers",
-        &peers.join(","),
-        "--replication",
-        &replication.to_string(),
-        "--peer-connect-timeout",
-        "100",
-        "--peer-read-timeout",
-        "100",
-        "--shards",
-        "1",
-        "--clips",
-        &CLIPS.to_string(),
-        "--seed",
-        "0x5EED2007",
-    ]);
-    if let Some(dir) = data_dir {
-        cmd.arg("--data-dir").arg(dir);
-    }
-    let mut child = cmd
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("serve binary spawns");
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut recovery_line = None;
-    let addr = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).expect("server stdout readable") == 0 {
-            panic!("member {me} exited before printing its address");
-        }
-        if line.starts_with("recovered ") {
-            recovery_line = Some(line.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("address after 'listening on'")
-                .to_string();
-        }
-    };
-    Node {
-        child,
-        stdin,
-        stdout: reader,
-        addr,
-        recovery_line,
-    }
-}
-
-impl Node {
-    fn quit(mut self) {
-        self.stdin.write_all(b"quit\n").expect("stdin writable");
-        self.stdin.flush().expect("stdin flushes");
-        let mut rest = String::new();
-        self.stdout
-            .read_to_string(&mut rest)
-            .expect("shutdown output drains");
-        let status = self.child.wait().expect("server exits");
-        assert!(status.success(), "graceful shutdown exits cleanly");
-    }
-
-    /// SIGKILL — the same observable as a power-cut for the process.
-    fn kill(mut self) {
-        self.child.kill().expect("kill delivered");
-        self.child.wait().expect("killed server reaped");
-    }
+fn spawn_member(
+    me: usize,
+    peers: &[String],
+    replication: usize,
+    data_dir: Option<&Path>,
+) -> Server {
+    let (me, peers, replication) = (me.to_string(), peers.join(","), replication.to_string());
+    let clips = CLIPS.to_string();
+    spawn_serve(
+        &[
+            "--cluster",
+            &me,
+            "--peers",
+            &peers,
+            "--replication",
+            &replication,
+            "--peer-connect-timeout",
+            "100",
+            "--peer-read-timeout",
+            "100",
+            "--shards",
+            "1",
+            "--clips",
+            &clips,
+            "--seed",
+            "0x5EED2007",
+        ],
+        data_dir,
+    )
 }
 
 /// Read-any routing: the first live owner in ring order, exactly what
@@ -147,7 +94,7 @@ fn three_member_cluster_loses_no_acked_request_across_sigkill() {
     let ports = free_ports(3);
     let peers: Vec<String> = ports.iter().map(|p| format!("127.0.0.1:{p}")).collect();
 
-    let mut nodes: Vec<Option<Node>> = (0..3)
+    let mut nodes: Vec<Option<Server>> = (0..3)
         .map(|i| Some(spawn_member(i, &peers, 2, Some(&dirs[i]))))
         .collect();
     let view = ClusterView::new(SEED, 3, 2);
@@ -310,44 +257,20 @@ fn three_member_cluster_loses_no_acked_request_across_sigkill() {
 #[test]
 fn one_member_cluster_is_bit_identical_to_standalone() {
     // Standalone reference.
-    let standalone = {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                "--shards",
-                "1",
-                "--clips",
-                &CLIPS.to_string(),
-                "--seed",
-                "0x5EED2007",
-            ])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("serve binary spawns");
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut reader = BufReader::new(stdout);
-        let addr = loop {
-            let mut line = String::new();
-            assert!(
-                reader.read_line(&mut line).expect("stdout readable") > 0,
-                "standalone exited early"
-            );
-            if let Some(rest) = line.strip_prefix("listening on ") {
-                break rest.split_whitespace().next().unwrap().to_string();
-            }
-        };
-        Node {
-            child,
-            stdin,
-            stdout: reader,
-            addr,
-            recovery_line: None,
-        }
-    };
+    let clips = CLIPS.to_string();
+    let standalone = spawn_serve(
+        &[
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+            "--clips",
+            &clips,
+            "--seed",
+            "0x5EED2007",
+        ],
+        None,
+    );
     let ports = free_ports(1);
     let peers = vec![format!("127.0.0.1:{}", ports[0])];
     let solo = spawn_member(0, &peers, 1, None);

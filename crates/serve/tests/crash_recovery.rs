@@ -20,17 +20,20 @@
 //! * counters are conserved across a crash-restart loop: every request
 //!   the durable store acknowledged is counted exactly once;
 //! * a torn append in the middle of a pipelined window over TCP loses
-//!   no request the server answered without an `ERR`.
+//!   no request the server answered without an `ERR`;
+//! * several in-process clients, each with a server node of its own,
+//!   lose no delivered request on one durable service.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
 use clipcache_serve::persist::{
     read_checkpoint, write_checkpoint, DurableCheckpoint, CHECKPOINT_SLOT_FILES,
 };
 use clipcache_serve::{
-    decode_segment, segment_file_name, serve_with, shard_of, CacheService, CrashAction, CrashSpec,
-    PersistOptions, ServerConfig, ServiceConfig, ServiceError, TcpCacheClient, WalSync, WalTuning,
-    Wire,
+    decode_segment, run_load_with, segment_file_name, serve_with, shard_of, CacheService,
+    CrashAction, CrashSpec, LoadOptions, PersistOptions, ServerConfig, ServiceConfig, ServiceError,
+    Target, TcpCacheClient, WalSync, WalTuning, Wire,
 };
+use clipcache_workload::{RequestGenerator, Trace};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -833,6 +836,50 @@ fn torn_append_mid_pipelined_window(sync: WalSync, window_us: u64) {
     assert_eq!(recovered.wal_replayed(), records, "{mode}");
     assert_eq!(recovered.stats().requests(), records, "{mode}");
     assert!(records >= ok, "{mode}");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_in_process_clients_on_a_durable_service_are_all_recovered() {
+    // Four in-process connections, each served by a node of its own,
+    // pipeline binary batches into one durable service under
+    // `--wal-sync always`: every delivered request must be on disk.
+    let repo = repo();
+    let dir = scratch_dir("inproc-clients");
+    let cfg = ServiceConfig::new(clipcache_core::PolicyKind::Lru, 4, ByteSize::mb(40), SEED)
+        .with_checkpoint_every(1_000_000);
+    let tuned = |dir: &Path| {
+        let sync = WalSync::Always;
+        open_tuned_with_crash(&repo, cfg, dir, None, sync, WalTuning::default())
+    };
+    let service = Arc::new(tuned(&dir));
+    let trace = Trace::from_generator(RequestGenerator::new(CLIPS, 0.27, 0, 4_000, 9));
+    let options = LoadOptions {
+        clients: 4,
+        wire: Wire::Binary,
+        pipeline: 8,
+        ..LoadOptions::default()
+    };
+    let report = run_load_with(
+        &Target::InProcess(Arc::clone(&service)),
+        &repo,
+        &trace,
+        &options,
+    )
+    .expect("in-process load");
+    assert_eq!(report.chaos.delivered, 4_000);
+    assert!(report.conserved());
+    let served = service.stats();
+    drop(service);
+
+    let recovered = tuned(&dir);
+    assert_eq!(recovered.wal_replayed(), report.chaos.delivered);
+    assert_eq!(
+        recovered.stats(),
+        served,
+        "the replay rebuilds what was served"
+    );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -12,70 +12,16 @@
 
 use clipcache_media::ClipId;
 use clipcache_serve::TcpCacheClient;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
-struct Server {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    addr: String,
-}
+mod support;
+
+use support::{dir_bytes, spawn_serve, Server};
 
 /// Spawn the real `serve` binary with the given WAL flags.
 fn spawn_server(data_dir: &Path, extra: &[&str]) -> Server {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--addr", "127.0.0.1:0", "--shards", "1", "--clips", "24"])
-        .args(extra)
-        .arg("--data-dir")
-        .arg(data_dir)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("serve binary spawns");
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let addr = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).expect("server stdout readable") == 0 {
-            panic!("server exited before printing its address");
-        }
-        if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("address after 'listening on'")
-                .to_string();
-        }
-    };
-    Server {
-        child,
-        stdin,
-        stdout: reader,
-        addr,
-    }
-}
-
-impl Server {
-    fn quit(mut self) {
-        self.stdin.write_all(b"quit\n").expect("stdin writable");
-        self.stdin.flush().expect("stdin flushes");
-        let mut rest = String::new();
-        self.stdout
-            .read_to_string(&mut rest)
-            .expect("shutdown output drains");
-        let status = self.child.wait().expect("server exits");
-        assert!(status.success(), "graceful shutdown exits cleanly");
-    }
-
-    /// SIGKILL — no flush hooks, open commit windows die where they are.
-    fn kill(mut self) {
-        self.child.kill().expect("kill delivered");
-        self.child.wait().expect("killed server reaped");
-    }
+    let base = ["--addr", "127.0.0.1:0", "--shards", "1", "--clips", "24"];
+    spawn_serve(&[&base[..], extra].concat(), Some(data_dir))
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -164,26 +110,6 @@ fn sigkill_inside_an_open_commit_window_conserves_acked_requests() {
     client.quit().expect("clean disconnect");
     server.quit();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Byte-for-byte comparison of two shard trees.
-fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in std::fs::read_dir(&d).expect("data dir readable") {
-            let entry = entry.unwrap();
-            let path = entry.path();
-            if entry.file_type().unwrap().is_dir() {
-                stack.push(path);
-            } else {
-                let rel = path.strip_prefix(dir).unwrap().display().to_string();
-                files.push((rel, std::fs::read(&path).unwrap()));
-            }
-        }
-    }
-    files.sort();
-    files
 }
 
 #[test]

@@ -9,19 +9,11 @@
 use clipcache_media::ClipId;
 use clipcache_serve::persist::CHECKPOINT_SLOT_FILES;
 use clipcache_serve::{TcpCacheClient, Wire};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::path::Path;
 
-struct Server {
-    child: Child,
-    stdin: ChildStdin,
-    // Held open so the server never hits a broken pipe on its own
-    // stdout (it prints a final report at shutdown).
-    stdout: BufReader<ChildStdout>,
-    addr: String,
-    recovery_line: Option<String>,
-}
+mod support;
+
+use support::{dir_bytes, spawn_serve, Server};
 
 fn spawn_server(data_dir: &Path, shards: usize) -> Server {
     spawn_server_with(
@@ -32,82 +24,7 @@ fn spawn_server(data_dir: &Path, shards: usize) -> Server {
 
 /// Start a durable server on `data_dir` with extra `args`.
 fn spawn_server_with(data_dir: &Path, args: &[&str]) -> Server {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
-        .args(["--addr", "127.0.0.1:0"])
-        .args(args)
-        .arg("--data-dir")
-        .arg(data_dir)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("serve binary spawns");
-    let stdin = child.stdin.take().expect("piped stdin");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
-    let mut recovery_line = None;
-    let addr = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).expect("server stdout readable") == 0 {
-            panic!("server exited before printing its address");
-        }
-        if line.starts_with("recovered ") {
-            recovery_line = Some(line.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("listening on ") {
-            break rest
-                .split_whitespace()
-                .next()
-                .expect("address after 'listening on'")
-                .to_string();
-        }
-    };
-    Server {
-        child,
-        stdin,
-        stdout: reader,
-        addr,
-        recovery_line,
-    }
-}
-
-impl Server {
-    fn quit(mut self) {
-        self.stdin.write_all(b"quit\n").expect("stdin writable");
-        self.stdin.flush().expect("stdin flushes");
-        let mut rest = String::new();
-        self.stdout
-            .read_to_string(&mut rest)
-            .expect("shutdown output drains");
-        let status = self.child.wait().expect("server exits");
-        assert!(status.success(), "graceful shutdown exits cleanly");
-    }
-
-    /// SIGKILL — the same observable as a power-cut for the process.
-    fn kill(mut self) {
-        self.child.kill().expect("kill delivered");
-        self.child.wait().expect("killed server reaped");
-    }
-}
-
-/// Every WAL and checkpoint byte beneath a data dir, keyed by shard
-/// file, for byte-identity assertions.
-fn dir_contents(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-    let mut files = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        for entry in std::fs::read_dir(&d).expect("data dir readable") {
-            let entry = entry.unwrap();
-            let path = entry.path();
-            if entry.file_type().unwrap().is_dir() {
-                stack.push(path);
-            } else {
-                let bytes = std::fs::read(&path).unwrap();
-                files.push((path, bytes));
-            }
-        }
-    }
-    files.sort();
-    files
+    spawn_serve(&[&["--addr", "127.0.0.1:0"], args].concat(), Some(data_dir))
 }
 
 #[test]
@@ -169,15 +86,14 @@ fn killed_server_recovers_every_acknowledged_request() {
     assert_eq!(client.stats().unwrap().stats.requests(), 150);
     client.quit().expect("clean disconnect");
     server.quit();
-    let settled = dir_contents(&dir);
+    let settled = dir_bytes(&dir);
     // The settled listing is the segmented layout: every shard holds
     // numbered `wal.NNNNNN.log` segments plus its checkpoint — never
     // the retired single-file `wal.log`.
     for shard in ["shard-0", "shard-1"] {
-        let shard_dir = dir.join(shard);
         let names: Vec<&str> = settled
             .iter()
-            .filter(|(p, _)| p.parent() == Some(shard_dir.as_path()))
+            .filter(|(p, _)| p.parent() == Some(Path::new(shard)))
             .map(|(p, _)| p.file_name().unwrap().to_str().unwrap())
             .collect();
         assert!(
@@ -197,7 +113,7 @@ fn killed_server_recovers_every_acknowledged_request() {
     let server = spawn_server(&dir, 2);
     server.quit();
     assert_eq!(
-        dir_contents(&dir),
+        dir_bytes(&dir),
         settled,
         "an idle restart must not rewrite durable state"
     );
