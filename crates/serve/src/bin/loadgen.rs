@@ -62,7 +62,7 @@
 //! down. `--cluster-nodes n` instead builds an in-process n-node
 //! cluster (the deterministic harness `clusterbench` and the cluster
 //! chaos golden use); `--peer-faults spec` injects drop-pre/drop-post/
-//! garbage faults on its modelled peer wire, and the cluster block is
+//! garbage faults on its peer wire, and the cluster block is
 //! appended to `--chaos-report` output. `--kill-span node:from:to`
 //! (repeatable, harness only, `--clients 1`) kills `node` before
 //! request `from` and revives it before request `to` — a deterministic

@@ -176,11 +176,16 @@ impl<S: Read + Write> TcpCacheClient<S> {
         }
     }
 
-    /// One request/reply round trip.
-    fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
+    /// Send one request without waiting for its reply.
+    pub(crate) fn send(&mut self, command: &Command) -> std::io::Result<()> {
         self.out.clear();
         write_command(self.wire, command, &mut self.out);
-        self.stream.get_mut().write_all(&self.out)?;
+        self.stream.get_mut().write_all(&self.out)
+    }
+
+    /// One request/reply round trip.
+    fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
+        self.send(command)?;
         self.recv()
     }
 

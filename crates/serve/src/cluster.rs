@@ -34,16 +34,19 @@
 //! cluster is bit-for-bit the standalone server, which keeps the serial
 //! equivalence anchor intact.
 //!
-//! ## One fill engine, two links
+//! ## One fill engine, one wire link
 //!
 //! Breakers, hint queues, probe and replay, and their counters live in
 //! one [`FillEngine`] per handling node, which reaches peers only
-//! through the one-method [`PeerLink`]: a TCP connection pool in
-//! [`ClusterRuntime`] (what `serve` runs), or the member services plus
-//! a [`PeerFaults`] plan in [`ClusterHarness`] (what `clusterbench`,
-//! `degradebench` and the cluster chaos goldens run). `probes` counts
-//! every admitted probe, failed ones included; `errors` counts every
-//! probe or hint replay whose reply never came.
+//! through the one-method [`PeerLink`]. Its one implementation sends
+//! each `PEERGET` as bytes: a lazily dialled binary-wire connection per
+//! member, over either of two byte streams — TCP sockets in
+//! [`ClusterRuntime::new`] (what `serve` runs), or in-process
+//! connections into the other members' server nodes in
+//! [`ClusterHarness`] (what `clusterbench`, `degradebench` and the
+//! cluster chaos goldens run). `probes` counts every admitted probe,
+//! failed ones included; `errors` counts every probe or hint replay
+//! whose reply never came.
 //!
 //! ## Versioning
 //!
@@ -73,25 +76,31 @@
 //!
 //! ## Fault injection
 //!
-//! The in-process link replays the same deterministic chaos discipline
-//! as the wire harness: a [`PeerFaults`] plan (drop-pre / drop-post /
-//! garbage only — torn writes and shard poison make no sense on the
-//! modelled peer hop) decides faults as a pure function of `(handler
-//! node, peer-wire sequence)`. A dropped-after-send probe still executes
-//! on the peer — the duplicated access is exactly the idempotent-GET
-//! duplicate the single-node chaos suite already proves harmless — so
-//! the conservation invariant `delivered = local hits + peer hits +
-//! misses` holds at every rate.
+//! In the harness a [`PeerFaults`] plan (drop-pre / drop-post / garbage
+//! only — torn writes and shard poison are client-wire and service
+//! faults, not peer-hop ones) decides each peer message's fault as a
+//! pure function of `(handler node, peer-wire sequence)`, one sequence
+//! shared by every member. Drop-pre sends nothing. Drop-post sends the
+//! `PEERGET` and drops the connection unread, so the next message
+//! redials; the peer still executes the access — the duplicated access
+//! is exactly the idempotent-GET duplicate the single-node chaos suite
+//! already proves harmless — so the conservation invariant `delivered =
+//! local hits + peer hits + misses` holds at every rate. Garbage sends
+//! a corrupt-length frame first; the peer answers `ERR`, and the same
+//! connection carries the `PEERGET`.
 
 use crate::client::TcpCacheClient;
 use crate::fault::{FaultKind, FaultPlan};
-use crate::protocol::WireVersions;
+use crate::protocol::{Command, Wire, WireVersions};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::service::{CacheService, ServiceError};
+use crate::server::{InProcessConn, Node, ServerConfig};
+use crate::service::CacheService;
 use crate::shard::GetOutcome;
 use clipcache_media::ClipId;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Default budget for opening a peer connection.
@@ -397,8 +406,8 @@ impl FillStats {
 
 /// The peer fill of one handling node: a [`PeerBreaker`] and a bounded,
 /// duplicate-free hint queue per peer, the probe/replay algorithm, and
-/// its [`FillStats`]. `serve` runs one over TCP ([`ClusterRuntime`]);
-/// [`ClusterHarness`] runs one per member over its in-process link.
+/// its [`FillStats`]. Every cluster node runs one inside its
+/// [`ClusterRuntime`], in `serve` and in [`ClusterHarness`] alike.
 #[derive(Debug, Clone)]
 pub struct FillEngine {
     me: usize,
@@ -452,7 +461,7 @@ impl FillEngine {
     /// skipped (its write-all half queued as a hint) instead of paying
     /// the connect timeout, and the first successful probe after a
     /// revive replays the hint queue before anything else.
-    pub fn fill(&mut self, link: &mut impl PeerLink, owners: &[usize], clip: ClipId) -> bool {
+    pub fn fill(&mut self, link: &mut dyn PeerLink, owners: &[usize], clip: ClipId) -> bool {
         let me = self.me;
         let mut filled = false;
         for &peer in owners.iter().filter(|&&n| n != me) {
@@ -500,7 +509,7 @@ impl FillEngine {
     /// Replay `peer`'s hint queue, oldest first: peek, send, pop on
     /// success. A lost reply stops the drain (the rest stay queued for
     /// the next successful probe) and counts as a breaker failure.
-    fn replay_hints(&mut self, link: &mut impl PeerLink, peer: usize) {
+    fn replay_hints(&mut self, link: &mut dyn PeerLink, peer: usize) {
         while let Some(&clip) = self.hints[peer].front() {
             if link.peer_get(peer, clip).is_err() {
                 self.record(peer, false);
@@ -512,58 +521,66 @@ impl FillEngine {
     }
 }
 
-/// A peer slot in the server-side pool.
-enum PeerSlot {
-    /// No live connection; the next probe dials (and handshakes) lazily.
+/// A peer's connection in a [`WireLink`].
+enum PeerSlot<S> {
+    /// No live connection; the next message dials (and handshakes).
     Idle,
     /// Handshaked and usable.
-    Connected(TcpCacheClient),
+    Connected(TcpCacheClient<S>),
     /// Version skew detected — terminal. Never probed again.
     Skewed,
 }
 
-/// The server's [`PeerLink`]: one lazily dialled binary-wire connection
-/// per member.
-struct TcpLink {
-    spec: ClusterSpec,
-    slots: Vec<PeerSlot>,
+/// Opens a binary-wire connection to member `i`, or fails while the
+/// member cannot be reached.
+pub(crate) type PeerDial<S> = Box<dyn FnMut(usize) -> std::io::Result<TcpCacheClient<S>> + Send>;
+
+/// The one [`PeerLink`]: a lazily dialled binary-wire connection per
+/// member over any byte stream — a TCP socket in `serve`, an in-process
+/// connection into the member's node in [`ClusterHarness`].
+struct WireLink<S> {
+    /// Member names for the skew refusal.
+    names: Vec<String>,
+    dial: PeerDial<S>,
+    slots: Vec<PeerSlot<S>>,
 }
 
-impl TcpLink {
-    /// Dial and version-handshake `peer`. A failed dial leaves the slot
-    /// retryable; version skew is terminal and loud.
-    fn dial(&self, peer: usize) -> Result<PeerSlot, ()> {
-        let addr = &self.spec.peers[peer];
-        let mut client = TcpCacheClient::connect_deadline(
-            addr,
-            Some(self.spec.read_timeout),
-            Some(self.spec.connect_timeout),
-            crate::protocol::Wire::Binary,
-        )
-        .map_err(|_| ())?;
-        let theirs = client.version().map_err(|_| ())?;
-        match WireVersions::current().check_matches(&theirs) {
-            Ok(()) => Ok(PeerSlot::Connected(client)),
-            Err(why) => {
-                eprintln!("clipcache-serve: refusing version-skewed peer {addr}: {why}");
-                Ok(PeerSlot::Skewed)
-            }
+impl<S: Read + Write> WireLink<S> {
+    fn new(names: Vec<String>, dial: PeerDial<S>) -> WireLink<S> {
+        WireLink {
+            slots: names.iter().map(|_| PeerSlot::Idle).collect(),
+            names,
+            dial,
         }
     }
-}
 
-impl PeerLink for TcpLink {
-    /// A transport error drops the cached connection so the next call
-    /// redials — which is how a killed-and-rejoined node is picked back
-    /// up. A skewed peer fails without touching the wire.
-    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
+    /// Run `op` on `peer`'s connection, dialling and `VERSION`-checking
+    /// it first if idle. A failed dial leaves the slot retryable; a
+    /// failed `op` drops the connection so the next message redials,
+    /// which is how a killed-and-rejoined member is picked back up.
+    /// Version skew is terminal and loud, and a skewed peer fails
+    /// without touching the wire.
+    fn exchange<T>(
+        &mut self,
+        peer: usize,
+        op: impl FnOnce(&mut TcpCacheClient<S>) -> std::io::Result<T>,
+    ) -> Result<T, ()> {
         if matches!(self.slots[peer], PeerSlot::Idle) {
-            self.slots[peer] = self.dial(peer)?;
+            let mut client = (self.dial)(peer).map_err(|_| ())?;
+            let theirs = client.version().map_err(|_| ())?;
+            self.slots[peer] = match WireVersions::current().check_matches(&theirs) {
+                Ok(()) => PeerSlot::Connected(client),
+                Err(why) => {
+                    let name = &self.names[peer];
+                    eprintln!("clipcache-serve: refusing version-skewed peer {name}: {why}");
+                    PeerSlot::Skewed
+                }
+            };
         }
         let PeerSlot::Connected(client) = &mut self.slots[peer] else {
             return Err(());
         };
-        let reply = client.peer_get(clip);
+        let reply = op(client);
         if reply.is_err() {
             self.slots[peer] = PeerSlot::Idle;
         }
@@ -571,8 +588,13 @@ impl PeerLink for TcpLink {
     }
 }
 
-/// Server-side cluster state owned by the event loop: the ring, this
-/// node's [`FillEngine`] and its TCP link.
+impl<S: Read + Write> PeerLink for WireLink<S> {
+    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
+        self.exchange(peer, |client| client.peer_get(clip))
+    }
+}
+
+/// A node's cluster state: the ring, its [`FillEngine`] and its link.
 ///
 /// Peer fetches are *blocking* calls made from inside the epoll loop,
 /// bounded by the spec's connect/read timeouts. That is a deliberate
@@ -584,20 +606,23 @@ impl PeerLink for TcpLink {
 pub struct ClusterRuntime {
     view: ClusterView,
     engine: FillEngine,
-    link: TcpLink,
+    link: Box<dyn PeerLink + Send>,
 }
 
 impl ClusterRuntime {
-    /// Build the runtime; connections are dialled lazily on first probe.
+    /// The runtime of a `serve` member: peers are dialled over TCP
+    /// lazily, on first probe.
     pub fn new(spec: ClusterSpec) -> ClusterRuntime {
-        let n = spec.peers.len();
+        let (read, connect) = (Some(spec.read_timeout), Some(spec.connect_timeout));
+        let peers = spec.peers.clone();
+        let dial = move |i: usize| {
+            TcpCacheClient::connect_deadline(&*peers[i], read, connect, Wire::Binary)
+        };
+        let engine = FillEngine::new(spec.me, spec.peers.len(), PeerBreaker::default());
         ClusterRuntime {
             view: spec.view(),
-            engine: FillEngine::new(spec.me, n, PeerBreaker::default()),
-            link: TcpLink {
-                spec,
-                slots: (0..n).map(|_| PeerSlot::Idle).collect(),
-            },
+            engine,
+            link: Box::new(WireLink::new(spec.peers.clone(), Box::new(dial))),
         }
     }
 
@@ -606,16 +631,16 @@ impl ClusterRuntime {
         &self.engine
     }
 
-    /// [`FillEngine::fill`] over the clip's ring owners and the TCP link.
+    /// [`FillEngine::fill`] over the clip's ring owners and the link.
     pub fn fill(&mut self, clip: ClipId) -> bool {
         let owners = self.view.owners_for(clip);
-        self.engine.fill(&mut self.link, &owners, clip)
+        self.engine.fill(&mut *self.link, &owners, clip)
     }
 }
 
-/// A fault plan for the modelled peer wire: drop-pre, drop-post, and
-/// garbage only. Torn writes and shard poison are wire/service faults
-/// that do not exist on the in-process peer hop, so a plan scheduling
+/// A fault plan for the harness's peer wire: drop-pre, drop-post, and
+/// garbage only. Torn writes and shard poison are client-wire and
+/// service faults, not peer-hop ones, so a plan scheduling
 /// them is rejected at construction — a chaos run that silently
 /// no-opped half its faults would overstate coverage.
 #[derive(Debug, Clone)]
@@ -670,7 +695,7 @@ pub struct ClusterStats {
     pub failovers: u64,
     /// Peer-wire messages lost to drop-pre / drop-post faults.
     pub peer_drops: u64,
-    /// Peer-wire messages preceded by a garbage line (the peer answered
+    /// Peer-wire messages preceded by a corrupt frame (the peer answered
     /// `ERR`, then the real message proceeded).
     pub peer_garbage: u64,
     /// Every member's fill counters, summed; `fill.peer_hits` are the
@@ -700,8 +725,8 @@ impl ClusterStats {
 pub enum ClusterError {
     /// Every owner of the clip is dead.
     NoOwnerAlive(ClipId),
-    /// The handling owner's service refused the request.
-    Service(ServiceError),
+    /// The handling owner refused the request; its error.
+    Service(String),
 }
 
 impl std::fmt::Display for ClusterError {
@@ -717,74 +742,175 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// The harness's [`PeerLink`]: member services, their liveness, and the
-/// modelled peer-wire fault plan, which decides each message's fault as
-/// a pure function of `(handler, seq)`. `handler` is the node currently
-/// filling.
+/// The harness's members: one server [`Node`] each, and what every
+/// connection into them shares.
+struct Members {
+    nodes: Vec<Arc<Mutex<Node>>>,
+    /// Whether each member is up. A member that is down refuses dials,
+    /// and every connection into it fails until it is back.
+    alive: Vec<AtomicBool>,
+    /// The peer-wire fault plan and what it injected.
+    wire: Mutex<PeerWire>,
+}
+
+/// The peer-wire fault plan with its one message sequence, shared by
+/// every member's link.
 #[derive(Default)]
-struct LocalLink {
-    nodes: Vec<Arc<CacheService>>,
-    alive: Vec<bool>,
+struct PeerWire {
     faults: Option<PeerFaults>,
-    handler: usize,
     seq: u64,
     drops: u64,
     garbage: u64,
 }
 
-impl PeerLink for LocalLink {
-    /// A dead peer fails before anything reaches the wire, so it draws
-    /// no fault from the plan.
-    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
-        if !self.alive[peer] {
-            return Err(());
+impl Members {
+    fn alive(&self, i: usize) -> bool {
+        self.alive[i].load(Ordering::SeqCst)
+    }
+
+    fn set_alive(&self, i: usize, up: bool) {
+        self.alive[i].store(up, Ordering::SeqCst);
+    }
+
+    fn wire(&self) -> MutexGuard<'_, PeerWire> {
+        self.wire.lock().expect("peer wire lock poisoned")
+    }
+
+    /// Open a connection into member `i`; refused while it is dead.
+    fn connect(
+        self: &Arc<Self>,
+        i: usize,
+        wire: Wire,
+    ) -> std::io::Result<TcpCacheClient<MemberConn>> {
+        if !self.alive(i) {
+            return Err(ErrorKind::ConnectionRefused.into());
         }
-        let fault = self
+        let conn = MemberConn {
+            conn: InProcessConn::to(Arc::clone(&self.nodes[i])),
+            members: Arc::clone(self),
+            member: i,
+        };
+        Ok(TcpCacheClient::over(conn, wire))
+    }
+
+    /// The fault of `handler`'s next message to a live peer: a pure
+    /// function of `(handler, seq)`.
+    fn draw(&self, handler: usize) -> Option<FaultKind> {
+        let mut wire = self.wire();
+        let fault = wire
             .faults
             .as_ref()
-            .and_then(|f| f.plan.decide(self.handler as u64, self.seq, 0));
-        self.seq += 1;
+            .and_then(|f| f.plan.decide(handler as u64, wire.seq, 0));
+        wire.seq += 1;
         match fault {
-            // Lost before the wire: the peer never sees it.
-            Some(FaultKind::DropBeforeSend) => {
-                self.drops += 1;
-                return Err(());
-            }
-            // The peer executes the access (its half of write-all still
-            // happens) but the reply is lost.
-            Some(FaultKind::DropAfterSend) => {
-                let _ = self.nodes[peer].get(clip);
-                self.drops += 1;
-                return Err(());
-            }
-            // A garbage line precedes the message; the peer answers
-            // `ERR` and the real message proceeds (server-side line
-            // discipline already proves this path).
-            Some(FaultKind::Garbage) => self.garbage += 1,
+            Some(FaultKind::DropBeforeSend | FaultKind::DropAfterSend) => wire.drops += 1,
+            Some(FaultKind::Garbage) => wire.garbage += 1,
             _ => {}
         }
-        self.nodes[peer].get(clip).map(|o| o.hit).map_err(|_| ())
+        fault
     }
 }
 
-/// An in-process cluster: N [`CacheService`]s joined by a
-/// [`ClusterView`], replaying the full routed request path — read-any
-/// owner selection, peer fill, write-all — without sockets. This is
-/// what `clusterbench` measures and what the cluster chaos golden
-/// replays: deterministic (no wall clock, no thread scheduling — one
-/// caller at a time) and `--jobs`-invariant by construction. Each
-/// member fills through its own [`FillEngine`], the server's code.
+/// A connection into one harness member: an [`InProcessConn`] that
+/// fails while the member is down.
+pub(crate) struct MemberConn {
+    conn: InProcessConn,
+    members: Arc<Members>,
+    member: usize,
+}
+
+impl MemberConn {
+    fn check(&self) -> std::io::Result<()> {
+        if self.members.alive(self.member) {
+            Ok(())
+        } else {
+            Err(ErrorKind::ConnectionReset.into())
+        }
+    }
+}
+
+impl Read for MemberConn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.check()?;
+        self.conn.read(buf)
+    }
+}
+
+impl Write for MemberConn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.check()?;
+        self.conn.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A harness member's [`PeerLink`]: the [`WireLink`] into the other
+/// members, behind their liveness and the peer-wire fault plan.
+struct LocalLink {
+    wire: WireLink<MemberConn>,
+    members: Arc<Members>,
+    me: usize,
+}
+
+impl PeerLink for LocalLink {
+    /// A message to a dead peer draws no fault from the plan: it fails
+    /// on the wire, where a connection from before the kill is dropped.
+    fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
+        if !self.members.alive(peer) {
+            return self.wire.peer_get(peer, clip);
+        }
+        match self.members.draw(self.me) {
+            // Lost before the wire: the peer never sees it.
+            Some(FaultKind::DropBeforeSend) => Err(()),
+            // The peer executes the access (its half of write-all still
+            // happens), but the connection drops before the reply is
+            // read.
+            Some(FaultKind::DropAfterSend) => {
+                let lost = ErrorKind::ConnectionAborted;
+                let _ = self.wire.exchange(peer, |client| {
+                    client.send(&Command::PeerGet(clip))?;
+                    Err::<(), _>(lost.into())
+                });
+                Err(())
+            }
+            // A corrupt frame precedes the message; the peer answers
+            // `ERR` and the connection lives on.
+            Some(FaultKind::Garbage) => {
+                self.wire
+                    .exchange(peer, |client| client.send_garbage(&[]))?;
+                self.wire.peer_get(peer, clip)
+            }
+            _ => self.wire.peer_get(peer, clip),
+        }
+    }
+}
+
+/// An in-process cluster: N server nodes, one per [`CacheService`],
+/// joined by a [`ClusterView`], replaying the full routed request path
+/// — read-any owner selection, peer fill, write-all — without sockets.
+/// This is what `clusterbench` measures and what the cluster chaos
+/// goldens replay: deterministic (no wall clock, no thread scheduling —
+/// one caller at a time) and `--jobs`-invariant by construction.
+///
+/// Every request reaches a member as bytes over an in-process
+/// connection into its node, which runs the code `serve` runs: client
+/// GETs, `POISON`s and `STATS`, and the other members' `PEERGET`s under
+/// the [`PeerFaults`] plan.
 ///
 /// [`kill`](Self::kill) / [`revive`](Self::revive) model node failure
-/// and WAL-recovered rejoin: a killed node refuses probes and routes
-/// (its requests fail over to ring successors); a revived node returns
-/// with its pre-kill cache state, exactly like a `--data-dir` node
-/// recovering its checkpoint + WAL.
+/// and WAL-recovered rejoin: while a node is down its dials are refused
+/// and its connections fail (its requests fail over to ring
+/// successors); a revived node returns with its pre-kill cache and fill
+/// state, exactly like a `--data-dir` node recovering its checkpoint +
+/// WAL.
 pub struct ClusterHarness {
     view: ClusterView,
-    link: LocalLink,
-    /// One engine per member: each tracks its own view of every peer.
-    engines: Vec<FillEngine>,
+    members: Arc<Members>,
+    /// The service under each member's node.
+    services: Vec<Arc<CacheService>>,
     /// Routing counters; the fill and peer-wire counters are summed in
     /// [`stats`](Self::stats).
     routed: ClusterStats,
@@ -803,14 +929,20 @@ impl ClusterHarness {
     pub fn new(seed: u64, replication: usize, services: Vec<Arc<CacheService>>) -> ClusterHarness {
         assert!(!services.is_empty(), "cluster needs at least one node");
         let n = services.len();
+        // Link-less placeholders until `set_breaker_tuning` installs the
+        // members, whose links need the shared member table first.
+        let plain = |s: &Arc<CacheService>| Node::new(Arc::clone(s), ServerConfig::default());
         let mut harness = ClusterHarness {
             view: ClusterView::new(seed, n, replication),
-            link: LocalLink {
-                nodes: services,
-                alive: vec![true; n],
-                ..LocalLink::default()
-            },
-            engines: Vec::new(),
+            members: Arc::new(Members {
+                nodes: services
+                    .iter()
+                    .map(|s| Arc::new(Mutex::new(plain(s))))
+                    .collect(),
+                alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+                wire: Mutex::default(),
+            }),
+            services,
             routed: ClusterStats::default(),
             schedule: Vec::new(),
         };
@@ -820,57 +952,89 @@ impl ClusterHarness {
 
     /// Arm (or disarm) deterministic peer-wire faults.
     pub fn set_faults(&mut self, faults: Option<PeerFaults>) {
-        self.link.faults = faults;
+        self.members.wire().faults = faults;
     }
 
     /// Member count.
     pub fn nodes(&self) -> usize {
-        self.link.nodes.len()
+        self.services.len()
     }
 
     /// Direct access to node `i`'s service (for seeding and for
     /// server-side conservation checks in tests).
     pub fn node(&self, i: usize) -> &Arc<CacheService> {
-        &self.link.nodes[i]
+        &self.services[i]
+    }
+
+    /// Member `i`'s node.
+    fn member(&self, i: usize) -> MutexGuard<'_, Node> {
+        self.members.nodes[i]
+            .lock()
+            .expect("member node lock poisoned")
     }
 
     /// Counters so far: routing plus every member's fill counters.
     pub fn stats(&self) -> ClusterStats {
         let mut stats = self.routed;
-        stats.peer_drops = self.link.drops;
-        stats.peer_garbage = self.link.garbage;
-        for engine in &self.engines {
-            stats.fill.add(&engine.stats());
+        let wire = self.members.wire();
+        (stats.peer_drops, stats.peer_garbage) = (wire.drops, wire.garbage);
+        drop(wire); // a member's link takes it with its node locked
+        for i in 0..self.nodes() {
+            if let Some(cluster) = &self.member(i).cluster {
+                stats.fill.add(&cluster.engine.stats());
+            }
         }
         stats
     }
 
     /// SIGKILL node `i`: it stops answering routes and probes.
     pub fn kill(&mut self, i: usize) {
-        self.link.alive[i] = false;
+        self.members.set_alive(i, false);
     }
 
     /// Rejoin node `i` with its recovered (pre-kill) cache state.
     pub fn revive(&mut self, i: usize) {
-        self.link.alive[i] = true;
+        self.members.set_alive(i, true);
     }
 
     /// Node `i`'s breaker as seen from `handler` (for tests and the
     /// degradebench experiment).
-    pub fn breaker(&self, handler: usize, peer: usize) -> &PeerBreaker {
-        self.engines[handler].breaker(peer)
+    pub fn breaker(&self, handler: usize, peer: usize) -> PeerBreaker {
+        let node = self.member(handler);
+        let cluster = node
+            .cluster
+            .as_ref()
+            .expect("every member is a cluster node");
+        cluster.engine.breaker(peer).clone()
     }
 
-    /// Replace every member's engine with a fresh one whose breakers use
-    /// the given thresholds. Call before traffic: `degradebench`'s
-    /// breaker-off control arm passes `u32::MAX` so no failure run ever
-    /// trips (the pre-breaker cluster, every dead probe paid in full).
+    /// Rebuild every member's node with fresh fill engines whose
+    /// breakers use the given thresholds. Call before traffic:
+    /// `degradebench`'s breaker-off control arm passes `u32::MAX` so no
+    /// failure run ever trips (the pre-breaker cluster, every dead probe
+    /// paid in full).
     pub fn set_breaker_tuning(&mut self, failure_threshold: u32, probe_interval: u64) {
         let n = self.nodes();
         let breaker = PeerBreaker::new(failure_threshold, probe_interval);
-        self.engines = (0..n)
-            .map(|me| FillEngine::new(me, n, breaker.clone()))
-            .collect();
+        let names: Vec<String> = (0..n).map(|i| format!("member {i}")).collect();
+        for me in 0..n {
+            let link = LocalLink {
+                wire: WireLink::new(names.clone(), self.dial(Wire::Binary)),
+                members: Arc::clone(&self.members),
+                me,
+            };
+            let config = ServerConfig {
+                chaos: true,
+                ..ServerConfig::default()
+            };
+            let mut node = Node::new(Arc::clone(&self.services[me]), config);
+            node.cluster = Some(ClusterRuntime {
+                view: self.view.clone(),
+                engine: FillEngine::new(me, n, breaker.clone()),
+                link: Box::new(link),
+            });
+            *self.member(me) = node;
+        }
     }
 
     /// Schedule a deterministic kill of node `i` applied before the
@@ -887,54 +1051,59 @@ impl ClusterHarness {
         self.schedule.push((at_request, i, true));
     }
 
-    /// The first alive owner of `clip`, with its owner set.
-    fn route(&self, clip: ClipId) -> Result<(usize, Vec<usize>), ClusterError> {
-        let owners = self.view.owners_for(clip);
-        match owners.iter().copied().find(|&n| self.link.alive[n]) {
-            Some(handler) => Ok((handler, owners)),
-            None => Err(ClusterError::NoOwnerAlive(clip)),
-        }
+    /// The ring the members are placed on.
+    pub(crate) fn view(&self) -> &ClusterView {
+        &self.view
     }
 
-    /// One routed GET: first alive owner handles it; on a local miss
-    /// its engine fills from the other owners under the armed fault
-    /// plan.
-    pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
+    /// Opens connections into the members, speaking `wire`; a dial is
+    /// refused while its member is dead.
+    pub(crate) fn dial(&self, wire: Wire) -> PeerDial<MemberConn> {
+        let members = Arc::clone(&self.members);
+        Box::new(move |i| members.connect(i, wire))
+    }
+
+    /// Route GET number `requests`: apply the kill schedule, count the
+    /// request, and let `send` deliver it, given the clip's first alive
+    /// owner; `send` reports the member that answered.
+    pub(crate) fn route_get(
+        &mut self,
+        clip: ClipId,
+        send: impl FnOnce(usize) -> std::io::Result<(usize, GetOutcome)>,
+    ) -> Result<GetOutcome, ClusterError> {
         let seq = self.routed.requests;
-        let link = &mut self.link;
+        let members = &self.members;
         self.schedule.retain(|&(at, node, up)| {
             if at <= seq {
-                link.alive[node] = up;
+                members.set_alive(node, up);
             }
             at > seq
         });
         self.routed.requests += 1;
-        let (handler, owners) = self.route(clip)?;
-        if handler != owners[0] {
-            self.routed.failovers += 1;
-        }
-        let mut outcome = self.link.nodes[handler]
-            .get(clip)
-            .map_err(ClusterError::Service)?;
+        let owners = self.view.owners_for(clip);
+        let Some(first) = owners.iter().copied().find(|&n| self.members.alive(n)) else {
+            return Err(ClusterError::NoOwnerAlive(clip));
+        };
+        let (handler, outcome) = send(first).map_err(refused)?;
+        let routed = &mut self.routed;
+        routed.failovers += u64::from(handler != owners[0]);
         if outcome.hit {
-            self.routed.local_hits += 1;
-        } else {
-            self.link.handler = handler;
-            outcome.peer = self.engines[handler].fill(&mut self.link, &owners, clip);
-            if !outcome.peer {
-                self.routed.misses += 1;
-            }
+            routed.local_hits += 1;
+        } else if !outcome.peer {
+            routed.misses += 1;
         }
-        self.routed.delivered += 1;
+        routed.delivered += 1;
         Ok(outcome)
     }
 
-    /// Poison `clip`'s shard on its first alive owner (chaos parity
-    /// with the single-node harness).
-    pub fn poison(&mut self, clip: ClipId) -> Result<(), ClusterError> {
-        let (handler, _) = self.route(clip)?;
-        self.link.nodes[handler].poison(clip);
-        Ok(())
+    /// One routed GET: the first alive owner handles it; on a local miss
+    /// it fills from the other owners under the armed fault plan.
+    pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
+        let members = Arc::clone(&self.members);
+        self.route_get(clip, |handler| {
+            let outcome = members.connect(handler, Wire::Binary)?.get(clip)?;
+            Ok((handler, outcome))
+        })
     }
 
     /// The cluster block appended to chaos reports: byte-stable,
@@ -943,7 +1112,7 @@ impl ClusterHarness {
     /// healthy-cluster goldens stay byte-identical.
     pub fn chaos_lines(&self) -> String {
         let s = self.stats();
-        let plan = match &self.link.faults {
+        let plan = match &self.members.wire().faults {
             Some(f) => f.plan().spelling(),
             None => "none".into(),
         };
@@ -992,6 +1161,21 @@ impl ClusterHarness {
             s.handoff_dropped,
         )
     }
+}
+
+impl Drop for ClusterHarness {
+    /// Each member's link holds connections into the others; replacing
+    /// every node with a link-less one breaks those cycles.
+    fn drop(&mut self) {
+        for (node, service) in self.members.nodes.iter().zip(&self.services) {
+            let mut node = node.lock().unwrap_or_else(PoisonError::into_inner);
+            *node = Node::new(Arc::clone(service), ServerConfig::default());
+        }
+    }
+}
+
+fn refused(e: std::io::Error) -> ClusterError {
+    ClusterError::Service(e.to_string())
 }
 
 #[cfg(test)]
@@ -1108,6 +1292,52 @@ mod tests {
         assert!(stats.conservation_ok(), "{stats:?}");
         assert!(stats.peer_drops > 0, "rate 0.25 must actually fire");
         assert!(stats.peer_garbage > 0);
+    }
+
+    #[test]
+    fn a_corrupt_frame_before_every_peer_message_leaves_the_link_working() {
+        // Each peer message is preceded by a corrupt-length frame on the
+        // peer connection; the peer answers `ERR` and keeps the session,
+        // so the `PEERGET` behind it still gets its reply.
+        let mut c = cluster(3, 2);
+        let plan = FaultPlan::with_kinds(0x6A7B, 1.0, &[FaultKind::Garbage]);
+        c.set_faults(Some(PeerFaults::new(plan).unwrap()));
+        for round in 0..300u32 {
+            c.get(ClipId::new(round * 7 % 48 + 1)).unwrap();
+        }
+        let s = c.stats();
+        assert!(s.fill.probes > 0, "{s:?}");
+        assert_eq!(s.fill.errors, 0, "{s:?}");
+        assert_eq!(s.peer_garbage, s.fill.probes + s.fill.handoff_replayed);
+        assert!(s.conservation_ok(), "{s:?}");
+    }
+
+    #[test]
+    fn a_probe_dropped_after_send_is_served_by_its_peer() {
+        // Every peer message is lost after it was sent: the peer's
+        // session executes each one, so the members' own request counts,
+        // read over `STATS`, hold every client GET plus every drop.
+        let mut c = cluster(3, 2);
+        let plan = FaultPlan::with_kinds(0xD0, 1.0, &[FaultKind::DropAfterSend]);
+        c.set_faults(Some(PeerFaults::new(plan).unwrap()));
+        for round in 0..300u32 {
+            c.get(ClipId::new(round * 7 % 48 + 1)).unwrap();
+        }
+        let s = c.stats();
+        assert!(s.peer_drops > 0, "{s:?}");
+        assert_eq!(s.fill.errors, s.peer_drops, "{s:?}");
+        let served: u64 = (0..c.nodes())
+            .map(|i| {
+                c.members
+                    .connect(i, Wire::Binary)
+                    .unwrap()
+                    .stats()
+                    .unwrap()
+                    .stats
+                    .requests()
+            })
+            .sum();
+        assert_eq!(served, s.delivered + s.peer_drops, "{s:?}");
     }
 
     #[test]

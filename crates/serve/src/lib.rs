@@ -52,8 +52,9 @@
 //!   membership, client-side ring routing with read-any failover,
 //!   server-side peer fill over the binary wire (`PEERGET`) with
 //!   write-all replication, and the in-process [`ClusterHarness`] the
-//!   `clusterbench` experiment and the cluster chaos golden replay —
-//!   both filling through the same [`FillEngine`].
+//!   `clusterbench` experiment and the cluster chaos goldens replay: its
+//!   members are server nodes that take every request as bytes and send
+//!   their `PEERGET`s over the same wire link `serve` uses.
 //! * [`cli`] — the flags `serve` and `loadgen` share, parsed once
 //!   ([`cli::ServiceFlags`]), the one hex-or-decimal [`cli::parse_u64`],
 //!   and the report-and-gate tail of `netbench` and `walbench`.

@@ -6,11 +6,12 @@
 //! after the previous reply arrives (closed loop: offered load adapts to
 //! service speed, there is no open-loop queue to overflow). Per-client
 //! [`HitStats`] and [`LatencyLog`]s merge order-invariantly into the
-//! [`LoadReport`]. Every target but the cluster harness shares one
-//! ring-routing transport over [`TcpCacheClient`]. A lone server is the
-//! one-member, R = 1 route, and so is the in-process target, whose
-//! connections are the server's own socket-free sessions: an in-process
-//! replay runs the request path `serve` runs, minus the socket.
+//! [`LoadReport`]. Every target shares one ring-routing transport over
+//! [`TcpCacheClient`]. A lone server is the one-member, R = 1 route, and
+//! so is the in-process target, whose connections are the server's own
+//! socket-free sessions; the cluster harness's route dials its members'
+//! nodes the same way. Every replay runs the request path `serve` runs,
+//! minus the socket where there is none.
 //!
 //! With `clients == 1` the replay is the exact trace order, so a 1-shard
 //! in-process run reproduces the serial simulator bit for bit
@@ -36,10 +37,10 @@
 //! [`LoadReport::conserved`] holds across a `kill -9` + recovery.
 
 use crate::client::{is_busy_error, TcpCacheClient};
-use crate::cluster::{ClusterHarness, ClusterView};
+use crate::cluster::{ClusterHarness, ClusterView, MemberConn};
 use crate::fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
 use crate::latency::LatencyLog;
-use crate::protocol::{parse_command, Reply, Wire};
+use crate::protocol::{Reply, Wire};
 use crate::server::InProcessConn;
 use crate::service::CacheService;
 use crate::shard::{shard_seed, GetOutcome};
@@ -84,9 +85,10 @@ pub enum Target {
     /// One server at this address, one connection per client thread:
     /// the one-member, R = 1 case of [`Target::ClusterTcp`].
     Tcp(String),
-    /// The in-process cluster harness (ring routing + peer fill without
-    /// sockets). Deterministic with `clients == 1`; multi-client runs
-    /// serialize on the harness lock.
+    /// The in-process cluster harness: ring routing over connections
+    /// into its members' server nodes, no sockets. Deterministic with
+    /// `clients == 1`; multi-client runs serialize their GETs on the
+    /// harness lock.
     Cluster(Arc<Mutex<ClusterHarness>>),
     /// Ring-route each GET across a TCP cluster, failing over to the
     /// clip's replica owners when the primary is unreachable.
@@ -108,9 +110,9 @@ pub struct LoadOptions {
     /// than this surfaces as an error the retry loop recovers from).
     /// In-process replies are ready when the request returns.
     pub read_timeout: Option<Duration>,
-    /// Wire protocol for every target but the cluster harness. Binary
-    /// is the fast path; text is the debuggable default every
-    /// pre-existing golden was recorded against.
+    /// Wire protocol of every client connection. Binary is the fast
+    /// path; text is the debuggable default every pre-existing golden
+    /// was recorded against.
     pub wire: Wire,
     /// Pipeline depth for *clean* single-node replays, TCP or
     /// in-process: each client keeps up to this many requests in flight
@@ -254,64 +256,18 @@ impl ClientLog {
     }
 }
 
-/// The target-specific operations a replay drives. Implementors
-/// reconnect lazily: dropping the connection is cheap, and the next
-/// operation re-establishes it (counting the reconnect). The defaults
-/// are the cluster harness's: it models no client wire to tear,
-/// corrupt, drop or close.
-trait Transport {
-    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome>;
-    /// Poison the clip's shard.
-    fn poison(&mut self, clip: ClipId) -> std::io::Result<()>;
-    /// `get` delivered with hostile framing (torn write).
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.get(clip)
-    }
-    /// Inject one line of garbage; returns whether it was answered with
-    /// a structured `ERR`. With no wire, the garbage goes to the same
-    /// parser the server would use.
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
-        Ok(parse_command(&String::from_utf8_lossy(payload)).is_err())
-    }
-    /// Drop the connection.
-    fn drop_conn(&mut self) {}
-    /// Reconnections performed so far.
-    fn reconnects(&self) -> u64 {
-        0
-    }
-    /// End the run politely (`QUIT` on every open connection).
-    fn finish(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 fn not_connected(e: impl std::error::Error + Send + Sync + 'static) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::NotConnected, e)
 }
 
-/// The in-process cluster harness as a transport: the harness already
-/// models routing, failover, and the peer wire, so the transport is a
-/// thin lock-and-forward.
-struct HarnessTransport(Arc<Mutex<ClusterHarness>>);
-
-impl Transport for HarnessTransport {
-    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        let mut harness = self.0.lock().expect("cluster harness poisoned");
-        harness.get(clip).map_err(not_connected)
-    }
-
-    fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        let mut harness = self.0.lock().expect("cluster harness poisoned");
-        harness.poison(clip).map_err(not_connected)
-    }
-}
-
-/// The one wire transport: a lazy connection per route member, each
-/// GET sent to the clip's first reachable owner (read-any failover in
-/// owner order). A lone server and the in-process target are one-member,
-/// R = 1 routes. A member that refuses or times out has its connection
-/// dropped; the next request to it redials through `dial`, which is how
-/// a killed-and-restarted node is picked back up without any membership
+/// The one transport: a lazy connection per route member, each GET sent
+/// to the clip's first reachable owner (read-any failover in owner
+/// order). A lone server and the in-process target are one-member,
+/// R = 1 routes; a cluster harness route dials the harness's members.
+/// Every verb is bytes on a connection. A member that refuses or times
+/// out has its connection dropped; the next request to it redials
+/// through `dial` (counting the reconnect), which is how a
+/// killed-and-restarted node is picked back up without any membership
 /// churn.
 struct RouteTransport<'a, S> {
     view: ClusterView,
@@ -321,6 +277,10 @@ struct RouteTransport<'a, S> {
     /// establishment, not recovery).
     dialled: Vec<bool>,
     reconnects: u64,
+    /// The cluster harness whose members the route dials: each GET runs
+    /// under its lock, which applies its kill schedule and counts where
+    /// the GET was served.
+    harness: Option<&'a Mutex<ClusterHarness>>,
 }
 
 /// Opens a fresh connection to route member `i`.
@@ -334,6 +294,7 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
             conns: (0..members).map(|_| None).collect(),
             dialled: vec![false; members],
             reconnects: 0,
+            harness: None,
         }
     }
 
@@ -347,7 +308,7 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
                 total += client.stats()?.recoveries;
             }
         }
-        self.finish()?;
+        self.finish();
         Ok(total)
     }
 
@@ -363,20 +324,20 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
     }
 
     /// Run `op` against each of `clip`'s owners in order until one
-    /// succeeds. A failed owner's connection is dropped so its next use
-    /// redials — except after a governor `BUSY`, which leaves the
-    /// connection in sync (redialing a shedding server adds to its
-    /// burden).
+    /// succeeds, returning the member that did. A failed owner's
+    /// connection is dropped so its next use redials — except after a
+    /// governor `BUSY`, which leaves the connection in sync (redialing a
+    /// shedding server adds to its burden).
     fn on_owners<T>(
         &mut self,
         clip: ClipId,
         mut op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<T>,
-    ) -> std::io::Result<T> {
+    ) -> std::io::Result<(usize, T)> {
         let owners = self.view.owners_for(clip);
         let mut last: Option<std::io::Error> = None;
         for &node in &owners {
             match self.ensure(node).and_then(&mut op) {
-                Ok(value) => return Ok(value),
+                Ok(value) => return Ok((node, value)),
                 Err(e) => {
                     if !is_busy_error(&e) {
                         self.conns[node] = None;
@@ -387,44 +348,60 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
         }
         Err(last.expect("owner set is never empty"))
     }
-}
 
-impl<S: Read + Write> Transport for RouteTransport<'_, S> {
+    /// A GET that `op` sends to the clip's first reachable owner. On a
+    /// harness route it runs under the harness lock, so the harness
+    /// applies its kill schedule first and counts the delivery.
+    fn get_with(
+        &mut self,
+        clip: ClipId,
+        op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<GetOutcome>,
+    ) -> std::io::Result<GetOutcome> {
+        let Some(harness) = self.harness else {
+            return self.on_owners(clip, op).map(|(_, outcome)| outcome);
+        };
+        let mut harness = harness.lock().expect("cluster harness poisoned");
+        let routed = harness.route_get(clip, |_| self.on_owners(clip, op));
+        routed.map_err(not_connected)
+    }
+
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.on_owners(clip, |client| client.get(clip))
+        self.get_with(clip, |client| client.get(clip))
     }
 
+    /// `get` delivered with hostile framing (torn write).
     fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.on_owners(clip, |client| client.get_torn(clip))
+        self.get_with(clip, |client| client.get_torn(clip))
     }
 
+    /// Inject one line (or frame) of garbage; returns whether it was
+    /// answered with a structured `ERR`.
     fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
         // Garbage has no clip to route by; member 0 takes the abuse.
         let reply = self.ensure(0)?.send_garbage(payload)?;
         Ok(matches!(reply, Reply::Err(_)))
     }
 
+    /// Poison the clip's shard.
     fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
         // A refusal (chaos-disabled server) is an ERR reply on a healthy
         // connection: keep it, and do not fail over.
-        self.on_owners(clip, |client| Ok(client.poison(clip).map(|_| ())))?
+        let (_, poisoned) = self.on_owners(clip, |client| Ok(client.poison(clip).map(|_| ())))?;
+        poisoned
     }
 
+    /// Drop every connection.
     fn drop_conn(&mut self) {
         self.conns.fill_with(|| None);
     }
 
-    fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    fn finish(&mut self) -> std::io::Result<()> {
-        for conn in &mut self.conns {
-            if let Some(client) = conn.take() {
-                client.quit()?;
-            }
+    /// End the run politely: `QUIT` on every open connection. A member
+    /// that went down after its last request has no session left to
+    /// close, so a failed `QUIT` is no failure of the run.
+    fn finish(&mut self) {
+        for client in self.conns.iter_mut().filter_map(Option::take) {
+            let _ = client.quit();
         }
-        Ok(())
     }
 }
 
@@ -435,8 +412,8 @@ impl<S: Read + Write> Transport for RouteTransport<'_, S> {
 /// consumed, so delivery is guaranteed); `io_retries` separately bounds
 /// recovery from *real* transport errors so a genuinely dead server
 /// still surfaces as `Err` instead of an infinite loop.
-fn chaos_get(
-    transport: &mut dyn Transport,
+fn chaos_get<S: Read + Write>(
+    transport: &mut RouteTransport<S>,
     clip: ClipId,
     client: u64,
     request: u64,
@@ -524,10 +501,10 @@ fn chaos_get(
 /// that keeps the serial-equivalence anchor intact; with any plan, even
 /// a zero-rate one (see the module doc), every request runs through
 /// [`chaos_get`].
-fn replay(
+fn replay<S: Read + Write>(
     part: &Trace,
     repo: &Repository,
-    transport: &mut dyn Transport,
+    transport: &mut RouteTransport<S>,
     client: u64,
     options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
@@ -549,8 +526,8 @@ fn replay(
         };
         log.record(outcome, repo.size_of(req.clip), started);
     }
-    log.chaos.reconnects = transport.reconnects();
-    transport.finish()?;
+    log.chaos.reconnects = transport.reconnects;
+    transport.finish();
     Ok(log)
 }
 
@@ -631,12 +608,7 @@ pub fn run_with(
         chaos.merge(&log.chaos);
     }
     let recoveries = match target {
-        Target::Cluster(harness) => {
-            let harness = harness.lock().expect("cluster harness poisoned");
-            (0..harness.nodes())
-                .map(|i| harness.node(i).recoveries())
-                .sum()
-        }
+        Target::Cluster(harness) => harness_route(harness, options.wire).recoveries()?,
         Target::InProcess(service) => in_process_route(service, options.wire).recoveries()?,
         Target::Tcp(addr) => tcp_route(lone(), std::slice::from_ref(addr), options).recoveries()?,
         Target::ClusterTcp(route) => tcp_route(route.view(), &route.peers, options).recoveries()?,
@@ -673,6 +645,18 @@ fn in_process_route(service: &Arc<CacheService>, wire: Wire) -> RouteTransport<'
     RouteTransport::new(lone(), 1, Box::new(dial))
 }
 
+/// The route into `harness`'s members. Its GETs take the harness lock,
+/// so multi-client runs serialize on it.
+fn harness_route(harness: &Mutex<ClusterHarness>, wire: Wire) -> RouteTransport<'_, MemberConn> {
+    let (view, members, dial) = {
+        let harness = harness.lock().expect("cluster harness poisoned");
+        (harness.view().clone(), harness.nodes(), harness.dial(wire))
+    };
+    let mut route = RouteTransport::new(view, members, dial);
+    route.harness = Some(harness);
+    route
+}
+
 /// The topology of a lone server: one member, R = 1.
 fn lone() -> ClusterView {
     ClusterView::new(0, 1, 1)
@@ -699,8 +683,8 @@ fn run_client(
     let client = client_index as u64;
     match target {
         Target::Cluster(harness) => {
-            let mut transport = HarnessTransport(Arc::clone(harness));
-            replay(part, repo, &mut transport, client, options)
+            let route = harness_route(harness, options.wire);
+            replay_route(part, repo, route, client, options)
         }
         Target::InProcess(service) => {
             let route = in_process_route(service, options.wire);
@@ -717,10 +701,10 @@ fn run_client(
     }
 }
 
-/// Replay `part` over `route`. A lone member is one pipe, so a clean
+/// Replay `part` over `route`. A lone server is one pipe, so a clean
 /// replay can batch into it; ring routing picks a connection per clip,
-/// so a larger route runs request-at-a-time whatever
-/// `options.pipeline` says.
+/// and the cluster harness counts each GET, so those routes run
+/// request-at-a-time whatever `options.pipeline` says.
 fn replay_route<S: Read + Write>(
     part: &Trace,
     repo: &Repository,
@@ -728,9 +712,10 @@ fn replay_route<S: Read + Write>(
     client: u64,
     options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
-    if options.faults.is_none() && options.pipeline > 1 && route.conns.len() == 1 {
+    let lone = route.conns.len() == 1 && route.harness.is_none();
+    if options.faults.is_none() && options.pipeline > 1 && lone {
         let log = replay_pipelined(part, repo, route.ensure(0)?, options.pipeline)?;
-        route.finish()?;
+        route.finish();
         return Ok(log);
     }
     replay(part, repo, &mut route, client, options)
@@ -838,9 +823,45 @@ mod tests {
             let err = transport.get(ClipId::new(1)).unwrap_err();
             assert!(is_busy_error(&err), "expected BUSY, got {err}");
         }
-        assert_eq!(transport.reconnects(), 0, "BUSY must not force a redial");
-        transport.finish().unwrap();
+        assert_eq!(transport.reconnects, 0, "BUSY must not force a redial");
+        transport.finish();
         handle.shutdown();
+    }
+
+    #[test]
+    fn a_harness_client_redials_a_member_that_went_down() {
+        // The client's connection into a killed member fails, so the GET
+        // fails over to the next owner; once the member is back, the
+        // next GET routed to it redials. That is one reconnect, and no
+        // retry: failover happens inside the route.
+        let run = |span: Option<(u64, u64)>| {
+            let (repo, _, trace) = fixture(1);
+            let services = (0..3).map(|_| fixture(1).1).collect();
+            let mut harness = ClusterHarness::new(5, 2, services);
+            if let Some((kill, revive)) = span {
+                harness.schedule_kill(1, kill);
+                harness.schedule_revive(1, revive);
+            }
+            let options = LoadOptions {
+                faults: Some(FaultPlan::new(7, 0.0)),
+                ..LoadOptions::default()
+            };
+            let target = Target::Cluster(Arc::new(Mutex::new(harness)));
+            let report = run_with(&target, &repo, &trace, &options).unwrap();
+            assert!(report.conserved());
+            let Target::Cluster(harness) = target else {
+                unreachable!()
+            };
+            let failovers = harness.lock().unwrap().stats().failovers;
+            (report.chaos.reconnects, report.chaos.retries, failovers)
+        };
+        assert_eq!(run(None), (0, 0, 0));
+        let (reconnects, retries, failovers) = run(Some((500, 1_500)));
+        assert_eq!((reconnects, retries), (1, 0));
+        assert!(failovers > 0);
+        // A run that ends during the outage still ends cleanly.
+        let (reconnects, retries, _) = run(Some((1_999, 5_000)));
+        assert_eq!((reconnects, retries), (0, 0));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! touches: the service, the cluster fill engine, the shed count and
 //! the batch's WAL state. The epoll loop drives one session per socket;
 //! `InProcessConn` drives one with no socket, which is how the load
-//! harness's in-process target runs this same request path.
+//! harness's in-process target and the cluster harness's members run
+//! this same request path.
 //!
 //! Both wire protocols are spoken on every connection, auto-detected
 //! per message: a byte equal to [`FRAME_MAGIC`] opens a length-prefixed
@@ -82,7 +83,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -525,11 +526,11 @@ const WAKE_TOKEN: u64 = u64::MAX - 1;
 const BASE_EVENTS: u32 = libc::EPOLLIN | libc::EPOLLRDHUP | libc::EPOLLET;
 
 /// What executing a request touches: the event loop minus its sockets.
-struct Node {
+pub(crate) struct Node {
     service: Arc<CacheService>,
     config: ServerConfig,
-    /// Peer fill engine + TCP link when the node is a cluster member.
-    cluster: Option<ClusterRuntime>,
+    /// Peer fill engine and link when the node is a cluster member.
+    pub(crate) cluster: Option<ClusterRuntime>,
     /// GETs refused with `BUSY` by the governor (reported in `STATS`).
     shed: u64,
     /// The shards the current batch left WAL frames staged on.
@@ -865,7 +866,8 @@ impl EventLoop {
 }
 
 impl Node {
-    fn new(service: Arc<CacheService>, config: ServerConfig) -> Node {
+    /// A node that fills from `config.cluster`'s members over TCP.
+    pub(crate) fn new(service: Arc<CacheService>, config: ServerConfig) -> Node {
         Node {
             cluster: config.cluster.clone().map(ClusterRuntime::new),
             service,
@@ -999,25 +1001,33 @@ impl Node {
 }
 
 /// A connection into a [`Session`] with no socket: the load harness's
-/// in-process target. It owns a [`Node`] of its own over the shared
-/// service, so clients on separate threads contend only on the shard
-/// locks, and the node honours `POISON`. Each `write` is one batch.
-/// `read` takes the replies; with none pending it fails with
-/// `WouldBlock`, and once a closed session's last reply is taken it
-/// reports the end of stream.
+/// in-process target and the cluster harness's client and peer hops.
+/// The [`Node`] it reaches belongs to whoever made it, not to the
+/// connection, so dropping a connection keeps the node's state. Each
+/// `write` is one batch, run with the node locked. `read` takes the
+/// replies; with none pending it fails with `WouldBlock`, and once a
+/// closed session's last reply is taken it reports the end of stream.
 pub(crate) struct InProcessConn {
-    node: Node,
+    node: Arc<Mutex<Node>>,
     session: Session,
 }
 
 impl InProcessConn {
+    /// A connection with a node of its own over `service`, honouring
+    /// `POISON`: clients on separate threads contend only on the shard
+    /// locks.
     pub(crate) fn new(service: Arc<CacheService>) -> InProcessConn {
         let config = ServerConfig {
             chaos: true,
             ..ServerConfig::default()
         };
+        InProcessConn::to(Arc::new(Mutex::new(Node::new(service, config))))
+    }
+
+    /// A connection into a node shared with other connections.
+    pub(crate) fn to(node: Arc<Mutex<Node>>) -> InProcessConn {
         InProcessConn {
-            node: Node::new(service, config),
+            node,
             session: Session::new(Instant::now()),
         }
     }
@@ -1029,7 +1039,8 @@ impl Write for InProcessConn {
         if !self.session.closing {
             self.session.feed(buf);
             let global = self.session.pending();
-            self.session.process(&mut self.node, global, Instant::now());
+            let mut node = self.node.lock().expect("node lock poisoned");
+            self.session.process(&mut node, global, Instant::now());
         }
         Ok(buf.len())
     }
@@ -1252,6 +1263,79 @@ mod tests {
             );
             session.consume(session.pending());
         }
+    }
+
+    /// Pipeline `window` as one write of binary GETs into an in-process
+    /// connection on `service`, and decode every reply.
+    fn window_replies(service: CacheService, window: &[ClipId]) -> Vec<Reply> {
+        let mut conn = InProcessConn::new(Arc::new(service));
+        let mut bytes = Vec::new();
+        for &clip in window {
+            encode_command(&Command::Get(clip), &mut bytes);
+        }
+        conn.write_all(&bytes).unwrap();
+        let mut out = Vec::new();
+        conn.read_to_end(&mut out).unwrap_err(); // `WouldBlock` once drained
+        let mut replies = Vec::new();
+        let mut rest = &out[..];
+        while !rest.is_empty() {
+            let Ok(Decoded::Frame { value, consumed }) = crate::protocol::decode_reply(rest) else {
+                panic!("corrupt reply stream {rest:02x?}");
+            };
+            replies.push(value);
+            rest = &rest[consumed..];
+        }
+        replies
+    }
+
+    #[test]
+    fn a_torn_wal_write_refuses_exactly_the_replies_on_its_shard() {
+        use crate::persist::{CrashAction, CrashSpec, PersistOptions};
+        let repo = Arc::new(paper::variable_sized_repository_of(24));
+        let config = ServiceConfig::new(PolicyKind::Lru, 2, repo.cache_capacity_for_ratio(0.25), 7);
+        let (torn, other): (Vec<ClipId>, Vec<ClipId>) =
+            repo.ids().partition(|&clip| shard_of(clip, 2) == 0);
+        // Shard 0 logs six accesses and tears its fourth frame; shard 1
+        // logs two, so `torn:4` never fires there.
+        let window = [
+            torn[0], other[0], torn[1], torn[2], other[1], torn[3], torn[4], torn[5],
+        ];
+        let clean = window_replies(
+            CacheService::new(Arc::clone(&repo), config, None).unwrap(),
+            &window,
+        );
+        let dir =
+            std::env::temp_dir().join(format!("clipcache-server-torn-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = PersistOptions {
+            crash: Some(CrashSpec::parse("torn:4").unwrap()),
+            on_crash: CrashAction::Surface,
+            ..PersistOptions::at(&dir)
+        };
+        let (durable, _) = CacheService::open_persistent(Arc::clone(&repo), config, None, &opts)
+            .expect("durable service opens");
+        let replies = window_replies(durable, &window);
+        assert_eq!(replies.len(), window.len());
+        for (i, clip) in window.iter().enumerate() {
+            if shard_of(*clip, 2) == 0 {
+                // From the tear on each access fails as it runs; the ones
+                // before it rest on the batch write the dead store
+                // refused, so the batch's end re-encodes them.
+                assert!(
+                    matches!(&replies[i], Reply::Err(_)),
+                    "reply {i}: {:?}",
+                    replies[i]
+                );
+            } else {
+                assert!(
+                    matches!(&replies[i], Reply::Get(_)),
+                    "reply {i}: {:?}",
+                    replies[i]
+                );
+                assert_eq!(replies[i], clean[i], "reply {i} on the untorn shard");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -291,3 +291,62 @@ fn the_golden_flags_render_the_committed_golden_in_process_and_over_tcp() {
     server.quit();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn the_cluster_golden_flags_render_the_committed_goldens() {
+    let golden = |name: &str| {
+        let path = format!("{}/../../results/chaos/{name}", env!("CARGO_MANIFEST_DIR"));
+        std::fs::read_to_string(path).expect("committed golden readable")
+    };
+    let loadgen = || {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_loadgen"));
+        cmd.stdout(Stdio::null());
+        cmd
+    };
+    let dir = std::env::temp_dir().join(format!("clipcache-cluster-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (extra, name) in [
+        (
+            [
+                "--peer-faults",
+                "rate=0.01,seed=9,kinds=drop-pre+drop-post+garbage",
+            ],
+            "cluster_chaos.txt",
+        ),
+        (["--kill-span", "1:5000:15000"], "degraded_chaos.txt"),
+    ] {
+        let report = dir.join(name);
+        let status = loadgen()
+            .args(["--cluster-nodes", "3", "--replication", "2"])
+            .args([
+                "--shards",
+                "1",
+                "--clients",
+                "1",
+                "--requests",
+                "20000",
+                "--clips",
+                "96",
+            ])
+            .args(["--seed", "0x5EED2007", "--faults", "rate=0,seed=17"])
+            .args(extra)
+            .arg("--chaos-report")
+            .arg(&report)
+            .status()
+            .expect("loadgen runs");
+        assert!(status.success(), "loadgen for {name} failed");
+        let rendered = std::fs::read_to_string(&report).expect("report written");
+        assert_eq!(rendered, golden(name), "{name}");
+    }
+    let status = loadgen()
+        .args(["--cluster-nodes", "1", "--replication", "1"])
+        .args(["--shards", "1", "--clients", "1", "--requests", "20000"])
+        .args(["--check-serial", "0"])
+        .status()
+        .expect("loadgen runs");
+    assert!(
+        status.success(),
+        "the degenerate cluster left the serial anchor"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
