@@ -51,11 +51,27 @@ impl ClipHistory {
         Some(self.times[idx])
     }
 
+    /// The oldest retained reference. `head` stays 0 until the ring
+    /// fills and then always points at the oldest entry, so this is
+    /// `times[head]` in either state (`None` for an empty history).
+    #[inline]
+    fn oldest(&self) -> Option<Timestamp> {
+        self.times.get(self.head).copied()
+    }
+
     fn clear(&mut self) {
         self.times.clear();
         self.head = 0;
         self.total = 0;
     }
+}
+
+/// The arrival rate `count / (now − oldest)` of Section 4.1, with the
+/// elapsed window floored at one tick. Every rate the history reports is
+/// this function of a clip's retained-stamp count and oldest stamp.
+#[inline]
+pub(crate) fn rate(count: usize, oldest: Timestamp, now: Timestamp) -> f64 {
+    count as f64 / now.since(oldest).max(1) as f64
 }
 
 /// Last-K reference timestamps for every clip in a repository.
@@ -149,15 +165,19 @@ impl ReferenceHistory {
     /// anchor of LRU-K), if the clip has at least K recorded references.
     #[inline]
     pub fn kth_last(&self, clip: ClipId) -> Option<Timestamp> {
-        self.ith_last(clip, self.k)
+        let h = &self.clips[clip.index()];
+        if h.times.len() == self.k {
+            h.oldest()
+        } else {
+            None
+        }
     }
 
     /// The oldest retained reference time, if any. For a clip with fewer
     /// than K references this is its first reference.
     #[inline]
     pub fn oldest_known(&self, clip: ClipId) -> Option<Timestamp> {
-        let known = self.known(clip);
-        self.ith_last(clip, known)
+        self.clips[clip.index()].oldest()
     }
 
     /// Estimated arrival rate of requests for `clip` at time `now`
@@ -166,17 +186,11 @@ impl ReferenceHistory {
     ///
     /// The elapsed window is floored at one tick: a clip referenced at
     /// `now` itself would otherwise divide by zero.
+    #[inline]
     pub fn arrival_rate(&self, clip: ClipId, now: Timestamp) -> f64 {
         let h = &self.clips[clip.index()];
-        let count = h.times.len();
-        if count == 0 {
-            return 0.0;
-        }
-        let oldest = self
-            .oldest_known(clip)
-            .expect("count > 0 implies a retained timestamp");
-        let window = now.since(oldest).max(1);
-        count as f64 / window as f64
+        h.oldest()
+            .map_or(0.0, |oldest| rate(h.times.len(), oldest, now))
     }
 
     /// Forget the history of clips whose most recent reference is older
@@ -277,6 +291,29 @@ mod tests {
         h.record(c, ts(20));
         // 2 references over now(=30) - oldest(=10) = 20 ticks.
         assert!((h.arrival_rate(c, ts(30)) - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn oldest_stays_at_head_across_a_ring_wrap() {
+        let mut h = ReferenceHistory::new(2, 3);
+        let c = ClipId::new(1);
+        assert_eq!(h.oldest_known(c), None);
+        // Filling (t = 10, 20, 30), then wrapping twice past K = 3: the
+        // oldest retained stamp is always the K-th last once full.
+        let stamps = [10u64, 20, 30, 40, 50, 60, 70];
+        for (i, &t) in stamps.iter().enumerate() {
+            h.record(c, ts(t));
+            let first = stamps[i.saturating_sub(2)];
+            assert_eq!(h.oldest_known(c), Some(ts(first)), "after t = {t}");
+            assert_eq!(h.oldest_known(c), h.ith_last(c, h.known(c)));
+            assert_eq!(h.kth_last(c), h.ith_last(c, 3));
+            let rate = h.known(c) as f64 / (100 - first) as f64;
+            assert_eq!(h.arrival_rate(c, ts(100)), rate, "after t = {t}");
+        }
+        assert_eq!(h.kth_last(c), Some(ts(50)));
+        h.forget(c);
+        assert_eq!(h.oldest_known(c), None);
+        assert_eq!(h.arrival_rate(c, ts(100)), 0.0);
     }
 
     #[test]

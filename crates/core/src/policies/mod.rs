@@ -28,18 +28,21 @@
 //! | **`IGD`** | function + aging | `L + nref/(d₁·size)` | no | scan only (`d₁` ages with time) |
 //! | `GDS-Popularity` | function (byte-hit) | `L + f̂·cost` | count survives | scan+heap |
 //! | `Simple` (± bypass) | off-line | oracle `f/size` | oracle | scan only (batch repack; cheapest prefix) |
-//! | **`DYNSimple`** (± bypass) | frequency + size | estimated `f̂/size` | K timestamps | scan only (rates age with time; cheapest prefix) |
+//! | **`DYNSimple`** (± bypass) | frequency + size | estimated `f̂/size` | K timestamps | own rank index (rates age with time, but not their order within a `(stamps, size)` group) |
 //! | `BlockLruK` | recency over blocks | block LRU-K | K timestamps | scan only (partial evictions) |
 //! | `Belady` | clairvoyant | next reference | full future | scan only (trace-driven) |
 //!
 //! Bold rows are the paper's contributions.
 //!
-//! Simple and DYNSimple share Figure 4's first pass: on a miss each
-//! resident is keyed once, and the cheapest prefix that frees enough room
-//! is taken by min-scan (sorting the remaining candidates once only when
-//! a miss displaces many residents), so a typical miss costs
-//! O(residents + n/64): the walk visits the resident set, not every clip
-//! slot of the repository.
+//! Simple and DYNSimple share Figure 4's shape. Simple keys each resident
+//! once on a miss and takes the cheapest prefix that frees enough room by
+//! min-scan (sorting the remaining candidates once only when a miss
+//! displaces many residents), so a typical miss costs O(residents + n/64):
+//! the walk visits the resident set, not every clip slot of the
+//! repository. DYNSimple keeps its residents in a rank index grouped by
+//! retained-stamp count and size, and a miss keys only the head of each
+//! non-empty group (see [`dyn_simple`]); a prefix past the min-scan bound
+//! falls back to Simple's keyed sort.
 
 pub mod belady;
 pub mod block_lru_k;

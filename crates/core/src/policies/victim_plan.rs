@@ -1,5 +1,7 @@
-//! Pass 1 of Figure 4, shared by Simple and DYNSimple: the cheapest
-//! residents, in ascending `(key, id)` order, until the incoming clip fits.
+//! Pass 1 of Figure 4 by keyed scan: the cheapest residents, in ascending
+//! `(key, id)` order, until the incoming clip fits. Simple plans every
+//! miss this way. DYNSimple merges the heads of its rank index instead,
+//! and uses this planner only for a prefix longer than [`MIN_SCAN_BOUND`].
 //!
 //! Each resident's key is computed once per miss into a reused scratch
 //! vector of `(key, clip)` pairs; collecting them walks the resident set,
@@ -17,11 +19,11 @@ use clipcache_media::ClipId;
 use std::cmp::Ordering;
 
 /// Victims taken by min-scan before the remaining candidates are sorted.
-const MIN_SCAN_BOUND: usize = 8;
+pub(crate) const MIN_SCAN_BOUND: usize = 8;
 
 /// Victim order: ascending key, ties to the lower id (a total order,
 /// because keys are finite and ids unique).
-fn cheaper(a: &(f64, ClipId), b: &(f64, ClipId)) -> Ordering {
+pub(crate) fn cheaper(a: &(f64, ClipId), b: &(f64, ClipId)) -> Ordering {
     a.0.partial_cmp(&b.0)
         .expect("rank keys are finite")
         .then_with(|| a.1.cmp(&b.1))

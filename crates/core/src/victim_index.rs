@@ -29,11 +29,15 @@
 //! on accesses to that clip (access-local scores): the index is updated
 //! at the point of access and stays valid in between. Policies whose
 //! scores drift with time or with *other* clips' accesses (IGD's
-//! `1/d₁(x)` aging, LRU-SK's `d_K(x)·size` product, DYNSimple's
-//! arrival-rate ranking, BlockLruK's block-level state) would need a full
-//! re-index per eviction, so they stay on the scan backend — see the
-//! taxonomy table in [`crate::policies`] and the "choosing a victim-index
-//! backend" section of `docs/extending.md`.
+//! `1/d₁(x)` aging, LRU-SK's `d_K(x)·size` product, BlockLruK's
+//! block-level state) would need a full re-index per eviction, so they
+//! stay on the scan backend — see the taxonomy table in
+//! [`crate::policies`] and the "choosing a victim-index backend" section
+//! of `docs/extending.md`. DYNSimple's arrival-rate ranking drifts too,
+//! but only as a whole: residents with the same retained-stamp count and
+//! size never change order. It uses neither backend and keeps its own
+//! exact rank index over those groups
+//! ([`crate::policies::dyn_simple`]).
 //!
 //! Lazy deletion trades memory for speed: hit-heavy workloads grow stale
 //! heap entries between evictions (bounded by the number of accesses

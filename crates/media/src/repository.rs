@@ -25,6 +25,10 @@ pub struct Repository {
     /// Chunk length for chunk-granular residency; `ByteSize::ZERO` means
     /// unchunked (every clip is a single chunk — whole-clip behavior).
     chunk_size: ByteSize,
+    /// The distinct clip sizes, ascending.
+    size_classes: Vec<ByteSize>,
+    /// Each clip's index into `size_classes`.
+    size_class_of: Vec<u32>,
 }
 
 impl Repository {
@@ -51,12 +55,24 @@ impl Repository {
             .map(|c| c.display_bandwidth)
             .max()
             .unwrap_or(Bandwidth::ZERO);
+        let mut size_classes: Vec<ByteSize> = clips.iter().map(|c| c.size).collect();
+        size_classes.sort_unstable();
+        size_classes.dedup();
+        let size_class_of = clips
+            .iter()
+            .map(|c| {
+                let class = size_classes.binary_search(&c.size);
+                class.expect("every size is a class") as u32
+            })
+            .collect();
         Ok(Repository {
             clips,
             total_size,
             max_clip_size,
             max_display_bandwidth,
             chunk_size: ByteSize::ZERO,
+            size_classes,
+            size_class_of,
         })
     }
 
@@ -68,6 +84,18 @@ impl Repository {
     pub fn with_chunk_size(mut self, chunk_size: ByteSize) -> Self {
         self.chunk_size = chunk_size;
         self
+    }
+
+    /// The distinct clip sizes, ascending. The paper's variable-sized
+    /// repository has six; an equi-sized one has one.
+    pub fn size_classes(&self) -> &[ByteSize] {
+        &self.size_classes
+    }
+
+    /// The index of `id`'s size in [`Repository::size_classes`].
+    #[inline]
+    pub fn size_class(&self, id: ClipId) -> usize {
+        self.size_class_of[id.index()] as usize
     }
 
     /// Number of clips (`N` in Table 1).
@@ -298,6 +326,26 @@ mod tests {
             .push(MediaType::Video, ByteSize::gb(1), Bandwidth::mbps(4))
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn size_classes_are_the_distinct_sizes_ascending() {
+        let r = RepositoryBuilder::new()
+            .push(MediaType::Video, ByteSize::gb(2), Bandwidth::mbps(4))
+            .push(MediaType::Audio, ByteSize::mb(5), Bandwidth::kbps(300))
+            .push(MediaType::Video, ByteSize::gb(2), Bandwidth::mbps(4))
+            .push(MediaType::Video, ByteSize::gb(1), Bandwidth::mbps(4))
+            .build()
+            .unwrap();
+        assert_eq!(
+            r.size_classes(),
+            &[ByteSize::mb(5), ByteSize::gb(1), ByteSize::gb(2)]
+        );
+        let classes: Vec<usize> = r.ids().map(|c| r.size_class(c)).collect();
+        assert_eq!(classes, [2, 0, 2, 1]);
+        for c in r.ids() {
+            assert_eq!(r.size_classes()[r.size_class(c)], r.size_of(c));
+        }
     }
 
     #[test]

@@ -349,37 +349,51 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
         Err(last.expect("owner set is never empty"))
     }
 
-    /// A GET that `op` sends to the clip's first reachable owner. On a
-    /// harness route it runs under the harness lock, so the harness
-    /// applies its kill schedule first and counts the delivery.
+    /// A GET that `op` sends to the clip's first reachable owner,
+    /// returning the member that served it. On a harness route it runs
+    /// under the harness lock, so the harness applies its kill schedule
+    /// first and counts the delivery.
     fn get_with(
         &mut self,
         clip: ClipId,
         op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<GetOutcome>,
-    ) -> std::io::Result<GetOutcome> {
+    ) -> std::io::Result<(usize, GetOutcome)> {
         let Some(harness) = self.harness else {
-            return self.on_owners(clip, op).map(|(_, outcome)| outcome);
+            return self.on_owners(clip, op);
         };
         let mut harness = harness.lock().expect("cluster harness poisoned");
-        let routed = harness.route_get(clip, |_| self.on_owners(clip, op));
-        routed.map_err(not_connected)
+        let mut served = 0;
+        let routed = harness.route_get(clip, |_| {
+            let (member, outcome) = self.on_owners(clip, op)?;
+            served = member;
+            Ok((member, outcome))
+        });
+        routed
+            .map(|outcome| (served, outcome))
+            .map_err(not_connected)
     }
 
     fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
         self.get_with(clip, |client| client.get(clip))
+            .map(|(_, outcome)| outcome)
     }
 
     /// `get` delivered with hostile framing (torn write).
     fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
         self.get_with(clip, |client| client.get_torn(clip))
+            .map(|(_, outcome)| outcome)
     }
 
     /// Inject one line (or frame) of garbage; returns whether it was
-    /// answered with a structured `ERR`.
+    /// answered with a structured `ERR`. A failed exchange drops the
+    /// connection it used.
     fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
         // Garbage has no clip to route by; member 0 takes the abuse.
-        let reply = self.ensure(0)?.send_garbage(payload)?;
-        Ok(matches!(reply, Reply::Err(_)))
+        let reply = self.ensure(0)?.send_garbage(payload);
+        if reply.is_err() {
+            self.drop_conn(0);
+        }
+        Ok(matches!(reply?, Reply::Err(_)))
     }
 
     /// Poison the clip's shard.
@@ -390,9 +404,9 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
         poisoned
     }
 
-    /// Drop every connection.
-    fn drop_conn(&mut self) {
-        self.conns.fill_with(|| None);
+    /// Drop member `member`'s connection; its next use redials.
+    fn drop_conn(&mut self, member: usize) {
+        self.conns[member] = None;
     }
 
     /// End the run politely: `QUIT` on every open connection. A member
@@ -432,17 +446,24 @@ fn chaos_get<S: Read + Write>(
         // Faults that consume this attempt entirely and force a retry.
         match injected {
             Some(kind @ (FaultKind::DropBeforeSend | FaultKind::DropAfterSend)) => {
+                // The connection the attempt used dies: the one to the
+                // member that served the GET, or, before any send, the
+                // one to the clip's first owner, which a GET tries first.
+                // A GET that failed outright already dropped every owner
+                // it tried.
                 if kind == FaultKind::DropAfterSend {
                     // The server processes the request; the reply is
                     // lost in flight (read and discarded), so the
                     // retried GET is the idempotent duplicate.
-                    let _ = transport.get(clip);
+                    if let Ok((member, _)) = transport.get_with(clip, |c| c.get(clip)) {
+                        transport.drop_conn(member);
+                    }
                     chaos.drops_after += 1;
                 } else {
+                    transport.drop_conn(transport.view.owners_for(clip)[0]);
                     chaos.drops_before += 1;
                 }
                 chaos.retries += 1;
-                transport.drop_conn();
                 std::thread::sleep(retry.backoff(attempt));
                 attempt += 1;
                 continue;
@@ -451,10 +472,8 @@ fn chaos_get<S: Read + Write>(
             Some(FaultKind::Garbage) => {
                 chaos.garbage += 1;
                 let payload = plan.garbage_payload(client, request, attempt);
-                match transport.send_garbage(&payload) {
-                    Ok(true) => chaos.err_replies += 1,
-                    Ok(false) => {}
-                    Err(_) => transport.drop_conn(),
+                if let Ok(true) = transport.send_garbage(&payload) {
+                    chaos.err_replies += 1;
                 }
             }
             Some(FaultKind::PoisonShard) => {
@@ -481,13 +500,12 @@ fn chaos_get<S: Read + Write>(
                 }
                 io_retries += 1;
                 chaos.retries += 1;
+                // The route already dropped each owner that failed,
+                // except after a governor shed: that server is alive,
+                // just loaded, so the connection stays (redialing adds
+                // to its burden) and the idempotent re-send backs off.
                 if is_busy_error(&e) {
-                    // A governor shed: the server is alive, just loaded.
-                    // Keep the connection (redialing adds to its burden)
-                    // and back off before the idempotent re-send.
                     chaos.busy_backoffs += 1;
-                } else {
-                    transport.drop_conn();
                 }
                 std::thread::sleep(retry.backoff(attempt));
                 attempt += 1;
@@ -862,6 +880,59 @@ mod tests {
         // A run that ends during the outage still ends cleanly.
         let (reconnects, retries, _) = run(Some((1_999, 5_000)));
         assert_eq!((reconnects, retries), (0, 0));
+    }
+
+    #[test]
+    fn a_drop_redials_only_the_member_the_attempt_used() {
+        // Three members, R = 2, every member's connection open. Each
+        // injected drop must cost exactly one redial, of the member the
+        // faulted attempt used, however many members the route holds.
+        // With no retry budget, only a request's first attempt is faulted.
+        for kind in [FaultKind::DropBeforeSend, FaultKind::DropAfterSend] {
+            let services = (0..3).map(|_| fixture(1).1).collect();
+            let harness = Mutex::new(ClusterHarness::new(5, 2, services));
+            let mut route = harness_route(&harness, Wire::Text);
+            let first_owned_by = |member: usize| {
+                (1..=24)
+                    .map(ClipId::new)
+                    .find(|&c| route.view.owners_for(c)[0] == member)
+                    .expect("every member owns a clip first")
+            };
+            let clips: Vec<ClipId> = (0..3).map(first_owned_by).collect();
+            for &clip in &clips {
+                route.get(clip).unwrap();
+            }
+            assert_eq!(route.reconnects, 0);
+            let plan = FaultPlan::with_kinds(7, 1.0, &[kind]);
+            let retry = RetryPolicy {
+                max_retries: 0,
+                ..RetryPolicy::default()
+            };
+            let mut chaos = ChaosStats::default();
+            for (request, &clip) in [clips[1], clips[1], clips[2]].iter().enumerate() {
+                chaos_get(
+                    &mut route,
+                    clip,
+                    0,
+                    request as u64,
+                    &plan,
+                    &retry,
+                    &mut chaos,
+                )
+                .unwrap();
+                assert_eq!(chaos.retries, request as u64 + 1);
+                assert_eq!(
+                    route.reconnects, chaos.retries,
+                    "{kind:?}: one redial per drop"
+                );
+                assert!(route.conns.iter().all(Option::is_some), "{kind:?}");
+            }
+            for &clip in &clips {
+                route.get(clip).unwrap();
+            }
+            assert_eq!(route.reconnects, 3, "{kind:?}: no other member redials");
+            route.finish();
+        }
     }
 
     #[test]

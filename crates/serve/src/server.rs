@@ -551,6 +551,12 @@ struct EventLoop {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
+    /// Loop-wide pending reply bytes, the governor's global reading:
+    /// every open session's `pending()`, summed. Each step that can
+    /// change a session's output (a readiness event, an idle sweep, the
+    /// shutdown drain) adjusts it by that session's change; a session is
+    /// closed only once it holds none.
+    pending_bytes: usize,
     /// The one read buffer every connection's reads go through:
     /// allocated once, its bytes copied into the connection's `rbuf`.
     read_buf: Box<[u8]>,
@@ -578,20 +584,10 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
+            pending_bytes: 0,
             read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
             next_sweep: Instant::now(),
         })
-    }
-
-    /// Loop-wide pending reply bytes: the governor's global reading.
-    /// Recomputed at each readiness event, not tracked incrementally —
-    /// the slab is small and the sum is cheap next to a socket write.
-    fn pending_bytes(&self) -> usize {
-        self.conns
-            .iter()
-            .flatten()
-            .map(|c| c.session.pending())
-            .sum()
     }
 
     fn run(&mut self) {
@@ -672,10 +668,11 @@ impl EventLoop {
         // Global pending bytes are snapshotted once per readiness event;
         // requests executed inside this event add their own replies on
         // top of the snapshot (see `Session::process`).
-        let global = self.pending_bytes();
+        let global = self.pending_bytes;
         let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
             return; // already closed earlier in this batch
         };
+        let before = conn.session.pending();
         let hangup = bits & (libc::EPOLLRDHUP | libc::EPOLLHUP | libc::EPOLLERR) != 0;
         if bits & (libc::EPOLLERR | libc::EPOLLHUP) != 0 {
             conn.eof = true;
@@ -700,6 +697,7 @@ impl EventLoop {
                 break;
             }
         }
+        self.pending_bytes = self.pending_bytes - before + conn.session.pending();
         self.update_interest(token);
     }
 
@@ -802,6 +800,9 @@ impl EventLoop {
 
     fn close_conn(&mut self, token: usize) {
         if let Some(conn) = self.conns.get_mut(token).and_then(Option::take) {
+            // Every close follows a flush that emptied the session or
+            // dropped its replies, so the pending total is unchanged.
+            debug_assert_eq!(conn.session.pending(), 0, "closing with replies queued");
             // Dropping the stream closes the fd, which removes it from
             // the epoll set.
             drop(conn);
@@ -830,6 +831,7 @@ impl EventLoop {
             if session.closing || now.duration_since(session.last_request) < budget {
                 continue;
             }
+            let before = session.pending();
             write_reply(
                 session.wire,
                 &Reply::Err("idle timeout".into()),
@@ -837,6 +839,7 @@ impl EventLoop {
             );
             session.closing = true;
             Self::flush(conn);
+            self.pending_bytes = self.pending_bytes - before + conn.session.pending();
             self.update_interest(token);
         }
     }
@@ -847,10 +850,11 @@ impl EventLoop {
     /// writes so in-flight pipelined requests are answered, not dropped.
     fn drain_and_close_all(&mut self) {
         for token in 0..self.conns.len() {
-            let global = self.pending_bytes();
+            let global = self.pending_bytes;
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 continue;
             };
+            let before = conn.session.pending();
             Self::read_and_process(conn, &mut self.node, &mut self.read_buf, global, true);
             if conn.session.pending() > 0 {
                 let _ = conn.stream.set_nonblocking(false);
@@ -858,6 +862,7 @@ impl EventLoop {
                 let _ = conn.stream.write_all(conn.session.output());
                 conn.session.consume(conn.session.pending());
             }
+            self.pending_bytes -= before;
         }
         for token in 0..self.conns.len() {
             self.close_conn(token);
@@ -1083,6 +1088,13 @@ mod tests {
     /// An event loop whose governor never sheds, with one accepted
     /// client connection (token 0).
     fn loop_with_one_client() -> (EventLoop, TcpStream) {
+        let (event_loop, mut clients) = loop_with_clients(1);
+        (event_loop, clients.remove(0))
+    }
+
+    /// An event loop whose governor never sheds, with `n` accepted
+    /// client connections (tokens `0..n`, in order).
+    fn loop_with_clients(n: usize) -> (EventLoop, Vec<TcpStream>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1103,11 +1115,14 @@ mod tests {
             Arc::new(WakePipe::new().unwrap()),
         )
         .unwrap();
-        let client = TcpStream::connect(addr).unwrap();
-        while event_loop.live == 0 {
-            event_loop.accept_ready();
+        let mut clients = Vec::new();
+        for live in 1..=n {
+            clients.push(TcpStream::connect(addr).unwrap());
+            while event_loop.live < live {
+                event_loop.accept_ready();
+            }
         }
-        (event_loop, client)
+        (event_loop, clients)
     }
 
     #[test]
@@ -1167,17 +1182,107 @@ mod tests {
         out
     }
 
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+
     /// Ask the kernel for a receive buffer of `bytes` on `stream`; it
     /// caps the request at `net.core.rmem_max`.
     fn set_receive_buffer(stream: &TcpStream, bytes: i32) {
+        set_socket_buffer(stream, SO_RCVBUF, bytes);
+    }
+
+    /// Ask the kernel for a `name` (`SO_RCVBUF` or `SO_SNDBUF`) buffer
+    /// of `bytes` on `stream`.
+    fn set_socket_buffer(stream: &TcpStream, name: i32, bytes: i32) {
         extern "C" {
             fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
         }
         const SOL_SOCKET: i32 = 1;
-        const SO_RCVBUF: i32 = 8;
         let len = std::mem::size_of::<i32>() as u32;
-        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &bytes, len) };
-        assert_eq!(rc, 0, "setsockopt(SO_RCVBUF) failed");
+        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, name, &bytes, len) };
+        assert_eq!(rc, 0, "setsockopt({name}) failed");
+    }
+
+    #[test]
+    fn the_running_pending_total_equals_the_walk_over_every_connection() {
+        // 32 connections with small socket buffers, so replies back up
+        // into the sessions. Each round a third of the clients pipeline
+        // a window, another third drain what reached them, and a few
+        // hang up with replies still queued; idle sessions are swept
+        // with an `ERR` appended. After every loop turn and sweep the
+        // running total must equal the sum over the slab.
+        const CLIENTS: usize = 32;
+        let (mut event_loop, mut clients) = loop_with_clients(CLIENTS);
+        event_loop.node.config.read_timeout = Some(Duration::from_millis(20));
+        for (token, client) in clients.iter().enumerate() {
+            let server_side = &event_loop.conns[token].as_ref().unwrap().stream;
+            set_socket_buffer(server_side, SO_SNDBUF, 4096);
+            set_receive_buffer(client, 4096);
+            client.set_nonblocking(true).unwrap();
+        }
+        let walk = |event_loop: &EventLoop| -> usize {
+            event_loop
+                .conns
+                .iter()
+                .flatten()
+                .map(|c| c.session.pending())
+                .sum()
+        };
+        let mut window = Vec::new();
+        for i in 0..5_000u32 {
+            window.extend_from_slice(format!("GET {}\n", 1 + i % 24).as_bytes());
+        }
+        let mut events = vec![libc::epoll_event { events: 0, u64: 0 }; 64];
+        let mut sink = vec![0u8; 64 * 1024];
+        let mut peak = 0;
+        for round in 0..12 {
+            for (i, client) in clients.iter_mut().enumerate() {
+                match (i + round) % 3 {
+                    0 => {
+                        let mut sent = 0;
+                        while sent < window.len() {
+                            // An error is a full socket or a swept session.
+                            match client.write(&window[sent..]) {
+                                Ok(n) => sent += n,
+                                Err(_) => break,
+                            }
+                        }
+                    }
+                    1 => while matches!(client.read(&mut sink), Ok(n) if n > 0) {},
+                    _ => {}
+                }
+            }
+            if round % 4 == 3 {
+                let gone = clients.len() - 1;
+                drop(clients.remove(gone));
+            }
+            for _ in 0..4 {
+                event_loop.turn(&mut events, Duration::from_millis(5));
+                assert_eq!(event_loop.pending_bytes, walk(&event_loop), "round {round}");
+                peak = peak.max(event_loop.pending_bytes);
+                event_loop.sweep_idle();
+                assert_eq!(
+                    event_loop.pending_bytes,
+                    walk(&event_loop),
+                    "round {round} sweep"
+                );
+            }
+        }
+        assert!(
+            peak > 0,
+            "no replies ever backed up; the test checked nothing"
+        );
+        assert!(event_loop.live < CLIENTS, "no connection was closed");
+        // Every client hangs up with replies queued: each close must take
+        // its session's bytes out of the total.
+        drop(clients);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while event_loop.live > 0 && Instant::now() < deadline {
+            event_loop.turn(&mut events, Duration::from_millis(5));
+            assert_eq!(event_loop.pending_bytes, walk(&event_loop));
+        }
+        assert_eq!(event_loop.live, 0);
+        assert_eq!(event_loop.pending_bytes, 0);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The entire pipeline — PCG bit stream, Zipf sampling, trace generation,
 //! every policy's decisions — is deterministic, so figure outputs are
-//! exact values, not distributions. These tests pin Figures 2 and 3 at
+//! exact values, not distributions. These tests pin Figures 2 and 3, and
+//! DYNSimple's series of Figures 5 and 6 and of its ablation, at
 //! `scale = 0.1` bit-for-bit. If one fails, either a bug changed policy
 //! behaviour, or an intentional algorithm change needs these goldens
 //! re-captured (run the loop below with the new code and paste).
@@ -109,6 +110,74 @@ fn figures_two_and_three_are_bit_stable() {
         assert_eq!(
             s.values, expect,
             "{fig_id}/{series} drifted — policy behaviour changed; \
+             if intentional, re-capture the goldens"
+        );
+    }
+}
+
+/// DYNSimple's series at scale 0.1: Figure 5.a (K = 32), Figure 6.a
+/// (K = 2 and K = 32) and both victim-selection shapes of the ablation.
+fn dynsimple_goldens() -> Vec<(&'static str, &'static str, Vec<f64>)> {
+    vec![
+        (
+            "fig5a",
+            "DYNSimple(K=32)",
+            vec![0.022, 0.19, 0.309, 0.369, 0.414, 0.453],
+        ),
+        (
+            "fig6a",
+            "DYNSimple(K=2)",
+            vec![
+                0.5959376139911869,
+                0.6769224510640616,
+                0.7068465649919873,
+                0.699682193866541,
+                0.7209134308452094,
+                0.7093398135461632,
+            ],
+        ),
+        (
+            "fig6a",
+            "DYNSimple(K=32)",
+            vec![
+                0.5989768179135057,
+                0.6641342191398587,
+                0.6705979214035834,
+                0.6579354437946965,
+                0.6702720395357993,
+                0.6961719855794338,
+            ],
+        ),
+        (
+            "ablation_dynsimple",
+            "two-pass (Figure 4)",
+            vec![0.423, 0.498, 0.544, 0.575],
+        ),
+        (
+            "ablation_dynsimple",
+            "single-pass",
+            vec![0.423, 0.498, 0.544, 0.575],
+        ),
+    ]
+}
+
+#[test]
+fn dynsimple_figures_are_bit_stable() {
+    let ctx = ExperimentContext::at_scale(0.1);
+    let mut figs = run_experiment("fig5", &ctx).unwrap();
+    figs.extend(run_experiment("fig6", &ctx).unwrap());
+    figs.extend(run_experiment("ablation", &ctx).unwrap());
+    for (fig_id, series, expect) in dynsimple_goldens() {
+        let fig = figs
+            .iter()
+            .find(|f| f.id == fig_id)
+            .unwrap_or_else(|| panic!("missing figure {fig_id}"));
+        let s = fig
+            .series_named(series)
+            .unwrap_or_else(|| panic!("{fig_id}: missing series {series}"));
+        assert_eq!(
+            s.values, expect,
+            "{fig_id}/{series} drifted — DYNSimple's decisions changed; \
              if intentional, re-capture the goldens"
         );
     }
