@@ -59,6 +59,8 @@ pub struct TcpCacheClient<S = TcpStream> {
     wire: Wire,
     /// Reassembly buffer for binary frames torn across reads.
     frame_buf: Vec<u8>,
+    /// The text reply line being read, reused.
+    line: String,
     /// Encode buffer every request is written through, reused.
     out: Vec<u8>,
 }
@@ -138,6 +140,7 @@ impl<S: Read + Write> TcpCacheClient<S> {
             stream: BufReader::new(stream),
             wire,
             frame_buf: Vec::new(),
+            line: String::new(),
             out: Vec::new(),
         }
     }
@@ -148,11 +151,11 @@ impl<S: Read + Write> TcpCacheClient<S> {
     fn recv(&mut self) -> std::io::Result<Reply> {
         match self.wire {
             Wire::Text => {
-                let mut line = String::new();
-                if self.stream.read_line(&mut line)? == 0 {
+                self.line.clear();
+                if self.stream.read_line(&mut self.line)? == 0 {
                     return Err(closed());
                 }
-                parse_reply(&line).map_err(invalid)
+                parse_reply(&self.line).map_err(invalid)
             }
             Wire::Binary => loop {
                 if !self.frame_buf.is_empty() {

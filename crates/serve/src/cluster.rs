@@ -99,7 +99,7 @@ use crate::shard::GetOutcome;
 use clipcache_media::ClipId;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -749,6 +749,9 @@ struct Members {
     /// Whether each member is up. A member that is down refuses dials,
     /// and every connection into it fails until it is back.
     alive: Vec<AtomicBool>,
+    /// How often each member was killed: a harness client dialled
+    /// before a kill died with the process it was connected to.
+    kills: Vec<AtomicU64>,
     /// The peer-wire fault plan and what it injected.
     wire: Mutex<PeerWire>,
 }
@@ -769,7 +772,14 @@ impl Members {
     }
 
     fn set_alive(&self, i: usize, up: bool) {
+        if !up {
+            self.kills[i].fetch_add(1, Ordering::SeqCst);
+        }
         self.alive[i].store(up, Ordering::SeqCst);
+    }
+
+    fn kills(&self, i: usize) -> u64 {
+        self.kills[i].load(Ordering::SeqCst)
     }
 
     fn wire(&self) -> MutexGuard<'_, PeerWire> {
@@ -917,6 +927,47 @@ pub struct ClusterHarness {
     /// Deterministic kill/revive points: `(request index, node, alive)`
     /// applied before routing that request.
     schedule: Vec<(u64, usize, bool)>,
+    /// The connections [`get`](Self::get) sends through.
+    clients: MemberClients,
+}
+
+/// The harness's own client connections, one per member, as a routing
+/// client keeps them: dialled at the member's first GET, and dialled
+/// again only after the old one failed or died with a killed member.
+#[derive(Default)]
+struct MemberClients {
+    /// Each member's connection, with the member's kill count when it
+    /// was dialled.
+    conns: Vec<Option<(TcpCacheClient<MemberConn>, u64)>>,
+    /// Dials per member.
+    dials: Vec<u64>,
+}
+
+impl MemberClients {
+    /// GET `clip` from member `i` over its connection, dialling it
+    /// first if there is none (or the member was killed since). A
+    /// failed exchange drops the connection.
+    fn get(
+        &mut self,
+        members: &Arc<Members>,
+        i: usize,
+        clip: ClipId,
+    ) -> std::io::Result<GetOutcome> {
+        let kills = members.kills(i);
+        if self.conns[i].as_ref().is_some_and(|&(_, k)| k != kills) {
+            self.conns[i] = None;
+        }
+        if self.conns[i].is_none() {
+            self.conns[i] = Some((members.connect(i, Wire::Binary)?, kills));
+            self.dials[i] += 1;
+        }
+        let (client, _) = self.conns[i].as_mut().expect("dialled above");
+        let outcome = client.get(clip);
+        if outcome.is_err() {
+            self.conns[i] = None;
+        }
+        outcome
+    }
 }
 
 impl ClusterHarness {
@@ -940,11 +991,16 @@ impl ClusterHarness {
                     .map(|s| Arc::new(Mutex::new(plain(s))))
                     .collect(),
                 alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
+                kills: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 wire: Mutex::default(),
             }),
             services,
             routed: ClusterStats::default(),
             schedule: Vec::new(),
+            clients: MemberClients {
+                conns: (0..n).map(|_| None).collect(),
+                dials: vec![0; n],
+            },
         };
         harness.set_breaker_tuning(BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL);
         harness
@@ -1100,10 +1156,12 @@ impl ClusterHarness {
     /// it fills from the other owners under the armed fault plan.
     pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
         let members = Arc::clone(&self.members);
-        self.route_get(clip, |handler| {
-            let outcome = members.connect(handler, Wire::Binary)?.get(clip)?;
-            Ok((handler, outcome))
-        })
+        let mut clients = std::mem::take(&mut self.clients);
+        let routed = self.route_get(clip, |handler| {
+            Ok((handler, clients.get(&members, handler, clip)?))
+        });
+        self.clients = clients;
+        routed
     }
 
     /// The cluster block appended to chaos reports: byte-stable,
@@ -1242,6 +1300,29 @@ mod tests {
         c.revive(owners[0]);
         let outcome = c.get(clip).unwrap();
         assert!(outcome.hit, "revived primary still holds its state");
+    }
+
+    #[test]
+    fn gets_reuse_one_connection_per_member() {
+        let mut c = cluster(3, 2);
+        for round in 0..1_000u32 {
+            c.get(ClipId::new(round % 48 + 1)).unwrap();
+        }
+        assert_eq!(c.clients.dials, [1, 1, 1], "each member dialled once");
+    }
+
+    #[test]
+    fn a_kill_and_revive_costs_exactly_one_redial() {
+        let mut c = cluster(3, 2);
+        c.schedule_kill(1, 250);
+        c.schedule_revive(1, 750);
+        for round in 0..1_000u32 {
+            c.get(ClipId::new(round % 48 + 1)).unwrap();
+        }
+        // The connection into member 1 died with it; the first GET it
+        // handles after the revive dials it again.
+        assert_eq!(c.clients.dials, [1, 2, 1]);
+        assert!(c.stats().failovers > 0, "the kill rerouted requests");
     }
 
     #[test]

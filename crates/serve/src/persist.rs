@@ -16,10 +16,16 @@
 //!   `pwrite`, one `fdatasync` — so a crash mid-checkpoint tears only
 //!   that slot and leaves the previous checkpoint intact in the other;
 //!   the valid frame with the higher generation is the checkpoint. A
-//!   durable service takes that file I/O off its request path: the
-//!   shard encodes the checkpoint and drops it into its mailbox on the
+//!   durable service takes that work off its request path: the shard
+//!   shares the checkpoint, not yet encoded, through its mailbox on the
 //!   service's background writer thread (a newer checkpoint replaces
-//!   one still pending), and goes on serving.
+//!   one still pending), and goes on serving. The writer runs at nice
+//!   19 and encodes only the checkpoint it takes, so
+//!   `--checkpoint-every` bounds *submissions*, and *landings* follow
+//!   the core time the writer gets. Each landing is `fdatasync`ed
+//!   before it retires any WAL; under saturation a `kill -9` replays
+//!   the records since the last landing, a gap that stays well under
+//!   one segment.
 //! * **WAL** — an append-only log of every access since the last
 //!   checkpoint, kept as fixed-size numbered **segments**
 //!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
@@ -134,6 +140,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -1496,13 +1503,14 @@ pub fn write_checkpoint(dir: &Path, body: &str) -> Result<(), PersistError> {
     slots.write(body.as_bytes(), false)
 }
 
-/// A checkpoint handed to the writer, already encoded.
+/// A checkpoint handed to the writer, not yet encoded: the writer runs
+/// [`DurableCheckpoint::to_json`] only on the submission it takes, so
+/// one a newer submission replaces is never encoded at all.
 struct Submission {
     /// The store's checkpoint slots, written through by the writer.
     slots: Arc<Mutex<CheckpointSlots>>,
-    json: String,
-    /// The last WAL sequence number it covers.
-    seq: u64,
+    /// The checkpoint, shared with the shard that took it.
+    ckpt: Arc<DurableCheckpoint>,
 }
 
 /// One shard's mailbox on the writer (it holds one submission), and
@@ -1526,6 +1534,11 @@ struct WriterState {
     mailboxes: Vec<Mailbox>,
     /// Write what is pending, then exit.
     stop: bool,
+    /// The thread is parked on `work` with nothing to do: the one state
+    /// in which a submission must wake it.
+    parked: bool,
+    /// Threads parked on `done`, waiting for a shard to go idle.
+    waiters: usize,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -1533,11 +1546,26 @@ struct WriterState {
 /// shards: one thread, spawned at the first submission, serving one
 /// mailbox per shard. Checkpoints of one shard land in submission
 /// order, so the checkpoint on disk never moves backwards.
+///
+/// The writer yields the core to the requests it serves: its thread
+/// runs at the lowest priority (nice 19), so on a saturated core a
+/// newer submission replaces a pending one instead of the writer
+/// preempting the event loop for each, and only the submission it
+/// takes is encoded. The request path shares no lock with it: a
+/// per-mailbox `news` flag, raised when a checkpoint lands or a write
+/// fails, is all a shard reads per operation, and it takes the lock
+/// only when the flag is up. Submissions and finished writes wake a
+/// party only when one is parked.
 pub(crate) struct CheckpointWriter {
     state: Mutex<WriterState>,
-    /// Wakes the thread on a submission or stop, and waiters on a
-    /// finished write.
-    cv: Condvar,
+    /// Raised (under `state`'s lock) when shard `i`'s checkpoint landed
+    /// or its write failed; cleared, under the lock, by the shard that
+    /// collects the news.
+    news: Box<[AtomicBool]>,
+    /// Wakes the parked thread on a submission or stop.
+    work: Condvar,
+    /// Wakes waiters on a finished write.
+    done: Condvar,
 }
 
 impl CheckpointWriter {
@@ -1547,9 +1575,13 @@ impl CheckpointWriter {
             state: Mutex::new(WriterState {
                 mailboxes: (0..shards).map(|_| Mailbox::default()).collect(),
                 stop: false,
+                parked: false,
+                waiters: 0,
                 thread: None,
             }),
-            cv: Condvar::new(),
+            news: (0..shards).map(|_| AtomicBool::new(false)).collect(),
+            work: Condvar::new(),
+            done: Condvar::new(),
         })
     }
 
@@ -1557,11 +1589,23 @@ impl CheckpointWriter {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    fn wait<'a>(&self, st: MutexGuard<'a, WriterState>) -> MutexGuard<'a, WriterState> {
-        self.cv.wait(st).unwrap_or_else(|p| p.into_inner())
+    /// Park on `done` until `busy` is false, counted as a waiter so a
+    /// finished write knows to wake us.
+    fn wait_while<'a>(
+        &self,
+        mut st: MutexGuard<'a, WriterState>,
+        busy: impl Fn(&WriterState) -> bool,
+    ) -> MutexGuard<'a, WriterState> {
+        while busy(&st) {
+            st.waiters += 1;
+            st = self.done.wait(st).unwrap_or_else(|p| p.into_inner());
+            st.waiters -= 1;
+        }
+        st
     }
 
-    /// Put `sub` in shard `index`'s mailbox, replacing a pending one.
+    /// Put `sub` in shard `index`'s mailbox, replacing a pending one,
+    /// and wake the thread if it is parked.
     fn submit(self: &Arc<Self>, index: usize, sub: Submission) -> Result<(), PersistError> {
         let mut st = self.lock();
         if st.thread.is_none() {
@@ -1574,17 +1618,26 @@ impl CheckpointWriter {
         }
         // A closed mailbox's failure reaches the shard on its next
         // operation; until then nothing more is written for it.
-        if !st.mailboxes[index].closed {
-            st.mailboxes[index].pending = Some(sub);
-        }
+        let replaced = if st.mailboxes[index].closed {
+            None
+        } else {
+            st.mailboxes[index].pending.replace(sub)
+        };
+        let wake = std::mem::take(&mut st.parked);
         drop(st);
-        self.cv.notify_all();
+        if wake {
+            self.work.notify_one();
+        }
+        // A superseded checkpoint is freed outside the lock.
+        drop(replaced);
         Ok(())
     }
 
-    /// The thread: take pending checkpoints round-robin across mailboxes,
-    /// write each outside the lock, report how it went.
+    /// The thread: lower its own priority, then take pending
+    /// checkpoints round-robin across mailboxes, encode and write each
+    /// outside the lock, report how it went.
     fn run(&self) {
+        lower_priority();
         let mut st = self.lock();
         let mut next = 0;
         loop {
@@ -1596,46 +1649,60 @@ impl CheckpointWriter {
                 if st.stop {
                     return;
                 }
-                st = self.wait(st);
+                st.parked = true;
+                st = self.work.wait(st).unwrap_or_else(|p| p.into_inner());
+                st.parked = false;
                 continue;
             };
             let sub = st.mailboxes[i].pending.take().expect("found above");
             st.mailboxes[i].writing = true;
             drop(st);
-            let result = lock_slots(&sub.slots).write(sub.json.as_bytes(), false);
+            let json = sub.ckpt.to_json();
+            let result = lock_slots(&sub.slots).write(json.as_bytes(), false);
             st = self.lock();
             let mailbox = &mut st.mailboxes[i];
             mailbox.writing = false;
             match result {
-                Ok(()) => mailbox.landed = mailbox.landed.max(sub.seq),
+                Ok(()) => mailbox.landed = mailbox.landed.max(sub.ckpt.seq),
                 Err(e) => {
                     mailbox.failed = Some(e);
                     mailbox.closed = true;
                     mailbox.pending = None;
                 }
             }
+            self.news[i].store(true, Ordering::Release);
             next = i + 1;
-            self.cv.notify_all();
+            if st.waiters > 0 {
+                self.done.notify_all();
+            }
         }
     }
 
     /// Block until shard `index` has nothing pending or being written.
     fn wait_idle(&self, index: usize) {
-        let mut st = self.lock();
-        while st.mailboxes[index].pending.is_some() || st.mailboxes[index].writing {
-            st = self.wait(st);
-        }
+        let st = self.lock();
+        drop(self.wait_while(st, |st| {
+            st.mailboxes[index].pending.is_some() || st.mailboxes[index].writing
+        }));
     }
 
-    /// Shard `index`'s news: the newest landed seq (0 once the mailbox is
-    /// closed — a dead store retires nothing), a failed write (taken),
-    /// and whether the mailbox is idle.
-    fn news(&self, index: usize) -> (u64, Option<PersistError>, bool) {
+    /// Shard `index`'s news, if the writer raised any since it was last
+    /// collected: the newest landed seq (0 once the mailbox is closed —
+    /// a dead store retires nothing) and a failed write (taken). One
+    /// atomic load and no lock when there is none.
+    fn news(&self, index: usize) -> Option<(u64, Option<PersistError>)> {
+        // Pairs with the writer's `Release` store, made after it updated
+        // the mailbox. The mailbox itself is read under the lock, and the
+        // flag is cleared under it too, so a landing after this clear
+        // raises it again.
+        if !self.news[index].load(Ordering::Acquire) {
+            return None;
+        }
         let mut st = self.lock();
+        self.news[index].store(false, Ordering::Relaxed);
         let mailbox = &mut st.mailboxes[index];
-        let idle = mailbox.pending.is_none() && !mailbox.writing;
         let landed = if mailbox.closed { 0 } else { mailbox.landed };
-        (landed, mailbox.failed.take(), idle)
+        Some((landed, mailbox.failed.take()))
     }
 
     /// The stores of `shards` died: discard their pending checkpoints
@@ -1646,9 +1713,9 @@ impl CheckpointWriter {
             mailbox.closed = true;
             mailbox.pending = None;
         }
-        while st.mailboxes[shards.clone()].iter().any(|s| s.writing) {
-            st = self.wait(st);
-        }
+        drop(self.wait_while(st, |st| {
+            st.mailboxes[shards.clone()].iter().any(|m| m.writing)
+        }));
     }
 
     /// An injected crash surfaced: the whole service is a killed
@@ -1656,7 +1723,7 @@ impl CheckpointWriter {
     /// shard retires its WAL any more — a successor may already own
     /// the directory.
     pub(crate) fn halt(&self) {
-        let shards = self.lock().mailboxes.len();
+        let shards = self.news.len();
         self.close(0..shards);
     }
 
@@ -1668,10 +1735,21 @@ impl CheckpointWriter {
             st.stop = true;
             st.thread.take()
         };
-        self.cv.notify_all();
+        self.work.notify_all();
         if thread.is_some_and(|t| t.join().is_err()) {
             eprintln!("clipcache-serve: the checkpoint writer thread panicked");
         }
+    }
+}
+
+/// Run the calling thread at the lowest priority, nice 19, so it gets
+/// a core only when nothing else wants one. Best effort: where the
+/// call fails the thread goes on at its inherited priority.
+fn lower_priority() {
+    #[cfg(target_os = "linux")]
+    // SAFETY: plain syscalls naming only the calling thread.
+    unsafe {
+        let _ = libc::setpriority(libc::PRIO_PROCESS, libc::gettid() as libc::id_t, 19);
     }
 }
 
@@ -1798,9 +1876,6 @@ pub struct ShardStore {
     /// The service's background writer and this store's mailbox on it;
     /// `None` for a store opened on its own, which checkpoints inline.
     writer: Option<(Arc<CheckpointWriter>, usize)>,
-    /// A background checkpoint was submitted and its outcome not yet
-    /// collected.
-    outstanding: bool,
     /// Appends performed since the store was opened (crash counting).
     appends: u64,
     /// Checkpoints submitted since the store was opened.
@@ -2031,7 +2106,6 @@ impl ShardStore {
                 ckpt_seq,
                 slots: Arc::new(Mutex::new(slots)),
                 writer: None,
-                outstanding: false,
                 appends: 0,
                 checkpoints: 0,
                 seals: 0,
@@ -2318,29 +2392,28 @@ impl ShardStore {
     }
 
     /// Hand a checkpoint to the service's background writer and return
-    /// without waiting for its `fdatasync`. Its WAL is retired once the
-    /// store learns it landed, on its next operation; a failed write
-    /// kills the store and that operation reports it. A store with no
-    /// writer (opened on its own) checkpoints inline, and so does the
-    /// armed `checkpoint:N` point: its submission waits for the
-    /// checkpoint before it, half-writes its own and reports the crash
-    /// itself.
-    pub fn submit_checkpoint(&mut self, ckpt: &DurableCheckpoint) -> Result<(), PersistError> {
-        self.admit_checkpoint(ckpt)?;
+    /// without waiting for its `fdatasync`. The checkpoint is shared,
+    /// not encoded: the writer encodes it only if no newer submission
+    /// replaced it first. Its WAL is retired once the store learns it
+    /// landed, on its next operation; a failed write kills the store
+    /// and that operation reports it. A store with no writer (opened on
+    /// its own) checkpoints inline, and so does the armed
+    /// `checkpoint:N` point: its submission waits for the checkpoint
+    /// before it, half-writes its own and reports the crash itself.
+    pub fn submit_checkpoint(&mut self, ckpt: Arc<DurableCheckpoint>) -> Result<(), PersistError> {
+        self.admit_checkpoint(&ckpt)?;
         let crash = self.count_checkpoint()?;
         let Some((writer, index)) = self.writer.clone().filter(|_| !crash) else {
-            return self.checkpoint_inline(ckpt, crash);
+            return self.checkpoint_inline(&ckpt, crash);
         };
         let sub = Submission {
             slots: Arc::clone(&self.slots),
-            json: ckpt.to_json(),
-            seq: ckpt.seq,
+            ckpt,
         };
         if let Err(e) = writer.submit(index, sub) {
             self.kill();
             return Err(e);
         }
-        self.outstanding = true;
         Ok(())
     }
 
@@ -2395,21 +2468,20 @@ impl ShardStore {
 
     /// Collect what the writer finished for this store: retire the WAL
     /// behind the newest landed checkpoint, or die of a failed write
-    /// and report it. Runs at the start of every append, and is a
-    /// no-op unless a background checkpoint is outstanding.
+    /// and report it. Runs at the start of every append; unless the
+    /// writer raised news for this store since the last collection it
+    /// is one atomic load.
     pub(crate) fn collect_writes(&mut self) -> Result<(), PersistError> {
-        if !self.outstanding || self.dead {
+        if self.dead {
             return Ok(());
         }
-        let Some((writer, index)) = &self.writer else {
+        let Some((landed, failed)) = self.writer.as_ref().and_then(|(w, i)| w.news(*i)) else {
             return Ok(());
         };
-        let (landed, failed, idle) = writer.news(*index);
         if let Some(e) = failed {
             self.kill();
             return Err(e);
         }
-        self.outstanding = !idle;
         if landed > self.ckpt_seq {
             self.retire_through(landed)?;
         }

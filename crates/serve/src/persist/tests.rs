@@ -617,7 +617,7 @@ fn a_lagging_checkpoint_never_reissues_sequence_numbers() {
             Err(PersistError::BadCheckpoint(_))
         ));
         assert!(matches!(
-            store.submit_checkpoint(&ckpt),
+            store.submit_checkpoint(Arc::new(ckpt.clone())),
             Err(PersistError::BadCheckpoint(_))
         ));
     }
@@ -1215,4 +1215,109 @@ fn a_legacy_checkpoint_file_is_migrated_once() {
         ShardStore::open(&dir, WalSync::Off),
         Err(PersistError::BadCheckpoint(_))
     ));
+}
+
+// ---- background checkpoint writer -------------------------------------
+
+/// A store writing its background checkpoints through a fresh
+/// one-mailbox writer, and that writer.
+fn store_with_writer(dir: &Path, tuning: WalTuning) -> (ShardStore, Arc<CheckpointWriter>) {
+    let (mut store, _) = ShardStore::open_tuned(dir, WalSync::Off, tuning).unwrap();
+    let writer = CheckpointWriter::new(1);
+    store.attach_writer(Arc::clone(&writer), 0);
+    (store, writer)
+}
+
+#[test]
+fn a_failed_background_write_is_reported_once_by_the_next_operation() {
+    let dir = tmp_dir("bg-fail");
+    let (mut store, writer) = store_with_writer(&dir, WalTuning::default());
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
+    // Rip the directory out so the writer cannot create a slot file.
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 1;
+    store.submit_checkpoint(Arc::new(ckpt)).unwrap();
+    writer.wait_idle(0);
+    // The next operation reports the failure and kills the store; every
+    // later one reports the death, never the failure again.
+    assert!(matches!(
+        store.stage(WalOp::Get, ClipId::new(2), 0),
+        Err(PersistError::Io(_))
+    ));
+    for _ in 0..2 {
+        assert!(matches!(
+            store.stage(WalOp::Get, ClipId::new(3), 0),
+            Err(PersistError::CrashInjected)
+        ));
+    }
+    assert!(writer.news(0).is_none(), "the failure was collected once");
+    writer.shutdown();
+}
+
+#[test]
+fn a_landed_checkpoint_retires_the_wal_at_the_next_stage() {
+    let dir = tmp_dir("bg-retire");
+    let (mut store, writer) = store_with_writer(&dir, tiny_segments());
+    for clip in 1..=6u32 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    // Two records a segment: 1-3 sealed, 4 active and empty.
+    assert_eq!(store.segment_span(), (1, 4));
+    let mut ckpt = sample_checkpoint();
+    ckpt.seq = 6;
+    store.submit_checkpoint(Arc::new(ckpt)).unwrap();
+    writer.wait_idle(0);
+    assert_eq!(
+        store.segment_span(),
+        (1, 4),
+        "nothing is retired before the store's next operation"
+    );
+    store.stage(WalOp::Get, ClipId::new(7), 0).unwrap();
+    assert_eq!(store.segment_span(), (4, 4), "the landing retired 1-3");
+    for no in 1..=3 {
+        assert!(!dir.join(segment_file_name(no)).exists(), "segment {no}");
+    }
+    // The news was collected: with no new landing there is none.
+    assert!(writer.news(0).is_none(), "collecting lowers the news flag");
+    store.commit().unwrap();
+    writer.shutdown();
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint.expect("landed").seq, 6);
+    assert_eq!(state.records, vec![record(7, 7, WalOp::Get)]);
+}
+
+#[test]
+fn a_superseded_submission_is_never_written() {
+    let dir = tmp_dir("bg-supersede");
+    let (mut store, writer) = store_with_writer(&dir, WalTuning::default());
+    for clip in 1..=3u32 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    // Hold the slots while submitting three checkpoints: the writer
+    // takes at most one before it blocks on them, and of the other two
+    // the newer replaces the older in the mailbox.
+    let held = Arc::clone(&store.slots);
+    let slots = lock_slots(&held);
+    let submitted: Vec<Arc<DurableCheckpoint>> = (1..=3u64)
+        .map(|seq| {
+            let mut ckpt = sample_checkpoint();
+            ckpt.seq = seq;
+            Arc::new(ckpt)
+        })
+        .collect();
+    for ckpt in &submitted {
+        store.submit_checkpoint(Arc::clone(ckpt)).unwrap();
+    }
+    drop(slots);
+    writer.wait_idle(0);
+    writer.shutdown();
+    // Each write bumps the slot generation: three submissions, at most
+    // two writes, and every submission let go of by the mailbox.
+    assert!(lock_slots(&store.slots).generation <= 2);
+    assert!(submitted.iter().all(|c| Arc::strong_count(c) == 1));
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint.expect("landed").seq, 3);
 }

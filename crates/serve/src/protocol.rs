@@ -121,7 +121,8 @@
 use crate::shard::{GetOutcome, RangeOutcome};
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_sim::metrics::HitStats;
-use std::fmt::{Display, Write as _};
+use std::fmt::Display;
+use std::io::Write as _;
 use std::str::{FromStr, SplitAsciiWhitespace};
 
 /// Which wire protocol a peer speaks. Both land on the same server —
@@ -396,25 +397,38 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 
 /// Format a request line (the inverse of [`parse_command`]).
 pub fn format_command(command: &Command) -> String {
-    match command {
-        Command::Get(clip) => format!("GET {}", clip.get()),
-        Command::GetRange(clip, chunk) => format!("GETRANGE {} {chunk}", clip.get()),
-        Command::PeerGet(clip) => format!("PEERGET {}", clip.get()),
-        Command::Version => "VERSION".into(),
-        Command::Stats => "STATS".into(),
-        Command::Snapshot => "SNAPSHOT".into(),
-        Command::Poison(clip) => format!("POISON {}", clip.get()),
-        Command::Quit => "QUIT".into(),
-    }
+    let mut line = Vec::new();
+    write_command_line(command, &mut line);
+    String::from_utf8(line).expect("request lines are ASCII")
 }
 
-/// Render `verb name=value …` over a table of field names.
-fn format_fields<T: Display>(verb: &str, names: &[&str], values: &[T]) -> String {
-    let mut line = String::from(verb);
+/// Append `command`'s request line, newline not included, to `out`.
+fn write_command_line(command: &Command, out: &mut Vec<u8>) {
+    // Writing into a `Vec` cannot fail.
+    let _ = match command {
+        Command::Get(clip) => write!(out, "GET {}", clip.get()),
+        Command::GetRange(clip, chunk) => write!(out, "GETRANGE {} {chunk}", clip.get()),
+        Command::PeerGet(clip) => write!(out, "PEERGET {}", clip.get()),
+        Command::Version => out.write_all(b"VERSION"),
+        Command::Stats => out.write_all(b"STATS"),
+        Command::Snapshot => out.write_all(b"SNAPSHOT"),
+        Command::Poison(clip) => write!(out, "POISON {}", clip.get()),
+        Command::Quit => out.write_all(b"QUIT"),
+    };
+}
+
+/// Append `verb name=value …` over a table of field names to `out`.
+fn write_fields<T: Display>(
+    out: &mut Vec<u8>,
+    verb: &str,
+    names: &[&str],
+    values: &[T],
+) -> std::io::Result<()> {
+    out.write_all(verb.as_bytes())?;
     for (name, value) in names.iter().zip(values) {
-        let _ = write!(line, " {name}={value}");
+        write!(out, " {name}={value}")?;
     }
-    line
+    Ok(())
 }
 
 /// Read one `name=value` word per table entry, in table order. A
@@ -454,31 +468,44 @@ fn next_number<T: FromStr>(words: &mut SplitAsciiWhitespace<'_>) -> Option<T> {
 /// servers never emit `PHIT`, which is what keeps the single-node
 /// degenerate cluster byte-identical to the serial anchor.
 pub fn format_reply(reply: &Reply) -> String {
-    match reply {
-        Reply::Get(outcome) if outcome.hit => format!("HIT {}", outcome.evictions),
-        Reply::Get(outcome) => format!(
+    let mut line = Vec::new();
+    write_reply_line(reply, &mut line);
+    String::from_utf8(line).expect("formatted from UTF-8 text")
+}
+
+/// Append `reply`'s text line, newline not included, to `out`.
+fn write_reply_line(reply: &Reply, out: &mut Vec<u8>) {
+    // Writing into a `Vec` cannot fail.
+    let _ = match reply {
+        Reply::Get(outcome) if outcome.hit => write!(out, "HIT {}", outcome.evictions),
+        Reply::Get(outcome) => write!(
+            out,
             "{} {} {}",
             if outcome.peer { "PHIT" } else { "MISS" },
             outcome.admitted as u8,
             outcome.evictions
         ),
-        Reply::Range(outcome) => format!(
+        Reply::Range(outcome) => write!(
+            out,
             "{} {} {}",
             if outcome.hit { "RHIT" } else { "RMISS" },
             outcome.resident,
             outcome.total
         ),
-        Reply::Peer(had) => format!("RPEER {}", *had as u8),
-        Reply::Version(v) => {
-            format_fields("VERSION", &VERSION_FIELDS, &[v.protocol, v.snapshot, v.wal])
-        }
-        Reply::Stats(stats) => format_fields("STATS", &STATS_FIELDS, &stats.to_fields()),
-        Reply::Snapshot(json) => format!("SNAPSHOT {json}"),
-        Reply::Poisoned(shard) => format!("POISONED {shard}"),
-        Reply::Bye => "BYE".into(),
-        Reply::Busy => "BUSY".into(),
-        Reply::Err(msg) => format!("ERR {msg}"),
-    }
+        Reply::Peer(had) => write!(out, "RPEER {}", *had as u8),
+        Reply::Version(v) => write_fields(
+            out,
+            "VERSION",
+            &VERSION_FIELDS,
+            &[v.protocol, v.snapshot, v.wal],
+        ),
+        Reply::Stats(stats) => write_fields(out, "STATS", &STATS_FIELDS, &stats.to_fields()),
+        Reply::Snapshot(json) => write!(out, "SNAPSHOT {json}"),
+        Reply::Poisoned(shard) => write!(out, "POISONED {shard}"),
+        Reply::Bye => out.write_all(b"BYE"),
+        Reply::Busy => out.write_all(b"BUSY"),
+        Reply::Err(msg) => write!(out, "ERR {msg}"),
+    };
 }
 
 /// Parse one text reply line: the inverse of [`format_reply`] for every
@@ -555,7 +582,7 @@ pub fn parse_reply(line: &str) -> Result<Reply, String> {
 pub fn write_command(wire: Wire, command: &Command, out: &mut Vec<u8>) {
     match wire {
         Wire::Text => {
-            out.extend_from_slice(format_command(command).as_bytes());
+            write_command_line(command, out);
             out.push(b'\n');
         }
         Wire::Binary => encode_command(command, out),
@@ -567,7 +594,7 @@ pub fn write_command(wire: Wire, command: &Command, out: &mut Vec<u8>) {
 pub fn write_reply(wire: Wire, reply: &Reply, out: &mut Vec<u8>) {
     match wire {
         Wire::Text => {
-            out.extend_from_slice(format_reply(reply).as_bytes());
+            write_reply_line(reply, out);
             out.push(b'\n');
         }
         Wire::Binary => encode_reply(reply, out),

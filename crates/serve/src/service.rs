@@ -38,10 +38,12 @@
 //!
 //! A durable service owns one checkpoint writer thread, spawned at the
 //! first periodic checkpoint (a memory-only service, or a durable one
-//! that has not checkpointed yet, runs none). Shards hand it encoded
-//! checkpoints through mailboxes holding one each and never wait on its
-//! fsyncs. Dropping the service writes what is still pending, joins
-//! the thread and retires the WAL behind what landed.
+//! that has not checkpointed yet, runs none), at the lowest priority.
+//! Shards share their checkpoints with it, unencoded, through
+//! mailboxes holding one each, and never wait on its fsyncs; it
+//! encodes only what it takes. Dropping the service writes what is
+//! still pending, joins the thread and retires the WAL behind what
+//! landed.
 
 use crate::persist::{
     CheckpointWriter, CommitTicket, CrashAction, PersistError, PersistOptions, RecoveryReport,

@@ -35,13 +35,14 @@
 //! the shard lock — so disk is never behind what a client was told.
 //! The WAL is what makes an ack durable; checkpoints only bound
 //! replay. So a checkpoint refresh takes the snapshot inline, keeps it
-//! as the shard's checkpoint, and hands it, encoded, to the service's
-//! background writer without waiting for its fsyncs
-//! ([`ShardStore::submit_checkpoint`]). The shard learns on its next
-//! operation that the checkpoint landed and only then retires the WAL
-//! behind it; until then, and for the active segment's records at or
-//! below the checkpoint afterwards, the log keeps a subsumed prefix
-//! that recovery skips. On open, the durable checkpoint is restored and
+//! as the shard's checkpoint, and shares it, not yet encoded, with the
+//! service's background writer without waiting for its fsyncs
+//! ([`ShardStore::submit_checkpoint`]); the writer encodes only the
+//! checkpoints it gets to before a newer one replaces them. The shard
+//! learns on its next operation that the checkpoint landed and only
+//! then retires the WAL behind it; until then, and for the active
+//! segment's records at or below the checkpoint afterwards, the log
+//! keeps a subsumed prefix that recovery skips. On open, the durable checkpoint is restored and
 //! the WAL tail replays through the same zero-alloc `access_into` path
 //! live requests use — then the shard compacts (a checkpoint written
 //! and waited for, the log retired) so restarts converge instead of
@@ -137,7 +138,9 @@ pub struct Shard {
     seed: u64,
     frequencies: Option<Vec<f64>>,
     // What a poisoned shard rebuilds from; `seq` is 0 when memory-only.
-    checkpoint: DurableCheckpoint,
+    // Shared with the background writer's mailbox, which encodes it
+    // only if no newer checkpoint replaces it first.
+    checkpoint: Arc<DurableCheckpoint>,
     // Accesses between checkpoint refreshes (the service's knob).
     checkpoint_every: u64,
     // The durable store, when the service was opened with a data dir.
@@ -164,11 +167,11 @@ impl Shard {
             checkpoint_every > 0,
             "checkpoint cadence must be at least 1"
         );
-        let checkpoint = DurableCheckpoint {
+        let checkpoint = Arc::new(DurableCheckpoint {
             snapshot: CacheSnapshot::take(cache.as_ref(), policy, Timestamp::ZERO),
             stats: HitStats::new(),
             seq: 0,
-        };
+        });
         Shard {
             cache,
             stats: HitStats::new(),
@@ -300,7 +303,7 @@ impl Shard {
 
     fn maybe_checkpoint(&mut self) -> Result<(), PersistError> {
         if self.clock - self.checkpoint.snapshot.tick.get() >= self.checkpoint_every {
-            self.force_checkpoint(ShardStore::submit_checkpoint)?;
+            self.force_checkpoint(|store, ckpt| store.submit_checkpoint(Arc::clone(ckpt)))?;
         }
         Ok(())
     }
@@ -310,15 +313,14 @@ impl Shard {
     /// still describing the newest checkpoint submitted.
     fn force_checkpoint(
         &mut self,
-        write: fn(&mut ShardStore, &DurableCheckpoint) -> Result<(), PersistError>,
+        write: impl FnOnce(&mut ShardStore, &Arc<DurableCheckpoint>) -> Result<(), PersistError>,
     ) -> Result<(), PersistError> {
-        let mut ckpt = DurableCheckpoint {
+        let ckpt = Arc::new(DurableCheckpoint {
             snapshot: CacheSnapshot::take(self.cache.as_ref(), self.policy, Timestamp(self.clock)),
             stats: self.stats.clone(),
-            seq: 0,
-        };
+            seq: self.store.as_ref().map_or(0, |store| store.next_seq() - 1),
+        });
         if let Some(store) = &mut self.store {
-            ckpt.seq = store.next_seq() - 1;
             write(store, &ckpt)?;
         }
         self.checkpoint = ckpt;
@@ -366,7 +368,7 @@ impl Shard {
             self.cache = cache;
             self.clock = tick.get();
             self.stats = ckpt.stats.clone();
-            self.checkpoint = ckpt.clone();
+            self.checkpoint = Arc::new(ckpt.clone());
         }
         for rec in &state.records {
             if self.repo.get(rec.clip).is_none() {
@@ -409,7 +411,7 @@ impl Shard {
         self.wal_replayed = replayed;
         self.store = Some(store);
         if replayed > 0 || state.torn_bytes_dropped > 0 || state.subsumed_records > 0 {
-            self.force_checkpoint(ShardStore::checkpoint)?;
+            self.force_checkpoint(|store, ckpt| store.checkpoint(ckpt))?;
         }
         Ok(replayed)
     }

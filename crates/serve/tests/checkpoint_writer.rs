@@ -10,7 +10,11 @@
 //! * retirement keeps the log bounded, and a reopen replays only the
 //!   records after the last checkpoint that landed;
 //! * poison recovery waits for the checkpoint in flight, so the rewind
-//!   lands exactly on the in-memory checkpoint and disk agrees.
+//!   lands exactly on the in-memory checkpoint and disk agrees;
+//! * the writer yields the core but still lands: it runs at nice 19,
+//!   and pinned to one CPU with a busy request loop it keeps retiring
+//!   sealed segments while the loop runs, so few segment files are
+//!   left when the loop stops.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
 use clipcache_serve::persist::{read_checkpoint, DurableCheckpoint};
@@ -19,6 +23,7 @@ use clipcache_serve::{
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SEED: u64 = 43;
 const CLIPS: u32 = 16;
@@ -211,4 +216,101 @@ fn poison_recovery_lands_on_the_checkpoint_in_flight() {
     assert_eq!(reopened.stats(), stats);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pin the calling thread to the CPU it is running on, returning the
+/// affinity mask it had, or `None` where the affinity calls fail.
+fn pin_to_current_cpu() -> Option<libc::cpu_set_t> {
+    let size = std::mem::size_of::<libc::cpu_set_t>();
+    // SAFETY: the masks are plain bit arrays of the size passed, and
+    // pid 0 names only the calling thread.
+    unsafe {
+        let mut old: libc::cpu_set_t = std::mem::zeroed();
+        if libc::sched_getaffinity(0, size, &mut old) != 0 {
+            return None;
+        }
+        let cpu = usize::try_from(libc::sched_getcpu()).ok()?;
+        let mut one: libc::cpu_set_t = std::mem::zeroed();
+        libc::CPU_ZERO(&mut one);
+        libc::CPU_SET(cpu, &mut one);
+        (libc::sched_setaffinity(0, size, &one) == 0).then_some(old)
+    }
+}
+
+fn segment_files(shard_dir: &Path) -> usize {
+    std::fs::read_dir(shard_dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("wal.") && name.ends_with(".log")
+        })
+        .count()
+}
+
+/// The nice value of every checkpoint writer thread in this process,
+/// read from `/proc/self/task/*/stat` (the 19th field).
+fn writer_nice_values() -> Vec<i64> {
+    let mut nices = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        let Ok(stat) = std::fs::read_to_string(task.unwrap().path().join("stat")) else {
+            continue;
+        };
+        let (Some(open), Some(close)) = (stat.find('('), stat.rfind(')')) else {
+            continue;
+        };
+        // "checkpoint-writer", cut to the kernel's 15 bytes.
+        if &stat[open + 1..close] == "checkpoint-writ" {
+            let fields: Vec<&str> = stat[close + 2..].split(' ').collect();
+            nices.push(fields[16].parse().unwrap());
+        }
+    }
+    nices
+}
+
+#[test]
+fn a_pinned_writer_retires_segments_while_a_busy_loop_runs() {
+    const RECORDS_PER_SEGMENT: u64 = 64;
+    // Long enough for many landings even when the nice-19 writer waits
+    // a few hundred milliseconds at a time for the core.
+    const RUN: Duration = Duration::from_secs(3);
+    let repo = repo();
+    let dir = scratch_dir("pinned");
+    let tuning = WalTuning {
+        segment_bytes: 24 + RECORDS_PER_SEGMENT * 25,
+        ..WalTuning::default()
+    };
+    let old_mask = pin_to_current_cpu();
+    // The writer thread spawns at the first checkpoint, from this
+    // thread, and inherits its one-CPU mask: the loop below never
+    // blocks on it, so it lands only in the core time left over.
+    let service = open(&repo, config(1, 64), &dir, None, tuning);
+    let started = Instant::now();
+    let mut requests = 0u64;
+    while started.elapsed() < RUN {
+        for _ in 0..256 {
+            service.get(clip(requests)).unwrap();
+            requests += 1;
+        }
+    }
+    // Counted before the drop, which would drain the writer.
+    let files = segment_files(&dir.join("shard-0")) as u64;
+    // The writer lowered itself before its first landing. Other tests'
+    // writers may be starting, so look for one at nice 19, not all.
+    let nices = writer_nice_values();
+    if let Some(mask) = old_mask {
+        // SAFETY: restores the mask read above, on the same thread.
+        unsafe { libc::sched_setaffinity(0, std::mem::size_of_val(&mask), &mask) };
+    }
+    drop(service);
+    let _ = std::fs::remove_dir_all(&dir);
+    let sealed = requests / RECORDS_PER_SEGMENT;
+    assert!(
+        files <= sealed / 4,
+        "{files} segment files left of {sealed} sealed in {RUN:?}: the writer fell behind"
+    );
+    assert!(
+        nices.contains(&19),
+        "writer threads' nice values: {nices:?}"
+    );
 }

@@ -14,7 +14,9 @@
 //!
 //! One reply generator ([`reply_from`]) covers all ten `Reply` variants
 //! and feeds both wires, and a literal pin fixes the `STATS` bytes on
-//! each.
+//! each. The text bytes `write_command`/`write_reply` append in place
+//! are the `format_*` line plus its newline, pinned literally for one
+//! message of every kind.
 //!
 //! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
 //! cases add random inputs on top (the vendored `proptest` is a small
@@ -23,8 +25,9 @@
 use clipcache_media::{ByteSize, ClipId};
 use clipcache_serve::protocol::{
     corrupt_length_get_frame, decode_command, decode_reply, encode_command, encode_reply,
-    format_command, format_reply, parse_command, parse_reply, Command, Decoded, Reply, ServerStats,
-    WireVersions, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_PAYLOAD, STATS_FIELDS,
+    format_command, format_reply, parse_command, parse_reply, write_command, write_reply, Command,
+    Decoded, Reply, ServerStats, Wire, WireVersions, FRAME_HEADER_BYTES, FRAME_MAGIC,
+    MAX_FRAME_PAYLOAD, STATS_FIELDS,
 };
 use clipcache_serve::shard::{GetOutcome, RangeOutcome};
 use clipcache_sim::metrics::HitStats;
@@ -338,6 +341,76 @@ fn stats_reply_is_pinned_on_both_wires() {
     assert_reply_round_trips(&reply);
 }
 
+/// `command`'s bytes on the text wire, as a client appends them.
+fn text_command(command: &Command) -> Vec<u8> {
+    let mut out = b"prior".to_vec();
+    write_command(Wire::Text, command, &mut out);
+    out.split_off(5)
+}
+
+/// `reply`'s bytes on the text wire, as a server appends them.
+fn text_reply(reply: &Reply) -> Vec<u8> {
+    let mut out = b"prior".to_vec();
+    write_reply(Wire::Text, reply, &mut out);
+    out.split_off(5)
+}
+
+#[test]
+fn text_lines_are_pinned_for_every_kind() {
+    let commands = [
+        (Command::Get(ClipId::new(7)), "GET 7"),
+        (Command::GetRange(ClipId::new(7), 3), "GETRANGE 7 3"),
+        (Command::PeerGet(ClipId::new(9)), "PEERGET 9"),
+        (Command::Version, "VERSION"),
+        (Command::Stats, "STATS"),
+        (Command::Snapshot, "SNAPSHOT"),
+        (
+            Command::Poison(ClipId::new(4294967295)),
+            "POISON 4294967295",
+        ),
+        (Command::Quit, "QUIT"),
+    ];
+    for (command, line) in commands {
+        assert_eq!(text_command(&command), format!("{line}\n").into_bytes());
+    }
+    let get = |hit, admitted, peer| {
+        Reply::Get(GetOutcome {
+            hit,
+            admitted,
+            evictions: 3,
+            peer,
+        })
+    };
+    let replies = [
+        (get(true, true, false), "HIT 3"),
+        (get(false, true, false), "MISS 1 3"),
+        (get(false, false, false), "MISS 0 3"),
+        (get(false, true, true), "PHIT 1 3"),
+        (Reply::Range(range_from(0, 9)), "RHIT 0 9"),
+        (Reply::Range(range_from(1, 9)), "RMISS 4 9"),
+        (Reply::Peer(true), "RPEER 1"),
+        (
+            Reply::Version(WireVersions {
+                protocol: 4,
+                snapshot: 2,
+                wal: 2,
+            }),
+            "VERSION proto=4 snapshot=2 wal=2",
+        ),
+        (
+            Reply::Snapshot("[{\"shard\":0}]".into()),
+            "SNAPSHOT [{\"shard\":0}]",
+        ),
+        (Reply::Poisoned(2), "POISONED 2"),
+        (Reply::Bye, "BYE"),
+        (Reply::Busy, "BUSY"),
+        (Reply::Err("idle timeout".into()), "ERR idle timeout"),
+    ];
+    for (reply, line) in replies {
+        assert_eq!(text_reply(&reply), format!("{line}\n").into_bytes());
+    }
+}
+
 #[test]
 fn extending_guide_names_every_stats_field() {
     let guide = include_str!("../../../docs/extending.md");
@@ -371,6 +444,22 @@ proptest! {
             decode_reply(&bytes),
             Ok(Decoded::Frame { value: reply, consumed })
         );
+    }
+
+    #[test]
+    fn text_writers_append_the_formatted_line(
+        selector in 0u8..40,
+        clip in 1u32..u32::MAX,
+        word in 0u64..u64::MAX,
+        evictions in 0usize..usize::MAX,
+        text_seed in 0u64..u64::MAX,
+    ) {
+        let command = command_from(selector, clip);
+        let line = format!("{}\n", format_command(&command));
+        prop_assert_eq!(text_command(&command), line.into_bytes());
+        let reply = reply_from(selector, word, evictions, &text_from(text_seed));
+        let line = format!("{}\n", format_reply(&reply));
+        prop_assert_eq!(text_reply(&reply), line.into_bytes());
     }
 
     #[test]
