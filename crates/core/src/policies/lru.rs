@@ -3,20 +3,23 @@
 //! These are not evaluated in the paper's figures (LRU appears only as the
 //! degenerate K = 1 case of LRU-K) but are the standard points of
 //! comparison for any replacement study and are exercised by the shootout
-//! example. All three share one implementation parameterized by the
-//! ordering of the victim key.
+//! example. All three share one implementation parameterized by which end
+//! of the recency order supplies victims.
 //!
-//! Recency scores are access-local, so all three variants are
-//! heap-eligible: the victim key is a `(u64, u64)` pair in a
-//! [`VictimIndex`], with MRU's max-order mapped onto the index's
-//! min-order by complementing both components (a strictly monotone
-//! bijection, so the max-(timestamp, id) victim is exactly the
-//! min-(complement, complement) one).
+//! Each resident is stamped with the time it was last touched (LRU, MRU)
+//! or admitted (FIFO), and a `RecencyList` keeps the residents in
+//! ascending `(stamp, id)` order: LRU and FIFO evict the head, MRU the
+//! tail, so finding and removing a victim is O(1). A new stamp is almost
+//! always the latest and links at the tail; a stamp that arrives out of
+//! order (equal or decreasing clocks, a snapshot restore) walks back from
+//! the tail to its place. The list therefore picks exactly the victim a
+//! min-`(stamp, id)` scan (max for MRU) of every resident would. Both
+//! victim-index backends build this list: neither a scan nor a heap can
+//! beat it, so the `@heap` spelling only selects the same cache.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
-use crate::policies::{admit_with_evictions, complete_with_evictions, IndexVictims};
+use crate::policies::{admit_with_evictions, complete_with_evictions, VictimSource};
 use crate::space::{CacheSpace, Residency};
-use crate::victim_index::{VictimBackend, VictimIndex};
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
 use std::sync::Arc;
@@ -40,14 +43,114 @@ impl RecencyVariant {
             RecencyVariant::Fifo => "FIFO",
         }
     }
+}
 
-    /// The index key for a clip touched (LRU/MRU) or admitted (FIFO) at
-    /// `at`: MRU complements so the most recent sorts first.
-    fn key(self, at: Timestamp, clip: ClipId) -> (u64, u64) {
-        match self {
-            RecencyVariant::Lru | RecencyVariant::Fifo => (at.0, clip.index() as u64),
-            RecencyVariant::Mru => (u64::MAX - at.0, u64::MAX - clip.index() as u64),
+/// An empty link.
+const NIL: u32 = u32::MAX;
+
+/// The listed clips in ascending `(stamp, id)` order, doubly linked over
+/// clip slots.
+#[derive(Debug, Clone)]
+struct RecencyList {
+    stamp: Vec<u64>,
+    /// `NIL` at the head and in every unlisted slot.
+    prev: Vec<u32>,
+    /// `NIL` at the tail and in every unlisted slot.
+    next: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl RecencyList {
+    fn new(n_clips: usize) -> Self {
+        RecencyList {
+            stamp: vec![0; n_clips],
+            prev: vec![NIL; n_clips],
+            next: vec![NIL; n_clips],
+            head: NIL,
+            tail: NIL,
         }
+    }
+
+    /// List an unlisted clip at its `(stamp, id)` place, walking back from
+    /// the tail.
+    fn insert(&mut self, clip: ClipId, stamp: u64) {
+        let i = clip.index() as u32;
+        debug_assert!(
+            self.head != i && self.prev[i as usize] == NIL,
+            "{clip} listed twice"
+        );
+        self.stamp[i as usize] = stamp;
+        let mut after = self.tail;
+        while after != NIL && (self.stamp[after as usize], after) > (stamp, i) {
+            after = self.prev[after as usize];
+        }
+        let before = match after {
+            NIL => std::mem::replace(&mut self.head, i),
+            a => std::mem::replace(&mut self.next[a as usize], i),
+        };
+        match before {
+            NIL => self.tail = i,
+            b => self.prev[b as usize] = i,
+        }
+        self.prev[i as usize] = after;
+        self.next[i as usize] = before;
+    }
+
+    fn remove(&mut self, clip: ClipId) {
+        let i = clip.index();
+        let (p, n) = (self.prev[i], self.next[i]);
+        match p {
+            NIL => self.head = n,
+            p => self.next[p as usize] = n,
+        }
+        match n {
+            NIL => self.tail = p,
+            n => self.prev[n as usize] = p,
+        }
+        self.prev[i] = NIL;
+        self.next[i] = NIL;
+    }
+
+    /// Re-stamp a listed clip.
+    fn touch(&mut self, clip: ClipId, stamp: u64) {
+        self.remove(clip);
+        self.insert(clip, stamp);
+    }
+
+    /// The oldest (or, with `newest`, the newest) listed clip other than
+    /// `skip`.
+    fn victim(&self, newest: bool, skip: u32) -> ClipId {
+        let (end, step) = if newest {
+            (self.tail, &self.prev)
+        } else {
+            (self.head, &self.next)
+        };
+        let v = if end != NIL && end == skip {
+            step[end as usize]
+        } else {
+            end
+        };
+        assert!(v != NIL, "victim requested from an empty recency list");
+        ClipId::from_index(v as usize)
+    }
+}
+
+/// [`VictimSource`] over a [`RecencyList`], passing over slot `skip`
+/// (the clip whose prefix is being completed, or `NIL`).
+struct ListVictims<'a> {
+    list: &'a mut RecencyList,
+    newest: bool,
+    skip: u32,
+}
+
+impl VictimSource for ListVictims<'_> {
+    fn peek(&mut self, _space: &CacheSpace) -> ClipId {
+        self.list.victim(self.newest, self.skip)
+    }
+
+    fn on_evict(&mut self, clip: ClipId) {
+        self.list.remove(clip);
     }
 }
 
@@ -56,28 +159,18 @@ impl RecencyVariant {
 pub struct RecencyCache {
     space: CacheSpace,
     variant: RecencyVariant,
-    index: VictimIndex<(u64, u64)>,
+    /// Every resident clip, full or partial.
+    list: RecencyList,
 }
 
 impl RecencyCache {
-    /// Create an empty cache with the given eviction variant (scan
-    /// backend).
+    /// Create an empty cache with the given eviction variant.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, variant: RecencyVariant) -> Self {
-        RecencyCache::with_backend(repo, capacity, variant, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        variant: RecencyVariant,
-        backend: VictimBackend,
-    ) -> Self {
         let n = repo.len();
         RecencyCache {
             space: CacheSpace::new(repo, capacity),
             variant,
-            index: VictimIndex::new(backend, n),
+            list: RecencyList::new(n),
         }
     }
 
@@ -114,45 +207,40 @@ impl ClipCache for RecencyCache {
         now: Timestamp,
         evictions: &mut dyn EvictionSink,
     ) -> AccessEvent {
+        // FIFO's stamp is the admission time: hits and prefix completions
+        // don't move the clip.
+        let restamp = self.variant != RecencyVariant::Fifo;
+        let newest = self.variant == RecencyVariant::Mru;
         match self.space.residency(clip) {
             Residency::Full => {
-                // FIFO's key is the admission time: hits don't reorder it.
-                if self.variant != RecencyVariant::Fifo {
-                    self.index.upsert(clip, self.variant.key(now, clip));
+                if restamp {
+                    self.list.touch(clip, now.0);
                 }
                 AccessEvent::Hit
             }
             Residency::Partial(resident) => {
                 let total = self.space.chunks_of(clip);
-                // FIFO keeps the admission-time key across the completion.
-                let key = if self.variant == RecencyVariant::Fifo {
-                    self.index
-                        .score_of(clip)
-                        .expect("partially resident clip must be indexed")
-                } else {
-                    self.variant.key(now, clip)
+                // Completion passes over the clip itself as a victim.
+                let mut source = ListVictims {
+                    list: &mut self.list,
+                    newest,
+                    skip: clip.index() as u32,
                 };
-                // Deregister so completion can't pick the clip as its own
-                // victim.
-                self.index.remove(clip);
-                complete_with_evictions(
-                    &mut self.space,
-                    clip,
-                    &mut IndexVictims(&mut self.index),
-                    evictions,
-                );
-                self.index.upsert(clip, key);
+                complete_with_evictions(&mut self.space, clip, &mut source, evictions);
+                if restamp {
+                    self.list.touch(clip, now.0);
+                }
                 AccessEvent::PrefixHit { resident, total }
             }
             Residency::Absent => {
-                let event = admit_with_evictions(
-                    &mut self.space,
-                    clip,
-                    &mut IndexVictims(&mut self.index),
-                    evictions,
-                );
+                let mut source = ListVictims {
+                    list: &mut self.list,
+                    newest,
+                    skip: NIL,
+                };
+                let event = admit_with_evictions(&mut self.space, clip, &mut source, evictions);
                 if event == (AccessEvent::Miss { admitted: true }) {
-                    self.index.upsert(clip, self.variant.key(now, clip));
+                    self.list.insert(clip, now.0);
                 }
                 event
             }
@@ -172,14 +260,14 @@ impl ClipCache for RecencyCache {
 
     fn restore_prefix(&mut self, clip: ClipId, prefix: u32, now: Timestamp) {
         self.space.insert_prefix(clip, prefix);
-        self.index.upsert(clip, self.variant.key(now, clip));
+        self.list.insert(clip, now.0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::testutil::{assert_equivalent_on, assert_invariants, drive, equi_repo};
+    use crate::policies::testutil::{assert_invariants, drive, equi_repo};
 
     fn cache(variant: RecencyVariant, cap_clips: u64) -> RecencyCache {
         RecencyCache::new(equi_repo(10), ByteSize::mb(10 * cap_clips), variant)
@@ -238,27 +326,33 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical_for_all_variants() {
-        let repo = equi_repo(6);
-        let trace = [1u32, 2, 3, 1, 4, 5, 2, 6, 1, 1, 3, 4, 6, 5, 2, 1];
-        for variant in [
-            RecencyVariant::Lru,
-            RecencyVariant::Mru,
-            RecencyVariant::Fifo,
-        ] {
-            let mut scan = RecencyCache::with_backend(
-                Arc::clone(&repo),
-                ByteSize::mb(30),
-                variant,
-                VictimBackend::Scan,
-            );
-            let mut heap = RecencyCache::with_backend(
-                Arc::clone(&repo),
-                ByteSize::mb(30),
-                variant,
-                VictimBackend::Heap,
-            );
-            assert_equivalent_on(&mut scan, &mut heap, &trace);
+    fn out_of_order_stamps_take_their_place() {
+        // Clip 1 ties clip 3's stamp and arrives last; clip 3 arrives
+        // older than clip 2.
+        let mut lru = cache(RecencyVariant::Lru, 3);
+        let mut mru = cache(RecencyVariant::Mru, 3);
+        for c in [&mut lru, &mut mru] {
+            c.access(ClipId::new(2), Timestamp(7));
+            c.access(ClipId::new(3), Timestamp(5));
+            c.access(ClipId::new(1), Timestamp(5));
         }
+        // LRU evicts the min (stamp, id) = (5, 1), then (5, 3).
+        assert_eq!(
+            lru.access(ClipId::new(4), Timestamp(6)).evicted(),
+            &[ClipId::new(1)]
+        );
+        assert_eq!(
+            lru.access(ClipId::new(5), Timestamp(6)).evicted(),
+            &[ClipId::new(3)]
+        );
+        // MRU evicts the max (stamp, id) = (7, 2), then (6, 4).
+        assert_eq!(
+            mru.access(ClipId::new(4), Timestamp(6)).evicted(),
+            &[ClipId::new(2)]
+        );
+        assert_eq!(
+            mru.access(ClipId::new(5), Timestamp(6)).evicted(),
+            &[ClipId::new(4)]
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! | Policy | Taxonomy | Victim signal | History kept off-cache? | Victim index backend |
 //! |---|---|---|---|---|
 //! | `Random` | randomized | uniform | no | scan+heap |
-//! | `LRU` / `MRU` / `FIFO` | recency | last reference / admission | no | scan+heap |
+//! | `LRU` / `MRU` / `FIFO` | recency | last reference / admission | no | own recency list (both spellings; O(1) victim) |
 //! | `LFU` | frequency | lifetime count | count survives eviction | scan+heap |
 //! | `LFU-DA` | frequency + aging | `L + count` | no | scan+heap |
 //! | `SIZE` | size | largest first | no | scan+heap |

@@ -451,7 +451,9 @@ impl std::str::FromStr for PolicyKind {
 /// sequences), so [`Display`](fmt::Display) shows the kind alone and a
 /// heap-backed cache reports the same [`ClipCache::name`] as its scan
 /// twin. The parseable [`PolicySpec::spelling`] appends `@heap` when the
-/// heap backend is selected; `@scan` is the default and omitted.
+/// heap backend is selected; `@scan` is the default and omitted. The
+/// recency kinds (LRU, MRU, FIFO) accept both spellings but build the
+/// same recency list under either ([`crate::policies::lru`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicySpec {
     /// The policy to construct.
@@ -525,24 +527,9 @@ impl PolicySpec {
             PolicyKind::Random => {
                 Box::new(RandomCache::with_backend(repo, capacity, seed, backend))
             }
-            PolicyKind::Lru => Box::new(RecencyCache::with_backend(
-                repo,
-                capacity,
-                RecencyVariant::Lru,
-                backend,
-            )),
-            PolicyKind::Mru => Box::new(RecencyCache::with_backend(
-                repo,
-                capacity,
-                RecencyVariant::Mru,
-                backend,
-            )),
-            PolicyKind::Fifo => Box::new(RecencyCache::with_backend(
-                repo,
-                capacity,
-                RecencyVariant::Fifo,
-                backend,
-            )),
+            PolicyKind::Lru => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Lru)),
+            PolicyKind::Mru => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Mru)),
+            PolicyKind::Fifo => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Fifo)),
             PolicyKind::Lfu => Box::new(LfuCache::with_backend(repo, capacity, backend)),
             PolicyKind::LfuDa => Box::new(crate::policies::lfu_da::LfuDaCache::with_backend(
                 repo, capacity, backend,

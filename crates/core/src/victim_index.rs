@@ -37,7 +37,10 @@
 //! but only as a whole: residents with the same retained-stamp count and
 //! size never change order. It uses neither backend and keeps its own
 //! exact rank index over those groups
-//! ([`crate::policies::dyn_simple`]).
+//! ([`crate::policies::dyn_simple`]). LRU, MRU and FIFO are
+//! heap-eligible, but a clip's new key is almost always the largest, so
+//! both of their spellings build a sorted recency list instead, with an
+//! O(1) victim ([`crate::policies::lru`]).
 //!
 //! Lazy deletion trades memory for speed: hit-heavy workloads grow stale
 //! heap entries between evictions (bounded by the number of accesses

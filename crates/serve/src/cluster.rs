@@ -355,6 +355,13 @@ impl ClusterView {
     pub fn owners_for(&self, clip: ClipId) -> Vec<usize> {
         self.ring.owners(u64::from(clip.get()), self.replication)
     }
+
+    /// [`ClusterView::owners_for`] into a caller's buffer, which is
+    /// cleared first; reusing one buffer keeps lookups allocation-free.
+    pub(crate) fn owners_into(&self, clip: ClipId, owners: &mut Vec<usize>) {
+        self.ring
+            .owners_into(u64::from(clip.get()), self.replication, owners);
+    }
 }
 
 /// One `PEERGET` from the filling node to `peer`: everything a
@@ -607,6 +614,8 @@ pub struct ClusterRuntime {
     view: ClusterView,
     engine: FillEngine,
     link: Box<dyn PeerLink + Send>,
+    /// The owners of the clip being filled, reused across fills.
+    owners: Vec<usize>,
 }
 
 impl ClusterRuntime {
@@ -623,6 +632,7 @@ impl ClusterRuntime {
             view: spec.view(),
             engine,
             link: Box::new(WireLink::new(spec.peers.clone(), Box::new(dial))),
+            owners: Vec::new(),
         }
     }
 
@@ -633,8 +643,8 @@ impl ClusterRuntime {
 
     /// [`FillEngine::fill`] over the clip's ring owners and the link.
     pub fn fill(&mut self, clip: ClipId) -> bool {
-        let owners = self.view.owners_for(clip);
-        self.engine.fill(&mut *self.link, &owners, clip)
+        self.view.owners_into(clip, &mut self.owners);
+        self.engine.fill(&mut *self.link, &self.owners, clip)
     }
 }
 
@@ -1088,6 +1098,7 @@ impl ClusterHarness {
                 view: self.view.clone(),
                 engine: FillEngine::new(me, n, breaker.clone()),
                 link: Box::new(link),
+                owners: Vec::new(),
             });
             *self.member(me) = node;
         }

@@ -120,9 +120,18 @@ impl HashRing {
     /// the member count, so asking for more replicas than nodes returns
     /// every node (in ring order).
     pub fn owners(&self, key: u64, replicas: usize) -> Vec<usize> {
+        let mut owners = Vec::with_capacity(replicas.clamp(1, self.nodes));
+        self.owners_into(key, replicas, &mut owners);
+        owners
+    }
+
+    /// [`HashRing::owners`] into a caller's buffer, which is cleared
+    /// first: a caller that keeps one buffer looks owners up without
+    /// allocating.
+    pub fn owners_into(&self, key: u64, replicas: usize, owners: &mut Vec<usize>) {
         let want = replicas.clamp(1, self.nodes);
         let start = self.point_of(key);
-        let mut owners = Vec::with_capacity(want);
+        owners.clear();
         for i in 0..self.points.len() {
             let node = self.points[(start + i) % self.points.len()].1;
             if !owners.contains(&node) {
@@ -132,7 +141,6 @@ impl HashRing {
                 }
             }
         }
-        owners
     }
 }
 
@@ -171,6 +179,18 @@ mod tests {
             dedup.sort_unstable();
             dedup.dedup();
             assert_eq!(dedup.len(), 3, "owners must be distinct: {owners:?}");
+        }
+    }
+
+    #[test]
+    fn owners_into_a_reused_buffer_equals_owners() {
+        let ring = HashRing::new(42, 5);
+        let mut buf = vec![9, 9, 9, 9, 9, 9];
+        for key in 0..2_000u64 {
+            for replicas in [1, 2, 3, 7] {
+                ring.owners_into(key, replicas, &mut buf);
+                assert_eq!(buf, ring.owners(key, replicas));
+            }
         }
     }
 

@@ -13,6 +13,10 @@
 //! Each pair of caches replays an arbitrary trace and must agree on every
 //! [`AccessOutcome`] — hit/miss, admission, and the exact eviction
 //! sequence — plus the final residency and the display name.
+//!
+//! LRU, MRU and FIFO build the same recency list under both spellings,
+//! so for them this only checks that `@heap` parses and builds;
+//! `recency_reference.rs` checks the list itself.
 
 use clipcache::core::{PolicyKind, PolicySpec, VictimBackend};
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};

@@ -76,7 +76,9 @@ fn steady_state_access_path_does_not_allocate() {
 
     // Scan backend, all access-local and scan-only online policies
     // (Belady needs the trace itself; BlockLruK's block maps grow with
-    // residency churn — both are out of scope for the zero-alloc claim).
+    // residency churn — both are out of scope for the zero-alloc claim),
+    // plus the recency kinds' heap spellings, which build the same
+    // recency list as their scan spellings.
     let scan_lineup = [
         PolicyKind::Random,
         PolicyKind::Lru,
@@ -98,18 +100,29 @@ fn steady_state_access_path_does_not_allocate() {
         PolicyKind::DynSimple { k: 32 },
         PolicyKind::DynSimpleBypass { k: 2 },
     ];
-    for kind in scan_lineup {
-        let mut cache = kind.build(Arc::clone(&repo), capacity, 7, Some(&freqs));
+    let recency_heap = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Fifo]
+        .map(|kind| PolicySpec::with_backend(kind, VictimBackend::Heap));
+    let lineup = scan_lineup
+        .map(PolicySpec::from)
+        .into_iter()
+        .chain(recency_heap);
+    // LRU on 4 MB chunks: victims give up tails and prefixes complete.
+    let chunked_repo =
+        Arc::new(paper::variable_sized_repository_of(64).with_chunk_size(ByteSize::mb(4)));
+    let chunked = [(PolicySpec::from(PolicyKind::Lru), &chunked_repo)];
+    for (spec, repo) in lineup.map(|spec| (spec, &repo)).chain(chunked) {
+        let mut cache = spec.build(Arc::clone(repo), capacity, 7, Some(&freqs));
         // Warm-up pass: scratch buffers and per-clip histories grow to
         // their high-water marks here, where allocation is expected.
         drive(cache.as_mut(), &requests);
         // Steady state: replaying the identical trace must not allocate.
         let (allocs, hits) = counting(|| drive(cache.as_mut(), &requests));
+        let spelling = spec.spelling();
         assert_eq!(
             allocs, 0,
-            "{kind}: {allocs} allocations in a steady-state replay"
+            "{spelling}: {allocs} allocations in a steady-state replay"
         );
-        assert!(hits > 0, "{kind}: warmed cache must produce hits");
+        assert!(hits > 0, "{spelling}: warmed cache must produce hits");
     }
 
     // The Simple/DYNSimple victim planner's sorted-tail fallback: a clip
