@@ -269,26 +269,30 @@ fn the_golden_flags_render_the_committed_golden_in_process_and_over_tcp() {
     .expect("committed golden readable");
     let dir = std::env::temp_dir().join(format!("clipcache-chaos-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let server = spawn_serve(&["--addr", "127.0.0.1:0", "--shards", "2", "--chaos"], None);
-    for target in [None, Some(server.addr.as_str())] {
-        let report = dir.join("report.txt");
-        let status = Command::new(env!("CARGO_BIN_EXE_loadgen"))
-            .args(["--shards", "2", "--clients", "1", "--requests", "20000"])
-            .args([
-                "--faults",
-                "rate=0.05,seed=17,kinds=drop-pre+drop-post+garbage+torn+poison",
-            ])
-            .args(target.map(|addr| ["--target", addr]).into_iter().flatten())
-            .arg("--chaos-report")
-            .arg(&report)
-            .stdout(Stdio::null())
-            .status()
-            .expect("loadgen runs");
-        assert!(status.success(), "loadgen against {target:?} failed");
-        let rendered = std::fs::read_to_string(&report).expect("report written");
-        assert_eq!(rendered, golden, "target {target:?}");
+    for wire in ["text", "binary"] {
+        // A fresh server per wire: the golden starts from a cold cache.
+        let server = spawn_serve(&["--addr", "127.0.0.1:0", "--shards", "2", "--chaos"], None);
+        for target in [None, Some(server.addr.as_str())] {
+            let report = dir.join("report.txt");
+            let status = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+                .args(["--shards", "2", "--clients", "1", "--requests", "20000"])
+                .args([
+                    "--faults",
+                    "rate=0.05,seed=17,kinds=drop-pre+drop-post+garbage+torn+poison",
+                ])
+                .args(["--wire", wire])
+                .args(target.map(|addr| ["--target", addr]).into_iter().flatten())
+                .arg("--chaos-report")
+                .arg(&report)
+                .stdout(Stdio::null())
+                .status()
+                .expect("loadgen runs");
+            assert!(status.success(), "{wire} loadgen against {target:?} failed");
+            let rendered = std::fs::read_to_string(&report).expect("report written");
+            assert_eq!(rendered, golden, "{wire} wire, target {target:?}");
+        }
+        server.quit();
     }
-    server.quit();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -305,38 +309,51 @@ fn the_cluster_golden_flags_render_the_committed_goldens() {
     };
     let dir = std::env::temp_dir().join(format!("clipcache-cluster-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (extra, name) in [
+    let pinned = ["--seed", "0x5EED2007", "--shards", "1", "--faults", "rate=0,seed=17"];
+    let cases: [(Vec<&str>, &str); 3] = [
         (
             [
-                "--peer-faults",
-                "rate=0.01,seed=9,kinds=drop-pre+drop-post+garbage",
-            ],
+                &pinned[..],
+                &[
+                    "--peer-faults",
+                    "rate=0.01,seed=9,kinds=drop-pre+drop-post+garbage",
+                ],
+            ]
+            .concat(),
             "cluster_chaos.txt",
         ),
-        (["--kill-span", "1:5000:15000"], "degraded_chaos.txt"),
-    ] {
-        let report = dir.join(name);
-        let status = loadgen()
-            .args(["--cluster-nodes", "3", "--replication", "2"])
-            .args([
+        (
+            [&pinned[..], &["--kill-span", "1:5000:15000"]].concat(),
+            "degraded_chaos.txt",
+        ),
+        // Client faults on a multi-member route: every kind, each on the
+        // connection to the GET's owner.
+        (
+            vec![
                 "--shards",
-                "1",
-                "--clients",
-                "1",
-                "--requests",
-                "20000",
-                "--clips",
-                "96",
-            ])
-            .args(["--seed", "0x5EED2007", "--faults", "rate=0,seed=17"])
-            .args(extra)
-            .arg("--chaos-report")
-            .arg(&report)
-            .status()
-            .expect("loadgen runs");
-        assert!(status.success(), "loadgen for {name} failed");
-        let rendered = std::fs::read_to_string(&report).expect("report written");
-        assert_eq!(rendered, golden(name), "{name}");
+                "2",
+                "--faults",
+                "rate=0.05,seed=17,kinds=drop-pre+drop-post+garbage+torn+poison",
+            ],
+            "route_chaos.txt",
+        ),
+    ];
+    for (extra, name) in &cases {
+        for wire in ["text", "binary"] {
+            let report = dir.join(format!("{wire}-{name}"));
+            let status = loadgen()
+                .args(["--cluster-nodes", "3", "--replication", "2"])
+                .args(["--clients", "1", "--requests", "20000", "--clips", "96"])
+                .args(extra)
+                .args(["--wire", wire])
+                .arg("--chaos-report")
+                .arg(&report)
+                .status()
+                .expect("loadgen runs");
+            assert!(status.success(), "{wire} loadgen for {name} failed");
+            let rendered = std::fs::read_to_string(&report).expect("report written");
+            assert_eq!(rendered, golden(name), "{name} over the {wire} wire");
+        }
     }
     let status = loadgen()
         .args(["--cluster-nodes", "1", "--replication", "1"])
