@@ -18,19 +18,16 @@
 //! flight on the connection at once — this is where the epoll
 //! front-end's throughput comes from.
 //!
-//! Besides the plain request/reply surface, the client exposes the
-//! hooks the chaos harness drives: an optional per-request read
-//! timeout (a request whose reply never arrives surfaces as a timeout
-//! `io::Error` the retry loop can act on, instead of blocking
-//! forever), garbage injection in the client's own wire
-//! ([`send_garbage`](TcpCacheClient::send_garbage): a hostile text line
-//! or a corrupt-length frame) and torn writes
-//! ([`get_torn`](TcpCacheClient::get_torn), which tears a text line or
-//! a binary frame across two flushed writes).
+//! Besides the plain request/reply surface, the client has an optional
+//! per-request read timeout for the chaos harness: a request whose reply
+//! never arrives surfaces as a timeout `io::Error` the retry loop can act
+//! on, instead of blocking forever. Wire faults are not client verbs:
+//! the harness speaks through a `fault::FaultStream` armed for the next
+//! message.
 
 use crate::protocol::{
-    corrupt_length_get_frame, decode_reply, parse_reply, write_command, Command, Decoded, Reply,
-    ServerStats, Wire, WireVersions,
+    decode_reply, parse_reply, write_command, Command, Decoded, Reply, ServerStats, Wire,
+    WireVersions,
 };
 use crate::shard::{GetOutcome, RangeOutcome};
 use clipcache_media::ClipId;
@@ -50,6 +47,11 @@ const BUSY_ERROR: &str = "server shed the request (BUSY)";
 /// (`InvalidData`, which is a reason to redial).
 pub fn is_busy_error(err: &std::io::Error) -> bool {
     err.kind() == std::io::ErrorKind::Other && err.to_string().contains(BUSY_ERROR)
+}
+
+/// Whether an error is the server's `ERR` reply to the request.
+pub(crate) fn is_err_reply(err: &std::io::Error) -> bool {
+    err.kind() == std::io::ErrorKind::InvalidData && err.to_string().starts_with("ERR ")
 }
 
 /// One connection to a serve front-end, over a TCP socket by default.
@@ -145,10 +147,20 @@ impl<S: Read + Write> TcpCacheClient<S> {
         }
     }
 
+    /// The stream the client speaks over.
+    pub(crate) fn stream_mut(&mut self) -> &mut S {
+        self.stream.get_mut()
+    }
+
+    /// The stream of a client that has not yet been used.
+    pub(crate) fn into_stream(self) -> S {
+        self.stream.into_inner()
+    }
+
     /// Receive the next reply in the client's wire: one text line run
     /// through [`parse_reply`], or one binary frame (reassembled across
     /// reads) run through [`decode_reply`].
-    fn recv(&mut self) -> std::io::Result<Reply> {
+    pub(crate) fn recv(&mut self) -> std::io::Result<Reply> {
         match self.wire {
             Wire::Text => {
                 self.line.clear();
@@ -179,16 +191,11 @@ impl<S: Read + Write> TcpCacheClient<S> {
         }
     }
 
-    /// Send one request without waiting for its reply.
-    pub(crate) fn send(&mut self, command: &Command) -> std::io::Result<()> {
-        self.out.clear();
-        write_command(self.wire, command, &mut self.out);
-        self.stream.get_mut().write_all(&self.out)
-    }
-
     /// One request/reply round trip.
     fn call(&mut self, command: &Command) -> std::io::Result<Reply> {
-        self.send(command)?;
+        self.out.clear();
+        write_command(self.wire, command, &mut self.out);
+        self.stream.get_mut().write_all(&self.out)?;
         self.recv()
     }
 
@@ -223,35 +230,6 @@ impl<S: Read + Write> TcpCacheClient<S> {
     /// Receive the next pipelined `GET` reply.
     pub fn recv_get(&mut self) -> std::io::Result<GetOutcome> {
         get_outcome(self.recv()?)
-    }
-
-    /// `GET <clip>` delivered as a torn write: the request (line or
-    /// frame) reaches the server in two flushed fragments.
-    /// Wire-identical semantics — only the framing is hostile.
-    pub fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.out.clear();
-        write_command(self.wire, &Command::Get(clip), &mut self.out);
-        let split = self.out.len() / 2;
-        let writer = self.stream.get_mut();
-        writer.write_all(&self.out[..split])?;
-        writer.flush()?;
-        writer.write_all(&self.out[split..])?;
-        self.recv_get()
-    }
-
-    /// Inject garbage in the client's own wire and return the server's
-    /// reply, which must be an `ERR` on a connection that stays open.
-    /// Text sends `payload` as one hostile line (newline appended);
-    /// binary ignores it and sends a corrupt-length frame (valid check
-    /// byte, impossible length), of which the server consumes exactly
-    /// the 7 header bytes.
-    pub fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<Reply> {
-        let garbage = match self.wire {
-            Wire::Text => [payload, b"\n"].concat(),
-            Wire::Binary => corrupt_length_get_frame().to_vec(),
-        };
-        self.stream.get_mut().write_all(&garbage)?;
-        self.recv()
     }
 
     /// `PEERGET <clip>`: a cluster peer-fill probe — the receiving node

@@ -80,18 +80,21 @@
 //! only — torn writes and shard poison are client-wire and service
 //! faults, not peer-hop ones) decides each peer message's fault as a
 //! pure function of `(handler node, peer-wire sequence)`, one sequence
-//! shared by every member. Drop-pre sends nothing. Drop-post sends the
-//! `PEERGET` and drops the connection unread, so the next message
-//! redials; the peer still executes the access — the duplicated access
-//! is exactly the idempotent-GET duplicate the single-node chaos suite
-//! already proves harmless — so the conservation invariant `delivered =
-//! local hits + peer hits + misses` holds at every rate. Garbage sends
-//! a corrupt-length frame first; the peer answers `ERR`, and the same
-//! connection carries the `PEERGET`.
+//! shared by every member, and arms it on the message's `FaultStream`,
+//! the same wrapper the client route arms. Drop-pre loses the `PEERGET`
+//! before the wire. Drop-post loses its reply; the peer still executes
+//! the access — the duplicated access is exactly the idempotent-GET
+//! duplicate the single-node chaos suite already proves harmless — so
+//! the conservation invariant `delivered = local hits + peer hits +
+//! misses` holds at every rate. Garbage sends a corrupt-length frame
+//! first; the peer answers `ERR`, and the same connection carries the
+//! `PEERGET`. Either drop costs the connection, and the next message
+//! redials.
 
 use crate::client::TcpCacheClient;
-use crate::fault::{FaultKind, FaultPlan};
-use crate::protocol::{Command, Wire, WireVersions};
+use crate::fault::{ChaosStats, FaultKind, FaultPlan, FaultStream};
+use crate::loadgen::RouteTransport;
+use crate::protocol::{Wire, WireVersions};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::server::{InProcessConn, Node, ServerConfig};
 use crate::service::CacheService;
@@ -99,7 +102,7 @@ use crate::shard::GetOutcome;
 use clipcache_media::ClipId;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -538,9 +541,10 @@ enum PeerSlot<S> {
     Skewed,
 }
 
-/// Opens a binary-wire connection to member `i`, or fails while the
-/// member cannot be reached.
-pub(crate) type PeerDial<S> = Box<dyn FnMut(usize) -> std::io::Result<TcpCacheClient<S>> + Send>;
+/// Opens a connection to member `i`, or fails while the member cannot
+/// be reached.
+pub(crate) type Dial<'a, S> =
+    Box<dyn FnMut(usize) -> std::io::Result<TcpCacheClient<S>> + Send + 'a>;
 
 /// The one [`PeerLink`]: a lazily dialled binary-wire connection per
 /// member over any byte stream — a TCP socket in `serve`, an in-process
@@ -548,12 +552,12 @@ pub(crate) type PeerDial<S> = Box<dyn FnMut(usize) -> std::io::Result<TcpCacheCl
 struct WireLink<S> {
     /// Member names for the skew refusal.
     names: Vec<String>,
-    dial: PeerDial<S>,
+    dial: Dial<'static, S>,
     slots: Vec<PeerSlot<S>>,
 }
 
 impl<S: Read + Write> WireLink<S> {
-    fn new(names: Vec<String>, dial: PeerDial<S>) -> WireLink<S> {
+    fn new(names: Vec<String>, dial: Dial<'static, S>) -> WireLink<S> {
         WireLink {
             slots: names.iter().map(|_| PeerSlot::Idle).collect(),
             names,
@@ -699,6 +703,8 @@ pub struct ClusterStats {
     pub delivered: u64,
     /// Served from the handling owner's own shards.
     pub local_hits: u64,
+    /// Served by a peer fill (`PHIT`).
+    pub peer_hits: u64,
     /// Missed cluster-wide (origin fetch).
     pub misses: u64,
     /// GETs whose primary owner was dead and a successor handled them.
@@ -708,8 +714,9 @@ pub struct ClusterStats {
     /// Peer-wire messages preceded by a corrupt frame (the peer answered
     /// `ERR`, then the real message proceeded).
     pub peer_garbage: u64,
-    /// Every member's fill counters, summed; `fill.peer_hits` are the
-    /// GETs served by a peer fill (`PHIT`).
+    /// Every member's fill counters, summed. `fill.peer_hits` counts
+    /// fills where the member ran them, so it also holds the fills of
+    /// GETs whose reply was lost.
     pub fill: FillStats,
 }
 
@@ -720,13 +727,13 @@ impl ClusterStats {
         if self.delivered == 0 {
             return 0.0;
         }
-        (self.local_hits + self.fill.peer_hits) as f64 / self.delivered as f64
+        (self.local_hits + self.peer_hits) as f64 / self.delivered as f64
     }
 
     /// The conservation invariant: every delivered GET is classified
     /// exactly once.
     pub fn conservation_ok(&self) -> bool {
-        self.delivered == self.local_hits + self.fill.peer_hits + self.misses
+        self.delivered == self.local_hits + self.peer_hits + self.misses
     }
 }
 
@@ -752,16 +759,19 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
+impl From<ClusterError> for std::io::Error {
+    fn from(e: ClusterError) -> std::io::Error {
+        std::io::Error::new(ErrorKind::NotConnected, e)
+    }
+}
+
 /// The harness's members: one server [`Node`] each, and what every
 /// connection into them shares.
 struct Members {
     nodes: Vec<Arc<Mutex<Node>>>,
     /// Whether each member is up. A member that is down refuses dials,
     /// and every connection into it fails until it is back.
-    alive: Vec<AtomicBool>,
-    /// How often each member was killed: a harness client dialled
-    /// before a kill died with the process it was connected to.
-    kills: Vec<AtomicU64>,
+    alive: Vec<Arc<AtomicBool>>,
     /// The peer-wire fault plan and what it injected.
     wire: Mutex<PeerWire>,
 }
@@ -772,8 +782,7 @@ struct Members {
 struct PeerWire {
     faults: Option<PeerFaults>,
     seq: u64,
-    drops: u64,
-    garbage: u64,
+    injected: ChaosStats,
 }
 
 impl Members {
@@ -781,36 +790,23 @@ impl Members {
         self.alive[i].load(Ordering::SeqCst)
     }
 
-    fn set_alive(&self, i: usize, up: bool) {
-        if !up {
-            self.kills[i].fetch_add(1, Ordering::SeqCst);
-        }
-        self.alive[i].store(up, Ordering::SeqCst);
-    }
-
-    fn kills(&self, i: usize) -> u64 {
-        self.kills[i].load(Ordering::SeqCst)
-    }
-
     fn wire(&self) -> MutexGuard<'_, PeerWire> {
         self.wire.lock().expect("peer wire lock poisoned")
     }
 
-    /// Open a connection into member `i`; refused while it is dead.
+    /// Open a connection into member `i`; refused while it is dead, and
+    /// failing while it is down.
     fn connect(
-        self: &Arc<Self>,
+        &self,
         i: usize,
         wire: Wire,
-    ) -> std::io::Result<TcpCacheClient<MemberConn>> {
+    ) -> std::io::Result<TcpCacheClient<FaultStream<InProcessConn>>> {
         if !self.alive(i) {
             return Err(ErrorKind::ConnectionRefused.into());
         }
-        let conn = MemberConn {
-            conn: InProcessConn::to(Arc::clone(&self.nodes[i])),
-            members: Arc::clone(self),
-            member: i,
-        };
-        Ok(TcpCacheClient::over(conn, wire))
+        let conn = InProcessConn::to(Arc::clone(&self.nodes[i]));
+        let stream = FaultStream::new(conn, wire, Some(Arc::clone(&self.alive[i])));
+        Ok(TcpCacheClient::over(stream, wire))
     }
 
     /// The fault of `handler`'s next message to a live peer: a pure
@@ -822,55 +818,17 @@ impl Members {
             .as_ref()
             .and_then(|f| f.plan.decide(handler as u64, wire.seq, 0));
         wire.seq += 1;
-        match fault {
-            Some(FaultKind::DropBeforeSend | FaultKind::DropAfterSend) => wire.drops += 1,
-            Some(FaultKind::Garbage) => wire.garbage += 1,
-            _ => {}
+        if let Some(kind) = fault {
+            wire.injected.count(kind);
         }
         fault
     }
 }
 
-/// A connection into one harness member: an [`InProcessConn`] that
-/// fails while the member is down.
-pub(crate) struct MemberConn {
-    conn: InProcessConn,
-    members: Arc<Members>,
-    member: usize,
-}
-
-impl MemberConn {
-    fn check(&self) -> std::io::Result<()> {
-        if self.members.alive(self.member) {
-            Ok(())
-        } else {
-            Err(ErrorKind::ConnectionReset.into())
-        }
-    }
-}
-
-impl Read for MemberConn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.check()?;
-        self.conn.read(buf)
-    }
-}
-
-impl Write for MemberConn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.check()?;
-        self.conn.write(buf)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// A harness member's [`PeerLink`]: the [`WireLink`] into the other
-/// members, behind their liveness and the peer-wire fault plan.
+/// members, each message armed with the peer-wire fault plan's draw.
 struct LocalLink {
-    wire: WireLink<MemberConn>,
+    wire: WireLink<FaultStream<InProcessConn>>,
     members: Arc<Members>,
     me: usize,
 }
@@ -879,32 +837,14 @@ impl PeerLink for LocalLink {
     /// A message to a dead peer draws no fault from the plan: it fails
     /// on the wire, where a connection from before the kill is dropped.
     fn peer_get(&mut self, peer: usize, clip: ClipId) -> Result<bool, ()> {
-        if !self.members.alive(peer) {
-            return self.wire.peer_get(peer, clip);
-        }
-        match self.members.draw(self.me) {
-            // Lost before the wire: the peer never sees it.
-            Some(FaultKind::DropBeforeSend) => Err(()),
-            // The peer executes the access (its half of write-all still
-            // happens), but the connection drops before the reply is
-            // read.
-            Some(FaultKind::DropAfterSend) => {
-                let lost = ErrorKind::ConnectionAborted;
-                let _ = self.wire.exchange(peer, |client| {
-                    client.send(&Command::PeerGet(clip))?;
-                    Err::<(), _>(lost.into())
-                });
-                Err(())
+        let members = &self.members;
+        let fault = members.alive(peer).then(|| members.draw(self.me)).flatten();
+        self.wire.exchange(peer, |client| {
+            if let Some(kind) = fault {
+                client.stream_mut().arm(kind, &[]);
             }
-            // A corrupt frame precedes the message; the peer answers
-            // `ERR` and the connection lives on.
-            Some(FaultKind::Garbage) => {
-                self.wire
-                    .exchange(peer, |client| client.send_garbage(&[]))?;
-                self.wire.peer_get(peer, clip)
-            }
-            _ => self.wire.peer_get(peer, clip),
-        }
+            client.peer_get(clip)
+        })
     }
 }
 
@@ -937,47 +877,9 @@ pub struct ClusterHarness {
     /// Deterministic kill/revive points: `(request index, node, alive)`
     /// applied before routing that request.
     schedule: Vec<(u64, usize, bool)>,
-    /// The connections [`get`](Self::get) sends through.
-    clients: MemberClients,
-}
-
-/// The harness's own client connections, one per member, as a routing
-/// client keeps them: dialled at the member's first GET, and dialled
-/// again only after the old one failed or died with a killed member.
-#[derive(Default)]
-struct MemberClients {
-    /// Each member's connection, with the member's kill count when it
-    /// was dialled.
-    conns: Vec<Option<(TcpCacheClient<MemberConn>, u64)>>,
-    /// Dials per member.
-    dials: Vec<u64>,
-}
-
-impl MemberClients {
-    /// GET `clip` from member `i` over its connection, dialling it
-    /// first if there is none (or the member was killed since). A
-    /// failed exchange drops the connection.
-    fn get(
-        &mut self,
-        members: &Arc<Members>,
-        i: usize,
-        clip: ClipId,
-    ) -> std::io::Result<GetOutcome> {
-        let kills = members.kills(i);
-        if self.conns[i].as_ref().is_some_and(|&(_, k)| k != kills) {
-            self.conns[i] = None;
-        }
-        if self.conns[i].is_none() {
-            self.conns[i] = Some((members.connect(i, Wire::Binary)?, kills));
-            self.dials[i] += 1;
-        }
-        let (client, _) = self.conns[i].as_mut().expect("dialled above");
-        let outcome = client.get(clip);
-        if outcome.is_err() {
-            self.conns[i] = None;
-        }
-        outcome
-    }
+    /// The route [`get`](Self::get) sends through: one connection per
+    /// member, as a routing client keeps them.
+    route: Option<RouteTransport<'static, InProcessConn>>,
 }
 
 impl ClusterHarness {
@@ -1000,18 +902,15 @@ impl ClusterHarness {
                     .iter()
                     .map(|s| Arc::new(Mutex::new(plain(s))))
                     .collect(),
-                alive: (0..n).map(|_| AtomicBool::new(true)).collect(),
-                kills: (0..n).map(|_| AtomicU64::new(0)).collect(),
+                alive: (0..n).map(|_| Arc::new(AtomicBool::new(true))).collect(),
                 wire: Mutex::default(),
             }),
             services,
             routed: ClusterStats::default(),
             schedule: Vec::new(),
-            clients: MemberClients {
-                conns: (0..n).map(|_| None).collect(),
-                dials: vec![0; n],
-            },
+            route: None,
         };
+        harness.route = Some(harness.route(Wire::Binary));
         harness.set_breaker_tuning(BREAKER_FAILURE_THRESHOLD, BREAKER_PROBE_INTERVAL);
         harness
     }
@@ -1042,9 +941,11 @@ impl ClusterHarness {
     /// Counters so far: routing plus every member's fill counters.
     pub fn stats(&self) -> ClusterStats {
         let mut stats = self.routed;
-        let wire = self.members.wire();
-        (stats.peer_drops, stats.peer_garbage) = (wire.drops, wire.garbage);
-        drop(wire); // a member's link takes it with its node locked
+        // Copied out, so the lock is released before the nodes are: a
+        // member's link takes it with its node locked.
+        let injected = self.members.wire().injected;
+        stats.peer_drops = injected.drops_before + injected.drops_after;
+        stats.peer_garbage = injected.garbage;
         for i in 0..self.nodes() {
             if let Some(cluster) = &self.member(i).cluster {
                 stats.fill.add(&cluster.engine.stats());
@@ -1055,12 +956,12 @@ impl ClusterHarness {
 
     /// SIGKILL node `i`: it stops answering routes and probes.
     pub fn kill(&mut self, i: usize) {
-        self.members.set_alive(i, false);
+        self.members.alive[i].store(false, Ordering::SeqCst);
     }
 
     /// Rejoin node `i` with its recovered (pre-kill) cache state.
     pub fn revive(&mut self, i: usize) {
-        self.members.set_alive(i, true);
+        self.members.alive[i].store(true, Ordering::SeqCst);
     }
 
     /// Node `i`'s breaker as seen from `handler` (for tests and the
@@ -1118,45 +1019,48 @@ impl ClusterHarness {
         self.schedule.push((at_request, i, true));
     }
 
-    /// The ring the members are placed on.
-    pub(crate) fn view(&self) -> &ClusterView {
-        &self.view
-    }
-
     /// Opens connections into the members, speaking `wire`; a dial is
     /// refused while its member is dead.
-    pub(crate) fn dial(&self, wire: Wire) -> PeerDial<MemberConn> {
+    fn dial(&self, wire: Wire) -> Dial<'static, FaultStream<InProcessConn>> {
         let members = Arc::clone(&self.members);
         Box::new(move |i| members.connect(i, wire))
     }
 
+    /// A route over the ring into the members, speaking `wire`.
+    pub(crate) fn route(&self, wire: Wire) -> RouteTransport<'static, InProcessConn> {
+        RouteTransport::new(self.view.clone(), self.nodes(), self.dial(wire))
+    }
+
     /// Route GET number `requests`: apply the kill schedule, count the
-    /// request, and let `send` deliver it, given the clip's first alive
-    /// owner; `send` reports the member that answered.
-    pub(crate) fn route_get(
+    /// request, and let `send` deliver it to the clip's owners if one of
+    /// them is alive; `send` reports the member that answered, or its
+    /// own error.
+    pub(crate) fn route_get<E: From<ClusterError>>(
         &mut self,
         clip: ClipId,
-        send: impl FnOnce(usize) -> std::io::Result<(usize, GetOutcome)>,
-    ) -> Result<GetOutcome, ClusterError> {
+        send: impl FnOnce(&[usize]) -> Result<(usize, GetOutcome), E>,
+    ) -> Result<GetOutcome, E> {
         let seq = self.routed.requests;
         let members = &self.members;
         self.schedule.retain(|&(at, node, up)| {
             if at <= seq {
-                members.set_alive(node, up);
+                members.alive[node].store(up, Ordering::SeqCst);
             }
             at > seq
         });
         self.routed.requests += 1;
         let owners = self.view.owners_for(clip);
-        let Some(first) = owners.iter().copied().find(|&n| self.members.alive(n)) else {
-            return Err(ClusterError::NoOwnerAlive(clip));
-        };
-        let (handler, outcome) = send(first).map_err(refused)?;
+        if !owners.iter().any(|&n| self.members.alive(n)) {
+            return Err(ClusterError::NoOwnerAlive(clip).into());
+        }
+        let (handler, outcome) = send(&owners)?;
         let routed = &mut self.routed;
         routed.failovers += u64::from(handler != owners[0]);
         if outcome.hit {
             routed.local_hits += 1;
-        } else if !outcome.peer {
+        } else if outcome.peer {
+            routed.peer_hits += 1;
+        } else {
             routed.misses += 1;
         }
         routed.delivered += 1;
@@ -1166,12 +1070,12 @@ impl ClusterHarness {
     /// One routed GET: the first alive owner handles it; on a local miss
     /// it fills from the other owners under the armed fault plan.
     pub fn get(&mut self, clip: ClipId) -> Result<GetOutcome, ClusterError> {
-        let members = Arc::clone(&self.members);
-        let mut clients = std::mem::take(&mut self.clients);
-        let routed = self.route_get(clip, |handler| {
-            Ok((handler, clients.get(&members, handler, clip)?))
+        let mut route = self.route.take().expect("the route is back after each GET");
+        let routed = self.route_get(clip, |owners| {
+            let served = route.on_owners(owners, |client| client.get(clip));
+            served.map_err(|e| ClusterError::Service(e.to_string()))
         });
-        self.clients = clients;
+        self.route = Some(route);
         routed
     }
 
@@ -1196,7 +1100,7 @@ impl ClusterHarness {
             s.requests,
             s.delivered,
             s.local_hits,
-            s.fill.peer_hits,
+            s.peer_hits,
             s.misses,
             s.fill.probes,
             s.peer_drops,
@@ -1241,10 +1145,6 @@ impl Drop for ClusterHarness {
             *node = Node::new(Arc::clone(service), ServerConfig::default());
         }
     }
-}
-
-fn refused(e: std::io::Error) -> ClusterError {
-    ClusterError::Service(e.to_string())
 }
 
 #[cfg(test)]
@@ -1319,7 +1219,9 @@ mod tests {
         for round in 0..1_000u32 {
             c.get(ClipId::new(round % 48 + 1)).unwrap();
         }
-        assert_eq!(c.clients.dials, [1, 1, 1], "each member dialled once");
+        let route = c.route.as_ref().unwrap();
+        assert!(route.dialled.iter().all(|&d| d), "each member dialled");
+        assert_eq!(route.reconnects, 0, "and never again");
     }
 
     #[test]
@@ -1330,10 +1232,28 @@ mod tests {
         for round in 0..1_000u32 {
             c.get(ClipId::new(round % 48 + 1)).unwrap();
         }
-        // The connection into member 1 died with it; the first GET it
-        // handles after the revive dials it again.
-        assert_eq!(c.clients.dials, [1, 2, 1]);
+        // The connection into member 1 failed while it was down; the
+        // first GET it handles after the revive dials it again.
+        assert_eq!(c.route.as_ref().unwrap().reconnects, 1);
         assert!(c.stats().failovers > 0, "the kill rerouted requests");
+    }
+
+    #[test]
+    fn a_killed_member_refuses_dials_and_fails_io_until_revived() {
+        let mut c = cluster(2, 1);
+        let requests = |c: &ClusterHarness| {
+            let mut probe = c.members.connect(1, Wire::Binary).unwrap();
+            probe.stats().unwrap().stats.requests()
+        };
+        let mut open = c.members.connect(1, Wire::Text).unwrap();
+        c.kill(1);
+        let refused = c.members.connect(1, Wire::Binary).err().expect("refused");
+        assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
+        assert!(open.get(ClipId::new(1)).is_err(), "I/O fails while down");
+        c.revive(1);
+        assert_eq!(requests(&c), 0, "nothing reached the member while down");
+        assert!(!open.get(ClipId::new(1)).unwrap().hit);
+        assert_eq!(requests(&c), 1);
     }
 
     #[test]

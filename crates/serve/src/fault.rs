@@ -10,28 +10,35 @@
 //! Three levels of fault are modeled (the taxonomy in
 //! `docs/extending.md`):
 //!
-//! * **wire** — [`FaultKind::Garbage`] (junk bytes injected into the
-//!   line protocol), [`FaultKind::TornWrite`] (the request arrives in
+//! * **wire** — injected at the byte layer by one `FaultStream` armed
+//!   for one message at a time: [`FaultKind::Garbage`] (a hostile text
+//!   line, or a corrupt-length frame on the binary wire, ahead of the
+//!   message), [`FaultKind::TornWrite`] (the message arrives in two
 //!   fragments), [`FaultKind::DropBeforeSend`] /
 //!   [`FaultKind::DropAfterSend`] (the connection dies before the
-//!   request, or after the reply was computed but before the client
-//!   keeps it — the classic lost-response window);
-//! * **client** — bounded, deterministic retry: [`RetryPolicy`] gives
-//!   exponential backoff with *no jitter*, so the retry schedule is as
-//!   reproducible as the faults that trigger it. `GET` is idempotent at
-//!   the protocol level, which is what makes blind re-send after a lost
-//!   response safe;
+//!   message, or after the server executed it — the classic
+//!   lost-response window);
+//! * **client** — bounded, deterministic retry: `Failure::recovery` is
+//!   the one table of what follows a failed attempt, and [`RetryPolicy`]
+//!   gives exponential backoff with *no jitter*, so the retry schedule is
+//!   as reproducible as the faults that trigger it. `GET` is idempotent
+//!   at the protocol level, which is what makes blind re-send after a
+//!   lost response safe;
 //! * **service** — [`FaultKind::PoisonShard`]: a panic while holding a
 //!   shard mutex, exercising the service's rebuild-from-checkpoint
-//!   recovery path (see `shard::Shard::recover`).
+//!   recovery path (see `shard::Shard::recover`), sent as a `POISON`.
 //!
 //! [`ChaosStats`] counts what was injected and what it cost;
 //! [`chaos_report`](crate::loadgen::LoadReport::chaos_report) renders a
 //! wall-clock-free summary that CI pins against a committed golden.
 
+use crate::client::{is_busy_error, is_err_reply, TcpCacheClient};
 use crate::persist::CrashSpec;
-use crate::protocol::FRAME_MAGIC;
+use crate::protocol::{corrupt_length_get_frame, Reply, Wire, FRAME_MAGIC};
 use crate::shard::splitmix64;
+use std::io::{ErrorKind, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One scheduled fault.
@@ -45,11 +52,13 @@ pub enum FaultKind {
     /// connection. The server therefore executes the request twice —
     /// the duplicate the idempotent-GET retry makes harmless.
     DropAfterSend,
-    /// A line of garbage bytes (including non-UTF-8) precedes the real
-    /// request. The server must answer `ERR` and keep the connection.
+    /// Garbage precedes the real request: a line of hostile bytes
+    /// (including non-UTF-8) on the text wire, a corrupt-length frame
+    /// header on the binary wire. The server must answer `ERR` and keep
+    /// the connection.
     Garbage,
-    /// The request line reaches the server in two fragments (torn
-    /// write/read); its line reassembly must cope.
+    /// The request (line or frame) reaches the server in two flushed
+    /// fragments; its reassembly must cope.
     TornWrite,
     /// A panic is injected while the clip's shard mutex is held,
     /// poisoning it. The next access must recover the shard from its
@@ -96,6 +105,11 @@ impl FaultKind {
         }
     }
 
+    /// The error an armed `FaultStream` fails its message with.
+    fn injected(self) -> std::io::Error {
+        std::io::Error::new(ErrorKind::ConnectionAborted, self)
+    }
+
     fn from_spelling(s: &str) -> Result<FaultKind, String> {
         FaultKind::ALL
             .iter()
@@ -109,6 +123,14 @@ impl FaultKind {
             })
     }
 }
+
+impl std::fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "injected {} fault", self.spelling())
+    }
+}
+
+impl std::error::Error for FaultKind {}
 
 /// A seeded, deterministic fault schedule.
 ///
@@ -361,6 +383,17 @@ impl ChaosStats {
         self.drops_before + self.drops_after + self.garbage + self.torn + self.poisons
     }
 
+    /// Count one injected fault of `kind`.
+    pub(crate) fn count(&mut self, kind: FaultKind) {
+        *match kind {
+            FaultKind::DropBeforeSend => &mut self.drops_before,
+            FaultKind::DropAfterSend => &mut self.drops_after,
+            FaultKind::Garbage => &mut self.garbage,
+            FaultKind::TornWrite => &mut self.torn,
+            FaultKind::PoisonShard => &mut self.poisons,
+        } += 1;
+    }
+
     /// Fold another client's counters into this one (order-invariant).
     pub fn merge(&mut self, other: &ChaosStats) {
         self.drops_before += other.drops_before;
@@ -376,9 +409,307 @@ impl ChaosStats {
     }
 }
 
+/// Why an attempt failed: the classes every retry decision is made on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Failure {
+    /// A fault armed on the attempt's [`FaultStream`] fired.
+    Injected,
+    /// The server's governor shed the request (`BUSY`).
+    Busy,
+    /// The server refused the request with `ERR`.
+    ErrReply,
+    /// The connection was reset or refused, timed out, or fell out of sync.
+    Transport,
+}
+
+/// What follows a failed attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Recovery {
+    /// Drop the connection the attempt used; no other connection goes.
+    pub(crate) redial: bool,
+    /// Try the clip's next owner within the same attempt.
+    pub(crate) failover: bool,
+    /// Spend one of `io_retries` as well as the plan's `attempt`.
+    pub(crate) io_budget: bool,
+}
+
+impl Failure {
+    /// The class of an error from a request over a [`FaultStream`].
+    pub(crate) fn of(err: &std::io::Error) -> Failure {
+        if err.get_ref().is_some_and(|e| e.is::<FaultKind>()) {
+            Failure::Injected
+        } else if is_busy_error(err) {
+            Failure::Busy
+        } else if is_err_reply(err) {
+            Failure::ErrReply
+        } else {
+            Failure::Transport
+        }
+    }
+
+    /// The one retry table. A loaded server (`BUSY`) or one that refused
+    /// (`ERR`) is alive and in sync, so its connection stays; the next
+    /// owner would refuse alike. An injected fault ends the attempt, and
+    /// the plan bounds it, so it spends no `io_retries`.
+    pub(crate) fn recovery(self) -> Recovery {
+        let (redial, failover, io_budget) = match self {
+            Failure::Injected => (true, false, false),
+            Failure::Busy => (false, true, true),
+            Failure::ErrReply => (false, false, true),
+            Failure::Transport => (true, true, true),
+        };
+        Recovery {
+            redial,
+            failover,
+            io_budget,
+        }
+    }
+}
+
+/// A byte stream that breaks on cue, the one place wire faults act.
+/// [`arm`](Self::arm) sets the fault of the next message written:
+/// drop-pre swallows the write and fails it; drop-post passes it, and the
+/// next read takes at least the reply's first byte and fails (the server
+/// replies only after executing, so a retry cannot overtake the lost
+/// request); garbage first writes the plan's line (text) or a
+/// corrupt-length frame (binary) and consumes the one reply it draws;
+/// torn writes two flushed halves. Given a liveness flag, the stream
+/// fails every read and write while the flag is down.
+pub(crate) struct FaultStream<S> {
+    inner: S,
+    wire: Wire,
+    /// The liveness of the member the stream reaches, if it can go down.
+    up: Option<Arc<AtomicBool>>,
+    armed: Option<FaultKind>,
+    /// The text garbage line of an armed garbage fault.
+    payload: Vec<u8>,
+    /// Garbage replies that were `ERR`; a reader takes them.
+    pub(crate) err_replies: u64,
+}
+
+impl<S: Read + Write> FaultStream<S> {
+    /// Wrap `inner`, whose messages are in `wire`, failing every read
+    /// and write while `up` (if given) is `false`.
+    pub(crate) fn new(inner: S, wire: Wire, up: Option<Arc<AtomicBool>>) -> FaultStream<S> {
+        FaultStream {
+            inner,
+            wire,
+            up,
+            armed: None,
+            payload: Vec::new(),
+            err_replies: 0,
+        }
+    }
+
+    /// Arm `kind` for the next message, with `payload` as its text
+    /// garbage line. Poison is a request verb, never armed.
+    pub(crate) fn arm(&mut self, kind: FaultKind, payload: &[u8]) {
+        assert_ne!(kind, FaultKind::PoisonShard, "poison is not a stream fault");
+        self.armed = Some(kind);
+        self.payload = payload.to_vec();
+    }
+
+    fn check(&self) -> std::io::Result<()> {
+        match &self.up {
+            Some(up) if !up.load(Ordering::SeqCst) => Err(ErrorKind::ConnectionReset.into()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Write the garbage and consume the one reply it draws; nothing
+    /// else is in flight, so the read takes nothing of the next reply.
+    fn garbage(&mut self) -> std::io::Result<()> {
+        match self.wire {
+            Wire::Text => self.payload.push(b'\n'),
+            Wire::Binary => self.payload = corrupt_length_get_frame().to_vec(),
+        }
+        self.inner.write_all(&self.payload)?;
+        let reply = TcpCacheClient::over(&mut self.inner, self.wire).recv()?;
+        self.err_replies += u64::from(matches!(reply, Reply::Err(_)));
+        Ok(())
+    }
+}
+
+impl<S: Read + Write> Read for FaultStream<S> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.check()?;
+        let n = self.inner.read(buf)?;
+        if n == 0 || self.armed != Some(FaultKind::DropAfterSend) {
+            return Ok(n);
+        }
+        self.armed = None;
+        Err(FaultKind::DropAfterSend.injected())
+    }
+}
+
+impl<S: Read + Write> Write for FaultStream<S> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.check()?;
+        match self.armed.take_if(|k| *k != FaultKind::DropAfterSend) {
+            Some(FaultKind::DropBeforeSend) => Err(FaultKind::DropBeforeSend.injected()),
+            Some(FaultKind::Garbage) => {
+                self.garbage()?;
+                self.inner.write_all(buf).map(|()| buf.len())
+            }
+            Some(FaultKind::TornWrite) => {
+                let (head, tail) = buf.split_at(buf.len() / 2);
+                self.inner.write_all(head)?;
+                self.inner.flush()?;
+                self.inner.write_all(tail).map(|()| buf.len())
+            }
+            _ => self.inner.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{GovernorConfig, InProcessConn, Node, ServerConfig};
+    use crate::service::{CacheService, ServiceConfig};
+    use clipcache_core::PolicyKind;
+    use clipcache_media::{paper, ClipId};
+    use std::sync::Mutex;
+
+    fn service() -> Arc<CacheService> {
+        let repo = Arc::new(paper::variable_sized_repository_of(24));
+        let capacity = repo.cache_capacity_for_ratio(0.25);
+        let config = ServiceConfig::new(PolicyKind::Lru, 1, capacity, 42);
+        Arc::new(CacheService::new(repo, config, None).unwrap())
+    }
+
+    /// A client through an unarmed wrapper into a session over `service`.
+    fn client(
+        service: &Arc<CacheService>,
+        wire: Wire,
+    ) -> TcpCacheClient<FaultStream<InProcessConn>> {
+        let conn = InProcessConn::new(Arc::clone(service));
+        TcpCacheClient::over(FaultStream::new(conn, wire, None), wire)
+    }
+
+    /// The GETs the server executed, read over `STATS` on a connection
+    /// of its own.
+    fn executed(service: &Arc<CacheService>) -> u64 {
+        client(service, Wire::Text)
+            .stats()
+            .unwrap()
+            .stats
+            .requests()
+    }
+
+    fn clip() -> ClipId {
+        ClipId::new(3)
+    }
+
+    #[test]
+    fn a_drop_before_send_never_reaches_the_server() {
+        let service = service();
+        let mut caller = client(&service, Wire::Text);
+        caller.stream_mut().arm(FaultKind::DropBeforeSend, &[]);
+        let err = caller.get(clip()).unwrap_err();
+        assert_eq!(Failure::of(&err), Failure::Injected, "{err}");
+        assert_eq!(executed(&service), 0);
+    }
+
+    #[test]
+    fn a_drop_after_send_is_executed_once_and_its_reply_lost() {
+        let service = service();
+        let mut caller = client(&service, Wire::Binary);
+        caller.stream_mut().arm(FaultKind::DropAfterSend, &[]);
+        let err = caller.get(clip()).unwrap_err();
+        assert_eq!(Failure::of(&err), Failure::Injected, "{err}");
+        assert_eq!(executed(&service), 1);
+    }
+
+    #[test]
+    fn garbage_draws_one_err_and_leaves_the_real_reply_intact() {
+        for wire in [Wire::Text, Wire::Binary] {
+            let service = service();
+            let mut caller = client(&service, wire);
+            caller.stream_mut().arm(FaultKind::Garbage, b"\xFFjunk\x00");
+            let first = caller.get(clip()).unwrap();
+            assert!(
+                !first.hit,
+                "{wire:?}: the GET behind the garbage is answered"
+            );
+            assert_eq!(
+                std::mem::take(&mut caller.stream_mut().err_replies),
+                1,
+                "{wire:?}"
+            );
+            // Same connection, in sync: the next reply is the next GET's.
+            assert!(caller.get(clip()).unwrap().hit, "{wire:?}");
+            assert_eq!(
+                std::mem::take(&mut caller.stream_mut().err_replies),
+                0,
+                "{wire:?}"
+            );
+            assert_eq!(executed(&service), 2, "{wire:?}");
+        }
+    }
+
+    #[test]
+    fn a_torn_write_is_one_request_with_one_reply() {
+        for wire in [Wire::Text, Wire::Binary] {
+            let service = service();
+            let mut caller = client(&service, wire);
+            caller.stream_mut().arm(FaultKind::TornWrite, &[]);
+            assert!(!caller.get(clip()).unwrap().hit, "{wire:?}");
+            assert!(caller.get(clip()).unwrap().hit, "{wire:?}");
+            assert_eq!(executed(&service), 2, "{wire:?}");
+        }
+    }
+
+    #[test]
+    fn the_failure_table_row_by_row() {
+        let row = |redial, failover, io_budget| Recovery {
+            redial,
+            failover,
+            io_budget,
+        };
+        for (failure, recovery) in [
+            (Failure::Injected, row(true, false, false)),
+            (Failure::Busy, row(false, true, true)),
+            (Failure::ErrReply, row(false, false, true)),
+            (Failure::Transport, row(true, true, true)),
+        ] {
+            assert_eq!(failure.recovery(), recovery, "{failure:?}");
+        }
+        // Each class as a real session reports it.
+        let service = service();
+        let shed_all = ServerConfig {
+            governor: GovernorConfig {
+                conn_local_only: 0,
+                conn_shed: 0,
+                global_local_only: 0,
+                global_shed: 0,
+            },
+            ..ServerConfig::default()
+        };
+        let node = Arc::new(Mutex::new(Node::new(Arc::clone(&service), shed_all)));
+        let conn = FaultStream::new(InProcessConn::to(node), Wire::Text, None);
+        let busy = TcpCacheClient::over(conn, Wire::Text)
+            .get(clip())
+            .unwrap_err();
+        let refused = client(&service, Wire::Binary)
+            .get(ClipId::new(999))
+            .unwrap_err();
+        let reset = std::io::Error::from(ErrorKind::ConnectionReset);
+        let timeout = std::io::Error::from(ErrorKind::WouldBlock);
+        for (err, class) in [
+            (FaultKind::DropBeforeSend.injected(), Failure::Injected),
+            (busy, Failure::Busy),
+            (refused, Failure::ErrReply),
+            (reset, Failure::Transport),
+            (timeout, Failure::Transport),
+        ] {
+            assert_eq!(Failure::of(&err), class, "{err}");
+        }
+    }
 
     #[test]
     fn decisions_are_deterministic_and_rate_bounded() {

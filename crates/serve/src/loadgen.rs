@@ -36,11 +36,11 @@
 //! retried over a fresh connection and counted exactly once, so
 //! [`LoadReport::conserved`] holds across a `kill -9` + recovery.
 
-use crate::client::{is_busy_error, TcpCacheClient};
-use crate::cluster::{ClusterHarness, ClusterView, MemberConn};
-use crate::fault::{ChaosStats, FaultKind, FaultPlan, RetryPolicy};
+use crate::client::TcpCacheClient;
+use crate::cluster::{ClusterHarness, ClusterView, Dial};
+use crate::fault::{ChaosStats, Failure, FaultKind, FaultPlan, FaultStream, RetryPolicy};
 use crate::latency::LatencyLog;
-use crate::protocol::{Reply, Wire};
+use crate::protocol::Wire;
 use crate::server::InProcessConn;
 use crate::service::CacheService;
 use crate::shard::{shard_seed, GetOutcome};
@@ -256,44 +256,44 @@ impl ClientLog {
     }
 }
 
-fn not_connected(e: impl std::error::Error + Send + Sync + 'static) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::NotConnected, e)
-}
-
 /// The one transport: a lazy connection per route member, each GET sent
 /// to the clip's first reachable owner (read-any failover in owner
 /// order). A lone server and the in-process target are one-member,
-/// R = 1 routes; a cluster harness route dials the harness's members.
-/// Every verb is bytes on a connection. A member that refuses or times
-/// out has its connection dropped; the next request to it redials
-/// through `dial` (counting the reconnect), which is how a
-/// killed-and-restarted node is picked back up without any membership
-/// churn.
-struct RouteTransport<'a, S> {
+/// R = 1 routes; a cluster harness route dials the harness's members,
+/// and so does the harness's own GET. Every verb is bytes on a
+/// [`FaultStream`]. After a failure, [`Failure::recovery`] says whether
+/// the member's connection goes; its next request redials through
+/// `dial` (counting the reconnect), which is how a killed-and-restarted
+/// node is picked back up without any membership churn.
+pub(crate) struct RouteTransport<'a, S> {
     view: ClusterView,
-    dial: Dial<'a, S>,
-    conns: Vec<Option<TcpCacheClient<S>>>,
+    dial: Dial<'a, FaultStream<S>>,
+    conns: Vec<Option<TcpCacheClient<FaultStream<S>>>>,
     /// Members dialled at least once (their first dial is
     /// establishment, not recovery).
-    dialled: Vec<bool>,
-    reconnects: u64,
+    pub(crate) dialled: Vec<bool>,
+    pub(crate) reconnects: u64,
+    /// Garbage replies that were `ERR`.
+    err_replies: u64,
+    /// The fault the next GET carries on the connection it uses, with
+    /// its text garbage line.
+    armed: Option<(FaultKind, Vec<u8>)>,
     /// The cluster harness whose members the route dials: each GET runs
     /// under its lock, which applies its kill schedule and counts where
     /// the GET was served.
     harness: Option<&'a Mutex<ClusterHarness>>,
 }
 
-/// Opens a fresh connection to route member `i`.
-type Dial<'a, S> = Box<dyn FnMut(usize) -> std::io::Result<TcpCacheClient<S>> + 'a>;
-
 impl<'a, S: Read + Write> RouteTransport<'a, S> {
-    fn new(view: ClusterView, members: usize, dial: Dial<'a, S>) -> Self {
+    pub(crate) fn new(view: ClusterView, members: usize, dial: Dial<'a, FaultStream<S>>) -> Self {
         RouteTransport {
             view,
             dial,
             conns: (0..members).map(|_| None).collect(),
             dialled: vec![false; members],
             reconnects: 0,
+            err_replies: 0,
+            armed: None,
             harness: None,
         }
     }
@@ -312,7 +312,7 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
         Ok(total)
     }
 
-    fn ensure(&mut self, node: usize) -> std::io::Result<&mut TcpCacheClient<S>> {
+    fn ensure(&mut self, node: usize) -> std::io::Result<&mut TcpCacheClient<FaultStream<S>>> {
         if self.conns[node].is_none() {
             self.conns[node] = Some((self.dial)(node)?);
             if self.dialled[node] {
@@ -323,90 +323,61 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
         Ok(self.conns[node].as_mut().expect("just connected"))
     }
 
-    /// Run `op` against each of `clip`'s owners in order until one
-    /// succeeds, returning the member that did. A failed owner's
-    /// connection is dropped so its next use redials — except after a
-    /// governor `BUSY`, which leaves the connection in sync (redialing a
-    /// shedding server adds to its burden).
-    fn on_owners<T>(
+    /// Run `op` against a clip's `owners` in order until one succeeds,
+    /// returning the member that did. The armed fault goes to the first
+    /// connection the route reaches. Each failure is recovered as its
+    /// class says: the connection goes or stays, and the next owner is
+    /// tried or the failure returned.
+    pub(crate) fn on_owners<T>(
         &mut self,
-        clip: ClipId,
-        mut op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<T>,
+        owners: &[usize],
+        mut op: impl FnMut(&mut TcpCacheClient<FaultStream<S>>) -> std::io::Result<T>,
     ) -> std::io::Result<(usize, T)> {
-        let owners = self.view.owners_for(clip);
+        let mut armed = self.armed.take();
         let mut last: Option<std::io::Error> = None;
-        for &node in &owners {
-            match self.ensure(node).and_then(&mut op) {
-                Ok(value) => return Ok((node, value)),
-                Err(e) => {
-                    if !is_busy_error(&e) {
-                        self.conns[node] = None;
+        for &node in owners {
+            let (result, err_replies) = match self.ensure(node) {
+                Ok(client) => {
+                    if let Some((kind, payload)) = armed.take() {
+                        client.stream_mut().arm(kind, &payload);
                     }
-                    last = Some(e);
+                    let result = op(client);
+                    (result, std::mem::take(&mut client.stream_mut().err_replies))
                 }
+                Err(e) => (Err(e), 0),
+            };
+            self.err_replies += err_replies;
+            let e = match result {
+                Ok(value) => return Ok((node, value)),
+                Err(e) => e,
+            };
+            let recovery = Failure::of(&e).recovery();
+            if recovery.redial {
+                self.conns[node] = None;
             }
+            if !recovery.failover {
+                return Err(e);
+            }
+            last = Some(e);
         }
         Err(last.expect("owner set is never empty"))
     }
 
-    /// A GET that `op` sends to the clip's first reachable owner,
-    /// returning the member that served it. On a harness route it runs
-    /// under the harness lock, so the harness applies its kill schedule
-    /// first and counts the delivery.
-    fn get_with(
-        &mut self,
-        clip: ClipId,
-        op: impl FnMut(&mut TcpCacheClient<S>) -> std::io::Result<GetOutcome>,
-    ) -> std::io::Result<(usize, GetOutcome)> {
+    /// A GET to the clip's first reachable owner. On a harness route it
+    /// runs under the harness lock, so the harness applies its kill
+    /// schedule first and counts the delivery.
+    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
         let Some(harness) = self.harness else {
-            return self.on_owners(clip, op);
+            return self
+                .on_owners(&self.view.owners_for(clip), |c| c.get(clip))
+                .map(|(_, outcome)| outcome);
         };
         let mut harness = harness.lock().expect("cluster harness poisoned");
-        let mut served = 0;
-        let routed = harness.route_get(clip, |_| {
-            let (member, outcome) = self.on_owners(clip, op)?;
-            served = member;
-            Ok((member, outcome))
-        });
+        let routed = harness.route_get(clip, |owners| self.on_owners(owners, |c| c.get(clip)));
+        // A GET that found no owner alive reached no connection; its
+        // fault goes with it.
+        self.armed = None;
         routed
-            .map(|outcome| (served, outcome))
-            .map_err(not_connected)
-    }
-
-    fn get(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.get_with(clip, |client| client.get(clip))
-            .map(|(_, outcome)| outcome)
-    }
-
-    /// `get` delivered with hostile framing (torn write).
-    fn get_torn(&mut self, clip: ClipId) -> std::io::Result<GetOutcome> {
-        self.get_with(clip, |client| client.get_torn(clip))
-            .map(|(_, outcome)| outcome)
-    }
-
-    /// Inject one line (or frame) of garbage; returns whether it was
-    /// answered with a structured `ERR`. A failed exchange drops the
-    /// connection it used.
-    fn send_garbage(&mut self, payload: &[u8]) -> std::io::Result<bool> {
-        // Garbage has no clip to route by; member 0 takes the abuse.
-        let reply = self.ensure(0)?.send_garbage(payload);
-        if reply.is_err() {
-            self.drop_conn(0);
-        }
-        Ok(matches!(reply?, Reply::Err(_)))
-    }
-
-    /// Poison the clip's shard.
-    fn poison(&mut self, clip: ClipId) -> std::io::Result<()> {
-        // A refusal (chaos-disabled server) is an ERR reply on a healthy
-        // connection: keep it, and do not fail over.
-        let (_, poisoned) = self.on_owners(clip, |client| Ok(client.poison(clip).map(|_| ())))?;
-        poisoned
-    }
-
-    /// Drop member `member`'s connection; its next use redials.
-    fn drop_conn(&mut self, member: usize) {
-        self.conns[member] = None;
     }
 
     /// End the run politely: `QUIT` on every open connection. A member
@@ -420,12 +391,13 @@ impl<'a, S: Read + Write> RouteTransport<'a, S> {
 }
 
 /// Deliver one request through the fault schedule, retrying until the
-/// reply reaches the client.
-///
-/// `attempt` drives the plan (injection stops once the retry budget is
-/// consumed, so delivery is guaranteed); `io_retries` separately bounds
-/// recovery from *real* transport errors so a genuinely dead server
-/// still surfaces as `Err` instead of an infinite loop.
+/// reply reaches the client. Each attempt arms the plan's fault, sends
+/// one plain GET, and leaves what a failure costs to
+/// [`Failure::recovery`]. `attempt` drives the plan (injection stops
+/// once the retry budget is consumed, so delivery is guaranteed);
+/// `io_retries` separately bounds recovery from *real* failures so a
+/// genuinely dead server still surfaces as `Err` instead of an infinite
+/// loop.
 fn chaos_get<S: Read + Write>(
     transport: &mut RouteTransport<S>,
     clip: ClipId,
@@ -438,102 +410,67 @@ fn chaos_get<S: Read + Write>(
     let mut attempt: u32 = 0;
     let mut io_retries: u32 = 0;
     loop {
-        let injected = if attempt <= retry.max_retries {
-            plan.decide(client, request, attempt)
-        } else {
-            None
-        };
-        // Faults that consume this attempt entirely and force a retry.
-        match injected {
-            Some(kind @ (FaultKind::DropBeforeSend | FaultKind::DropAfterSend)) => {
-                // The connection the attempt used dies: the one to the
-                // member that served the GET, or, before any send, the
-                // one to the clip's first owner, which a GET tries first.
-                // A GET that failed outright already dropped every owner
-                // it tried.
-                if kind == FaultKind::DropAfterSend {
-                    // The server processes the request; the reply is
-                    // lost in flight (read and discarded), so the
-                    // retried GET is the idempotent duplicate.
-                    if let Ok((member, _)) = transport.get_with(clip, |c| c.get(clip)) {
-                        transport.drop_conn(member);
-                    }
-                    chaos.drops_after += 1;
+        if attempt <= retry.max_retries {
+            if let Some(kind) = plan.decide(client, request, attempt) {
+                chaos.count(kind);
+                if kind == FaultKind::PoisonShard {
+                    // A refusal (chaos-disabled server) is an `ERR`,
+                    // which keeps the connection; either way the GET
+                    // proceeds.
+                    let owners = transport.view.owners_for(clip);
+                    let _ = transport.on_owners(&owners, |c| c.poison(clip));
                 } else {
-                    transport.drop_conn(transport.view.owners_for(clip)[0]);
-                    chaos.drops_before += 1;
-                }
-                chaos.retries += 1;
-                std::thread::sleep(retry.backoff(attempt));
-                attempt += 1;
-                continue;
-            }
-            // Faults that precede the real request on this attempt.
-            Some(FaultKind::Garbage) => {
-                chaos.garbage += 1;
-                let payload = plan.garbage_payload(client, request, attempt);
-                if let Ok(true) = transport.send_garbage(&payload) {
-                    chaos.err_replies += 1;
+                    let payload = plan.garbage_payload(client, request, attempt);
+                    transport.armed = Some((kind, payload));
                 }
             }
-            Some(FaultKind::PoisonShard) => {
-                chaos.poisons += 1;
-                // A refusal (chaos-disabled server) is an ERR reply, not
-                // a dead connection; either way the real GET proceeds.
-                let _ = transport.poison(clip);
-            }
-            Some(FaultKind::TornWrite) | None => {}
         }
-        let result = if injected == Some(FaultKind::TornWrite) {
-            chaos.torn += 1;
-            transport.get_torn(clip)
-        } else {
-            transport.get(clip)
-        };
-        match result {
+        let e = match transport.get(clip) {
             Ok(outcome) => return Ok(outcome),
-            Err(e) => {
-                // A real transport failure (dead server, timeout,
-                // refused admission): bounded reconnect-and-retry.
-                if io_retries >= retry.max_retries {
-                    return Err(e);
-                }
-                io_retries += 1;
-                chaos.retries += 1;
-                // The route already dropped each owner that failed,
-                // except after a governor shed: that server is alive,
-                // just loaded, so the connection stays (redialing adds
-                // to its burden) and the idempotent re-send backs off.
-                if is_busy_error(&e) {
-                    chaos.busy_backoffs += 1;
-                }
-                std::thread::sleep(retry.backoff(attempt));
-                attempt += 1;
+            Err(e) => e,
+        };
+        let failure = Failure::of(&e);
+        if failure.recovery().io_budget {
+            if io_retries >= retry.max_retries {
+                return Err(e);
             }
+            io_retries += 1;
         }
+        chaos.retries += 1;
+        chaos.busy_backoffs += u64::from(failure == Failure::Busy);
+        std::thread::sleep(retry.backoff(attempt));
+        attempt += 1;
     }
 }
 
-/// Replay `part` through `transport`, one request at a time, then end
-/// the run politely. With no plan this is the exact pre-chaos fast path
-/// that keeps the serial-equivalence anchor intact; with any plan, even
-/// a zero-rate one (see the module doc), every request runs through
-/// [`chaos_get`].
+/// Replay `part` over `route`, then end the run politely. A lone server
+/// is one pipe, so a clean replay can batch into it; ring routing picks
+/// a connection per clip, and the cluster harness counts each GET, so
+/// those routes run request-at-a-time whatever `options.pipeline` says.
+/// With no plan each request is one plain GET, the path that keeps the
+/// serial-equivalence anchor intact; with any plan, even a zero-rate one
+/// (see the module doc), every request runs through [`chaos_get`].
 fn replay<S: Read + Write>(
     part: &Trace,
     repo: &Repository,
-    transport: &mut RouteTransport<S>,
+    mut route: RouteTransport<S>,
     client: u64,
     options: &LoadOptions,
 ) -> std::io::Result<ClientLog> {
+    let lone = route.conns.len() == 1 && route.harness.is_none();
+    if options.faults.is_none() && options.pipeline > 1 && lone {
+        let log = replay_pipelined(part, repo, route.ensure(0)?, options.pipeline)?;
+        route.finish();
+        return Ok(log);
+    }
     let (plan, retry) = (options.faults.as_ref(), &options.retry);
     let mut log = ClientLog::default();
     for (index, req) in part.requests().iter().enumerate() {
         let started = Instant::now();
         let outcome = match plan {
-            None => transport.get(req.clip)?,
+            None => route.get(req.clip)?,
             Some(plan) => chaos_get(
-                transport,
+                &mut route,
                 req.clip,
                 client,
                 index as u64,
@@ -544,8 +481,9 @@ fn replay<S: Read + Write>(
         };
         log.record(outcome, repo.size_of(req.clip), started);
     }
-    log.chaos.reconnects = transport.reconnects;
-    transport.finish();
+    log.chaos.reconnects = route.reconnects;
+    log.chaos.err_replies = route.err_replies;
+    route.finish();
     Ok(log)
 }
 
@@ -561,7 +499,7 @@ fn replay<S: Read + Write>(
 fn replay_pipelined<S: Read + Write>(
     part: &Trace,
     repo: &Repository,
-    client: &mut TcpCacheClient<S>,
+    client: &mut TcpCacheClient<FaultStream<S>>,
     depth: usize,
 ) -> std::io::Result<ClientLog> {
     let mut log = ClientLog::default();
@@ -649,7 +587,13 @@ fn tcp_route<'a>(
     options: &'a LoadOptions,
 ) -> RouteTransport<'a, TcpStream> {
     let (timeout, wire) = (options.read_timeout, options.wire);
-    let dial = move |i: usize| TcpCacheClient::connect_wire(&*peers[i], timeout, wire);
+    let dial = move |i: usize| {
+        let stream = TcpCacheClient::connect_wire(&*peers[i], timeout, wire)?.into_stream();
+        Ok(TcpCacheClient::over(
+            FaultStream::new(stream, wire, None),
+            wire,
+        ))
+    };
     RouteTransport::new(view, peers.len(), Box::new(dial))
 }
 
@@ -657,7 +601,7 @@ fn tcp_route<'a>(
 /// its own, served by a node of its own.
 fn in_process_route(service: &Arc<CacheService>, wire: Wire) -> RouteTransport<'_, InProcessConn> {
     let dial = move |_| {
-        let conn = InProcessConn::new(Arc::clone(service));
+        let conn = FaultStream::new(InProcessConn::new(Arc::clone(service)), wire, None);
         Ok(TcpCacheClient::over(conn, wire))
     };
     RouteTransport::new(lone(), 1, Box::new(dial))
@@ -665,12 +609,11 @@ fn in_process_route(service: &Arc<CacheService>, wire: Wire) -> RouteTransport<'
 
 /// The route into `harness`'s members. Its GETs take the harness lock,
 /// so multi-client runs serialize on it.
-fn harness_route(harness: &Mutex<ClusterHarness>, wire: Wire) -> RouteTransport<'_, MemberConn> {
-    let (view, members, dial) = {
-        let harness = harness.lock().expect("cluster harness poisoned");
-        (harness.view().clone(), harness.nodes(), harness.dial(wire))
-    };
-    let mut route = RouteTransport::new(view, members, dial);
+fn harness_route(harness: &Mutex<ClusterHarness>, wire: Wire) -> RouteTransport<'_, InProcessConn> {
+    let mut route = harness
+        .lock()
+        .expect("cluster harness poisoned")
+        .route(wire);
     route.harness = Some(harness);
     route
 }
@@ -702,41 +645,21 @@ fn run_client(
     match target {
         Target::Cluster(harness) => {
             let route = harness_route(harness, options.wire);
-            replay_route(part, repo, route, client, options)
+            replay(part, repo, route, client, options)
         }
         Target::InProcess(service) => {
             let route = in_process_route(service, options.wire);
-            replay_route(part, repo, route, client, options)
+            replay(part, repo, route, client, options)
         }
         Target::Tcp(addr) => {
             let route = tcp_route(lone(), std::slice::from_ref(addr), options);
-            replay_route(part, repo, route, client, options)
+            replay(part, repo, route, client, options)
         }
         Target::ClusterTcp(route) => {
             let route = tcp_route(route.view(), &route.peers, options);
-            replay_route(part, repo, route, client, options)
+            replay(part, repo, route, client, options)
         }
     }
-}
-
-/// Replay `part` over `route`. A lone server is one pipe, so a clean
-/// replay can batch into it; ring routing picks a connection per clip,
-/// and the cluster harness counts each GET, so those routes run
-/// request-at-a-time whatever `options.pipeline` says.
-fn replay_route<S: Read + Write>(
-    part: &Trace,
-    repo: &Repository,
-    mut route: RouteTransport<S>,
-    client: u64,
-    options: &LoadOptions,
-) -> std::io::Result<ClientLog> {
-    let lone = route.conns.len() == 1 && route.harness.is_none();
-    if options.faults.is_none() && options.pipeline > 1 && lone {
-        let log = replay_pipelined(part, repo, route.ensure(0)?, options.pipeline)?;
-        route.finish();
-        return Ok(log);
-    }
-    replay(part, repo, &mut route, client, options)
 }
 
 /// The serial reference: replay `trace` through the plain simulator with
@@ -762,6 +685,7 @@ pub fn serial_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::is_busy_error;
     use crate::server::{serve_with, GovernorConfig, ServerConfig};
     use crate::service::ServiceConfig;
     use clipcache_core::PolicyKind;
@@ -933,6 +857,21 @@ mod tests {
             assert_eq!(route.reconnects, 3, "{kind:?}: no other member redials");
             route.finish();
         }
+    }
+
+    #[test]
+    fn a_get_with_no_owner_alive_drops_its_armed_fault() {
+        let services = (0..2).map(|_| fixture(1).1).collect();
+        let harness = Mutex::new(ClusterHarness::new(5, 1, services));
+        let mut route = harness_route(&harness, Wire::Text);
+        let clip = ClipId::new(1);
+        let owner = route.view.owners_for(clip)[0];
+        harness.lock().unwrap().kill(owner);
+        route.armed = Some((FaultKind::DropBeforeSend, Vec::new()));
+        assert!(route.get(clip).is_err(), "no owner is alive");
+        harness.lock().unwrap().revive(owner);
+        route.get(clip).expect("the next GET carries no fault");
+        route.finish();
     }
 
     #[test]

@@ -261,6 +261,44 @@ fn tcp_and_inprocess_chaos_reports_are_equal() {
 }
 
 #[test]
+fn chaos_over_tcp_on_both_wires_leaves_the_server_shutting_down_cleanly() {
+    // A poison-enabled server with a connection cap and an idle timeout
+    // takes all five fault kinds from two clients, on the text wire and
+    // then on the binary one. Each loadgen exits 0 only if every
+    // request was delivered exactly once.
+    let server = spawn_serve(
+        &[
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "2",
+            "--chaos",
+            "--max-conns",
+            "64",
+            "--read-timeout",
+            "5000",
+        ],
+        None,
+    );
+    for wire in [&[][..], &["--wire", "binary"]] {
+        let status = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+            .args(["--target", &server.addr])
+            .args(["--shards", "2", "--clients", "2", "--requests", "5000"])
+            .args(wire)
+            .args([
+                "--faults",
+                "rate=0.03,seed=9,kinds=drop-pre+drop-post+garbage+torn+poison",
+            ])
+            .stdout(Stdio::null())
+            .status()
+            .expect("loadgen runs");
+        assert!(status.success(), "chaos over TCP failed with {wire:?}");
+    }
+    let shutdown = server.quit();
+    assert!(shutdown.contains("shut down cleanly"), "{shutdown}");
+}
+
+#[test]
 fn the_golden_flags_render_the_committed_golden_in_process_and_over_tcp() {
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -309,7 +347,14 @@ fn the_cluster_golden_flags_render_the_committed_goldens() {
     };
     let dir = std::env::temp_dir().join(format!("clipcache-cluster-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let pinned = ["--seed", "0x5EED2007", "--shards", "1", "--faults", "rate=0,seed=17"];
+    let pinned = [
+        "--seed",
+        "0x5EED2007",
+        "--shards",
+        "1",
+        "--faults",
+        "rate=0,seed=17",
+    ];
     let cases: [(Vec<&str>, &str); 3] = [
         (
             [

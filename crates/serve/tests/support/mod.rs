@@ -65,7 +65,8 @@ pub fn spawn_serve(args: &[&str], data_dir: Option<&Path>) -> Server {
 
 impl Server {
     /// Graceful shutdown through stdin; the server must exit cleanly.
-    pub fn quit(mut self) {
+    /// Returns what it printed after its address.
+    pub fn quit(mut self) -> String {
         self.stdin.write_all(b"quit\n").expect("stdin writable");
         self.stdin.flush().expect("stdin flushes");
         let mut rest = String::new();
@@ -74,6 +75,7 @@ impl Server {
             .expect("shutdown output drains");
         let status = self.child.wait().expect("server exits");
         assert!(status.success(), "graceful shutdown exits cleanly");
+        rest
     }
 
     /// SIGKILL — the same observable as a power-cut for the process: no
