@@ -8,7 +8,7 @@
 //! policy sees the identical reference string and the hot loop drives
 //! the zero-allocation `access_into` path with a no-op eviction sink.
 
-use clipcache_core::{DiscardEvictions, PolicyKind, PolicySpec, VictimBackend};
+use clipcache_core::{DiscardEvictions, PolicyKind, PolicySpec};
 use clipcache_media::paper;
 use clipcache_workload::{RequestGenerator, ShiftedZipf, Trace, Zipf};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,9 +38,6 @@ fn bench_policies(c: &mut Criterion) {
         PolicySpec::from(PolicyKind::LruSK { k: 2 }),
         PolicySpec::from(PolicyKind::GreedyDual),
         PolicySpec::from(PolicyKind::GreedyDualNaive),
-        PolicySpec::with_backend(PolicyKind::GreedyDual, VictimBackend::Heap),
-        PolicySpec::with_backend(PolicyKind::Lfu, VictimBackend::Heap),
-        PolicySpec::with_backend(PolicyKind::LruK { k: 2 }, VictimBackend::Heap),
         PolicySpec::from(PolicyKind::GdFreq),
         PolicySpec::from(PolicyKind::Igd),
         PolicySpec::from(PolicyKind::Simple),

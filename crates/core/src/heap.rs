@@ -1,15 +1,18 @@
 //! A lazy-deletion min-heap over `(priority, clip)` pairs.
 //!
-//! This is the backing store of the [`crate::victim_index::VictimIndex`]
-//! heap backend: every policy whose victim score only changes on accesses to
-//! the scored clip itself (GreedyDual family, LFU/LFU-DA, LRU/MRU/FIFO,
-//! LRU-K, SIZE, Random — see the taxonomy table in [`crate::policies`])
-//! can answer "the resident clip with the lowest priority" from this heap
-//! instead of a linear scan over the residents. Priorities change on every hit, so a plain
-//! `BinaryHeap` would need decrease-key; instead we push a fresh entry per
-//! update and discard stale entries when they surface (each entry carries
-//! the generation at which it was pushed). This is the classic
-//! lazy-deletion scheme; amortized cost is O(log n) per update.
+//! This is the tree half of [`crate::victim_index::VictimIndex`], which
+//! files its scores here whenever its tie bands are narrow (see that
+//! module for the switching rule). Priorities change on every hit, so a
+//! plain `BinaryHeap` would need decrease-key; instead each update pushes
+//! a fresh entry and stale entries are discarded when they surface (each
+//! entry carries the generation at which it was pushed). This is the
+//! classic lazy-deletion scheme; amortized cost is O(log n) per update.
+//!
+//! Stale entries are bounded: once they outnumber the live ones the heap
+//! is rebuilt in place, in its own allocation, from the live entries
+//! alone, with room for as many updates again, so a hit-heavy replay
+//! settles at no more than twice as many entries as residents and stops
+//! allocating.
 //!
 //! The heap is generic over the priority type `P` (default `f64` for the
 //! GreedyDual family): any `PartialOrd + Copy` type whose values are
@@ -19,8 +22,8 @@
 //!
 //! The paper's conclusion lists "tree-based data structures to minimize the
 //! complexity of identifying a victim" as planned work — this module is
-//! that structure, and `bench/eviction_scaling` compares it against the
-//! linear scan the reference implementations use.
+//! that structure, and `bench/eviction_scaling` times the index that uses
+//! it as the repository grows.
 
 use clipcache_media::ClipId;
 use std::cmp::Ordering;
@@ -106,6 +109,50 @@ impl<P: PartialOrd + Copy> LazyMinHeap<P> {
             clip,
             generation: self.generation,
         });
+        if self.heap.len() > 2 * self.live {
+            self.compact();
+        }
+    }
+
+    /// Rebuild the heap in place from its live entries alone.
+    fn compact(&mut self) {
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.retain(|e| self.current[e.clip.index()] == e.generation);
+        self.heapify(entries);
+    }
+
+    /// Heapify `entries` (the live ones) with room for as many updates
+    /// again before the next compaction, so a steady live count stops
+    /// allocating.
+    fn heapify(&mut self, mut entries: Vec<Entry<P>>) {
+        entries.reserve(self.live + 1);
+        self.heap = BinaryHeap::from(entries);
+    }
+
+    /// Drop every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        for e in self.heap.drain() {
+            self.current[e.clip.index()] = 0;
+        }
+        self.live = 0;
+    }
+
+    /// Replace the contents with `entries` (one per clip), heapified in
+    /// place in the existing allocation.
+    pub fn rebuild(&mut self, entries: impl Iterator<Item = (ClipId, P)>) {
+        self.clear();
+        let mut heap = std::mem::take(&mut self.heap).into_vec();
+        for (clip, priority) in entries {
+            self.generation += 1;
+            self.current[clip.index()] = self.generation;
+            heap.push(Entry {
+                priority,
+                clip,
+                generation: self.generation,
+            });
+        }
+        self.live = heap.len();
+        self.heapify(heap);
     }
 
     /// Remove `clip` from the queue (lazy: its entries become stale).
@@ -205,6 +252,36 @@ mod tests {
         assert_eq!(h.pop_min().unwrap().0, c(1));
         assert_eq!(h.pop_min().unwrap().0, c(2));
         assert_eq!(h.pop_min().unwrap().0, c(3));
+    }
+
+    #[test]
+    fn stale_entries_never_outnumber_live_ones() {
+        let mut h = LazyMinHeap::new(8);
+        for round in 0..1_000u64 {
+            h.upsert(c(1 + (round % 8) as u32), round as f64);
+            assert!(h.heap.len() <= 2 * h.len(), "round {round}");
+        }
+        let cap = h.heap.capacity();
+        for round in 1_000..10_000u64 {
+            h.upsert(c(1 + (round % 8) as u32), round as f64);
+        }
+        assert_eq!(h.heap.capacity(), cap, "compaction reuses the allocation");
+        assert_eq!(h.pop_min(), Some((c(1), 9_992.0)));
+    }
+
+    #[test]
+    fn clear_and_rebuild_replace_the_contents() {
+        let mut h = LazyMinHeap::new(4);
+        h.upsert(c(1), 1.0);
+        h.upsert(c(2), 2.0);
+        h.clear();
+        assert!(h.is_empty() && !h.contains(c(1)));
+        assert_eq!(h.peek_min(), None);
+        h.rebuild([(c(3), 3.0), (c(4), 0.5)].into_iter());
+        assert_eq!(h.len(), 2);
+        assert_eq!(h.pop_min(), Some((c(4), 0.5)));
+        assert_eq!(h.pop_min(), Some((c(3), 3.0)));
+        assert_eq!(h.pop_min(), None);
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //!   than the entire cache, which are streamed without caching.
 //! * All randomized decisions (Random victims, GreedyDual tie-breaks) come
 //!   from a seeded [`Pcg64`], so runs are deterministic.
-//! * Victim selection runs on a pluggable [`victim_index::VictimIndex`]:
-//!   a scan (default) or a lazy min-heap, selected per policy via
-//!   [`PolicySpec`] (`<policy>@heap`). The two backends make identical
+//! * Victim selection runs on a [`victim_index::VictimIndex`], which
+//!   answers from a lazy min-heap or a scan, switching between them by
+//!   the width of the tie bands it drains. The two make identical
 //!   eviction decisions; only the lookup cost differs. The scan walks a
 //!   bit set of the resident clips in id order, so it costs
 //!   O(residents + n/64) for a repository of `n` clips, not O(n).
@@ -71,4 +71,4 @@ pub use cache::{
 pub use clipcache_media::{ByteSize, Clip, ClipId, Repository};
 pub use clipcache_workload::{Pcg64, Timestamp};
 pub use registry::{PolicyKind, PolicySpec};
-pub use victim_index::{VictimBackend, VictimIndex};
+pub use victim_index::VictimIndex;

@@ -14,7 +14,7 @@
 //! mis-wired experiment fails loudly instead of producing a fake bound.
 //!
 //! A clip's next-reference distance changes as the trace cursor advances,
-//! so MIN stays on the scan victim-index backend (see the taxonomy in
+//! so MIN keeps no victim index and scans (see the taxonomy in
 //! [`crate::policies`]).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};

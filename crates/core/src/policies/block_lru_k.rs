@@ -13,8 +13,8 @@
 //! K-th reference and peel blocks off it until enough block slots are free
 //! (partial evictions are possible and leave the donor clip un-hittable).
 //! Partial evictions mutate a victim's standing without an access to it,
-//! so BlockLRU-K stays on the scan victim-index backend (see the taxonomy
-//! in [`crate::policies`]).
+//! so BlockLRU-K keeps no victim index and scans (see the taxonomy in
+//! [`crate::policies`]).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::history::ReferenceHistory;

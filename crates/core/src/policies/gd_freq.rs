@@ -11,14 +11,14 @@
 //! priority. IGD fixes this by aging the count with the time since last
 //! reference.
 //!
-//! The score only changes on accesses to the scored clip, so the policy is
-//! heap-eligible: victim selection runs on a [`VictimIndex`] under either
-//! backend with identical decisions (exact ties, uniform RNG draw).
+//! The score only changes on accesses to the scored clip, so victim
+//! selection runs on a [`VictimIndex`] (exact ties, uniform RNG draw),
+//! which picks its heap or its scan from the tie bands it drains.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::policies::greedy_dual::CostModel;
 use crate::space::CacheSpace;
-use crate::victim_index::{TieRule, VictimBackend, VictimIndex};
+use crate::victim_index::{TieRule, VictimIndex};
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::{Pcg64, Timestamp};
 use std::sync::Arc;
@@ -40,22 +40,12 @@ pub struct GdFreqCache {
 }
 
 impl GdFreqCache {
-    /// Create an empty GreedyDual-Freq cache (uniform cost, scan backend).
+    /// Create an empty GreedyDual-Freq cache (uniform cost).
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, seed: u64) -> Self {
-        GdFreqCache::with_backend(repo, capacity, seed, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        seed: u64,
-        backend: VictimBackend,
-    ) -> Self {
         let n = repo.len();
         GdFreqCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             nref: vec![0; n],
             inflation: 0.0,
             cost: CostModel::Uniform,
@@ -140,7 +130,7 @@ impl ClipCache for GdFreqCache {
 mod tests {
     use super::*;
     use crate::policies::testutil::{
-        assert_equivalent_on, assert_invariants, drive, equi_repo, tiny_repo,
+        assert_flips_change_nothing, assert_invariants, drive, equi_repo, tiny_repo,
     };
 
     #[test]
@@ -212,15 +202,12 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        // Equi-sized: every admission-time priority ties exactly.
-        let repo = equi_repo(6);
-        let trace = [1u32, 2, 3, 4, 5, 6, 2, 2, 4, 1, 6, 5, 3, 3, 1, 2, 6, 4];
-        let mut scan =
-            GdFreqCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), 7, VictimBackend::Scan);
-        let mut heap =
-            GdFreqCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), 7, VictimBackend::Heap);
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
-        assert_eq!(scan.inflation(), heap.inflation());
+    fn structure_switches_are_decision_identical() {
+        let trace = [1u32, 2, 3, 4, 5, 1, 2, 2, 4, 1, 3, 5, 3, 3, 1, 2, 5, 4];
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = GdFreqCache::new(repo, ByteSize::mb(mb), 7);
+            let (plain, flipped) = assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+            assert_eq!(plain.inflation(), flipped.inflation());
+        }
     }
 }

@@ -12,12 +12,12 @@
 //! requests seen so far (long-term popularity, per Jin & Bestavros).
 //! Although `f̂` drifts as the denominator grows, a *resident* clip's
 //! stored priority `H` is only rewritten when that clip is accessed —
-//! scores are access-local, so the policy is heap-eligible.
+//! scores are access-local, so they live in a [`VictimIndex`].
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::policies::greedy_dual::CostModel;
 use crate::space::CacheSpace;
-use crate::victim_index::{TieRule, VictimBackend, VictimIndex};
+use crate::victim_index::{TieRule, VictimIndex};
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::{Pcg64, Timestamp};
 use std::sync::Arc;
@@ -40,22 +40,12 @@ pub struct GdsPopularityCache {
 }
 
 impl GdsPopularityCache {
-    /// Create an empty GDS-Popularity cache (uniform cost, scan backend).
+    /// Create an empty GDS-Popularity cache (uniform cost).
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, seed: u64) -> Self {
-        GdsPopularityCache::with_backend(repo, capacity, seed, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        seed: u64,
-        backend: VictimBackend,
-    ) -> Self {
         let n = repo.len();
         GdsPopularityCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             counts: vec![0; n],
             total_requests: 0,
             inflation: 0.0,
@@ -135,7 +125,9 @@ impl ClipCache for GdsPopularityCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::testutil::{assert_equivalent_on, assert_invariants, tiny_repo};
+    use crate::policies::testutil::{
+        assert_flips_change_nothing, assert_invariants, equi_repo, tiny_repo,
+    };
 
     #[test]
     fn popularity_estimates_accumulate() {
@@ -177,21 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = tiny_repo();
+    fn structure_switches_are_decision_identical() {
         let trace = [1u32, 2, 3, 1, 4, 5, 2, 2, 5, 1, 3, 4, 4, 1, 5, 2];
-        let mut scan = GdsPopularityCache::with_backend(
-            Arc::clone(&repo),
-            ByteSize::mb(60),
-            9,
-            VictimBackend::Scan,
-        );
-        let mut heap = GdsPopularityCache::with_backend(
-            Arc::clone(&repo),
-            ByteSize::mb(60),
-            9,
-            VictimBackend::Heap,
-        );
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = GdsPopularityCache::new(repo, ByteSize::mb(mb), 9);
+            assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+        }
     }
 }

@@ -20,17 +20,17 @@
 //! `L` tie exactly, and GreedyDual "must choose one randomly" — the root
 //! cause of its poor equi-sized hit rate (Figure 3).
 //!
-//! Victim selection runs on a pluggable [`VictimIndex`]: the scan backend
-//! is the paper's linear baseline (over the residents), and [`VictimBackend::Heap`] is the
-//! tree-accelerated variant the paper's conclusion calls for — amortized
-//! O(log n) per eviction with decisions (including the uniform tie draw)
-//! byte-identical to the scan. [`GdMode::Naive`] rescales every resident
-//! score per eviction, so it is scan-only; the registry rejects
-//! `greedydual-naive@heap`.
+//! Victim selection runs on a [`VictimIndex`], which answers from the
+//! tree the paper's conclusion calls for while tie bands are narrow (the
+//! paper's variable sizes) and from the paper's linear scan when they are
+//! wide (equi-sized repositories, `cost = fetch`), with decisions
+//! (including the uniform tie draw) identical either way.
+//! [`GdMode::Naive`] rescales every resident score per eviction, which
+//! keeps its index on the scan.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::space::CacheSpace;
-use crate::victim_index::{TieRule, VictimBackend, VictimIndex};
+use crate::victim_index::{TieRule, VictimIndex};
 use clipcache_media::{Bandwidth, ByteSize, ClipId, Repository};
 use clipcache_workload::{Pcg64, Timestamp};
 use std::sync::Arc;
@@ -135,59 +135,23 @@ pub struct GreedyDualCache {
 }
 
 impl GreedyDualCache {
-    /// Create an empty GreedyDual cache (inflation mode, uniform cost,
-    /// scan backend).
+    /// Create an empty GreedyDual cache (inflation mode, uniform cost).
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, seed: u64) -> Self {
-        GreedyDualCache::with_options(
-            repo,
-            capacity,
-            seed,
-            CostModel::Uniform,
-            GdMode::Inflation,
-            VictimBackend::Scan,
-        )
+        GreedyDualCache::with_options(repo, capacity, seed, CostModel::Uniform, GdMode::Inflation)
     }
 
-    /// Create with the given victim-index backend (inflation mode,
-    /// uniform cost).
-    pub fn with_backend(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        seed: u64,
-        backend: VictimBackend,
-    ) -> Self {
-        GreedyDualCache::with_options(
-            repo,
-            capacity,
-            seed,
-            CostModel::Uniform,
-            GdMode::Inflation,
-            backend,
-        )
-    }
-
-    /// Create with an explicit cost model, formulation and backend.
-    ///
-    /// # Panics
-    /// [`GdMode::Naive`] combined with [`VictimBackend::Heap`]: the naive
-    /// formulation rescales every resident score per eviction, which the
-    /// lazy heap cannot mirror.
+    /// Create with an explicit cost model and formulation.
     pub fn with_options(
         repo: Arc<Repository>,
         capacity: ByteSize,
         seed: u64,
         cost: CostModel,
         mode: GdMode,
-        backend: VictimBackend,
     ) -> Self {
-        assert!(
-            !(mode == GdMode::Naive && backend == VictimBackend::Heap),
-            "naive GreedyDual is scan-only (bulk rescale per eviction)"
-        );
         let n = repo.len();
         GreedyDualCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             inflation: 0.0,
             cost,
             mode,
@@ -272,7 +236,7 @@ mod tests {
     use super::*;
     use crate::cache::AccessOutcome;
     use crate::policies::testutil::{
-        assert_equivalent_on, assert_invariants, drive, equi_repo, tiny_repo,
+        assert_flips_change_nothing, assert_invariants, drive, equi_repo, tiny_repo,
     };
 
     #[test]
@@ -338,7 +302,6 @@ mod tests {
             9,
             CostModel::Uniform,
             GdMode::Inflation,
-            VictimBackend::Scan,
         );
         let mut naive = GreedyDualCache::with_options(
             Arc::clone(&repo),
@@ -346,7 +309,6 @@ mod tests {
             9,
             CostModel::Uniform,
             GdMode::Naive,
-            VictimBackend::Scan,
         );
         for (i, &id) in trace.iter().enumerate() {
             let a = infl.access(ClipId::new(id), Timestamp(i as u64 + 1));
@@ -357,40 +319,33 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical_even_on_ties() {
-        // Equi-sized repository: every eviction is a tie, so this
-        // exercises the byte-identical tie draw across backends.
-        let repo = equi_repo(8);
+    fn structure_switches_are_decision_identical_even_on_ties() {
+        // On the equi-sized repository every eviction is a tie, so this
+        // exercises the identical tie draw on both structures.
         let trace = [
-            1u32, 2, 3, 4, 5, 6, 7, 8, 1, 3, 5, 7, 2, 4, 6, 8, 8, 1, 2, 5,
+            1u32, 2, 3, 4, 5, 1, 3, 5, 2, 4, 5, 1, 2, 3, 4, 5, 5, 1, 2, 4,
         ];
-        let mut scan = GreedyDualCache::with_backend(
-            Arc::clone(&repo),
-            ByteSize::mb(30),
-            5,
-            VictimBackend::Scan,
-        );
-        let mut heap = GreedyDualCache::with_backend(
-            Arc::clone(&repo),
-            ByteSize::mb(30),
-            5,
-            VictimBackend::Heap,
-        );
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
-        assert_eq!(scan.inflation(), heap.inflation());
+        for repo in [equi_repo(5), tiny_repo()] {
+            let cache = GreedyDualCache::new(repo, ByteSize::mb(30), 5);
+            let (plain, flipped) = assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+            assert_eq!(plain.inflation(), flipped.inflation());
+        }
     }
 
     #[test]
-    #[should_panic(expected = "scan-only")]
-    fn naive_mode_rejects_heap_backend() {
-        GreedyDualCache::with_options(
-            tiny_repo(),
+    fn naive_mode_keeps_its_index_on_the_scan() {
+        let mut c = GreedyDualCache::with_options(
+            equi_repo(8),
             ByteSize::mb(30),
             1,
             CostModel::Uniform,
             GdMode::Naive,
-            VictimBackend::Heap,
         );
+        drive(&mut c, &[1, 2, 3, 4]);
+        assert!(!c.index.on_heap());
+        // The rescale after every pop keeps the heap away for good.
+        drive(&mut c, &[5, 6, 7, 8, 1, 2, 3, 4, 5, 6, 7, 8]);
+        assert!(!c.index.on_heap());
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! linger after the access pattern shifts. Ties break least-recently-used.
 //!
 //! A resident clip's `(count, last_ref)` pair only changes when that clip
-//! is accessed, so LFU is heap-eligible: the composite victim key
-//! `(count, last_ref, id)` is stored verbatim in a [`VictimIndex`].
+//! is accessed, so the composite victim key `(count, last_ref, id)` is
+//! stored verbatim in a [`VictimIndex`]; it ends in the id, so it never
+//! ties and the index answers from its heap.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::policies::{admit_with_evictions, complete_with_evictions, IndexVictims};
 use crate::space::{CacheSpace, Residency};
-use crate::victim_index::{VictimBackend, VictimIndex};
+use crate::victim_index::VictimIndex;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
 use std::sync::Arc;
@@ -27,17 +28,12 @@ pub struct LfuCache {
 }
 
 impl LfuCache {
-    /// Create an empty LFU cache (scan backend).
+    /// Create an empty LFU cache.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize) -> Self {
-        LfuCache::with_backend(repo, capacity, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(repo: Arc<Repository>, capacity: ByteSize, backend: VictimBackend) -> Self {
         let n = repo.len();
         LfuCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             counts: vec![0; n],
             last_ref: vec![Timestamp::ZERO; n],
         }
@@ -137,7 +133,9 @@ impl ClipCache for LfuCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::testutil::{assert_equivalent_on, assert_invariants, equi_repo};
+    use crate::policies::testutil::{
+        assert_flips_change_nothing, assert_invariants, equi_repo, tiny_repo,
+    };
 
     #[test]
     fn evicts_least_frequent() {
@@ -187,13 +185,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = equi_repo(6);
-        let trace = [1u32, 1, 2, 3, 4, 2, 5, 6, 1, 3, 3, 5, 2, 6, 4, 1];
-        let mut scan =
-            LfuCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), VictimBackend::Scan);
-        let mut heap =
-            LfuCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), VictimBackend::Heap);
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
+    fn structure_switches_are_decision_identical() {
+        let trace = [1u32, 1, 2, 3, 4, 2, 5, 4, 1, 3, 3, 5, 2, 5, 4, 1];
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = LfuCache::new(repo, ByteSize::mb(mb));
+            assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+        }
     }
 }

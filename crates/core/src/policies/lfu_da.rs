@@ -15,12 +15,12 @@
 //!
 //! A resident clip's `H` is rewritten only when that clip is accessed
 //! (inflation affects future admissions, not stored priorities), so the
-//! composite victim key `(H, last_ref, id)` lives in a heap-eligible
-//! [`VictimIndex`].
+//! composite victim key `(H, last_ref, id)` lives in a [`VictimIndex`]
+//! (on its heap: the key ends in the id, so it never ties).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::space::CacheSpace;
-use crate::victim_index::{VictimBackend, VictimIndex};
+use crate::victim_index::VictimIndex;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
 use std::sync::Arc;
@@ -36,17 +36,12 @@ pub struct LfuDaCache {
 }
 
 impl LfuDaCache {
-    /// Create an empty LFU-DA cache (scan backend).
+    /// Create an empty LFU-DA cache.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize) -> Self {
-        LfuDaCache::with_backend(repo, capacity, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(repo: Arc<Repository>, capacity: ByteSize, backend: VictimBackend) -> Self {
         let n = repo.len();
         LfuDaCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             count: vec![0; n],
             inflation: 0.0,
         }
@@ -118,7 +113,9 @@ impl ClipCache for LfuDaCache {
 mod tests {
     use super::*;
     use crate::policies::lfu::LfuCache;
-    use crate::policies::testutil::{assert_equivalent_on, assert_invariants, equi_repo};
+    use crate::policies::testutil::{
+        assert_flips_change_nothing, assert_invariants, equi_repo, tiny_repo,
+    };
 
     #[test]
     fn frequency_still_matters() {
@@ -186,14 +183,12 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = equi_repo(5);
+    fn structure_switches_are_decision_identical() {
         let trace = [1u32, 2, 1, 3, 4, 5, 2, 2, 3, 1, 5, 4, 4, 3, 1, 2, 5];
-        let mut scan =
-            LfuDaCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), VictimBackend::Scan);
-        let mut heap =
-            LfuDaCache::with_backend(Arc::clone(&repo), ByteSize::mb(30), VictimBackend::Heap);
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
-        assert_eq!(scan.inflation(), heap.inflation());
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = LfuDaCache::new(repo, ByteSize::mb(mb));
+            let (plain, flipped) = assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+            assert_eq!(plain.inflation(), flipped.inflation());
+        }
     }
 }

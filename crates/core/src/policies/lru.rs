@@ -13,9 +13,9 @@
 //! always the latest and links at the tail; a stamp that arrives out of
 //! order (equal or decreasing clocks, a snapshot restore) walks back from
 //! the tail to its place. The list therefore picks exactly the victim a
-//! min-`(stamp, id)` scan (max for MRU) of every resident would. Both
-//! victim-index backends build this list: neither a scan nor a heap can
-//! beat it, so the `@heap` spelling only selects the same cache.
+//! min-`(stamp, id)` scan (max for MRU) of every resident would. Neither
+//! a scan nor a heap can beat it, so these policies keep no victim
+//! index; the legacy `@heap` spelling selects the same cache.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::policies::{admit_with_evictions, complete_with_evictions, VictimSource};

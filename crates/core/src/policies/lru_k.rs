@@ -13,14 +13,15 @@
 //! clip size (Figure 2.a).
 //!
 //! A resident clip's reference history only changes when that clip is
-//! accessed, so LRU-K (with or without CRP) is heap-eligible: the
-//! composite key `(kth_last, last, id)` is stored in a [`VictimIndex`].
+//! accessed, so LRU-K (with or without CRP) stores the composite key
+//! `(kth_last, last, id)` in a [`VictimIndex`], on its heap (the key ends
+//! in the id, so it never ties).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::history::ReferenceHistory;
 use crate::policies::{admit_with_evictions, complete_with_evictions, IndexVictims};
 use crate::space::{CacheSpace, Residency};
-use crate::victim_index::{VictimBackend, VictimIndex};
+use crate::victim_index::VictimIndex;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
 use std::sync::Arc;
@@ -36,12 +37,12 @@ pub struct LruKCache {
 }
 
 impl LruKCache {
-    /// Create an empty LRU-K cache (scan backend).
+    /// Create an empty LRU-K cache.
     ///
     /// # Panics
     /// If `k == 0`.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, k: usize) -> Self {
-        LruKCache::with_options(repo, capacity, k, 0, VictimBackend::Scan)
+        LruKCache::with_crp(repo, capacity, k, 0)
     }
 
     /// Create an LRU-K cache with O'Neil et al.'s *Correlated Reference
@@ -53,25 +54,11 @@ impl LruKCache {
     /// # Panics
     /// If `k == 0`.
     pub fn with_crp(repo: Arc<Repository>, capacity: ByteSize, k: usize, crp: u64) -> Self {
-        LruKCache::with_options(repo, capacity, k, crp, VictimBackend::Scan)
-    }
-
-    /// Create with explicit CRP and victim-index backend.
-    ///
-    /// # Panics
-    /// If `k == 0`.
-    pub fn with_options(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        k: usize,
-        crp: u64,
-        backend: VictimBackend,
-    ) -> Self {
         let n = repo.len();
         LruKCache {
             space: CacheSpace::new(repo, capacity),
             history: ReferenceHistory::new(n, k),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             crp,
         }
     }
@@ -184,7 +171,7 @@ impl ClipCache for LruKCache {
 mod tests {
     use super::*;
     use crate::policies::testutil::{
-        assert_equivalent_on, assert_invariants, drive, equi_repo, tiny_repo,
+        assert_flips_change_nothing, assert_invariants, drive, equi_repo, tiny_repo,
     };
 
     #[test]
@@ -272,25 +259,13 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = equi_repo(6);
-        let trace = [1u32, 2, 1, 3, 4, 2, 5, 6, 1, 3, 3, 5, 2, 6, 4, 1, 1, 2];
-        for crp in [0u64, 3] {
-            let mut scan = LruKCache::with_options(
-                Arc::clone(&repo),
-                ByteSize::mb(30),
-                2,
-                crp,
-                VictimBackend::Scan,
-            );
-            let mut heap = LruKCache::with_options(
-                Arc::clone(&repo),
-                ByteSize::mb(30),
-                2,
-                crp,
-                VictimBackend::Heap,
-            );
-            assert_equivalent_on(&mut scan, &mut heap, &trace);
+    fn structure_switches_are_decision_identical() {
+        let trace = [1u32, 2, 1, 3, 4, 2, 5, 3, 1, 3, 3, 5, 2, 4, 4, 1, 1, 2];
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            for crp in [0u64, 3] {
+                let cache = LruKCache::with_crp(Arc::clone(&repo), ByteSize::mb(mb), 2, crp);
+                assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+            }
         }
     }
 }

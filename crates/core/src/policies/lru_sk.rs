@@ -14,7 +14,7 @@
 //! test in `tests/dynsimple_lrusk_ranking.rs` verifies the ranking claim).
 //!
 //! `d_K` ages with the clock, so the eviction score is time-varying and
-//! LRU-SK stays on the scan victim-index backend (see the taxonomy in
+//! LRU-SK keeps no victim index and scans (see the taxonomy in
 //! [`crate::policies`]).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};

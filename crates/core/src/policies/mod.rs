@@ -7,30 +7,32 @@
 //!
 //! The paper's footnote 2 taxonomizes greedy techniques as recency-,
 //! frequency-, size-, function-based, or randomized. Where each
-//! implementation sits, what signal drives its victim choice, and which
-//! [`victim-index backend`](crate::victim_index) it supports — *scan+heap*
-//! means the score is **access-local** (a resident's score changes only
-//! when that clip is accessed, so a heap stays valid between accesses);
-//! *scan only* means the score is **time-varying** (it drifts with the
-//! clock or with other clips' accesses, so every eviction must re-rank):
+//! implementation sits, what signal drives its victim choice, and how it
+//! finds a victim — *victim index* means the score is **access-local** (a
+//! resident's score changes only when that clip is accessed, so a
+//! [`VictimIndex`](crate::victim_index) stays valid between accesses and
+//! picks its heap or its scan from the tie bands it drains; scores that
+//! end in the clip id never tie and stay on the heap); *scan* means the
+//! score is **time-varying** (it drifts with the clock or with other
+//! clips' accesses, so every eviction must re-rank):
 //!
-//! | Policy | Taxonomy | Victim signal | History kept off-cache? | Victim index backend |
+//! | Policy | Taxonomy | Victim signal | History kept off-cache? | Finding the victim |
 //! |---|---|---|---|---|
-//! | `Random` | randomized | uniform | no | scan+heap |
-//! | `LRU` / `MRU` / `FIFO` | recency | last reference / admission | no | own recency list (both spellings; O(1) victim) |
-//! | `LFU` | frequency | lifetime count | count survives eviction | scan+heap |
-//! | `LFU-DA` | frequency + aging | `L + count` | no | scan+heap |
-//! | `SIZE` | size | largest first | no | scan+heap |
-//! | `LRU-K` (± CRP) | recency | K-th-last reference | K timestamps | scan+heap |
-//! | **`LRU-SK`** | recency + size | `d_K · size` | K timestamps | scan only (`d_K` ages with time) |
-//! | `GreedyDual` | function | `L + cost/size` | no | scan+heap (naive mode scan only) |
-//! | `GreedyDual-Freq` | function + frequency | `L + nref/size` | no | scan+heap |
-//! | **`IGD`** | function + aging | `L + nref/(d₁·size)` | no | scan only (`d₁` ages with time) |
-//! | `GDS-Popularity` | function (byte-hit) | `L + f̂·cost` | count survives | scan+heap |
-//! | `Simple` (± bypass) | off-line | oracle `f/size` | oracle | scan only (batch repack; cheapest prefix) |
+//! | `Random` | randomized | uniform | no | victim index (one band of every resident: scan) |
+//! | `LRU` / `MRU` / `FIFO` | recency | last reference / admission | no | own recency list (O(1) victim) |
+//! | `LFU` | frequency | lifetime count | count survives eviction | victim index (never ties: heap) |
+//! | `LFU-DA` | frequency + aging | `L + count` | no | victim index (never ties: heap) |
+//! | `SIZE` | size | largest first | no | victim index (never ties: heap) |
+//! | `LRU-K` (± CRP) | recency | K-th-last reference | K timestamps | victim index (never ties: heap) |
+//! | **`LRU-SK`** | recency + size | `d_K · size` | K timestamps | scan (`d_K` ages with time) |
+//! | `GreedyDual` | function | `L + cost/size` | no | victim index (naive mode rescales: scan) |
+//! | `GreedyDual-Freq` | function + frequency | `L + nref/size` | no | victim index |
+//! | **`IGD`** | function + aging | `L + nref/(d₁·size)` | no | scan (`d₁` ages with time) |
+//! | `GDS-Popularity` | function (byte-hit) | `L + f̂·cost` | count survives | victim index |
+//! | `Simple` (± bypass) | off-line | oracle `f/size` | oracle | scan (batch repack; cheapest prefix) |
 //! | **`DYNSimple`** (± bypass) | frequency + size | estimated `f̂/size` | K timestamps | own rank index (rates age with time, but not their order within a `(stamps, size)` group) |
-//! | `BlockLruK` | recency over blocks | block LRU-K | K timestamps | scan only (partial evictions) |
-//! | `Belady` | clairvoyant | next reference | full future | scan only (trace-driven) |
+//! | `BlockLruK` | recency over blocks | block LRU-K | K timestamps | scan (partial evictions) |
+//! | `Belady` | clairvoyant | next reference | full future | scan (trace-driven) |
 //!
 //! Bold rows are the paper's contributions.
 //!
@@ -228,26 +230,27 @@ pub(crate) mod testutil {
             .count()
     }
 
-    /// Replay `clips` against two caches and assert every access outcome
-    /// (including eviction order) and the final residency agree — the
-    /// backend-equivalence harness used by the per-policy scan-vs-heap
-    /// tests.
-    pub fn assert_equivalent_on(a: &mut dyn ClipCache, b: &mut dyn ClipCache, clips: &[u32]) {
+    /// Replay `clips` against two clones of `cache`, calling `flip` on the
+    /// second before every request (to switch its victim index to the
+    /// other structure), and assert every access outcome (including
+    /// eviction order) and the final residency agree. Returns both
+    /// replayed caches.
+    pub fn assert_flips_change_nothing<C: ClipCache + Clone>(
+        cache: &C,
+        clips: &[u32],
+        mut flip: impl FnMut(&mut C),
+    ) -> (C, C) {
+        let (mut plain, mut flipped) = (cache.clone(), cache.clone());
         for (i, &c) in clips.iter().enumerate() {
+            flip(&mut flipped);
             let at = Timestamp(i as u64 + 1);
             let clip = clipcache_media::ClipId::new(c);
-            let oa = a.access(clip, at);
-            let ob = b.access(clip, at);
-            assert_eq!(
-                oa,
-                ob,
-                "{} vs {} diverge at request {i} ({clip})",
-                a.name(),
-                b.name()
-            );
+            let (a, b) = (plain.access(clip, at), flipped.access(clip, at));
+            assert_eq!(a, b, "{} diverges at request {i} ({clip})", plain.name());
         }
-        assert_eq!(a.resident_clips(), b.resident_clips());
-        assert_eq!(a.used(), b.used());
+        assert_eq!(plain.resident_clips(), flipped.resident_clips());
+        assert_eq!(plain.used(), flipped.used());
+        (plain, flipped)
     }
 
     /// Assert the capacity invariant and residency/used consistency.

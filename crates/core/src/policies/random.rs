@@ -7,11 +7,12 @@
 //! every resident clip scores a constant `0.0`, so the tie set is the
 //! whole residency (in id order, matching `resident_ids()`) and the
 //! uniform draw consumes the RNG exactly as the scan-based implementation
-//! always has — under either victim-index backend.
+//! always has. A band of every resident is as wide as bands get, so the
+//! index settles on its scan after its first eviction.
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::space::CacheSpace;
-use crate::victim_index::{TieRule, VictimBackend, VictimIndex};
+use crate::victim_index::{TieRule, VictimIndex};
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::{Pcg64, Timestamp};
 use std::sync::Arc;
@@ -37,22 +38,12 @@ const RANDOM_TIES: TieRule = TieRule {
 };
 
 impl RandomCache {
-    /// Create an empty random-replacement cache (scan backend).
+    /// Create an empty random-replacement cache.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize, seed: u64) -> Self {
-        RandomCache::with_backend(repo, capacity, seed, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        seed: u64,
-        backend: VictimBackend,
-    ) -> Self {
         let n = repo.len();
         RandomCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
             rng: Pcg64::seed_from_u64_stream(seed, RAND_STREAM),
             ties: Vec::new(),
         }
@@ -109,7 +100,9 @@ impl ClipCache for RandomCache {
 mod tests {
     use super::*;
     use crate::cache::AccessOutcome;
-    use crate::policies::testutil::{assert_equivalent_on, assert_invariants, drive, tiny_repo};
+    use crate::policies::testutil::{
+        assert_flips_change_nothing, assert_invariants, drive, equi_repo, tiny_repo,
+    };
 
     #[test]
     fn hit_after_admit() {
@@ -155,13 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = tiny_repo();
+    fn structure_switches_are_decision_identical() {
         let trace = [1u32, 2, 3, 4, 5, 1, 3, 5, 2, 4, 1, 2, 3, 5, 4];
-        let mut scan =
-            RandomCache::with_backend(Arc::clone(&repo), ByteSize::mb(60), 11, VictimBackend::Scan);
-        let mut heap =
-            RandomCache::with_backend(Arc::clone(&repo), ByteSize::mb(60), 11, VictimBackend::Heap);
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = RandomCache::new(repo, ByteSize::mb(mb), 11);
+            assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+        }
     }
 }

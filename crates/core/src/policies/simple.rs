@@ -16,8 +16,8 @@
 //! be replaced mid-run with [`SimpleCache::set_frequencies`].
 //!
 //! Victim selection is a batched plan over a frequency table that can be
-//! swapped wholesale mid-run, so Simple stays on the scan victim-index
-//! backend (see the taxonomy in [`crate::policies`]). It shares Figure 4's
+//! swapped wholesale mid-run, so Simple keeps no victim index and scans
+//! (see the taxonomy in [`crate::policies`]). It shares Figure 4's
 //! pass 1 with DYNSimple: each miss keys every resident once and selects
 //! the cheapest prefix.
 

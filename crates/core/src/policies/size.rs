@@ -12,13 +12,13 @@
 //! The victim order `(largest size, stalest, largest id)` maps onto the
 //! min-ordered [`VictimIndex`] by wrapping the reversed components in
 //! [`std::cmp::Reverse`]; "stalest" compares identically to "smallest
-//! last-reference time", so the stored key never goes stale and SIZE is
-//! heap-eligible.
+//! last-reference time", so the stored key never goes stale (and, ending
+//! in the id, never ties: the index answers from its heap).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
 use crate::policies::{admit_with_evictions, complete_with_evictions, IndexVictims};
 use crate::space::{CacheSpace, Residency};
-use crate::victim_index::{VictimBackend, VictimIndex};
+use crate::victim_index::VictimIndex;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::Timestamp;
 use std::cmp::Reverse;
@@ -32,17 +32,12 @@ pub struct SizeCache {
 }
 
 impl SizeCache {
-    /// Create an empty SIZE cache (scan backend).
+    /// Create an empty SIZE cache.
     pub fn new(repo: Arc<Repository>, capacity: ByteSize) -> Self {
-        SizeCache::with_backend(repo, capacity, VictimBackend::Scan)
-    }
-
-    /// Create with the given victim-index backend.
-    pub fn with_backend(repo: Arc<Repository>, capacity: ByteSize, backend: VictimBackend) -> Self {
         let n = repo.len();
         SizeCache {
             space: CacheSpace::new(repo, capacity),
-            index: VictimIndex::new(backend, n),
+            index: VictimIndex::new(n),
         }
     }
 
@@ -133,7 +128,7 @@ impl ClipCache for SizeCache {
 mod tests {
     use super::*;
     use crate::policies::testutil::{
-        assert_equivalent_on, assert_invariants, drive, equi_repo, tiny_repo,
+        assert_flips_change_nothing, assert_invariants, drive, equi_repo, tiny_repo,
     };
 
     #[test]
@@ -171,13 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_is_decision_identical() {
-        let repo = tiny_repo();
+    fn structure_switches_are_decision_identical() {
         let trace = [5u32, 4, 3, 2, 1, 5, 4, 3, 2, 1, 1, 3, 5, 2, 4];
-        let mut scan =
-            SizeCache::with_backend(Arc::clone(&repo), ByteSize::mb(60), VictimBackend::Scan);
-        let mut heap =
-            SizeCache::with_backend(Arc::clone(&repo), ByteSize::mb(60), VictimBackend::Heap);
-        assert_equivalent_on(&mut scan, &mut heap, &trace);
+        for (repo, mb) in [(equi_repo(5), 30), (tiny_repo(), 60)] {
+            let cache = SizeCache::new(repo, ByteSize::mb(mb));
+            assert_flips_change_nothing(&cache, &trace, |c| c.index.flip());
+        }
     }
 }

@@ -2,19 +2,18 @@
 //!
 //! The experiment harness and examples configure runs with a
 //! [`PolicyKind`]; [`PolicyKind::build`] instantiates the matching
-//! [`ClipCache`] on the default scan victim-index backend. A
-//! [`PolicySpec`] pairs a kind with an explicit [`VictimBackend`] —
-//! spelled `<policy>@heap` on the command line — for heap-accelerated
-//! victim selection on the policies whose priorities are access-local
-//! (see the taxonomy in [`crate::policies`]). Off-line policies (Simple)
-//! additionally need the workload's accurate frequencies.
+//! [`ClipCache`]. Off-line policies (Simple) additionally need the
+//! workload's accurate frequencies. There is nothing else to choose: the
+//! policies that rank victims in a
+//! [`VictimIndex`](crate::victim_index::VictimIndex) let it pick its own
+//! structure.
 
 use crate::cache::ClipCache;
 use crate::policies::block_lru_k::BlockLruKCache;
 use crate::policies::dyn_simple::DynSimpleCache;
 use crate::policies::gd_freq::GdFreqCache;
 use crate::policies::gds_pop::GdsPopularityCache;
-use crate::policies::greedy_dual::{GdMode, GreedyDualCache};
+use crate::policies::greedy_dual::{CostModel, GdMode, GreedyDualCache};
 use crate::policies::igd::IgdCache;
 use crate::policies::lfu::LfuCache;
 use crate::policies::lru::{RecencyCache, RecencyVariant};
@@ -22,8 +21,7 @@ use crate::policies::lru_k::LruKCache;
 use crate::policies::lru_sk::LruSKCache;
 use crate::policies::random::RandomCache;
 use crate::policies::simple::{SimpleAdmission, SimpleCache};
-use crate::victim_index::VictimBackend;
-use clipcache_media::{ByteSize, Repository};
+use clipcache_media::{Bandwidth, ByteSize, Repository};
 use std::fmt;
 use std::sync::Arc;
 
@@ -35,12 +33,6 @@ pub enum BuildError {
         /// The policy that needed them.
         policy: String,
     },
-    /// The heap victim-index backend was requested for a policy whose
-    /// eviction priorities are time-varying (scan-only).
-    UnsupportedBackend {
-        /// The policy that cannot run on the requested backend.
-        policy: String,
-    },
 }
 
 impl fmt::Display for BuildError {
@@ -48,13 +40,6 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::MissingFrequencies { policy } => {
                 write!(f, "{policy} requires oracle frequencies")
-            }
-            BuildError::UnsupportedBackend { policy } => {
-                write!(
-                    f,
-                    "{policy} has time-varying priorities and only supports \
-                     the scan victim-index backend"
-                )
             }
         }
     }
@@ -166,12 +151,10 @@ impl PolicyKind {
         matches!(self, PolicyKind::Simple | PolicyKind::SimpleBypass)
     }
 
-    /// Whether this policy's eviction priorities are access-local, making
-    /// it eligible for the heap victim-index backend. Time-varying
-    /// policies (IGD, LRU-SK, DYNSimple, BlockLRU-K, the off-line
-    /// oracles, naive GreedyDual) are scan-only — see the taxonomy in
-    /// [`crate::policies`].
-    pub fn supports_heap(&self) -> bool {
+    /// Whether the legacy `@heap` suffix parses for this policy (see
+    /// [`PolicySpec`]'s `FromStr`): the kinds whose `@heap` spelling once
+    /// chose a heap victim index.
+    fn took_heap_suffix(&self) -> bool {
         matches!(
             self,
             PolicyKind::Random
@@ -240,7 +223,7 @@ impl PolicyKind {
     /// [`FromStr`](std::str::FromStr): `kind.spelling().parse()` yields
     /// `kind` for every variant. This is the durable form snapshots
     /// store (unlike [`Display`](fmt::Display), which is presentational
-    /// and not parseable).
+    /// and not parseable). It never carries the legacy `@heap` suffix.
     pub fn spelling(&self) -> String {
         match *self {
             PolicyKind::Random => "random".into(),
@@ -343,13 +326,9 @@ pub const SPELLING_EXAMPLES: &[&str] = &[
 ];
 
 /// The help text the unknown-policy error carries: every valid spelling
-/// (one example per variant) plus the `@heap`/`@scan` backend suffix.
+/// (one example per variant).
 pub fn spelling_help() -> String {
-    format!(
-        "valid policies: {}; heap-eligible policies also accept an \
-         `@heap` suffix (e.g. `lru@heap`, `greedydual@heap`)",
-        SPELLING_EXAMPLES.join(", ")
-    )
+    format!("valid policies: {}", SPELLING_EXAMPLES.join(", "))
 }
 
 /// Parse a policy from its command-line spelling.
@@ -362,8 +341,7 @@ pub fn spelling_help() -> String {
 /// `dynsimple-bypass:K`, `block-lruK:MB` (e.g. `block-lru2:10`; append
 /// `b` for a byte-exact block size), `gd-fetch:Mbps`, `gd-latency:Mbps`.
 ///
-/// To select a victim-index backend, parse a [`PolicySpec`] instead: it
-/// accepts the same spellings with an optional `@scan`/`@heap` suffix.
+/// [`PolicySpec`] accepts these and the legacy victim-index spellings.
 impl std::str::FromStr for PolicyKind {
     type Err = String;
 
@@ -444,50 +422,32 @@ impl std::str::FromStr for PolicyKind {
     }
 }
 
-/// A policy descriptor paired with the victim-index backend to run it on.
+/// A parsed policy spelling, as snapshots and the serving layer store it.
 ///
-/// The backend is an implementation detail: it never changes a policy's
-/// decisions (the backend-equivalence suite enforces identical outcome
-/// sequences), so [`Display`](fmt::Display) shows the kind alone and a
-/// heap-backed cache reports the same [`ClipCache::name`] as its scan
-/// twin. The parseable [`PolicySpec::spelling`] appends `@heap` when the
-/// heap backend is selected; `@scan` is the default and omitted. The
-/// recency kinds (LRU, MRU, FIFO) accept both spellings but build the
-/// same recency list under either ([`crate::policies::lru`]).
+/// Since each victim index picks its own structure, a spec is exactly
+/// its [`PolicyKind`]; [`Display`](fmt::Display) and
+/// [`spelling`](PolicySpec::spelling) are the kind's, and
+/// [`FromStr`](std::str::FromStr) also accepts the legacy victim-index
+/// spellings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicySpec {
     /// The policy to construct.
     pub kind: PolicyKind,
-    /// The victim-index backend to construct it on.
-    pub backend: VictimBackend,
 }
 
 impl From<PolicyKind> for PolicySpec {
     fn from(kind: PolicyKind) -> Self {
-        PolicySpec {
-            kind,
-            backend: VictimBackend::Scan,
-        }
+        PolicySpec { kind }
     }
 }
 
 impl PolicySpec {
-    /// Pair a kind with an explicit backend.
-    pub fn with_backend(kind: PolicyKind, backend: VictimBackend) -> Self {
-        PolicySpec { kind, backend }
-    }
-
-    /// The canonical command-line spelling — the kind's spelling with
-    /// `@heap` appended when the heap backend is selected. The inverse of
-    /// [`FromStr`](std::str::FromStr) for every valid spec.
+    /// The kind's canonical spelling ([`PolicyKind::spelling`]).
     pub fn spelling(&self) -> String {
-        match self.backend {
-            VictimBackend::Scan => self.kind.spelling(),
-            VictimBackend::Heap => format!("{}@heap", self.kind.spelling()),
-        }
+        self.kind.spelling()
     }
 
-    /// Instantiate the policy on the selected backend.
+    /// Instantiate the policy.
     ///
     /// # Panics
     /// On configuration errors; use [`PolicySpec::try_build`] for a
@@ -503,8 +463,8 @@ impl PolicySpec {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Instantiate the policy on the selected backend, reporting
-    /// configuration errors instead of panicking.
+    /// Instantiate the policy, reporting configuration errors instead of
+    /// panicking.
     pub fn try_build(
         &self,
         repo: Arc<Repository>,
@@ -512,83 +472,53 @@ impl PolicySpec {
         seed: u64,
         frequencies: Option<&[f64]>,
     ) -> Result<Box<dyn ClipCache>, BuildError> {
-        let backend = self.backend;
-        if backend == VictimBackend::Heap && !self.kind.supports_heap() {
-            return Err(BuildError::UnsupportedBackend {
-                policy: self.kind.to_string(),
-            });
-        }
         if self.kind.is_offline() && frequencies.is_none() {
             return Err(BuildError::MissingFrequencies {
                 policy: self.kind.to_string(),
             });
         }
         Ok(match self.kind {
-            PolicyKind::Random => {
-                Box::new(RandomCache::with_backend(repo, capacity, seed, backend))
-            }
+            PolicyKind::Random => Box::new(RandomCache::new(repo, capacity, seed)),
             PolicyKind::Lru => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Lru)),
             PolicyKind::Mru => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Mru)),
             PolicyKind::Fifo => Box::new(RecencyCache::new(repo, capacity, RecencyVariant::Fifo)),
-            PolicyKind::Lfu => Box::new(LfuCache::with_backend(repo, capacity, backend)),
-            PolicyKind::LfuDa => Box::new(crate::policies::lfu_da::LfuDaCache::with_backend(
-                repo, capacity, backend,
-            )),
-            PolicyKind::LruK { k } => {
-                Box::new(LruKCache::with_options(repo, capacity, k, 0, backend))
-            }
-            PolicyKind::LruKCrp { k, crp } => {
-                Box::new(LruKCache::with_options(repo, capacity, k, crp, backend))
-            }
+            PolicyKind::Lfu => Box::new(LfuCache::new(repo, capacity)),
+            PolicyKind::LfuDa => Box::new(crate::policies::lfu_da::LfuDaCache::new(repo, capacity)),
+            PolicyKind::LruK { k } => Box::new(LruKCache::new(repo, capacity, k)),
+            PolicyKind::LruKCrp { k, crp } => Box::new(LruKCache::with_crp(repo, capacity, k, crp)),
             PolicyKind::LruSK { k } => Box::new(LruSKCache::new(repo, capacity, k)),
-            PolicyKind::Size => Box::new(crate::policies::size::SizeCache::with_backend(
-                repo, capacity, backend,
-            )),
-            PolicyKind::GreedyDual => {
-                Box::new(GreedyDualCache::with_backend(repo, capacity, seed, backend))
-            }
+            PolicyKind::Size => Box::new(crate::policies::size::SizeCache::new(repo, capacity)),
+            PolicyKind::GreedyDual => Box::new(GreedyDualCache::new(repo, capacity, seed)),
             PolicyKind::GreedyDualFetchTime { mbps } => Box::new(GreedyDualCache::with_options(
                 repo,
                 capacity,
                 seed,
-                crate::policies::greedy_dual::CostModel::FetchTime(
-                    clipcache_media::Bandwidth::mbps(mbps),
-                ),
+                CostModel::FetchTime(Bandwidth::mbps(mbps)),
                 GdMode::Inflation,
-                backend,
             )),
             PolicyKind::GreedyDualPackets => Box::new(GreedyDualCache::with_options(
                 repo,
                 capacity,
                 seed,
-                crate::policies::greedy_dual::CostModel::Packets,
+                CostModel::Packets,
                 GdMode::Inflation,
-                backend,
             )),
             PolicyKind::GreedyDualLatency { mbps } => Box::new(GreedyDualCache::with_options(
                 repo,
                 capacity,
                 seed,
-                crate::policies::greedy_dual::CostModel::StartupLatency(
-                    clipcache_media::Bandwidth::mbps(mbps),
-                ),
+                CostModel::StartupLatency(Bandwidth::mbps(mbps)),
                 GdMode::Inflation,
-                backend,
             )),
             PolicyKind::GreedyDualNaive => Box::new(GreedyDualCache::with_options(
                 repo,
                 capacity,
                 seed,
-                crate::policies::greedy_dual::CostModel::Uniform,
+                CostModel::Uniform,
                 GdMode::Naive,
-                backend,
             )),
-            PolicyKind::GdFreq => {
-                Box::new(GdFreqCache::with_backend(repo, capacity, seed, backend))
-            }
-            PolicyKind::GdsPopularity => Box::new(GdsPopularityCache::with_backend(
-                repo, capacity, seed, backend,
-            )),
+            PolicyKind::GdFreq => Box::new(GdFreqCache::new(repo, capacity, seed)),
+            PolicyKind::GdsPopularity => Box::new(GdsPopularityCache::new(repo, capacity, seed)),
             PolicyKind::Igd => Box::new(IgdCache::new(repo, capacity, seed)),
             PolicyKind::Simple => Box::new(SimpleCache::new(
                 repo,
@@ -619,42 +549,40 @@ impl PolicySpec {
     }
 }
 
-/// The kind alone: the backend never shows in presentation names, so
-/// figure legends and CSV columns are identical across backends.
 impl fmt::Display for PolicySpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.kind.fmt(f)
     }
 }
 
-/// Parse a policy spec: any [`PolicyKind`] spelling, with an optional
-/// `@scan`/`@heap` backend suffix (e.g. `greedydual@heap`, `lfu@scan`).
-/// The pre-unification spelling `greedydual-heap` (and `gd-heap`) is
-/// accepted as a legacy alias for `greedydual@heap` so old snapshots
-/// restore. Requesting `@heap` for a scan-only policy is an error.
+/// Parse a policy spec: any [`PolicyKind`] spelling. Spellings from when
+/// the victim index's structure was a user choice still parse and mean
+/// the bare kind, so snapshots that stored them restore: an `@scan`
+/// suffix on any policy, an `@heap` suffix on the policies that rank
+/// victims in a victim index or a recency list (`lfu@heap`,
+/// `greedydual@heap`; `igd@heap` stays an error), and `greedydual-heap`
+/// (or `gd-heap`) for GreedyDual.
 impl std::str::FromStr for PolicySpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let t = s.trim().to_ascii_lowercase();
         if t == "greedydual-heap" || t == "gd-heap" {
-            return Ok(PolicySpec::with_backend(
-                PolicyKind::GreedyDual,
-                VictimBackend::Heap,
-            ));
+            return Ok(PolicyKind::GreedyDual.into());
         }
-        let (kind_part, backend) = match t.rsplit_once('@') {
-            Some((kind_part, backend)) => (kind_part, backend.parse::<VictimBackend>()?),
-            None => (t.as_str(), VictimBackend::Scan),
+        let Some((name, suffix)) = t.rsplit_once('@') else {
+            return t.parse::<PolicyKind>().map(PolicySpec::from);
         };
-        let kind: PolicyKind = kind_part.parse()?;
-        if backend == VictimBackend::Heap && !kind.supports_heap() {
-            return Err(format!(
-                "policy '{kind_part}' has time-varying priorities and does \
-                 not support the heap victim-index backend"
-            ));
+        let kind: PolicyKind = name.parse()?;
+        match suffix {
+            "scan" => Ok(kind.into()),
+            "heap" if kind.took_heap_suffix() => Ok(kind.into()),
+            "heap" => Err(format!(
+                "policy '{name}' has time-varying priorities and never took \
+                 the `@heap` suffix"
+            )),
+            other => Err(format!("unknown suffix `@{other}` in policy '{s}'")),
         }
-        Ok(PolicySpec { kind, backend })
     }
 }
 
@@ -857,107 +785,61 @@ mod tests {
         }
         assert_eq!(covered, all, "help text names variants the registry lacks");
 
-        // The unknown-policy error carries the full help, @heap hint
-        // included, through both the kind and the spec parser.
+        // The unknown-policy error carries the full help, with or
+        // without a legacy suffix.
         for err in [
             "nonsense".parse::<PolicyKind>().unwrap_err(),
-            "nonsense@heap".parse::<PolicySpec>().unwrap_err(),
+            "nonsense@heap".parse::<PolicyKind>().unwrap_err(),
         ] {
             for example in SPELLING_EXAMPLES {
                 assert!(err.contains(example), "error misses '{example}': {err}");
             }
-            assert!(err.contains("@heap"), "error misses the @heap hint: {err}");
         }
     }
 
-    /// Every heap-eligible kind, for the PolicySpec tests below.
-    fn heap_eligible_kinds() -> Vec<PolicyKind> {
-        [
-            PolicyKind::Random,
-            PolicyKind::Lru,
-            PolicyKind::Mru,
-            PolicyKind::Fifo,
-            PolicyKind::Lfu,
-            PolicyKind::LfuDa,
-            PolicyKind::LruK { k: 2 },
-            PolicyKind::LruKCrp { k: 2, crp: 3 },
-            PolicyKind::Size,
-            PolicyKind::GreedyDual,
-            PolicyKind::GreedyDualFetchTime { mbps: 8 },
-            PolicyKind::GreedyDualPackets,
-            PolicyKind::GreedyDualLatency { mbps: 1 },
-            PolicyKind::GdFreq,
-            PolicyKind::GdsPopularity,
-        ]
-        .into_iter()
-        .inspect(|k| assert!(k.supports_heap(), "{k:?} must be heap-eligible"))
-        .collect()
-    }
-
     #[test]
-    fn policy_spec_spelling_round_trips_on_both_backends() {
-        use crate::victim_index::VictimBackend;
-        for kind in heap_eligible_kinds() {
-            for backend in [VictimBackend::Scan, VictimBackend::Heap] {
-                let spec = PolicySpec::with_backend(kind, backend);
-                assert_eq!(
-                    spec.spelling().parse::<PolicySpec>().as_ref(),
-                    Ok(&spec),
-                    "spelling {:?} must parse back",
-                    spec.spelling()
-                );
-                // The scan spelling stays suffix-free (and byte-identical
-                // to the kind's own spelling).
-                if backend == VictimBackend::Scan {
-                    assert_eq!(spec.spelling(), kind.spelling());
-                } else {
-                    assert!(spec.spelling().ends_with("@heap"));
-                }
-                // Presentation name never encodes the backend.
-                assert_eq!(spec.to_string(), kind.to_string());
+    fn legacy_structure_spellings_parse_to_the_bare_kind() {
+        for kind in exhaustive_kinds() {
+            let spelling = kind.spelling();
+            let spec = PolicySpec::from(kind);
+            assert_eq!(spec.spelling(), spelling, "no suffix is written");
+            assert_eq!(spelling.parse(), Ok(spec), "{spelling}");
+            assert_eq!(
+                format!("{spelling}@scan").parse(),
+                Ok(spec),
+                "{spelling}@scan"
+            );
+            let heap = format!("{spelling}@heap").parse::<PolicySpec>();
+            if kind.took_heap_suffix() {
+                assert_eq!(heap, Ok(spec), "{spelling}@heap");
+            } else {
+                assert!(heap.is_err(), "{spelling}@heap must stay an error");
             }
         }
-        // An explicit @scan suffix is accepted too.
-        assert_eq!(
-            "lfu@scan".parse::<PolicySpec>(),
-            Ok(PolicySpec::from(PolicyKind::Lfu))
-        );
-    }
-
-    #[test]
-    fn legacy_heap_spelling_parses_to_unified_spec() {
-        for legacy in ["greedydual-heap", "gd-heap", " GreedyDual-Heap "] {
-            assert_eq!(
-                legacy.parse::<PolicySpec>(),
-                Ok(PolicySpec::with_backend(
-                    PolicyKind::GreedyDual,
-                    crate::victim_index::VictimBackend::Heap
-                )),
-                "{legacy}"
-            );
+        for legacy in [
+            "greedydual-heap",
+            "gd-heap",
+            " GreedyDual-Heap ",
+            "LFU@Heap",
+        ] {
+            let want = if legacy.contains("LFU") {
+                PolicyKind::Lfu
+            } else {
+                PolicyKind::GreedyDual
+            };
+            assert_eq!(legacy.parse(), Ok(PolicySpec::from(want)), "{legacy}");
         }
-        // The bare kind no longer knows the heap spelling.
+        // The bare kind knows neither legacy form.
         assert!("greedydual-heap".parse::<PolicyKind>().is_err());
+        assert!("lfu@heap".parse::<PolicyKind>().is_err());
+        assert!("lfu@tree".parse::<PolicySpec>().is_err());
+        let err = "igd@heap".parse::<PolicySpec>().unwrap_err();
+        assert!(err.contains("time-varying"), "{err}");
     }
 
     #[test]
-    fn heap_backend_rejected_for_time_varying_policies() {
-        use crate::victim_index::VictimBackend;
-        assert!("igd@heap".parse::<PolicySpec>().is_err());
-        assert!("dynsimple:2@heap".parse::<PolicySpec>().is_err());
-        assert!("greedydual-naive@heap".parse::<PolicySpec>().is_err());
-        let err = PolicySpec::with_backend(PolicyKind::LruSK { k: 2 }, VictimBackend::Heap)
-            .try_build(tiny_repo(), ByteSize::mb(10), 1, None)
-            .err()
-            .expect("scan-only policy must reject the heap backend");
-        assert!(matches!(err, BuildError::UnsupportedBackend { .. }));
-        assert!(err.to_string().contains("scan victim-index backend"));
-    }
-
-    #[test]
-    fn heap_specs_build_with_scan_identical_names_and_decisions() {
+    fn heap_spellings_build_the_same_policy() {
         use crate::policies::testutil::drive_requests;
-        use crate::victim_index::VictimBackend;
         use clipcache_media::ClipId;
         use clipcache_workload::Request;
         let repo = tiny_repo();
@@ -966,21 +848,18 @@ mod tests {
             .enumerate()
             .map(|(i, &c)| Request::new(Timestamp(i as u64 + 1), ClipId::new(c)))
             .collect();
-        for kind in heap_eligible_kinds() {
-            let mut scan =
-                PolicySpec::from(kind).build(Arc::clone(&repo), ByteSize::mb(60), 1, None);
-            let mut heap = PolicySpec::with_backend(kind, VictimBackend::Heap).build(
-                Arc::clone(&repo),
-                ByteSize::mb(60),
-                1,
-                None,
-            );
-            assert_eq!(scan.name(), heap.name(), "{kind:?}");
-            assert_eq!(heap.name(), kind.to_string(), "{kind:?}");
-            let scan_hits = drive_requests(scan.as_mut(), &trace);
-            let heap_hits = drive_requests(heap.as_mut(), &trace);
-            assert_eq!(scan_hits, heap_hits, "{kind:?}");
-            assert_eq!(scan.resident_clips(), heap.resident_clips(), "{kind:?}");
+        for kind in exhaustive_kinds()
+            .into_iter()
+            .filter(PolicyKind::took_heap_suffix)
+        {
+            let heap: PolicySpec = format!("{}@heap", kind.spelling()).parse().unwrap();
+            let mut plain = kind.build(Arc::clone(&repo), ByteSize::mb(60), 1, None);
+            let mut legacy = heap.build(Arc::clone(&repo), ByteSize::mb(60), 1, None);
+            assert_eq!(legacy.name(), kind.to_string(), "{kind:?}");
+            let plain_hits = drive_requests(plain.as_mut(), &trace);
+            let legacy_hits = drive_requests(legacy.as_mut(), &trace);
+            assert_eq!(plain_hits, legacy_hits, "{kind:?}");
+            assert_eq!(plain.resident_clips(), legacy.resident_clips(), "{kind:?}");
         }
     }
 }

@@ -37,7 +37,7 @@ pub const SNAPSHOT_VERSION: u64 = 2;
 /// A durable snapshot of a cache's contents.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheSnapshot {
-    /// The policy (and victim-index backend) that was running.
+    /// The policy that was running.
     pub policy: PolicySpec,
     /// The byte capacity.
     pub capacity: ByteSize,
@@ -51,9 +51,7 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Capture a snapshot of `cache` at virtual time `tick`. `policy`
-    /// accepts a bare [`PolicyKind`](crate::registry::PolicyKind) (scan
-    /// backend) or a full [`PolicySpec`].
+    /// Capture a snapshot of `cache` at virtual time `tick`.
     pub fn take(cache: &dyn ClipCache, policy: impl Into<PolicySpec>, tick: Timestamp) -> Self {
         let mut resident = cache.resident_clips();
         resident.sort();
@@ -70,9 +68,11 @@ impl CacheSnapshot {
 
     /// Serialize to JSON (the durable on-disk form):
     /// `{"version":2,"policy":"dynsimple:2","capacity":…,"tick":…,"resident":[…],"partial":[[id,chunks],…]}`.
-    /// The policy is stored as its [`PolicySpec::spelling`] (backend
-    /// suffix included when not scan) so the file round-trips through
-    /// the hand-rolled `workload::json` parser and stays human-editable.
+    /// The policy is stored as its
+    /// [`spelling`](crate::registry::PolicyKind::spelling) so the file
+    /// round-trips through the hand-rolled `workload::json` parser and
+    /// stays human-editable. Spellings older builds stored with a victim
+    /// index suffix (`lfu@heap`) still parse.
     pub fn to_json(&self) -> String {
         let ids: Vec<String> = self.resident.iter().map(|c| c.get().to_string()).collect();
         let partials: Vec<String> = self
@@ -206,7 +206,6 @@ pub fn restore(
 mod tests {
     use super::*;
     use crate::registry::PolicyKind;
-    use crate::victim_index::VictimBackend;
     use clipcache_media::paper;
     use clipcache_workload::RequestGenerator;
 
@@ -348,38 +347,23 @@ mod tests {
     }
 
     #[test]
-    fn heap_backend_snapshot_round_trips_and_restores() {
+    fn legacy_heap_spellings_restore_as_the_bare_kind() {
         let repo = Arc::new(paper::variable_sized_repository_of(24));
-        let spec = PolicySpec::with_backend(PolicyKind::GreedyDual, VictimBackend::Heap);
-        let mut cache = spec.build(
-            Arc::clone(&repo),
-            repo.cache_capacity_for_ratio(0.2),
-            1,
-            None,
-        );
-        let mut last = Timestamp::ZERO;
-        for req in RequestGenerator::new(repo.len(), 0.27, 0, 800, 5) {
-            last = req.at;
-            cache.access(req.clip, req.at);
+        let (cache, last) = warmed(PolicyKind::GreedyDual, &repo);
+        let json = CacheSnapshot::take(cache.as_ref(), PolicyKind::GreedyDual, last).to_json();
+        assert!(json.contains("\"policy\":\"greedydual\""), "{json}");
+        for legacy in ["greedydual@heap", "greedydual-heap", "gd-heap"] {
+            let old = json.replace("\"greedydual\"", &format!("\"{legacy}\""));
+            let snap = CacheSnapshot::from_json(&old).unwrap();
+            assert_eq!(snap.policy.kind, PolicyKind::GreedyDual, "{legacy}");
+            assert_eq!(snap.to_json(), json, "{legacy} is rewritten bare");
+            let (restored, _) = restore(&snap, Arc::clone(&repo), 1, None).unwrap();
+            let mut a = cache.resident_clips();
+            let mut b = restored.resident_clips();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "{legacy}: residency must restore exactly");
         }
-        let snap = CacheSnapshot::take(cache.as_ref(), spec, last);
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"policy\":\"greedydual@heap\""),
-            "backend must be durable: {json}"
-        );
-        let back = CacheSnapshot::from_json(&json).unwrap();
-        assert_eq!(snap, back);
-        let (restored, _) = restore(&back, Arc::clone(&repo), 1, None).unwrap();
-        let mut a = cache.resident_clips();
-        let mut b = restored.resident_clips();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "residency must restore exactly on the heap backend");
-        // Legacy snapshots naming the old standalone heap policy restore
-        // onto the unified spec.
-        let legacy = json.replace("greedydual@heap", "greedydual-heap");
-        assert_eq!(CacheSnapshot::from_json(&legacy).unwrap().policy, spec);
     }
 
     #[test]

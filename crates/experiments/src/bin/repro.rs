@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro [--scale <f64>] [--seed <u64>] [--out <dir>] [--jobs <n>]
-//!       [--backend scan|heap] [--custom sweep.json] [all | fig2 fig3 ...]
+//!       [--custom sweep.json] [all | fig2 fig3 ...]
 //! ```
 //!
 //! Prints each figure as a text table and, when `--out` is given, writes
@@ -15,11 +15,9 @@
 //! output is bit-identical at any `--jobs` value. Seeds accept decimal
 //! or `0x`-prefixed hex.
 //!
-//! `--backend` selects the victim-index backend (default `scan`). The
-//! two backends make identical eviction decisions, so every figure is
-//! byte-identical either way — CI diffs them to prove it; `heap` only
-//! changes how fast victims are found. Policies with time-varying
-//! priorities always run on scan regardless of the flag.
+//! There is no victim-index option: each policy's index picks its heap
+//! or its scan from the tie bands it sees, and both make the same
+//! decisions (`clipcache_core::victim_index`).
 
 use clipcache_experiments::{
     run_experiment, ExperimentContext, FigureResult, SweepStats, ALL_EXPERIMENTS,
@@ -62,10 +60,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--jobs must be at least 1".into());
                 }
             }
-            "--backend" => {
-                let v = argv.next().ok_or("--backend needs scan or heap")?;
-                ctx.backend = v.parse().map_err(|e| format!("bad --backend: {e}"))?;
-            }
             "--custom" => {
                 let path = argv.next().ok_or("--custom needs a JSON file")?;
                 custom = Some(path);
@@ -85,12 +79,9 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err(format!(
                     "usage: repro [--scale f] [--seed n|0xHEX] [--out dir] \
-       [--jobs n] [--backend scan|heap] [--custom sweep.json] [--list] \
-       [all | {}]\n\
+       [--jobs n] [--custom sweep.json] [--list] [all | {}]\n\
        --jobs fans each experiment's data points across n worker \
-       threads; results are bit-identical at any value\n\
-       --backend picks the victim-index backend; heap accelerates \
-       victim selection without changing any figure",
+       threads; results are bit-identical at any value",
                     ALL_EXPERIMENTS.join(" | ")
                 ));
             }

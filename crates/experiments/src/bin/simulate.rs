@@ -11,8 +11,8 @@
 //! composition; `--series` additionally prints the per-window hit-rate
 //! series. `--trace` replays a recorded trace (JSON or plain text)
 //! instead of generating one. `--policy` accepts every registry spelling
-//! plus an optional `@heap` victim-index suffix (`greedydual@heap`) for
-//! heap-eligible policies.
+//! (the legacy `@heap` suffix, `greedydual@heap`, still parses and
+//! changes nothing).
 
 use clipcache_core::snapshot::{restore, CacheSnapshot};
 use clipcache_core::PolicySpec;
@@ -43,8 +43,7 @@ fn main() -> ExitCode {
         return fail("simulate: trace-driven cache simulation");
     }
 
-    // Comma-separated policies run side by side on the identical trace;
-    // any spelling may carry an `@heap` victim-index suffix.
+    // Comma-separated policies run side by side on the identical trace.
     let policy_spec = flag(&args, "--policy").unwrap_or("dynsimple:2");
     let mut policies: Vec<PolicySpec> = Vec::new();
     for part in policy_spec.split(',') {

@@ -1,7 +1,5 @@
 //! Shared experiment configuration.
 
-use clipcache_core::{ClipCache, PolicyKind, PolicySpec, VictimBackend};
-use clipcache_media::{ByteSize, Repository};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,12 +50,6 @@ pub struct ExperimentContext {
     /// identity, and [`crate::sweep::run_points`] preserves submission
     /// order.
     pub jobs: usize,
-    /// Victim-index backend for every policy the experiments build.
-    /// Policies with time-varying priorities ignore it and stay on the
-    /// scan backend (see [`PolicyKind::supports_heap`]). Both values
-    /// produce bit-identical figures; only the victim-lookup cost
-    /// differs.
-    pub backend: VictimBackend,
     /// Per-point accounting, shared by clones of this context. Use
     /// [`fork`](Self::fork) for an independent tally.
     pub stats: Arc<SweepStats>,
@@ -69,7 +61,6 @@ impl Default for ExperimentContext {
             seed: 0x5EED_2007,
             scale: 1.0,
             jobs: 1,
-            backend: VictimBackend::Scan,
             stats: Arc::new(SweepStats::default()),
         }
     }
@@ -88,33 +79,6 @@ impl ExperimentContext {
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
-    }
-
-    /// Builder-style victim-index backend.
-    pub fn with_backend(mut self, backend: VictimBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Build `kind` on this context's victim-index backend. Policies
-    /// whose priorities are time-varying only support the scan backend
-    /// and fall back to it silently, so `--backend heap` runs never
-    /// fail — they accelerate the policies that can be accelerated.
-    /// Seeds and eviction decisions are backend-invariant.
-    pub fn build_policy(
-        &self,
-        kind: PolicyKind,
-        repo: Arc<Repository>,
-        capacity: ByteSize,
-        seed: u64,
-        frequencies: Option<&[f64]>,
-    ) -> Box<dyn ClipCache> {
-        let backend = if kind.supports_heap() {
-            self.backend
-        } else {
-            VictimBackend::Scan
-        };
-        PolicySpec::with_backend(kind, backend).build(repo, capacity, seed, frequencies)
     }
 
     /// A clone with a fresh [`SweepStats`] tally (same seed, scale and

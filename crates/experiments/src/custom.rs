@@ -17,15 +17,16 @@
 //! ```
 //!
 //! Policies use the registry's command-line spellings
-//! ([`PolicySpec::from_str`](clipcache_core::PolicySpec)), including the
-//! `@heap` victim-index suffix (`"lfu@heap"`); off-line policies receive
-//! the sweep's analytic frequencies automatically. Configs are parsed
-//! with [`crate::json`].
+//! ([`PolicySpec::from_str`](clipcache_core::PolicySpec)); off-line
+//! policies receive the sweep's analytic frequencies automatically. Each
+//! policy may be listed once: two spellings of one policy (`"lfu"` and
+//! the legacy `"lfu@heap"`) would make two series of one name, so the
+//! sweep is refused. Configs are parsed with [`crate::json`].
 
 use crate::context::ExperimentContext;
 use crate::json::{self, Json};
 use crate::report::{FigureResult, Series};
-use clipcache_core::{PolicySpec, VictimBackend};
+use clipcache_core::PolicySpec;
 use clipcache_media::{paper, ByteSize, Repository};
 use clipcache_sim::runner::{simulate, SimulationConfig};
 use clipcache_workload::synthetic::{lognormal_repository, LognormalSpec};
@@ -213,8 +214,15 @@ impl CustomSweep {
         if self.requests == 0 {
             return Err("requests must be positive".into());
         }
+        let mut seen: Vec<(PolicySpec, &str)> = Vec::new();
         for p in &self.policies {
-            p.parse::<PolicySpec>()?;
+            let spec: PolicySpec = p.parse()?;
+            if let Some((_, first)) = seen.iter().find(|(s, _)| *s == spec) {
+                return Err(format!(
+                    "policies '{first}' and '{p}' both name {spec}; list each policy once"
+                ));
+            }
+            seen.push((spec, p));
         }
         Ok(())
     }
@@ -292,12 +300,7 @@ impl CustomSweep {
         let mut byte_series = Vec::with_capacity(policies.len());
         for (pi, policy) in policies.iter().enumerate() {
             let row = &cells[pi * self.ratios.len()..(pi + 1) * self.ratios.len()];
-            // Heap entries keep their `@heap` suffix so a sweep listing
-            // both backends of one policy stays distinguishable.
-            let name = match policy.backend {
-                VictimBackend::Scan => policy.to_string(),
-                VictimBackend::Heap => policy.spelling(),
-            };
+            let name = policy.to_string();
             hit_series.push(Series::new(name.clone(), row.iter().map(|c| c.0).collect()));
             byte_series.push(Series::new(name, row.iter().map(|c| c.1).collect()));
         }
@@ -369,6 +372,17 @@ mod tests {
         assert!(CustomSweep::from_json(&bad_kind)
             .unwrap_err()
             .contains("frobnical"));
+    }
+
+    #[test]
+    fn two_spellings_of_one_policy_are_refused() {
+        let twins = sample_json().replace(r#""dynsimple:2", "lru-2""#, r#""lfu", "LFU@heap""#);
+        let err = CustomSweep::from_json(&twins).unwrap_err();
+        assert!(err.contains("'lfu' and 'LFU@heap' both name LFU"), "{err}");
+        let distinct = sample_json().replace(r#""lru-2""#, r#""lfu@heap""#);
+        let figs = CustomSweep::from_json(&distinct).unwrap().run().unwrap();
+        let names: Vec<&str> = figs[0].series.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["DYNSimple(K=2)", "LFU"]);
     }
 
     #[test]

@@ -102,22 +102,31 @@ fn replay(
         harness.schedule_revive(node, 3 * n / 4);
     }
     let mut costs: Vec<u64> = Vec::with_capacity(trace.len());
-    let mut prev = harness.stats();
+    let mut prev = harness.stats().fill;
     for &clip in trace {
-        match harness.get(clip) {
+        let filled = match harness.get(clip) {
+            // Only a local miss runs a peer fill, the one place probes
+            // and probe errors are counted; a local hit costs nothing,
+            // and its counters need not be read (each read locks every
+            // member).
+            Ok(outcome) => !outcome.hit,
             // With k=3 dead of 6 at replication 2, some clips briefly
             // have no alive owner: the router fails fast (the client
             // knows the membership), costing nothing and delivering
             // nothing — hit rate is over delivered requests.
-            Ok(_) | Err(ClusterError::NoOwnerAlive(_)) => {}
+            Err(ClusterError::NoOwnerAlive(_)) => false,
             Err(e) => panic!("degradebench replay failed: {e}"),
+        };
+        if !filled {
+            costs.push(0);
+            continue;
         }
-        let now = harness.stats();
+        let now = harness.stats().fill;
         // `probes` counts failed probes too; every error is a probe
         // that waited out a dead owner (no fault plan, so no lost
         // replies, and a replay to a just-answered peer cannot fail).
-        let dead_probes = now.fill.errors - prev.fill.errors;
-        let live_probes = now.fill.probes - prev.fill.probes - dead_probes;
+        let dead_probes = now.errors - prev.errors;
+        let live_probes = now.probes - prev.probes - dead_probes;
         costs.push(dead_probes * DEAD_PROBE_MS + live_probes * LIVE_PROBE_MS);
         prev = now;
     }

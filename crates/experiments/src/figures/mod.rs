@@ -52,8 +52,7 @@ pub(crate) fn ratio_sweep(
         .collect();
     let cells = ctx.run_points(&grid, |_, &(pi, ratio)| {
         let capacity = repo.cache_capacity_for_ratio(ratio);
-        let mut cache = ctx.build_policy(
-            policies[pi],
+        let mut cache = policies[pi].build(
             Arc::clone(repo),
             capacity,
             ctx.policy_seed(fig_tag, pi),
@@ -109,8 +108,7 @@ pub(crate) fn adaptivity_sweep(
     let points: Vec<usize> = (0..policies.len()).collect();
     ctx.run_points(&points, |_, &pi| {
         let phase0_freqs = ShiftedZipf::new(zipf.clone(), shifts[0]).frequencies();
-        let mut cache = ctx.build_policy(
-            policies[pi],
+        let mut cache = policies[pi].build(
             Arc::clone(repo),
             repo.cache_capacity_for_ratio(0.125),
             ctx.policy_seed(fig_tag, pi),
@@ -156,8 +154,7 @@ pub(crate) fn windowed_adaptivity(
     // One point per policy; every policy replays the same trace.
     let indices: Vec<usize> = (0..policies.len()).collect();
     let out = ctx.run_points(&indices, |_, &pi| {
-        let mut cache = ctx.build_policy(
-            policies[pi],
+        let mut cache = policies[pi].build(
             Arc::clone(repo),
             repo.cache_capacity_for_ratio(0.125),
             ctx.policy_seed(fig_tag, pi),
@@ -296,29 +293,5 @@ mod tests {
         assert_eq!(w1, w4);
         // Both contexts saw the same point count.
         assert_eq!(serial.stats.points(), parallel.stats.points());
-    }
-
-    #[test]
-    fn sweeps_are_backend_invariant() {
-        // The other determinism contract: the heap victim index makes
-        // the same eviction decisions as the scan, so figures are
-        // bit-identical under `--backend heap` (a mixed lineup — heap
-        // where supported, silent scan fallback for GreedyDual's
-        // time-varying cousins — included).
-        use clipcache_core::VictimBackend;
-        let repo = Arc::new(paper::variable_sized_repository_of(48));
-        let policies = [
-            PolicyKind::GreedyDual,
-            PolicyKind::LruK { k: 2 },
-            PolicyKind::Random,
-            PolicyKind::Igd, // scan-only: falls back under heap contexts
-        ];
-        let ratios = [0.05, 0.25];
-        let scan = tiny_ctx();
-        let heap = scan.fork().with_backend(VictimBackend::Heap);
-        let (h_scan, b_scan) = ratio_sweep(&scan, &repo, &policies, &ratios, 10_000, 0x7E5D);
-        let (h_heap, b_heap) = ratio_sweep(&heap, &repo, &policies, &ratios, 10_000, 0x7E5D);
-        assert_eq!(h_scan, h_heap);
-        assert_eq!(b_scan, b_heap);
     }
 }

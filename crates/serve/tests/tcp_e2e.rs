@@ -1,6 +1,9 @@
 //! End-to-end tests over real loopback sockets: protocol round trips,
 //! loadgen-over-TCP equivalence with the in-process path, concurrent
-//! connections, and graceful shutdown.
+//! connections, graceful shutdown, and the ranged-GET exchange an
+//! operator types against the `serve` binary.
+
+mod support;
 
 use clipcache_core::snapshot::CacheSnapshot;
 use clipcache_core::PolicyKind;
@@ -315,4 +318,64 @@ fn shutdown_is_graceful_and_idempotent_per_handle() {
     // The port no longer accepts new work once shutdown returns.
     let refused = TcpCacheClient::connect(addr).and_then(|mut c| c.get(ClipId::new(1)));
     assert!(refused.is_err(), "server still serving after shutdown");
+}
+
+/// `STATS` after the ranged-GET exchange, where `#` stands for the
+/// `byte_misses` count (one or more digits): the twelve keys in wire
+/// order, and the probes moved no counter.
+const RANGED_STATS: &str = "STATS hits=0 misses=1 prefix_hits=0 byte_hits=0 byte_misses=# \
+     evictions=0 recoveries=0 wal_replayed=0 peer_hits=0 handoff_replayed=0 breaker_open=0 shed=0";
+
+#[test]
+fn ranged_get_exchange_against_the_serve_binary() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = support::spawn_serve(
+        &[
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "1",
+            "--chunk-size",
+            "4",
+        ],
+        None,
+    );
+    let stream = std::net::TcpStream::connect(&server.addr).expect("serve accepts");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Admit clip 3, then probe its head chunk: the GETRANGE reply must be
+    // RHIT. An out-of-range chunk is a loud ERR on a connection that
+    // keeps serving.
+    (&stream)
+        .write_all(b"GET 3\nGETRANGE 3 0\nGETRANGE 3 999999\nGETRANGE 3 0\nSTATS\nVERSION\nQUIT\n")
+        .unwrap();
+    let mut lines = BufReader::new(&stream).lines();
+    let mut next = || lines.next().expect("a reply line").expect("readable");
+    let got = next();
+    assert!(got.starts_with("MISS "), "{got}");
+    let probe = next();
+    assert!(probe.starts_with("RHIT "), "{probe}");
+    let range_err = next();
+    assert!(
+        range_err.starts_with("ERR ") && range_err.contains("chunk"),
+        "{range_err}"
+    );
+    let again = next();
+    assert!(again.starts_with("RHIT "), "{again}");
+    let stats = next();
+    let (head, tail) = RANGED_STATS.split_once('#').unwrap();
+    let digits = stats
+        .strip_prefix(head)
+        .and_then(|rest| rest.strip_suffix(tail))
+        .unwrap_or_else(|| panic!("{stats}"));
+    assert!(
+        !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()),
+        "{stats}"
+    );
+    let version = next();
+    assert!(version.starts_with("VERSION proto=4 "), "{version}");
+    assert_eq!(next(), "BYE");
+    let shutdown = server.quit();
+    assert!(shutdown.contains("shut down cleanly"), "{shutdown}");
 }

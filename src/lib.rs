@@ -33,7 +33,6 @@ pub use clipcache_core as core;
 pub mod prelude {
     pub use clipcache_core::{
         AccessEvent, AccessOutcome, ClipCache, EvictionSink, PolicyKind, PolicySpec, Timestamp,
-        VictimBackend,
     };
     pub use clipcache_media::{paper, Bandwidth, ByteSize, Clip, ClipId, Repository};
     pub use clipcache_sim::runner::{simulate, SimulationConfig, SimulationReport};

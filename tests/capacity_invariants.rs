@@ -8,17 +8,17 @@
 //! * clips larger than the whole cache are never admitted,
 //! * replaying the same trace yields identical outcomes (determinism).
 
-use clipcache::core::{AccessOutcome, ClipCache, PolicyKind, PolicySpec, VictimBackend};
+use clipcache::core::{AccessOutcome, ClipCache, PolicyKind};
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};
 use clipcache::workload::Timestamp;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// All policies exercised by the invariant suite: every kind on the scan
-/// victim-index backend, plus a heap-backend double for every kind that
-/// supports it.
-fn all_policies() -> Vec<PolicySpec> {
-    let kinds = [
+/// All policies exercised by the invariant suite. Each proptest runs
+/// variable-sized and equi-sized repositories, so the GreedyDual
+/// family's victim index answers from its heap and from its scan.
+fn all_policies() -> Vec<PolicyKind> {
+    vec![
         PolicyKind::Random,
         PolicyKind::Lru,
         PolicyKind::Mru,
@@ -41,20 +41,15 @@ fn all_policies() -> Vec<PolicySpec> {
             k: 2,
             block_bytes: 3_000_000,
         },
-    ];
-    let mut specs: Vec<PolicySpec> = kinds.iter().copied().map(PolicySpec::from).collect();
-    specs.extend(
-        kinds
-            .iter()
-            .filter(|k| k.supports_heap())
-            .map(|&k| PolicySpec::with_backend(k, VictimBackend::Heap)),
-    );
-    specs
+    ]
 }
 
-fn build_repo(sizes_mb: &[u64]) -> Arc<Repository> {
+/// A repository of `sizes_mb`, or of as many clips all of the first
+/// size when `equi`.
+fn build_repo(sizes_mb: &[u64], equi: bool) -> Arc<Repository> {
     let mut b = RepositoryBuilder::new();
     for (i, &mb) in sizes_mb.iter().enumerate() {
+        let mb = if equi { sizes_mb[0] } else { mb };
         let media = if i % 2 == 0 {
             MediaType::Video
         } else {
@@ -78,8 +73,9 @@ proptest! {
         capacity_mb in 10u64..150,
         trace in proptest::collection::vec(0usize..10, 20..120),
         seed in 0u64..1000,
+        equi in any::<bool>(),
     ) {
-        let repo = build_repo(&sizes_mb);
+        let repo = build_repo(&sizes_mb, equi);
         let n = repo.len();
         let capacity = ByteSize::mb(capacity_mb);
         let freqs = uniform_freqs(n);
@@ -104,7 +100,7 @@ proptest! {
                     .iter()
                     .map(|&c| repo.size_of(c))
                     .sum();
-                if matches!(policy.kind, PolicyKind::BlockLruK { .. }) {
+                if matches!(policy, PolicyKind::BlockLruK { .. }) {
                     prop_assert!(total <= cache.used(), "{}: size accounting", cache.name());
                 } else {
                     prop_assert_eq!(total, cache.used(), "{}: size accounting", cache.name());
@@ -145,8 +141,9 @@ proptest! {
         capacity_mb in 10u64..120,
         trace in proptest::collection::vec(0usize..8, 20..80),
         seed in 0u64..1000,
+        equi in any::<bool>(),
     ) {
-        let repo = build_repo(&sizes_mb);
+        let repo = build_repo(&sizes_mb, equi);
         let n = repo.len();
         let capacity = ByteSize::mb(capacity_mb);
         let freqs = uniform_freqs(n);
@@ -176,8 +173,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Snapshot/restore reproduces the exact residency of every policy on
-    /// arbitrary traces — on both victim-index backends, and through the
-    /// durable JSON form so the `@heap` spelling round-trips (BlockLruK is
+    /// arbitrary traces, through the durable JSON form (BlockLruK is
     /// excluded: block rounding can make a byte-exact set unrestorable, as
     /// documented in `core::snapshot`).
     #[test]
@@ -186,14 +182,15 @@ proptest! {
         capacity_mb in 20u64..150,
         trace in proptest::collection::vec(0usize..8, 10..80),
         seed in 0u64..1000,
+        equi in any::<bool>(),
     ) {
         use clipcache::core::snapshot::{restore, CacheSnapshot};
-        let repo = build_repo(&sizes_mb);
+        let repo = build_repo(&sizes_mb, equi);
         let n = repo.len();
         let capacity = ByteSize::mb(capacity_mb);
         let freqs = uniform_freqs(n);
         for policy in all_policies() {
-            if matches!(policy.kind, PolicyKind::BlockLruK { .. }) {
+            if matches!(policy, PolicyKind::BlockLruK { .. }) {
                 continue;
             }
             let mut cache = policy.build(Arc::clone(&repo), capacity, seed, Some(&freqs));
@@ -204,11 +201,11 @@ proptest! {
             }
             let taken = CacheSnapshot::take(cache.as_ref(), policy, tick);
             // Save-and-reload: the restore must work from the durable
-            // JSON, which carries the backend in the policy spelling.
+            // JSON, which carries the policy's spelling.
             let snap = CacheSnapshot::from_json(&taken.to_json())
                 .expect("snapshot JSON round-trips");
             prop_assert_eq!(&snap, &taken, "{}: JSON round-trip", policy.spelling());
-            prop_assert_eq!(snap.policy, policy);
+            prop_assert_eq!(snap.policy.kind, policy);
             let (restored, next) =
                 restore(&snap, Arc::clone(&repo), seed, Some(&freqs)).expect("restorable");
             let mut a = cache.resident_clips();
@@ -226,7 +223,7 @@ proptest! {
 /// never panics.
 #[test]
 fn tiny_cache_admits_nothing() {
-    let repo = build_repo(&[5, 7, 9]);
+    let repo = build_repo(&[5, 7, 9], false);
     for policy in all_policies() {
         let freqs = uniform_freqs(3);
         let mut cache = policy.build(Arc::clone(&repo), ByteSize::mb(1), 1, Some(&freqs));
@@ -243,7 +240,7 @@ fn tiny_cache_admits_nothing() {
 /// (2× headroom so BlockLruK's internal fragmentation also fits).
 #[test]
 fn full_cache_hits_everything_after_warmup() {
-    let repo = build_repo(&[5, 7, 9, 11]);
+    let repo = build_repo(&[5, 7, 9, 11], false);
     let total = repo.total_size() * 2;
     for policy in all_policies() {
         let freqs = uniform_freqs(4);

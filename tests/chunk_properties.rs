@@ -4,7 +4,9 @@
 //!
 //! 1. **Whole-clip equivalence.** A chunk size at least as large as every
 //!    clip makes each clip a single chunk, so nothing can trim: every
-//!    policy, on both victim-index backends, must replay any trace with
+//!    policy, on the given sizes and on equal sizes (so the GreedyDual
+//!    family's victim index answers from its heap and from its scan),
+//!    must replay any trace with
 //!    the *bit-identical* outcome sequence, residency, and byte usage it
 //!    produces unchunked. Chunking is a strict refinement — turning it
 //!    off is the degenerate case, not a separate code path.
@@ -30,14 +32,15 @@
 //!    `resident_count` must equal their size.
 
 use clipcache::core::space::CacheSpace;
-use clipcache::core::{AccessOutcome, PolicyKind, PolicySpec, VictimBackend};
+use clipcache::core::{AccessOutcome, PolicyKind};
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};
 use clipcache::workload::Timestamp;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// The full policy taxonomy on its access-local column — every kind the
-/// heap backend supports, mirrored from `backend_equivalence`.
+/// The full policy taxonomy on its access-local column — every kind that
+/// ranks victims in a victim index or the recency list, mirrored from
+/// `victim_index_reference`.
 fn all_policies() -> Vec<PolicyKind> {
     vec![
         PolicyKind::Random,
@@ -71,22 +74,30 @@ fn build_repo(sizes_mb: &[u64], chunk: Option<ByteSize>) -> Arc<Repository> {
     })
 }
 
+/// The sizes as given and the same number of clips all of the first
+/// size: narrow and wide GreedyDual tie bands.
+fn both_shapes(sizes_mb: &[u64]) -> [(&'static str, Vec<u64>); 2] {
+    [
+        ("variable", sizes_mb.to_vec()),
+        ("equi", vec![sizes_mb[0]; sizes_mb.len()]),
+    ]
+}
+
 fn check_degenerate_chunks_are_whole_clip(
     sizes_mb: &[u64],
     capacity: ByteSize,
     trace: &[usize],
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    // One chunk spans the largest clip, so every clip is one chunk.
-    let chunk = ByteSize::mb(*sizes_mb.iter().max().unwrap());
-    let plain = build_repo(sizes_mb, None);
-    let chunked = build_repo(sizes_mb, Some(chunk));
-    let n = plain.len();
+    let n = sizes_mb.len();
     for kind in all_policies() {
-        for backend in [VictimBackend::Scan, VictimBackend::Heap] {
-            let spec = PolicySpec::with_backend(kind, backend);
-            let mut whole = spec.build(Arc::clone(&plain), capacity, seed, None);
-            let mut degen = spec.build(Arc::clone(&chunked), capacity, seed, None);
+        for (shape, sizes) in both_shapes(sizes_mb) {
+            // One chunk spans the largest clip, so every clip is one chunk.
+            let chunk = ByteSize::mb(*sizes.iter().max().unwrap());
+            let plain = build_repo(&sizes, None);
+            let chunked = build_repo(&sizes, Some(chunk));
+            let mut whole = kind.build(Arc::clone(&plain), capacity, seed, None);
+            let mut degen = kind.build(Arc::clone(&chunked), capacity, seed, None);
             for (i, &raw) in trace.iter().enumerate() {
                 let clip = ClipId::from_index(raw % n);
                 let now = Timestamp(i as u64 + 1);
@@ -97,7 +108,7 @@ fn check_degenerate_chunks_are_whole_clip(
                     b,
                     "{}@{:?}: diverged at request {} (clip {})",
                     kind,
-                    backend,
+                    shape,
                     i,
                     raw % n
                 );
@@ -105,26 +116,26 @@ fn check_degenerate_chunks_are_whole_clip(
                     !matches!(b, AccessOutcome::PrefixHit { .. }),
                     "{}@{:?}: single-chunk clips cannot prefix-hit",
                     kind,
-                    backend
+                    shape
                 );
             }
             let mut a = whole.resident_clips();
             let mut b = degen.resident_clips();
             a.sort();
             b.sort();
-            prop_assert_eq!(a, b, "{}@{:?}: final residency", kind, backend);
+            prop_assert_eq!(a, b, "{}@{:?}: final residency", kind, shape);
             prop_assert_eq!(
                 whole.used(),
                 degen.used(),
                 "{}@{:?}: used bytes",
                 kind,
-                backend
+                shape
             );
             prop_assert!(
                 degen.partial_clips().is_empty(),
                 "{}@{:?}: degenerate chunking can never hold a partial clip",
                 kind,
-                backend
+                shape
             );
         }
     }
@@ -138,12 +149,11 @@ fn check_prefix_retention(
     seed: u64,
 ) -> Result<(), TestCaseError> {
     // 1 MB chunks against multi-MB clips: trims are frequent.
-    let repo = build_repo(sizes_mb, Some(ByteSize::mb(1)));
-    let n = repo.len();
+    let n = sizes_mb.len();
     for kind in all_policies() {
-        for backend in [VictimBackend::Scan, VictimBackend::Heap] {
-            let spec = PolicySpec::with_backend(kind, backend);
-            let mut cache = spec.build(Arc::clone(&repo), capacity, seed, None);
+        for (shape, sizes) in both_shapes(sizes_mb) {
+            let repo = build_repo(&sizes, Some(ByteSize::mb(1)));
+            let mut cache = kind.build(Arc::clone(&repo), capacity, seed, None);
             for (i, &raw) in trace.iter().enumerate() {
                 let clip = ClipId::from_index(raw % n);
                 let event = cache.access(clip, Timestamp(i as u64 + 1));
@@ -167,7 +177,7 @@ fn check_prefix_retention(
                         prefix > 0 && prefix < total,
                         "{}@{:?}: partial clip {} holds {}/{} chunks",
                         kind,
-                        backend,
+                        shape,
                         c.get(),
                         prefix,
                         total
@@ -176,7 +186,7 @@ fn check_prefix_retention(
                         !full.contains(&c),
                         "{}@{:?}: clip {} both full and partial",
                         kind,
-                        backend,
+                        shape,
                         c.get()
                     );
                     used += repo.prefix_bytes(c, prefix);
@@ -188,7 +198,7 @@ fn check_prefix_retention(
                     cache.used(),
                     "{}@{:?}: used bytes must equal full clips + prefixes",
                     kind,
-                    backend
+                    shape
                 );
                 prop_assert!(cache.used() <= cache.capacity());
             }

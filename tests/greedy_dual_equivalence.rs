@@ -8,7 +8,7 @@
 //! RNG — coincide.
 
 use clipcache::core::policies::greedy_dual::{CostModel, GdMode, GreedyDualCache};
-use clipcache::core::{ClipCache, VictimBackend};
+use clipcache::core::ClipCache;
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};
 use clipcache::workload::Timestamp;
 use proptest::prelude::*;
@@ -65,7 +65,6 @@ fn check_equivalence(
         seed,
         CostModel::Uniform,
         GdMode::Inflation,
-        VictimBackend::Scan,
     );
     let mut naive = GreedyDualCache::with_options(
         Arc::clone(repo),
@@ -73,7 +72,6 @@ fn check_equivalence(
         seed,
         CostModel::Uniform,
         GdMode::Naive,
-        VictimBackend::Scan,
     );
     for (i, &raw) in trace.iter().enumerate() {
         let clip = ClipId::from_index(raw % n);

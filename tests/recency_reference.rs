@@ -11,15 +11,14 @@
 //! max for MRU) found by scanning all of them, through the same
 //! tail-inward trim rule as the shared admission skeleton.
 //!
-//! Both spellings (`@scan`, `@heap`) build the list, so the figure
-//! outputs' backend diff no longer compares two recency implementations;
-//! this test is what pins them. Each replay must agree with the reference
+//! The bare spelling and the legacy `@heap` spelling build the same
+//! list; this test pins both. Each replay must agree with the reference
 //! on every outcome (hit, prefix hit, miss, the eviction sequence) and,
 //! after every step, on the resident set, the partial prefixes and the
 //! used bytes, on unchunked and 4 MB-chunked repositories.
 
 use clipcache::core::space::{CacheSpace, Residency};
-use clipcache::core::{AccessOutcome, ClipCache, PolicyKind, PolicySpec, VictimBackend};
+use clipcache::core::{AccessOutcome, ClipCache, PolicyKind, PolicySpec};
 use clipcache::media::{Bandwidth, ByteSize, ClipId, MediaType, Repository, RepositoryBuilder};
 use clipcache::workload::{Pcg64, Timestamp};
 use proptest::prelude::*;
@@ -168,8 +167,8 @@ fn check_against_reference(
     let n = repo.len();
     let mut coverage = Coverage::default();
     for kind in RECENCY {
-        for backend in [VictimBackend::Scan, VictimBackend::Heap] {
-            let spec = PolicySpec::with_backend(kind, backend);
+        for suffix in ["", "@heap"] {
+            let spec: PolicySpec = format!("{}{suffix}", kind.spelling()).parse().unwrap();
             let mut cache = spec.build(Arc::clone(repo), capacity, 7, None);
             let mut reference = Reference::new(kind, Arc::clone(repo), capacity);
             let mut clock = 1_000u64;

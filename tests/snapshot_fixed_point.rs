@@ -3,8 +3,10 @@
 //! The serving layer leans on this: a poisoned shard rebuilds from its
 //! last `CacheSnapshot` checkpoint (`clipcache-serve`'s recovery path),
 //! and a recovery that *changed* the durable state would compound on
-//! every subsequent fault. So for every heap-eligible policy kind — on
-//! both victim-index backends — restoring a snapshot and snapshotting
+//! every subsequent fault. So for every policy kind that ranks victims
+//! in a victim index or the recency list — on a variable-sized and an
+//! equi-sized repository, so the index answers from its heap and from its
+//! scan — restoring a snapshot and snapshotting
 //! the restored cache must reproduce the original snapshot exactly:
 //! same policy spelling, same capacity, same resident set. The JSON
 //! codec must be a fixed point of the same loop
@@ -12,15 +14,15 @@
 //! process boundary as text.
 
 use clipcache::core::snapshot::{restore, CacheSnapshot};
-use clipcache::core::{ClipCache, PolicyKind, PolicySpec, VictimBackend};
-use clipcache::media::{paper, Repository};
+use clipcache::core::{ClipCache, PolicyKind};
+use clipcache::media::{paper, ByteSize, Repository};
 use clipcache::workload::{RequestGenerator, Timestamp};
 use std::sync::Arc;
 
-/// Every policy kind the heap backend supports — mirrors
-/// `backend_equivalence.rs`, the canonical list.
-fn heap_eligible() -> Vec<PolicyKind> {
-    let kinds = vec![
+/// Every kind that ranks victims in a victim index or the recency list —
+/// mirrors `victim_index_reference.rs`.
+fn indexed_kinds() -> Vec<PolicyKind> {
+    vec![
         PolicyKind::Random,
         PolicyKind::Lru,
         PolicyKind::Mru,
@@ -37,15 +39,11 @@ fn heap_eligible() -> Vec<PolicyKind> {
         PolicyKind::GreedyDualLatency { mbps: 1 },
         PolicyKind::GdFreq,
         PolicyKind::GdsPopularity,
-    ];
-    for k in &kinds {
-        assert!(k.supports_heap(), "{k} must be heap-eligible");
-    }
-    kinds
+    ]
 }
 
 /// Warm a cache under `spec` with a seeded Zipf trace.
-fn warmed(spec: PolicySpec, repo: &Arc<Repository>) -> (Box<dyn ClipCache>, Timestamp) {
+fn warmed(spec: PolicyKind, repo: &Arc<Repository>) -> (Box<dyn ClipCache>, Timestamp) {
     let freqs = vec![1.0 / repo.len() as f64; repo.len()];
     let mut cache = spec.build(
         Arc::clone(repo),
@@ -61,7 +59,7 @@ fn warmed(spec: PolicySpec, repo: &Arc<Repository>) -> (Box<dyn ClipCache>, Time
     (cache, last)
 }
 
-fn assert_fixed_point(spec: PolicySpec, repo: &Arc<Repository>) {
+fn assert_fixed_point(spec: PolicyKind, repo: &Arc<Repository>) {
     let freqs = vec![1.0 / repo.len() as f64; repo.len()];
     let (cache, tick) = warmed(spec, repo);
     let first = CacheSnapshot::take(cache.as_ref(), spec, tick);
@@ -94,17 +92,44 @@ fn assert_fixed_point(spec: PolicySpec, repo: &Arc<Repository>) {
 }
 
 #[test]
-fn snapshot_restore_is_a_fixed_point_for_every_heap_eligible_kind_on_scan() {
+fn fixed_point_for_every_indexed_kind_on_variable_sizes() {
     let repo = Arc::new(paper::variable_sized_repository_of(48));
-    for kind in heap_eligible() {
-        assert_fixed_point(PolicySpec::from(kind), &repo);
+    for kind in indexed_kinds() {
+        assert_fixed_point(kind, &repo);
     }
 }
 
 #[test]
-fn snapshot_restore_is_a_fixed_point_for_every_heap_eligible_kind_on_heap() {
-    let repo = Arc::new(paper::variable_sized_repository_of(48));
-    for kind in heap_eligible() {
-        assert_fixed_point(PolicySpec::with_backend(kind, VictimBackend::Heap), &repo);
+fn fixed_point_for_every_indexed_kind_on_equi_sizes() {
+    let repo = Arc::new(paper::equi_sized_repository_of(48, ByteSize::mb(10)));
+    for kind in indexed_kinds() {
+        assert_fixed_point(kind, &repo);
     }
+}
+
+/// A snapshot as builds with a user-chosen victim-index backend wrote it
+/// (`simulate --policy lfu@heap --clips 48 --requests 2000 --ratio 0.2
+/// --seed 7 --snapshot-out F`), spelling suffix included.
+const LFU_HEAP_SNAPSHOT: &str = r#"{"version":2,"policy":"lfu@heap","capacity":9944640000,"tick":2000,"resident":[1,2,3,4,5,6,8,9,12,21,34,36],"partial":[]}"#;
+
+#[test]
+fn a_stored_lfu_heap_snapshot_restores_and_decides_like_lfu() {
+    let repo = Arc::new(paper::variable_sized_repository_of(48));
+    let legacy = CacheSnapshot::from_json(LFU_HEAP_SNAPSHOT).expect("legacy snapshot parses");
+    assert_eq!(legacy.policy.kind, PolicyKind::Lfu);
+    let bare = CacheSnapshot::from_json(&LFU_HEAP_SNAPSHOT.replace("lfu@heap", "lfu")).unwrap();
+    assert_eq!(legacy, bare);
+    assert_eq!(
+        legacy.to_json(),
+        bare.to_json(),
+        "rewritten without the suffix"
+    );
+    let (mut a, next) = restore(&legacy, Arc::clone(&repo), 7, None).expect("restores");
+    let (mut b, _) = restore(&bare, Arc::clone(&repo), 7, None).expect("restores");
+    assert_eq!(a.resident_clips().len(), 12);
+    for req in RequestGenerator::new(repo.len(), 0.27, 0, 2_000, 19) {
+        let at = Timestamp(next.get() + req.at.get());
+        assert_eq!(a.access(req.clip, at), b.access(req.clip, at), "{at:?}");
+    }
+    assert_eq!(a.resident_clips(), b.resident_clips());
 }

@@ -5,18 +5,18 @@
 //! reusable buffers and callers supply an [`EvictionSink`]. This test
 //! pins that property with a counting global allocator:
 //!
-//! * scan-backend policies make **zero** allocations replaying a trace
-//!   they have already warmed up on (scratch buffers reached capacity,
+//! * every registry policy makes **zero** allocations replaying a trace
+//!   it has already warmed up on (scratch buffers reached capacity,
 //!   sorts are in-place, the sink is a no-op);
-//! * heap-backend policies stay within a small constant (the lazy heap's
-//!   amortized array doublings), never O(requests).
+//! * so does every policy whose victim index can run on its lazy heap,
+//!   on a hit-heavy replay long enough that a heap keeping every stale
+//!   entry would have to grow: the heap compacts in place once stale
+//!   entries outnumber live ones.
 //!
 //! One `#[test]` only: the default harness runs tests concurrently, and
 //! a second thread would perturb the allocation counter.
 
-use clipcache::core::{
-    ClipCache, DiscardEvictions, EvictionCount, PolicyKind, PolicySpec, VictimBackend,
-};
+use clipcache::core::{ClipCache, DiscardEvictions, EvictionCount, PolicyKind, PolicySpec};
 use clipcache::media::{paper, Bandwidth, ByteSize, ClipId, MediaType, RepositoryBuilder};
 use clipcache::workload::{Request, RequestGenerator, Timestamp, Trace};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -74,12 +74,10 @@ fn steady_state_access_path_does_not_allocate() {
     let trace = Trace::from_generator(RequestGenerator::new(repo.len(), 0.27, 0, 2_000, 11));
     let requests: Vec<Request> = trace.iter().copied().collect();
 
-    // Scan backend, all access-local and scan-only online policies
-    // (Belady needs the trace itself; BlockLruK's block maps grow with
-    // residency churn — both are out of scope for the zero-alloc claim),
-    // plus the recency kinds' heap spellings, which build the same
-    // recency list as their scan spellings.
-    let scan_lineup = [
+    // Every online registry policy (Belady needs the trace itself;
+    // BlockLruK's block maps grow with residency churn — both are out of
+    // scope for the zero-alloc claim).
+    let lineup = [
         PolicyKind::Random,
         PolicyKind::Lru,
         PolicyKind::Mru,
@@ -88,8 +86,12 @@ fn steady_state_access_path_does_not_allocate() {
         PolicyKind::LfuDa,
         PolicyKind::Size,
         PolicyKind::LruK { k: 2 },
+        PolicyKind::LruKCrp { k: 2, crp: 3 },
         PolicyKind::LruSK { k: 2 },
         PolicyKind::GreedyDual,
+        PolicyKind::GreedyDualFetchTime { mbps: 8 },
+        PolicyKind::GreedyDualPackets,
+        PolicyKind::GreedyDualLatency { mbps: 1 },
         PolicyKind::GreedyDualNaive,
         PolicyKind::GdFreq,
         PolicyKind::GdsPopularity,
@@ -100,17 +102,11 @@ fn steady_state_access_path_does_not_allocate() {
         PolicyKind::DynSimple { k: 32 },
         PolicyKind::DynSimpleBypass { k: 2 },
     ];
-    let recency_heap = [PolicyKind::Lru, PolicyKind::Mru, PolicyKind::Fifo]
-        .map(|kind| PolicySpec::with_backend(kind, VictimBackend::Heap));
-    let lineup = scan_lineup
-        .map(PolicySpec::from)
-        .into_iter()
-        .chain(recency_heap);
     // LRU on 4 MB chunks: victims give up tails and prefixes complete.
     let chunked_repo =
         Arc::new(paper::variable_sized_repository_of(64).with_chunk_size(ByteSize::mb(4)));
-    let chunked = [(PolicySpec::from(PolicyKind::Lru), &chunked_repo)];
-    for (spec, repo) in lineup.map(|spec| (spec, &repo)).chain(chunked) {
+    let chunked = [(PolicyKind::Lru, &chunked_repo)];
+    for (spec, repo) in lineup.map(|kind| (kind, &repo)).into_iter().chain(chunked) {
         let mut cache = spec.build(Arc::clone(repo), capacity, 7, Some(&freqs));
         // Warm-up pass: scratch buffers and per-clip histories grow to
         // their high-water marks here, where allocation is expected.
@@ -158,24 +154,42 @@ fn steady_state_access_path_does_not_allocate() {
         );
     }
 
-    // Heap backend: the lazy heap pushes an entry per score update, so
-    // its backing array doubles amortizedly — a handful of reallocations
-    // per replay is legal, one per request is not.
+    // A hit-heavy replay on a cache for most of the repository: nearly
+    // every request rewrites one resident's score, which the lazy heap
+    // files as a new entry. 40k requests are far more entries than the
+    // warm-up left room for, so only compaction keeps the steady state
+    // allocation-free. The `@heap` spellings parse everywhere these
+    // policies once had a heap backend; they build the same policies.
+    let hit_heavy_trace =
+        Trace::from_generator(RequestGenerator::new(repo.len(), 0.27, 0, 40_000, 5));
+    let hit_heavy: Vec<Request> = hit_heavy_trace.iter().copied().collect();
+    let big = repo.cache_capacity_for_ratio(0.9);
     for kind in [
-        PolicyKind::GreedyDual,
+        PolicyKind::Random,
         PolicyKind::Lfu,
+        PolicyKind::LfuDa,
+        PolicyKind::Size,
         PolicyKind::LruK { k: 2 },
+        PolicyKind::LruKCrp { k: 2, crp: 3 },
+        PolicyKind::GreedyDual,
+        PolicyKind::GreedyDualFetchTime { mbps: 8 },
+        PolicyKind::GreedyDualPackets,
+        PolicyKind::GreedyDualLatency { mbps: 1 },
+        PolicyKind::GdFreq,
+        PolicyKind::GdsPopularity,
     ] {
-        let spec = PolicySpec::with_backend(kind, VictimBackend::Heap);
-        let mut cache = spec.build(Arc::clone(&repo), capacity, 7, Some(&freqs));
-        drive(cache.as_mut(), &requests);
-        let (allocs, _) = counting(|| drive(cache.as_mut(), &requests));
+        let spelling = format!("{}@heap", kind.spelling());
+        let spec: PolicySpec = spelling.parse().expect("heap spellings parse");
+        let mut cache = spec.build(Arc::clone(&repo), big, 7, None);
+        drive(cache.as_mut(), &hit_heavy);
+        let (allocs, hits) = counting(|| drive(cache.as_mut(), &hit_heavy));
+        assert_eq!(
+            allocs, 0,
+            "{spelling}: {allocs} allocations in a hit-heavy steady-state replay"
+        );
         assert!(
-            allocs <= 64,
-            "{}: {allocs} allocations over {} requests — the lazy heap \
-             should only pay amortized array growth",
-            spec.spelling(),
-            requests.len()
+            hits * 10 > hit_heavy.len() as u64 * 7,
+            "{spelling}: the replay must be hit-heavy ({hits} hits)"
         );
     }
 }
