@@ -72,7 +72,7 @@
 //! `--data-dir` (inproc targets only) runs the in-process service
 //! durably — checkpoint + WAL per shard, recovered on open — so
 //! `--check-serial 0` against a fresh data dir proves persistence does
-//! not perturb behavior, the check CI's crash-smoke job runs. A
+//! not perturb behavior (a row of `tests/serial_equivalence.rs`). A
 //! `--faults` spec carrying `crash=append:N` (etc.) arms the durable
 //! store's deterministic crash point; the process exits 137 when it
 //! fires, exactly like `serve --crash-at`.

@@ -242,6 +242,40 @@ fn check(
     Ok(())
 }
 
+/// Pin the calling thread, and so every thread it spawns afterwards, to
+/// one CPU: the highest it is allowed to run on. Returns that CPU, or
+/// `None` when the affinity calls fail.
+///
+/// Server and load threads then share one core. Left to the scheduler,
+/// their placement across cores moves a cell's throughput by more than
+/// the gate's tolerance from run to run.
+fn pin_to_one_cpu() -> Option<usize> {
+    fn bytes(set: &libc::cpu_set_t) -> &[u8] {
+        // SAFETY: a `cpu_set_t` is a plain bit array; the slice borrows it.
+        unsafe {
+            std::slice::from_raw_parts((set as *const libc::cpu_set_t).cast(), size_of_val(set))
+        }
+    }
+    let size = size_of::<libc::cpu_set_t>();
+    // SAFETY: the masks are plain bit arrays of the size passed, and
+    // pid 0 names the calling thread.
+    unsafe {
+        let mut allowed: libc::cpu_set_t = std::mem::zeroed();
+        if libc::sched_getaffinity(0, size, &mut allowed) != 0 {
+            return None;
+        }
+        // A CPU is allowed when adding it to the mask changes nothing.
+        let cpu = (0..8 * size).rev().find(|&cpu| {
+            let mut with = allowed;
+            libc::CPU_SET(cpu, &mut with);
+            bytes(&with) == bytes(&allowed)
+        })?;
+        let mut one: libc::cpu_set_t = std::mem::zeroed();
+        libc::CPU_SET(cpu, &mut one);
+        (libc::sched_setaffinity(0, size, &one) == 0).then_some(cpu)
+    }
+}
+
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -250,6 +284,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    match pin_to_one_cpu() {
+        Some(cpu) => eprintln!("pinned to CPU {cpu}"),
+        None => eprintln!("not pinned: the CPU affinity calls failed"),
+    }
     let repo = Arc::new(paper::variable_sized_repository_of(args.clips));
     let capacity = repo.cache_capacity_for_ratio(args.ratio);
     let trace = Trace::from_generator(RequestGenerator::new(

@@ -18,8 +18,8 @@
 //!
 //! Binds, prints `listening on <addr>`, then serves the line protocol
 //! (`GET <clip>`, `STATS`, `SNAPSHOT`, `QUIT`) until stdin reaches EOF
-//! or a `quit` line arrives on stdin — the graceful-shutdown path CI
-//! exercises by driving stdin through a FIFO. The repository is the
+//! or a `quit` line arrives on stdin — the graceful-shutdown path the
+//! end-to-end tests drive through a pipe. The repository is the
 //! paper's variable-sized catalog of `--clips` clips; `--ratio` sets the
 //! total cache budget as a fraction of the repository, split evenly
 //! across `--shards` shards.

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 mod support;
 
-use support::{spawn_serve, Server};
+use support::{loadgen, spawn_serve, Server};
 
 const SEED: u64 = 0x5EED_2007;
 const CLIPS: u32 = 48;
@@ -249,6 +249,73 @@ fn three_member_cluster_loses_no_acked_request_across_sigkill() {
         let _ = c.quit();
     }
     for node in nodes.into_iter().flatten() {
+        node.quit();
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The same story driven by `loadgen --peers` with two clients. It is
+/// its own test because concurrent clients can replay hints to a live
+/// peer mid-outage, which the test above rules out.
+#[test]
+fn three_member_cluster_serves_loadgen_across_a_kill_and_rejoin() {
+    let root = std::env::temp_dir().join(format!("clipcache-cluster-load-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let dirs: Vec<PathBuf> = (0..3).map(|i| root.join(format!("node{i}"))).collect();
+    let peers: Vec<String> = free_ports(3)
+        .iter()
+        .map(|p| format!("127.0.0.1:{p}"))
+        .collect();
+    let mut nodes: Vec<Server> = (0..3)
+        .map(|i| spawn_member(i, &peers, 2, Some(&dirs[i])))
+        .collect();
+    let joined = peers.join(",");
+    let load = |requests: &str| {
+        let mut args = vec!["--peers", &joined, "--replication", "2", "--shards", "1"];
+        args.extend(["--clients", "2", "--requests", requests, "--clips", "48"]);
+        let (status, out) = loadgen(&args);
+        assert!(
+            status.success(),
+            "loadgen --requests {requests} failed: {out}"
+        );
+    };
+    let survivor_stats = || {
+        let mut client = TcpCacheClient::connect(&peers[0]).expect("client connects");
+        client.stats().expect("STATS parses")
+    };
+
+    load("6000");
+    // SIGKILL member 2; the survivors keep serving the ring, and member
+    // 0's probes into the dead member trip its breaker.
+    nodes.pop().expect("member 2").kill();
+    load("6000");
+    let outage = survivor_stats();
+    assert_eq!(outage.breaker_open, 1, "survivor mid-outage: {outage:?}");
+
+    // Member 2 rejoins on its durable directory and replays its WAL.
+    let rejoined = spawn_member(2, &peers, 2, Some(&dirs[2]));
+    assert!(
+        rejoined.recovered_from(&dirs[2]),
+        "{:?}",
+        rejoined.recovery_line
+    );
+    let mut client = TcpCacheClient::connect(&rejoined.addr).expect("client connects");
+    let stats = client.stats().expect("STATS parses");
+    assert!(stats.wal_replayed > 0, "rejoined member: {stats:?}");
+    client.quit().expect("clean disconnect");
+    nodes.push(rejoined);
+
+    // The healed ring serves at full membership; the survivor's next
+    // successful probes close its breaker and replay the hinted handoff
+    // onto the rejoined member.
+    load("3000");
+    let healed = survivor_stats();
+    assert_eq!(healed.breaker_open, 0, "survivor post-heal: {healed:?}");
+    assert!(
+        healed.handoff_replayed > 0,
+        "survivor post-heal: {healed:?}"
+    );
+    for node in nodes {
         node.quit();
     }
     let _ = std::fs::remove_dir_all(&root);

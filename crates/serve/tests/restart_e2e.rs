@@ -4,7 +4,9 @@
 //! restarted on the same data directory. The restarted server must
 //! report every acknowledged request in `STATS` (the WAL is written
 //! before the reply, so an answered request is a durable request), and
-//! an idle restart must leave the directory bytes untouched.
+//! an idle restart must leave the directory bytes untouched. A server
+//! that dies at an armed crash point mid-run is restarted on its port
+//! while a live `loadgen` rides across the restart.
 
 use clipcache_media::ClipId;
 use clipcache_serve::persist::CHECKPOINT_SLOT_FILES;
@@ -13,7 +15,7 @@ use std::path::Path;
 
 mod support;
 
-use support::{dir_bytes, spawn_serve, Server};
+use support::{dir_bytes, loadgen, spawn_serve, Server};
 
 fn spawn_server(data_dir: &Path, shards: usize) -> Server {
     spawn_server_with(
@@ -219,4 +221,73 @@ fn sigkill_between_pipelined_windows(mode: usize, sync: &[&str]) {
     client.quit().expect("clean disconnect");
     server.quit();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The crash rows: the `serve` flags both starts share, the first
+/// start's own (its crash point), and `loadgen`'s own.
+const CRASH_ROWS: [(&str, &str, &str); 3] = [
+    ("--shards 2", "--crash-at append:5000", ""),
+    // Chunked residency trims victims tail-first.
+    (
+        "--shards 2 --chunk-size 4",
+        "--crash-at append:5000",
+        "--chunk-size 4",
+    ),
+    // 4 KiB segments roll every ~163 appends; the 8th roll dies after
+    // the old segment is sealed but before its successor exists. The
+    // huge checkpoint cadence keeps the log growing (a checkpoint
+    // empties it), so recovery replays a multi-segment WAL.
+    (
+        "--shards 2 --segment-bytes 4096",
+        "--checkpoint-every 1000000 --crash-at segment-roll:8",
+        "",
+    ),
+];
+
+#[test]
+fn a_crash_mid_run_restarts_under_an_exactly_once_client() {
+    for (i, (shared, crash, load)) in CRASH_ROWS.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!(
+            "clipcache-crash-restart-{}-{i}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let flags = |s: &'static str| s.split_whitespace();
+        let first: Vec<&str> = flags(shared).chain(flags(crash)).collect();
+        let server = spawn_server_with(&dir, &first);
+        let addr = server.addr.clone();
+        let mut args = vec!["--target", &addr];
+        args.extend(flags(
+            "--shards 2 --clients 2 --requests 20000 --faults rate=0,seed=1 \
+             --retries 50 --backoff-ms 100",
+        ));
+        args.extend(flags(load));
+        // The restart comes whatever the first server's exit code, so
+        // the client always finishes and a wrong code fails, not hangs.
+        let (code, restarted, (status, out)) = std::thread::scope(|s| {
+            let client = s.spawn(|| loadgen(&args));
+            let code = server.exit_code();
+            let again: Vec<&str> = ["--addr", &addr].into_iter().chain(flags(shared)).collect();
+            let restarted = spawn_serve(&again, Some(&dir));
+            (code, restarted, client.join().expect("loadgen thread"))
+        });
+        // The armed crash point killed the server mid-run: exit 137,
+        // the same observable as kill -9.
+        assert_eq!(code, Some(137), "{crash}");
+        // The client finished across the restart, every request
+        // answered and counted exactly once (loadgen checks it).
+        assert!(status.success(), "{crash}: loadgen failed: {out}");
+        assert!(out.contains("chaos invariants hold"), "{crash}: {out}");
+        let mut client = TcpCacheClient::connect(&restarted.addr).expect("client connects");
+        let stats = client.stats().expect("STATS parses");
+        assert!(stats.wal_replayed > 0, "{crash}: {stats:?}");
+        client.quit().expect("clean disconnect");
+        assert!(
+            restarted.recovered_from(&dir),
+            "{crash}: {:?}",
+            restarted.recovery_line
+        );
+        restarted.quit();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

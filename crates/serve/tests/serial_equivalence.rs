@@ -1,7 +1,9 @@
 //! The correctness anchor: a 1-shard, 1-client service run must
 //! reproduce the serial simulator's statistics **bit for bit**, for
 //! every heap-eligible and scan policy alike; multi-shard runs must stay
-//! deterministic and land within a documented tolerance of serial.
+//! deterministic and land within a documented tolerance of serial. The
+//! real `loadgen` and `serve` binaries hold the same anchor, in process
+//! and over TCP.
 
 use clipcache_core::PolicySpec;
 use clipcache_media::{paper, ByteSize, Repository};
@@ -11,6 +13,10 @@ use clipcache_serve::{
 use clipcache_sim::metrics::HitStats;
 use clipcache_workload::{RequestGenerator, Trace};
 use std::sync::Arc;
+
+mod support;
+
+use support::{loadgen, spawn_serve};
 
 const SEED: u64 = 0x5EED_2007;
 
@@ -230,4 +236,83 @@ fn multi_client_requests_are_conserved() {
         let total_bytes = observed.byte_hits + observed.byte_misses;
         assert_eq!(total_bytes, serial.byte_hits + serial.byte_misses);
     }
+}
+
+/// The anchor as the binaries run it, one row per run: the flags of
+/// the fresh `serve` it targets (`None` runs in process), whether the
+/// durable side (that server, else `loadgen`) gets a fresh `--data-dir`,
+/// and `loadgen`'s flags. Each run gets a server of its own, because a
+/// warm cache leaves the anchor by design.
+const ANCHOR_RUNS: [(Option<&str>, bool, &str); 8] = [
+    (
+        None,
+        false,
+        "--shards 1 --clients 1 --requests 20000 --check-serial 0",
+    ),
+    (
+        None,
+        false,
+        "--shards 1 --clients 1 --requests 20000 --faults rate=0,seed=17 --check-serial 0",
+    ),
+    (
+        None,
+        true,
+        "--shards 1 --clients 1 --requests 20000 --check-serial 0",
+    ),
+    (
+        None,
+        false,
+        "--cluster-nodes 1 --replication 1 --shards 1 --clients 1 --requests 20000 \
+         --check-serial 0",
+    ),
+    // Sharded multi-client load lands within the hit-rate tolerance.
+    (
+        Some("--shards 4"),
+        false,
+        "--shards 4 --clients 4 --requests 10000 --check-serial 0.15",
+    ),
+    // The wire and the pipeline depth change timing, never results.
+    (
+        Some("--shards 1"),
+        false,
+        "--shards 1 --clients 1 --requests 20000 --wire binary --pipeline 32 --check-serial 0",
+    ),
+    (
+        Some("--shards 1"),
+        false,
+        "--shards 1 --clients 1 --requests 20000 --wire text --pipeline 1 --check-serial 0",
+    ),
+    (
+        Some("--shards 1 --wal-sync always --commit-window-us 100"),
+        true,
+        "--shards 1 --clients 1 --requests 20000 --wire binary --pipeline 32 --check-serial 0",
+    ),
+];
+
+#[test]
+fn the_binaries_stay_on_the_anchor_in_process_and_over_tcp() {
+    let root = std::env::temp_dir().join(format!("clipcache-anchor-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    for (i, (serve, durable, flags)) in ANCHOR_RUNS.into_iter().enumerate() {
+        let dir = root.join(i.to_string());
+        let dir = durable.then_some(dir.as_path());
+        // With no `--addr`, `serve` binds an ephemeral port.
+        let server = serve.map(|s| spawn_serve(&s.split_whitespace().collect::<Vec<_>>(), dir));
+        let mut args: Vec<&str> = flags.split_whitespace().collect();
+        match (&server, dir) {
+            (Some(server), _) => args.extend(["--target", &server.addr]),
+            (None, Some(dir)) => args.extend(["--data-dir", dir.to_str().expect("UTF-8 path")]),
+            (None, None) => {}
+        }
+        let (status, out) = loadgen(&args);
+        assert!(
+            status.success(),
+            "{serve:?} / {flags}: loadgen failed: {out}"
+        );
+        assert!(out.contains("serial check passed"), "{flags}: {out}");
+        if let Some(server) = server {
+            server.quit();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -1,12 +1,13 @@
 //! What the end-to-end tests share: the real `serve` binary as a child
-//! process, and the bytes of a data directory.
+//! process, a run of the real `loadgen` binary, and the bytes of a data
+//! directory.
 
 // Each test target uses its own subset.
 #![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 
 /// A running `serve` process.
 pub struct Server {
@@ -64,9 +65,9 @@ pub fn spawn_serve(args: &[&str], data_dir: Option<&Path>) -> Server {
 }
 
 impl Server {
-    /// Graceful shutdown through stdin; the server must exit cleanly.
-    /// Returns what it printed after its address.
-    pub fn quit(mut self) -> String {
+    /// Graceful shutdown through stdin; the server must exit with
+    /// status 0 after printing `shut down cleanly`.
+    pub fn quit(mut self) {
         self.stdin.write_all(b"quit\n").expect("stdin writable");
         self.stdin.flush().expect("stdin flushes");
         let mut rest = String::new();
@@ -75,7 +76,22 @@ impl Server {
             .expect("shutdown output drains");
         let status = self.child.wait().expect("server exits");
         assert!(status.success(), "graceful shutdown exits cleanly");
-        rest
+        assert!(rest.contains("shut down cleanly"), "{rest}");
+    }
+
+    /// Whether the server printed `recovered <dir> …` at startup.
+    pub fn recovered_from(&self, dir: &Path) -> bool {
+        let prefix = format!("recovered {} ", dir.display());
+        self.recovery_line
+            .as_deref()
+            .is_some_and(|l| l.starts_with(&prefix))
+    }
+
+    /// Wait for the server to exit on its own, without `quit`, and
+    /// return its exit code (`None` when a signal ended it).
+    pub fn exit_code(mut self) -> Option<i32> {
+        let _ = std::io::copy(&mut self.stdout, &mut std::io::sink());
+        self.child.wait().expect("server exits").code()
     }
 
     /// SIGKILL — the same observable as a power-cut for the process: no
@@ -84,6 +100,18 @@ impl Server {
         self.child.kill().expect("kill delivered");
         self.child.wait().expect("killed server reaped");
     }
+}
+
+/// Run `loadgen` with `args` to its end; returns its exit status and
+/// what it printed to stdout (its stderr passes through).
+pub fn loadgen(args: &[&str]) -> (ExitStatus, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_loadgen"))
+        .args(args)
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("loadgen binary runs");
+    let stdout = String::from_utf8(out.stdout).expect("loadgen prints UTF-8");
+    (out.status, stdout)
 }
 
 /// Every file beneath `dir` with its bytes, keyed by its path relative
