@@ -38,7 +38,7 @@
 //! deterministic fault schedule; each injected fault is recovered by a
 //! bounded retry loop (`--retries`, default 4) with jitter-free
 //! exponential backoff starting at `--backoff-ms` (default 0) and
-//! capped at `--max-backoff-ms` (default unbounded). After a
+//! capped at `--max-backoff-ms` (default 5000). After a
 //! chaos run the delivery invariants are checked (every request's reply
 //! delivered exactly once; hits + misses == delivered) and the run
 //! fails loudly if they don't hold. `--chaos-report path` additionally
@@ -247,7 +247,7 @@ fn parse_args() -> Result<Args, String> {
                      injects a deterministic fault schedule recovered by \
                      --retries (default 4) with jitter-free exponential \
                      backoff from --backoff-ms (default 0), capped at \
-                     --max-backoff-ms\n\
+                     --max-backoff-ms (default 5000)\n\
                      --peers ring-routes GETs across a running TCP cluster \
                      (same member order, --seed and --replication as the \
                      servers); --cluster-nodes n builds an in-process n-node \

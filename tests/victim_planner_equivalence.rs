@@ -14,7 +14,9 @@
 //! frequencies, equal reference counts over equal windows), so the id
 //! tie-break decides those victims. Pruned histories tie too: every
 //! pruned resident keys 0. A repository where every clip has its own size
-//! puts each resident in a group of its own.
+//! puts each resident in a group of its own. Shuffled and repeated stamps
+//! move a hit's entry backward or leave it where it was, as well as
+//! forward.
 
 use clipcache::core::policies::dyn_simple::{DynAdmission, DynSimpleCache, EvictionMode};
 use clipcache::core::policies::simple::{SimpleAdmission, SimpleCache};
@@ -293,6 +295,32 @@ proptest! {
         let mut requests = requests_for(&repo, theta, 400, seed);
         for r in &mut requests[200..] {
             r.1 = Timestamp(r.1 .0 + (1 << 56));
+        }
+        check_dynsimple(&repo, capacity, &requests, None);
+    }
+
+    #[test]
+    fn planners_agree_when_stamps_arrive_shuffled_and_repeated(
+        n in 8usize..96,
+        ratio in 0.05f64..0.6,
+        theta in 0.0f64..0.9,
+        seed in any::<u64>(),
+        jitter in proptest::collection::vec(0u64..24, 400..401),
+        equi in any::<bool>(),
+    ) {
+        let repo = Arc::new(if equi {
+            paper::equi_sized_repository_of(n, ByteSize::mb(10))
+        } else {
+            paper::variable_sized_repository_of(n)
+        });
+        let capacity = repo.cache_capacity_for_ratio(ratio);
+        // Four requests share each base stamp and each adds its own
+        // jitter, so stamps repeat and run backward. A full ring then
+        // retains an older stamp than the one it drops, and a hit's
+        // oldest retained stamp moves earlier or stays put.
+        let mut requests = requests_for(&repo, theta, 400, seed);
+        for (r, j) in requests.iter_mut().zip(jitter) {
+            r.1 = Timestamp(1 + r.1 .0 / 4 + j);
         }
         check_dynsimple(&repo, capacity, &requests, None);
     }
