@@ -34,7 +34,11 @@
 //! process made durable before listening; `--wal-sync` picks the fsync
 //! policy (`off` flushes to the OS per append — survives `kill -9`;
 //! `always` adds an fsync — survives power loss); `--checkpoint-every`
-//! sets the accesses between checkpoint refreshes; `--crash-at`
+//! sets the accesses between checkpoint refreshes, and a refresh goes
+//! to the background writer once the WAL holds a quarter segment of
+//! records past the last one it got, so a `kill -9` replays at most a
+//! quarter segment plus one `--checkpoint-every` per shard;
+//! `--checkpoint-every` sets the poison-rewind point; `--crash-at`
 //! (requires `--data-dir`) arms a deterministic crash point
 //! (`append:N`, `torn:N`, `checkpoint:N`) that kills the process with
 //! exit code 137 — the chaos harness's crash-restart loop.

@@ -16,16 +16,26 @@
 //!   `pwrite`, one `fdatasync` — so a crash mid-checkpoint tears only
 //!   that slot and leaves the previous checkpoint intact in the other;
 //!   the valid frame with the higher generation is the checkpoint. A
-//!   durable service takes that work off its request path: the shard
-//!   shares the checkpoint, not yet encoded, through its mailbox on the
-//!   service's background writer thread (a newer checkpoint replaces
-//!   one still pending), and goes on serving. The writer runs at nice
-//!   19 and encodes only the checkpoint it takes, so
-//!   `--checkpoint-every` bounds *submissions*, and *landings* follow
-//!   the core time the writer gets. Each landing is `fdatasync`ed
-//!   before it retires any WAL; under saturation a `kill -9` replays
-//!   the records since the last landing, a gap that stays well under
-//!   one segment.
+//!   durable service takes that work off its request path. The shard
+//!   refreshes its checkpoint in memory every `--checkpoint-every`
+//!   accesses and submits it to its store, which hands a refresh, not
+//!   yet encoded, to the service's background writer thread only once
+//!   the WAL holds at least a quarter segment of records past the last
+//!   hand-off (`segment_bytes / (4 · 25)`, 41,943 at the default
+//!   4 MiB). The count is in sequence numbers, so `GETRANGE` probes
+//!   count too. Until then the store holds the newest refresh; a poison
+//!   rewind, a clean shutdown and the armed `checkpoint:N` land it. The
+//!   writer runs at nice 19 and encodes only the hand-off it takes (a
+//!   newer one replaces one still pending in the shard's mailbox), and
+//!   each landing is `fdatasync`ed before it retires any WAL. So a
+//!   `kill -9` replays at most a quarter segment plus one
+//!   `--checkpoint-every` per shard; `--checkpoint-every` sets the
+//!   poison-rewind point. Exactly, a crash replays the records after
+//!   the newest checkpoint that landed. Once the newest hand-off has
+//!   landed that is under a quarter segment plus one refresh interval
+//!   (`--checkpoint-every` accesses and the probes logged among them);
+//!   a crash while it is still pending or being written replays from
+//!   the hand-off before it.
 //! * **WAL** — an append-only log of every access since the last
 //!   checkpoint, kept as fixed-size numbered **segments**
 //!   (`wal.000001.log`, `wal.000002.log`, …). Each record is
@@ -121,11 +131,11 @@
 //! A [`CrashSpec`] arms the store with a *crash point* — die after the
 //! Nth WAL append, write only half of the Nth append (a torn write),
 //! die midway through the Nth checkpoint submitted (the request that
-//! submitted it waits for the checkpoint before it to land, then
-//! half-writes its own into the other slot), write only half of the Nth
-//! seal footer (`seal:N`), or die after the Nth seal lands but before
-//! the successor segment exists (`segment-roll:N`). The store writes
-//! what is staged, performs the partial effect, then reports
+//! submitted it lands the checkpoint before it, held or handed off,
+//! then half-writes its own into the other slot), write only half of
+//! the Nth seal footer (`seal:N`), or die after the Nth seal lands but
+//! before the successor segment exists (`segment-roll:N`). The store
+//! writes what is staged, performs the partial effect, then reports
 //! [`PersistError::CrashInjected`]; the service maps that to
 //! `process::exit(137)` in the binaries (`--crash-at`) or surfaces it
 //! to an in-process harness. Crash points count operations performed
@@ -1494,6 +1504,13 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<String>, PersistError> {
     CheckpointSlots::open(dir).map(|(_, body)| body)
 }
 
+/// The generation of the newest checkpoint in shard directory `dir`:
+/// every checkpoint written there bumps it by one, and it is 0 when
+/// none ever landed. Slots are read as [`ShardStore::open`] reads them.
+pub fn checkpoint_generation(dir: &Path) -> Result<u64, PersistError> {
+    CheckpointSlots::open(dir).map(|(slots, _)| slots.generation)
+}
+
 /// Write `body` into shard directory `dir` as its newest checkpoint,
 /// exactly as a store does: framed with the next generation into the
 /// slot not holding the newest frame, then fdatasynced. The body is
@@ -1501,6 +1518,13 @@ pub fn read_checkpoint(dir: &Path) -> Result<Option<String>, PersistError> {
 pub fn write_checkpoint(dir: &Path, body: &str) -> Result<(), PersistError> {
     let (mut slots, _) = CheckpointSlots::open(dir)?;
     slots.write(body.as_bytes(), false)
+}
+
+/// WAL records a durable store lets pass between two checkpoints it
+/// hands to the background writer: a quarter of a `segment_bytes`
+/// segment, 41,943 at the default 4 MiB, and at least one.
+fn handoff_records(segment_bytes: u64) -> u64 {
+    (segment_bytes / (4 * FRAME_BYTES as u64)).max(1)
 }
 
 /// A checkpoint handed to the writer, not yet encoded: the writer runs
@@ -1608,6 +1632,11 @@ impl CheckpointWriter {
     /// and wake the thread if it is parked.
     fn submit(self: &Arc<Self>, index: usize, sub: Submission) -> Result<(), PersistError> {
         let mut st = self.lock();
+        // A closed mailbox's failure reaches the shard on its next
+        // operation; until then nothing more is written for it.
+        if st.mailboxes[index].closed {
+            return Ok(());
+        }
         if st.thread.is_none() {
             let writer = Arc::clone(self);
             st.thread = Some(
@@ -1616,13 +1645,7 @@ impl CheckpointWriter {
                     .spawn(move || writer.run())?,
             );
         }
-        // A closed mailbox's failure reaches the shard on its next
-        // operation; until then nothing more is written for it.
-        let replaced = if st.mailboxes[index].closed {
-            None
-        } else {
-            st.mailboxes[index].pending.replace(sub)
-        };
+        let replaced = st.mailboxes[index].pending.replace(sub);
         let wake = std::mem::take(&mut st.parked);
         drop(st);
         if wake {
@@ -1876,6 +1899,15 @@ pub struct ShardStore {
     /// The service's background writer and this store's mailbox on it;
     /// `None` for a store opened on its own, which checkpoints inline.
     writer: Option<(Arc<CheckpointWriter>, usize)>,
+    /// WAL records between two hand-offs to the writer: a quarter
+    /// segment ([`handoff_records`]).
+    handoff_every: u64,
+    /// The seq of the newest checkpoint handed to the writer or
+    /// written inline.
+    handed: u64,
+    /// The newest submitted checkpoint not handed to the writer yet;
+    /// [`hand_off_held`](Self::hand_off_held) hands it over.
+    held: Option<Arc<DurableCheckpoint>>,
     /// Appends performed since the store was opened (crash counting).
     appends: u64,
     /// Checkpoints submitted since the store was opened.
@@ -2106,6 +2138,9 @@ impl ShardStore {
                 ckpt_seq,
                 slots: Arc::new(Mutex::new(slots)),
                 writer: None,
+                handoff_every: handoff_records(tuning.segment_bytes),
+                handed: ckpt_seq,
+                held: None,
                 appends: 0,
                 checkpoints: 0,
                 seals: 0,
@@ -2391,21 +2426,53 @@ impl ShardStore {
         self.checkpoint_inline(ckpt, crash)
     }
 
-    /// Hand a checkpoint to the service's background writer and return
-    /// without waiting for its `fdatasync`. The checkpoint is shared,
-    /// not encoded: the writer encodes it only if no newer submission
-    /// replaced it first. Its WAL is retired once the store learns it
-    /// landed, on its next operation; a failed write kills the store
-    /// and that operation reports it. A store with no writer (opened on
-    /// its own) checkpoints inline, and so does the armed
-    /// `checkpoint:N` point: its submission waits for the checkpoint
+    /// Submit a checkpoint refresh without waiting for any `fdatasync`.
+    /// The store hands it to the service's background writer only once
+    /// the WAL holds at least a quarter segment of records past the
+    /// last hand-off (`segment_bytes / (4 · 25)`, and at least one);
+    /// until then it holds the newest refresh, and a service shutdown,
+    /// [`rewind_to_checkpoint`](Self::rewind_to_checkpoint) and the
+    /// armed `checkpoint:N` land it. The count is in sequence numbers,
+    /// so `GETRANGE` probes count too.
+    ///
+    /// A hand-off is shared, not encoded: the writer encodes it only if
+    /// no newer hand-off replaced it first. Its WAL is retired once the
+    /// store learns it landed, on its next operation; a failed write
+    /// kills the store and that operation reports it. A store with no
+    /// writer (opened on its own) checkpoints inline, and so does the
+    /// armed `checkpoint:N` point: its submission lands the refresh
     /// before it, half-writes its own and reports the crash itself.
     pub fn submit_checkpoint(&mut self, ckpt: Arc<DurableCheckpoint>) -> Result<(), PersistError> {
         self.admit_checkpoint(&ckpt)?;
         let crash = self.count_checkpoint()?;
-        let Some((writer, index)) = self.writer.clone().filter(|_| !crash) else {
+        if crash || self.writer.is_none() {
             return self.checkpoint_inline(&ckpt, crash);
+        }
+        if ckpt.seq.saturating_sub(self.handed) < self.handoff_every {
+            self.held = Some(ckpt);
+            return Ok(());
+        }
+        self.hand_off(ckpt)
+    }
+
+    /// Hand the held refresh, if any, to the writer. A clean shutdown
+    /// calls this on every shard before it drains the writer, so a
+    /// reopen replays only the records after the newest refresh.
+    pub(crate) fn hand_off_held(&mut self) -> Result<(), PersistError> {
+        match self.held.take() {
+            Some(ckpt) => self.hand_off(ckpt),
+            None => Ok(()),
+        }
+    }
+
+    /// Put `ckpt` in this store's mailbox on the writer, in place of
+    /// any older refresh still held.
+    fn hand_off(&mut self, ckpt: Arc<DurableCheckpoint>) -> Result<(), PersistError> {
+        let Some((writer, index)) = self.writer.clone() else {
+            return Ok(());
         };
+        self.held = None;
+        self.handed = ckpt.seq;
         let sub = Submission {
             slots: Arc::clone(&self.slots),
             ckpt,
@@ -2418,15 +2485,20 @@ impl ShardStore {
     }
 
     /// Write `ckpt` on this thread once the background writer is idle,
-    /// then retire the WAL behind it; with `crash` set, half-write it
-    /// and die.
+    /// then retire the WAL behind it; with `crash` set, land the held
+    /// refresh first, then half-write `ckpt` and die.
     fn checkpoint_inline(
         &mut self,
         ckpt: &DurableCheckpoint,
         crash: bool,
     ) -> Result<(), PersistError> {
+        if crash {
+            self.hand_off_held()?;
+        }
         // A background write still in flight must not land after this one.
         self.settle()?;
+        self.held = None;
+        self.handed = ckpt.seq;
         let written = lock_slots(&self.slots).write(ckpt.to_json().as_bytes(), crash);
         if let Err(e) = written {
             self.kill();
@@ -2541,6 +2613,7 @@ impl ShardStore {
     fn die(&mut self) {
         self.dead = true;
         self.staged.clear();
+        self.held = None;
         if let Some((writer, index)) = &self.writer {
             writer.close(*index..*index + 1);
         }
@@ -2558,15 +2631,16 @@ impl ShardStore {
 
     /// Discard every WAL record after the checkpoint — the durable
     /// counterpart of a poisoned shard's rewind-to-checkpoint, keeping
-    /// disk and memory describing the same state. A background
-    /// checkpoint still pending or in flight lands first, so the
-    /// rewind target is the newest one submitted. Pending group-commit
-    /// riders error out (their records are gone; their sequence numbers
-    /// will be reissued).
+    /// disk and memory describing the same state. The held refresh is
+    /// handed off and lands first, with any hand-off still pending or in
+    /// flight, so the rewind target is the newest checkpoint submitted.
+    /// Pending group-commit riders error out (their records are gone;
+    /// their sequence numbers will be reissued).
     pub fn rewind_to_checkpoint(&mut self) -> Result<(), PersistError> {
         if self.dead {
             return Err(PersistError::CrashInjected);
         }
+        self.hand_off_held()?;
         self.settle()?;
         if let Err(e) = self.drop_segments_through(u64::MAX) {
             // The cleanup may be partial: disk no longer matches

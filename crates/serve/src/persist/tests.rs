@@ -1231,7 +1231,8 @@ fn store_with_writer(dir: &Path, tuning: WalTuning) -> (ShardStore, Arc<Checkpoi
 #[test]
 fn a_failed_background_write_is_reported_once_by_the_next_operation() {
     let dir = tmp_dir("bg-fail");
-    let (mut store, writer) = store_with_writer(&dir, WalTuning::default());
+    // Tiny segments hand every submission to the writer.
+    let (mut store, writer) = store_with_writer(&dir, tiny_segments());
     store.append(WalOp::Get, ClipId::new(1)).unwrap();
     // Rip the directory out so the writer cannot create a slot file.
     std::fs::remove_dir_all(&dir).unwrap();
@@ -1291,7 +1292,7 @@ fn a_landed_checkpoint_retires_the_wal_at_the_next_stage() {
 #[test]
 fn a_superseded_submission_is_never_written() {
     let dir = tmp_dir("bg-supersede");
-    let (mut store, writer) = store_with_writer(&dir, WalTuning::default());
+    let (mut store, writer) = store_with_writer(&dir, tiny_segments());
     for clip in 1..=3u32 {
         store.append(WalOp::Get, ClipId::new(clip)).unwrap();
     }
@@ -1320,4 +1321,49 @@ fn a_superseded_submission_is_never_written() {
     drop(store);
     let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
     assert_eq!(state.checkpoint.expect("landed").seq, 3);
+}
+
+#[test]
+fn submissions_reach_the_writer_a_quarter_segment_apart() {
+    let dir = tmp_dir("bg-quarter");
+    // 400-byte segments: a quarter holds four 25-byte records.
+    let tuning = WalTuning {
+        segment_bytes: 400,
+        commit_window: Duration::ZERO,
+    };
+    let (mut store, writer) = store_with_writer(&dir, tuning);
+    for clip in 1..=10u32 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    let generation = |store: &ShardStore| lock_slots(&store.slots).generation;
+    // Each write bumps the slot generation. Seq 3 and 7 fall short of
+    // the last hand-off by less than four records and are only held.
+    let submit = |store: &mut ShardStore, seq: u64| {
+        let mut ckpt = sample_checkpoint();
+        ckpt.seq = seq;
+        store.submit_checkpoint(Arc::new(ckpt)).unwrap();
+        writer.wait_idle(0);
+        generation(store)
+    };
+    for (seq, landed) in [(3, 0), (4, 1), (7, 1), (8, 2)] {
+        assert_eq!(
+            submit(&mut store, seq),
+            landed,
+            "after submitting seq {seq}"
+        );
+    }
+    // Handing seq 8 off let go of the held seq 7: nothing is left.
+    store.hand_off_held().unwrap();
+    writer.wait_idle(0);
+    assert_eq!(generation(&store), 2);
+    assert_eq!(submit(&mut store, 9), 2);
+    // The rewind lands the held seq 9 before it truncates.
+    store.rewind_to_checkpoint().unwrap();
+    assert_eq!(generation(&store), 3);
+    assert_eq!(store.next_seq(), 10);
+    writer.shutdown();
+    drop(store);
+    let (_, state) = ShardStore::open(&dir, WalSync::Off).unwrap();
+    assert_eq!(state.checkpoint.expect("landed").seq, 9);
+    assert!(state.records.is_empty());
 }

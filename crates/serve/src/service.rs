@@ -37,13 +37,15 @@
 //! ## Background checkpoints
 //!
 //! A durable service owns one checkpoint writer thread, spawned at the
-//! first periodic checkpoint (a memory-only service, or a durable one
-//! that has not checkpointed yet, runs none), at the lowest priority.
-//! Shards share their checkpoints with it, unencoded, through
-//! mailboxes holding one each, and never wait on its fsyncs; it
-//! encodes only what it takes. Dropping the service writes what is
-//! still pending, joins the thread and retires the WAL behind what
-//! landed.
+//! first hand-off (a memory-only service, or a durable one that has
+//! handed nothing off yet, runs none), at the lowest priority. Shards
+//! refresh their checkpoints every `--checkpoint-every` accesses and
+//! hand one to the writer, unencoded, through mailboxes holding one
+//! each, once the WAL holds a quarter segment of records past the last
+//! hand-off; they never wait on its fsyncs, and it encodes only what it
+//! takes. Dropping the service hands every shard's newest refresh to
+//! the writer, writes what is pending, joins the thread and retires the
+//! WAL behind what landed.
 
 use crate::persist::{
     CheckpointWriter, CommitTicket, CrashAction, PersistError, PersistOptions, RecoveryReport,
@@ -517,13 +519,20 @@ impl CacheService {
     }
 }
 
-/// Dropping a durable service writes the checkpoints still pending,
-/// joins the writer thread, and retires the WAL behind what landed.
+/// Dropping a durable service hands every shard's newest checkpoint
+/// refresh to the writer, writes what is pending, joins the writer
+/// thread, and retires the WAL behind what landed.
 impl Drop for CacheService {
     fn drop(&mut self) {
         let Some(writer) = self.writer.take() else {
             return;
         };
+        for shard in &mut self.shards {
+            shard
+                .get_mut()
+                .unwrap_or_else(|p| p.into_inner())
+                .hand_off_held();
+        }
         writer.shutdown();
         for shard in &mut self.shards {
             shard

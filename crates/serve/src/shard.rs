@@ -35,15 +35,17 @@
 //! the shard lock — so disk is never behind what a client was told.
 //! The WAL is what makes an ack durable; checkpoints only bound
 //! replay. So a checkpoint refresh takes the snapshot inline, keeps it
-//! as the shard's checkpoint, and shares it, not yet encoded, with the
-//! service's background writer without waiting for its fsyncs
-//! ([`ShardStore::submit_checkpoint`]); the writer encodes only the
-//! checkpoints it gets to before a newer one replaces them. The shard
-//! learns on its next operation that the checkpoint landed and only
-//! then retires the WAL behind it; until then, and for the active
-//! segment's records at or below the checkpoint afterwards, the log
-//! keeps a subsumed prefix that recovery skips. On open, the durable checkpoint is restored and
-//! the WAL tail replays through the same zero-alloc `access_into` path
+//! as the shard's checkpoint, and submits it, not yet encoded, to the
+//! store ([`ShardStore::submit_checkpoint`]), which shares it with the
+//! service's background writer once the WAL holds a quarter segment of
+//! records past the last hand-off, and never waits for its fsyncs; the
+//! writer encodes only the checkpoints it gets to before a newer one
+//! replaces them. The shard learns on its next operation that the
+//! checkpoint landed and only then retires the WAL behind it; until
+//! then, and for the active segment's records at or below the
+//! checkpoint afterwards, the log keeps a subsumed prefix that recovery
+//! skips. On open, the durable checkpoint is restored and the WAL tail
+//! replays through the same zero-alloc `access_into` path
 //! live requests use — then the shard compacts (a checkpoint written
 //! and waited for, the log retired) so restarts converge instead of
 //! replaying ever-longer logs.
@@ -439,6 +441,16 @@ impl Shard {
         }
     }
 
+    /// Hand the newest checkpoint refresh to the background writer if
+    /// the store still holds it — the first step of a service shutdown,
+    /// before the writer drains. Best effort: a failure leaves a longer
+    /// WAL tail for the next open to replay.
+    pub(crate) fn hand_off_held(&mut self) {
+        if let Some(store) = &mut self.store {
+            let _ = store.hand_off_held();
+        }
+    }
+
     /// Retire the WAL behind the newest checkpoint the background
     /// writer landed — the last step of a service shutdown, once the
     /// writer has drained. Best effort: a failure leaves a longer
@@ -481,8 +493,9 @@ impl Shard {
         self.evictions = EvictionCount(0);
         // Keep the disk in step with the rewind: WAL records after the
         // checkpoint describe accesses the rebuilt shard never saw. The
-        // store first waits for the newest submitted checkpoint — this
-        // one — to land. If that or the truncation fails, kill the
+        // store first lands the newest submitted checkpoint — this one,
+        // whether it was handed to the writer or held. If that or the
+        // truncation fails, kill the
         // store: refusing further appends beats silently diverging
         // from the in-memory state.
         if let Some(store) = &mut self.store {

@@ -1,25 +1,36 @@
-//! The background checkpoint writer: a durable service hands its
-//! periodic checkpoints to one writer thread and retires the WAL behind
-//! a checkpoint only after it landed.
+//! The background checkpoint writer: a durable shard refreshes its
+//! checkpoint every `--checkpoint-every` accesses, hands a refresh to
+//! one writer thread once the WAL holds a quarter segment of records
+//! past the last hand-off, and retires the WAL behind a checkpoint only
+//! after it landed.
 //!
 //! The invariants pinned here:
 //!
+//! * hand-offs are a quarter segment of WAL records apart, counted in
+//!   sequence numbers, so probes count; landings are counted by the
+//!   slots' generation, and every test that needs one waits for it;
+//! * after a crash mid-run, replay is at most a quarter segment plus
+//!   one `--checkpoint-every`;
+//! * a clean drop lands every shard's newest refresh, so a reopen
+//!   replays fewer than `--checkpoint-every` records per shard;
 //! * a dead store's pending checkpoint is discarded, never written: a
 //!   successor opened while the crashed service is still alive always
 //!   opens, and the checkpoint on disk never moves backwards;
 //! * retirement keeps the log bounded, and a reopen replays only the
 //!   records after the last checkpoint that landed;
-//! * poison recovery waits for the checkpoint in flight, so the rewind
-//!   lands exactly on the in-memory checkpoint and disk agrees;
+//! * poison recovery lands the newest refresh, handed off or held,
+//!   before it truncates, so the rewind lands exactly on the in-memory
+//!   checkpoint and disk agrees;
 //! * the writer yields the core but still lands: it runs at nice 19,
 //!   and pinned to one CPU with a busy request loop it keeps retiring
 //!   sealed segments while the loop runs, so few segment files are
 //!   left when the loop stops.
 
 use clipcache_media::{paper, ByteSize, ClipId, Repository};
-use clipcache_serve::persist::{read_checkpoint, DurableCheckpoint};
+use clipcache_serve::persist::{checkpoint_generation, read_checkpoint, DurableCheckpoint};
 use clipcache_serve::{
-    CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig, ServiceError, WalTuning,
+    CacheService, CrashAction, CrashSpec, PersistOptions, ServiceConfig, ServiceError, ShardStore,
+    WalSync, WalTuning,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -27,6 +38,11 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 43;
 const CLIPS: u32 = 16;
+/// Records between hand-offs at the default 4 MiB segments: a quarter
+/// segment of 25-byte frames.
+const QUARTER: u64 = 4 * 1024 * 1024 / (4 * 25);
+/// The refresh cadence of the hand-off tests.
+const EVERY: u64 = 128;
 
 fn repo() -> Arc<Repository> {
     Arc::new(
@@ -82,6 +98,168 @@ fn durable_checkpoint(dir: &Path, shard: usize) -> DurableCheckpoint {
     DurableCheckpoint::from_json(&json).unwrap()
 }
 
+/// Checkpoints written into shard `shard`'s slots so far.
+fn generation(dir: &Path, shard: usize) -> u64 {
+    checkpoint_generation(&dir.join(format!("shard-{shard}"))).unwrap()
+}
+
+/// Wait until shard 0's checkpoint on disk is the `landings`th written
+/// and covers through `seq`. The nice-19 writer lands in its own time,
+/// so this polls; a hand-off that never comes fails after 20 s.
+fn wait_for_landing(dir: &Path, landings: u64, seq: u64) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        // The slot being written may read torn; the next look sees it.
+        let on_disk = checkpoint_generation(&dir.join("shard-0")).ok().zip(
+            read_checkpoint(&dir.join("shard-0"))
+                .ok()
+                .flatten()
+                .map(|json| DurableCheckpoint::from_json(&json).unwrap().seq),
+        );
+        if on_disk == Some((landings, seq)) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "landing {landings} at seq {seq} never came; on disk: {on_disk:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// WAL records shard `shard`'s next open would replay.
+fn replay_of(dir: &Path, shard: usize) -> u64 {
+    let (_, state) = ShardStore::open(&dir.join(format!("shard-{shard}")), WalSync::Off).unwrap();
+    state.records.len() as u64
+}
+
+#[test]
+fn hand_offs_are_a_quarter_segment_of_records_apart() {
+    let repo = repo();
+    let dir = scratch_dir("quarter");
+    let service = open(&repo, config(1, EVERY), &dir, None, WalTuning::default());
+    // Gets only: a refresh every 128 records. The first at or past a
+    // quarter segment (41,943) is 41,984, the next 41,984 later.
+    let first = QUARTER.div_ceil(EVERY) * EVERY;
+    assert_eq!(first, 41_984);
+    let mut requests = 0u64;
+    for (landings, until) in [(1, first), (2, 2 * first)] {
+        while requests < until {
+            service.get(clip(requests)).unwrap();
+            requests += 1;
+        }
+        wait_for_landing(&dir, landings, until);
+    }
+    // 100,000 records: ⌊100,000 / 41,943⌋ = 2 hand-offs, and the 125
+    // refreshes since the second were held, never written.
+    while requests < 100_000 {
+        service.get(clip(requests)).unwrap();
+        requests += 1;
+    }
+    assert_eq!(requests / QUARTER, 2);
+    assert_eq!(generation(&dir, 0), 2, "only the two hand-offs landed");
+    drop(service);
+    // The drop lands the newest refresh, at seq 99,968, as a third.
+    assert_eq!(generation(&dir, 0), 3);
+    assert_eq!(durable_checkpoint(&dir, 0).seq, 99_968);
+    assert_eq!(replay_of(&dir, 0), 32);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn probes_count_toward_a_hand_off() {
+    let repo = repo();
+    let dir = scratch_dir("probes");
+    let service = open(&repo, config(1, EVERY), &dir, None, WalTuning::default());
+    // Three probes before every get: 128 gets tick one refresh, 512
+    // records. Counted in records, the first refresh at or past a
+    // quarter segment is the 82nd, at seq 41,984, after only 10,496
+    // gets; counted in gets it would be the 328th.
+    let mut requests = 0u64;
+    while requests < 41_984 {
+        if requests % 4 == 3 {
+            service.get(clip(requests)).unwrap();
+        } else {
+            service
+                .get_range(clip(requests), (requests % 5) as u32)
+                .unwrap();
+        }
+        requests += 1;
+    }
+    wait_for_landing(&dir, 1, 41_984);
+    drop(service);
+    assert_eq!(generation(&dir, 0), 1, "nothing was held past the hand-off");
+    assert_eq!(replay_of(&dir, 0), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_crash_mid_run_replays_at_most_a_quarter_segment_and_a_cadence() {
+    let repo = repo();
+    let dir = scratch_dir("crash-bound");
+    // The 100,000th append dies after its record is durable.
+    let cfg = config(1, EVERY);
+    let service = open(
+        &repo,
+        cfg,
+        &dir,
+        Some("append:100000"),
+        WalTuning::default(),
+    );
+    let mut requests = 0u64;
+    loop {
+        if requests == 83_968 {
+            // The second hand-off; wait for it to land before going on.
+            wait_for_landing(&dir, 2, 83_968);
+        }
+        match service.get(clip(requests)) {
+            Ok(_) => requests += 1,
+            Err(ServiceError::Crashed) => break,
+            Err(e) => panic!("request {requests}: {e}"),
+        }
+    }
+    assert_eq!(requests, 99_999, "the 100,000th request died");
+    drop(service);
+    assert_eq!(generation(&dir, 0), 2, "the crashed drop wrote nothing");
+    let replay = replay_of(&dir, 0);
+    assert_eq!(replay, 100_000 - 83_968);
+    assert!(replay <= QUARTER + EVERY, "replayed {replay}");
+    let reopened = open(&repo, cfg, &dir, None, WalTuning::default());
+    assert_eq!(reopened.wal_replayed(), replay);
+    assert_eq!(reopened.stats().requests(), 100_000);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drop_lands_every_shards_newest_refresh() {
+    let repo = repo();
+    let dir = scratch_dir("drop");
+    let cfg = config(4, EVERY);
+    let service = open(&repo, cfg, &dir, None, WalTuning::default());
+    // About 1,000 records a shard, far short of a hand-off: every
+    // refresh is held until the drop.
+    for i in 0..4_000u64 {
+        service
+            .get(ClipId::new((i * 5 % CLIPS as u64) as u32 + 1))
+            .unwrap();
+    }
+    let stats = service.stats();
+    drop(service);
+    let mut replayed = 0;
+    for shard in 0..4 {
+        assert_eq!(generation(&dir, shard), 1, "shard {shard}");
+        let replay = replay_of(&dir, shard);
+        assert!(replay < EVERY, "shard {shard} would replay {replay}");
+        replayed += replay;
+    }
+    let reopened = open(&repo, cfg, &dir, None, WalTuning::default());
+    assert_eq!(reopened.wal_replayed(), replayed);
+    assert_eq!(reopened.stats(), stats);
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_crashed_service_never_lands_a_stale_checkpoint() {
     let repo = repo();
@@ -90,10 +268,15 @@ fn a_crashed_service_never_lands_a_stale_checkpoint() {
     // the first shard to get there dies right after submitting its
     // second checkpoint, usually while that is still being written,
     // and the other shard is left with checkpoints of its own in
-    // flight or landed but not yet retired.
+    // flight or landed but not yet retired. Segments of 16 records
+    // make every refresh a hand-off (a quarter segment is 4 records).
     let cfg = config(2, 4);
     let crash = Some("append:9");
-    let mut service = open(&repo, cfg, &dir, crash, WalTuning::default());
+    let tuning = WalTuning {
+        segment_bytes: 24 + 16 * 25,
+        ..WalTuning::default()
+    };
+    let mut service = open(&repo, cfg, &dir, crash, tuning);
     let mut applied = 0u64;
     let mut newest = [0u64; 2];
     for restart in 0..200 {
@@ -109,7 +292,7 @@ fn a_crashed_service_never_lands_a_stale_checkpoint() {
             }
         }
         // The successor opens while the crashed service is still alive.
-        let successor = open(&repo, cfg, &dir, crash, WalTuning::default());
+        let successor = open(&repo, cfg, &dir, crash, tuning);
         assert_eq!(
             successor.stats().requests(),
             applied,
@@ -179,13 +362,13 @@ fn retirement_bounds_the_log_and_reopen_replays_only_the_tail() {
 }
 
 #[test]
-fn poison_recovery_lands_on_the_checkpoint_in_flight() {
+fn poison_recovery_lands_the_newest_refresh_before_it_truncates() {
     let repo = repo();
     let dir = scratch_dir("poison");
     let cfg = config(1, 16);
     let service = open(&repo, cfg, &dir, None, WalTuning::default());
-    // The 48th request submits the third checkpoint; the next few run
-    // while it is still being written.
+    // The 48th request takes the third refresh, far short of a quarter
+    // segment: the store holds it and the writer has written nothing.
     for i in 0..48 {
         service.get(clip(i)).unwrap();
     }
@@ -200,7 +383,8 @@ fn poison_recovery_lands_on_the_checkpoint_in_flight() {
     assert_eq!(service.stats(), at_checkpoint, "rewound to the checkpoint");
     assert_eq!(service.recoveries(), 1);
     let durable = durable_checkpoint(&dir, 0);
-    assert_eq!(durable.seq, 48, "the checkpoint in flight landed");
+    assert_eq!(durable.seq, 48, "the held refresh landed");
+    assert_eq!(generation(&dir, 0), 1, "as the only checkpoint written");
     assert_eq!(durable.stats, at_checkpoint);
     let mut on_disk = durable.snapshot.resident.clone();
     on_disk.sort();

@@ -406,9 +406,17 @@ fn recovery_is_deterministic_across_independent_runs() {
     let copy_b = scratch_dir("determinism-b");
     // Cadence 16 with a crash at append 50: recovery consumes a real
     // mid-stream checkpoint *and* a WAL tail — the general case.
+    // Four-record segments make every refresh a hand-off to the writer.
     let cfg = config(16);
     let requests = trace(120);
-    let service = open_with_crash(&repo, cfg, &dir, Some("append:50"));
+    let service = open_tuned_with_crash(
+        &repo,
+        cfg,
+        &dir,
+        Some("append:50"),
+        WalSync::Off,
+        four_record_segments(),
+    );
     drive_until_crash(&service, &requests);
     drop(service);
 
