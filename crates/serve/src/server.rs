@@ -23,13 +23,14 @@
 //! reply uses the protocol of its request, so mixed sessions work.
 //!
 //! **Durable batches.** On a durable service each logged request only
-//! stages its WAL frame in its shard's store. Ending the batch writes
-//! each touched shard's frames with one `write` and, under `--wal-sync
-//! always`, waits outside the shard lock for the one fsync covering
-//! them. Only then can the driver send the batch's replies, so no reply
-//! leaves before its frame is in the OS (and, under `always`, on disk).
-//! If a shard's write or fsync fails, every reply of the batch that
-//! rests on that shard is re-encoded in place as an `ERR`. A
+//! stages its WAL frame in its shard's store. Ending the batch commits
+//! each touched shard's frames into its active segment's mapped tail —
+//! a memory copy into the page cache, no system call — and, under
+//! `--wal-sync always`, waits outside the shard lock for the one fsync
+//! covering them. Only then can the driver send the batch's replies, so
+//! no reply leaves before its frame is in the OS (and, under `always`,
+//! on disk). If a shard's commit or fsync fails, every reply of the
+//! batch that rests on that shard is re-encoded in place as an `ERR`. A
 //! memory-only service stages nothing, so its batches lock no shard.
 //!
 //! ## The epoll driver
@@ -883,12 +884,13 @@ impl Node {
         }
     }
 
-    /// End the batch whose replies are the tail of `out`: write the WAL
-    /// frames it staged, one `write` (and under `--wal-sync always` one
-    /// fsync) per touched shard. If a shard's write or fsync failed,
-    /// every reply resting on an access to that shard is re-encoded as
-    /// an `ERR` naming the failure — nothing is acknowledged that is
-    /// not as durable as the sync policy promises.
+    /// End the batch whose replies are the tail of `out`: commit the WAL
+    /// frames it staged into each touched shard's mapped tail (and under
+    /// `--wal-sync always` wait for one fsync per touched shard). If a
+    /// shard's commit or fsync failed, every reply resting on an access
+    /// to that shard is re-encoded as an `ERR` naming the failure —
+    /// nothing is acknowledged that is not as durable as the sync
+    /// policy promises.
     fn end_batch(&mut self, out: &mut Vec<u8>) {
         let mut failed: Vec<(usize, String)> = Vec::new();
         self.service.write_batch(&mut self.batch, |shard, e| {
@@ -1440,6 +1442,72 @@ mod tests {
                 assert_eq!(replies[i], clean[i], "reply {i} on the untorn shard");
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_frame_of_an_ended_batch_reads_back_from_its_segment() {
+        use crate::persist::{
+            decode_segment, segment_file_name, PersistOptions, WalSync, WalTuning,
+        };
+        let repo = Arc::new(paper::variable_sized_repository_of(24));
+        let mut config =
+            ServiceConfig::new(PolicyKind::Lru, 2, repo.cache_capacity_for_ratio(0.25), 7);
+        // No checkpoint lands, so no segment is retired: the disk holds
+        // every frame either shard ever logged.
+        config.checkpoint_every = 1_000_000;
+        let dir =
+            std::env::temp_dir().join(format!("clipcache-server-acked-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // 40 KB segments: each crosses two 16 KiB releases of its
+        // resident pages, and each roll reserves and maps a successor.
+        let opts = PersistOptions {
+            tuning: WalTuning {
+                segment_bytes: 40_000,
+                ..WalTuning::default()
+            },
+            ..PersistOptions::at(&dir)
+        };
+        assert_eq!(opts.sync, WalSync::Off);
+        let (service, _) = CacheService::open_persistent(Arc::clone(&repo), config, None, &opts)
+            .expect("durable service opens");
+        let mut node = Node::new(Arc::new(service), ServerConfig::default());
+        let ids: Vec<ClipId> = repo.ids().collect();
+        // What each shard's segments hold, read through `read(2)`.
+        let on_disk = |shard: usize| {
+            let shard_dir = dir.join(format!("shard-{shard}"));
+            let mut seqs = Vec::new();
+            for no in (1..).take_while(|&no| shard_dir.join(segment_file_name(no)).exists()) {
+                let bytes = std::fs::read(shard_dir.join(segment_file_name(no))).unwrap();
+                let (records, _) = decode_segment(&bytes, no).expect("a live segment decodes");
+                seqs.extend(records.iter().map(|r| r.seq));
+            }
+            seqs
+        };
+        let mut logged = [0u64; 2];
+        let mut out = Vec::new();
+        for batch in 0..300 {
+            for i in 0..32 {
+                let clip = ids[(batch * 32 + i * 7) % ids.len()];
+                let (reply, _) = node.execute(LoadTier::Normal, Ok(Command::Get(clip)));
+                assert!(matches!(reply, Reply::Get(_)), "{reply:?}");
+                logged[shard_of(clip, 2)] += 1;
+            }
+            node.end_batch(&mut out);
+            for (shard, &count) in logged.iter().enumerate() {
+                let seqs = on_disk(shard);
+                assert!(
+                    seqs.iter().copied().eq(1..=count),
+                    "batch {batch}: shard {shard} logged {count} frames, {} read back",
+                    seqs.len()
+                );
+            }
+        }
+        assert!(
+            dir.join("shard-0").join(segment_file_name(3)).exists(),
+            "the run rolled into a third segment"
+        );
+        drop(node);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,13 +26,14 @@
 //!
 //! A request's WAL frame is staged in its shard's store, not written
 //! on its own. The event loop runs a connection's buffered requests as
-//! one batch, then writes each touched shard's frames with one `write`
+//! one batch, then commits each touched shard's frames into its active
+//! segment's mapped tail (a copy into the page cache, no system call)
 //! before any reply of the batch is sent; under `--wal-sync always` it
 //! then waits, outside that shard's lock, for the one fsync covering
 //! them. The in-process [`get`](CacheService::get),
 //! [`get_range`](CacheService::get_range) and
 //! [`admit`](CacheService::admit) are one-request batches: the frame is
-//! written (and fsynced) before the call returns.
+//! committed (and fsynced) before the call returns.
 //!
 //! ## Background checkpoints
 //!
@@ -428,14 +429,13 @@ impl CacheService {
         self.on_shard(clip, None, |shard| shard.admit(clip))
     }
 
-    /// End a batch: write each touched shard's staged WAL frames with
-    /// one `write`, locking only those shards, and under
-    /// `--wal-sync always` wait for that write's fsync outside the
-    /// lock — one fsync per touched shard, not per request. `failed`
-    /// hears of every shard whose write or fsync failed — the requests
-    /// the batch ran there must not be acknowledged. A memory-only
-    /// service never stages, so its batches end without locking
-    /// anything.
+    /// End a batch: commit each touched shard's staged WAL frames,
+    /// locking only those shards, and under `--wal-sync always` wait
+    /// for that commit's fsync outside the lock — one fsync per touched
+    /// shard, not per request. `failed` hears of every shard whose
+    /// commit or fsync failed — the requests the batch ran there must
+    /// not be acknowledged. A memory-only service never stages, so its
+    /// batches end without locking anything.
     pub(crate) fn write_batch(
         &self,
         batch: &mut WalBatch,

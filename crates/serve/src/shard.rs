@@ -424,11 +424,11 @@ impl Shard {
         self.store.as_ref().is_some_and(ShardStore::has_staged)
     }
 
-    /// Write the staged WAL frames with one `write` — what makes the
-    /// requests that staged them safe to acknowledge, once the returned
-    /// ticket (under `--wal-sync always`) has been waited on outside
-    /// the shard lock. An error if the store is dead, because its
-    /// staged frames died with it. A failed write kills the store.
+    /// Commit the staged WAL frames into the store's mapped tail — what
+    /// makes the requests that staged them safe to acknowledge, once the
+    /// returned ticket (under `--wal-sync always`) has been waited on
+    /// outside the shard lock. An error if the store is dead, because
+    /// its staged frames died with it. A failed commit kills the store.
     pub fn write_wal(&mut self) -> Result<Option<CommitTicket>, PersistError> {
         self.store.as_mut().map_or(Ok(None), ShardStore::commit)
     }
@@ -693,7 +693,7 @@ mod tests {
                 .get(ClipId::new(c), repo.size_of(ClipId::new(c)))
                 .unwrap();
         }
-        // The run's frames are staged; one write makes them durable.
+        // The run's frames are staged; one commit makes them durable.
         assert!(durable.wal_staged());
         assert!(durable.write_wal().unwrap().is_none(), "no fsync owed");
         assert!(!durable.wal_staged());
