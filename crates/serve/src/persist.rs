@@ -56,6 +56,19 @@
 //! created. Sealed segments are immutable and fully durable; a single
 //! flipped bit anywhere in one fails the footer CRC loudly.
 //!
+//! Creating a segment fsyncs only what a promise needs. Its header is
+//! never fsynced on its own: under `--wal-sync always` the first group
+//! commit into the segment covers it, under `off` its seal does. Its
+//! name is made durable at creation under `always`, where the first
+//! acknowledged record needs it, and under `off` by a directory fsync
+//! right after the seal. Either way a sealed segment's bytes and name
+//! are durable before its successor's file exists, so after a power
+//! loss only the newest segment can be unsealed, and at worst it
+//! exists with its header never written (all zeros), which open
+//! creates afresh. A roll costs two fsyncs in either mode, a fresh
+//! open none under `off` and one directory fsync under `always`; every
+//! fsync goes through one counted ledger ([`ShardStore::fsyncs`]).
+//!
 //! The active segment is longer than its records while it is live. Its
 //! frames are committed into a shared mapping of the file (see the
 //! write path below), over space reserved ahead of the tail by writing
@@ -142,7 +155,12 @@
 //!   mid-frame (or mid-footer, or even mid-header), the signature of a
 //!   crash during a write. The partial bytes are truncated away (a torn
 //!   header is rewritten) and recovery proceeds from the last complete
-//!   record; the dropped byte count is reported, never hidden.
+//!   record; the dropped byte count is reported, never hidden. A newest
+//!   segment whose 24 header bytes are all zeros is one whose header
+//!   never reached the disk (a power loss before its first fsync): it
+//!   never held a durable record, so it is created afresh and any
+//!   bytes after the zeros are dropped and counted. A zero header on
+//!   any other segment, and any non-zero wrong magic, is corruption.
 //! * a **subsumed prefix** — records (or whole sealed segments) with
 //!   sequence numbers at or below the checkpoint's: the active
 //!   segment's head in the steady state, or whatever a crash between
@@ -150,7 +168,8 @@
 //!   already folds them in, so they are skipped (and fully subsumed
 //!   segments deleted), never replayed twice.
 //! * a **sealed newest segment** — a crash in the roll window, after
-//!   the seal fsync but before the successor segment was created.
+//!   the seal fsync but before the successor segment was created, or
+//!   a power loss that kept the seal but not the successor's name.
 //!   Recovery opens a fresh successor; nothing was lost.
 //! * a **torn checkpoint slot** — a crash mid-checkpoint left half a
 //!   frame in the slot being written. It fails its CRC and is ignored;
@@ -194,7 +213,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -555,7 +574,9 @@ pub enum SegmentEnd {
     /// interrupted an append, a seal or even the header. The partial
     /// bytes are never replayed; `valid_bytes` shorter than the header
     /// means the header itself never finished (a crash during segment
-    /// creation).
+    /// creation) or never reached the disk: 24 zero bytes, which a
+    /// power loss before the segment's first fsync leaves. Then
+    /// `dropped_bytes` runs through the last non-zero byte of the file.
     Torn {
         /// Bytes of the header plus complete, valid frames: where the
         /// segment is truncated.
@@ -699,6 +720,36 @@ fn scan_segment(
             end: SegmentEnd::Torn {
                 valid_bytes: 0,
                 dropped_bytes: header.len() as u64,
+            },
+            records: 0,
+            last_seq: 0,
+            valid_len: 0,
+            crc,
+        });
+    }
+    if header[..SEGMENT_HEADER_BYTES] == [0; SEGMENT_HEADER_BYTES] {
+        // The header never reached the disk: nothing fsyncs a new
+        // segment's header until its first group commit or its seal,
+        // so a power loss can keep the file without its bytes. Only
+        // tolerable on the newest segment, which then never held a
+        // durable record; whatever follows is dropped and counted.
+        let mut dropped = 0;
+        loop {
+            let at = w.offset;
+            let rest = w.fill(1)?;
+            if rest.is_empty() {
+                break;
+            }
+            if let Some(i) = rest.iter().rposition(|&b| b != 0) {
+                dropped = at + i as u64 + 1;
+            }
+            let n = rest.len();
+            w.consume(n);
+        }
+        return Ok(SegmentScan {
+            end: SegmentEnd::Torn {
+                valid_bytes: 0,
+                dropped_bytes: dropped,
             },
             records: 0,
             last_seq: 0,
@@ -889,11 +940,14 @@ pub enum WalSync {
     /// `fsync` before a request is acknowledged: survives power loss.
     /// Each committed batch of frames is fsynced once, and batches
     /// that commit while an fsync runs (or within the commit window)
-    /// share the next one.
+    /// share the next one. Creating a segment fsyncs the directory, so
+    /// its name is durable before its first record is acknowledged.
     Always,
     /// Flush to the OS page cache only (the default): survives process
     /// death, trusts the kernel for power loss. Checkpoints and seal
-    /// footers still fsync.
+    /// footers still fsync, and the directory is fsynced right after
+    /// each seal so a sealed segment's name is durable before its
+    /// successor exists; creating a segment fsyncs nothing.
     #[default]
     Off,
 }
@@ -1228,12 +1282,20 @@ struct CommitQueue {
     window: Duration,
     state: Mutex<CommitState>,
     cv: Condvar,
+    /// The store's fsync ledger, which the leader's fsync goes through.
+    ledger: Arc<SyncLedger>,
 }
 
 impl CommitQueue {
-    fn new(window: Duration, durable_through: u64, file: Arc<File>) -> Arc<CommitQueue> {
+    fn new(
+        window: Duration,
+        durable_through: u64,
+        file: Arc<File>,
+        ledger: Arc<SyncLedger>,
+    ) -> Arc<CommitQueue> {
         Arc::new(CommitQueue {
             window,
+            ledger,
             state: Mutex::new(CommitState {
                 written: durable_through,
                 durable: durable_through,
@@ -1341,7 +1403,7 @@ impl CommitQueue {
             let target = st.written;
             let file = Arc::clone(&st.file);
             drop(st);
-            let synced = file.sync_data();
+            let synced = self.ledger.fdatasync(&file);
             st = self.lock();
             st.leader = false;
             match synced {
@@ -1375,11 +1437,46 @@ impl CommitTicket {
     }
 }
 
-/// Make `dir`'s entries durable (best effort: not every filesystem
-/// lets you open a directory for sync).
-fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+/// The fsyncs one store has issued, by kind (see
+/// [`ShardStore::fsyncs`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FsyncCount {
+    /// `fdatasync`s of a segment or checkpoint slot file.
+    pub data: u64,
+    /// `fsync`s of the store's directory.
+    pub dir: u64,
+}
+
+/// Every fsync a store issues goes through one of these two counted
+/// helpers, so each has a promise to answer to and a test can pin how
+/// many a given operation costs in each sync mode. Shared by the
+/// store, its commit queue and its checkpoint slots.
+#[derive(Debug, Default)]
+struct SyncLedger {
+    data: AtomicU64,
+    dir: AtomicU64,
+}
+
+impl SyncLedger {
+    /// `fdatasync` `file`.
+    fn fdatasync(&self, file: &File) -> std::io::Result<()> {
+        self.data.fetch_add(1, Ordering::Relaxed);
+        file.sync_data()
+    }
+
+    /// Make `dir`'s entries durable. A directory that cannot be opened
+    /// or fsynced is an error, as a failed `fdatasync` is: a name the
+    /// caller needs on disk may not be there.
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        self.dir.fetch_add(1, Ordering::Relaxed);
+        File::open(dir)?.sync_all()
+    }
+
+    fn count(&self) -> FsyncCount {
+        FsyncCount {
+            data: self.data.load(Ordering::Relaxed),
+            dir: self.dir.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -1477,6 +1574,8 @@ struct CheckpointSlots {
     generation: u64,
     /// The frame being written, reused across writes.
     frame: Vec<u8>,
+    /// The owning store's fsync ledger.
+    ledger: Arc<SyncLedger>,
 }
 
 impl CheckpointSlots {
@@ -1485,7 +1584,10 @@ impl CheckpointSlots {
     /// write and ignored, unless the other slot fails too: then both
     /// are refused as [`PersistError::BadCheckpoint`], never taken for
     /// a cold start.
-    fn open(dir: &Path) -> Result<(CheckpointSlots, Option<String>), PersistError> {
+    fn open(
+        dir: &Path,
+        ledger: Arc<SyncLedger>,
+    ) -> Result<(CheckpointSlots, Option<String>), PersistError> {
         let mut files = [None, None];
         let mut contents = [Vec::new(), Vec::new()];
         for (slot, name) in CHECKPOINT_SLOT_FILES.iter().enumerate() {
@@ -1545,6 +1647,7 @@ impl CheckpointSlots {
             newest,
             generation,
             frame: Vec::new(),
+            ledger,
         };
         Ok((slots, body))
     }
@@ -1566,7 +1669,7 @@ impl CheckpointSlots {
                 .create(true)
                 .truncate(false)
                 .open(self.dir.join(CHECKPOINT_SLOT_FILES[target]))?;
-            sync_dir(&self.dir);
+            self.ledger.sync_dir(&self.dir)?;
             self.files[target] = Some(file);
         }
         let file = self.files[target].as_ref().expect("opened above");
@@ -1576,7 +1679,7 @@ impl CheckpointSlots {
             self.frame.len()
         };
         file.write_all_at(&self.frame[..len], 0)?;
-        file.sync_data()?;
+        self.ledger.fdatasync(file)?;
         if crash {
             return Err(PersistError::CrashInjected);
         }
@@ -1597,14 +1700,14 @@ fn lock_slots(slots: &Mutex<CheckpointSlots>) -> MutexGuard<'_, CheckpointSlots>
 /// landed there. Two unreadable slots fail as they do on
 /// [`ShardStore::open`]; a legacy checkpoint file is not read.
 pub fn read_checkpoint(dir: &Path) -> Result<Option<String>, PersistError> {
-    CheckpointSlots::open(dir).map(|(_, body)| body)
+    CheckpointSlots::open(dir, Arc::default()).map(|(_, body)| body)
 }
 
 /// The generation of the newest checkpoint in shard directory `dir`:
 /// every checkpoint written there bumps it by one, and it is 0 when
 /// none ever landed. Slots are read as [`ShardStore::open`] reads them.
 pub fn checkpoint_generation(dir: &Path) -> Result<u64, PersistError> {
-    CheckpointSlots::open(dir).map(|(slots, _)| slots.generation)
+    CheckpointSlots::open(dir, Arc::default()).map(|(slots, _)| slots.generation)
 }
 
 /// Write `body` into shard directory `dir` as its newest checkpoint,
@@ -1612,7 +1715,7 @@ pub fn checkpoint_generation(dir: &Path) -> Result<u64, PersistError> {
 /// slot not holding the newest frame, then fdatasynced. The body is
 /// not validated, so offline tools can write any state they mean to.
 pub fn write_checkpoint(dir: &Path, body: &str) -> Result<(), PersistError> {
-    let (mut slots, _) = CheckpointSlots::open(dir)?;
+    let (mut slots, _) = CheckpointSlots::open(dir, Arc::default())?;
     slots.write(body.as_bytes(), false)
 }
 
@@ -2182,21 +2285,22 @@ impl ActiveSegment {
     }
 
     /// Trim the segment, then write `footer` (a seal footer, or part of
-    /// one) after its last frame and fsync.
-    fn write_footer(&mut self, footer: &[u8]) -> std::io::Result<()> {
+    /// one) after its last frame and fsync. The fsync covers every byte
+    /// of the file, the header included.
+    fn write_footer(&mut self, footer: &[u8], ledger: &SyncLedger) -> std::io::Result<()> {
         self.trim()?;
         self.file.write_all_at(footer, self.published)?;
         self.published += footer.len() as u64;
         self.reserved = self.published;
-        self.file.sync_data()
+        ledger.fdatasync(&self.file)
     }
 
     /// Truncate the segment to its bare header, fsynced: it holds no
     /// records any more.
-    fn reset(&mut self) -> Result<(), PersistError> {
+    fn reset(&mut self, ledger: &SyncLedger) -> Result<(), PersistError> {
         self.published = SEGMENT_HEADER_BYTES as u64;
         self.trim()?;
-        self.file.sync_data()?;
+        ledger.fdatasync(&self.file)?;
         self.len = SEGMENT_HEADER_BYTES as u64;
         self.crc = Crc32::new();
         self.crc.update(&segment_header(self.no));
@@ -2207,8 +2311,23 @@ impl ActiveSegment {
 }
 
 /// Create segment `no` in `dir` (replacing any partial file of that
-/// name): header written and fsynced, nothing reserved yet.
-fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
+/// name): header written, nothing reserved yet.
+///
+/// The header is not fsynced here: before any promise rests on its 24
+/// bytes another fsync covers them — under [`WalSync::Always`] the
+/// group `fdatasync` of the first commit into the segment, under
+/// [`WalSync::Off`] the seal's. So a power loss can leave the newest
+/// segment with its header never written, which open takes for a
+/// segment that never held a record. The directory is fsynced only
+/// under `always`, whose first acknowledged record into the segment
+/// needs the segment's name on disk; under `off` the seal fsyncs it
+/// (see [`ShardStore::roll`]).
+fn create_segment(
+    dir: &Path,
+    no: u64,
+    sync: WalSync,
+    ledger: &SyncLedger,
+) -> Result<ActiveSegment, PersistError> {
     let path = dir.join(segment_file_name(no));
     let file = OpenOptions::new()
         .read(true)
@@ -2218,9 +2337,9 @@ fn create_segment(dir: &Path, no: u64) -> Result<ActiveSegment, PersistError> {
         .open(&path)?;
     let header = segment_header(no);
     file.write_all_at(&header, 0)?;
-    file.sync_data()?;
-    // Make the file name itself durable.
-    sync_dir(dir);
+    if sync == WalSync::Always {
+        ledger.sync_dir(dir)?;
+    }
     let mut crc = Crc32::new();
     crc.update(&header);
     let len = SEGMENT_HEADER_BYTES as u64;
@@ -2325,6 +2444,9 @@ pub struct ShardStore {
     /// order: the active segment's tail that only memory holds. Reused,
     /// so appends allocate nothing once warm.
     staged: Vec<u8>,
+    /// Every fsync this store (its commit queue and checkpoint slots
+    /// included) has issued.
+    ledger: Arc<SyncLedger>,
 }
 
 impl ShardStore {
@@ -2345,7 +2467,11 @@ impl ShardStore {
     /// is truncated in place; sealed segments fully subsumed by the
     /// checkpoint are deleted, and an active segment holding only
     /// subsumed records is truncated; a sealed *newest* segment (crash
-    /// in the roll window) gets a fresh successor. Mid-log corruption,
+    /// in the roll window) gets a fresh successor, and a newest segment
+    /// with a torn or all-zero header is created afresh. Under
+    /// [`WalSync::Always`] the directory is fsynced before records are
+    /// acknowledged into a segment open resumes, since a run under
+    /// [`WalSync::Off`] may have left its name unsynced. Mid-log corruption,
     /// version skew, numbering gaps, a pre-segment `wal.log`, two
     /// unreadable checkpoint slots and untrusted checkpoints all fail
     /// loudly.
@@ -2359,7 +2485,8 @@ impl ShardStore {
     ) -> Result<(ShardStore, DurableState), PersistError> {
         std::fs::create_dir_all(dir)?;
         check_filesystem(dir)?;
-        let (mut slots, body) = CheckpointSlots::open(dir)?;
+        let ledger = Arc::new(SyncLedger::default());
+        let (mut slots, body) = CheckpointSlots::open(dir, Arc::clone(&ledger))?;
         let parse =
             |json: &str| DurableCheckpoint::from_json(json).map_err(PersistError::BadCheckpoint);
         let mut checkpoint = body.as_deref().map(parse).transpose()?;
@@ -2375,7 +2502,7 @@ impl ShardStore {
             slots.write(json.as_bytes(), false)?;
             std::fs::remove_file(&legacy)?;
             // The legacy file must never resurface over newer slots.
-            sync_dir(dir);
+            ledger.sync_dir(dir)?;
         }
         let ckpt_seq = checkpoint.as_ref().map_or(0, |c| c.seq);
 
@@ -2481,23 +2608,29 @@ impl ShardStore {
 
         let mut torn_bytes_dropped = 0;
         let active = match newest {
-            None => create_segment(dir, 1)?,
+            None => create_segment(dir, 1, sync, &ledger)?,
             Some((no, path, scan)) => match scan.end {
                 SegmentEnd::Sealed { .. } => {
                     // A crash in the roll window: the seal landed, the
                     // successor was never created. Open one now. (If the
                     // sealed segment was fully subsumed it is already
                     // deleted above; the numbering still moves forward.)
-                    create_segment(dir, no + 1)?
+                    // The crash may have come before the seal's directory
+                    // fsync: make the sealed name durable before its
+                    // successor exists, as `roll` does.
+                    ledger.sync_dir(dir)?;
+                    create_segment(dir, no + 1, sync, &ledger)?
                 }
                 SegmentEnd::Torn {
                     valid_bytes,
                     dropped_bytes,
                 } if (valid_bytes as usize) < SEGMENT_HEADER_BYTES => {
-                    // Even the header never finished (a crash during
-                    // segment creation): create the segment afresh.
+                    // The header never finished (a crash during segment
+                    // creation) or never reached the disk (all zeros: a
+                    // power loss before the segment's first fsync):
+                    // create the segment afresh.
                     torn_bytes_dropped = dropped_bytes;
-                    create_segment(dir, no)?
+                    create_segment(dir, no, sync, &ledger)?
                 }
                 end => {
                     let file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -2508,22 +2641,33 @@ impl ShardStore {
                         // footer) and the unused reservation, so the
                         // next open sees a clean segment.
                         file.set_len(scan.valid_len)?;
-                        file.sync_data()?;
+                        ledger.fdatasync(&file)?;
                         torn_bytes_dropped = dropped_bytes;
+                    }
+                    if sync == WalSync::Always {
+                        // A run under `off` may have created this
+                        // segment without making its name durable;
+                        // records acknowledged into it now need it.
+                        ledger.sync_dir(dir)?;
                     }
                     let mut active = ActiveSegment::resumed(file, no, &scan);
                     if scan.records > 0 && scan.last_seq <= ckpt_seq {
                         // Every record is subsumed: retire them now. A
                         // crash during this truncation only shortens a
                         // log whose every byte the checkpoint covers.
-                        active.reset()?;
+                        active.reset(&ledger)?;
                     }
                     active
                 }
             },
         };
         let next_seq = records.last().map_or(ckpt_seq, |r| r.seq) + 1;
-        let queue = CommitQueue::new(tuning.commit_window, next_seq - 1, Arc::clone(&active.file));
+        let queue = CommitQueue::new(
+            tuning.commit_window,
+            next_seq - 1,
+            Arc::clone(&active.file),
+            Arc::clone(&ledger),
+        );
         Ok((
             ShardStore {
                 dir: dir.to_path_buf(),
@@ -2545,6 +2689,7 @@ impl ShardStore {
                 crash: None,
                 dead: false,
                 staged: Vec::new(),
+                ledger,
             },
             DurableState {
                 checkpoint,
@@ -2578,6 +2723,12 @@ impl ShardStore {
     /// The next sequence number an append will receive.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
+    }
+
+    /// The fsyncs this store has issued since it was opened, open's own
+    /// included.
+    pub fn fsyncs(&self) -> FsyncCount {
+        self.ledger.count()
     }
 
     /// The active segment's number and the lowest segment number still
@@ -2649,7 +2800,7 @@ impl ShardStore {
                 // process dies mid-publication. Recovery must drop it.
                 self.write_staged()?;
                 self.active.publish_torn(&frame, self.map_cap())?;
-                self.active.file.sync_data()?;
+                self.ledger.fdatasync(&self.active.file)?;
                 // That fsync also made every earlier record in the
                 // segment durable: release any riders before the store
                 // goes dead.
@@ -2672,7 +2823,7 @@ impl ShardStore {
             if self.appends == n {
                 // The record IS durable; the process dies right after.
                 self.write_staged()?;
-                self.active.file.sync_data()?;
+                self.ledger.fdatasync(&self.active.file)?;
                 self.queue.note_durable(seq);
                 self.die();
                 return Err(PersistError::CrashInjected);
@@ -2741,6 +2892,15 @@ impl ShardStore {
     /// Seal the active segment (trim, footer write, fsync) and open its
     /// successor, after publishing what is staged. The `seal:N` and
     /// `segment-roll:N` crash points fire here.
+    ///
+    /// A roll costs two fsyncs in either mode. The seal's `fdatasync`
+    /// makes the segment's bytes durable, its header included. Its name
+    /// must be durable too before the successor's file exists, so that
+    /// after a power loss only the newest segment can be unsealed: under
+    /// [`WalSync::Off`] the directory is fsynced right after the seal;
+    /// under [`WalSync::Always`] the segment's creation already did
+    /// (or, for a segment an earlier run created, open did), and the
+    /// successor's creation fsyncs the directory for its own name.
     fn roll(&mut self) -> Result<(), PersistError> {
         self.write_staged()?;
         let footer = footer_after(self.active.crc.clone(), self.active.last_seq);
@@ -2753,7 +2913,7 @@ impl ShardStore {
                 // mid-seal. Recovery truncates the partial footer and
                 // the segment stays active.
                 self.active
-                    .write_footer(&footer[..SEGMENT_FOOTER_BYTES / 2])?;
+                    .write_footer(&footer[..SEGMENT_FOOTER_BYTES / 2], &self.ledger)?;
                 // The partial-footer fsync still made every record in
                 // the segment durable.
                 self.queue.note_durable(self.active.last_seq);
@@ -2761,7 +2921,11 @@ impl ShardStore {
                 return Err(PersistError::CrashInjected);
             }
         }
-        if let Err(e) = self.active.write_footer(&footer) {
+        let mut sealed = self.active.write_footer(&footer, &self.ledger);
+        if sealed.is_ok() && self.sync == WalSync::Off {
+            sealed = self.ledger.sync_dir(&self.dir);
+        }
+        if let Err(e) = sealed {
             self.kill();
             return Err(e.into());
         }
@@ -2784,10 +2948,12 @@ impl ShardStore {
         let cap = self.map_cap();
         // Reserve and map the successor now, in the batch that pays for
         // the seal, rather than in the next one.
-        let next = create_segment(&self.dir, self.active.no + 1).and_then(|mut next| {
-            next.slot(FRAME_BYTES, cap)?;
-            Ok(next)
-        });
+        let next = create_segment(&self.dir, self.active.no + 1, self.sync, &self.ledger).and_then(
+            |mut next| {
+                next.slot(FRAME_BYTES, cap)?;
+                Ok(next)
+            },
+        );
         match next {
             Ok(next) => {
                 self.active = next;
@@ -3002,7 +3168,7 @@ impl ShardStore {
             self.sealed.pop_front();
         }
         if self.active.records > 0 && self.active.last_seq <= seq {
-            self.active.reset()?;
+            self.active.reset(&self.ledger)?;
         }
         Ok(())
     }

@@ -942,6 +942,141 @@ fn segment_roll_crash_recovers_with_a_fresh_successor() {
     assert_eq!(state.records.len(), 3);
 }
 
+#[test]
+fn an_all_zero_header_reads_as_a_segment_never_written() {
+    // A power loss before a new segment's first fsync: the file, maybe
+    // its length, but none of its bytes.
+    for tail in [0usize, 1, 4096] {
+        let bytes = vec![0u8; SEGMENT_HEADER_BYTES + tail];
+        assert_eq!(
+            decode_segment(&bytes, 2).unwrap(),
+            (
+                vec![],
+                SegmentEnd::Torn {
+                    valid_bytes: 0,
+                    dropped_bytes: 0,
+                }
+            ),
+            "{tail} zeros after the header"
+        );
+    }
+    // Bytes past the zero header are dropped, counted through the last
+    // non-zero one.
+    let mut bytes = vec![0u8; SEGMENT_HEADER_BYTES];
+    bytes.extend_from_slice(&record(1, 3, WalOp::Get).encode());
+    let last = bytes.iter().rposition(|&b| b != 0).unwrap() as u64 + 1;
+    bytes.resize(bytes.len() + 100, 0);
+    let (records, end) = decode_segment(&bytes, 2).unwrap();
+    assert!(records.is_empty());
+    assert_eq!(
+        end,
+        SegmentEnd::Torn {
+            valid_bytes: 0,
+            dropped_bytes: last,
+        }
+    );
+    // Only all 24 bytes zero: a header with any byte set is read as a
+    // header, and without the magic it is loud.
+    let mut almost = vec![0u8; SEGMENT_HEADER_BYTES];
+    almost[SEGMENT_HEADER_BYTES - 1] = 1;
+    assert!(matches!(
+        decode_segment(&almost, 2),
+        Err(PersistError::Corrupt { offset: 0, .. })
+    ));
+}
+
+/// `after - before`, field by field.
+fn fsyncs_between(before: FsyncCount, after: FsyncCount) -> FsyncCount {
+    FsyncCount {
+        data: after.data - before.data,
+        dir: after.dir - before.dir,
+    }
+}
+
+#[test]
+fn every_fsync_on_creation_and_roll_serves_a_promise() {
+    // (mode, fsyncs of a fresh 4-shard open, fsyncs of one roll)
+    let cases = [
+        (
+            WalSync::Off,
+            FsyncCount { data: 0, dir: 0 },
+            FsyncCount { data: 1, dir: 1 },
+        ),
+        (
+            WalSync::Always,
+            FsyncCount { data: 0, dir: 4 },
+            FsyncCount { data: 1, dir: 1 },
+        ),
+    ];
+    for (sync, open, roll) in cases {
+        let root = tmp_dir(&format!("ledger-{}", sync.spelling()));
+        let mut stores: Vec<ShardStore> = (0..4)
+            .map(|shard| {
+                let dir = root.join(format!("shard-{shard}"));
+                ShardStore::open_tuned(&dir, sync, tiny_segments())
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        let opened = FsyncCount {
+            data: stores.iter().map(|s| s.fsyncs().data).sum(),
+            dir: stores.iter().map(|s| s.fsyncs().dir).sum(),
+        };
+        assert_eq!(opened, open, "a fresh 4-shard open under {sync:?}");
+        let store = &mut stores[0];
+        store.append(WalOp::Get, ClipId::new(1)).unwrap();
+        let before = store.fsyncs();
+        // The second record fills the 74-byte segment: it rolls, and
+        // the seal makes the record durable, so no group commit runs.
+        store.append(WalOp::Get, ClipId::new(2)).unwrap();
+        assert_eq!(store.segment_span(), (1, 2), "the append rolled");
+        assert_eq!(
+            fsyncs_between(before, store.fsyncs()),
+            roll,
+            "one roll under {sync:?}"
+        );
+        drop(stores);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+#[test]
+fn a_directory_fsync_that_fails_is_an_error() {
+    let missing = tmp_dir("no-such-dir");
+    let ledger = SyncLedger::default();
+    assert_eq!(
+        ledger.sync_dir(&missing).unwrap_err().kind(),
+        std::io::ErrorKind::NotFound
+    );
+    assert_eq!(
+        ledger.count().dir,
+        1,
+        "a failed directory fsync is still counted"
+    );
+    // Under `off` the seal's directory fsync is the roll's first step
+    // that needs the directory: with it gone, the roll fails and kills
+    // the store, as a failed seal `fdatasync` does.
+    let dir = tmp_dir("seal-dir-fsync");
+    let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tiny_segments()).unwrap();
+    store.append(WalOp::Get, ClipId::new(1)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let before = store.fsyncs();
+    match store.append(WalOp::Get, ClipId::new(2)) {
+        Err(PersistError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
+        other => panic!("the roll must report the failed directory fsync, got {other:?}"),
+    }
+    assert_eq!(
+        fsyncs_between(before, store.fsyncs()),
+        FsyncCount { data: 1, dir: 1 },
+        "the seal landed, then its directory fsync failed"
+    );
+    assert_eq!(store.segment_span(), (1, 1), "no successor was created");
+    assert!(matches!(
+        store.append(WalOp::Get, ClipId::new(3)),
+        Err(PersistError::CrashInjected)
+    ));
+}
+
 // ---- group-commit tests -----------------------------------------------
 
 #[test]

@@ -13,6 +13,13 @@
 //! trimmed segment is byte for byte what a build that committed with
 //! `write(2)` left, so the truncation property covers those as before.
 //!
+//! Segment creation fsyncs neither the header nor (under `off`) the
+//! directory, so the power-loss cases write out each directory state
+//! that order can leave — no first segment, an empty newest segment, a
+//! newest segment whose header is all zeros, a sealed newest segment
+//! with no successor — and open each under both sync modes; a zero
+//! header anywhere else and a wrong non-zero magic stay loud.
+//!
 //! The plain `#[test]`s walk a deterministic corpus; the `proptest!`
 //! cases add random inputs on top (the vendored `proptest` is a small
 //! real runner, see `vendor/README.md`).
@@ -22,8 +29,8 @@ use clipcache_core::PolicyKind;
 use clipcache_media::{paper, ByteSize, ClipId};
 use clipcache_serve::persist::{
     decode_segment, seal_footer, segment_file_name, segment_header, write_checkpoint, CrashSpec,
-    DurableCheckpoint, PersistError, SegmentEnd, ShardStore, WalOp, WalRecord, WalSync, WalTuning,
-    SEGMENT_HEADER_BYTES,
+    DurableCheckpoint, DurableState, PersistError, SegmentEnd, ShardStore, WalOp, WalRecord,
+    WalSync, WalTuning, SEGMENT_HEADER_BYTES,
 };
 use clipcache_sim::metrics::HitStats;
 use clipcache_workload::Timestamp;
@@ -189,6 +196,14 @@ fn checkpoint_at(seq: u64) -> DurableCheckpoint {
     }
 }
 
+/// Two records per segment.
+fn two_record_segments() -> WalTuning {
+    WalTuning {
+        segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
+        ..WalTuning::default()
+    }
+}
+
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("clipcache-segprops-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -204,10 +219,7 @@ fn scratch(tag: &str) -> PathBuf {
 fn assert_subsumed_prefix_skips(total: u64, cutoff: u64) {
     assert!(cutoff <= total && total > 0);
     let dir = scratch(&format!("skip-{total}-{cutoff}"));
-    let tuning = WalTuning {
-        segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
-        ..WalTuning::default()
-    };
+    let tuning = two_record_segments();
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
         for i in 1..=total {
@@ -272,10 +284,7 @@ fn mid_log_corruption_is_loud_not_a_cold_start() {
     // segment fails the whole open, even though the newest segment is
     // pristine.
     let dir = scratch("midlog");
-    let tuning = WalTuning {
-        segment_bytes: (SEGMENT_HEADER_BYTES + 2 * FRAME_BYTES) as u64,
-        ..WalTuning::default()
-    };
+    let tuning = two_record_segments();
     {
         let (mut store, _) = ShardStore::open_tuned(&dir, WalSync::Off, tuning).unwrap();
         for i in 1..=5u64 {
@@ -462,6 +471,195 @@ fn a_store_killed_mid_publication_recovers_every_frame_before_it() {
         assert_eq!(state.records.len() as u64, before);
         assert_eq!(state.torn_bytes_dropped, dropped_bytes);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---- power-loss states ------------------------------------------------
+
+/// Records 1–4 under two-record segments: segments 1 and 2 sealed,
+/// segment 3 just created by the second roll and holding no record.
+fn sealed_log(dir: &std::path::Path) {
+    let (mut store, _) = ShardStore::open_tuned(dir, WalSync::Off, two_record_segments()).unwrap();
+    for clip in 1..=4 {
+        store.append(WalOp::Get, ClipId::new(clip)).unwrap();
+    }
+    assert_eq!(store.segment_span(), (1, 3));
+}
+
+/// What opening a data dir returns.
+type Opened = Result<(ShardStore, DurableState), PersistError>;
+
+/// Build a state with `make` in a fresh dir per sync mode and open it.
+fn open_power_loss_state(
+    tag: &str,
+    make: impl Fn(&std::path::Path),
+) -> Vec<(WalSync, Opened, PathBuf)> {
+    [WalSync::Off, WalSync::Always]
+        .into_iter()
+        .map(|sync| {
+            let dir = scratch(&format!("power-{tag}-{}", sync.spelling()));
+            std::fs::create_dir_all(&dir).unwrap();
+            make(&dir);
+            let opened = ShardStore::open_tuned(&dir, sync, two_record_segments());
+            (sync, opened, dir)
+        })
+        .collect()
+}
+
+/// Open `make`'s state under both modes and check it recovers exactly
+/// `records` records, drops `dropped` bytes and leaves segment
+/// `active` newest, with a clean, working log that reopens the same.
+fn assert_power_loss_state_recovers(
+    tag: &str,
+    make: impl Fn(&std::path::Path),
+    records: u64,
+    dropped: u64,
+    active: u64,
+) {
+    for (sync, opened, dir) in open_power_loss_state(tag, make) {
+        let (mut store, state) =
+            opened.unwrap_or_else(|e| panic!("{tag} under {sync:?} must open, got {e}"));
+        let seqs: Vec<u64> = state.records.iter().map(|r| r.seq).collect();
+        assert_eq!(
+            seqs,
+            (1..=records).collect::<Vec<_>>(),
+            "{tag} under {sync:?}"
+        );
+        assert_eq!(state.torn_bytes_dropped, dropped, "{tag} under {sync:?}");
+        assert_eq!(store.segment_span().1, active, "{tag} under {sync:?}");
+        let (_, end) = decode_segment(
+            &std::fs::read(dir.join(segment_file_name(active))).unwrap(),
+            active,
+        )
+        .unwrap();
+        assert_eq!(
+            end,
+            SegmentEnd::Clean,
+            "{tag}: the newest segment starts afresh"
+        );
+        assert_eq!(
+            store.append(WalOp::Admit, ClipId::new(9)).unwrap(),
+            records + 1,
+            "{tag} under {sync:?}: the log continues"
+        );
+        drop(store);
+        let (_, again) = ShardStore::open_tuned(&dir, sync, two_record_segments()).unwrap();
+        assert_eq!(
+            again.records.len() as u64,
+            records + 1,
+            "{tag} under {sync:?}"
+        );
+        assert_eq!(again.torn_bytes_dropped, 0, "{tag} under {sync:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Replace segment `no` in `dir` with `bytes`.
+fn plant(dir: &std::path::Path, no: u64, bytes: &[u8]) {
+    std::fs::write(dir.join(segment_file_name(no)), bytes).unwrap();
+}
+
+#[test]
+fn a_fresh_shard_dir_without_its_first_segment_opens() {
+    assert_power_loss_state_recovers("fresh", |_| {}, 0, 0, 1);
+}
+
+#[test]
+fn an_empty_newest_segment_is_created_afresh() {
+    assert_power_loss_state_recovers("empty-first", |dir| plant(dir, 1, &[]), 0, 0, 1);
+    assert_power_loss_state_recovers(
+        "empty-newest",
+        |dir| {
+            sealed_log(dir);
+            plant(dir, 3, &[]);
+        },
+        4,
+        0,
+        3,
+    );
+}
+
+#[test]
+fn a_newest_segment_whose_header_never_reached_the_disk_is_created_afresh() {
+    // Its length reached the disk, none of its bytes.
+    assert_power_loss_state_recovers(
+        "zero-header",
+        |dir| {
+            sealed_log(dir);
+            plant(dir, 3, &[0; SEGMENT_HEADER_BYTES + 4096]);
+        },
+        4,
+        0,
+        3,
+    );
+    // Its frames' page reached the disk without its header: none of
+    // them was ever acknowledged as durable, so they are dropped and
+    // counted, never replayed.
+    let mut bytes = vec![0u8; SEGMENT_HEADER_BYTES];
+    for seq in 5..=6 {
+        bytes.extend_from_slice(&record_from(seq, seq as u32, 0).encode());
+    }
+    let dropped = bytes.iter().rposition(|&b| b != 0).unwrap() as u64 + 1;
+    bytes.resize(bytes.len() + ZERO_TAIL, 0);
+    assert_power_loss_state_recovers(
+        "zero-header-frames",
+        |dir| {
+            sealed_log(dir);
+            plant(dir, 3, &bytes);
+        },
+        4,
+        dropped,
+        3,
+    );
+}
+
+#[test]
+fn a_sealed_newest_segment_gets_its_successor() {
+    assert_power_loss_state_recovers(
+        "sealed-newest",
+        |dir| {
+            sealed_log(dir);
+            std::fs::remove_file(dir.join(segment_file_name(3))).unwrap();
+        },
+        4,
+        0,
+        3,
+    );
+}
+
+/// Open `make`'s state under both modes; each must refuse loudly.
+fn assert_power_loss_state_is_loud(tag: &str, make: impl Fn(&std::path::Path)) {
+    for (sync, opened, dir) in open_power_loss_state(tag, make) {
+        match opened.map(|_| ()) {
+            Err(PersistError::Corrupt { .. }) => {}
+            other => panic!("{tag} under {sync:?} must be loud corruption, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_zero_header_before_the_newest_segment_is_loud() {
+    // No power loss leaves it: a segment's successor exists only once
+    // the segment's seal, header included, is durable.
+    assert_power_loss_state_is_loud("zero-header-middle", |dir| {
+        sealed_log(dir);
+        let path = dir.join(segment_file_name(2));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..SEGMENT_HEADER_BYTES].fill(0);
+        std::fs::write(&path, bytes).unwrap();
+    });
+}
+
+#[test]
+fn a_non_zero_wrong_magic_on_the_newest_segment_is_loud() {
+    for (at, byte) in [(0, b'X'), (7, 1), (3, 0)] {
+        assert_power_loss_state_is_loud(&format!("bad-magic-{at}"), |dir| {
+            sealed_log(dir);
+            let mut header = segment_header(3);
+            header[at] = byte;
+            plant(dir, 3, &header);
+        });
     }
 }
 
