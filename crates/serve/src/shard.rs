@@ -441,23 +441,14 @@ impl Shard {
         }
     }
 
-    /// Hand the newest checkpoint refresh to the background writer if
-    /// the store still holds it — the first step of a service shutdown,
-    /// before the writer drains. Best effort: a failure leaves a longer
-    /// WAL tail for the next open to replay.
-    pub(crate) fn hand_off_held(&mut self) {
+    /// Land the newest checkpoint refresh the store still holds, and a
+    /// hand-off still pending, on this thread, then retire the WAL
+    /// behind what landed — a service shutdown, before the writer
+    /// thread is joined. Best effort: a failure leaves a longer WAL tail
+    /// for the next open to replay.
+    pub(crate) fn settle_checkpoints(&mut self) {
         if let Some(store) = &mut self.store {
-            let _ = store.hand_off_held();
-        }
-    }
-
-    /// Retire the WAL behind the newest checkpoint the background
-    /// writer landed — the last step of a service shutdown, once the
-    /// writer has drained. Best effort: a failure leaves a longer
-    /// subsumed prefix for the next open to skip.
-    pub(crate) fn retire_landed(&mut self) {
-        if let Some(store) = &mut self.store {
-            let _ = store.collect_writes();
+            let _ = store.settle();
         }
     }
 
