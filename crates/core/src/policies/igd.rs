@@ -5,10 +5,11 @@
 //! IGD ages the count by the time since the clip's last reference:
 //!
 //! ```text
-//! H(x) = L(x) + cost · nref(x) / (d₁(x) · size(x))
+//! H(x) = L(x) + nref(x) / (d₁(x) · size(x))
 //! ```
 //!
-//! where `d₁(x) = now − last_reference(x)` and `L(x)` is the inflation
+//! (the paper's `cost` factor is GreedyDual's uniform cost, 1), where
+//! `d₁(x) = now − last_reference(x)` and `L(x)` is the inflation
 //! value captured when `x` was last accessed. If a popular clip stops
 //! receiving hits, `d₁` grows every tick, its priority decays, and IGD
 //! swaps it out; on eviction `nref` is forgotten (reset for the next
@@ -25,7 +26,6 @@
 //! tick (a clip referenced at `now` would otherwise divide by zero).
 
 use crate::cache::{AccessEvent, ClipCache, EvictionSink};
-use crate::policies::greedy_dual::CostModel;
 use crate::space::CacheSpace;
 use clipcache_media::{ByteSize, ClipId, Repository};
 use clipcache_workload::{Pcg64, Timestamp};
@@ -68,7 +68,6 @@ pub struct IgdCache {
     /// Last reference time (resident clips only).
     last_ref: Vec<Timestamp>,
     inflation: f64,
-    cost: CostModel,
     nref_mode: NrefMode,
     rng: Pcg64,
     /// Scratch tie list reused across evictions (no per-miss allocation).
@@ -96,7 +95,6 @@ impl IgdCache {
             nref: vec![0; n],
             last_ref: vec![Timestamp::ZERO; n],
             inflation: 0.0,
-            cost: CostModel::Uniform,
             nref_mode,
             rng: Pcg64::seed_from_u64_stream(seed, IGD_STREAM),
             ties: Vec::new(),
@@ -116,11 +114,9 @@ impl IgdCache {
     /// The lazily evaluated priority of a resident clip at time `now`.
     pub fn priority_at(&self, clip: ClipId, now: Timestamp) -> f64 {
         let i = clip.index();
-        let c = self.space.repo().clip(clip);
-        let size = c.size;
+        let size = self.space.repo().size_of(clip);
         let d1 = now.since(self.last_ref[i]).max(1) as f64;
-        self.l_at_access[i]
-            + self.cost.cost(size, c.display_bandwidth) * self.nref[i] as f64 / (d1 * size.as_f64())
+        self.l_at_access[i] + self.nref[i] as f64 / (d1 * size.as_f64())
     }
 
     fn choose_victim(&mut self, exclude: ClipId, now: Timestamp) -> (ClipId, f64) {

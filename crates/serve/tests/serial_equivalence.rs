@@ -1,10 +1,11 @@
 //! The correctness anchor: a 1-shard, 1-client service run must
 //! reproduce the serial simulator's statistics **bit for bit**, for
-//! every heap-eligible and scan policy alike; multi-shard runs must stay
+//! every online policy the registry spells; multi-shard runs must stay
 //! deterministic and land within a documented tolerance of serial. The
 //! real `loadgen` and `serve` binaries hold the same anchor, in process
 //! and over TCP.
 
+use clipcache_core::registry::SPELLING_EXAMPLES;
 use clipcache_core::PolicySpec;
 use clipcache_media::{paper, ByteSize, Repository};
 use clipcache_serve::{
@@ -54,26 +55,14 @@ fn baseline(policy: PolicySpec, trace: &Trace) -> HitStats {
 #[test]
 fn one_shard_one_client_is_bit_for_bit_serial() {
     let trace = Trace::from_generator(RequestGenerator::new(48, 0.27, 0, 3_000, SEED));
-    // Policies spanning every mechanism family: randomized victim
-    // choice, recency lists, frequency counters, history (LRU-K),
-    // GreedyDual priorities, size ordering, and the paper's DYNSimple —
-    // on both victim-index backends where eligible.
-    let policies: Vec<PolicySpec> = [
-        "random",
-        "lru",
-        "lru@heap",
-        "fifo",
-        "lfu",
-        "lru-2",
-        "size",
-        "greedydual",
-        "greedydual@heap",
-        "dynsimple:2",
-        "igd",
-    ]
-    .iter()
-    .map(|s| s.parse().expect("valid spelling"))
-    .collect();
+    // Every online policy the registry spells, the paper's LRU-SK, IGD
+    // and DYNSimple among them; the offline ones need the whole trace
+    // up front, which a served shard never sees.
+    let policies: Vec<PolicySpec> = SPELLING_EXAMPLES
+        .iter()
+        .map(|s| s.parse::<PolicySpec>().expect("valid spelling"))
+        .filter(|policy| !policy.kind.is_offline())
+        .collect();
     for policy in policies {
         let (observed, server_side) = load(policy, 1, 1, &trace);
         let serial = baseline(policy, &trace);
