@@ -36,12 +36,14 @@
 //! `always` adds an fsync — survives power loss); `--checkpoint-every`
 //! sets the accesses between checkpoint refreshes, and a refresh goes
 //! to the background writer once the WAL holds a quarter segment of
-//! records past the last one it got, so a `kill -9` replays at most a
-//! quarter segment plus one `--checkpoint-every` per shard;
-//! `--checkpoint-every` sets the poison-rewind point; `--crash-at`
-//! (requires `--data-dir`) arms a deterministic crash point
-//! (`append:N`, `torn:N`, `checkpoint:N`) that kills the process with
-//! exit code 137 — the chaos harness's crash-restart loop.
+//! records past the last one it got, so a `kill -9` replays the records
+//! after the newest checkpoint that landed — at most a quarter segment
+//! plus one `--checkpoint-every` per shard once the newest hand-off has
+//! landed; `--checkpoint-every` sets the poison-rewind point;
+//! `--crash-at` (requires `--data-dir`) arms a deterministic crash
+//! point (`append:N`, `torn:N`, `checkpoint:N`, `seal:N`,
+//! `segment-roll:N`) that kills the process with exit code 137 — the
+//! chaos harness's crash-restart loop.
 //!
 //! Cluster knobs: `--cluster i` makes this process member `i` of a
 //! static membership given by `--peers` (a comma-separated address
